@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.aggregates import boundary_multiplicity
-from repro.engine.elimination import eliminate_group_counts
+from repro.engine.columnar import eliminate_group_counts_columnar
 from repro.engine.evaluation import count_query
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
@@ -50,7 +50,7 @@ def test_triangle_residual_multiplicity_enumerate(benchmark, medium_graph_db):
 def test_star_group_counts_elimination(benchmark, medium_graph_db):
     query = k_star_query(3)
     result = benchmark(
-        lambda: eliminate_group_counts(
+        lambda: eliminate_group_counts_columnar(
             query, medium_graph_db, [Variable("x0")], atom_indices=[0, 1]
         )
     )

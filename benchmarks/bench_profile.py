@@ -47,9 +47,6 @@ from bench_utils import derive_seed, trend_gate
 NUM_NODES = 300
 #: Target average degree of the Holme–Kim surrogate.
 AVERAGE_DEGREE = 4.0
-#: Backend the acceptance comparison runs on (both paths use the same one,
-#: so the ratio isolates the lattice sharing, not the backend).
-BACKEND = "numpy"
 
 REPORT_QUERIES = (
     ("triangle", triangle_query()),
@@ -110,7 +107,7 @@ def _describe(name: str, shared, baseline_time: float, shared_time: float) -> st
 
 def test_profile_speedup_star4(graph_db):
     """≥3× on a ≥3-private-atom query, with an identical profile."""
-    engine = ResidualSensitivity(k_star_query(4), beta=0.1, backend=BACKEND)
+    engine = ResidualSensitivity(k_star_query(4), beta=0.1)
     _, shared, baseline_time, shared_time = _compare(engine, graph_db)
     print("\n" + _describe("star4", shared, baseline_time, shared_time))
 
@@ -129,55 +126,10 @@ def test_profile_report_queries(graph_db):
     """Triangle / 3-star / path-4: identical profiles, informational timings."""
     lines = []
     for name, query in REPORT_QUERIES:
-        engine = ResidualSensitivity(query, beta=0.1, backend=BACKEND)
+        engine = ResidualSensitivity(query, beta=0.1)
         _, shared, baseline_time, shared_time = _compare(engine, graph_db)
         lines.append(_describe(name, shared, baseline_time, shared_time))
     print("\n" + "\n".join(lines))
-
-
-def test_profile_compiled_speedup_star4(graph_db):
-    """Compiled kernel tier: star4 lattice profile, compiled vs numpy.
-
-    The compiled backend replaces the columnar engine's factorization, join
-    expansion and group-by inner loops with fused numba kernels; on the
-    star4 lattice over the 300-node collaboration graph it must profile
-    **≥2× faster** than the numpy backend with a bit-identical profile.
-    Needs real JIT compilation: skipped (with the concrete reason) when
-    numba is absent, and in forced-interpreted mode, where the kernels run
-    as plain Python loops and the ratio is meaningless.
-    """
-    from repro.engine import kernels
-
-    if kernels.kernel_mode() != "jit":
-        reason = kernels.unavailable_reason() or "kernels forced interpreted"
-        pytest.skip(f"compiled speed gate needs JIT kernels: {reason}")
-    kernels.warm_up()  # JIT compilation must not land in the timed region
-
-    query = k_star_query(4)
-    start = time.perf_counter()
-    numpy_profile = ResidualSensitivity(query, beta=0.1, backend="numpy").profile(
-        graph_db
-    )
-    numpy_time = time.perf_counter() - start
-    # numpy runs first, so compiled inherits the warm factorization caches
-    # and the measured ratio conservatively isolates the kernels.
-    start = time.perf_counter()
-    compiled_profile = ResidualSensitivity(
-        query, beta=0.1, backend="compiled"
-    ).profile(graph_db)
-    compiled_time = time.perf_counter() - start
-
-    assert set(compiled_profile.results) == set(numpy_profile.results)
-    for kept, reference in numpy_profile.results.items():
-        result = compiled_profile.results[kept]
-        assert (result.value, result.exact) == (reference.value, reference.exact)
-
-    speedup = numpy_time / compiled_time
-    print(
-        f"\nstar4 compiled kernels: numpy {numpy_time * 1e3:.0f} ms, "
-        f"compiled {compiled_time * 1e3:.0f} ms, speedup {speedup:.1f}x"
-    )
-    trend_gate("profile", "compiled_speedup", speedup, floor=2.0)
 
 
 #: Concurrent profile evaluations in the process-speedup comparison (the
@@ -195,8 +147,7 @@ def measure_concurrent_profiles(query, db, subsets, mode, repeats=3):
             start = time.perf_counter()
             futures = [
                 pool.submit(
-                    evaluate_profile, query, db, subsets,
-                    backend=BACKEND, parallelism_mode=mode,
+                    evaluate_profile, query, db, subsets, parallelism_mode=mode
                 )
                 for _ in range(CONCURRENT_PROFILES)
             ]
@@ -221,7 +172,7 @@ def test_profile_process_speedup_star4(graph_db):
     from repro.engine.procpool import get_process_pool
 
     query = k_star_query(4)
-    engine = ResidualSensitivity(query, beta=0.1, backend=BACKEND)
+    engine = ResidualSensitivity(query, beta=0.1)
     subsets = engine.required_subsets(graph_db)
     get_process_pool(None)  # spawn cost is amortized, not benchmarked
     reference = engine.profile(graph_db)
@@ -254,16 +205,14 @@ def test_profile_process_speedup_star4(graph_db):
 
 def test_parallel_profile_identical(graph_db):
     """The worker-pool knob changes throughput only, never results."""
-    serial = ResidualSensitivity(k_star_query(3), beta=0.1, backend=BACKEND)
-    parallel = ResidualSensitivity(
-        k_star_query(3), beta=0.1, backend=BACKEND, parallelism=4
-    )
+    serial = ResidualSensitivity(k_star_query(3), beta=0.1)
+    parallel = ResidualSensitivity(k_star_query(3), beta=0.1, parallelism=4)
     assert serial.multiplicities(graph_db) == parallel.multiplicities(graph_db)
 
 
 def test_shared_profile_benchmark(benchmark, graph_db):
     """Steady-state shared-lattice profile latency (warm caches), 3-star."""
-    engine = ResidualSensitivity(k_star_query(3), beta=0.1, backend=BACKEND)
+    engine = ResidualSensitivity(k_star_query(3), beta=0.1)
     engine.profile(graph_db)  # warm the columnar/factorization caches
     result = benchmark(lambda: engine.profile(graph_db))
     assert result.stats.components_evaluated >= 1
@@ -271,7 +220,7 @@ def test_shared_profile_benchmark(benchmark, graph_db):
 
 def test_reference_profile_benchmark(benchmark, graph_db):
     """The per-subset baseline on the same workload (for the trajectory)."""
-    engine = ResidualSensitivity(k_star_query(3), beta=0.1, backend=BACKEND)
+    engine = ResidualSensitivity(k_star_query(3), beta=0.1)
     engine.profile(graph_db)  # same warm-cache starting point
     profile = benchmark(lambda: engine.multiplicities_reference(graph_db))
     assert profile

@@ -74,9 +74,8 @@ def test_cached_speedup_and_identical_results(graph_db):
     assert not any(r.sensitivity_cache_hit for r in uncached)
 
     speedup = uncached_time / cached_time
-    backend = cached[0].backend
     print(
-        f"\nrepeated {TRIANGLE!r} x{REPEATS} [backend={backend}]: "
+        f"\nrepeated {TRIANGLE!r} x{REPEATS}: "
         f"uncached {uncached_time * 1e3:.1f} ms, cached {cached_time * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )

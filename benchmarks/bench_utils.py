@@ -61,7 +61,7 @@ def bench_seed() -> int:
 def derive_seed(stream: str) -> int:
     """A stable per-stream seed derived from the master seed.
 
-    ``stream`` names the consumer (e.g. ``"backend.join"``); crc32 keeps the
+    ``stream`` names the consumer (e.g. ``"profile.graph"``); crc32 keeps the
     derivation stable across Python versions and processes, so the same
     ``REPRO_BENCH_SEED`` always reproduces the same workloads bit-for-bit.
     """

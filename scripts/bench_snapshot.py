@@ -2,8 +2,7 @@
 """Write compact benchmark snapshots (``BENCH_<area>.json``) at the repo root.
 
 This is the committed perf trajectory: each run re-executes the gated
-benchmark workloads — backend join speedup (``benchmarks/bench_backend.py``),
-serving-layer cache speedup, warm latency and instrumentation overhead
+benchmark workloads — serving-layer cache speedup, warm latency and instrumentation overhead
 (``benchmarks/bench_service.py``), and the shared-lattice profiler speedup
 (``benchmarks/bench_profile.py``) — and records the headline numbers in a
 small, diffable JSON document per area.  Workloads are reproduced
@@ -40,7 +39,7 @@ for entry in (ROOT / "src", ROOT / "benchmarks"):
 
 from bench_utils import derive_seed, seed_record  # noqa: E402
 
-AREAS = ("backend", "service", "profile", "concurrency", "mutation")
+AREAS = ("service", "profile", "concurrency", "mutation")
 
 
 def _environment() -> dict:
@@ -56,49 +55,6 @@ def _environment() -> dict:
 def _median_of(samples: list) -> float:
     ordered = sorted(samples)
     return ordered[len(ordered) // 2]
-
-
-def snapshot_backend() -> dict:
-    """Large-join counting: python vs numpy backend (cold + warm)."""
-    import bench_backend as bb
-
-    from repro.engine import kernels
-
-    db = bb._large_join_db()
-    python_time, python_count = bb._timed_count("python", db)
-    numpy_cold_time, numpy_count = bb._timed_count("numpy", db)
-    assert numpy_count == python_count
-    warm = min(bb._timed_count("numpy", db)[0] for _ in range(3))
-
-    # The compiled kernel tier: status always recorded; the join timing only
-    # with real JIT kernels (interpreted mode would just benchmark CPython).
-    kernel_block: dict = {"status": kernels.kernel_status()}
-    if kernels.kernel_mode() == "jit":
-        kernels.warm_up()
-        compiled_time, compiled_count = bb._timed_count("compiled", db)
-        assert compiled_count == python_count
-        compiled_warm = min(bb._timed_count("compiled", db)[0] for _ in range(3))
-        kernel_block["results"] = {
-            "compiled_cold_seconds": round(compiled_time, 6),
-            "compiled_warm_seconds": round(compiled_warm, 6),
-            "compiled_vs_numpy_warm": round(warm / compiled_warm, 2),
-        }
-    return {
-        "kernels": kernel_block,
-        "workload": {
-            "query": "R(x, y), S(y, z)",
-            "tuples_per_relation": bb.TUPLES,
-            "distinct_keys": bb.KEYS,
-            "join_count": python_count,
-        },
-        "results": {
-            "python_seconds": round(python_time, 6),
-            "numpy_cold_seconds": round(numpy_cold_time, 6),
-            "numpy_warm_seconds": round(warm, 6),
-            "speedup_cold": round(python_time / numpy_cold_time, 2),
-            "speedup_warm": round(python_time / warm, 2),
-        },
-    }
 
 
 def snapshot_service() -> dict:
@@ -161,7 +117,7 @@ def snapshot_profile() -> dict:
     )
     from repro.engine.procpool import get_process_pool, shutdown_process_pool
 
-    engine = ResidualSensitivity(k_star_query(4), beta=0.1, backend=bp.BACKEND)
+    engine = ResidualSensitivity(k_star_query(4), beta=0.1)
     _, shared, baseline_time, shared_time = bp._compare(engine, graph_db)
     stats = shared.stats
 
@@ -179,33 +135,11 @@ def snapshot_profile() -> dict:
     )
     shutdown_process_pool()
 
-    # Compiled-kernel star4 profile vs numpy — the trend baseline for
-    # bench_profile.test_profile_compiled_speedup_star4.  JIT mode only:
-    # without numba the metric is absent and the trend gate falls back to
-    # its fixed 2x floor.
-    from repro.engine import kernels
-
-    compiled_results: dict = {}
-    if kernels.kernel_mode() == "jit":
-        kernels.warm_up()
-        start = time.perf_counter()
-        compiled_profile = ResidualSensitivity(
-            k_star_query(4), beta=0.1, backend="compiled"
-        ).profile(graph_db)
-        compiled_time = time.perf_counter() - start
-        for kept, reference in shared.results.items():
-            result = compiled_profile.results[kept]
-            assert (result.value, result.exact) == (reference.value, reference.exact)
-        compiled_results = {
-            "compiled_seconds": round(compiled_time, 6),
-            "compiled_speedup": round(shared_time / compiled_time, 2),
-        }
     return {
         "workload": {
             "query": "star4",
             "graph_nodes": bp.NUM_NODES,
             "graph_average_degree": bp.AVERAGE_DEGREE,
-            "backend": bp.BACKEND,
             "concurrent_profiles": bp.CONCURRENT_PROFILES,
         },
         "results": {
@@ -221,7 +155,6 @@ def snapshot_profile() -> dict:
             "component_dedup_hits": stats.component_hits,
             "factorization_hits": stats.factorization_hits,
             "factorization_misses": stats.factorization_misses,
-            **compiled_results,
         },
     }
 
@@ -301,7 +234,6 @@ def snapshot_mutation() -> dict:
 
 
 SNAPSHOTTERS = {
-    "backend": snapshot_backend,
     "service": snapshot_service,
     "profile": snapshot_profile,
     "concurrency": snapshot_concurrency,

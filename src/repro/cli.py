@@ -54,40 +54,34 @@ Installed as ``repro-dp`` (see ``pyproject.toml``).  Sub-commands:
 
 ``fuzz``
     Differential fuzzing and statistical verification (:mod:`repro.qa`):
-    random schemas/databases/queries are checked python-backend ==
-    numpy-backend == brute-force oracle (counts, boundary multiplicities,
+    random schemas/databases/queries are checked engine == exact
+    enumeration == brute-force oracle (counts, boundary multiplicities,
     sensitivity profiles, smoothness invariants), and seeded releases are
     goodness-of-fit tested against the exact noise law at query, service
     and batch level.  Every failure prints a self-contained replay
     snippet; exit code 1 means mismatches were found.
 
-``backends``
-    List the registered execution backends with availability, version and
-    JIT warm-up status (``--json`` for the machine-readable block, the same
-    one ``GET /stats`` serves under ``backends``).
-
 ``count`` and ``sensitivity`` accept ``--json`` to emit machine-readable
 output instead of the human-readable text.  ``count``, ``sensitivity``,
-``serve`` and ``batch`` accept ``--backend {python,numpy,compiled,auto}``
-to pick the execution backend (see ``docs/backends.md``; ``compiled``
-needs the optional numba extra, ``auto`` falls back to ``numpy`` without
-it); every output reports which backend ran.  The same four commands accept ``--parallelism N`` to fan
+``serve`` and ``batch`` accept ``--parallelism N`` to fan
 residual-sensitivity component evaluations out over a worker pool and
 ``--parallelism-mode {thread,process,auto}`` to choose *which* pool — the
 default in-process threads or the shared GIL-free process pool for large
 lattices (``fuzz`` also accepts the mode, to run the differential battery
 under it; see ``docs/performance.md``).  Results are identical whichever
-combination runs.
+combination runs.  The retired ``--backend`` option is still accepted by
+``count``, ``sensitivity``, ``serve``, ``batch`` and ``fuzz``, ignored, and
+reported on stderr.
 
 Examples
 --------
 ::
 
     repro-dp count --dataset GrQc --query "Edge(x,y), Edge(y,z), Edge(x,z), x != y, y != z, x != z" --epsilon 1.0
-    repro-dp count --dataset GrQc --query "Edge(x, y)" --epsilon 0.5 --json --backend numpy
+    repro-dp count --dataset GrQc --query "Edge(x, y)" --epsilon 0.5 --json
     repro-dp table1 --datasets GrQc HepTh --queries q_triangle q_3star
     repro-dp generate --dataset CondMat --output condmat_surrogate.txt
-    repro-dp serve --dataset GrQc --name grqc --port 8080 --session-budget 2.0 --backend numpy
+    repro-dp serve --dataset GrQc --name grqc --port 8080 --session-budget 2.0
     repro-dp batch --dataset GrQc --requests workload.json --epsilon-total 1.0
 """
 
@@ -100,13 +94,6 @@ from typing import Sequence
 
 from repro.data.database import Database
 from repro.datasets.snap_surrogates import available_datasets, surrogate_database
-from repro.engine.backend import (
-    available_backends,
-    backend_inventory,
-    default_backend_name,
-    get_backend,
-    resolve_auto_backend,
-)
 from repro.exceptions import ReproError
 from repro.experiments.example3 import format_example3, run_example3
 from repro.experiments.figure3 import Figure3Config, format_figure3, run_figure3
@@ -144,14 +131,13 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
+    """The retired engine choice: still parsed so old scripts keep working,
+    then ignored with a notice on stderr (see :func:`main`)."""
     parser.add_argument(
         "--backend",
         default=None,
-        choices=available_backends() + ["auto"],
-        help="execution backend (default: python, or $REPRO_BACKEND); "
-        "'auto' picks the fastest available tier (compiled when its JIT "
-        "kernels can run, else numpy); backends produce identical results "
-        "and differ only in speed",
+        choices=["python", "numpy", "compiled", "auto"],
+        help=argparse.SUPPRESS,
     )
 
 
@@ -340,20 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the parsed metric families as JSON"
     )
 
-    backends = subparsers.add_parser(
-        "backends",
-        help="list execution backends: availability, version, warm-up status",
-    )
-    backends.add_argument(
-        "--json", action="store_true", help="emit JSON instead of text"
-    )
-    backends.add_argument(
-        "--warm-up",
-        action="store_true",
-        help="run the compiled tier's JIT warm-up first (a no-op when it is "
-        "unavailable) so the reported warm-up status/time reflects this host",
-    )
-
     mutate = subparsers.add_parser(
         "mutate",
         help="apply tuple-level delta operations to a database on a running server",
@@ -400,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = subparsers.add_parser(
         "fuzz",
-        help="differential fuzzing (backends vs oracle) + noise-calibration tests",
+        help="differential fuzzing (engine vs oracle) + noise-calibration tests",
     )
     fuzz.add_argument("--cases", type=int, default=100, help="number of generated workloads")
     fuzz.add_argument("--seed", type=int, default=0, help="master workload seed")
@@ -460,6 +432,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "backend", None) is not None:
+        from repro.service.service import BACKEND_DEPRECATION
+
+        print(f"warning: {BACKEND_DEPRECATION}", file=sys.stderr)
     try:
         return _dispatch(args)
     except ReproError as exc:
@@ -476,7 +452,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             method=args.method,
             rng=args.seed,
-            backend=args.backend,
             parallelism=args.parallelism,
             parallelism_mode=args.parallelism_mode,
         )
@@ -487,7 +462,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                     {
                         "noisy_count": release.noisy_count,
                         "method": release.method,
-                        "backend": release.backend,
                         "epsilon": release.epsilon,
                         "sensitivity": release.sensitivity,
                         "expected_error": release.expected_error,
@@ -497,7 +471,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 0
         print(f"noisy count : {release.noisy_count:.2f}")
         print(f"method      : {release.method}")
-        print(f"backend     : {release.backend}")
         print(f"epsilon     : {release.epsilon}")
         print(f"expected err: {release.expected_error:.2f}")
         return 0
@@ -505,11 +478,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sensitivity":
         database = _load_database(args)
         query = parse_query(args.query)
-        backend = get_backend(args.backend).name
         residual = ResidualSensitivity(
             query,
             beta=args.beta,
-            backend=backend,
             parallelism=args.parallelism,
             parallelism_mode=args.parallelism_mode,
         ).compute(database)
@@ -521,7 +492,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 json.dumps(
                     {
                         "beta": args.beta,
-                        "backend": backend,
                         "residual": residual.value,
                         "elastic": elastic.value,
                         "global_agm": global_bound.value,
@@ -533,7 +503,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"residual sensitivity : {residual.value:.2f}")
         print(f"elastic sensitivity  : {elastic.value:.2f}")
         print(f"global bound (AGM)   : {global_bound.value:.2f}")
-        print(f"backend              : {backend}")
         if profiler is not None:
             print(
                 "profiler             : "
@@ -549,9 +518,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "mutate":
         return _run_mutate(args)
-
-    if args.command == "backends":
-        return _run_backends(args)
 
     if args.command == "metrics":
         return _run_metrics(args)
@@ -630,9 +596,7 @@ def _build_service(args: argparse.Namespace, **service_kwargs) -> "PrivateQueryS
 
     service = PrivateQueryService(**service_kwargs)
     name = getattr(args, "name", None) or getattr(args, "dataset", None) or "default"
-    service.register_database(
-        name, _load_database(args), backend=getattr(args, "backend", None)
-    )
+    service.register_database(name, _load_database(args))
     return service
 
 
@@ -691,17 +655,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     )
     host, port = server.server_address[:2]
     name = service.registry.names()[0]
-    backend = service.registry.get(name).backend
     if args.state_dir is not None:
         recovered = service.sessions.active_ids()
         print(
             f"recovered state from {args.state_dir!r}: {len(recovered)} session(s), "
             f"audit total {service.sessions.audit.total_recorded}"
         )
-    print(
-        f"serving database {name!r} (backend {backend}) on http://{host}:{port}  "
-        "(Ctrl-C to stop)"
-    )
+    print(f"serving database {name!r} on http://{host}:{port}  (Ctrl-C to stop)")
     if not args.no_observability:
         print(f"metrics on http://{host}:{port}/metrics")
     sys.stdout.flush()
@@ -803,40 +763,6 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
     # unflushed banner would be printed once per worker.
     sys.stdout.flush()
     dispatcher.serve()
-    return 0
-
-
-def _run_backends(args: argparse.Namespace) -> int:
-    """List the execution backends with availability/version/warm-up detail."""
-    if args.warm_up:
-        from repro.engine import kernels
-
-        kernels.warm_up()
-    report = {
-        "default": default_backend_name(),
-        "auto": resolve_auto_backend(),
-        "backends": backend_inventory(),
-    }
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0
-    print(f"default backend : {report['default']}")
-    print(f"auto resolves to: {report['auto']}")
-    print()
-    for entry in report["backends"]:
-        status = "available" if entry["available"] else "unavailable"
-        line = f"{entry['name']:<10} {status:<12}"
-        if entry.get("version"):
-            line += f" version {entry['version']}"
-        if entry.get("mode"):
-            line += f"  mode={entry['mode']}"
-        if "warm" in entry:
-            line += f"  warm={'yes' if entry['warm'] else 'no'}"
-            if entry.get("warm_up_seconds") is not None:
-                line += f" ({entry['warm_up_seconds'] * 1e3:.0f} ms)"
-        if entry.get("reason"):
-            line += f"  ({entry['reason']})"
-        print(line)
     return 0
 
 
@@ -1000,7 +926,6 @@ def _run_state(args: argparse.Namespace) -> int:
         for name, meta in sorted(recovered.databases.items()):
             print(
                 f"  {name}: version {meta.get('version')}, "
-                f"backend {meta.get('backend')}, "
                 f"private tuples {meta.get('private_tuples')}"
             )
     else:
@@ -1011,14 +936,10 @@ def _run_state(args: argparse.Namespace) -> int:
 def _run_fuzz(args: argparse.Namespace) -> int:
     import tempfile
 
-    from repro.engine.backend import get_backend as _get_backend
     from repro.qa.calibration import verify_calibration
     from repro.qa.runner import DifferentialRunner
 
-    backend = _get_backend(args.backend).name
-    runner = DifferentialRunner(
-        args.seed, backend=backend, parallelism_mode=args.parallelism_mode
-    )
+    runner = DifferentialRunner(args.seed, parallelism_mode=args.parallelism_mode)
     report = runner.run(args.cases, start=args.start)
 
     calibration = None
@@ -1027,7 +948,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
             calibration = verify_calibration(
                 seed=args.seed,
                 samples=args.calibration_samples,
-                backend=backend,
                 state_dir=state_dir,
             )
 
@@ -1035,9 +955,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     if args.cluster_cases > 0:
         from repro.qa.cluster import verify_cluster_serve
 
-        cluster = verify_cluster_serve(
-            seed=args.seed, cases=args.cluster_cases, backend=backend
-        )
+        cluster = verify_cluster_serve(seed=args.seed, cases=args.cluster_cases)
 
     ok = (
         report.ok
@@ -1060,7 +978,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     for failure in report.failures:
         print(
             f"FAIL case {failure.case_index} check {failure.check} "
-            f"(seed {failure.seed}, backend {failure.backend}):"
+            f"(seed {failure.seed}):"
         )
         print(f"  {failure.message}")
         print("  replay snippet:")
@@ -1068,13 +986,11 @@ def _run_fuzz(args: argparse.Namespace) -> int:
             print(f"    {line}")
         print()
     print(
-        f"fuzz: {report.cases} cases (seed {report.seed}, start {report.start}, "
-        f"backend {backend}), {report.checks_run} checks, "
+        f"fuzz: {report.cases} cases (seed {report.seed}, start {report.start}), "
+        f"{report.checks_run} checks, "
         f"{report.oracle_ls_cases} exhaustive-LS cases, "
         f"{len(report.failures)} failure(s)"
     )
-    for check, notice in sorted(report.skipped.items()):
-        print(f"fuzz notice: check {check!r} {notice}")
     if calibration is not None:
         for check in calibration.checks:
             status = "ok" if check.passed else "FAIL"
@@ -1165,8 +1081,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             print(f"[{item.index}] error: {item.error}")
     print(
         f"{len(result.items)} requests, {result.groups} distinct shapes, "
-        f"{result.deduplicated} deduplicated, epsilon charged {result.epsilon_charged:.4f}, "
-        f"backend {service.registry.get(name).backend}"
+        f"{result.deduplicated} deduplicated, epsilon charged {result.epsilon_charged:.4f}"
     )
     return 0 if result.ok else 2
 

@@ -9,10 +9,10 @@ needs directly:
 * maximum frequencies ``mf(x, R)`` over attribute subsets, which are the
   building block of elastic sensitivity (Section 4.4),
 * a columnar snapshot (:meth:`Relation.to_columns`) consumed by the
-  vectorized NumPy execution backend,
+  columnar elimination engine,
 * a generic per-column *factorization* slot
   (:meth:`Relation.cached_factorization` / :meth:`Relation.store_factorization`)
-  in which the columnar backend memoizes the dense-code encodings of base
+  in which the columnar engine memoizes the dense-code encodings of base
   columns (``np.unique`` is the single hottest primitive of vectorized bucket
   elimination; caching it here shares the work across every residual subset,
   query and service request against the same instance), and
@@ -406,7 +406,7 @@ class Relation:
         """A columnar snapshot: one NumPy array per attribute.
 
         Columns whose values are all Python ints become ``int64`` arrays (the
-        fast path of the NumPy execution backend); anything else becomes an
+        fast path of the columnar engine); anything else becomes an
         ``object`` array.  Row order is unspecified but consistent across the
         columns of one snapshot, and the snapshot is cached until the relation
         is mutated.

@@ -3,20 +3,14 @@
 This subpackage evaluates conjunctive queries over the relational substrate.
 It provides two complementary strategies:
 
+* :mod:`repro.engine.columnar` — vectorized bucket (variable) elimination
+  over count-annotated NumPy columns, which evaluates the aggregate queries
+  behind ``T_E(I)`` in polynomial time for bounded-width residuals, applying
+  each predicate in the first joined factor that contains all of its
+  variables, and
 * :mod:`repro.engine.join` — exact backtracking enumeration that applies
-  every predicate (used by tests, small instances, and anywhere exactness
-  with arbitrary predicates is required), and
-* :mod:`repro.engine.elimination` — bucket (variable) elimination over count
-  annotations, which evaluates the aggregate queries behind ``T_E(I)`` in
-  polynomial time for bounded-width residuals, applying each predicate in
-  the first joined factor that contains all of its variables.
-
-Both are wrapped by the pluggable execution backends of
-:mod:`repro.engine.backend`: the dict-based ``"python"`` backend, the
-vectorized columnar ``"numpy"`` backend (:mod:`repro.engine.columnar`), and
-the optional JIT-compiled ``"compiled"`` backend
-(:mod:`repro.engine.kernels`, requires numba), all of which produce
-identical results and differ only in speed.  See ``docs/backends.md``.
+  every predicate (the fallback wherever elimination had to drop one, and
+  the evaluator of :func:`evaluate_query`).
 
 On top of these, :mod:`repro.engine.aggregates` computes the boundary
 multiplicities ``T_E(I)`` of residual queries (the building block of residual
@@ -32,18 +26,6 @@ for the serving layer's plan and sensitivity caches.
 
 from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
 from repro.engine.agm import AGMBound, fractional_edge_cover
-from repro.engine.backend import (
-    CompiledBackend,
-    ExecutionBackend,
-    NumpyBackend,
-    PythonBackend,
-    available_backends,
-    backend_inventory,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    resolve_auto_backend,
-)
 from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query, evaluate_query
 from repro.engine.join import count_assignments, group_counts, iterate_assignments
@@ -51,26 +33,16 @@ from repro.engine.profile import LatticeProfile, ProfileStats, evaluate_profile
 
 __all__ = [
     "AGMBound",
-    "CompiledBackend",
-    "ExecutionBackend",
     "LatticeProfile",
     "MultiplicityResult",
-    "NumpyBackend",
     "ProfileStats",
-    "PythonBackend",
-    "available_backends",
-    "backend_inventory",
     "boundary_multiplicity",
     "canonical_query_key",
     "count_assignments",
     "count_query",
-    "default_backend_name",
     "evaluate_profile",
     "evaluate_query",
     "fractional_edge_cover",
-    "get_backend",
     "group_counts",
     "iterate_assignments",
-    "register_backend",
-    "resolve_auto_backend",
 ]

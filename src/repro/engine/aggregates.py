@@ -13,9 +13,10 @@ This module computes ``T_E(I)`` with two interchangeable strategies:
 
 * ``"enumerate"`` — the exact backtracking join of :mod:`repro.engine.join`,
   which applies *all* predicates (used on small inputs and in tests);
-* ``"eliminate"`` — bucket elimination (:mod:`repro.engine.elimination`),
-  polynomial for bounded-width residuals; predicates that cannot be applied
-  exactly are dropped, making the result a certified upper bound.
+* ``"eliminate"`` — columnar bucket elimination
+  (:mod:`repro.engine.columnar`), polynomial for bounded-width residuals;
+  predicates that cannot be applied exactly are dropped, making the result
+  a certified upper bound.
 
 The default ``"auto"`` strategy runs elimination first and falls back to
 bounded enumeration only when elimination had to drop a predicate and the
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 
 from repro.data.database import Database
 from repro.engine import join as join_engine
-from repro.engine.backend import ExecutionBackend, get_backend
+from repro.engine.columnar import eliminate_group_counts_columnar
 from repro.engine.domains import augmented_active_domain
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Variable
@@ -175,10 +176,9 @@ def _eliminate_counts(
     group_vars: tuple[Variable, ...],
     distinct_on: tuple[Variable, ...] | None,
     predicates: Sequence[Predicate],
-    backend: ExecutionBackend,
 ) -> tuple[dict[tuple, int], tuple[Predicate, ...]]:
     if distinct_on is None:
-        result = backend.eliminate_group_counts(
+        result = eliminate_group_counts_columnar(
             query,
             database,
             group_vars,
@@ -187,7 +187,7 @@ def _eliminate_counts(
         )
         return result.counts, result.dropped_predicates
     extended_group = group_vars + tuple(v for v in distinct_on if v not in group_vars)
-    result = backend.eliminate_group_counts(
+    result = eliminate_group_counts_columnar(
         query,
         database,
         extended_group,
@@ -278,7 +278,6 @@ def boundary_multiplicity(
     *,
     strategy: str = "auto",
     max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
-    backend: str | ExecutionBackend | None = None,
 ) -> MultiplicityResult:
     """Compute ``T_E(I)`` for the residual query on ``kept_atoms``.
 
@@ -297,17 +296,11 @@ def boundary_multiplicity(
     max_enumeration:
         Step cap for the exact enumeration strategy / fallback; ``None``
         disables the cap.
-    backend:
-        Execution backend (name, instance or ``None`` for the process
-        default) used for the elimination-based group counting.  The exact
-        enumeration and Section 5.2 domain-ranging fallbacks always run on
-        the Python engine; backends produce identical values either way.
 
     Returns
     -------
     MultiplicityResult
     """
-    exec_backend = get_backend(backend)
     residual = residual_query(query, kept_atoms)
     if residual.is_empty:
         return MultiplicityResult(
@@ -333,7 +326,6 @@ def boundary_multiplicity(
                     component,
                     strategy=strategy,
                     max_enumeration=max_enumeration,
-                    backend=exec_backend,
                 )
                 for component in components
             ]
@@ -393,7 +385,7 @@ def boundary_multiplicity(
         )
 
     counts, dropped = _eliminate_counts(
-        query, database, residual, group_vars, distinct_on, inside_preds, exec_backend
+        query, database, residual, group_vars, distinct_on, inside_preds
     )
     value, witness = _max_entry(counts)
     eliminate_result = MultiplicityResult(

@@ -1,11 +1,16 @@
-"""Vectorized columnar bucket elimination (the NumPy execution backend).
+"""Vectorized columnar bucket elimination — the library's elimination engine.
 
-This module re-implements :func:`repro.engine.elimination.eliminate_group_counts`
-on top of NumPy arrays instead of Python dictionaries.  Relations are read
-through :meth:`repro.data.relation.Relation.to_columns` (one array per
-attribute), intermediate results are :class:`ArrayFactor` objects — count
-annotations over value columns — and the three primitive operations of bucket
-elimination are all vectorized:
+The boundary multiplicities ``T_E(I)`` behind residual sensitivity are
+AJAR/FAQ-style aggregate queries: a COUNT grouped by the boundary variables
+followed by a MAX over the groups.  This module computes the COUNT group-by
+part with classic *bucket elimination* over count-annotated factors, which
+runs in time polynomial in the instance for bounded elimination width — the
+polynomial-time claim of Theorem 1.1.
+
+Relations are read through :meth:`repro.data.relation.Relation.to_columns`
+(one array per attribute), intermediate results are :class:`ArrayFactor`
+objects — count annotations over value columns — and the primitive
+operations of bucket elimination are all vectorized:
 
 * **hash join** — join keys are *factorized* into dense ``int64`` codes
   (:class:`ColumnCodes`), both sides' code spaces are merged over their
@@ -20,9 +25,17 @@ elimination are all vectorized:
   exactness is preserved;
 * **heavy-bucket aggregation** — two-factor buckets whose shared variables
   are all being summed out and whose join size exceeds
-  :data:`repro.engine.elimination.MATMUL_THRESHOLD` take a sparse matrix
-  product (the joined rows are never materialised), with the same
-  predicate-dropping semantics as the dict engine's fast path.
+  :data:`MATMUL_THRESHOLD` take a sparse matrix product (the joined rows are
+  never materialised).
+
+Predicates are applied *exactly* whenever possible: every predicate is
+attached to the first factor (initial atom factor, bucket join, or the final
+join over the group variables) that contains all of its variables.  A
+predicate that never becomes applicable — e.g. an inequality between two
+variables that are eliminated in different buckets, or one involving the
+variables a sparse matrix product sums out — is reported back as *dropped*;
+the resulting counts are then upper bounds.  Callers that need exactness
+fall back to :mod:`repro.engine.join`.
 
 Factorization is the single hottest primitive, so it is **cached and
 propagated** instead of recomputed:
@@ -44,16 +57,12 @@ delta is immune to concurrent unrelated work — the profile evaluator
 scope, so two serving-layer services in one process never cross-contaminate
 each other's ``/stats`` and ``/metrics``.
 
-The algorithm — elimination order, bucket grouping, the points where
-predicates become applicable and the dropped-predicate bookkeeping — is
-shared with the dict-based engine (see
-:func:`repro.engine.elimination.greedy_elimination_order`), so both backends
-return *identical* :class:`~repro.engine.elimination.EliminationResult`
-values: same counts, same ``dropped_predicates``, same exactness flags.  The
-cross-backend equivalence tests rely on this.
-
-Counts are ``int64``; workloads whose intermediate multiplicities exceed
-``2**63`` would need the dict engine's arbitrary-precision integers.
+Counts are exact.  They are ``int64`` while they provably fit: before every
+count multiply (a join) or sum (a group-by), a Python-int bound on the
+result (``max · max`` or ``rows · max``) is checked, and a factor whose
+counts could pass ``2**63 - 1`` carries them as Python ints (``object``
+dtype) from then on.  Such factors never take the ``int64`` sparse-matmul
+path.
 """
 
 from __future__ import annotations
@@ -68,12 +77,6 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine import elimination as _elimination
-from repro.engine.elimination import (
-    EliminationResult,
-    greedy_elimination_order,
-    order_factors_for_join,
-)
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Constant, Variable
 from repro.query.cq import ConjunctiveQuery
@@ -86,14 +89,17 @@ from repro.query.predicates import (
 __all__ = [
     "ArrayFactor",
     "ColumnCodes",
+    "EliminationResult",
+    "MATMUL_THRESHOLD",
     "adopt_factorization_scope",
     "current_factorization_scope",
     "eliminate_group_counts_columnar",
     "factorization_cache_stats",
     "factorization_counter_scope",
+    "greedy_elimination_order",
     "merge_factorization_delta",
+    "order_factors_for_join",
     "reset_factorization_cache_stats",
-    "use_kernels",
 ]
 
 #: Re-factorize packed row codes once their key space exceeds this bound,
@@ -101,33 +107,110 @@ __all__ = [
 #: inside ``int64``.
 _RENORMALIZE_CARDINALITY = 2**31
 
+#: Above this estimated number of joined rows, a two-factor bucket whose
+#: shared variables are being summed out switches to the sparse-matrix
+#: product fast path (see :func:`_matmul_aggregate`).  The threshold keeps
+#: small instances (and therefore the exactness-checking tests) on the exact
+#: join path while routing the heavy residuals of the graph benchmarks
+#: through scipy.
+MATMUL_THRESHOLD = 200_000
 
-# --------------------------------------------------------------------- #
-# Compiled kernel hooks
-# --------------------------------------------------------------------- #
-#: The context-locally active :class:`repro.engine.kernels.CompiledKernels`
-#: (``None``: the pure-NumPy paths run).  The ``"compiled"`` backend installs
-#: an instance around each elimination via :func:`use_kernels`; the hook
-#: points below consult it and fall back whenever a kernel declines (e.g.
-#: non-``int64`` dtypes), so results are identical either way.
-_ACTIVE_KERNELS: "contextvars.ContextVar" = contextvars.ContextVar(
-    "repro_active_kernels", default=None
-)
+#: The largest count an ``int64`` array holds; a count that could exceed it
+#: is carried as a Python int instead (see :func:`_exact_counts`).
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@contextlib.contextmanager
-def use_kernels(kernels):
-    """Run the enclosed columnar evaluation with compiled kernel hooks.
+@dataclass
+class EliminationResult:
+    """Outcome of :func:`eliminate_group_counts_columnar`.
 
-    Context-local (safe under the serving layer's thread pools): only the
-    enclosed computation sees ``kernels``; concurrent evaluations on other
-    threads keep the pure-NumPy paths.
+    Attributes
+    ----------
+    counts:
+        Mapping from group-variable value tuples to counts.  Exact if
+        ``dropped_predicates`` is empty, otherwise an upper bound obtained by
+        ignoring the dropped predicates.
+    group_variables:
+        The group variables, in the order used for the count keys.
+    dropped_predicates:
+        Predicates that could not be applied during elimination.
+    elimination_order:
+        The internal variables in the order they were summed out.
     """
-    token = _ACTIVE_KERNELS.set(kernels)
-    try:
-        yield kernels
-    finally:
-        _ACTIVE_KERNELS.reset(token)
+
+    counts: dict[tuple, int]
+    group_variables: tuple[Variable, ...]
+    dropped_predicates: tuple[Predicate, ...]
+    elimination_order: tuple[Variable, ...]
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether every predicate was applied (counts are exact)."""
+        return not self.dropped_predicates
+
+
+def order_factors_for_join(factors):
+    """Order factors so each one shares variables with the joined prefix.
+
+    Starts from the smallest factor and greedily prefers connected factors,
+    falling back to a cross product only for genuinely disconnected ones.
+    Works on any object exposing ``variables`` and ``__len__``.
+    """
+    ordered = []
+    seen_vars: set[Variable] = set()
+    candidates = sorted(factors, key=len)
+    while candidates:
+        best = None
+        for factor in candidates:
+            if best is None or (
+                bool(set(factor.variables) & seen_vars)
+                and not bool(set(best.variables) & seen_vars)
+            ):
+                best = factor
+        candidates.remove(best)
+        ordered.append(best)
+        seen_vars |= set(best.variables)
+    return ordered
+
+
+def greedy_elimination_order(
+    factor_variable_sets: Sequence[set[Variable]],
+    internal_variables: Sequence[Variable],
+) -> list[Variable]:
+    """A min-width-style greedy elimination order over ``internal_variables``.
+
+    Repeatedly picks the variable whose bucket join touches the fewest
+    variables (ties broken by variable name, so the order is deterministic).
+    """
+    order: list[Variable] = []
+    remaining = set(internal_variables)
+    sim_factors = [set(fvars) for fvars in factor_variable_sets]
+    while remaining:
+        best_var = None
+        best_width = None
+        for var in remaining:
+            touched: set[Variable] = set()
+            for fvars in sim_factors:
+                if var in fvars:
+                    touched |= fvars
+            width = len(touched)
+            if best_width is None or (width, str(var.name)) < (best_width, str(best_var.name)):
+                best_width = width
+                best_var = var
+        assert best_var is not None
+        order.append(best_var)
+        remaining.remove(best_var)
+        merged: set[Variable] = set()
+        kept = []
+        for fvars in sim_factors:
+            if best_var in fvars:
+                merged |= fvars
+            else:
+                kept.append(fvars)
+        merged.discard(best_var)
+        kept.append(merged)
+        sim_factors = kept
+    return order
 
 
 # --------------------------------------------------------------------- #
@@ -170,12 +253,6 @@ def _factorize_column(col: np.ndarray) -> ColumnCodes:
     """Factorize one column: ``np.unique`` for plain dtypes, dict interning
     for object columns (hashable but not necessarily mutually orderable)."""
     if col.dtype != object:
-        kernels = _ACTIVE_KERNELS.get()
-        if kernels is not None:
-            result = kernels.factorize(col)
-            if result is not None:
-                codes, values = result
-                return ColumnCodes(codes, values, True)
         uniq, inverse = np.unique(col, return_inverse=True)
         return ColumnCodes(inverse.astype(np.int64, copy=False), uniq, True)
     table: dict = {}
@@ -346,7 +423,8 @@ class ArrayFactor:
     """A count-annotated factor stored columnar.
 
     ``columns`` holds one value array per entry of ``variables`` (aligned,
-    equal length); ``counts`` is the per-row multiplicity.  Value arrays are
+    equal length); ``counts`` is the per-row multiplicity, ``int64`` or —
+    once it could overflow — ``object`` (Python ints).  Value arrays are
     either ``int64`` (fast path) or ``object`` (arbitrary hashable values).
     ``codes`` optionally carries the :class:`ColumnCodes` factorization of
     each column (``None`` entries are factorized lazily and memoized).
@@ -393,9 +471,6 @@ class ArrayFactor:
 
 
 def _renormalize(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.renormalize(codes)
     uniq, inverse = np.unique(codes, return_inverse=True)
     return inverse.astype(np.int64, copy=False), max(int(len(uniq)), 1)
 
@@ -490,16 +565,11 @@ def _expand_matches(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.
     """Matching ``(left_idx, right_idx)`` row pairs of a factorized join.
 
     The right codes are stable-sorted; every left row is expanded to its
-    matching right rows.  With an active kernel hook the ``searchsorted``
-    probe and the match materialization are fused into one pass; the NumPy
-    path builds the same pairs (identical order) through ``searchsorted``
-    ranges, ``repeat`` and ``cumsum`` offsets.
+    matching right rows through ``searchsorted`` ranges, ``repeat`` and
+    ``cumsum`` offsets.
     """
     order = np.argsort(rkey, kind="stable")
     rsorted = rkey[order]
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.expand_matches(lkey, rsorted, order)
     lo = np.searchsorted(rsorted, lkey, side="left")
     hi = np.searchsorted(rsorted, lkey, side="right")
     matches = hi - lo
@@ -544,21 +614,33 @@ def _join(left: ArrayFactor, right: ArrayFactor) -> ArrayFactor:
     for v in extra:
         cc = right_slots[right.variables.index(v)]
         out_codes.append(cc.take(right_idx) if cc is not None else None)
-    return ArrayFactor(
-        out_vars, out_cols, left.counts[left_idx] * right.counts[right_idx], out_codes
-    )
+    bound = _max_count(left.counts) * _max_count(right.counts)
+    counts = _exact_counts(left.counts[left_idx], bound) * right.counts[right_idx]
+    return ArrayFactor(out_vars, out_cols, counts, out_codes)
+
+
+def _max_count(counts: np.ndarray) -> int:
+    """The largest count as a Python int (0 for an empty factor)."""
+    return int(counts.max()) if len(counts) else 0
+
+
+def _exact_counts(counts: np.ndarray, bound: int) -> np.ndarray:
+    """``counts`` as Python ints (``object`` dtype) when an arithmetic result
+    bounded by ``bound`` could overflow ``int64``; unchanged otherwise.
+
+    Object arrays stay object through every later multiply and sum, so once
+    a factor leaves ``int64`` its counts remain exact."""
+    if bound > _INT64_MAX and counts.dtype != object:
+        return counts.astype(object)
+    return counts
 
 
 def _group_reduce(codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-group first-occurrence indices and count sums, groups in
-    ascending code order.  The kernel hook fuses the ``np.unique`` +
-    ``np.add.at`` pair into one pass over a stable sort order; both paths
-    return identical arrays."""
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.group_reduce(codes, counts)
+    ascending code order."""
     uniq, first_idx, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
+    counts = _exact_counts(counts, len(counts) * _max_count(counts))
+    sums = np.zeros(len(uniq), dtype=counts.dtype)
     np.add.at(sums, inverse, counts)
     return first_idx, sums
 
@@ -617,7 +699,7 @@ def _predicate_mask(pred: Predicate, factor: ArrayFactor) -> np.ndarray:
             result = left >= right
         return _as_bool_mask(result, length)
 
-    # Generic predicates: exact row-by-row evaluation (same as the dict engine).
+    # Generic predicates: exact row-by-row evaluation.
     variables = factor.variables
     if factor.columns:
         rows = zip(*(col.tolist() for col in factor.columns))
@@ -693,7 +775,7 @@ def _atom_factor(query: ConjunctiveQuery, database: Database, atom_index: int) -
 
 
 # --------------------------------------------------------------------- #
-# Heavy-bucket sparse-matmul fast path (mirrors the dict engine exactly)
+# Heavy-bucket sparse-matmul fast path
 # --------------------------------------------------------------------- #
 def _estimated_join_rows(
     left: ArrayFactor, right: ArrayFactor, shared: tuple[Variable, ...]
@@ -701,9 +783,6 @@ def _estimated_join_rows(
     """Number of rows the join of two factors would produce (exact, cheap)."""
     lkey, rkey = _factor_join_codes(left, right, shared)
     rsorted = np.sort(rkey, kind="stable")
-    kernels = _ACTIVE_KERNELS.get()
-    if kernels is not None:
-        return kernels.match_total(lkey, rsorted)
     lo = np.searchsorted(rsorted, lkey, side="left")
     hi = np.searchsorted(rsorted, lkey, side="right")
     return int((hi - lo).sum())
@@ -717,12 +796,15 @@ def _matmul_aggregate(
 ) -> tuple[ArrayFactor, list[Predicate]]:
     """Sum out ``shared`` from ``left ⋈ right`` via a sparse matrix product.
 
-    The columnar twin of
-    :func:`repro.engine.elimination._matmul_aggregate`, with identical
-    semantics: the joined rows are never materialised, and pending
-    predicates involving the summed-out variables cannot be honoured on
-    this path — they are left pending, so both backends report the same
-    dropped predicates (and the same upper-bound counts) on heavy buckets.
+    This is the asymptotically cheap way to evaluate the heavy residual
+    multiplicities (e.g. the length-3-path residual of the rectangle query),
+    where the number of joined rows is huge but the output — keyed by the
+    surviving variables of both factors — is small.  Pending predicates
+    whose variables all survive are applied to the output; predicates
+    involving the summed-out variables cannot be honoured on this path and
+    are left pending (the caller reports them as dropped, making the counts
+    upper bounds).  The product is ``int64``, so callers check
+    :func:`_matmul_fits_int64` first.
     """
     from scipy import sparse
 
@@ -737,9 +819,9 @@ def _matmul_aggregate(
         )
         return ArrayFactor(out_vars, columns, np.zeros(0, dtype=np.int64))
 
-    # Same early exits as the dict engine: an empty side, or no right row
-    # matching any left mid, returns the empty factor with ``pending``
-    # untouched (the predicates stay pending for later factors).
+    # An empty side, or no right row matching any left mid, returns the
+    # empty factor with ``pending`` untouched (the predicates stay pending
+    # for later factors).
     if not nl or not nr:
         return empty_result(), pending
 
@@ -759,11 +841,11 @@ def _matmul_aggregate(
     )
 
     left_matrix = sparse.coo_matrix(
-        (left.counts, (lrow_dense, lmid_dense)),
+        (left.counts.astype(np.int64, copy=False), (lrow_dense, lmid_dense)),
         shape=(max(1, len(lrow_uniq)), max(1, len(mid_uniq))),
     ).tocsr()
     right_matrix = sparse.coo_matrix(
-        (right.counts, (rmid_dense, rcol_dense)),
+        (right.counts.astype(np.int64, copy=False), (rmid_dense, rcol_dense)),
         shape=(max(1, len(mid_uniq)), max(1, len(rcol_uniq))),
     ).tocsr()
     product = (left_matrix @ right_matrix).tocoo()
@@ -796,6 +878,17 @@ def _matmul_aggregate(
 # --------------------------------------------------------------------- #
 # Bucket joins and the driver
 # --------------------------------------------------------------------- #
+def _matmul_fits_int64(left: ArrayFactor, right: ArrayFactor) -> bool:
+    """Whether every entry of the ``left @ right`` product fits ``int64``.
+
+    An entry sums at most ``min(rows)`` products of one count from each
+    side; when that bound could overflow, the bucket takes the exact join
+    path instead.
+    """
+    bound = _max_count(left.counts) * _max_count(right.counts) * min(len(left), len(right))
+    return bound <= _INT64_MAX
+
+
 def _join_and_aggregate(
     bucket: Sequence[ArrayFactor],
     keep: Sequence[Variable],
@@ -803,24 +896,19 @@ def _join_and_aggregate(
 ) -> tuple[ArrayFactor, list[Predicate]]:
     """Join ``bucket``, filter, and sum onto ``keep`` (vectorized).
 
-    Factors are ordered by the shared connectivity heuristic
-    (:func:`repro.engine.elimination.order_factors_for_join`), and
-    predicates are applied as soon as some intermediate factor covers their
-    variables.  Two-factor buckets whose shared variables are all being
-    summed out and whose join size exceeds
-    :data:`repro.engine.elimination.MATMUL_THRESHOLD` take the sparse-matmul
-    path — the same gate, with the same predicate-dropping semantics, as the
-    dict engine.
+    Factors are ordered by :func:`order_factors_for_join`, and predicates
+    are applied as soon as some intermediate factor covers their variables.
+    Two-factor buckets whose shared variables are all being summed out and
+    whose join size exceeds :data:`MATMUL_THRESHOLD` take the sparse-matmul
+    path (which drops the predicates on the summed-out variables), unless
+    their counts could overflow its ``int64`` product.
     """
-    # Sparse-matrix fast path for heavy two-factor buckets.  The threshold
-    # is read from the dict engine at call time so both backends always gate
-    # on the same value (including under test monkeypatching).
     if len(bucket) == 2:
         keep_set = set(keep)
         shared = tuple(v for v in bucket[0].variables if v in bucket[1].variables)
         if shared and all(v not in keep_set for v in shared):
             estimated = _estimated_join_rows(bucket[0], bucket[1], shared)
-            if estimated > _elimination.MATMUL_THRESHOLD:
+            if estimated > MATMUL_THRESHOLD and _matmul_fits_int64(bucket[0], bucket[1]):
                 factor, pending = _matmul_aggregate(
                     bucket[0], bucket[1], shared, pending
                 )
@@ -844,10 +932,24 @@ def eliminate_group_counts_columnar(
 ) -> EliminationResult:
     """Group-by counts of a (residual) CQ via vectorized bucket elimination.
 
-    The drop-in columnar equivalent of
-    :func:`repro.engine.elimination.eliminate_group_counts`: same parameters,
-    same :class:`EliminationResult` contract (identical counts, group-variable
-    ordering, dropped predicates and elimination order).
+    Parameters
+    ----------
+    query, database:
+        The query and instance.
+    group_variables:
+        The variables to group by (they are never eliminated).  An empty
+        sequence computes a single global count keyed by ``()``.
+    atom_indices:
+        Restrict evaluation to these atoms (defaults to all atoms).
+    predicates:
+        Predicates to apply (defaults to ``query.predicates``); predicates
+        mentioning variables outside the selected atoms are ignored here —
+        residual classification is the caller's responsibility.
+
+    Returns
+    -------
+    EliminationResult
+        Group counts plus bookkeeping about dropped predicates.
     """
     indices = list(range(query.num_atoms)) if atom_indices is None else list(atom_indices)
     if not indices:

@@ -6,21 +6,22 @@ conjunctive query.  This module provides that top-level entry point
 actual result tuples (projections onto the output variables) and is used by
 examples and tests.
 
-For predicate-free (or fully-applicable-predicate) queries the count can be
-obtained through bucket elimination without materialising the result; when a
-predicate cannot be honoured exactly by elimination, the implementation falls
-back to exact enumeration (optionally capped).
-
-Counting is delegated to a pluggable :class:`~repro.engine.backend.ExecutionBackend`
-(``"python"`` dict-based or ``"numpy"`` columnar); :func:`count_query` is the
-thin dispatch layer.
+For predicate-free (or fully-applicable-predicate) queries the count is
+obtained through columnar bucket elimination
+(:mod:`repro.engine.columnar`) without materialising the result; when a
+predicate cannot be honoured exactly by elimination, the implementation
+falls back to exact enumeration (optionally capped).
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.data.database import Database
 from repro.engine import join as join_engine
-from repro.engine.backend import ExecutionBackend, get_backend
+from repro.engine.columnar import eliminate_group_counts_columnar
+from repro.exceptions import EvaluationError
+from repro.query.atoms import Variable
 from repro.query.cq import ConjunctiveQuery
 
 __all__ = ["evaluate_query", "count_query"]
@@ -54,7 +55,6 @@ def count_query(
     *,
     strategy: str = "auto",
     max_intermediate: int | None = None,
-    backend: str | ExecutionBackend | None = None,
 ) -> int:
     """The result size ``|q(I)|``.
 
@@ -68,11 +68,6 @@ def count_query(
         exact for this query and enumeration otherwise.
     max_intermediate:
         Step cap for the enumeration strategy.
-    backend:
-        Execution backend name (``"python"``, ``"numpy"``) or instance;
-        ``None`` uses the process default (see
-        :func:`repro.engine.backend.get_backend`).  Backends return identical
-        counts — the choice only affects speed.
 
     Notes
     -----
@@ -82,6 +77,29 @@ def count_query(
       projections onto the output variables — elimination handles this by
       grouping on the output variables and counting non-empty groups.
     """
-    return get_backend(backend).count_query(
-        query, database, strategy=strategy, max_intermediate=max_intermediate
+    query.validate_against_schema(database.schema)
+    if strategy not in ("auto", "enumerate", "eliminate"):
+        raise EvaluationError(f"unknown strategy {strategy!r}")
+
+    distinct_on: Sequence[Variable] | None = None
+    if not query.is_full:
+        distinct_on = tuple(query.output_variables)
+
+    if strategy in ("auto", "eliminate"):
+        result = eliminate_group_counts_columnar(query, database, distinct_on or ())
+        if result.is_exact:
+            if distinct_on is None:
+                return result.counts.get((), 0)
+            return sum(1 for count in result.counts.values() if count > 0)
+        if strategy == "eliminate":
+            raise EvaluationError(
+                "bucket elimination cannot honour these predicates exactly: "
+                f"{result.dropped_predicates!r}; use strategy='enumerate'"
+            )
+
+    return join_engine.count_assignments(
+        query,
+        database,
+        distinct_on=distinct_on,
+        max_intermediate=max_intermediate,
     )

@@ -81,7 +81,6 @@ class ComponentTask:
     kept: frozenset[int]
     strategy: str
     max_enumeration: int | None
-    backend: str | None
 
 
 def _snapshot_rows(relation: Relation) -> tuple[tuple, ...]:
@@ -97,7 +96,6 @@ def build_component_task(
     relation_names=None,
     strategy: str,
     max_enumeration: int | None,
-    backend_name: str | None,
 ) -> ComponentTask:
     """Build the task spec for one component of ``query`` over ``database``.
 
@@ -120,7 +118,6 @@ def build_component_task(
         kept=frozenset(kept),
         strategy=strategy,
         max_enumeration=max_enumeration,
-        backend=backend_name,
     )
 
 
@@ -197,24 +194,6 @@ def _worker_database(task: ComponentTask) -> Database:
     return database
 
 
-#: Backend names already warmed up in this worker process.  Spawn-context
-#: workers start cold, so the first task naming a backend with one-off
-#: warm-up work (the compiled tier's JIT compilation — amortized further by
-#: numba's on-disk cache across sibling workers) triggers it here, once,
-#: instead of on every component.
-_WORKER_WARMED_BACKENDS: set[str] = set()
-
-
-def _ensure_worker_backend(name: str | None) -> None:
-    if name is None or name in _WORKER_WARMED_BACKENDS:
-        return
-    from repro.engine.backend import get_backend
-
-    backend = get_backend(name)
-    backend.ensure_ready()
-    _WORKER_WARMED_BACKENDS.add(backend.name)
-
-
 def evaluate_component_task(task: ComponentTask):
     """Worker entry point: evaluate one component, return result + stats delta.
 
@@ -226,7 +205,6 @@ def evaluate_component_task(task: ComponentTask):
     from repro.engine.aggregates import boundary_multiplicity
     from repro.engine.columnar import factorization_counter_scope
 
-    _ensure_worker_backend(task.backend)
     database = _worker_database(task)
     with factorization_counter_scope() as counters:
         result = boundary_multiplicity(
@@ -235,7 +213,6 @@ def evaluate_component_task(task: ComponentTask):
             task.kept,
             strategy=task.strategy,
             max_enumeration=task.max_enumeration,
-            backend=task.backend,
         )
     return result, counters.snapshot()
 

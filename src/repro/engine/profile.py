@@ -34,7 +34,7 @@ invariant across serial/thread/process evaluation.
 The evaluator is *result-identical* to the per-subset reference path:
 value, exactness flag and dropped-predicate multiset agree on every subset
 (the ``lattice-profile`` differential-fuzz check in :mod:`repro.qa.runner`
-enforces this on both backends for every generated workload).  Components
+enforces this for every generated workload).  Components
 whose evaluation depends on more than their own shape — residuals with
 boundary-crossing comparison predicates (the Section 5.2 augmented-domain
 path) or generic predicates — are never shared structurally, only by
@@ -65,7 +65,6 @@ from repro.engine.aggregates import (
     boundary_multiplicity,
     combine_component_results,
 )
-from repro.engine.backend import ExecutionBackend, get_backend
 from repro.engine.canonical import _predicate_key, _term_key
 from repro.engine.columnar import (
     adopt_factorization_scope,
@@ -283,7 +282,6 @@ def _component_cache_key(
     scope: tuple,
     strategy: str,
     max_enumeration: int | None,
-    backend_name: str,
 ) -> tuple:
     """Cache key pinning everything a component's result depends on.
 
@@ -311,7 +309,7 @@ def _component_cache_key(
     else:
         names = {query.atoms[idx].relation for idx in info.atoms}
         epochs = tuple(sorted((n, database.relation(n).epoch) for n in names))
-    return (scope, strategy, max_enumeration, backend_name, atoms_key, preds_key, epochs)
+    return (scope, strategy, max_enumeration, atoms_key, preds_key, epochs)
 
 
 # --------------------------------------------------------------------- #
@@ -325,7 +323,6 @@ def _evaluate_pending_process(
     *,
     strategy: str,
     max_enumeration: int | None,
-    exec_backend: ExecutionBackend,
     parallelism: int | None,
     evaluate,
 ) -> dict[frozenset[int], MultiplicityResult]:
@@ -356,7 +353,6 @@ def _evaluate_pending_process(
             relation_names=names,
             strategy=strategy,
             max_enumeration=max_enumeration,
-            backend_name=exec_backend.name,
         )
         try:
             pickle.dumps(task)
@@ -400,7 +396,6 @@ def evaluate_profile(
     *,
     strategy: str = "auto",
     max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
-    backend: str | ExecutionBackend | None = None,
     parallelism: int | None = None,
     parallelism_mode: str | None = None,
     component_cache=None,
@@ -415,7 +410,7 @@ def evaluate_profile(
     subsets:
         The kept-atom subsets the profile must cover (typically
         :meth:`~repro.sensitivity.residual.ResidualSensitivity.required_subsets`).
-    strategy / max_enumeration / backend:
+    strategy / max_enumeration:
         Forwarded to :func:`repro.engine.aggregates.boundary_multiplicity`.
         ``strategy="enumerate"`` deliberately bypasses all sharing (the
         exact-enumeration path does not decompose residuals either) and
@@ -461,14 +456,13 @@ def evaluate_profile(
             f"unknown parallelism_mode {parallelism_mode!r}; "
             f"expected one of {PARALLELISM_MODES}"
         )
-    exec_backend = get_backend(backend)
     subset_list = [frozenset(s) for s in subsets]
     # The factorization counters are read through a context-local scope so
     # the per-profile delta is exact even when other services/threads are
     # evaluating concurrently in this process; the span is a no-op unless a
     # request-scoped trace is active (see repro.obs.tracing).
     with obs_span(
-        "profile.evaluate", subsets=len(subset_list), backend=exec_backend.name
+        "profile.evaluate", subsets=len(subset_list)
     ), factorization_counter_scope() as fact_counters:
         return _evaluate_profile_scoped(
             query,
@@ -476,7 +470,6 @@ def evaluate_profile(
             subset_list,
             strategy=strategy,
             max_enumeration=max_enumeration,
-            exec_backend=exec_backend,
             parallelism=parallelism,
             parallelism_mode=parallelism_mode,
             fact_counters=fact_counters,
@@ -492,7 +485,6 @@ def _evaluate_profile_scoped(
     *,
     strategy: str,
     max_enumeration: int | None,
-    exec_backend: ExecutionBackend,
     parallelism: int | None,
     parallelism_mode: str | None,
     fact_counters,
@@ -526,7 +518,6 @@ def _evaluate_profile_scoped(
             kept,
             strategy=strategy,
             max_enumeration=max_enumeration,
-            backend=exec_backend,
         )
 
     if strategy == "enumerate":
@@ -579,7 +570,6 @@ def _evaluate_profile_scoped(
                 cache_scope,
                 strategy,
                 max_enumeration,
-                exec_backend.name,
             )
             cache_keys[component] = key
             hit = component_cache.get(key, _MISS)
@@ -597,7 +587,6 @@ def _evaluate_profile_scoped(
             infos,
             strategy=strategy,
             max_enumeration=max_enumeration,
-            exec_backend=exec_backend,
             parallelism=parallelism,
             evaluate=evaluate,
         )

@@ -1,8 +1,7 @@
 """The user-facing DP counting-query API.
 
 :class:`PrivateCountingQuery` bundles a conjunctive query, a privacy
-parameter, a choice of sensitivity engine and a choice of execution backend
-into a single object whose ``release(database)`` method produces an ε-DP
+parameter and a choice of sensitivity engine into a single object whose ``release(database)`` method produces an ε-DP
 noisy result size.  The examples and the CLI's ``count`` sub-command call it
 directly; the serving layer (:mod:`repro.service`) wraps the same object per
 request, supplying precomputed (cached) true counts and sensitivities via
@@ -34,7 +33,6 @@ from typing import Literal
 import numpy as np
 
 from repro.data.database import Database
-from repro.engine.backend import get_backend
 from repro.engine.evaluation import count_query
 from repro.exceptions import PrivacyError
 from repro.mechanisms.laplace import LaplaceMechanism
@@ -75,10 +73,6 @@ class PrivateRelease:
     true_count:
         The exact count; populated only when ``keep_true_count=True`` was
         requested (never publish it).
-    backend:
-        The execution backend that evaluated the count and sensitivity
-        (``"python"`` or ``"numpy"``); purely diagnostic — backends are
-        result-equivalent.
     """
 
     noisy_count: float
@@ -87,7 +81,6 @@ class PrivateRelease:
     sensitivity: float
     expected_error: float
     true_count: float | None = None
-    backend: str = "python"
 
 
 class PrivateCountingQuery:
@@ -110,12 +103,6 @@ class PrivateCountingQuery:
         Relation name for the closed-form graph methods (default ``"Edge"``).
     strategy:
         Evaluation strategy forwarded to the residual-sensitivity engine.
-    backend:
-        Execution backend (``"python"``, ``"numpy"`` or ``None`` for the
-        process default) used to evaluate the true count and, for the
-        ``"residual"`` method, the boundary multiplicities.  Backends are
-        result-equivalent: with the same seed the released noisy counts are
-        bitwise identical whichever backend runs.
     parallelism:
         Worker-pool size for the residual-sensitivity component
         evaluations (``None``/``0``/``1``: serial, the default).  A pure
@@ -149,7 +136,6 @@ class PrivateCountingQuery:
         star_arity: int = 3,
         edge_relation: str = "Edge",
         strategy: str = "auto",
-        backend: str | None = None,
         parallelism: int | None = None,
         parallelism_mode: str | None = None,
     ):
@@ -164,7 +150,6 @@ class PrivateCountingQuery:
         self._star_arity = star_arity
         self._edge_relation = edge_relation
         self._strategy = strategy
-        self._backend = get_backend(backend).name
         self._parallelism = parallelism
         self._parallelism_mode = parallelism_mode
         self._smooth = SmoothSensitivityMechanism(self._epsilon, rng=self._rng)
@@ -189,11 +174,6 @@ class PrivateCountingQuery:
         """The smoothing parameter used by the smooth-sensitivity methods."""
         return self._smooth.beta
 
-    @property
-    def backend(self) -> str:
-        """The resolved execution-backend name (``"python"`` or ``"numpy"``)."""
-        return self._backend
-
     # ------------------------------------------------------------------ #
     # Sensitivity
     # ------------------------------------------------------------------ #
@@ -205,7 +185,6 @@ class PrivateCountingQuery:
                 self._query,
                 beta=beta,
                 strategy=self._strategy,
-                backend=self._backend,
                 parallelism=self._parallelism,
                 parallelism_mode=self._parallelism_mode,
             ).compute(database)
@@ -254,7 +233,7 @@ class PrivateCountingQuery:
             a recorded ``beta`` mismatch raises :class:`PrivacyError`.
         """
         if true_count is None:
-            true_count = count_query(self._query, database, backend=self._backend)
+            true_count = count_query(self._query, database)
         if sensitivity is None:
             sensitivity = self.sensitivity(database)
 
@@ -276,7 +255,6 @@ class PrivateCountingQuery:
                 sensitivity=gs_value,
                 expected_error=laplace.expected_error(database),
                 true_count=float(true_count) if keep_true_count else None,
-                backend=self._backend,
             )
 
         release: SmoothRelease = self._smooth.release(true_count, sensitivity)
@@ -287,5 +265,4 @@ class PrivateCountingQuery:
             sensitivity=release.sensitivity,
             expected_error=release.expected_error,
             true_count=float(true_count) if keep_true_count else None,
-            backend=self._backend,
         )

@@ -5,7 +5,7 @@ The telemetry layer every serving component reports through:
 * :mod:`repro.obs.tracing` — request-scoped spans (trace id, nested stack,
   wall/CPU time, attributes) with an ambient, zero-cost-when-off entry
   point (:func:`~repro.obs.tracing.span`) used by the service façade, the
-  batch executor, the shared-lattice profiler and both execution backends.
+  batch executor, the shared-lattice profiler and the elimination engine.
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   in a :class:`~repro.obs.metrics.MetricsRegistry`, rendered in Prometheus
   text format by the serving layer's ``GET /metrics`` endpoint.

@@ -45,7 +45,6 @@ LOG_SCHEMA: dict[str, tuple[tuple[type, ...], bool]] = {
     "epsilon": ((float, int, type(None)), True),
     "duration_ms": ((float, int), True),
     "slow": ((bool,), True),
-    "backend": ((str, type(None)), False),
     "cache": ((dict, type(None)), False),   # {"plan": bool, ...}
 }
 
@@ -137,7 +136,6 @@ class RequestLogger:
         method: str | None = None,
         error: str | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
         cache: Mapping[str, bool] | None = None,
     ) -> dict[str, Any]:
         """Build, write and return one request record."""
@@ -160,8 +158,6 @@ class RequestLogger:
             "duration_ms": round(float(duration_ms), 3),
             "slow": slow,
         }
-        if backend is not None:
-            record["backend"] = backend
         if cache is not None:
             record["cache"] = dict(cache)
         line = json.dumps(record, separators=(",", ":"), allow_nan=False)

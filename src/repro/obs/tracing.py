@@ -4,7 +4,7 @@ A *trace* is the tree of timed spans produced while serving one request
 (``/count``, ``/batch``, a CLI invocation).  The design goals, in order:
 
 1. **Zero cost when off.**  Tracing is *ambient*: lower layers (the batch
-   executor, the shared-lattice profiler, both execution backends) call the
+   executor, the shared-lattice profiler, the elimination engine) call the
    module-level :func:`span` without knowing whether anyone is listening.
    When no trace is active — the common case, since per-request timing
    breakdowns are opt-in — :func:`span` returns a shared no-op context
@@ -225,7 +225,7 @@ def span(name: str, **attributes: Any):
     """A child span of the ambient span — or a shared no-op without one.
 
     The single tracing entry point for the lower layers (executor, profiler,
-    backends): always safe to call, near-free when nobody asked for a trace.
+    engine): always safe to call, near-free when nobody asked for a trace.
     """
     parent = _CURRENT_SPAN.get()
     if parent is None:

@@ -16,8 +16,8 @@ Four cooperating pieces:
   counting and exhaustive-neighbor local sensitivity.  It shares *no code*
   with the production engines, which is what makes the comparison a real
   differential test.
-* :mod:`repro.qa.runner` — the differential runner: python backend ==
-  numpy backend == oracle for counts, boundary multiplicities and
+* :mod:`repro.qa.runner` — the differential runner: production engine ==
+  exact enumeration == oracle for counts, boundary multiplicities and
   sensitivity profiles, plus the smoothness / ``RS ≥ LS`` invariants the
   paper's proof rests on, checked on generated neighbor pairs.  Every
   failure carries a self-contained replay snippet.

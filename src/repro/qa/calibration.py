@@ -130,7 +130,6 @@ class CalibrationReport:
     seed: int
     samples: int
     threshold: float
-    backend: str
     checks: list[CalibrationCheck] = field(default_factory=list)
 
     @property
@@ -142,7 +141,6 @@ class CalibrationReport:
             "seed": self.seed,
             "samples": self.samples,
             "threshold": self.threshold,
-            "backend": self.backend,
             "ok": self.ok,
             "checks": [check.to_dict() for check in self.checks],
         }
@@ -153,7 +151,6 @@ def verify_calibration(
     seed: int = 0,
     samples: int = 400,
     threshold: float = 1e-4,
-    backend: str | None = None,
     state_dir: str | None = None,
     levels: Iterable[str] | None = None,
     scale_factor: float = 1.0,
@@ -170,9 +167,6 @@ def verify_calibration(
         Reject when the KS p-value falls below this.  With correct
         calibration the p-value is uniform, so ``1e-4`` keeps the seeded
         runs deterministic-safe while a wrong scale drives p to ~0.
-    backend:
-        Execution backend serving counts and sensitivities (``None``:
-        process default).  The noise stream is backend-independent.
     state_dir:
         Directory for the ``service-replay`` level (the crash/recovery
         cycle); that level is skipped when ``None``.
@@ -183,22 +177,17 @@ def verify_calibration(
         ``1.0`` verifies the mechanism; any other value *must* make the
         verifier reject (used to test its statistical power).
     """
-    from repro.engine.backend import get_backend
-
-    backend_name = get_backend(backend).name
     selected = tuple(levels) if levels is not None else LEVELS
     unknown = set(selected) - set(LEVELS)
     if unknown:
         raise ValueError(f"unknown calibration levels {sorted(unknown)}; known: {LEVELS}")
-    report = CalibrationReport(
-        seed=seed, samples=samples, threshold=threshold, backend=backend_name
-    )
+    report = CalibrationReport(seed=seed, samples=samples, threshold=threshold)
     db = _fixture_database()
     for level in selected:
         if level == "service-replay" and state_dir is None:
             continue
         try:
-            residuals, detail = _draw(level, db, seed, samples, backend_name, state_dir)
+            residuals, detail = _draw(level, db, seed, samples, state_dir)
             residuals = residuals / scale_factor
             cdf = unit_laplace_cdf if level == "query-global" else general_cauchy4_cdf
             statistic, p_value = _ks_test(residuals, cdf)
@@ -235,28 +224,25 @@ def _draw(
     db: Database,
     seed: int,
     samples: int,
-    backend: str,
     state_dir: str | None,
 ) -> tuple[np.ndarray, str]:
     if level == "query-global":
-        return _draw_query(db, seed, samples, backend, method="global")
+        return _draw_query(db, seed, samples, method="global")
     if level == "query-residual":
-        return _draw_query(db, seed, samples, backend, method="residual")
+        return _draw_query(db, seed, samples, method="residual")
     if level == "service":
-        return _draw_service(db, seed, samples, backend)
+        return _draw_service(db, seed, samples)
     if level == "batch":
-        return _draw_batch(db, seed, samples, backend)
-    return _draw_replay(db, seed, samples, backend, state_dir)
+        return _draw_batch(db, seed, samples)
+    return _draw_replay(db, seed, samples, state_dir)
 
 
-def _draw_query(db, seed, samples, backend, *, method):
+def _draw_query(db, seed, samples, *, method):
     query = parse_query(_QUERY)
     rng = np.random.default_rng(_derive_seed(seed, f"query-{method}"))
-    releaser = PrivateCountingQuery(
-        query, epsilon=_EPSILON, method=method, rng=rng, backend=backend
-    )
+    releaser = PrivateCountingQuery(query, epsilon=_EPSILON, method=method, rng=rng)
     sensitivity = releaser.sensitivity(db)
-    true_count = count_query(query, db, backend=backend)
+    true_count = count_query(query, db)
     if method == "global":
         scale = sensitivity.value / _EPSILON
     else:
@@ -273,29 +259,27 @@ def _draw_query(db, seed, samples, backend, *, method):
     )
 
 
-def _expected_sensitivity(db, query_text: str, epsilon: float, backend: str) -> float:
+def _expected_sensitivity(db, query_text: str, epsilon: float) -> float:
     """Independently recomputed RS — the value the service *should* use."""
     query = parse_query(query_text)
-    return ResidualSensitivity(
-        query, beta=epsilon / BETA_FRACTION, backend=backend
-    ).value(db)
+    return ResidualSensitivity(query, beta=epsilon / BETA_FRACTION).value(db)
 
 
-def _make_service(db, seed, label, backend, **kwargs):
+def _make_service(db, seed, label, **kwargs):
     from repro.service.service import PrivateQueryService
 
     service = PrivateQueryService(
         session_budget=1e9, rng=np.random.default_rng(_derive_seed(seed, label)), **kwargs
     )
-    service.register_database("qa", db, backend=backend)
+    service.register_database("qa", db)
     return service
 
 
-def _draw_service(db, seed, samples, backend):
-    service = _make_service(db, seed, "service", backend)
+def _draw_service(db, seed, samples):
+    service = _make_service(db, seed, "service")
     session = service.create_session().session_id
-    true_count = count_query(parse_query(_QUERY), db, backend=backend)
-    expected = _expected_sensitivity(db, _QUERY, _EPSILON, backend)
+    true_count = count_query(parse_query(_QUERY), db)
+    expected = _expected_sensitivity(db, _QUERY, _EPSILON)
     residuals = []
     for _ in range(samples):
         response = service.count("qa", _QUERY, _EPSILON, session=session)
@@ -309,11 +293,11 @@ def _draw_service(db, seed, samples, backend):
     return np.array(residuals), f"service.count ε={_EPSILON} S={expected}"
 
 
-def _draw_batch(db, seed, samples, backend):
-    service = _make_service(db, seed, "batch", backend)
+def _draw_batch(db, seed, samples):
+    service = _make_service(db, seed, "batch")
     session = service.create_session().session_id
     true_counts = {
-        text: count_query(parse_query(text), db, backend=backend)
+        text: count_query(parse_query(text), db)
         for text in _BATCH_QUERIES
     }
     requests = [{"query": text, "epsilon": _EPSILON} for text in _BATCH_QUERIES]
@@ -333,11 +317,11 @@ def _draw_batch(db, seed, samples, backend):
     )
 
 
-def _draw_replay(db, seed, samples, backend, state_dir):
-    true_count = count_query(parse_query(_QUERY), db, backend=backend)
+def _draw_replay(db, seed, samples, state_dir):
+    true_count = count_query(parse_query(_QUERY), db)
     first_half = samples // 2
 
-    service = _make_service(db, seed, "replay-a", backend, state_dir=state_dir)
+    service = _make_service(db, seed, "replay-a", state_dir=state_dir)
     service.create_session(session_id="calibration")
     residuals = []
 
@@ -352,7 +336,7 @@ def _draw_replay(db, seed, samples, backend, state_dir):
     # Crash: no final snapshot — recovery must come from the journal alone.
     service.close(snapshot=False)
 
-    recovered = _make_service(db, seed, "replay-b", backend, state_dir=state_dir)
+    recovered = _make_service(db, seed, "replay-b", state_dir=state_dir)
     spent_after = recovered.budget("calibration")["spent"]
     if not math.isclose(spent_after, spent_before, rel_tol=1e-12, abs_tol=1e-12):
         raise AssertionError(

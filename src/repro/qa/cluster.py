@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.engine.backend import get_backend
 from repro.qa.generator import WorkloadGenerator
 from repro.service.service import PrivateQueryService
 
@@ -56,7 +55,6 @@ class ClusterReport:
     seed: int
     cases: int
     workers: int
-    backend: str
     failures: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -68,13 +66,12 @@ class ClusterReport:
             "seed": self.seed,
             "cases": self.cases,
             "workers": self.workers,
-            "backend": self.backend,
             "ok": self.ok,
             "failures": list(self.failures),
         }
 
 
-def _spawn_cluster(state_dir: str, edge_file: str, seed: int, workers: int, backend: str):
+def _spawn_cluster(state_dir: str, edge_file: str, seed: int, workers: int):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -86,7 +83,6 @@ def _spawn_cluster(state_dir: str, edge_file: str, seed: int, workers: int, back
             "--state-dir", state_dir,
             "--seed", str(seed), "--noise-mode", "charge-seq",
             "--session-budget", str(_SESSION_BUDGET),
-            "--backend", backend,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -120,13 +116,11 @@ def verify_cluster_serve(
     cases: int = 20,
     *,
     workers: int = 2,
-    backend: str | None = None,
 ) -> ClusterReport:
     """Replay ``cases`` fuzz workloads through a live ``workers``-process
     cluster and compare every release bitwise against an in-process service.
     """
-    backend = get_backend(backend).name
-    report = ClusterReport(seed=seed, cases=cases, workers=workers, backend=backend)
+    report = ClusterReport(seed=seed, cases=cases, workers=workers)
     generator = WorkloadGenerator(seed)
 
     # The in-process reference: same seed, same noise mode, no journal —
@@ -141,7 +135,7 @@ def verify_cluster_serve(
         with open(edge_file, "w", encoding="utf-8") as handle:
             handle.write("0 1\n1 2\n2 0\n")
         state_dir = os.path.join(tmp, "state")
-        proc, host, port = _spawn_cluster(state_dir, edge_file, seed, workers, backend)
+        proc, host, port = _spawn_cluster(state_dir, edge_file, seed, workers)
         try:
             for case in generator.cases(cases):
                 name = f"case{case.index}"
@@ -150,7 +144,6 @@ def verify_cluster_serve(
                     "name": name,
                     "relations": described["relations"],
                     "rows": described["rows"],
-                    "backend": backend,
                 }
                 count_payload = {
                     "database": name,
@@ -173,7 +166,7 @@ def verify_cluster_serve(
                     status, body = _request(connection, "POST", "/count", count_payload)
                 finally:
                     connection.close()
-                reference.register_database(name, case.database(), backend=backend)
+                reference.register_database(name, case.database())
                 reference_response = reference.count(
                     name, case.query_text, case.epsilon
                 )

@@ -24,7 +24,6 @@ def replay_case(
     seed: int,
     case: int,
     check: str | None = None,
-    backend: str | None = None,
 ) -> FuzzFailure | None:
     """Re-run check(s) of one generated case; ``None`` means everything passed.
 
@@ -35,11 +34,8 @@ def replay_case(
     check:
         One of :data:`repro.qa.runner.CHECKS`, or ``None`` to re-run the
         whole battery (the first failure, if any, is returned).
-    backend:
-        Label for the run (the differential checks always compare both
-        backends); ``None`` uses the process default.
     """
-    runner = DifferentialRunner(seed, backend=backend)
+    runner = DifferentialRunner(seed)
     workload: FuzzCase = WorkloadGenerator(seed).case(case)
     if check is not None:
         return runner.run_check(workload, check)

@@ -1,17 +1,17 @@
-"""The differential fuzz runner: production engines vs oracle vs invariants.
+"""The differential fuzz runner: the production engine vs oracle vs invariants.
 
 For every generated :class:`~repro.qa.generator.FuzzCase` the runner
 executes a fixed battery of checks:
 
 ``count``
-    ``|q(I)|`` must agree across the brute-force oracle, the python
-    backend, the numpy backend, and the exact-enumeration strategy.
+    ``|q(I)|`` must agree across the brute-force oracle, the production
+    engine (elimination with its enumeration fallback), and the
+    exact-enumeration strategy.
 ``multiplicity``
     Every boundary multiplicity ``T_F(I)`` the residual-sensitivity
-    formula needs must agree between the python and numpy backends
-    (value *and* exactness flag); when the elimination result is exact it
-    must equal exact enumeration *and* the independent nested-loop oracle
-    (for residuals without boundary-crossing predicates, whose value is
+    formula needs: when the elimination result is exact it must equal
+    exact enumeration *and* the independent nested-loop oracle (for
+    residuals without boundary-crossing predicates, whose value is
     convention-defined), and when predicates were dropped it must still
     upper-bound both.
 ``lattice-profile``
@@ -19,12 +19,11 @@ executes a fixed battery of checks:
     (:func:`repro.engine.profile.evaluate_profile` — component
     memoization, isomorphism dedup, optional parallelism) must equal the
     per-subset ``boundary_multiplicity`` reference on every required
-    subset — value, exactness flag and dropped-predicate multiset — on
-    both backends, and a parallel evaluation must equal the serial one.
+    subset — value, exactness flag and dropped-predicate multiset — and a
+    parallel evaluation must equal the serial one.
 ``profile``
-    Full residual-sensitivity computations (value, ``k*``, the whole
-    ``L̂S^(k)`` series) must be identical on both backends, and must
-    dominate the polynomial local-sensitivity bound.
+    A full residual-sensitivity computation must dominate the polynomial
+    local-sensitivity bound.
 ``local-sensitivity``
     On instances small enough for exhaustive neighbor enumeration,
     ``RS(I)`` must dominate the *exact* ``LS(I)`` — the inequality the
@@ -33,8 +32,9 @@ executes a fixed battery of checks:
     On the case's designated neighbor pair: ``L̂S^(k)`` monotone in ``k``
     and ``L̂S^(k)(I) ≤ L̂S^(k+1)(I')`` in both directions (Theorem 3.9).
 ``release``
-    With the same seed, a full private release (count + sensitivity +
-    noise) must be bitwise identical on both backends.
+    A full private release (count + sensitivity + noise) must be bitwise
+    identical when run twice with the same seed, and its ``true_count``
+    must equal the oracle count.
 ``incremental``
     A seed-addressable random edit script applied through the delta path
     (:meth:`Relation.add_rows` / :meth:`Relation.remove_rows` /
@@ -42,24 +42,15 @@ executes a fixed battery of checks:
     factorization caches maintained in place) must leave the database
     indistinguishable from a from-scratch rebuild with the same final
     rows: tuple sets, counts, full lattice profiles and bitwise seeded
-    releases must agree on both backends.
+    releases must agree.
 ``process-profile``
     Process-pool lattice evaluation
     (``evaluate_profile(..., parallelism_mode="process")``, the GIL-free
     path through :mod:`repro.engine.procpool`) must be indistinguishable
-    from the serial evaluation on both backends: identical values,
-    exactness flags and dropped-predicate multisets for every subset,
-    identical structural stats counters, and the same factorization
-    hits+misses total (the hit/miss *split* may shift toward misses —
-    worker caches start cold).
-``compiled-backend``
-    The ``"compiled"`` backend (JIT kernels of
-    :mod:`repro.engine.kernels`) must be indistinguishable from
-    ``"numpy"``: identical counts, identical full lattice profiles
-    (value, exactness flag and dropped-predicate multiset per subset),
-    and bitwise-identical seeded releases.  When the compiled tier is
-    unavailable (no numba, ``REPRO_NO_COMPILED=1``) the check is skipped
-    with a notice recorded on the report — never silently.
+    from the serial evaluation: identical values, exactness flags and
+    dropped-predicate multisets for every subset, identical structural
+    stats counters, and the same factorization hits+misses total (the
+    hit/miss *split* may shift toward misses — worker caches start cold).
 
 Every failure is wrapped in a :class:`FuzzFailure` that carries a
 self-contained replay snippet — paste it into a Python prompt (or pipe to
@@ -78,7 +69,6 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.engine.aggregates import boundary_multiplicity
-from repro.engine.backend import get_backend
 from repro.engine.profile import PARALLELISM_MODES, evaluate_profile
 from repro.engine.evaluation import count_query
 from repro.mechanisms.mechanism import PrivateCountingQuery
@@ -107,7 +97,6 @@ CHECKS = (
     "release",
     "incremental",
     "process-profile",
-    "compiled-backend",
 )
 
 #: Numerical slack for float comparisons of analytically-ordered quantities.
@@ -121,7 +110,6 @@ class FuzzFailure:
     seed: int
     case_index: int
     check: str
-    backend: str
     message: str
     replay: str
     case: dict[str, Any]
@@ -131,7 +119,6 @@ class FuzzFailure:
             "seed": self.seed,
             "case": self.case_index,
             "check": self.check,
-            "backend": self.backend,
             "message": self.message,
             "replay": self.replay,
             "workload": self.case,
@@ -145,14 +132,9 @@ class FuzzReport:
     seed: int
     cases: int
     start: int = 0
-    backend: str = "python"
     checks_run: int = 0
     oracle_ls_cases: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
-    #: Checks that could not run at all (``check name -> reason``), e.g.
-    #: ``compiled-backend`` without numba.  Skips are *not* failures but are
-    #: always surfaced — in this dict, the JSON report and the CLI summary.
-    skipped: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -163,20 +145,18 @@ class FuzzReport:
             "seed": self.seed,
             "cases": self.cases,
             "start": self.start,
-            "backend": self.backend,
             "checks_run": self.checks_run,
             "oracle_ls_cases": self.oracle_ls_cases,
             "ok": self.ok,
             "failures": [f.to_dict() for f in self.failures],
-            "skipped": dict(self.skipped),
         }
 
 
-def replay_snippet(case: FuzzCase, check: str, backend: str) -> str:
+def replay_snippet(case: FuzzCase, check: str) -> str:
     """A paste-ready snippet that re-runs exactly this check."""
     lines = [
         "# repro-dp fuzz failure replay",
-        f"# seed={case.seed} case={case.index} check={check} backend={backend}",
+        f"# seed={case.seed} case={case.index} check={check}",
         f"# query: {case.query_text}",
     ]
     for spec in case.relations:
@@ -192,8 +172,7 @@ def replay_snippet(case: FuzzCase, check: str, backend: str) -> str:
     lines += [
         "from repro.qa.replay import replay_case",
         "",
-        f"failure = replay_case(seed={case.seed}, case={case.index}, "
-        f"check={check!r}, backend={backend!r})",
+        f"failure = replay_case(seed={case.seed}, case={case.index}, check={check!r})",
         'print(failure.message if failure else "check passed")',
     ]
     return "\n".join(lines)
@@ -206,10 +185,6 @@ class DifferentialRunner:
     ----------
     seed:
         Master seed for the workload generator.
-    backend:
-        The backend recorded as "under test" in the report (name or
-        ``None`` for the process default).  The differential checks always
-        compare *both* backends regardless; this only labels the run.
     oracle_budget:
         Work-estimate cap above which the exhaustive-neighbor
         ``local-sensitivity`` check is skipped for a case (see
@@ -227,7 +202,6 @@ class DifferentialRunner:
         self,
         seed: int = 0,
         *,
-        backend: str | None = None,
         oracle_budget: int = 150_000,
         parallelism_mode: str | None = None,
     ):
@@ -237,7 +211,6 @@ class DifferentialRunner:
                 f"expected one of {PARALLELISM_MODES}"
             )
         self._generator = WorkloadGenerator(seed)
-        self._backend = get_backend(backend).name
         self._oracle_budget = oracle_budget
         self._parallelism_mode = parallelism_mode
 
@@ -257,9 +230,7 @@ class DifferentialRunner:
         on_case: Callable[[int, list[FuzzFailure]], None] | None = None,
     ) -> FuzzReport:
         """Run ``cases`` consecutive cases and collect every failure."""
-        report = FuzzReport(
-            seed=self.seed, cases=cases, start=start, backend=self._backend
-        )
+        report = FuzzReport(seed=self.seed, cases=cases, start=start)
         for index in range(start, start + cases):
             case = self._generator.case(index)
             failures = self.run_case(case, report=report)
@@ -298,9 +269,8 @@ class DifferentialRunner:
             seed=case.seed,
             case_index=case.index,
             check=check,
-            backend=self._backend,
             message=message,
-            replay=replay_snippet(case, check, self._backend),
+            replay=replay_snippet(case, check),
             case=case.describe(),
         )
 
@@ -311,8 +281,7 @@ class DifferentialRunner:
         query, db = case.query(), case.database()
         expected = oracle_count(query, db)
         observed = {
-            "backend=python": count_query(query, db, backend="python"),
-            "backend=numpy": count_query(query, db, backend="numpy"),
+            "strategy=auto": count_query(query, db),
             "strategy=enumerate": count_query(query, db, strategy="enumerate"),
         }
         mismatched = {k: v for k, v in observed.items() if v != expected}
@@ -326,35 +295,28 @@ class DifferentialRunner:
         problems = []
         for kept in engine.required_subsets(db):
             label = tuple(sorted(kept))
-            py = boundary_multiplicity(query, db, kept, backend="python")
-            nm = boundary_multiplicity(query, db, kept, backend="numpy")
-            if (py.value, py.exact) != (nm.value, nm.exact):
-                problems.append(
-                    f"T_{label}: python=({py.value}, exact={py.exact}) "
-                    f"numpy=({nm.value}, exact={nm.exact})"
-                )
-                continue
+            got = boundary_multiplicity(query, db, kept)
             exact = boundary_multiplicity(query, db, kept, strategy="enumerate")
-            if py.exact and exact.value != py.value:
+            if got.exact and exact.value != got.value:
                 problems.append(
                     f"T_{label}: exact enumeration {exact.value} != "
-                    f"eliminate {py.value} (claimed exact)"
+                    f"eliminate {got.value} (claimed exact)"
                 )
-            elif exact.value > py.value:
+            elif exact.value > got.value:
                 problems.append(
-                    f"T_{label}: upper bound {py.value} below exact {exact.value}"
+                    f"T_{label}: upper bound {got.value} below exact {exact.value}"
                 )
             oracle = self._oracle_multiplicity(query, db, kept)
             if oracle is None:
                 continue  # crossing predicates: convention-dependent, skip
-            if py.exact and py.value != oracle:
+            if got.exact and got.value != oracle:
                 problems.append(
                     f"T_{label}: independent oracle {oracle} != "
-                    f"production {py.value} (claimed exact)"
+                    f"production {got.value} (claimed exact)"
                 )
-            elif py.value < oracle:
+            elif got.value < oracle:
                 problems.append(
-                    f"T_{label}: upper bound {py.value} below oracle {oracle}"
+                    f"T_{label}: upper bound {got.value} below oracle {oracle}"
                 )
         return "; ".join(problems) or None
 
@@ -395,44 +357,43 @@ class DifferentialRunner:
             if kept
         )
         problems = []
-        for backend_name in ("python", "numpy"):
-            shared = evaluate_profile(query, db, subsets, backend=backend_name)
-            stats = shared.stats
-            evaluated_ok = (
-                stats.components_evaluated == 0
-                if expected_components == 0  # only the empty residual subset
-                else 0 < stats.components_evaluated <= expected_components
+        shared = evaluate_profile(query, db, subsets)
+        stats = shared.stats
+        evaluated_ok = (
+            stats.components_evaluated == 0
+            if expected_components == 0  # only the empty residual subset
+            else 0 < stats.components_evaluated <= expected_components
+        )
+        if stats.components_total != expected_components or not evaluated_ok:
+            problems.append(
+                f"profiler counters wrong: "
+                f"{stats.components_evaluated} evaluated of "
+                f"{stats.components_total} total, independent decomposition "
+                f"says {expected_components}"
             )
-            if stats.components_total != expected_components or not evaluated_ok:
+        if stats.subsets_total != len(subsets):
+            problems.append(
+                f"subsets_total {stats.subsets_total} != "
+                f"{len(subsets)} required subsets"
+            )
+        for kept in subsets:
+            label = tuple(sorted(kept))
+            base = boundary_multiplicity(query, db, kept)
+            got = shared.results[kept]
+            if (got.value, got.exact) != (base.value, base.exact):
                 problems.append(
-                    f"[{backend_name}] profiler counters wrong: "
-                    f"{stats.components_evaluated} evaluated of "
-                    f"{stats.components_total} total, independent decomposition "
-                    f"says {expected_components}"
+                    f"T_{label}: shared-lattice "
+                    f"({got.value}, exact={got.exact}) != per-subset "
+                    f"({base.value}, exact={base.exact})"
                 )
-            if stats.subsets_total != len(subsets):
+            elif sorted(map(repr, got.dropped_predicates)) != sorted(
+                map(repr, base.dropped_predicates)
+            ):
                 problems.append(
-                    f"[{backend_name}] subsets_total {stats.subsets_total} != "
-                    f"{len(subsets)} required subsets"
+                    f"T_{label}: dropped predicates differ: "
+                    f"shared-lattice {got.dropped_predicates!r} != "
+                    f"per-subset {base.dropped_predicates!r}"
                 )
-            for kept in subsets:
-                label = tuple(sorted(kept))
-                base = boundary_multiplicity(query, db, kept, backend=backend_name)
-                got = shared.results[kept]
-                if (got.value, got.exact) != (base.value, base.exact):
-                    problems.append(
-                        f"[{backend_name}] T_{label}: shared-lattice "
-                        f"({got.value}, exact={got.exact}) != per-subset "
-                        f"({base.value}, exact={base.exact})"
-                    )
-                elif sorted(map(repr, got.dropped_predicates)) != sorted(
-                    map(repr, base.dropped_predicates)
-                ):
-                    problems.append(
-                        f"[{backend_name}] T_{label}: dropped predicates differ: "
-                        f"shared-lattice {got.dropped_predicates!r} != "
-                        f"per-subset {base.dropped_predicates!r}"
-                    )
         parallel = evaluate_profile(
             query, db, subsets, parallelism=2,
             parallelism_mode=self._parallelism_mode,
@@ -448,21 +409,10 @@ class DifferentialRunner:
 
     def _check_profile(self, case: FuzzCase, report) -> str | None:
         query, db = case.query(), case.database()
-        results = {
-            name: ResidualSensitivity(query, beta=case.beta, backend=name).compute(db)
-            for name in ("python", "numpy")
-        }
-        py, nm = results["python"], results["numpy"]
-        if py.value != nm.value:
-            return f"RS python={py.value!r} != numpy={nm.value!r}"
-        if py.details["ls_hat_series"] != nm.details["ls_hat_series"]:
-            return (
-                f"L̂S series python={py.details['ls_hat_series']} != "
-                f"numpy={nm.details['ls_hat_series']}"
-            )
+        rs = ResidualSensitivity(query, beta=case.beta).compute(db)
         bound = local_sensitivity_upper_bound(query, db)
-        if py.value < bound.value - _TOL:
-            return f"RS {py.value} below the LS residual bound {bound.value}"
+        if rs.value < bound.value - _TOL:
+            return f"RS {rs.value} below the LS residual bound {bound.value}"
         return None
 
     def _check_local_sensitivity(self, case: FuzzCase, report) -> str | None:
@@ -505,31 +455,32 @@ class DifferentialRunner:
 
     def _check_release(self, case: FuzzCase, report) -> str | None:
         query, db = case.query(), case.database()
-        outcomes = {}
-        for name in ("python", "numpy"):
-            releaser = PrivateCountingQuery(
+        first, again = (
+            PrivateCountingQuery(
                 query,
                 epsilon=case.epsilon,
                 rng=np.random.default_rng((case.seed, case.index)),
-                backend=name,
-            )
-            outcomes[name] = releaser.release(db, keep_true_count=True)
-        py, nm = outcomes["python"], outcomes["numpy"]
-        if (py.noisy_count, py.sensitivity, py.true_count) != (
-            nm.noisy_count,
-            nm.sensitivity,
-            nm.true_count,
+            ).release(db, keep_true_count=True)
+            for _ in range(2)
+        )
+        if (first.noisy_count, first.sensitivity, first.true_count) != (
+            again.noisy_count,
+            again.sensitivity,
+            again.true_count,
         ):
             return (
-                f"seeded release differs: python=(noisy={py.noisy_count!r}, "
-                f"S={py.sensitivity!r}, count={py.true_count!r}) "
-                f"numpy=(noisy={nm.noisy_count!r}, S={nm.sensitivity!r}, "
-                f"count={nm.true_count!r})"
+                f"seeded release not reproducible: first=(noisy={first.noisy_count!r}, "
+                f"S={first.sensitivity!r}, count={first.true_count!r}) "
+                f"again=(noisy={again.noisy_count!r}, S={again.sensitivity!r}, "
+                f"count={again.true_count!r})"
             )
-        scale = py.sensitivity / case.beta
-        if not math.isclose(py.expected_error, scale, rel_tol=1e-9, abs_tol=1e-12):
+        expected = oracle_count(query, db)
+        if first.true_count != expected:
+            return f"released true_count {first.true_count!r} != oracle count {expected}"
+        scale = first.sensitivity / case.beta
+        if not math.isclose(first.expected_error, scale, rel_tol=1e-9, abs_tol=1e-12):
             return (
-                f"expected error {py.expected_error} does not match the "
+                f"expected error {first.expected_error} does not match the "
                 f"calibrated scale S/β = {scale}"
             )
         return None
@@ -538,11 +489,10 @@ class DifferentialRunner:
         import random
 
         query, db = case.query(), case.database()
-        # Warm the columnar snapshots and factorization caches on both
-        # backends first so the edit script exercises the *in-place*
-        # maintenance path rather than a cold rebuild.
-        for name in ("python", "numpy"):
-            count_query(query, db, backend=name)
+        # Warm the columnar snapshots and factorization caches first so the
+        # edit script exercises the *in-place* maintenance path rather than
+        # a cold rebuild.
+        count_query(query, db)
 
         # Seed-addressable edit script over the delta path.
         rng = random.Random(f"{case.seed}:{case.index}:incremental")
@@ -598,59 +548,55 @@ class DifferentialRunner:
 
         engine = ResidualSensitivity(query, beta=case.beta)
         subsets = engine.required_subsets(db)
-        for name in ("python", "numpy"):
-            delta_count = count_query(query, db, backend=name)
-            fresh_count = count_query(query, fresh, backend=name)
-            if delta_count != fresh_count:
+        delta_count = count_query(query, db)
+        fresh_count = count_query(query, fresh)
+        if delta_count != fresh_count:
+            problems.append(
+                f"count after edit script {script}: "
+                f"delta path {delta_count} != rebuild {fresh_count}"
+            )
+        delta_profile = evaluate_profile(
+            query, db, subsets, parallelism_mode=self._parallelism_mode
+        )
+        fresh_profile = evaluate_profile(
+            query, fresh, subsets, parallelism_mode=self._parallelism_mode
+        )
+        for kept in subsets:
+            got, want = delta_profile.results[kept], fresh_profile.results[kept]
+            if (got.value, got.exact) != (want.value, want.exact):
                 problems.append(
-                    f"[{name}] count after edit script {script}: "
-                    f"delta path {delta_count} != rebuild {fresh_count}"
+                    f"T_{tuple(sorted(kept))}: delta path "
+                    f"({got.value}, exact={got.exact}) != rebuild "
+                    f"({want.value}, exact={want.exact})"
                 )
-            delta_profile = evaluate_profile(
-                query, db, subsets, backend=name,
-                parallelism_mode=self._parallelism_mode,
-            )
-            fresh_profile = evaluate_profile(
-                query, fresh, subsets, backend=name,
-                parallelism_mode=self._parallelism_mode,
-            )
-            for kept in subsets:
-                got, want = delta_profile.results[kept], fresh_profile.results[kept]
-                if (got.value, got.exact) != (want.value, want.exact):
-                    problems.append(
-                        f"[{name}] T_{tuple(sorted(kept))}: delta path "
-                        f"({got.value}, exact={got.exact}) != rebuild "
-                        f"({want.value}, exact={want.exact})"
-                    )
-                elif sorted(map(repr, got.dropped_predicates)) != sorted(
-                    map(repr, want.dropped_predicates)
-                ):
-                    problems.append(
-                        f"[{name}] T_{tuple(sorted(kept))}: dropped predicates "
-                        f"differ: delta path {got.dropped_predicates!r} != "
-                        f"rebuild {want.dropped_predicates!r}"
-                    )
-            releases = {}
-            for label, instance in (("delta", db), ("rebuild", fresh)):
-                releaser = PrivateCountingQuery(
-                    query,
-                    epsilon=case.epsilon,
-                    rng=np.random.default_rng((case.seed, case.index)),
-                    backend=name,
-                )
-                releases[label] = releaser.release(instance, keep_true_count=True)
-            dl, rb = releases["delta"], releases["rebuild"]
-            if (dl.noisy_count, dl.sensitivity, dl.true_count) != (
-                rb.noisy_count,
-                rb.sensitivity,
-                rb.true_count,
+            elif sorted(map(repr, got.dropped_predicates)) != sorted(
+                map(repr, want.dropped_predicates)
             ):
                 problems.append(
-                    f"[{name}] seeded release differs after edit script: "
-                    f"delta=(noisy={dl.noisy_count!r}, S={dl.sensitivity!r}, "
-                    f"count={dl.true_count!r}) rebuild=(noisy={rb.noisy_count!r}, "
-                    f"S={rb.sensitivity!r}, count={rb.true_count!r})"
+                    f"T_{tuple(sorted(kept))}: dropped predicates "
+                    f"differ: delta path {got.dropped_predicates!r} != "
+                    f"rebuild {want.dropped_predicates!r}"
                 )
+        releases = {}
+        for label, instance in (("delta", db), ("rebuild", fresh)):
+            releaser = PrivateCountingQuery(
+                query,
+                epsilon=case.epsilon,
+                rng=np.random.default_rng((case.seed, case.index)),
+            )
+            releases[label] = releaser.release(instance, keep_true_count=True)
+        dl, rb = releases["delta"], releases["rebuild"]
+        if (dl.noisy_count, dl.sensitivity, dl.true_count) != (
+            rb.noisy_count,
+            rb.sensitivity,
+            rb.true_count,
+        ):
+            problems.append(
+                f"seeded release differs after edit script: "
+                f"delta=(noisy={dl.noisy_count!r}, S={dl.sensitivity!r}, "
+                f"count={dl.true_count!r}) rebuild=(noisy={rb.noisy_count!r}, "
+                f"S={rb.sensitivity!r}, count={rb.true_count!r})"
+            )
         return "; ".join(problems) or None
 
     def _check_process_profile(self, case: FuzzCase, report) -> str | None:
@@ -658,123 +604,51 @@ class DifferentialRunner:
         engine = ResidualSensitivity(query, beta=case.beta)
         subsets = engine.required_subsets(db)
         problems = []
-        for name in ("python", "numpy"):
-            serial = evaluate_profile(query, db, subsets, backend=name)
-            pooled = evaluate_profile(
-                query, db, subsets, backend=name,
-                parallelism=2, parallelism_mode="process",
-            )
-            for kept in subsets:
-                got, want = pooled.results[kept], serial.results[kept]
-                if (got.value, got.exact) != (want.value, want.exact):
-                    problems.append(
-                        f"[{name}] T_{tuple(sorted(kept))}: process pool "
-                        f"({got.value}, exact={got.exact}) != serial "
-                        f"({want.value}, exact={want.exact})"
-                    )
-                elif sorted(map(repr, got.dropped_predicates)) != sorted(
-                    map(repr, want.dropped_predicates)
-                ):
-                    problems.append(
-                        f"[{name}] T_{tuple(sorted(kept))}: dropped predicates "
-                        f"differ: process pool {got.dropped_predicates!r} != "
-                        f"serial {want.dropped_predicates!r}"
-                    )
-            ps, ss = pooled.stats, serial.stats
-            structural = (
-                "subsets_total",
-                "components_total",
-                "components_evaluated",
-                "component_hits",
-                "component_cache_hits",
-            )
-            for field_name in structural:
-                if getattr(ps, field_name) != getattr(ss, field_name):
-                    problems.append(
-                        f"[{name}] stats.{field_name}: process pool "
-                        f"{getattr(ps, field_name)} != serial "
-                        f"{getattr(ss, field_name)}"
-                    )
-            # Cold worker caches may turn hits into misses, but every
-            # factorization event must still be counted exactly once.
-            pooled_events = ps.factorization_hits + ps.factorization_misses
-            serial_events = ss.factorization_hits + ss.factorization_misses
-            if pooled_events != serial_events:
-                problems.append(
-                    f"[{name}] factorization events: process pool "
-                    f"{pooled_events} (hits={ps.factorization_hits}, "
-                    f"misses={ps.factorization_misses}) != serial "
-                    f"{serial_events} (hits={ss.factorization_hits}, "
-                    f"misses={ss.factorization_misses})"
-                )
-        return "; ".join(problems) or None
-
-    def _check_compiled_backend(self, case: FuzzCase, report) -> str | None:
-        from repro.engine import kernels
-
-        if not kernels.kernels_available():
-            if report is not None:
-                report.skipped.setdefault(
-                    "compiled-backend",
-                    f"skipped: {kernels.unavailable_reason()}",
-                )
-            return None
-
-        query, db = case.query(), case.database()
-        problems = []
-
-        counts = {
-            name: count_query(query, db, backend=name)
-            for name in ("numpy", "compiled")
-        }
-        if counts["numpy"] != counts["compiled"]:
-            problems.append(
-                f"count: compiled {counts['compiled']} != numpy {counts['numpy']}"
-            )
-
-        engine = ResidualSensitivity(query, beta=case.beta)
-        subsets = engine.required_subsets(db)
-        profiles = {
-            name: evaluate_profile(query, db, subsets, backend=name)
-            for name in ("numpy", "compiled")
-        }
+        serial = evaluate_profile(query, db, subsets)
+        pooled = evaluate_profile(
+            query, db, subsets, parallelism=2, parallelism_mode="process"
+        )
         for kept in subsets:
-            got = profiles["compiled"].results[kept]
-            want = profiles["numpy"].results[kept]
+            got, want = pooled.results[kept], serial.results[kept]
             if (got.value, got.exact) != (want.value, want.exact):
                 problems.append(
-                    f"T_{tuple(sorted(kept))}: compiled "
-                    f"({got.value}, exact={got.exact}) != numpy "
+                    f"T_{tuple(sorted(kept))}: process pool "
+                    f"({got.value}, exact={got.exact}) != serial "
                     f"({want.value}, exact={want.exact})"
                 )
             elif sorted(map(repr, got.dropped_predicates)) != sorted(
                 map(repr, want.dropped_predicates)
             ):
                 problems.append(
-                    f"T_{tuple(sorted(kept))}: dropped predicates differ: "
-                    f"compiled {got.dropped_predicates!r} != "
-                    f"numpy {want.dropped_predicates!r}"
+                    f"T_{tuple(sorted(kept))}: dropped predicates "
+                    f"differ: process pool {got.dropped_predicates!r} != "
+                    f"serial {want.dropped_predicates!r}"
                 )
-
-        releases = {}
-        for name in ("numpy", "compiled"):
-            releaser = PrivateCountingQuery(
-                query,
-                epsilon=case.epsilon,
-                rng=np.random.default_rng((case.seed, case.index)),
-                backend=name,
-            )
-            releases[name] = releaser.release(db, keep_true_count=True)
-        nm, cp = releases["numpy"], releases["compiled"]
-        if (cp.noisy_count, cp.sensitivity, cp.true_count) != (
-            nm.noisy_count,
-            nm.sensitivity,
-            nm.true_count,
-        ):
+        ps, ss = pooled.stats, serial.stats
+        structural = (
+            "subsets_total",
+            "components_total",
+            "components_evaluated",
+            "component_hits",
+            "component_cache_hits",
+        )
+        for field_name in structural:
+            if getattr(ps, field_name) != getattr(ss, field_name):
+                problems.append(
+                    f"stats.{field_name}: process pool "
+                    f"{getattr(ps, field_name)} != serial "
+                    f"{getattr(ss, field_name)}"
+                )
+        # Cold worker caches may turn hits into misses, but every
+        # factorization event must still be counted exactly once.
+        pooled_events = ps.factorization_hits + ps.factorization_misses
+        serial_events = ss.factorization_hits + ss.factorization_misses
+        if pooled_events != serial_events:
             problems.append(
-                f"seeded release differs: compiled=(noisy={cp.noisy_count!r}, "
-                f"S={cp.sensitivity!r}, count={cp.true_count!r}) "
-                f"numpy=(noisy={nm.noisy_count!r}, S={nm.sensitivity!r}, "
-                f"count={nm.true_count!r})"
+                f"factorization events: process pool "
+                f"{pooled_events} (hits={ps.factorization_hits}, "
+                f"misses={ps.factorization_misses}) != serial "
+                f"{serial_events} (hits={ss.factorization_hits}, "
+                f"misses={ss.factorization_misses})"
             )
         return "; ".join(problems) or None

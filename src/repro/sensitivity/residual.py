@@ -97,7 +97,7 @@ class ResidualSensitivityReport:
         actually ran (see :class:`repro.engine.profile.ProfileStats`).
     factorization_hits:
         Columnar factorization-cache hits observed during the profile
-        evaluation (0 on the pure-Python backend, which has no columns).
+        evaluation.
     """
 
     value: float
@@ -130,11 +130,6 @@ class ResidualSensitivity:
         Evaluation strategy for the boundary multiplicities (``"auto"``,
         ``"enumerate"`` or ``"eliminate"``); see
         :func:`repro.engine.aggregates.boundary_multiplicity`.
-    backend:
-        Execution backend (name, instance or ``None`` for the process
-        default) used for the boundary-multiplicity group counts; the
-        ``"numpy"`` backend vectorizes them as columnar group-by
-        aggregations.  Backends produce identical sensitivity values.
     k_max:
         Optional override of the Lemma 3.10 truncation point (mainly for
         tests).
@@ -169,7 +164,6 @@ class ResidualSensitivity:
         beta: float | None = None,
         epsilon: float | None = None,
         strategy: str = "auto",
-        backend: str | None = None,
         k_max: int | None = None,
         parallelism: int | None = None,
         parallelism_mode: str | None = None,
@@ -186,7 +180,6 @@ class ResidualSensitivity:
         self._beta = validate_beta(beta if beta is not None else beta_from_epsilon(epsilon))
         self._query = query
         self._strategy = strategy
-        self._backend = backend
         self._k_max_override = k_max
         self._parallelism = parallelism
         self._parallelism_mode = parallelism_mode
@@ -277,7 +270,6 @@ class ResidualSensitivity:
             database,
             self.required_subsets(database),
             strategy=self._strategy,
-            backend=self._backend,
             parallelism=self._parallelism,
             parallelism_mode=self._parallelism_mode,
             component_cache=component_cache,
@@ -307,7 +299,6 @@ class ResidualSensitivity:
                 database,
                 kept,
                 strategy=self._strategy,
-                backend=self._backend,
             )
         return results
 

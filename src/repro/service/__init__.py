@@ -4,9 +4,7 @@ The one-shot library answers a single query per call; this subpackage turns
 it into a multi-tenant serving system:
 
 * :mod:`repro.service.registry` — named databases, registered once and
-  reused (with versioning so caches can never serve stale data), each
-  pinned to an execution backend (:mod:`repro.engine.backend`) at
-  registration time;
+  reused (with versioning so caches can never serve stale data);
 * :mod:`repro.service.sessions` — per-session ε budget ledgers layered on
   :class:`~repro.mechanisms.accountant.PrivacyAccountant`, an optional
   deployment-wide shared budget, idle-session expiry and an audit log;

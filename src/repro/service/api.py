@@ -6,10 +6,10 @@ Endpoints (all bodies and responses are ``application/json``):
     ``{"name": ..., "edges": [[u, v], ...]}`` or
     ``{"name": ..., "dataset": "GrQc", "scale": 0.02}`` — register a named
     database (``"replace": true`` to update an existing name;
-    ``"backend": "numpy"`` to serve it from the vectorized columnar
-    execution backend instead of the dict-based default;
     ``"parallelism_mode": "process"``/``"auto"`` to pin how sensitivity
-    profiles against this database fan out across workers).
+    profiles against this database fan out across workers).  A
+    ``"backend"`` key is deprecated and ignored; the response then carries
+    a ``"warnings"`` list saying so.
 ``POST /mutate``
     ``{"database": ..., "operations": [{"relation": "edge", "op": "insert",
     "rows": [[1, 2]]}, ...]}`` — apply a batch of tuple-level delta
@@ -74,7 +74,7 @@ from repro.exceptions import (
     ServiceError,
     UnknownResourceError,
 )
-from repro.service.service import PrivateQueryService
+from repro.service.service import BACKEND_DEPRECATION, PrivateQueryService
 
 __all__ = ["make_server", "shed_retry_after", "ServiceRequestHandler"]
 
@@ -447,10 +447,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             name,
             database,
             replace=bool(payload.get("replace", False)),
-            backend=payload.get("backend"),
             parallelism_mode=payload.get("parallelism_mode"),
         )
-        return 200, entry.describe()
+        described = entry.describe()
+        if "backend" in payload:
+            described["warnings"] = [BACKEND_DEPRECATION]
+        return 200, described
 
     def _post_mutate(self):
         # Like /register, mutation bypasses capacity admission: it is

@@ -421,7 +421,6 @@ def replay_records(
                 for key in (
                     "name",
                     "version",
-                    "backend",
                     "relations",
                     "private_tuples",
                     "epochs",

@@ -22,7 +22,7 @@ records, and invalidation is two-tier:
 
 When the registry is backed by a :class:`~repro.service.persistence.StateStore`,
 every (un)registration journals a **versioned metadata snapshot** of the
-database — name, version, backend, relation sizes, epochs — and every
+database — name, version, relation sizes, epochs — and every
 mutation journals its operations plus the post-mutation sizes and epochs.
 Database *contents* are not persisted (re-register them after a restart);
 what recovery guarantees is that the version sequence resumes where it left
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.data.database import Database
-from repro.engine.backend import get_backend
 from repro.engine.profile import PARALLELISM_MODES
 from repro.exceptions import ServiceError, UnknownResourceError
 from repro.service.persistence import exclusive_or_null
@@ -55,10 +54,6 @@ __all__ = ["DatabaseRegistry", "RegisteredDatabase"]
 class RegisteredDatabase:
     """A database registered under a name, at a specific version.
 
-    ``backend`` names the execution backend every query against this
-    database runs on (``"python"`` or ``"numpy"``); it is chosen at
-    registration time because the columnar backend amortises its one-off
-    column conversion across the lifetime of the registration.
     ``parallelism_mode`` optionally pins how sensitivity profiles against
     this database fan out (``"thread"``/``"process"``/``"auto"``);
     ``None`` defers to the service-wide default.
@@ -67,7 +62,6 @@ class RegisteredDatabase:
     name: str
     version: int
     database: Database
-    backend: str = "python"
     parallelism_mode: str | None = None
 
     @property
@@ -80,7 +74,6 @@ class RegisteredDatabase:
         return {
             "name": self.name,
             "version": self.version,
-            "backend": self.backend,
             "parallelism_mode": self.parallelism_mode,
             "relations": {
                 rel.schema.name: len(rel) for rel in self.database
@@ -116,15 +109,11 @@ class DatabaseRegistry:
         database: Database,
         *,
         replace: bool = False,
-        backend: str | None = None,
         parallelism_mode: str | None = None,
     ) -> RegisteredDatabase:
-        """Register ``database`` under ``name``, served by ``backend``.
+        """Register ``database`` under ``name``.
 
-        ``backend`` is resolved (and validated) at registration time —
-        ``None`` picks the process default, an unknown name raises
-        :class:`~repro.exceptions.EvaluationError` here rather than at the
-        first query.  ``parallelism_mode`` (``"thread"``/``"process"``/
+        ``parallelism_mode`` (``"thread"``/``"process"``/
         ``"auto"``, validated here) pins the profiler fan-out for this
         registration; ``None`` defers to the service default.  Raises
         :class:`ServiceError` if the name is taken and ``replace`` is
@@ -133,11 +122,6 @@ class DatabaseRegistry:
         """
         if not name or not isinstance(name, str):
             raise ServiceError(f"database name must be a non-empty string, got {name!r}")
-        resolved = get_backend(backend)
-        # One-off backend warm-up (the compiled tier's JIT compilation) runs
-        # at registration time, never on the first serving request.
-        resolved.ensure_ready()
-        backend = resolved.name
         if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
             raise ServiceError(
                 f"unknown parallelism_mode {parallelism_mode!r}; "
@@ -154,7 +138,6 @@ class DatabaseRegistry:
                     name=name,
                     version=version,
                     database=database,
-                    backend=backend,
                     parallelism_mode=parallelism_mode,
                 )
                 previous = self._entries.get(name)
@@ -261,7 +244,6 @@ class DatabaseRegistry:
                 return {
                     "name": entry.name,
                     "version": entry.version,
-                    "backend": entry.backend,
                     "inserted": inserted,
                     "deleted": deleted,
                     "operations": len(plan),
@@ -430,7 +412,6 @@ class DatabaseRegistry:
                         for key in (
                             "name",
                             "version",
-                            "backend",
                             "parallelism_mode",
                             "relations",
                             "private_tuples",

@@ -52,17 +52,11 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 import numpy as np
 
 from repro.data.database import Database
-from repro.engine.backend import (
-    available_backends,
-    backend_inventory,
-    default_backend_name,
-    resolve_auto_backend,
-)
 from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query
 from repro.engine.procpool import shutdown_process_pool
@@ -87,6 +81,16 @@ __all__ = ["PrivateQueryService", "CountResponse"]
 
 _METHODS = ("residual", "elastic", "smooth-triangle", "smooth-star", "global")
 
+#: What the ``backend`` field of ``/count`` and ``/stats`` reports, for
+#: clients that still read it: the columnar engine is the only engine.
+ENGINE_NAME = "numpy"
+
+#: The notice a client gets for passing the retired backend choice
+#: (``--backend`` on the CLI, ``"backend"`` on ``/register``).
+BACKEND_DEPRECATION = (
+    "'backend' is deprecated and ignored: the columnar engine answers every query"
+)
+
 
 @dataclass(frozen=True)
 class CountResponse:
@@ -106,10 +110,11 @@ class CountResponse:
     count_cache_hit: bool
     deduplicated: bool = False
     remaining_budget: float | None = None
-    backend: str = "python"
     details: Mapping[str, Any] = field(default_factory=dict)
     trace_id: str | None = None
     timings: Mapping[str, float] | None = None
+    #: Always :data:`ENGINE_NAME`; kept for clients that read ``backend``.
+    backend: ClassVar[str] = ENGINE_NAME
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-serialisable view (publishable fields only)."""
@@ -584,24 +589,20 @@ class PrivateQueryService:
         database: Database,
         *,
         replace: bool = False,
-        backend: str | None = None,
         parallelism_mode: str | None = None,
     ) -> RegisteredDatabase:
         """Register (or with ``replace=True`` update) a named database.
 
-        ``backend`` picks the execution backend every query against this
-        database runs on (``"python"``, ``"numpy"``; ``None`` uses the
-        process default).  ``parallelism_mode`` (``"thread"``/``"process"``/
-        ``"auto"``) pins the profiler fan-out for this registration; ``None``
-        defers to the service-wide default.  Both knobs are result-equivalent
-        — with a fixed service seed the released sequence is bitwise
-        identical whichever is chosen — so they tune performance only.
+        ``parallelism_mode`` (``"thread"``/``"process"``/``"auto"``) pins
+        the profiler fan-out for this registration; ``None`` defers to the
+        service-wide default.  It is result-equivalent — with a fixed
+        service seed the released sequence is bitwise identical whichever is
+        chosen — so it tunes performance only.
         """
         return self._registry.register(
             name,
             database,
             replace=replace,
-            backend=backend,
             parallelism_mode=parallelism_mode,
         )
 
@@ -688,10 +689,10 @@ class PrivateQueryService:
         self, reg: RegisteredDatabase, query: ConjunctiveQuery, key: str | None
     ) -> tuple[int, bool]:
         if key is None:
-            return count_query(query, reg.database, backend=reg.backend), False
+            return count_query(query, reg.database), False
         return self._count_cache.get_or_compute(
             (reg.name, reg.version, key, self._epoch_key(reg, query)),
-            lambda: count_query(query, reg.database, backend=reg.backend),
+            lambda: count_query(query, reg.database),
         )
 
     def _sensitivity(
@@ -719,7 +720,6 @@ class PrivateQueryService:
                     query,
                     beta=beta,
                     strategy=self._strategy,
-                    backend=reg.backend,
                     parallelism=self._parallelism,
                     parallelism_mode=reg.parallelism_mode or self._parallelism_mode,
                 )
@@ -740,7 +740,6 @@ class PrivateQueryService:
                 epsilon=(beta * BETA_FRACTION) if beta is not None else 1.0,
                 method=method,  # type: ignore[arg-type]
                 strategy=self._strategy,
-                backend=reg.backend,
             )
             return probe.sensitivity(reg.database)
 
@@ -883,7 +882,6 @@ class PrivateQueryService:
             query_key=response.query_key,
             method=method,
             epsilon=response.epsilon,
-            backend=response.backend,
             cache={
                 "plan": response.plan_cache_hit,
                 "sensitivity": response.sensitivity_cache_hit,
@@ -932,7 +930,7 @@ class PrivateQueryService:
         beta = None if method == "global" else epsilon / BETA_FRACTION
 
         if traced:
-            with obs_span("sensitivity", method=method, backend=reg.backend):
+            with obs_span("sensitivity", method=method):
                 sensitivity, sens_hit = self._sensitivity(reg, parsed, key, method, beta)
             with obs_span("true_count"):
                 true_count, count_hit = self._true_count(reg, parsed, key)
@@ -971,7 +969,6 @@ class PrivateQueryService:
                 method=method,  # type: ignore[arg-type]
                 rng=rng,
                 strategy=self._strategy,
-                backend=reg.backend,
             )
             return releaser.release(
                 reg.database, true_count=true_count, sensitivity=sensitivity
@@ -1010,7 +1007,6 @@ class PrivateQueryService:
             sensitivity_cache_hit=sens_hit,
             count_cache_hit=count_hit,
             remaining_budget=remaining,
-            backend=reg.backend,
         )
 
     def batch(
@@ -1108,7 +1104,6 @@ class PrivateQueryService:
         method: str | None = None,
         error: str | None = None,
         epsilon: float | None = None,
-        backend: str | None = None,
         cache: Mapping[str, bool] | None = None,
     ) -> None:
         """Record one finished request into metrics and the structured log.
@@ -1139,7 +1134,6 @@ class PrivateQueryService:
                 method=method,
                 error=error,
                 epsilon=epsilon,
-                backend=backend,
                 cache=cache,
             )
             if record["slow"]:
@@ -1187,12 +1181,7 @@ class PrivateQueryService:
                 "log_lines_written": logger.lines_written if logger is not None else 0,
                 "metrics": self.metrics.names() if self.metrics is not None else [],
             },
-            "backends": {
-                "available": available_backends(),
-                "default": default_backend_name(),
-                "auto": resolve_auto_backend(),
-                "inventory": backend_inventory(),
-            },
+            "backends": {"default": ENGINE_NAME},
             "parallelism": {
                 "workers": self._parallelism,
                 "mode": self._parallelism_mode or "thread",

@@ -1,11 +1,14 @@
-"""Cross-backend equivalence: the Python and NumPy engines must agree exactly.
+"""Engine equivalence: the columnar engine must agree with the references.
 
-The backend abstraction promises that the choice of execution backend is a
-pure performance knob: on every supported query/instance pair the backends
-return *identical* counts, identical boundary-multiplicity profiles (and
-therefore identical residual sensitivities), and — because noise is drawn
-from the caller's generator after those deterministic values are fixed —
-*bitwise identical* noisy releases under a fixed seed.
+The elimination engine is checked against two independent references: the
+exact backtracking enumeration (``strategy="enumerate"``) and, on instances
+small enough for it, the nested-loop QA oracle
+(:func:`repro.qa.oracle.oracle_count`).  Where elimination claims exactness
+its counts, boundary-multiplicity profiles (and therefore residual
+sensitivities) must equal the references; where it drops a predicate its
+counts must upper-bound them.  Because noise is drawn from the caller's
+generator after those deterministic values are fixed, seeded releases must
+be *bitwise identical* to those calibrated from exact enumeration.
 
 This harness asserts all three levels on synthetic graph data, TPC-H-style
 relational data with string columns, and randomly generated instances, over
@@ -21,19 +24,22 @@ import pytest
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.datasets.tpch import generate_tpch
+from repro.engine import columnar
 from repro.engine.aggregates import boundary_multiplicity
-from repro.engine.backend import get_backend
 from repro.engine.columnar import eliminate_group_counts_columnar
-from repro.engine.elimination import eliminate_group_counts
+from repro.engine.evaluation import count_query
+from repro.engine.join import group_counts
+from repro.exceptions import EvaluationError
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
 from repro.mechanisms.mechanism import PrivateCountingQuery
+from repro.qa.oracle import oracle_count
+from repro.query.atoms import Atom
+from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
+from repro.query.predicates import GenericPredicate
 from repro.sensitivity.residual import ResidualSensitivity
 from repro.service.service import PrivateQueryService
-
-PYTHON = get_backend("python")
-NUMPY = get_backend("numpy")
 
 GRAPH_QUERIES = [
     "Edge(x, y)",
@@ -67,18 +73,31 @@ def _databases(graph_db, tpch_db):
     return {"graph": graph_db, "tpch": tpch_db}
 
 
+def _assert_count_matches_enumeration(query, db) -> int:
+    """The engine's count equals exact enumeration, on the fallback path and,
+    where elimination is exact, on the pure elimination path too."""
+    expected = count_query(query, db, strategy="enumerate")
+    assert count_query(query, db) == expected
+    try:
+        eliminated = count_query(query, db, strategy="eliminate")
+    except EvaluationError:
+        pass  # a predicate elimination cannot honour: auto enumerated above
+    else:
+        assert eliminated == expected
+    return expected
+
+
 # --------------------------------------------------------------------- #
 # Level 1: counts
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("text", GRAPH_QUERIES)
 def test_graph_counts_identical(graph_db, text):
-    query = parse_query(text)
-    assert PYTHON.count_query(query, graph_db) == NUMPY.count_query(query, graph_db)
+    _assert_count_matches_enumeration(parse_query(text), graph_db)
+
 
 @pytest.mark.parametrize("text", TPCH_QUERIES)
 def test_tpch_counts_identical(tpch_db, text):
-    query = parse_query(text)
-    assert PYTHON.count_query(query, tpch_db) == NUMPY.count_query(query, tpch_db)
+    _assert_count_matches_enumeration(parse_query(text), tpch_db)
 
 
 def test_random_instances_counts_identical():
@@ -103,10 +122,8 @@ def test_random_instances_counts_identical():
             },
         )
         for query in queries:
-            assert PYTHON.count_query(query, db) == NUMPY.count_query(query, db), (
-                trial,
-                query.name,
-            )
+            counted = _assert_count_matches_enumeration(query, db)
+            assert counted == oracle_count(query, db), (trial, query.name)
 
 
 # --------------------------------------------------------------------- #
@@ -114,16 +131,25 @@ def test_random_instances_counts_identical():
 # --------------------------------------------------------------------- #
 def test_group_counts_identical_including_bookkeeping(graph_db):
     query = parse_query("Edge(x, y), Edge(y, z), x != z")
+    exactness = []
     for group in [(), ("y",), ("x", "z"), ("z", "y")]:
         group_vars = tuple(
             v for name in group for v in query.variables if v.name == name
         )
-        python = eliminate_group_counts(query, graph_db, group_vars)
-        columnar = eliminate_group_counts_columnar(query, graph_db, group_vars)
-        assert python.counts == columnar.counts
-        assert python.dropped_predicates == columnar.dropped_predicates
-        assert python.elimination_order == columnar.elimination_order
-        assert python.is_exact == columnar.is_exact
+        result = eliminate_group_counts_columnar(query, graph_db, group_vars)
+        reference = group_counts(query, graph_db, group_vars)
+        internal = {v for v in query.variables if v not in group_vars}
+        assert result.group_variables == group_vars
+        assert set(result.elimination_order) == internal
+        assert set(result.dropped_predicates) <= set(query.predicates)
+        assert result.is_exact == (not result.dropped_predicates)
+        if result.is_exact:
+            assert result.counts == reference
+        else:
+            assert all(result.counts.get(k, 0) >= v for k, v in reference.items())
+        exactness.append(result.is_exact)
+    # The group list covers both a dropped and an honoured inequality.
+    assert True in exactness and False in exactness
 
 
 @pytest.mark.parametrize(
@@ -138,10 +164,10 @@ def test_boundary_multiplicity_profiles_identical(graph_db, text):
     query = parse_query(text)
     engine = ResidualSensitivity(query, beta=0.1)
     for kept in engine.required_subsets(graph_db):
-        python = boundary_multiplicity(query, graph_db, kept, backend="python")
-        columnar = boundary_multiplicity(query, graph_db, kept, backend="numpy")
-        assert python.value == columnar.value, kept
-        assert python.exact == columnar.exact, kept
+        got = boundary_multiplicity(query, graph_db, kept)
+        reference = boundary_multiplicity(query, graph_db, kept, strategy="enumerate")
+        assert got.exact, kept
+        assert got.value == reference.value, kept
 
 
 @pytest.mark.parametrize("db_name", ["graph", "tpch"])
@@ -153,33 +179,31 @@ def test_residual_sensitivity_identical(graph_db, tpch_db, db_name):
         else "Customer(c, n, s), Orders(o, c, p), Lineitem(o, part, qty)"
     )
     query = parse_query(text)
-    python = ResidualSensitivity(query, beta=0.2, backend="python").compute(db)
-    columnar = ResidualSensitivity(query, beta=0.2, backend="numpy").compute(db)
-    assert python.value == columnar.value
-    assert python.details["multiplicities"] == columnar.details["multiplicities"]
-    assert python.details["k_star"] == columnar.details["k_star"]
-    assert (
-        python.details["exact_multiplicities"]
-        == columnar.details["exact_multiplicities"]
+    engine = ResidualSensitivity(query, beta=0.2).compute(db)
+    reference = ResidualSensitivity(query, beta=0.2, strategy="enumerate").compute(db)
+    assert engine.value == reference.value
+    assert engine.details["multiplicities"] == reference.details["multiplicities"]
+    assert engine.details["k_star"] == reference.details["k_star"]
+    assert engine.details["exact_multiplicities"] is True
+    assert reference.details["exact_multiplicities"] is True
+
+
+def _triangle_with(predicate) -> ConjunctiveQuery:
+    return ConjunctiveQuery(
+        [Atom("R", ["x", "y"]), Atom("S", ["y", "z"]), Atom("T", ["x", "z"])],
+        predicates=[predicate],
     )
 
 
 def test_matmul_fast_path_parity(monkeypatch):
-    """Heavy buckets: both engines take the sparse-matmul path identically.
+    """Heavy buckets take the sparse-matmul path and stay sound.
 
-    The dict engine's matmul fast path cannot honour predicates involving
-    the summed-out variables (it drops them, making counts upper bounds).
-    The columnar engine must gate on the same threshold and drop the same
-    predicates, otherwise backends would disagree on counts *and* on the
-    exactness flag.  The threshold is monkeypatched down so a small instance
-    exercises the path in both engines.
+    The matmul fast path cannot honour predicates involving the summed-out
+    variables: it drops them, making the counts upper bounds, and the
+    counting API then falls back to exact enumeration.  The threshold is
+    monkeypatched down so a small instance exercises the path.
     """
-    from repro.engine import elimination
-    from repro.query.cq import ConjunctiveQuery
-    from repro.query.atoms import Atom
-    from repro.query.predicates import GenericPredicate
-
-    monkeypatch.setattr(elimination, "MATMUL_THRESHOLD", 4)
+    monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 4)
 
     schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2})
     rng = np.random.default_rng(0)
@@ -189,31 +213,24 @@ def test_matmul_fast_path_parity(monkeypatch):
     db = Database.from_rows(schema, R=rows(), S=rows(), T=rows())
 
     parity = GenericPredicate(lambda x, y, z: (x + y + z) % 2 == 0, ["x", "y", "z"])
-    query = ConjunctiveQuery(
-        [Atom("R", ["x", "y"]), Atom("S", ["y", "z"]), Atom("T", ["x", "z"])],
-        predicates=[parity],
-    )
-
-    python = eliminate_group_counts(query, db, ())
-    columnar = eliminate_group_counts_columnar(query, db, ())
-    assert python.counts == columnar.counts
-    assert python.dropped_predicates == columnar.dropped_predicates
-    assert python.is_exact == columnar.is_exact
+    query = _triangle_with(parity)
+    result = eliminate_group_counts_columnar(query, db, ())
     # The fast path genuinely engaged: the predicate could not be honoured.
-    assert not python.is_exact
+    assert not result.is_exact
+    assert result.dropped_predicates == (parity,)
+    expected = oracle_count(query, db)
+    assert result.counts[()] >= expected
+    # The full counting API falls back to exact enumeration.
+    assert count_query(query, db) == expected
 
-    # The full counting API agrees too (both fall back to exact enumeration).
-    assert PYTHON.count_query(query, db) == NUMPY.count_query(query, db)
+    # Without the predicate the matmul product is exact.
+    plain = ConjunctiveQuery(query.atoms)
+    assert eliminate_group_counts_columnar(plain, db, ()).counts[()] == oracle_count(plain, db)
 
 
 def test_matmul_no_matching_mids_parity(monkeypatch):
-    """The matmul early exit (no join partners) keeps pending bookkeeping equal."""
-    from repro.engine import elimination
-    from repro.query.cq import ConjunctiveQuery
-    from repro.query.atoms import Atom
-    from repro.query.predicates import GenericPredicate
-
-    monkeypatch.setattr(elimination, "MATMUL_THRESHOLD", 0)
+    """The matmul early exit (no join partners) keeps the predicate pending."""
+    monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 0)
     schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2})
     db = Database.from_rows(
         schema,
@@ -222,14 +239,11 @@ def test_matmul_no_matching_mids_parity(monkeypatch):
         T=[(0, 5)],
     )
     parity = GenericPredicate(lambda x, y, z: True, ["x", "y", "z"])
-    query = ConjunctiveQuery(
-        [Atom("R", ["x", "y"]), Atom("S", ["y", "z"]), Atom("T", ["x", "z"])],
-        predicates=[parity],
-    )
-    python = eliminate_group_counts(query, db, ())
-    columnar = eliminate_group_counts_columnar(query, db, ())
-    assert python.counts == columnar.counts == {}
-    assert python.dropped_predicates == columnar.dropped_predicates
+    query = _triangle_with(parity)
+    result = eliminate_group_counts_columnar(query, db, ())
+    assert result.counts == {}
+    assert result.dropped_predicates == (parity,)
+    assert count_query(query, db) == oracle_count(query, db) == 0
 
 
 # --------------------------------------------------------------------- #
@@ -237,22 +251,22 @@ def test_matmul_no_matching_mids_parity(monkeypatch):
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("method", ["residual", "elastic", "global"])
 def test_seeded_releases_bitwise_identical(graph_db, method):
+    """A seeded release equals the one calibrated from exact enumeration."""
     query = parse_query("Edge(x, y), Edge(y, z)")
-    releases = {}
-    for backend in ("python", "numpy"):
-        releaser = PrivateCountingQuery(
-            query, epsilon=0.8, method=method, rng=1234, backend=backend
-        )
-        releases[backend] = releaser.release(graph_db)
-    assert releases["python"].noisy_count == releases["numpy"].noisy_count
-    assert releases["python"].sensitivity == releases["numpy"].sensitivity
-    assert releases["python"].expected_error == releases["numpy"].expected_error
-    assert releases["python"].backend == "python"
-    assert releases["numpy"].backend == "numpy"
+    engine, reference = (
+        PrivateCountingQuery(
+            query, epsilon=0.8, method=method, rng=1234, strategy=strategy
+        ).release(graph_db, keep_true_count=True)
+        for strategy in ("auto", "enumerate")
+    )
+    assert engine.noisy_count == reference.noisy_count
+    assert engine.sensitivity == reference.sensitivity
+    assert engine.expected_error == reference.expected_error
+    assert engine.true_count == count_query(query, graph_db, strategy="enumerate")
 
 
 def test_service_release_sequences_bitwise_identical(graph_db):
-    """Two seeded services differing only in backend serve identical sequences."""
+    """A seeded service serves the sequence an enumerating service serves."""
     queries = [
         "Edge(x, y)",
         "Edge(x, y), Edge(y, z)",
@@ -260,23 +274,28 @@ def test_service_release_sequences_bitwise_identical(graph_db):
         "Edge(x, y), Edge(y, z), Edge(x, z), x != y, y != z, x != z",
     ]
     responses = {}
-    for backend in ("python", "numpy"):
-        service = PrivateQueryService(session_budget=10.0, rng=7)
-        service.register_database("g", graph_db, backend=backend)
+    for strategy in ("auto", "enumerate"):
+        service = PrivateQueryService(session_budget=10.0, rng=7, strategy=strategy)
+        service.register_database("g", graph_db)
         session = service.create_session().session_id
-        responses[backend] = [
+        responses[strategy] = [
             service.count("g", text, epsilon=0.25, session=session) for text in queries
         ]
-    for python_resp, numpy_resp in zip(responses["python"], responses["numpy"]):
-        assert python_resp.noisy_count == numpy_resp.noisy_count
-        assert python_resp.sensitivity == numpy_resp.sensitivity
-    assert all(r.backend == "numpy" for r in responses["numpy"])
+        service.close()
+    for engine_resp, reference_resp in zip(responses["auto"], responses["enumerate"]):
+        assert engine_resp.noisy_count == reference_resp.noisy_count
+        assert engine_resp.sensitivity == reference_resp.sensitivity
 
 
 def test_service_stats_report_backend(graph_db):
-    service = PrivateQueryService(rng=0)
-    service.register_database("g", graph_db, backend="numpy")
+    """The retired ``backend`` fields survive as the constant ``"numpy"``."""
+    service = PrivateQueryService(session_budget=1.0, rng=0)
+    service.register_database("g", graph_db)
     stats = service.stats()
-    assert stats["databases"]["g"]["backend"] == "numpy"
-    assert "numpy" in stats["backends"]["available"]
-    assert stats["backends"]["default"] in stats["backends"]["available"]
+    assert stats["backends"] == {"default": "numpy"}
+    assert "backend" not in stats["databases"]["g"]
+    session = service.create_session().session_id
+    response = service.count("g", "Edge(x, y)", epsilon=0.1, session=session)
+    assert response.backend == "numpy"
+    assert response.to_dict()["backend"] == "numpy"
+    service.close()

@@ -67,15 +67,6 @@ class TestSeedDerivation:
 
 
 class TestWorkloadReproducibility:
-    def test_backend_join_workload_is_bitwise_reproducible(self, monkeypatch):
-        monkeypatch.delenv(bench_utils.BENCH_SEED_ENV, raising=False)
-        import bench_backend
-
-        first = bench_backend._large_join_db()
-        second = bench_backend._large_join_db()
-        for name in ("R", "S"):
-            assert first.relation(name).tuples() == second.relation(name).tuples()
-
     def test_surrogate_graph_workload_follows_the_recorded_seed(self, monkeypatch):
         from repro.graphs.generators import collaboration_graph
         from repro.graphs.loader import database_from_networkx

@@ -124,13 +124,11 @@ class TestJsonOutput:
         assert set(payload) == {
             "noisy_count",
             "method",
-            "backend",
             "epsilon",
             "sensitivity",
             "expected_error",
         }
         assert payload["method"] == "residual"
-        assert payload["backend"] in ("python", "numpy")
         assert payload["epsilon"] == 1.0
 
     def test_sensitivity_json(self, edge_file, capsys):
@@ -150,7 +148,6 @@ class TestJsonOutput:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {
             "beta",
-            "backend",
             "residual",
             "elastic",
             "global_agm",
@@ -341,62 +338,76 @@ class TestStateCommand:
             build_parser().parse_args(["state"])
 
 
-class TestBackendsCommand:
-    def test_backends_json_schema(self, capsys):
-        assert main(["backends", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"default", "auto", "backends"}
-        assert payload["auto"] in {entry["name"] for entry in payload["backends"]}
-        names = [entry["name"] for entry in payload["backends"]]
-        assert names == sorted(names)
-        assert {"python", "numpy", "compiled"} <= set(names)
-        for entry in payload["backends"]:
-            assert isinstance(entry["available"], bool)
-            assert "class" in entry and "version" in entry
-            if not entry["available"]:
-                assert entry["reason"]
+class TestRetiredBackendOption:
+    """``--backend`` and ``/register``'s ``"backend"`` are accepted, reported
+    as deprecated, and change nothing: one engine answers every query."""
 
-    def test_backends_json_interpreted_mode(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_COMPILED_KERNELS", "interpreted")
-        assert main(["backends", "--warm-up", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        compiled = next(
-            entry for entry in payload["backends"] if entry["name"] == "compiled"
-        )
-        assert compiled["available"] is True
-        assert compiled["mode"] == "interpreted"
-        assert compiled["warm"] is True
-        assert payload["auto"] == "compiled"
-
-    def test_backends_text_output(self, capsys):
-        assert main(["backends"]) == 0
-        output = capsys.readouterr().out
-        assert "default backend" in output
-        assert "auto resolves to" in output
-        assert "compiled" in output
-
-    def test_backends_text_reports_unavailable_reason(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        assert main(["backends"]) == 0
-        output = capsys.readouterr().out
-        assert "unavailable" in output
-        assert "REPRO_NO_COMPILED" in output
-
-    def test_count_accepts_auto_backend(self, edge_file, capsys):
-        code = main(
+    @staticmethod
+    def _count(edge_file, *extra):
+        return main(
             [
-                "count",
-                "--edge-file",
-                str(edge_file),
-                "--query",
-                "Edge(x, y)",
-                "--epsilon",
-                "0.8",
-                "--backend",
-                "auto",
-                "--json",
+                "count", "--edge-file", str(edge_file), "--query", "Edge(x, y), Edge(y, z)",
+                "--epsilon", "0.8", "--seed", "3", "--json", *extra,
             ]
         )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] in ("numpy", "compiled")
+
+    def test_count_accepts_auto_backend(self, edge_file, capsys):
+        assert self._count(edge_file) == 0
+        plain = capsys.readouterr()
+        assert self._count(edge_file, "--backend", "auto") == 0
+        flagged = capsys.readouterr()
+        assert json.loads(flagged.out) == json.loads(plain.out)
+        assert "backend" not in json.loads(flagged.out)
+
+    def test_backend_is_accepted_warned_and_ignored(self, edge_file, capsys):
+        import threading
+        import urllib.request
+
+        from repro.service import PrivateQueryService
+        from repro.service.api import make_server
+
+        assert self._count(edge_file) == 0
+        plain = capsys.readouterr()
+        assert "deprecated" not in plain.err
+        assert self._count(edge_file, "--backend", "python") == 0
+        flagged = capsys.readouterr()
+        assert flagged.err.count("deprecated and ignored") == 1
+        assert flagged.out == plain.out
+
+        def register_and_count(extra: dict) -> tuple[dict, dict]:
+            service = PrivateQueryService(session_budget=5.0, rng=11)
+            server = make_server(service, "127.0.0.1", 0)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            host, port = server.server_address[:2]
+
+            def post(path: str, payload: dict) -> dict:
+                request = urllib.request.Request(
+                    f"http://{host}:{port}{path}",
+                    data=json.dumps(payload).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with urllib.request.urlopen(request) as response:
+                    return json.loads(response.read())
+
+            try:
+                edges = [[0, 1], [1, 2], [2, 0], [2, 3]]
+                registered = post("/register", {"name": "g", "edges": edges, **extra})
+                answer = post(
+                    "/count", {"database": "g", "query": "Edge(x, y)", "epsilon": 0.5}
+                )
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5)
+                service.close()
+            return registered, answer
+
+        registered, answer = register_and_count({"backend": "python"})
+        baseline_registered, baseline = register_and_count({})
+        assert "deprecated and ignored" in registered["warnings"][0]
+        assert "warnings" not in baseline_registered
+        assert "backend" not in registered
+        assert answer == baseline
+        assert answer["backend"] == "numpy"

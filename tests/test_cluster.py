@@ -82,15 +82,13 @@ def _spawn(edge_file, state_dir, *extra):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    backend = os.environ.get("REPRO_BACKEND")
-    backend_args = ("--backend", backend) if backend else ()
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--edge-file", str(edge_file), "--name", "g",
             "--port", "0", "--session-budget", "64",
             "--state-dir", str(state_dir), "--seed", "1",
-            *backend_args, *extra,
+            *extra,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,

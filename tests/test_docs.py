@@ -2,9 +2,9 @@
 
 These tests keep the docs honest as the code evolves: the link checker
 (``scripts/check_docs.py``) runs inside the tier-1 suite, and a few content
-assertions pin the contract the ISSUE requires — all five HTTP endpoints
-documented with examples and error codes, and the backend pages naming both
-backends.
+assertions pin the contract — all five HTTP endpoints documented with
+examples and error codes, and the architecture page describing the one
+elimination engine.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from check_docs import check_docs  # noqa: E402
 
 
 def test_docs_pages_exist():
-    for page in ("index.md", "architecture.md", "http_api.md", "backends.md"):
+    for page in ("index.md", "architecture.md", "http_api.md"):
         assert (DOCS / page).is_file(), f"docs/{page} is missing"
 
 
@@ -40,11 +40,11 @@ def test_http_api_documents_every_endpoint():
         assert status in text
 
 
-def test_backends_page_names_both_backends():
-    text = (DOCS / "backends.md").read_text(encoding="utf-8")
-    assert "`python`" in text and "`numpy`" in text
-    assert "REPRO_BACKEND" in text
-    assert "register_backend" in text
+def test_architecture_page_describes_the_engine():
+    text = (DOCS / "architecture.md").read_text(encoding="utf-8")
+    assert "engine/columnar.py" in text
+    assert "How the columnar engine works" in text
+    assert "Python ints" in text  # the exact-count fallback
 
 
 def test_architecture_page_shows_the_layering():
@@ -55,5 +55,5 @@ def test_architecture_page_shows_the_layering():
 
 def test_readme_links_docs():
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    for page in ("docs/architecture.md", "docs/http_api.md", "docs/backends.md"):
+    for page in ("docs/architecture.md", "docs/http_api.md", "docs/performance.md"):
         assert page in text, f"README does not link {page}"

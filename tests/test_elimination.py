@@ -1,4 +1,5 @@
-"""Tests for the bucket-elimination engine (cross-checked against enumeration)."""
+"""Tests for the columnar bucket-elimination engine (cross-checked against
+enumeration), including exact counts beyond the ``int64`` range."""
 
 from __future__ import annotations
 
@@ -6,7 +7,10 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
-from repro.engine.elimination import Factor, eliminate_group_counts
+from repro.engine import columnar
+from repro.engine.aggregates import boundary_multiplicity
+from repro.engine.columnar import eliminate_group_counts_columnar
+from repro.engine.evaluation import count_query
 from repro.engine.join import group_counts
 from repro.exceptions import EvaluationError
 from repro.graphs.loader import database_from_edges
@@ -15,49 +19,26 @@ from repro.query.atoms import Variable
 from repro.query.parser import parse_query
 
 
-class TestFactor:
-    def test_total_and_len(self):
-        factor = Factor((Variable("x"),), {(1,): 2, (2,): 3})
-        assert len(factor) == 2
-        assert factor.total() == 5
-
-    def test_project_sum(self):
-        factor = Factor(
-            (Variable("x"), Variable("y")), {(1, 10): 2, (1, 20): 3, (2, 10): 1}
-        )
-        projected = factor.project_sum([Variable("x")])
-        assert projected.data == {(1,): 5, (2,): 1}
-
-    def test_filter_predicates(self):
-        from repro.query.predicates import ComparisonPredicate, InequalityPredicate
-
-        factor = Factor((Variable("x"), Variable("y")), {(1, 1): 1, (1, 2): 1, (3, 1): 1})
-        filtered = factor.filter_predicates([InequalityPredicate("x", "y")])
-        assert filtered.data == {(1, 2): 1, (3, 1): 1}
-        filtered = factor.filter_predicates([ComparisonPredicate("x", "<", "y")])
-        assert filtered.data == {(1, 2): 1}
-
-
 class TestAgainstEnumeration:
     def test_two_way_join_counts(self, join_query, small_join_db):
-        result = eliminate_group_counts(join_query, small_join_db, [Variable("y")])
+        result = eliminate_group_counts_columnar(join_query, small_join_db, [Variable("y")])
         assert result.is_exact
         expected = group_counts(join_query, small_join_db, [Variable("y")])
         assert result.counts == expected
 
     def test_global_count(self, join_query, small_join_db):
-        result = eliminate_group_counts(join_query, small_join_db, [])
+        result = eliminate_group_counts_columnar(join_query, small_join_db, [])
         assert result.counts == {(): 7}
 
     def test_triangle_with_inequalities_is_exact(self, k4_db):
         query = triangle_query()
-        result = eliminate_group_counts(query, k4_db, [])
+        result = eliminate_group_counts_columnar(query, k4_db, [])
         assert result.is_exact
         assert result.counts[()] == 24
 
     def test_path3_with_all_inequalities_drops_far_predicate(self, k4_db):
         query = k_path_query(3)  # x1..x4 with all-pairs inequalities
-        result = eliminate_group_counts(query, k4_db, [])
+        result = eliminate_group_counts_columnar(query, k4_db, [])
         # The x1 != x4 (or similar non co-occurring) predicate may be dropped;
         # the result is then an upper bound on the exact count.
         exact = group_counts(query, k4_db, []).get((), 0)
@@ -70,7 +51,7 @@ class TestAgainstEnumeration:
     def test_group_counts_match_enumeration_on_subset(self, k4_db):
         query = triangle_query()
         boundary = [Variable("x1"), Variable("x3")]
-        result = eliminate_group_counts(query, k4_db, boundary, atom_indices=[0, 1])
+        result = eliminate_group_counts_columnar(query, k4_db, boundary, atom_indices=[0, 1])
         expected = group_counts(query, k4_db, boundary, atom_indices=[0, 1])
         # Predicates entirely inside atoms {0, 1} apply in both engines; the
         # dropped x*-x3 predicates of the full query also restrict the
@@ -81,30 +62,30 @@ class TestAgainstEnumeration:
         schema = DatabaseSchema.from_arities({"Edge": 2})
         db = Database.from_rows(schema, Edge=[(1, 2), (2, 3), (2, 4), (3, 4)])
         query = parse_query("Edge(a, b), Edge(b, c)")
-        result = eliminate_group_counts(query, db, [Variable("a")])
+        result = eliminate_group_counts_columnar(query, db, [Variable("a")])
         expected = group_counts(query, db, [Variable("a")])
         assert result.counts == expected
 
     def test_distinct_projection_via_group_keys(self, join_query, small_join_db):
         # Non-full counting: group by output variables and count non-empty groups.
-        result = eliminate_group_counts(join_query, small_join_db, [Variable("x")])
+        result = eliminate_group_counts_columnar(join_query, small_join_db, [Variable("x")])
         assert len([c for c in result.counts.values() if c > 0]) == 4
 
 
 class TestValidation:
     def test_unknown_group_variable(self, join_query, small_join_db):
         with pytest.raises(EvaluationError):
-            eliminate_group_counts(join_query, small_join_db, [Variable("nope")])
+            eliminate_group_counts_columnar(join_query, small_join_db, [Variable("nope")])
 
     def test_empty_atom_subset(self, join_query, small_join_db):
-        result = eliminate_group_counts(join_query, small_join_db, [], atom_indices=[])
+        result = eliminate_group_counts_columnar(join_query, small_join_db, [], atom_indices=[])
         assert result.counts == {(): 1}
 
     def test_empty_relation_gives_empty_counts(self):
         schema = DatabaseSchema.from_arities({"Edge": 2})
         db = Database(schema)
         query = parse_query("Edge(a, b), Edge(b, c)")
-        result = eliminate_group_counts(query, db, [])
+        result = eliminate_group_counts_columnar(query, db, [])
         assert result.counts.get((), 0) == 0
 
 
@@ -118,7 +99,7 @@ class TestAgainstBruteForceOnGraphs:
 
         query = k_star_query(3)
         boundary = [Variable("x0")]
-        result = eliminate_group_counts(query, small_graph_db, boundary, atom_indices=[0, 1])
+        result = eliminate_group_counts_columnar(query, small_graph_db, boundary, atom_indices=[0, 1])
         expected = group_counts(query, small_graph_db, boundary, atom_indices=[0, 1])
         assert not result.is_exact
         assert set(result.counts) >= set(expected)
@@ -126,10 +107,60 @@ class TestAgainstBruteForceOnGraphs:
             assert result.counts[key] >= exact_count
         # Without the cross-bucket predicate both engines agree exactly.
         relaxed = k_star_query(3, inequalities=False)
-        result_relaxed = eliminate_group_counts(
+        result_relaxed = eliminate_group_counts_columnar(
             relaxed, small_graph_db, boundary, atom_indices=[0, 1]
         )
         expected_relaxed = group_counts(
             relaxed, small_graph_db, boundary, atom_indices=[0, 1]
         )
         assert result_relaxed.counts == expected_relaxed
+
+
+class TestExactBeyondInt64:
+    """Counts past ``2**63 - 1`` stay exact instead of wrapping.
+
+    On the star ``Edge = {(0, i) : 1 <= i <= 50}`` a k-leaf star query
+    counts ``50**k``; ``50**12`` is far above the ``int64`` range.
+    """
+
+    LEAVES = 50
+
+    @pytest.fixture
+    def star_db(self) -> Database:
+        schema = DatabaseSchema.from_arities({"Edge": 2})
+        return Database.from_rows(
+            schema, Edge=[(0, i) for i in range(1, self.LEAVES + 1)]
+        )
+
+    @staticmethod
+    def _star(leaves: int):
+        return parse_query(", ".join(f"Edge(c, a{i})" for i in range(leaves)))
+
+    def test_count_query_on_12_leaf_star(self, star_db):
+        assert count_query(self._star(12), star_db) == self.LEAVES**12
+
+    def test_boundary_multiplicity_on_13_leaf_star(self, star_db):
+        result = boundary_multiplicity(self._star(13), star_db, range(1, 13))
+        assert result.exact
+        assert result.value == self.LEAVES**12
+
+    def test_matmul_path_falls_back_to_exact_join(self, star_db, monkeypatch):
+        # Two 6-leaf stars sharing a leaf y: eliminating the leaves and both
+        # centres leaves a two-factor bucket on y whose counts are 50**6
+        # each, so with the threshold at 0 it reaches the matmul gate, whose
+        # int64 product would overflow.
+        monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 0)
+        gate = []
+        fits = columnar._matmul_fits_int64
+        monkeypatch.setattr(
+            columnar,
+            "_matmul_fits_int64",
+            lambda left, right: gate.append(fits(left, right)) or gate[-1],
+        )
+        atoms = (
+            [f"Edge(w, a{i})" for i in range(6)]
+            + ["Edge(w, y)", "Edge(v, y)"]
+            + [f"Edge(v, b{i})" for i in range(6)]
+        )
+        assert count_query(parse_query(", ".join(atoms)), star_db) == self.LEAVES**13
+        assert gate == [False]

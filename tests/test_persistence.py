@@ -114,6 +114,16 @@ class TestReplay:
         assert state.databases == {}
         assert state.versions == {"g": 3}
 
+    def test_register_record_with_retired_backend_field_replays(self):
+        # Journals written before the engine choice was retired carry a
+        # "backend" key; replay keeps the metadata and drops the key.
+        record = {
+            "seq": 1, "event": "register", "name": "g", "version": 2,
+            "backend": "python", "relations": {"Edge": 4},
+        }
+        state = replay_records(iter([record]))
+        assert state.databases == {"g": {"name": "g", "version": 2, "relations": {"Edge": 4}}}
+
 
 class TestRecovery:
     def test_sessions_budgets_and_audit_survive_crash(self, tmp_path, make_service):

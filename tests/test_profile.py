@@ -6,10 +6,10 @@ Covers
   the :func:`~repro.engine.aggregates.boundary_multiplicity` reference
   (value, exactness, dropped predicates) across query shapes that exercise
   component memoization, isomorphism dedup, projections, predicates and the
-  empty-subset convention, on both backends;
+  empty-subset convention;
 * the ``parallelism`` knob (identical results, any pool size);
 * the ``parallelism_mode`` knob — the serial/thread/process equivalence
-  matrix on both backends (values, dropped predicates, merged stats
+  matrix (values, dropped predicates, merged stats
   counters), pickle round-trips of the process-pool task specs, prompt
   failure propagation with sibling cancellation, and mode validation;
 * the iterative stars-and-bars ``_distance_vectors`` generator (count and
@@ -52,12 +52,12 @@ def graph_db() -> Database:
     return database_from_edges(EDGES)
 
 
-def _assert_profiles_match(query, db, backend):
-    engine = ResidualSensitivity(query, beta=0.1, backend=backend)
+def _assert_profiles_match(query, db):
+    engine = ResidualSensitivity(query, beta=0.1)
     subsets = engine.required_subsets(db)
-    shared = evaluate_profile(query, db, subsets, backend=backend)
+    shared = evaluate_profile(query, db, subsets)
     for kept in subsets:
-        reference = boundary_multiplicity(query, db, kept, backend=backend)
+        reference = boundary_multiplicity(query, db, kept)
         result = shared.results[kept]
         assert (result.value, result.exact) == (reference.value, reference.exact), (
             tuple(sorted(kept)),
@@ -71,9 +71,8 @@ def _assert_profiles_match(query, db, backend):
 
 
 class TestEvaluateProfileEquality:
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_triangle_query(self, graph_db, backend):
-        shared = _assert_profiles_match(triangle_query(), graph_db, backend)
+    def test_triangle_query(self, graph_db):
+        shared = _assert_profiles_match(triangle_query(), graph_db)
         stats = shared.stats
         assert stats.subsets_total == 7
         # Every non-empty proper subset of the triangle is connected: six
@@ -83,31 +82,27 @@ class TestEvaluateProfileEquality:
         assert stats.components_evaluated == 4
         assert stats.component_hits == 2
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_star_query_isomorphism_dedup(self, graph_db, backend):
-        shared = _assert_profiles_match(k_star_query(3), graph_db, backend)
+    def test_star_query_isomorphism_dedup(self, graph_db):
+        shared = _assert_profiles_match(k_star_query(3), graph_db)
         # Singles and pairs are each one isomorphism class: 2 evaluations.
         assert shared.stats.components_evaluated == 2
         assert shared.stats.component_hits == 4
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_disconnected_subsets_share_components(self, graph_db, backend):
+    def test_disconnected_subsets_share_components(self, graph_db):
         query = parse_query("Edge(a, b), Edge(b, c), Edge(c, d), Edge(d, e)")
-        shared = _assert_profiles_match(query, graph_db, backend)
+        shared = _assert_profiles_match(query, graph_db)
         # 15 proper subsets of 4 atoms decompose into 19 component
         # references; sub-paths recur across subsets.
         assert shared.stats.subsets_total == 15
         assert shared.stats.components_total == 19
         assert shared.stats.component_hits > 0
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_projection_query(self, graph_db, backend):
+    def test_projection_query(self, graph_db):
         _assert_profiles_match(
-            parse_query("q(x) :- Edge(x, y), Edge(y, z)"), graph_db, backend
+            parse_query("q(x) :- Edge(x, y), Edge(y, z)"), graph_db
         )
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_two_relation_join_with_public_side(self, backend):
+    def test_two_relation_join_with_public_side(self):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2}, private=["R", "S"])
         db = Database.from_rows(
             schema,
@@ -115,23 +110,21 @@ class TestEvaluateProfileEquality:
             S=[(2, 5), (2, 7), (3, 7)],
             T=[(5, 1), (7, 1)],
         )
-        _assert_profiles_match(parse_query("R(x, y), S(y, z), T(z, w)"), db, backend)
+        _assert_profiles_match(parse_query("R(x, y), S(y, z), T(z, w)"), db)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_comparison_predicates_crossing_boundaries(self, backend):
+    def test_comparison_predicates_crossing_boundaries(self):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2})
         db = Database.from_rows(
             schema, R=[(1, 2), (2, 4), (3, 1)], S=[(2, 3), (4, 1), (1, 5)]
         )
-        _assert_profiles_match(parse_query("R(x, y), S(y, z), x < z"), db, backend)
+        _assert_profiles_match(parse_query("R(x, y), S(y, z), x < z"), db)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_constants_and_repeated_variables(self, backend):
+    def test_constants_and_repeated_variables(self):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2})
         db = Database.from_rows(
             schema, R=[(1, 1), (1, 2), (2, 2)], S=[(1, 3), (2, 3), (3, 3)]
         )
-        _assert_profiles_match(parse_query("R(x, x), S(x, 3)"), db, backend)
+        _assert_profiles_match(parse_query("R(x, x), S(x, 3)"), db)
 
     def test_empty_subset_uses_the_convention(self, graph_db):
         query = triangle_query()
@@ -183,26 +176,23 @@ class TestParallelismModes:
         "component_cache_hits",
     )
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
     @pytest.mark.parametrize(
         "query_factory",
         [triangle_query, lambda: k_star_query(3),
          lambda: parse_query("q(x) :- Edge(x, y), Edge(y, z)")],
         ids=["triangle", "star3", "projection"],
     )
-    def test_cross_mode_equivalence(self, graph_db, backend, query_factory):
+    def test_cross_mode_equivalence(self, graph_db, query_factory):
         query = query_factory()
-        engine = ResidualSensitivity(query, beta=0.1, backend=backend)
+        engine = ResidualSensitivity(query, beta=0.1)
         subsets = engine.required_subsets(graph_db)
-        serial = evaluate_profile(query, graph_db, subsets, backend=backend)
+        serial = evaluate_profile(query, graph_db, subsets)
         by_mode = {
             "thread": evaluate_profile(
-                query, graph_db, subsets, backend=backend,
-                parallelism=2, parallelism_mode="thread",
+                query, graph_db, subsets, parallelism=2, parallelism_mode="thread"
             ),
             "process": evaluate_profile(
-                query, graph_db, subsets, backend=backend,
-                parallelism=2, parallelism_mode="process",
+                query, graph_db, subsets, parallelism=2, parallelism_mode="process"
             ),
         }
         for mode, profile in by_mode.items():
@@ -274,14 +264,13 @@ class TestParallelismModes:
             relation_names={"Edge"},
             strategy="auto",
             max_enumeration=None,
-            backend_name="python",
         )
         clone = pickle.loads(pickle.dumps(task))
         # DatabaseSchema compares by identity; check the shipped payload.
         assert clone.relations == task.relations
         assert (clone.kept, clone.db_token) == (task.kept, task.db_token)
-        assert (clone.strategy, clone.max_enumeration, clone.backend) == (
-            task.strategy, task.max_enumeration, task.backend,
+        assert (clone.strategy, clone.max_enumeration) == (
+            task.strategy, task.max_enumeration,
         )
         assert repr(clone.schema) == repr(task.schema)
         # The thawed spec evaluates to the same result as the parent-side
@@ -461,7 +450,7 @@ class TestFactorizationCache:
         relation = graph_db.relation("Edge")
         assert relation.cached_factorization(0) is None
         before = factorization_cache_stats()
-        engine = ResidualSensitivity(triangle_query(), beta=0.1, backend="numpy")
+        engine = ResidualSensitivity(triangle_query(), beta=0.1)
         engine.profile(graph_db)
         assert isinstance(relation.cached_factorization(0), ColumnCodes)
         assert isinstance(relation.cached_factorization(1), ColumnCodes)
@@ -471,13 +460,13 @@ class TestFactorizationCache:
 
     def test_invalidated_on_mutation(self, graph_db):
         relation = graph_db.relation("Edge")
-        ResidualSensitivity(triangle_query(), beta=0.1, backend="numpy").profile(graph_db)
+        ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)
         assert relation.cached_factorization(0) is not None
         relation.add((100, 101))
         assert relation.cached_factorization(0) is None
 
     def test_codes_reconstruct_the_column(self, graph_db):
-        ResidualSensitivity(triangle_query(), beta=0.1, backend="numpy").profile(graph_db)
+        ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)
         relation = graph_db.relation("Edge")
         column = relation.to_columns()[0]
         codes = relation.cached_factorization(0)
@@ -485,29 +474,29 @@ class TestFactorizationCache:
 
     def test_released_on_registry_version_bump(self, graph_db):
         service = PrivateQueryService(rng=0)
-        service.register_database("g", graph_db, backend="numpy")
+        service.register_database("g", graph_db)
         service.count("g", "Edge(x, y), Edge(y, z)", epsilon=0.1)
         assert graph_db.relation("Edge").cached_factorization(0) is not None
         replacement = database_from_edges([(1, 2), (2, 3)])
-        service.register_database("g", replacement, replace=True, backend="numpy")
+        service.register_database("g", replacement, replace=True)
         assert graph_db.relation("Edge").cached_factorization(0) is None
 
     def test_released_on_unregister(self, graph_db):
         service = PrivateQueryService(rng=0)
-        service.register_database("g", graph_db, backend="numpy")
+        service.register_database("g", graph_db)
         service.count("g", "Edge(x, y)", epsilon=0.1)
         service.registry.unregister("g")
         assert graph_db.relation("Edge").cached_factorization(0) is None
 
     def test_kept_while_another_registration_serves_the_same_object(self, graph_db):
         service = PrivateQueryService(rng=0)
-        service.register_database("a", graph_db, backend="numpy")
-        service.register_database("b", graph_db, backend="numpy")
+        service.register_database("a", graph_db)
+        service.register_database("b", graph_db)
         service.count("b", "Edge(x, y)", epsilon=0.1)
         assert graph_db.relation("Edge").cached_factorization(0) is not None
         # Replacing "a" must not evict the caches "b" is still serving from.
         service.register_database(
-            "a", database_from_edges([(1, 2)]), replace=True, backend="numpy"
+            "a", database_from_edges([(1, 2)]), replace=True
         )
         assert graph_db.relation("Edge").cached_factorization(0) is not None
         service.registry.unregister("b")  # "a" no longer references graph_db
@@ -517,7 +506,7 @@ class TestFactorizationCache:
 class TestProfilerCounters:
     def test_report_carries_the_counters(self, graph_db):
         result = ResidualSensitivity(
-            k_star_query(3), beta=0.1, backend="numpy"
+            k_star_query(3), beta=0.1
         ).compute(graph_db)
         report = result.detail("report")
         assert report.subsets_total == 7

@@ -6,7 +6,7 @@ Three layers:
   correctness against hand-computed values);
 * a smoke-sized tier-1 fuzz run (the nightly CI job runs the same battery
   with far more cases) plus a reduced statistical-calibration pass;
-* fault injection: a deliberately corrupted backend must be caught by the
+* fault injection: a deliberately corrupted engine must be caught by the
   differential runner and by the ``repro-dp fuzz`` CLI, with a replay
   snippet that actually reproduces the failure.
 """
@@ -18,8 +18,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine.backend import get_backend
-from repro.engine.elimination import EliminationResult
+from repro.engine import aggregates, evaluation
+from repro.engine.columnar import EliminationResult, eliminate_group_counts_columnar
 from repro.engine.evaluation import count_query
 from repro.qa.calibration import LEVELS, verify_calibration
 from repro.qa.generator import WorkloadGenerator
@@ -107,7 +107,7 @@ class TestOracle:
 
 
 class TestDifferentialSmoke:
-    def test_smoke_fuzz_passes_on_both_backends(self):
+    def test_smoke_fuzz_passes(self):
         """The tier-1 smoke slice of the nightly fuzz battery."""
         report = DifferentialRunner(0).run(SMOKE_CASES)
         assert report.checks_run == SMOKE_CASES * len(CHECKS)
@@ -165,13 +165,11 @@ class TestCalibrationSmoke:
 
 
 @pytest.fixture
-def corrupted_numpy_backend(monkeypatch):
-    """Off-by-one-per-group fault injected into the numpy backend."""
-    backend = get_backend("numpy")
-    original = backend.eliminate_group_counts
+def corrupted_engine(monkeypatch):
+    """Off-by-one-per-group fault injected into the columnar engine."""
 
     def corrupted(query, database, group_variables, **kwargs):
-        result = original(query, database, group_variables, **kwargs)
+        result = eliminate_group_counts_columnar(query, database, group_variables, **kwargs)
         counts = {key: value + 1 for key, value in result.counts.items()}
         if not counts:
             counts = {(): 1}
@@ -182,12 +180,13 @@ def corrupted_numpy_backend(monkeypatch):
             elimination_order=result.elimination_order,
         )
 
-    monkeypatch.setattr(backend, "eliminate_group_counts", corrupted)
-    return backend
+    for module in (aggregates, evaluation):
+        monkeypatch.setattr(module, "eliminate_group_counts_columnar", corrupted)
+    return corrupted
 
 
 class TestFaultInjection:
-    def test_injected_fault_is_caught_with_replayable_seed(self, corrupted_numpy_backend):
+    def test_injected_fault_is_caught_with_replayable_seed(self, corrupted_engine):
         report = DifferentialRunner(0).run(5)
         assert not report.ok
         failure = report.failures[0]
@@ -201,7 +200,7 @@ class TestFaultInjection:
         assert replayed.message == failure.message
 
     def test_replay_snippet_is_executable_and_reproduces(
-        self, corrupted_numpy_backend, capsys
+        self, corrupted_engine, capsys
     ):
         report = DifferentialRunner(0).run(3)
         failure = report.failures[0]
@@ -232,19 +231,19 @@ class TestFuzzCli:
         assert fuzz["failures"] == []
         assert payload["calibration"] is None
 
-    def test_backend_flag_is_recorded(self, capsys):
-        code = main(
-            [
-                "fuzz", "--cases", "1", "--seed", "0",
-                "--calibration-samples", "0", "--json", "--backend", "numpy",
-            ]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert payload["fuzz"]["backend"] == "numpy"
+    def test_backend_flag_is_accepted_and_ignored(self, capsys):
+        argv = ["fuzz", "--cases", "1", "--seed", "0", "--calibration-samples", "0", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--backend", "python"]) == 0
+        flagged = capsys.readouterr()
+        assert "deprecated and ignored" in flagged.err
+        assert "deprecated" not in plain.err
+        assert json.loads(flagged.out) == json.loads(plain.out)
+        assert "backend" not in json.loads(flagged.out)["fuzz"]
 
     def test_injected_fault_fails_the_cli_with_replay_snippet(
-        self, corrupted_numpy_backend, capsys
+        self, corrupted_engine, capsys
     ):
         code = main(["fuzz", "--cases", "3", "--seed", "0", "--calibration-samples", "0"])
         out = capsys.readouterr().out
@@ -253,7 +252,7 @@ class TestFuzzCli:
         assert "replay snippet:" in out
         assert "from repro.qa.replay import replay_case" in out
 
-    def test_injected_fault_json_failures(self, corrupted_numpy_backend, capsys):
+    def test_injected_fault_json_failures(self, corrupted_engine, capsys):
         code = main(
             ["fuzz", "--cases", "3", "--seed", "0", "--calibration-samples", "0", "--json"]
         )
@@ -262,48 +261,7 @@ class TestFuzzCli:
         assert payload["ok"] is False
         assert payload["fuzz"]["failures"]
         failure = payload["fuzz"]["failures"][0]
-        assert set(failure) >= {"seed", "case", "check", "backend", "message", "replay"}
+        assert set(failure) >= {"seed", "case", "check", "message", "replay"}
         assert f"replay_case(seed={failure['seed']}, case={failure['case']}" in (
             failure["replay"]
         )
-
-
-class TestCompiledBackendCheck:
-    """The tenth check: compiled-vs-numpy parity with skip-with-notice."""
-
-    def test_skipped_with_notice_when_unavailable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        report = DifferentialRunner(0).run(2)
-        assert report.ok
-        assert report.checks_run == 2 * len(CHECKS)
-        assert "compiled-backend" in report.skipped
-        assert "skipped" in report.skipped["compiled-backend"]
-        assert report.to_dict()["skipped"] == report.skipped
-
-    def test_runs_in_interpreted_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_KERNELS", "interpreted")
-        monkeypatch.delenv("REPRO_NO_COMPILED", raising=False)
-        runner = DifferentialRunner(0)
-        case = WorkloadGenerator(0).case(0)
-        from repro.qa.runner import FuzzReport
-
-        report = FuzzReport(seed=0, cases=1)
-        failure = runner.run_check(case, "compiled-backend", report=report)
-        assert failure is None
-        assert report.skipped == {}
-
-    def test_fuzz_cli_prints_skip_notice(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        assert main(["fuzz", "--cases", "1", "--seed", "0"]) == 0
-        output = capsys.readouterr().out
-        assert "fuzz notice" in output
-        assert "compiled-backend" in output
-
-    def test_fuzz_cli_json_reports_skipped(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NO_COMPILED", "1")
-        code = main(
-            ["fuzz", "--cases", "1", "--seed", "0", "--calibration-samples", "0", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert "compiled-backend" in payload["fuzz"]["skipped"]

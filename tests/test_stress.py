@@ -14,7 +14,7 @@ The quick variants below run in tier-1 (marked ``slow`` so a minimal
 ``-m "not slow"`` pass can skip them); the subprocess soak test that kills
 a real server mid-batch with ``SIGKILL`` and recovers it from the journal
 is marked ``soak`` and only runs when selected with ``-m soak`` (the CI
-soak job runs it on both execution backends).
+soak job runs it).
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def _get(url, timeout=10):
         return json.loads(response.read())
 
 
-def _spawn_server(state_dir, extra=()):
+def _spawn_server(state_dir):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -280,7 +280,7 @@ def _spawn_server(state_dir, extra=()):
             sys.executable, "-m", "repro.cli", "serve",
             "--dataset", "GrQc", "--scale", "0.01", "--name", "g",
             "--port", "0", "--session-budget", "64",
-            "--state-dir", str(state_dir), "--seed", "1", *extra,
+            "--state-dir", str(state_dir), "--seed", "1",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -301,9 +301,7 @@ def _spawn_server(state_dir, extra=()):
 
 @pytest.mark.soak
 def test_soak_kill_server_midbatch_and_replay(tmp_path):
-    backend = os.environ.get("REPRO_BACKEND")
-    extra = ("--backend", backend) if backend else ()
-    proc, url = _spawn_server(tmp_path, extra)
+    proc, url = _spawn_server(tmp_path)
     acknowledged = []
     try:
         _post(f"{url}/budget", {"session_id": "soak", "budget": 64.0})
@@ -348,7 +346,7 @@ def test_soak_kill_server_midbatch_and_replay(tmp_path):
     assert replayed["spent"] <= replayed["budget"] + 1e-9
 
     # A restarted server serves the recovered ledger.
-    proc, url = _spawn_server(tmp_path, extra)
+    proc, url = _spawn_server(tmp_path)
     try:
         view = _get(f"{url}/budget?session=soak")
         assert view["spent"] == pytest.approx(replayed["spent"])
