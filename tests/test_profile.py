@@ -6,11 +6,11 @@ Covers
   the :func:`~repro.engine.aggregates.boundary_multiplicity` reference
   (value, exactness, dropped predicates) across query shapes that exercise
   component memoization, isomorphism dedup, projections, predicates and the
-  empty-subset convention;
+  empty-subset convention, on ``int64`` and on ``object`` value columns;
 * the ``parallelism`` knob (identical results, any pool size);
 * the ``parallelism_mode`` knob — the serial/thread/process equivalence
-  matrix (values, dropped predicates, merged stats
-  counters), pickle round-trips of the process-pool task specs, prompt
+  matrix on both column representations (values, dropped predicates, merged
+  stats counters), pickle round-trips of the process-pool task specs, prompt
   failure propagation with sibling cancellation, and mode validation;
 * the iterative stars-and-bars ``_distance_vectors`` generator (count and
   order pinned against the recursive formulation it replaced);
@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from repro.data.database import Database
@@ -34,7 +35,7 @@ from repro.data.schema import DatabaseSchema
 from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.columnar import ColumnCodes, factorization_cache_stats
 from repro.engine.profile import evaluate_profile
-from repro.graphs.loader import database_from_edges
+from repro.graphs.loader import database_from_edges, edge_schema
 from repro.graphs.patterns import k_star_query, triangle_query
 from repro.query.parser import parse_query
 from repro.query.residual import all_subsets_of_block
@@ -50,6 +51,35 @@ EDGES = [
 @pytest.fixture
 def graph_db() -> Database:
     return database_from_edges(EDGES)
+
+
+# The engine's two column representations.  ``numpy`` keeps the fixtures'
+# small ints, which ``Relation.to_columns`` stores as ``int64`` arrays;
+# ``python`` lifts every value past ``2**63 - 1`` (order and equality are
+# preserved), so the same instance runs on ``object`` columns of Python ints.
+COLUMNS = ("python", "numpy")
+_LIFT = 2**64
+
+
+def _lift(value: int, columns: str) -> int:
+    return value + _LIFT if columns == "python" else value
+
+
+def _database(columns: str, schema: DatabaseSchema, **rows) -> Database:
+    db = Database.from_rows(
+        schema,
+        **{
+            name: [tuple(_lift(v, columns) for v in row) for row in relation_rows]
+            for name, relation_rows in rows.items()
+        },
+    )
+    want = object if columns == "python" else np.int64
+    assert all(col.dtype == want for rel in db for col in rel.to_columns())
+    return db
+
+
+def _graph(columns: str) -> Database:
+    return _database(columns, edge_schema(), Edge=EDGES)
 
 
 def _assert_profiles_match(query, db):
@@ -71,8 +101,9 @@ def _assert_profiles_match(query, db):
 
 
 class TestEvaluateProfileEquality:
-    def test_triangle_query(self, graph_db):
-        shared = _assert_profiles_match(triangle_query(), graph_db)
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_triangle_query(self, columns):
+        shared = _assert_profiles_match(triangle_query(), _graph(columns))
         stats = shared.stats
         assert stats.subsets_total == 7
         # Every non-empty proper subset of the triangle is connected: six
@@ -82,29 +113,34 @@ class TestEvaluateProfileEquality:
         assert stats.components_evaluated == 4
         assert stats.component_hits == 2
 
-    def test_star_query_isomorphism_dedup(self, graph_db):
-        shared = _assert_profiles_match(k_star_query(3), graph_db)
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_star_query_isomorphism_dedup(self, columns):
+        shared = _assert_profiles_match(k_star_query(3), _graph(columns))
         # Singles and pairs are each one isomorphism class: 2 evaluations.
         assert shared.stats.components_evaluated == 2
         assert shared.stats.component_hits == 4
 
-    def test_disconnected_subsets_share_components(self, graph_db):
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_disconnected_subsets_share_components(self, columns):
         query = parse_query("Edge(a, b), Edge(b, c), Edge(c, d), Edge(d, e)")
-        shared = _assert_profiles_match(query, graph_db)
+        shared = _assert_profiles_match(query, _graph(columns))
         # 15 proper subsets of 4 atoms decompose into 19 component
         # references; sub-paths recur across subsets.
         assert shared.stats.subsets_total == 15
         assert shared.stats.components_total == 19
         assert shared.stats.component_hits > 0
 
-    def test_projection_query(self, graph_db):
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_projection_query(self, columns):
         _assert_profiles_match(
-            parse_query("q(x) :- Edge(x, y), Edge(y, z)"), graph_db
+            parse_query("q(x) :- Edge(x, y), Edge(y, z)"), _graph(columns)
         )
 
-    def test_two_relation_join_with_public_side(self):
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_two_relation_join_with_public_side(self, columns):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2}, private=["R", "S"])
-        db = Database.from_rows(
+        db = _database(
+            columns,
             schema,
             R=[(1, 2), (2, 2), (2, 3)],
             S=[(2, 5), (2, 7), (3, 7)],
@@ -112,19 +148,22 @@ class TestEvaluateProfileEquality:
         )
         _assert_profiles_match(parse_query("R(x, y), S(y, z), T(z, w)"), db)
 
-    def test_comparison_predicates_crossing_boundaries(self):
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_comparison_predicates_crossing_boundaries(self, columns):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2})
-        db = Database.from_rows(
-            schema, R=[(1, 2), (2, 4), (3, 1)], S=[(2, 3), (4, 1), (1, 5)]
+        db = _database(
+            columns, schema, R=[(1, 2), (2, 4), (3, 1)], S=[(2, 3), (4, 1), (1, 5)]
         )
         _assert_profiles_match(parse_query("R(x, y), S(y, z), x < z"), db)
 
-    def test_constants_and_repeated_variables(self):
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_constants_and_repeated_variables(self, columns):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2})
-        db = Database.from_rows(
-            schema, R=[(1, 1), (1, 2), (2, 2)], S=[(1, 3), (2, 3), (3, 3)]
+        db = _database(
+            columns, schema, R=[(1, 1), (1, 2), (2, 2)], S=[(1, 3), (2, 3), (3, 3)]
         )
-        _assert_profiles_match(parse_query("R(x, x), S(x, 3)"), db)
+        query = parse_query(f"R(x, x), S(x, {_lift(3, columns)})")
+        _assert_profiles_match(query, db)
 
     def test_empty_subset_uses_the_convention(self, graph_db):
         query = triangle_query()
@@ -176,13 +215,15 @@ class TestParallelismModes:
         "component_cache_hits",
     )
 
+    @pytest.mark.parametrize("columns", COLUMNS)
     @pytest.mark.parametrize(
         "query_factory",
         [triangle_query, lambda: k_star_query(3),
          lambda: parse_query("q(x) :- Edge(x, y), Edge(y, z)")],
         ids=["triangle", "star3", "projection"],
     )
-    def test_cross_mode_equivalence(self, graph_db, query_factory):
+    def test_cross_mode_equivalence(self, columns, query_factory):
+        graph_db = _graph(columns)
         query = query_factory()
         engine = ResidualSensitivity(query, beta=0.1)
         subsets = engine.required_subsets(graph_db)
