@@ -121,11 +121,10 @@ def snapshot_profile() -> dict:
     _, shared, baseline_time, shared_time = bp._compare(engine, graph_db)
     stats = shared.stats
 
-    # The GIL-escape comparison: concurrent profiles through the shared
-    # process pool vs the thread default (see
-    # bench_profile.test_profile_process_speedup_star4).  Only gated on
-    # ≥2-core machines, but always recorded with the core count so the
-    # trajectory stays interpretable.
+    # Concurrent profiles through the shared process pool vs the thread
+    # default (see bench_profile.test_profile_process_speedup_star4).  Not
+    # gated; recorded with the core count so the trajectory stays
+    # interpretable.
     query = k_star_query(4)
     subsets = engine.required_subsets(graph_db)
     get_process_pool(None)

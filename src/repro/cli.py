@@ -69,9 +69,7 @@ residual-sensitivity component evaluations out over a worker pool and
 default in-process threads or the shared GIL-free process pool for large
 lattices (``fuzz`` also accepts the mode, to run the differential battery
 under it; see ``docs/performance.md``).  Results are identical whichever
-combination runs.  The retired ``--backend`` option is still accepted by
-``count``, ``sensitivity``, ``serve``, ``batch`` and ``fuzz``, ignored, and
-reported on stderr.
+combination runs.
 
 Examples
 --------
@@ -130,17 +128,6 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=None, help="surrogate scale factor")
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The retired engine choice: still parsed so old scripts keep working,
-    then ignored with a notice on stderr (see :func:`main`)."""
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=["python", "numpy", "compiled", "auto"],
-        help=argparse.SUPPRESS,
-    )
-
-
 def _add_parallelism_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallelism",
@@ -183,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("--seed", type=int, default=None, help="noise seed (for reproducibility)")
     count.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    _add_backend_argument(count)
     _add_parallelism_argument(count)
 
     sensitivity = subparsers.add_parser(
@@ -193,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     sensitivity.add_argument("--query", required=True, help="query in the datalog-style syntax")
     sensitivity.add_argument("--beta", type=float, default=0.1, help="smoothing parameter")
     sensitivity.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    _add_backend_argument(sensitivity)
     _add_parallelism_argument(sensitivity)
 
     table1 = subparsers.add_parser("table1", help="reproduce Table 1")
@@ -309,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable metrics and tracing (no /metrics endpoint, no timings)",
     )
-    _add_backend_argument(serve)
     _add_parallelism_argument(serve)
 
     metrics = subparsers.add_parser(
@@ -394,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "prefork server and require releases bitwise-identical to the "
         "in-process service (0 disables)",
     )
-    _add_backend_argument(fuzz)
     _add_parallelism_mode_argument(fuzz)
 
     batch = subparsers.add_parser(
@@ -422,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--max-workers", type=int, default=4, help="concurrent sensitivity workers")
     batch.add_argument("--seed", type=int, default=None, help="noise seed (for reproducibility)")
     batch.add_argument("--json", action="store_true", help="emit the full JSON batch result")
-    _add_backend_argument(batch)
     _add_parallelism_argument(batch)
 
     return parser
@@ -432,10 +414,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        from repro.service.service import BACKEND_DEPRECATION
-
-        print(f"warning: {BACKEND_DEPRECATION}", file=sys.stderr)
     try:
         return _dispatch(args)
     except ReproError as exc:

@@ -46,7 +46,22 @@ from typing import Callable, Iterable, Iterator, Sequence
 from repro.data.schema import RelationSchema
 from repro.exceptions import SchemaError
 
-__all__ = ["Relation"]
+__all__ = ["Relation", "value_column"]
+
+
+def value_column(values: list):
+    """``values`` as one NumPy column: ``int64`` when they are all Python ints
+    that fit (the fast path of the columnar engine), ``object`` otherwise."""
+    import numpy as np
+
+    if all(type(v) is int for v in values):
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
 
 class Relation:
@@ -413,22 +428,10 @@ class Relation:
         """
         if self._columns is not None:
             return self._columns
-        import numpy as np
-
         rows = list(self._rows)
-        columns = []
-        for position in range(self.arity):
-            values = [row[position] for row in rows]
-            if all(type(v) is int for v in values):
-                try:
-                    columns.append(np.array(values, dtype=np.int64))
-                    continue
-                except OverflowError:
-                    pass
-            column = np.empty(len(values), dtype=object)
-            column[:] = values
-            columns.append(column)
-        self._columns = tuple(columns)
+        self._columns = tuple(
+            value_column([row[position] for row in rows]) for position in range(self.arity)
+        )
         self._column_rows = rows
         return self._columns
 

@@ -5,12 +5,12 @@ It provides two complementary strategies:
 
 * :mod:`repro.engine.columnar` — vectorized bucket (variable) elimination
   over count-annotated NumPy columns, which evaluates the aggregate queries
-  behind ``T_E(I)`` in polynomial time for bounded-width residuals, applying
-  each predicate in the first joined factor that contains all of its
-  variables, and
+  behind ``T_E(I)`` in polynomial time for bounded-width residuals, joining
+  the factors a predicate spans into one bucket so every predicate is
+  applied, and
 * :mod:`repro.engine.join` — exact backtracking enumeration that applies
-  every predicate (the fallback wherever elimination had to drop one, and
-  the evaluator of :func:`evaluate_query`).
+  every predicate (the fallback when elimination drops one above its row
+  cap, and the evaluator of :func:`evaluate_query`).
 
 On top of these, :mod:`repro.engine.aggregates` computes the boundary
 multiplicities ``T_E(I)`` of residual queries (the building block of residual

@@ -14,19 +14,25 @@ This module computes ``T_E(I)`` with two interchangeable strategies:
 * ``"enumerate"`` — the exact backtracking join of :mod:`repro.engine.join`,
   which applies *all* predicates (used on small inputs and in tests);
 * ``"eliminate"`` — columnar bucket elimination
-  (:mod:`repro.engine.columnar`), polynomial for bounded-width residuals;
-  predicates that cannot be applied exactly are dropped, making the result
-  a certified upper bound.
+  (:mod:`repro.engine.columnar`), polynomial for bounded-width residuals.
+  It applies every predicate inside the residual, including inequalities
+  between variables summed out in different buckets, and reads the maximum
+  straight off the group-count arrays.
 
-The default ``"auto"`` strategy runs elimination first and falls back to
-bounded enumeration only when elimination had to drop a predicate and the
-instance is small enough for exact evaluation.
+The default ``"auto"`` strategy runs elimination and falls back to bounded
+enumeration only when elimination dropped a predicate because a bucket of
+its predicate-aware plan would pass
+:data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows.  A predicate spanning
+two disconnected components of the residual is dropped too: the components
+are evaluated separately and multiplied, and the product is kept as a
+certified upper bound.
 
 Predicate-only boundary variables (``∂q2``, Section 5) are handled as
 follows: dropped predicates that are pure inequalities are ignored, which is
 exact for large domains (Corollary 5.1); dropped comparison predicates are
 resolved by ranging the ``∂q2`` variables over the augmented active domain
-``Z+(q, I)`` (Section 5.2); dropped generic predicates are rejected with an
+``Z+(q, I)`` (Section 5.2), one NumPy mask over the residual rows per
+assignment; dropped generic predicates are rejected with an
 :class:`~repro.exceptions.EvaluationError` (the general Section 5.1
 algorithm is exponential and out of scope for the evaluation engine).
 """
@@ -34,12 +40,19 @@ algorithm is exponential and out of scope for the evaluation engine).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.data.database import Database
+from repro.data.relation import value_column
 from repro.engine import join as join_engine
-from repro.engine.columnar import eliminate_group_counts_columnar
+from repro.engine.columnar import (
+    EliminationResult,
+    eliminate_group_counts_columnar,
+    predicate_mask,
+)
 from repro.engine.domains import augmented_active_domain
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Variable
@@ -135,18 +148,25 @@ def _max_entry(counts: dict[tuple, int]) -> tuple[int, tuple | None]:
     return counts[best_key], best_key
 
 
-def _distinct_per_group(
-    counts: dict[tuple, int], group_arity: int
-) -> dict[tuple, int]:
-    """Collapse counts keyed by (boundary + output) to distinct-output counts per boundary."""
-    distinct: dict[tuple, set[tuple]] = {}
-    for key, count in counts.items():
-        if count <= 0:
-            continue
-        boundary_key = key[:group_arity]
-        output_key = key[group_arity:]
-        distinct.setdefault(boundary_key, set()).add(output_key)
-    return {key: len(values) for key, values in distinct.items()}
+def _max_group(
+    result: EliminationResult, group_arity: int, distinct: bool
+) -> tuple[int, tuple | None]:
+    """The largest group value and its key, read off the count arrays.
+
+    ``result`` is grouped by the boundary (its first ``group_arity``
+    columns), followed for ``distinct`` by the output variables; the value
+    of a boundary group is then its number of rows, the distinct outputs.
+    ``np.argmax`` returns the first maximal row, the key a ``max`` over the
+    :attr:`~repro.engine.columnar.EliminationResult.counts` dict returns.
+    """
+    per_row = result.count_array
+    if not len(per_row):
+        return 0, None
+    if distinct:
+        groups = result.group_codes(group_arity)
+        per_row = np.bincount(groups)[groups]
+    best = int(np.argmax(per_row))
+    return int(per_row[best]), result.key(best)[:group_arity]
 
 
 def _enumerate_counts(
@@ -169,33 +189,31 @@ def _enumerate_counts(
     )
 
 
-def _eliminate_counts(
+def _eliminate_max(
     query: ConjunctiveQuery,
     database: Database,
     residual: ResidualQuery,
     group_vars: tuple[Variable, ...],
     distinct_on: tuple[Variable, ...] | None,
     predicates: Sequence[Predicate],
-) -> tuple[dict[tuple, int], tuple[Predicate, ...]]:
-    if distinct_on is None:
-        result = eliminate_group_counts_columnar(
-            query,
-            database,
-            group_vars,
-            atom_indices=sorted(residual.atom_indices),
-            predicates=predicates,
-        )
-        return result.counts, result.dropped_predicates
-    extended_group = group_vars + tuple(v for v in distinct_on if v not in group_vars)
+) -> tuple[int, tuple | None, tuple[Predicate, ...]]:
+    """``(value, witness, dropped predicates)`` by bucket elimination.
+
+    Non-full residuals group by the boundary plus the output variables, so
+    each row of the result is one distinct output of its boundary group.
+    """
+    extended = group_vars
+    if distinct_on is not None:
+        extended += tuple(v for v in distinct_on if v not in group_vars)
     result = eliminate_group_counts_columnar(
         query,
         database,
-        extended_group,
+        extended,
         atom_indices=sorted(residual.atom_indices),
         predicates=predicates,
     )
-    collapsed = _distinct_per_group(result.counts, len(group_vars))
-    return collapsed, result.dropped_predicates
+    value, witness = _max_group(result, len(group_vars), distinct_on is not None)
+    return value, witness, result.dropped_predicates
 
 
 def _comparison_boundary_value(
@@ -211,9 +229,11 @@ def _comparison_boundary_value(
     The ``∂q2`` variables (realised only outside the residual but linked to
     it through comparison predicates) range over the augmented active domain
     ``Z+(q, I)``.  We enumerate the residual exactly, then for every
-    boundary group and every assignment of the ``∂q2`` variables we count the
-    residual tuples that satisfy the crossing predicates, and take the
-    maximum.
+    assignment of the ``∂q2`` variables evaluate the crossing predicates as
+    one boolean mask over all residual rows, count the surviving rows (or
+    their distinct outputs) per boundary group with ``np.bincount``, and
+    keep each group's maximum.  The witness is the first group, in
+    enumeration order, that attains the overall maximum.
     """
     crossing = [p for p in residual.dropped_predicates if not p.is_inequality]
     q2_vars = tuple(sorted(residual.boundary_predicate_only, key=lambda v: v.name))
@@ -232,43 +252,59 @@ def _comparison_boundary_value(
             max_intermediate=max_intermediate,
         )
     )
-
-    best_value = 0
-    best_witness: tuple | None = None
-    groups: dict[tuple, list[dict]] = {}
-    for assignment in assignments:
-        key = tuple(assignment[v] for v in group_vars)
-        groups.setdefault(key, []).append(assignment)
-
-    for key, rows in groups.items():
-        for combo in itertools.product(domain_values, repeat=len(q2_vars)):
-            extension = dict(zip(q2_vars, combo))
-            if distinct_on is None:
-                count = 0
-                for row in rows:
-                    merged = {**row, **extension}
-                    if all(p.evaluate(merged) for p in crossing if p.is_bound(merged)):
-                        count += 1
-            else:
-                distinct: set[tuple] = set()
-                for row in rows:
-                    merged = {**row, **extension}
-                    if all(p.evaluate(merged) for p in crossing if p.is_bound(merged)):
-                        distinct.add(tuple(row[v] for v in distinct_on))
-                count = len(distinct)
-            if count > best_value:
-                best_value = count
-                best_witness = key
-            if not q2_vars:
-                break
-    return MultiplicityResult(
-        value=best_value,
-        witness=best_witness,
+    result = MultiplicityResult(
+        value=0,
+        witness=None,
         boundary=group_vars,
         strategy="eliminate+domain",
         exact=True,
         dropped_predicates=(),
     )
+    if not assignments:
+        return result
+
+    # Predicates with a variable neither row nor ∂q2 assignment binds are
+    # skipped, as an unbound predicate cannot be evaluated.
+    known = set(assignments[0]) | set(q2_vars)
+    bound = [p for p in crossing if p.variables <= known]
+    row_vars = {v for p in bound for v in p.variables if v not in q2_vars}
+    columns = {v: value_column([a[v] for a in assignments]) for v in row_vars}
+
+    groups: dict[tuple, int] = {}
+    group_of_row = np.array(
+        [groups.setdefault(tuple(a[v] for v in group_vars), len(groups)) for a in assignments],
+        dtype=np.int64,
+    )
+    if distinct_on is not None:
+        # Count distinct (group, output) pairs: one code per pair.
+        pairs: dict[tuple, int] = {}
+        pair_of_row = np.array(
+            [
+                pairs.setdefault((g, tuple(a[v] for v in distinct_on)), len(pairs))
+                for g, a in zip(group_of_row.tolist(), assignments)
+            ],
+            dtype=np.int64,
+        )
+        group_of_pair = np.array([g for g, _ in pairs], dtype=np.int64)
+
+    rows = len(assignments)
+    best = np.zeros(len(groups), dtype=np.int64)
+    for combo in itertools.product(domain_values, repeat=len(q2_vars)):
+        operands = {**columns, **dict(zip(q2_vars, combo))}
+        mask = np.ones(rows, dtype=bool)
+        for pred in bound:
+            mask &= predicate_mask(pred, operands, rows)
+        if distinct_on is None:
+            selected = group_of_row[mask]
+        else:
+            selected = group_of_pair[np.unique(pair_of_row[mask])]
+        np.maximum(best, np.bincount(selected, minlength=len(groups)), out=best)
+
+    value = int(best.max())
+    if not value:
+        return result
+    witness = list(groups)[int(np.argmax(best))]
+    return replace(result, value=value, witness=witness)
 
 
 def boundary_multiplicity(
@@ -384,10 +420,9 @@ def boundary_multiplicity(
             dropped_predicates=(),
         )
 
-    counts, dropped = _eliminate_counts(
+    value, witness, dropped = _eliminate_max(
         query, database, residual, group_vars, distinct_on, inside_preds
     )
-    value, witness = _max_entry(counts)
     eliminate_result = MultiplicityResult(
         value=value,
         witness=witness,

@@ -28,13 +28,21 @@ operations of bucket elimination are all vectorized:
   :data:`MATMUL_THRESHOLD` take a sparse matrix product (the joined rows are
   never materialised).
 
-Predicates are applied *exactly* whenever possible: every predicate is
-attached to the first factor (initial atom factor, bucket join, or the final
-join over the group variables) that contains all of its variables.  A
-predicate that never becomes applicable — e.g. an inequality between two
-variables that are eliminated in different buckets, or one involving the
-variables a sparse matrix product sums out — is reported back as *dropped*;
-the resulting counts are then upper bounds.  Callers that need exactness
+Predicates are part of the plan, in the spirit of FAQ with additive
+inequalities (Abo Khamis et al., PODS 2019): every predicate is applied on
+the first factor (atom factor, bucket join, or the final join over the group
+variables) that contains all of its variables, each predicate still pending
+after the atom factors is a hyperedge of the elimination order, and when a
+variable ``v`` is summed out its bucket also takes every factor sharing a
+variable with a pending predicate on ``v`` — so the predicate is applied in
+the joined bucket instead of being lost with ``v``.  The leaf pairs of a
+k-star and the non-adjacent pairs of a path are exact this way.
+
+That plan joins more rows per bucket, so each of its joins is checked
+against :data:`BUCKET_ROW_CAP` before anything is materialised.  When one
+would pass the cap, the whole elimination reruns with the predicate-blind
+plan: predicates that never become applicable there are reported back as
+*dropped*, the counts are upper bounds, and callers that need exactness
 fall back to :mod:`repro.engine.join`.
 
 Factorization is the single hottest primitive, so it is **cached and
@@ -69,9 +77,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -88,6 +97,7 @@ from repro.query.predicates import (
 
 __all__ = [
     "ArrayFactor",
+    "BUCKET_ROW_CAP",
     "ColumnCodes",
     "EliminationResult",
     "MATMUL_THRESHOLD",
@@ -99,6 +109,7 @@ __all__ = [
     "greedy_elimination_order",
     "merge_factorization_delta",
     "order_factors_for_join",
+    "predicate_mask",
     "reset_factorization_cache_stats",
 ]
 
@@ -115,6 +126,14 @@ _RENORMALIZE_CARDINALITY = 2**31
 #: through scipy.
 MATMUL_THRESHOLD = 200_000
 
+#: The most rows one join of the predicate-aware plan may materialise.  A
+#: join that would pass it makes the elimination rerun with the
+#: predicate-blind plan, which drops the predicates it cannot apply (see
+#: :func:`eliminate_group_counts_columnar`).  On the 300-node benchmark
+#: graph the 4-star's all-leaves bucket (8.4 M rows) is above it; every
+#: bucket of the other paper shapes is below.
+BUCKET_ROW_CAP = 1_000_000
+
 #: The largest count an ``int64`` array holds; a count that could exceed it
 #: is carried as a Python int instead (see :func:`_exact_counts`).
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -124,22 +143,29 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 class EliminationResult:
     """Outcome of :func:`eliminate_group_counts_columnar`.
 
+    The group counts stay columnar: row ``i`` is the group whose value of
+    ``group_variables[j]`` is ``columns[j][i]``, with count
+    ``count_array[i]``.  Every group occurs once and every count is
+    positive.  Counts are exact if ``dropped_predicates`` is empty,
+    otherwise upper bounds obtained by ignoring the dropped predicates.
+
     Attributes
     ----------
-    counts:
-        Mapping from group-variable value tuples to counts.  Exact if
-        ``dropped_predicates`` is empty, otherwise an upper bound obtained by
-        ignoring the dropped predicates.
     group_variables:
-        The group variables, in the order used for the count keys.
+        The group variables, in the order of ``columns``.
+    columns:
+        One value array per group variable.
+    count_array:
+        The per-group counts (``int64``, or ``object`` Python ints).
     dropped_predicates:
         Predicates that could not be applied during elimination.
     elimination_order:
         The internal variables in the order they were summed out.
     """
 
-    counts: dict[tuple, int]
     group_variables: tuple[Variable, ...]
+    columns: tuple[np.ndarray, ...]
+    count_array: np.ndarray
     dropped_predicates: tuple[Predicate, ...]
     elimination_order: tuple[Variable, ...]
 
@@ -147,6 +173,26 @@ class EliminationResult:
     def is_exact(self) -> bool:
         """Whether every predicate was applied (counts are exact)."""
         return not self.dropped_predicates
+
+    @functools.cached_property
+    def counts(self) -> dict[tuple, int]:
+        """The counts as a mapping from group-value tuples (built on first use)."""
+        values = [col.tolist() for col in self.columns]
+        return {
+            tuple(col[i] for col in values): count
+            for i, count in enumerate(self.count_array.tolist())
+        }
+
+    def key(self, row: int) -> tuple:
+        """The group-value tuple of one row, as Python values."""
+        return tuple(col[row : row + 1].tolist()[0] for col in self.columns)
+
+    def group_codes(self, arity: int) -> np.ndarray:
+        """Dense ``int64`` codes of the rows' values on the first ``arity``
+        group variables (equal codes ⇔ equal values)."""
+        prefix = self.group_variables[:arity]
+        factor = ArrayFactor(prefix, self.columns[:arity], self.count_array)
+        return _renormalize(_factor_row_codes(factor, prefix))[0]
 
 
 def order_factors_for_join(factors):
@@ -561,12 +607,24 @@ def _factor_join_codes(
 # --------------------------------------------------------------------- #
 # Relational primitives
 # --------------------------------------------------------------------- #
-def _expand_matches(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _RowCapExceeded(Exception):
+    """A join of the predicate-aware plan would pass its row cap."""
+
+
+def _check_row_cap(rows: int, row_cap: int | None) -> None:
+    if row_cap is not None and rows > row_cap:
+        raise _RowCapExceeded(rows)
+
+
+def _expand_matches(
+    lkey: np.ndarray, rkey: np.ndarray, row_cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Matching ``(left_idx, right_idx)`` row pairs of a factorized join.
 
     The right codes are stable-sorted; every left row is expanded to its
     matching right rows through ``searchsorted`` ranges, ``repeat`` and
-    ``cumsum`` offsets.
+    ``cumsum`` offsets.  The number of pairs is known from the ranges before
+    anything is expanded, and is checked against ``row_cap`` there.
     """
     order = np.argsort(rkey, kind="stable")
     rsorted = rkey[order]
@@ -576,6 +634,7 @@ def _expand_matches(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.
     hit = matches > 0
     per_left = matches[hit]
     total = int(per_left.sum())
+    _check_row_cap(total, row_cap)
     left_idx = np.repeat(np.nonzero(hit)[0], per_left)
     starts = np.repeat(lo[hit], per_left)
     offsets = np.repeat(np.cumsum(per_left) - per_left, per_left)
@@ -583,21 +642,25 @@ def _expand_matches(lkey: np.ndarray, rkey: np.ndarray) -> tuple[np.ndarray, np.
     return left_idx, right_idx
 
 
-def _join(left: ArrayFactor, right: ArrayFactor) -> ArrayFactor:
+def _join(
+    left: ArrayFactor, right: ArrayFactor, row_cap: int | None = None
+) -> ArrayFactor:
     """Natural join of two factors, multiplying counts (vectorized).
 
     With shared variables this is a factorized sort-merge join: both sides'
     key columns are encoded into one code space, the right side is sorted by
     code, and every left row is expanded to its matching right rows through
     ``searchsorted`` ranges.  Without shared variables it degenerates to a
-    cross product.
+    cross product.  A join that would produce more than ``row_cap`` rows
+    raises :class:`_RowCapExceeded` before materialising them.
     """
     shared = tuple(v for v in left.variables if v in right.variables)
     nl, nr = len(left), len(right)
     if shared:
         lkey, rkey = _factor_join_codes(left, right, shared)
-        left_idx, right_idx = _expand_matches(lkey, rkey)
+        left_idx, right_idx = _expand_matches(lkey, rkey, row_cap)
     else:
+        _check_row_cap(nl * nr, row_cap)
         left_idx = np.repeat(np.arange(nl, dtype=np.int64), nr)
         right_idx = np.tile(np.arange(nr, dtype=np.int64), nl)
 
@@ -676,13 +739,18 @@ def _as_bool_mask(result: object, length: int) -> np.ndarray:
     return np.full(length, bool(result))
 
 
-def _predicate_mask(pred: Predicate, factor: ArrayFactor) -> np.ndarray:
-    """A boolean keep-mask for ``pred`` over the rows of ``factor``."""
-    length = len(factor)
+def predicate_mask(
+    pred: Predicate, operands: Mapping[Variable, object], length: int
+) -> np.ndarray:
+    """A boolean keep-mask for ``pred`` over ``length`` rows.
+
+    ``operands`` maps each variable of ``pred`` to a value column of
+    ``length`` rows or to one scalar shared by every row.
+    """
 
     def operand(term):
         if isinstance(term, Variable):
-            return factor.column(term)
+            return operands[term]
         return term.value
 
     if isinstance(pred, InequalityPredicate):
@@ -700,11 +768,8 @@ def _predicate_mask(pred: Predicate, factor: ArrayFactor) -> np.ndarray:
         return _as_bool_mask(result, length)
 
     # Generic predicates: exact row-by-row evaluation.
-    variables = factor.variables
-    if factor.columns:
-        rows = zip(*(col.tolist() for col in factor.columns))
-    else:
-        rows = iter([()] * length)
+    variables = tuple(pred.variables)
+    rows = zip(*(operands[v].tolist() for v in variables))
     return np.fromiter(
         (pred.evaluate(dict(zip(variables, row))) for row in rows),
         dtype=bool,
@@ -721,9 +786,10 @@ def _apply_ready_predicates(
     if not ready:
         return factor, pending
     remaining = [p for p in pending if p not in ready]
+    operands = dict(zip(factor.variables, factor.columns))
     mask = np.ones(len(factor), dtype=bool)
     for pred in ready:
-        mask &= _predicate_mask(pred, factor)
+        mask &= predicate_mask(pred, operands, len(factor))
     return factor.take(mask), remaining
 
 
@@ -893,6 +959,7 @@ def _join_and_aggregate(
     bucket: Sequence[ArrayFactor],
     keep: Sequence[Variable],
     pending: list[Predicate],
+    row_cap: int | None = None,
 ) -> tuple[ArrayFactor, list[Predicate]]:
     """Join ``bucket``, filter, and sum onto ``keep`` (vectorized).
 
@@ -900,13 +967,17 @@ def _join_and_aggregate(
     are applied as soon as some intermediate factor covers their variables.
     Two-factor buckets whose shared variables are all being summed out and
     whose join size exceeds :data:`MATMUL_THRESHOLD` take the sparse-matmul
-    path (which drops the predicates on the summed-out variables), unless
-    their counts could overflow its ``int64`` product.
+    path, unless their counts could overflow its ``int64`` product.  That
+    path drops the pending predicates on the summed-out variables, so with
+    a ``row_cap`` (the predicate-aware plan, which must keep every
+    predicate) a bucket with such a predicate joins instead, and each join
+    is checked against the cap.
     """
     if len(bucket) == 2:
         keep_set = set(keep)
         shared = tuple(v for v in bucket[0].variables if v in bucket[1].variables)
-        if shared and all(v not in keep_set for v in shared):
+        would_drop = row_cap is not None and any(p.variables & set(shared) for p in pending)
+        if shared and not would_drop and all(v not in keep_set for v in shared):
             estimated = _estimated_join_rows(bucket[0], bucket[1], shared)
             if estimated > MATMUL_THRESHOLD and _matmul_fits_int64(bucket[0], bucket[1]):
                 factor, pending = _matmul_aggregate(
@@ -917,9 +988,47 @@ def _join_and_aggregate(
     ordered = order_factors_for_join(bucket)
     current, pending = _apply_ready_predicates(ordered[0], pending)
     for factor in ordered[1:]:
-        current = _join(current, factor)
+        current = _join(current, factor, row_cap)
         current, pending = _apply_ready_predicates(current, pending)
     return _project_sum(current, keep), pending
+
+
+def _eliminate(
+    factors: list[ArrayFactor],
+    internal: Sequence[Variable],
+    group_vars: tuple[Variable, ...],
+    pending: list[Predicate],
+    row_cap: int | None,
+) -> tuple[ArrayFactor, list[Predicate], list[Variable]]:
+    """Sum ``internal`` out of ``factors``; ``(final factor, dropped, order)``.
+
+    With a ``row_cap`` this is the predicate-aware plan: pending predicates
+    are hyperedges of the elimination order, the bucket of ``v`` also takes
+    every factor sharing a variable with a pending predicate on ``v``, and a
+    join above the cap raises :class:`_RowCapExceeded`.  Without one it is
+    the predicate-blind plan, which drops what it cannot apply.
+    """
+    edges = [set(f.variables) for f in factors]
+    if row_cap is not None:
+        edges += [set(p.variables) for p in pending]
+    order = greedy_elimination_order(edges, internal)
+
+    for var in order:
+        linked = {var}
+        if row_cap is not None:
+            for pred in pending:
+                if var in pred.variables:
+                    linked |= pred.variables
+        bucket = [f for f in factors if linked.intersection(f.variables)]
+        if not bucket:
+            continue
+        others = [f for f in factors if not linked.intersection(f.variables)]
+        keep = [v for factor in bucket for v in factor.variables if v != var]
+        summed, pending = _join_and_aggregate(bucket, keep, pending, row_cap)
+        factors = others + [summed]
+
+    final, pending = _join_and_aggregate(factors, list(group_vars), pending, row_cap)
+    return final, pending, order
 
 
 def eliminate_group_counts_columnar(
@@ -931,6 +1040,11 @@ def eliminate_group_counts_columnar(
     predicates: Sequence[Predicate] | None = None,
 ) -> EliminationResult:
     """Group-by counts of a (residual) CQ via vectorized bucket elimination.
+
+    Predicates that no single atom covers run through the predicate-aware
+    plan, which applies every one of them; if one of its joins would pass
+    :data:`BUCKET_ROW_CAP` rows, the predicate-blind plan runs instead and
+    reports the predicates it could not apply as dropped.
 
     Parameters
     ----------
@@ -953,7 +1067,9 @@ def eliminate_group_counts_columnar(
     """
     indices = list(range(query.num_atoms)) if atom_indices is None else list(atom_indices)
     if not indices:
-        return EliminationResult({(): 1}, tuple(group_variables), (), ())
+        return EliminationResult(
+            tuple(group_variables), (), np.ones(1, dtype=np.int64), (), ()
+        )
 
     covered_vars = query.variables_of(indices)
     group_vars = tuple(group_variables)
@@ -977,35 +1093,20 @@ def eliminate_group_counts_columnar(
         factors.append(factor)
 
     internal = [v for v in covered_vars if v not in group_vars]
-    order = greedy_elimination_order([set(f.variables) for f in factors], internal)
+    plan = None
+    if pending:
+        try:
+            plan = _eliminate(factors, internal, group_vars, pending, BUCKET_ROW_CAP)
+        except _RowCapExceeded:
+            pass  # the predicate-blind plan below drops what it cannot apply
+    final, pending, order = plan or _eliminate(factors, internal, group_vars, pending, None)
 
-    for var in order:
-        bucket = [f for f in factors if var in f.variables]
-        others = [f for f in factors if var not in f.variables]
-        if not bucket:
-            continue
-        keep = [v for factor in bucket for v in factor.variables if v != var]
-        summed, pending = _join_and_aggregate(bucket, keep, pending)
-        factors = others + [summed]
-
-    final, pending = _join_and_aggregate(factors, list(group_vars), pending)
-
-    # Re-order key columns to match the requested group-variable order (the
-    # final factor's variables are a permutation of ``group_vars``).
-    if final.variables != group_vars:
-        columns = tuple(final.column(v) for v in group_vars)
-        final = ArrayFactor(group_vars, columns, final.counts)
-
-    value_columns = [col.tolist() for col in final.columns]
-    count_list = final.counts.tolist()
-    counts = {
-        tuple(col[i] for col in value_columns): count_list[i]
-        for i in range(len(count_list))
-    }
-
+    # Key columns in the requested group-variable order (the final factor's
+    # variables are a permutation of ``group_vars``).
     return EliminationResult(
-        counts=counts,
         group_variables=group_vars,
+        columns=tuple(final.column(v) for v in group_vars),
+        count_array=final.counts,
         dropped_predicates=tuple(pending),
         elimination_order=tuple(order),
     )

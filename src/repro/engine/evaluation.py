@@ -6,16 +6,20 @@ conjunctive query.  This module provides that top-level entry point
 actual result tuples (projections onto the output variables) and is used by
 examples and tests.
 
-For predicate-free (or fully-applicable-predicate) queries the count is
-obtained through columnar bucket elimination
-(:mod:`repro.engine.columnar`) without materialising the result; when a
-predicate cannot be honoured exactly by elimination, the implementation
-falls back to exact enumeration (optionally capped).
+The count is obtained through columnar bucket elimination
+(:mod:`repro.engine.columnar`), which applies every predicate — including
+inequalities between variables summed out in different buckets — without
+enumerating the result.  Only when elimination drops a predicate, because a
+bucket of its predicate-aware plan would pass
+:data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows, does the count fall back
+to exact enumeration (optionally capped).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.data.database import Database
 from repro.engine import join as join_engine
@@ -89,8 +93,8 @@ def count_query(
         result = eliminate_group_counts_columnar(query, database, distinct_on or ())
         if result.is_exact:
             if distinct_on is None:
-                return result.counts.get((), 0)
-            return sum(1 for count in result.counts.values() if count > 0)
+                return int(result.count_array.sum())
+            return int(np.count_nonzero(result.count_array))
         if strategy == "eliminate":
             raise EvaluationError(
                 "bucket elimination cannot honour these predicates exactly: "

@@ -10,6 +10,11 @@ purpose shares no code with the production engines it is used to check:
 * :func:`oracle_group_counts` is the same loop with a group-by on an
   explicit variable list — the semantics the boundary-multiplicity
   machinery reduces to.
+* :func:`oracle_crossing_max_group_count` is the Section 5.2 boundary
+  multiplicity of a residual whose comparison predicates cross its
+  boundary: the same loop, then every assignment of the outside variables
+  over a given domain tried against every group, one predicate call per
+  row.
 * :func:`oracle_local_sensitivity` computes the exact ``LS(I)`` by
   enumerating *every* neighbor at tuple-DP distance one (deletions,
   insertions and substitutions over the finite attribute domains) and
@@ -28,9 +33,11 @@ from typing import Iterator, Mapping, Sequence
 from repro.data.database import Database
 from repro.query.atoms import Constant, Variable
 from repro.query.cq import ConjunctiveQuery
+from repro.query.predicates import Predicate
 
 __all__ = [
     "oracle_count",
+    "oracle_crossing_max_group_count",
     "oracle_group_counts",
     "oracle_local_sensitivity",
     "oracle_max_group_count",
@@ -164,3 +171,43 @@ def oracle_max_group_count(
         key = tuple(assignment[v] for v in group_variables)
         groups.setdefault(key, set()).add(tuple(assignment[v] for v in distinct_on))
     return max((len(values) for values in groups.values()), default=0)
+
+
+def oracle_crossing_max_group_count(
+    query: ConjunctiveQuery,
+    database: Database,
+    group_variables: Sequence[Variable],
+    crossing: Sequence[Predicate],
+    free_variables: Sequence[Variable],
+    domain: Sequence[object],
+    distinct_on: Sequence[Variable] | None = None,
+) -> int:
+    """The largest per-group count when ``free_variables`` range over ``domain``.
+
+    ``crossing`` predicates link the query's variables to
+    ``free_variables``, which no atom of ``query`` binds.  For every group
+    and every assignment of ``free_variables`` drawn from ``domain``, count
+    the group's satisfying assignments (or their distinct projections onto
+    ``distinct_on``) under which every crossing predicate holds, and return
+    the largest count.  A crossing predicate with a variable that neither
+    side binds is skipped.
+    """
+    query.validate_against_schema(database.schema)
+    groups: dict[tuple, list[dict]] = {}
+    for assignment in _assignments(query, database):
+        key = tuple(assignment[v] for v in group_variables)
+        groups.setdefault(key, []).append(assignment)
+    best = 0
+    for rows in groups.values():
+        for combo in itertools.product(domain, repeat=len(free_variables)):
+            selected = []
+            for row in rows:
+                merged = {**row, **dict(zip(free_variables, combo))}
+                if all(p.evaluate(merged) for p in crossing if p.is_bound(merged)):
+                    selected.append(row)
+            if distinct_on is None:
+                count = len(selected)
+            else:
+                count = len({tuple(row[v] for v in distinct_on) for row in selected})
+            best = max(best, count)
+    return best

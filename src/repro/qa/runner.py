@@ -10,10 +10,12 @@ executes a fixed battery of checks:
 ``multiplicity``
     Every boundary multiplicity ``T_F(I)`` the residual-sensitivity
     formula needs: when the elimination result is exact it must equal
-    exact enumeration *and* the independent nested-loop oracle (for
-    residuals without boundary-crossing predicates, whose value is
-    convention-defined), and when predicates were dropped it must still
-    upper-bound both.
+    exact enumeration *and* the independent nested-loop oracle, and when
+    predicates were dropped it must still upper-bound both.  Residuals
+    whose boundary-crossing predicates include comparisons are checked
+    against the oracle's own Section 5.2 ranging over the augmented active
+    domain; residuals crossed only by inequalities follow the Corollary 5.1
+    infinite-domain convention and skip the oracle.
 ``lattice-profile``
     The shared-lattice profile evaluator
     (:func:`repro.engine.profile.evaluate_profile` — component
@@ -69,12 +71,14 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.engine.aggregates import boundary_multiplicity
+from repro.engine.domains import augmented_active_domain
 from repro.engine.profile import PARALLELISM_MODES, evaluate_profile
 from repro.engine.evaluation import count_query
 from repro.mechanisms.mechanism import PrivateCountingQuery
 from repro.qa.generator import FuzzCase, WorkloadGenerator
 from repro.qa.oracle import (
     oracle_count,
+    oracle_crossing_max_group_count,
     oracle_local_sensitivity,
     oracle_max_group_count,
     oracle_neighbor_cost,
@@ -308,7 +312,7 @@ class DifferentialRunner:
                 )
             oracle = self._oracle_multiplicity(query, db, kept)
             if oracle is None:
-                continue  # crossing predicates: convention-dependent, skip
+                continue  # crossed only by inequalities: convention-defined, skip
             if got.exact and got.value != oracle:
                 problems.append(
                     f"T_{label}: independent oracle {oracle} != "
@@ -324,24 +328,37 @@ class DifferentialRunner:
     def _oracle_multiplicity(query, db, kept) -> int | None:
         """``T_F`` recomputed on the independent nested-loop oracle.
 
-        Residuals with predicates crossing the boundary are skipped
-        (``None``): their value follows the paper's infinite-domain
-        conventions (Corollary 5.1 / Section 5.2), which the
+        Comparison predicates crossing the boundary are resolved the
+        Section 5.2 way, by ranging the outside variables over the augmented
+        active domain.  Residuals crossed only by inequalities (or by
+        generic predicates) are skipped (``None``): their value follows the
+        paper's infinite-domain convention (Corollary 5.1), which the
         finite-instance oracle deliberately does not model.
         """
         residual = residual_query(query, kept)
-        if residual.is_empty or residual.dropped_predicates:
+        crossing = [p for p in residual.dropped_predicates if not p.is_inequality]
+        if residual.is_empty or (residual.dropped_predicates and not crossing):
+            return None
+        if not all(p.is_comparison for p in crossing):
             return None
         sub_query = ConjunctiveQuery(
             [query.atoms[index] for index in sorted(residual.atom_indices)],
             residual.predicates,
         )
         group_vars = tuple(sorted(residual.boundary_relational, key=lambda v: v.name))
-        if query.is_full:
-            return oracle_max_group_count(sub_query, db, group_vars)
-        return oracle_max_group_count(
-            sub_query, db, group_vars, distinct_on=tuple(residual.output_variables)
-        )
+        distinct_on = None if query.is_full else tuple(residual.output_variables)
+        if crossing:
+            free_vars = tuple(sorted(residual.boundary_predicate_only, key=lambda v: v.name))
+            return oracle_crossing_max_group_count(
+                sub_query,
+                db,
+                group_vars,
+                crossing,
+                free_vars,
+                augmented_active_domain(query, db),
+                distinct_on,
+            )
+        return oracle_max_group_count(sub_query, db, group_vars, distinct_on)
 
     def _check_lattice_profile(self, case: FuzzCase, report) -> str | None:
         from repro.query.hypergraph import QueryHypergraph

@@ -7,9 +7,7 @@ Endpoints (all bodies and responses are ``application/json``):
     ``{"name": ..., "dataset": "GrQc", "scale": 0.02}`` — register a named
     database (``"replace": true`` to update an existing name;
     ``"parallelism_mode": "process"``/``"auto"`` to pin how sensitivity
-    profiles against this database fan out across workers).  A
-    ``"backend"`` key is deprecated and ignored; the response then carries
-    a ``"warnings"`` list saying so.
+    profiles against this database fan out across workers).
 ``POST /mutate``
     ``{"database": ..., "operations": [{"relation": "edge", "op": "insert",
     "rows": [[1, 2]]}, ...]}`` — apply a batch of tuple-level delta
@@ -74,7 +72,7 @@ from repro.exceptions import (
     ServiceError,
     UnknownResourceError,
 )
-from repro.service.service import BACKEND_DEPRECATION, PrivateQueryService
+from repro.service.service import PrivateQueryService
 
 __all__ = ["make_server", "shed_retry_after", "ServiceRequestHandler"]
 
@@ -449,10 +447,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             replace=bool(payload.get("replace", False)),
             parallelism_mode=payload.get("parallelism_mode"),
         )
-        described = entry.describe()
-        if "backend" in payload:
-            described["warnings"] = [BACKEND_DEPRECATION]
-        return 200, described
+        return 200, entry.describe()
 
     def _post_mutate(self):
         # Like /register, mutation bypasses capacity admission: it is

@@ -85,12 +85,6 @@ _METHODS = ("residual", "elastic", "smooth-triangle", "smooth-star", "global")
 #: clients that still read it: the columnar engine is the only engine.
 ENGINE_NAME = "numpy"
 
-#: The notice a client gets for passing the retired backend choice
-#: (``--backend`` on the CLI, ``"backend"`` on ``/register``).
-BACKEND_DEPRECATION = (
-    "'backend' is deprecated and ignored: the columnar engine answers every query"
-)
-
 
 @dataclass(frozen=True)
 class CountResponse:

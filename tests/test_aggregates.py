@@ -7,11 +7,15 @@ import pytest
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.engine.aggregates import boundary_multiplicity
+from repro.engine.domains import augmented_active_domain
 from repro.exceptions import EvaluationError
 from repro.graphs.patterns import rectangle_query, triangle_query
+from repro.qa.oracle import oracle_crossing_max_group_count
 from repro.query.atoms import Variable
+from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.query.predicates import GenericPredicate
+from repro.query.residual import residual_query
 
 
 class TestConventions:
@@ -154,3 +158,117 @@ class TestPredicateBoundaries:
         )
         with pytest.raises(EvaluationError):
             boundary_multiplicity(query, small_join_db, [0])
+
+
+def _section52_oracle(query, db, kept) -> int:
+    """``T_E`` from the QA oracle's nested loops over ``Z+(q, I)``."""
+    residual = residual_query(query, kept)
+    crossing = [p for p in residual.dropped_predicates if p.is_comparison]
+    assert crossing, "the residual must have a crossing comparison"
+    sub_query = ConjunctiveQuery(
+        [query.atoms[i] for i in sorted(residual.atom_indices)], residual.predicates
+    )
+    return oracle_crossing_max_group_count(
+        sub_query,
+        db,
+        sorted(residual.boundary_relational, key=lambda v: v.name),
+        crossing,
+        sorted(residual.boundary_predicate_only, key=lambda v: v.name),
+        augmented_active_domain(query, db),
+        None if query.is_full else residual.output_variables,
+    )
+
+
+class TestSection52AgainstOracle:
+    """Comparisons crossing the boundary (Section 5.2) against the oracle.
+
+    ``S(a, lo, hi)`` rows are intervals and the outside variable ``b`` must
+    fall inside them, so no single extreme value of ``b`` satisfies every
+    row: ``T_E`` is the largest number of a group's intervals one point
+    hits, and it moves with each operator's strictness.
+    """
+
+    ROWS = {
+        "R": [(1, 3), (1, 5), (2, 4), (2, 9), (3, 1)],
+        "S": [
+            (1, 0, 3), (1, 3, 6), (1, 3, 9), (1, 2, 3),
+            (2, 0, 10), (2, 1, 2), (3, 5, 5),
+        ],
+    }
+    INTERVAL = {
+        "<": "lo < b, b < hi",
+        "<=": "lo <= b, b <= hi",
+        ">": "b > lo, hi > b",
+        ">=": "b >= lo, hi >= b",
+    }
+
+    @pytest.fixture
+    def db(self) -> Database:
+        return self._database(lambda v: v)
+
+    def _database(self, lift) -> Database:
+        rows = {
+            name: [tuple(lift(v) for v in row) for row in table]
+            for name, table in self.ROWS.items()
+        }
+        return Database.from_rows(DatabaseSchema.from_arities({"R": 2, "S": 3}), **rows)
+
+    def _check(self, query, db, kept) -> int:
+        result = boundary_multiplicity(query, db, kept)
+        assert result.strategy == "eliminate+domain"
+        assert result.exact
+        assert result.value == _section52_oracle(query, db, kept)
+        assert (result.witness is None) == (result.value == 0)
+        return result.value
+
+    def test_each_operator(self, db):
+        values = {}
+        for op, interval in self.INTERVAL.items():
+            query = parse_query(f"R(a, b), S(a, lo, hi), {interval}")
+            values[op] = self._check(query, db, [1])
+            self._check(query, db, [0])  # lo and hi range: two outside variables
+        # Group 1's closed intervals all contain 3; open, at most two
+        # share an integer.
+        assert values == {"<": 2, "<=": 4, ">": 2, ">=": 4}
+
+    def test_constant_comparison(self, db):
+        # The constants join the augmented domain and shrink the intervals.
+        query = parse_query("R(a, b), S(a, lo, hi), lo < b, b <= hi, b <= 4, hi >= 3")
+        for kept in ([0], [1]):
+            self._check(query, db, kept)
+
+    def test_two_outside_variables(self):
+        schema = DatabaseSchema.from_arities({"R": 5, "S": 3})
+        db = Database.from_rows(
+            schema,
+            R=[(1, 0, 3, 3, 5), (1, 0, 3, 6, 9), (1, 1, 4, 6, 9), (1, 4, 6, 6, 9)],
+            S=[(1, 0, 0)],
+        )
+        # x must fall in (b, c) and y in (d, e): x = 2 hits three rows and
+        # y = 7 three rows, but together only two.
+        query = parse_query("R(a, b, c, d, e), S(a, x, y), b < x, x < c, d < y, y < e")
+        assert len(residual_query(query, [0]).boundary_predicate_only) == 2
+        assert self._check(query, db, [0]) == 2
+
+    def test_nonfull_counts_distinct_outputs(self, db):
+        query = parse_query("Q(lo) :- R(a, b), S(a, lo, hi), lo <= b, b <= hi")
+        self._check(query, db, [1])
+        # No output variable inside R: occupied groups count 1.
+        self._check(query, db, [0])
+
+    def test_empty_residual(self):
+        db = Database.from_rows(
+            DatabaseSchema.from_arities({"R": 2, "S": 3}), R=self.ROWS["R"], S=[]
+        )
+        query = parse_query("R(a, b), S(a, lo, hi), lo < b, b < hi")
+        result = boundary_multiplicity(query, db, [1])
+        assert (result.value, result.witness, result.exact) == (0, None, True)
+
+    def test_object_value_columns(self):
+        # Values past the int64 range are stored as Python ints in object
+        # columns; comparisons keep Python's semantics.
+        db = self._database(lambda v: 2**64 + v)
+        assert db.relation("S").to_columns()[1].dtype == object
+        query = parse_query(f"R(a, b), S(a, lo, hi), {self.INTERVAL['<=']}")
+        assert self._check(query, db, [1]) == 4
+        self._check(query, db, [0])

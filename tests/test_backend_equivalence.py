@@ -5,8 +5,8 @@ exact backtracking enumeration (``strategy="enumerate"``) and, on instances
 small enough for it, the nested-loop QA oracle
 (:func:`repro.qa.oracle.oracle_count`).  Where elimination claims exactness
 its counts, boundary-multiplicity profiles (and therefore residual
-sensitivities) must equal the references; where it drops a predicate its
-counts must upper-bound them.  Because noise is drawn from the caller's
+sensitivities) must equal the references; where it drops a predicate
+(a bucket above the row cap) its counts must upper-bound them.  Because noise is drawn from the caller's
 generator after those deterministic values are fixed, seeded releases must
 be *bitwise identical* to those calibrated from exact enumeration.
 
@@ -33,7 +33,7 @@ from repro.exceptions import EvaluationError
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
 from repro.mechanisms.mechanism import PrivateCountingQuery
-from repro.qa.oracle import oracle_count
+from repro.qa.oracle import oracle_count, oracle_group_counts
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
@@ -129,26 +129,38 @@ def test_random_instances_counts_identical():
 # --------------------------------------------------------------------- #
 # Level 2: group counts and sensitivity profiles
 # --------------------------------------------------------------------- #
-def test_group_counts_identical_including_bookkeeping(graph_db):
+def test_group_counts_identical_including_bookkeeping(graph_db, monkeypatch):
     query = parse_query("Edge(x, y), Edge(y, z), x != z")
+    groups = [(), ("y",), ("x", "z"), ("z", "y")]
+
+    def eliminate_each():
+        for group in groups:
+            group_vars = tuple(
+                v for name in group for v in query.variables if v.name == name
+            )
+            result = eliminate_group_counts_columnar(query, graph_db, group_vars)
+            internal = {v for v in query.variables if v not in group_vars}
+            assert result.group_variables == group_vars
+            assert set(result.elimination_order) == internal
+            assert result.is_exact == (not result.dropped_predicates)
+            yield result, group_counts(query, graph_db, group_vars)
+
+    # x != z spans both atoms; the predicate-aware plan applies it for every
+    # grouping, including those that sum x or z out.
+    for result, reference in eliminate_each():
+        assert result.is_exact
+        assert result.counts == reference
+    # Above the row cap the predicate-blind plan drops it wherever x or z is
+    # summed out before the other joins in.
+    monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
     exactness = []
-    for group in [(), ("y",), ("x", "z"), ("z", "y")]:
-        group_vars = tuple(
-            v for name in group for v in query.variables if v.name == name
-        )
-        result = eliminate_group_counts_columnar(query, graph_db, group_vars)
-        reference = group_counts(query, graph_db, group_vars)
-        internal = {v for v in query.variables if v not in group_vars}
-        assert result.group_variables == group_vars
-        assert set(result.elimination_order) == internal
+    for result, reference in eliminate_each():
         assert set(result.dropped_predicates) <= set(query.predicates)
-        assert result.is_exact == (not result.dropped_predicates)
         if result.is_exact:
             assert result.counts == reference
         else:
             assert all(result.counts.get(k, 0) >= v for k, v in reference.items())
         exactness.append(result.is_exact)
-    # The group list covers both a dropped and an honoured inequality.
     assert True in exactness and False in exactness
 
 
@@ -195,15 +207,30 @@ def _triangle_with(predicate) -> ConjunctiveQuery:
     )
 
 
+def _spy_on_matmul(monkeypatch) -> list:
+    calls = []
+    matmul = columnar._matmul_aggregate
+
+    def spy(*args):
+        calls.append(args)
+        return matmul(*args)
+
+    monkeypatch.setattr(columnar, "_matmul_aggregate", spy)
+    return calls
+
+
 def test_matmul_fast_path_parity(monkeypatch):
-    """Heavy buckets take the sparse-matmul path and stay sound.
+    """Heavy buckets take the sparse-matmul path and stay exact.
 
     The matmul fast path cannot honour predicates involving the summed-out
-    variables: it drops them, making the counts upper bounds, and the
-    counting API then falls back to exact enumeration.  The threshold is
-    monkeypatched down so a small instance exercises the path.
+    variables, so a bucket with one joins instead.  Above the row cap the
+    predicate-blind plan takes the fast path and drops the predicate,
+    making the counts upper bounds, and the counting API then falls back to
+    exact enumeration.  The threshold is monkeypatched down so a small
+    instance exercises the path.
     """
     monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 4)
+    calls = _spy_on_matmul(monkeypatch)
 
     schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2})
     rng = np.random.default_rng(0)
@@ -214,22 +241,37 @@ def test_matmul_fast_path_parity(monkeypatch):
 
     parity = GenericPredicate(lambda x, y, z: (x + y + z) % 2 == 0, ["x", "y", "z"])
     query = _triangle_with(parity)
-    result = eliminate_group_counts_columnar(query, db, ())
-    # The fast path genuinely engaged: the predicate could not be honoured.
-    assert not result.is_exact
-    assert result.dropped_predicates == (parity,)
     expected = oracle_count(query, db)
-    assert result.counts[()] >= expected
-    # The full counting API falls back to exact enumeration.
-    assert count_query(query, db) == expected
+    result = eliminate_group_counts_columnar(query, db, ())
+    assert result.is_exact
+    assert result.counts == {(): expected}
 
-    # Without the predicate the matmul product is exact.
+    # A two-atom path summing y out is a matmul-shaped bucket, but the
+    # predicate names y: the bucket joins and the counts stay exact.
+    path = ConjunctiveQuery(query.atoms[:2], predicates=[parity])
+    x, z = (v for v in path.variables if v.name in ("x", "z"))
+    result = eliminate_group_counts_columnar(path, db, (x, z))
+    assert result.is_exact
+    assert result.counts == oracle_group_counts(path, db, (x, z))
+    assert not calls
+
+    # Without the predicate the fast path engages, and its product is exact.
     plain = ConjunctiveQuery(query.atoms)
     assert eliminate_group_counts_columnar(plain, db, ()).counts[()] == oracle_count(plain, db)
+    assert calls
+
+    # Above the row cap the fast path drops the predicate; the full
+    # counting API falls back to exact enumeration.
+    monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+    capped = eliminate_group_counts_columnar(query, db, ())
+    assert capped.dropped_predicates == (parity,)
+    assert capped.counts[()] >= expected
+    assert count_query(query, db) == expected
 
 
 def test_matmul_no_matching_mids_parity(monkeypatch):
-    """The matmul early exit (no join partners) keeps the predicate pending."""
+    """No join partners: the empty result is exact, and above the row cap
+    the fast path leaves the predicate pending, to be reported dropped."""
     monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 0)
     schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2})
     db = Database.from_rows(
@@ -241,8 +283,12 @@ def test_matmul_no_matching_mids_parity(monkeypatch):
     parity = GenericPredicate(lambda x, y, z: True, ["x", "y", "z"])
     query = _triangle_with(parity)
     result = eliminate_group_counts_columnar(query, db, ())
+    assert result.is_exact
     assert result.counts == {}
-    assert result.dropped_predicates == (parity,)
+    monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+    capped = eliminate_group_counts_columnar(query, db, ())
+    assert capped.counts == {}
+    assert capped.dropped_predicates == (parity,)
     assert count_query(query, db) == oracle_count(query, db) == 0
 
 

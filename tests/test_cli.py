@@ -336,78 +336,3 @@ class TestStateCommand:
     def test_state_requires_action(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["state"])
-
-
-class TestRetiredBackendOption:
-    """``--backend`` and ``/register``'s ``"backend"`` are accepted, reported
-    as deprecated, and change nothing: one engine answers every query."""
-
-    @staticmethod
-    def _count(edge_file, *extra):
-        return main(
-            [
-                "count", "--edge-file", str(edge_file), "--query", "Edge(x, y), Edge(y, z)",
-                "--epsilon", "0.8", "--seed", "3", "--json", *extra,
-            ]
-        )
-
-    def test_count_accepts_auto_backend(self, edge_file, capsys):
-        assert self._count(edge_file) == 0
-        plain = capsys.readouterr()
-        assert self._count(edge_file, "--backend", "auto") == 0
-        flagged = capsys.readouterr()
-        assert json.loads(flagged.out) == json.loads(plain.out)
-        assert "backend" not in json.loads(flagged.out)
-
-    def test_backend_is_accepted_warned_and_ignored(self, edge_file, capsys):
-        import threading
-        import urllib.request
-
-        from repro.service import PrivateQueryService
-        from repro.service.api import make_server
-
-        assert self._count(edge_file) == 0
-        plain = capsys.readouterr()
-        assert "deprecated" not in plain.err
-        assert self._count(edge_file, "--backend", "python") == 0
-        flagged = capsys.readouterr()
-        assert flagged.err.count("deprecated and ignored") == 1
-        assert flagged.out == plain.out
-
-        def register_and_count(extra: dict) -> tuple[dict, dict]:
-            service = PrivateQueryService(session_budget=5.0, rng=11)
-            server = make_server(service, "127.0.0.1", 0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
-            thread.start()
-            host, port = server.server_address[:2]
-
-            def post(path: str, payload: dict) -> dict:
-                request = urllib.request.Request(
-                    f"http://{host}:{port}{path}",
-                    data=json.dumps(payload).encode("utf-8"),
-                    headers={"Content-Type": "application/json"},
-                    method="POST",
-                )
-                with urllib.request.urlopen(request) as response:
-                    return json.loads(response.read())
-
-            try:
-                edges = [[0, 1], [1, 2], [2, 0], [2, 3]]
-                registered = post("/register", {"name": "g", "edges": edges, **extra})
-                answer = post(
-                    "/count", {"database": "g", "query": "Edge(x, y)", "epsilon": 0.5}
-                )
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
-                service.close()
-            return registered, answer
-
-        registered, answer = register_and_count({"backend": "python"})
-        baseline_registered, baseline = register_and_count({})
-        assert "deprecated and ignored" in registered["warnings"][0]
-        assert "warnings" not in baseline_registered
-        assert "backend" not in registered
-        assert answer == baseline
-        assert answer["backend"] == "numpy"

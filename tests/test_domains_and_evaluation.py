@@ -75,19 +75,19 @@ class TestEvaluation:
             query, small_join_db, strategy="enumerate"
         )
 
-    def test_eliminate_strategy_rejects_unapplicable_predicates(self, k4_db):
+    def test_eliminate_strategy_rejects_unapplicable_predicates(self, k4_db, monkeypatch):
+        from repro.engine import columnar
         from repro.graphs.patterns import k_path_query
 
         query = k_path_query(3)  # contains non co-occurring inequalities
-        # "eliminate" must refuse rather than silently over-count...
-        try:
-            value = count_query(query, k4_db, strategy="eliminate")
-        except EvaluationError:
-            value = None
         exact = count_query(query, k4_db, strategy="enumerate")
-        if value is not None:
-            # ... unless this elimination order happened to apply everything.
-            assert value == exact
+        # The predicate-aware plan applies every one of them...
+        assert count_query(query, k4_db, strategy="eliminate") == exact
+        # ... and above its row cap "eliminate" must refuse rather than
+        # silently over-count.
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+        with pytest.raises(EvaluationError):
+            count_query(query, k4_db, strategy="eliminate")
 
     def test_unknown_strategy(self, join_query, small_join_db):
         with pytest.raises(EvaluationError):

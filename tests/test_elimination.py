@@ -14,7 +14,8 @@ from repro.engine.evaluation import count_query
 from repro.engine.join import group_counts
 from repro.exceptions import EvaluationError
 from repro.graphs.loader import database_from_edges
-from repro.graphs.patterns import k_path_query, triangle_query
+from repro.graphs.patterns import k_cycle_query, k_path_query, triangle_query
+from repro.qa.oracle import oracle_count, oracle_group_counts
 from repro.query.atoms import Variable
 from repro.query.parser import parse_query
 
@@ -39,8 +40,8 @@ class TestAgainstEnumeration:
     def test_path3_with_all_inequalities_drops_far_predicate(self, k4_db):
         query = k_path_query(3)  # x1..x4 with all-pairs inequalities
         result = eliminate_group_counts_columnar(query, k4_db, [])
-        # The x1 != x4 (or similar non co-occurring) predicate may be dropped;
-        # the result is then an upper bound on the exact count.
+        # The non co-occurring predicates (x1 != x4, ...) are applied below
+        # the row cap; one dropped above it makes the result an upper bound.
         exact = group_counts(query, k4_db, []).get((), 0)
         value = result.counts.get((), 0)
         if result.is_exact:
@@ -90,21 +91,19 @@ class TestValidation:
 
 
 class TestAgainstBruteForceOnGraphs:
-    def test_star_boundary_counts(self, small_graph_db):
+    def test_star_boundary_counts(self, small_graph_db, monkeypatch):
         # 3-star residual {0, 1}: Edge(x0,x1), Edge(x0,x2) grouped by x0.  The
-        # leaf-distinctness predicate x1 != x2 cannot be applied by this
-        # elimination order (the leaves live in different buckets), so the
-        # elimination counts are upper bounds d(x0)^2 of the exact d(x0)(d(x0)-1).
+        # leaves are summed out in different buckets, so the bucket of the
+        # first one also takes the other leaf's atom and applies x1 != x2
+        # there: the counts are the exact d(x0)(d(x0)-1).
         from repro.graphs.patterns import k_star_query
 
         query = k_star_query(3)
         boundary = [Variable("x0")]
         result = eliminate_group_counts_columnar(query, small_graph_db, boundary, atom_indices=[0, 1])
         expected = group_counts(query, small_graph_db, boundary, atom_indices=[0, 1])
-        assert not result.is_exact
-        assert set(result.counts) >= set(expected)
-        for key, exact_count in expected.items():
-            assert result.counts[key] >= exact_count
+        assert result.is_exact
+        assert result.counts == expected
         # Without the cross-bucket predicate both engines agree exactly.
         relaxed = k_star_query(3, inequalities=False)
         result_relaxed = eliminate_group_counts_columnar(
@@ -114,6 +113,67 @@ class TestAgainstBruteForceOnGraphs:
             relaxed, small_graph_db, boundary, atom_indices=[0, 1]
         )
         assert result_relaxed.counts == expected_relaxed
+        # Above the row cap the predicate-blind plan drops x1 != x2: the
+        # counts are then upper bounds d(x0)^2.
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+        capped = eliminate_group_counts_columnar(query, small_graph_db, boundary, atom_indices=[0, 1])
+        assert not capped.is_exact
+        assert set(capped.counts) == set(expected)
+        for key, exact_count in expected.items():
+            assert capped.counts[key] >= exact_count
+
+
+class TestPredicateAwarePlan:
+    """Predicates spanning buckets are applied exactly below the row cap,
+    and dropped (with the enumeration fallback) above it."""
+
+    def test_path_inequalities_are_exact_for_every_grouping(self, small_graph_db):
+        query = k_path_query(3)  # x1..x4 with all-pairs inequalities
+        names = {v.name: v for v in query.variables}
+        for group in [(), ("x1",), ("x1", "x4"), ("x4", "x2")]:
+            group_vars = [names[n] for n in group]
+            result = eliminate_group_counts_columnar(query, small_graph_db, group_vars)
+            assert result.is_exact, group
+            assert result.counts == oracle_group_counts(query, small_graph_db, group_vars)
+
+    def test_cap_bounds_every_materialised_join(self, small_graph_db, monkeypatch):
+        # The 4-star's leaves are pairwise linked, so its plan joins every
+        # atom in one bucket; with a cap below that join, no join of the
+        # predicate-aware plan may materialise more than the cap.
+        from repro.graphs.patterns import k_star_query
+
+        cap = 60
+        sizes = []
+        expand = columnar._expand_matches
+
+        def recording(lkey, rkey, row_cap=None):
+            left_idx, right_idx = expand(lkey, rkey, row_cap)
+            if row_cap is not None:
+                sizes.append(len(left_idx))
+            return left_idx, right_idx
+
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", cap)
+        monkeypatch.setattr(columnar, "_expand_matches", recording)
+        query = k_star_query(4)
+        result = eliminate_group_counts_columnar(query, small_graph_db, [])
+        assert not result.is_exact
+        assert sizes and max(sizes) <= cap
+        assert count_query(query, small_graph_db) == oracle_count(query, small_graph_db)
+
+    def test_cycle5_path_residuals_exact_without_enumeration(self, small_graph_db):
+        # Each 4-atom residual of the 5-cycle is a 4-edge path with all-pairs
+        # inequalities, grouped by its two end points.  A step cap far below
+        # the enumeration cost leaves elimination as the only exact route.
+        query = k_cycle_query(5)
+        for dropped in range(5):
+            kept = [i for i in range(5) if i != dropped]
+            result = boundary_multiplicity(query, small_graph_db, kept, max_enumeration=10)
+            reference = boundary_multiplicity(
+                query, small_graph_db, kept, strategy="enumerate", max_enumeration=None
+            )
+            assert result.exact, kept
+            assert result.strategy == "eliminate"
+            assert result.value == reference.value, kept
 
 
 class TestExactBeyondInt64:

@@ -13,13 +13,15 @@ Three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.engine import aggregates, evaluation
-from repro.engine.columnar import EliminationResult, eliminate_group_counts_columnar
+from repro.engine.columnar import eliminate_group_counts_columnar
 from repro.engine.evaluation import count_query
 from repro.qa.calibration import LEVELS, verify_calibration
 from repro.qa.generator import WorkloadGenerator
@@ -170,15 +172,10 @@ def corrupted_engine(monkeypatch):
 
     def corrupted(query, database, group_variables, **kwargs):
         result = eliminate_group_counts_columnar(query, database, group_variables, **kwargs)
-        counts = {key: value + 1 for key, value in result.counts.items()}
-        if not counts:
-            counts = {(): 1}
-        return EliminationResult(
-            counts=counts,
-            group_variables=result.group_variables,
-            dropped_predicates=result.dropped_predicates,
-            elimination_order=result.elimination_order,
-        )
+        counts = result.count_array + 1
+        if not len(counts) and not result.group_variables:
+            counts = np.ones(1, dtype=np.int64)
+        return dataclasses.replace(result, count_array=counts)
 
     for module in (aggregates, evaluation):
         monkeypatch.setattr(module, "eliminate_group_counts_columnar", corrupted)
@@ -230,17 +227,6 @@ class TestFuzzCli:
         assert fuzz["checks_run"] == 2 * len(CHECKS)
         assert fuzz["failures"] == []
         assert payload["calibration"] is None
-
-    def test_backend_flag_is_accepted_and_ignored(self, capsys):
-        argv = ["fuzz", "--cases", "1", "--seed", "0", "--calibration-samples", "0", "--json"]
-        assert main(argv) == 0
-        plain = capsys.readouterr()
-        assert main(argv + ["--backend", "python"]) == 0
-        flagged = capsys.readouterr()
-        assert "deprecated and ignored" in flagged.err
-        assert "deprecated" not in plain.err
-        assert json.loads(flagged.out) == json.loads(plain.out)
-        assert "backend" not in json.loads(flagged.out)["fuzz"]
 
     def test_injected_fault_fails_the_cli_with_replay_snippet(
         self, corrupted_engine, capsys
