@@ -53,6 +53,12 @@ connection can never be misparsed against leftover body bytes.  Non-finite
 numbers (``NaN``, ``Infinity``) are rejected both on input (400) and on
 output (responses are serialised with ``allow_nan=False``).
 
+Every reply leaves in one ``write`` on a ``TCP_NODELAY`` socket.  Sending
+the headers and the body in two writes let Nagle's algorithm (RFC 896) hold
+the body until the client's delayed ACK of the headers arrived (RFC 1122
+§4.2.3.2) — ~40 ms on every keep-alive request; one write and no Nagle make
+a warm ``/count`` cost one round trip.
+
 This front end is built on :mod:`http.server` so the library stays
 dependency-free; production deployments would put a real WSGI/ASGI server in
 front of :class:`PrivateQueryService` the same way this module does.
@@ -207,6 +213,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     service: PrivateQueryService  # bound by make_server()
     log_requests = False
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted socket (the stdlib
+    #: ``StreamRequestHandler`` switch).  ``wfile`` stays unbuffered, so an
+    #: ``Expect: 100-continue`` interim reply still leaves at once; every
+    #: final reply is a single write (:meth:`_send`).
+    disable_nagle_algorithm = True
     #: Optional :class:`~repro.service.cluster.CapacityBoard` slot; when
     #: bound, ``/count`` and ``/batch`` pass admission control before any
     #: service work (and shed with 503 + ``Retry-After`` when full).
@@ -274,6 +285,31 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 return
             remaining -= len(chunk)
 
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Mapping[str, str] | None = None,
+    ) -> None:
+        """Send one complete reply — status line, headers, blank line, body —
+        in a single write (see the module docstring)."""
+        self._drain_unread_body()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        # end_headers() would send the buffered head on its own, leaving the
+        # body for a second send; join them instead.  An HTTP/0.9 request
+        # buffers no head at all and gets the bare body, as end_headers()
+        # would have sent it.
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write((head + b"\r\n" + body) if head else body)
+
     def _send_json(
         self,
         status: int,
@@ -289,16 +325,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             body = json.dumps(
                 {"error": "internal error: response contained a non-finite number"}
             ).encode("utf-8")
-        self._drain_unread_body()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, "application/json", headers)
 
     def _send_error_json(
         self, status: int, message: str, headers: Mapping[str, str] | None = None
@@ -340,17 +367,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         else:
             self._send_json(status, payload)
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        encoded = body.encode("utf-8")
-        self._drain_unread_body()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(encoded)
-
     def _get_metrics(self) -> None:
         registry = self.service.metrics
         if registry is None:
@@ -364,7 +380,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(500, f"internal error: {exc}")
             return
         # The Prometheus text exposition content type (format version 0.0.4).
-        self._send_text(200, body, "text/plain; version=0.0.4; charset=utf-8")
+        self._send(200, body.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8")
 
     # ------------------------------------------------------------------ #
     # Routes

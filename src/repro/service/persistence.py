@@ -15,7 +15,11 @@ of a **write-ahead journal** and **periodic compacted snapshots**:
   written atomically (temp file + ``fsync`` + ``rename``) every
   ``snapshot_interval`` journal records; the journal is then truncated.
   A crash between rename and truncate is harmless because replay skips
-  journal records with ``seq`` ≤ the snapshot's cut.
+  journal records with ``seq`` ≤ the snapshot's cut.  Format 2 stores each
+  ledger as ``folded: [total, count]`` — the left fold and length of its
+  committed prefix — plus the charges it still holds, so a snapshot costs
+  O(sessions + open reservations), not O(every charge ever); format-1
+  snapshots (every charge listed) still load.
 * :class:`StateStore` — the façade owning a state directory
   (``journal.jsonl`` + ``snapshot.json``), used by
   :class:`~repro.service.service.PrivateQueryService` via ``state_dir=``.
@@ -33,12 +37,12 @@ serving layer acquires the store lock first (see ``SessionManager`` and
 
 What is (and is not) persisted
 ------------------------------
-Persisted: session ledgers (budgets, every charge), the shared deployment
-budget's spent total, audit-log totals and a bounded tail, and versioned
-metadata of registered databases — including per-relation sizes and
-mutation **epochs**, kept current by ``mutate`` records (see
-``docs/mutation.md``) — so re-registering after a restart resumes the
-version sequence and stale cache keys can never be resurrected.
+Persisted: session ledgers and the shared deployment budget (budget,
+folded committed prefix, open charges), audit-log totals and a bounded
+tail, and versioned metadata of registered databases — including
+per-relation sizes and mutation **epochs**, kept current by ``mutate``
+records (see ``docs/mutation.md``) — so re-registering after a restart
+resumes the version sequence and stale cache keys can never be resurrected.
 Not persisted: database *contents* (re-register them after a restart,
 then replay any mutations from your own feed), caches (they rebuild), and
 the noise generator state (a restarted seeded service starts a fresh
@@ -83,6 +87,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.exceptions import ServiceError
+from repro.mechanisms.accountant import PrivacyAccountant, fold_epsilons
 
 __all__ = [
     "LedgerJournal",
@@ -90,6 +95,7 @@ __all__ = [
     "RecoveredState",
     "StateStore",
     "exclusive_or_null",
+    "ledger_entry",
     "replay_records",
 ]
 
@@ -103,7 +109,9 @@ def exclusive_or_null(store: "StateStore | None"):
     """
     return contextlib.nullcontext() if store is None else store.exclusive()
 
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
+#: Snapshot formats recovery reads: 1 listed every charge of a ledger.
+READABLE_SNAPSHOT_FORMATS = (1, 2)
 
 #: Journal event types (the ``event`` field of every record).
 EVENTS = (
@@ -252,12 +260,20 @@ class RecoveredSession:
 
     session_id: str
     budget: float
+    #: Charges after the folded prefix, oldest first.
     charges: list[tuple[float, str]] = field(default_factory=list)
+    #: ``(total, count)`` of the committed prefix a snapshot folded away.
+    folded: tuple[float, int] = (0.0, 0)
 
     @property
     def spent(self) -> float:
-        """Total ε consumed by the recovered charges."""
-        return sum(epsilon for epsilon, _ in self.charges)
+        """Total ε consumed: the left fold of the folded prefix and the charges."""
+        return fold_epsilons((epsilon for epsilon, _ in self.charges), self.folded[0])
+
+    @property
+    def charge_count(self) -> int:
+        """How many charges the ledger holds, folded ones included."""
+        return self.folded[1] + len(self.charges)
 
     def describe(self) -> dict[str, Any]:
         """A JSON-serialisable budget view (mirrors ``Session.describe``)."""
@@ -267,7 +283,7 @@ class RecoveredSession:
             "budget": self.budget,
             "spent": spent,
             "remaining": self.budget - spent,
-            "charges": len(self.charges),
+            "charges": self.charge_count,
         }
 
 
@@ -277,7 +293,10 @@ class RecoveredState:
 
     seq: int = 0
     sessions: dict[str, RecoveredSession] = field(default_factory=dict)
+    #: Shared-budget charges after the folded prefix, oldest first.
     shared_charge_list: list[tuple[float, str]] = field(default_factory=list)
+    #: ``(total, count)`` of the shared budget's folded committed prefix.
+    shared_folded: tuple[float, int] = (0.0, 0)
     audit_total: int = 0
     audit_tail: list[dict[str, Any]] = field(default_factory=list)
     databases: dict[str, dict[str, Any]] = field(default_factory=dict)
@@ -290,12 +309,14 @@ class RecoveredState:
     @property
     def shared_spent(self) -> float:
         """Total ε drawn from the shared deployment budget."""
-        return sum(epsilon for epsilon, _ in self.shared_charge_list)
+        return fold_epsilons(
+            (epsilon for epsilon, _ in self.shared_charge_list), self.shared_folded[0]
+        )
 
     @property
     def shared_charges(self) -> int:
         """Number of charges against the shared deployment budget."""
-        return len(self.shared_charge_list)
+        return self.shared_folded[1] + len(self.shared_charge_list)
 
     def describe(self) -> dict[str, Any]:
         """A JSON-serialisable summary (the ``state replay`` CLI output)."""
@@ -449,24 +470,44 @@ def replay_records(
     return state
 
 
+def ledger_entry(ledger: PrivacyAccountant) -> dict[str, list]:
+    """A ledger's snapshot entry (format 2): ``folded: [total, count]`` plus
+    the ``[epsilon, label]`` charges it still holds, oldest first."""
+    (total, count), charges = ledger.snapshot()
+    return {
+        "folded": [total, count],
+        "charges": [[charge.epsilon, charge.label] for charge in charges],
+    }
+
+
+def _ledger_from_snapshot(
+    entry: Mapping[str, Any],
+) -> tuple[tuple[float, int], list[tuple[float, str]]]:
+    """A snapshot ledger's folded prefix and charges (format 1 has no prefix)."""
+    total, count = entry.get("folded", (0.0, 0))
+    charges = [(float(epsilon), str(label)) for epsilon, label in entry.get("charges", [])]
+    return (float(total), int(count)), charges
+
+
 def _state_from_snapshot(snapshot: Mapping[str, Any]) -> RecoveredState:
-    if snapshot.get("format") != SNAPSHOT_FORMAT:
+    if snapshot.get("format") not in READABLE_SNAPSHOT_FORMATS:
         raise ServiceError(
             f"unsupported snapshot format {snapshot.get('format')!r} "
-            f"(this build reads format {SNAPSHOT_FORMAT})"
+            f"(this build reads formats {READABLE_SNAPSHOT_FORMATS})"
         )
     state = RecoveredState(seq=int(snapshot.get("seq", 0)))
     for entry in snapshot.get("sessions", []):
+        folded, charges = _ledger_from_snapshot(entry)
         session = RecoveredSession(
             session_id=entry["session"],
             budget=float(entry["budget"]),
-            charges=[(float(e), str(l)) for e, l in entry.get("charges", [])],
+            charges=charges,
+            folded=folded,
         )
         state.sessions[session.session_id] = session
-    shared = snapshot.get("shared") or {}
-    state.shared_charge_list = [
-        (float(epsilon), str(label)) for epsilon, label in shared.get("charges", [])
-    ]
+    state.shared_folded, state.shared_charge_list = _ledger_from_snapshot(
+        snapshot.get("shared") or {}
+    )
     audit = snapshot.get("audit") or {}
     state.audit_total = int(audit.get("total_recorded", 0))
     state.audit_tail = list(audit.get("tail", []))

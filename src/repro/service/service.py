@@ -513,12 +513,19 @@ class PrivateQueryService:
 
     def _restore(self, recovered: RecoveredState) -> None:
         """Rebuild sessions, budgets, audit and registry metadata — silently
-        (no journaling: the state came *from* the journal)."""
+        (no journaling: the state came *from* the journal).
+
+        A single-writer store settles every restored charge: its open
+        reservations died with the process that made them.  Cluster workers
+        keep restored charges open, because a sibling's rollback may still
+        remove one."""
+        settled = not self._store.shared
         for session in recovered.sessions.values():
-            self._sessions.restore_session(session)
+            self._sessions.restore_session(session, settled=settled)
         if self._sessions.shared is not None:
-            for epsilon, label in recovered.shared_charge_list:
-                self._sessions.shared.restore_charge(epsilon, label=label)
+            self._sessions.shared.restore_ledger(
+                recovered.shared_folded, recovered.shared_charge_list, settled=settled
+            )
         if recovered.audit_total:
             self._sessions.audit.restore(recovered.audit_tail, recovered.audit_total)
         self._registry.restore(recovered.versions, recovered.databases)

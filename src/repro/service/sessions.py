@@ -31,12 +31,13 @@ import math
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import PrivacyError, ServiceError, UnknownResourceError
 from repro.mechanisms.accountant import BudgetCharge, PrivacyAccountant
-from repro.service.persistence import AUDIT_TAIL_LIMIT, exclusive_or_null
+from repro.service.persistence import AUDIT_TAIL_LIMIT, exclusive_or_null, ledger_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.service.persistence import RecoveredSession, StateStore
@@ -111,7 +112,8 @@ class AuditLog:
             raise ServiceError(f"max_records must be positive, got {max_records}")
         self._max_records = max_records
         self._lock = threading.RLock()
-        self._records: list[AuditRecord] = []
+        # A full deque drops its oldest record in O(1) on append.
+        self._records: deque[AuditRecord] = deque(maxlen=max_records)
         self._seq = itertools.count()
         self._total = 0
 
@@ -139,14 +141,12 @@ class AuditLog:
             )
             self._records.append(record)
             self._total += 1
-            if len(self._records) > self._max_records:
-                del self._records[: len(self._records) - self._max_records]
         return record
 
     def tail(self, n: int = 50) -> list[AuditRecord]:
         """The most recent ``n`` records, oldest first."""
         with self._lock:
-            return self._records[-n:] if n > 0 else []
+            return list(itertools.islice(reversed(self._records), max(n, 0)))[::-1]
 
     def restore(self, tail: list[dict[str, Any]], total_recorded: int) -> None:
         """Reload the log from recovered state (a bounded tail + the total).
@@ -160,19 +160,22 @@ class AuditLog:
                 raise ServiceError("cannot restore an audit log that already has records")
             kept = tail[-self._max_records:]
             base = total_recorded - len(kept)
-            self._records = [
-                AuditRecord(
-                    seq=base + offset,
-                    session_id=str(entry.get("session", "-")),
-                    action=str(entry.get("action", "")),
-                    epsilon=float(entry.get("epsilon", 0.0)),
-                    label=str(entry.get("label", "")),
-                    ok=bool(entry.get("ok", True)),
-                    detail=str(entry.get("detail", "")),
-                    timestamp=float(entry.get("timestamp", 0.0)),
-                )
-                for offset, entry in enumerate(kept)
-            ]
+            self._records = deque(
+                (
+                    AuditRecord(
+                        seq=base + offset,
+                        session_id=str(entry.get("session", "-")),
+                        action=str(entry.get("action", "")),
+                        epsilon=float(entry.get("epsilon", 0.0)),
+                        label=str(entry.get("label", "")),
+                        ok=bool(entry.get("ok", True)),
+                        detail=str(entry.get("detail", "")),
+                        timestamp=float(entry.get("timestamp", 0.0)),
+                    )
+                    for offset, entry in enumerate(kept)
+                ),
+                maxlen=self._max_records,
+            )
             self._total = total_recorded
             self._seq = itertools.count(total_recorded)
 
@@ -216,7 +219,7 @@ class Session:
             "budget": self.ledger.total_budget,
             "spent": spent,
             "remaining": self.ledger.total_budget - spent,
-            "charges": len(self.ledger.charges),
+            "charges": self.ledger.charge_count,
             "closed": self.closed,
         }
 
@@ -263,11 +266,15 @@ class ChargeTransaction:
         """Finalise the charge (the release was produced).
 
         The charge was already journaled and audited atomically at reserve
-        time; committing simply forfeits the right to roll back.
+        time; committing forfeits the right to roll back, so each ledger
+        settles its reservation and can fold it away (see
+        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.settle`).
         """
         if self._state != "reserved":
             raise ServiceError(f"cannot commit a {self._state} charge transaction")
         self._state = "committed"
+        for accountant, record in self._reservations:
+            accountant.settle(record)
 
     def rollback(self, reason: str = "") -> None:
         """Refund both reservations and journal the refusal."""
@@ -449,11 +456,13 @@ class SessionManager:
         with self._lock:
             return sorted(self._sessions)
 
-    def restore_session(self, recovered: "RecoveredSession") -> Session:
+    def restore_session(self, recovered: "RecoveredSession", *, settled: bool) -> Session:
         """Rebuild a session from recovered journal state.
 
         Silent by design: no journal record (the state came *from* the
         journal) and no audit entry (the audit log is restored separately).
+        ``settled`` commits every restored charge (see
+        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.restore_ledger`).
         """
         with self._lock:
             if recovered.session_id in self._sessions:
@@ -463,8 +472,9 @@ class SessionManager:
             session = Session(
                 recovered.session_id, recovered.budget, created_at=self._clock()
             )
-            for epsilon, label in recovered.charges:
-                session.ledger.restore_charge(epsilon, label=label)
+            session.ledger.restore_ledger(
+                recovered.folded, recovered.charges, settled=settled
+            )
             self._sessions[recovered.session_id] = session
         return session
 
@@ -488,6 +498,9 @@ class SessionManager:
         affordability decision.  Mirrors :func:`~repro.service.persistence.replay_records`
         and the live mutation paths exactly — audit entries included — so a
         worker's ``/stats`` always matches an offline journal replay.
+        Absorbed charges stay open (unsettled): the journal records no
+        commits, and the sibling may still roll one back, so a worker's
+        ledgers cannot fold past the first absorbed charge.
         """
         event = record["event"]
         session_id = record.get("session")
@@ -751,7 +764,9 @@ class SessionManager:
 
         Called by the :class:`~repro.service.persistence.StateStore` *while
         holding its store lock*, which quiesces every mutating path, so the
-        ledgers can be read consistently.
+        ledgers can be read consistently.  Each ledger is its folded prefix
+        ``[total, count]`` plus the charges it still holds (snapshot format
+        2), so the document grows with open reservations, not with history.
         """
         with self._lock:
             sessions = list(self._sessions.values())
@@ -760,21 +775,14 @@ class SessionManager:
                 {
                     "session": session.session_id,
                     "budget": session.ledger.total_budget,
-                    "charges": [
-                        [charge.epsilon, charge.label] for charge in session.ledger.charges
-                    ],
+                    **ledger_entry(session.ledger),
                 }
                 for session in sessions
             ],
             "shared": (
                 None
                 if self.shared is None
-                else {
-                    "spent": self.shared.spent,
-                    "charges": [
-                        [charge.epsilon, charge.label] for charge in self.shared.charges
-                    ],
-                }
+                else {"spent": self.shared.spent, **ledger_entry(self.shared)}
             ),
             "audit": {
                 "total_recorded": self.audit.total_recorded,

@@ -182,6 +182,34 @@ class TestPrivacyAccountant:
         assert accountant.remaining == pytest.approx(1.0)
         accountant.charge(1.0)  # affordable again
 
+    def test_folding_continues_the_left_fold(self):
+        """Folding a settled prefix must not regroup the additions:
+        (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit."""
+        expected = (0.1 + 0.2) + 0.3
+        assert expected != 0.1 + (0.2 + 0.3)
+        accountant = PrivacyAccountant(total_budget=10.0)
+        accountant.settle(accountant.charge(0.1))
+        open_record = accountant.charge(0.2)
+        accountant.settle(accountant.charge(0.3))  # held behind the open 0.2
+        accountant.settle(open_record)  # folds 0.2 and 0.3 onto 0.1 at once
+        (total, count), tail = accountant.snapshot()
+        assert (total.hex(), count, tail) == (expected.hex(), 3, [])
+        assert accountant.spent.hex() == expected.hex()
+
+    def test_restore_ledger_continues_the_fold(self):
+        accountant = PrivacyAccountant(total_budget=10.0)
+        accountant.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")], settled=False)
+        assert accountant.spent.hex() == ((0.1 + 0.2) + 0.3).hex()
+        assert accountant.charge_count == 3
+        assert accountant.remove_charge(0.2, label="q")  # open: a rollback may name it
+        assert accountant.spent.hex() == (0.1 + 0.3).hex()
+        settled = PrivacyAccountant(total_budget=10.0)
+        settled.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")], settled=True)
+        assert settled.charges == [] and settled.charge_count == 3
+        assert not settled.remove_charge(0.2, label="q")
+        with pytest.raises(PrivacyError):  # only an empty ledger takes one
+            settled.restore_ledger((0.0, 0), [], settled=True)
+
     def test_concurrent_charges_never_overspend(self):
         import threading
 

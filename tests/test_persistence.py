@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -179,7 +180,11 @@ class TestRecovery:
         service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
         service.close()
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
-        assert snapshot["format"] == 1
+        assert snapshot["format"] == 2
+        # The committed charge is folded into the ledger's prefix.
+        (session,) = snapshot["sessions"]
+        assert session["folded"] == [0.5, 1]
+        assert session["charges"] == []
         assert (tmp_path / "journal.jsonl").read_text() == ""
         recovered = make_service(tmp_path)
         assert recovered.budget(sid)["spent"] == pytest.approx(0.5)
@@ -241,11 +246,11 @@ class TestRecovery:
         sid = service.create_session(budget=5.0).session_id
         for _ in range(3):
             service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
-        assert len(service.sessions.shared.charges) == 3
+        assert service.sessions.shared.charge_count == 3
         service.close()  # with a final snapshot: shared charges round-trip
 
         recovered = make_service(tmp_path)
-        assert len(recovered.sessions.shared.charges) == 3
+        assert recovered.sessions.shared.charge_count == 3
         assert recovered.sessions.shared.spent == pytest.approx(1.5)
 
     def test_no_shared_budget_means_no_phantom_shared_spend(self, tmp_path, make_service):
@@ -390,6 +395,24 @@ class TestAccountantRefund:
         with pytest.raises(PrivacyError):
             accountant.refund(record)  # already refunded
 
+    def test_committed_charge_cannot_be_refunded(self):
+        accountant = PrivacyAccountant(total_budget=1.0)
+        folded = accountant.charge(0.1, label="q1")
+        accountant.settle(folded)
+        with pytest.raises(PrivacyError):
+            accountant.refund(folded)  # settled and folded away
+        open_record = accountant.charge(0.2, label="q2")
+        behind = accountant.charge(0.3, label="q3")
+        accountant.settle(behind)  # settled, but held behind the open q2
+        assert accountant.charges == [open_record, behind]
+        with pytest.raises(PrivacyError, match="committed"):
+            accountant.refund(behind)
+        assert accountant.remove_charge(0.3, label="q3") is False
+        accountant.refund(open_record)
+        assert accountant.charges == []  # q3 folds once q2 is gone
+        assert accountant.charge_count == 2
+        assert accountant.spent == 0.1 + 0.3
+
     def test_non_finite_budget_rejected(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(PrivacyError):
@@ -417,3 +440,148 @@ class TestAuditRestore:
         assert seqs == [15, 16, 17, 18, 19]  # the 5 kept records, contiguous
         new = log.append("s", "charge", epsilon=0.1)
         assert new.seq == 20  # the counter adjoins the restored records
+
+
+def _left_fold(epsilons) -> float:
+    total = 0.0
+    for epsilon in epsilons:
+        total += epsilon
+    return total
+
+
+class TestFoldedLedgers:
+    """Committed charges fold into ``(total, count)``; ``spent`` stays the
+    in-order left fold, live and after recovery, bitwise."""
+
+    def test_single_writer_ledgers_hold_only_open_reservations(self, tmp_path, make_service):
+        service = make_service(tmp_path)
+        sid = service.create_session(budget=50.0).session_id
+        for epsilon in (0.1, 0.3, 0.7) * 5:
+            service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
+        ledger = service.sessions.get(sid).ledger
+        assert ledger.charges == [] and service.sessions.shared.charges == []
+        assert ledger.charge_count == service.budget(sid)["charges"] == 15
+        assert ledger.spent.hex() == _left_fold((0.1, 0.3, 0.7) * 5).hex()
+
+    def test_reservation_open_at_compaction_replays_bitwise(self, tmp_path, make_service):
+        service = make_service(tmp_path, snapshot_interval=0)
+        sid = service.create_session(budget=50.0).session_id
+        for epsilon in (0.1, 0.3, 0.7):
+            service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
+        txn = service.sessions.begin_charge(sid, 0.3, label="open")
+        service.count("toy", "R(x, y), S(y, z)", epsilon=0.1, session=sid)
+        service.store.compact()
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        (entry,) = snapshot["sessions"]
+        # The open reservation blocks the fold; the charge behind it waits.
+        assert entry["folded"] == [_left_fold((0.1, 0.3, 0.7)), 3]
+        assert [epsilon for epsilon, _ in entry["charges"]] == [0.3, 0.1]
+        txn.rollback(reason="release failed")
+        service.count("toy", "R(x, y)", epsilon=0.7, session=sid)
+        live = service.budget(sid)
+        live_shared = service.sessions.shared.spent
+        assert live["spent"].hex() == _left_fold((0.1, 0.3, 0.7, 0.1, 0.7)).hex()
+        service.close(snapshot=False)  # die: snapshot + journal tail survive
+
+        state = StateStore(str(tmp_path), create=False).recover()
+        assert state.sessions[sid].spent.hex() == live["spent"].hex()
+        assert state.shared_spent.hex() == live_shared.hex()
+        # `state replay` counts folded charges too.
+        assert state.sessions[sid].describe()["charges"] == state.shared_charges == 5
+        recovered = make_service(tmp_path)
+        after = recovered.budget(sid)
+        assert after["spent"].hex() == live["spent"].hex()
+        assert after["charges"] == live["charges"] == 5
+        assert recovered.sessions.shared.spent.hex() == live_shared.hex()
+        # A single-writer recovery settles everything it restored.
+        assert recovered.sessions.get(sid).ledger.charges == []
+
+    def test_300_counts_with_release_failures_recover_bitwise(
+        self, tmp_path, make_service, monkeypatch
+    ):
+        from repro.mechanisms.mechanism import PrivateCountingQuery
+
+        real_release = PrivateCountingQuery.release
+        failing = [False]
+
+        def release(self, *args, **kwargs):
+            if failing[0]:
+                raise RuntimeError("injected release failure")
+            return real_release(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrivateCountingQuery, "release", release)
+        service = make_service(tmp_path, snapshot_interval=7, total_budget=1000.0)
+        sid = service.create_session(budget=500.0).session_id
+        committed = []
+        for index in range(300):
+            epsilon = (0.1, 0.3, 0.7)[index % 3]
+            failing[0] = index % 37 == 5
+            query = ("R(x, y)", "R(x, y), S(y, z)")[index % 2]
+            try:
+                service.count("toy", query, epsilon=epsilon, session=sid)
+            except RuntimeError:
+                continue
+            committed.append(epsilon)
+        failing[0] = False
+        assert len(committed) == 292
+        live = service.budget(sid)
+        live_shared = service.sessions.shared.spent
+        service.close(snapshot=False)  # SIGKILL-style: no final snapshot
+
+        recovered = make_service(tmp_path, snapshot_interval=7, total_budget=1000.0)
+        after = recovered.budget(sid)
+        # The value the pre-folding ledger (a sum() over every charge) read.
+        expected = "0x1.abffffffffff4p+6"
+        assert _left_fold(committed).hex() == expected
+        assert live["spent"].hex() == after["spent"].hex() == expected
+        assert live_shared.hex() == recovered.sessions.shared.spent.hex() == expected
+        assert live["charges"] == after["charges"] == 292
+
+    def test_format_1_snapshot_still_loads(self, tmp_path, make_service):
+        """A snapshot written before ledgers folded (every charge listed)."""
+        fixture = Path(__file__).parent / "fixtures" / "snapshot_format1.json"
+        document = json.loads(fixture.read_text())
+        assert document["format"] == 1
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        (state_dir / "snapshot.json").write_text(fixture.read_text())
+
+        def spent(entry):
+            return _left_fold(epsilon for epsilon, _ in entry["charges"])
+
+        sessions = {entry["session"]: entry for entry in document["sessions"]}
+        recovered = make_service(state_dir)
+        for sid, entry in sessions.items():
+            view = recovered.budget(sid)
+            assert view["spent"].hex() == spent(entry).hex()
+            assert view["charges"] == len(entry["charges"])
+        assert recovered.budget("analyst-a")["spent"].hex() == "0x1.8000000000000p+0"
+        shared_spent = recovered.sessions.shared.spent
+        assert shared_spent.hex() == spent(document["shared"]).hex()
+        assert shared_spent == document["shared"]["spent"]
+        # The next snapshot is format 2, and reads back the same.
+        recovered.close()
+        rewritten = json.loads((state_dir / "snapshot.json").read_text())
+        assert rewritten["format"] == 2
+        again = make_service(state_dir)
+        for sid, entry in sessions.items():
+            assert again.budget(sid)["spent"].hex() == spent(entry).hex()
+        assert again.sessions.shared.spent.hex() == shared_spent.hex()
+
+    def test_absorbed_charges_stay_open_until_rolled_back(self):
+        """A cluster worker cannot settle a sibling's charge: the sibling's
+        rollback may still remove it, so it (and what follows) stays unfolded."""
+        shared = PrivacyAccountant(total_budget=10.0)
+        manager = SessionManager(default_budget=5.0, shared=shared)
+        sid = manager.create(session_id="s").session_id
+        manager.charge(sid, 0.1, label="local")
+        sibling = {"event": "charge", "session": sid, "epsilon": 0.3, "label": "remote"}
+        manager.absorb(sibling)
+        manager.charge(sid, 0.7, label="local")
+        ledger = manager.get(sid).ledger
+        assert [c.epsilon for c in ledger.charges] == [0.3, 0.7]
+        assert ledger.charge_count == 3
+        manager.absorb({**sibling, "event": "rollback"})
+        assert ledger.charges == [] and shared.charges == []
+        assert ledger.spent.hex() == (0.1 + 0.7).hex()
+        assert shared.spent.hex() == (0.1 + 0.7).hex()

@@ -15,6 +15,9 @@ randomly generated small instances:
 * Distance symmetry / triangle-style sanity of the database edit distance.
 * Strategy agreement (``enumerate`` == ``eliminate``/``auto``) for counting
   and boundary multiplicities under generated predicate combinations.
+* The privacy ledger: under any sequence of charges, commits, refunds,
+  restores, removals and resets, ``spent`` is bitwise the in-order left fold
+  of the surviving charges, however many of them were folded away.
 
 Failures print the hypothesis reproduction blob (``print_blob=True``) —
 rerun with ``@reproduce_failure`` exactly as hypothesis instructs.  The
@@ -26,6 +29,7 @@ every tier-1 invocation.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +37,8 @@ from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.evaluation import count_query
+from repro.exceptions import PrivacyError
+from repro.mechanisms.accountant import PrivacyAccountant
 from repro.query.parser import parse_query
 from repro.sensitivity.elastic import ElasticSensitivity
 from repro.sensitivity.local import local_sensitivity_upper_bound
@@ -322,3 +328,94 @@ class TestDistanceProperties:
         else:
             neighbor = db.with_tuple_added("Edge", extra)
         assert db.distance(neighbor) == 1
+
+
+# Few distinct values so value-based removals find matches; one free float
+# so the fold's rounding is exercised too.
+ledger_epsilon = st.one_of(
+    st.sampled_from([0.1, 0.3, 0.7]),
+    st.floats(min_value=1e-6, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+ledger_label = st.sampled_from(["a", "b"])
+#: Picks count back from the newest entry: the interesting interleavings (a
+#: charge settled behind an open one) involve the most recent few charges.
+ledger_pick = st.integers(min_value=0, max_value=3)
+ledger_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("charge"), ledger_epsilon, ledger_label),
+        st.tuples(st.just("commit"), ledger_pick),
+        st.tuples(st.just("remove"), ledger_pick),
+        st.tuples(st.just("refund"), ledger_pick),
+        st.tuples(st.just("restore"), ledger_epsilon, ledger_label),
+        st.tuples(st.just("reset")),
+    ),
+    max_size=60,
+)
+
+
+class TestLedgerFoldProperties:
+    # Each example is a few dozen ledger calls; the failure modes need a
+    # specific interleaving (a settled charge behind an open one), so run many.
+    @settings(max_examples=500, **_COMMON)
+    @given(ops=ledger_ops)
+    def test_spent_is_the_left_fold_of_surviving_charges(self, ops):
+        accountant = PrivacyAccountant(total_budget=1e9)
+        # Surviving charges, oldest first: [epsilon, label, record, committed].
+        model: list[list] = []
+        issued = []  # every record charge() handed out
+        for op in ops:
+            kind = op[0]
+            if kind == "charge":
+                record = accountant.charge(op[1], label=op[2])
+                issued.append(record)
+                model.append([op[1], op[2], record, False])
+            elif kind == "commit":
+                open_entries = [e for e in model if e[2] is not None and not e[3]]
+                if open_entries:
+                    entry = open_entries[-1 - op[1] % len(open_entries)]
+                    accountant.settle(entry[2])
+                    entry[3] = True
+            elif kind == "refund":
+                if issued:
+                    record = issued[-1 - op[1] % len(issued)]
+                    # By identity: equal-valued records compare equal.
+                    live = [i for i, e in enumerate(model) if e[2] is record]
+                    if live and not model[live[0]][3]:
+                        accountant.refund(record)
+                        del model[live[0]]
+                    else:  # committed, refunded, removed or reset
+                        with pytest.raises(PrivacyError):
+                            accountant.refund(record)
+            elif kind == "restore":
+                accountant.restore_charge(op[1], label=op[2])
+                model.append([op[1], op[2], None, False])
+            elif kind == "remove":
+                epsilon, label = model[-1 - op[1] % len(model)][:2] if model else (0.5, "a")
+                matches = [
+                    i for i, e in enumerate(model)
+                    if e[0] == epsilon and e[1] == label and not e[3]
+                ]
+                assert accountant.remove_charge(epsilon, label=label) == bool(matches)
+                if matches:
+                    del model[matches[-1]]
+            else:
+                accountant.reset()
+                model.clear()
+
+            assert accountant.spent.hex() == _left_fold(model).hex()
+            assert accountant.charge_count == len(model)
+            # Everything before the first open charge is folded away, and
+            # what a snapshot persists continues the same fold.
+            settled = next((i for i, e in enumerate(model) if not e[3]), len(model))
+            (total, count), tail = accountant.snapshot()
+            assert (total.hex(), count) == (_left_fold(model[:settled]).hex(), settled)
+            assert [(c.epsilon, c.label) for c in tail] == [
+                (e[0], e[1]) for e in model[settled:]
+            ]
+
+
+def _left_fold(entries) -> float:
+    total = 0.0
+    for entry in entries:
+        total += entry[0]
+    return total

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import urllib.error
@@ -10,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro.graphs.loader import database_from_edges
 from repro.service.api import make_server
 
 
@@ -478,3 +480,148 @@ class TestParallelismModeOverHttp:
         )
         assert status == 400
         assert "parallelism_mode" in body["error"]
+
+
+class _RecordingWriter:
+    """Wraps a handler's ``wfile`` and records every write it is given."""
+
+    def __init__(self, inner, writes: list[bytes]):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _read_raw_response(reader) -> tuple[int, dict[str, str], bytes, bytes]:
+    """One response off a keep-alive stream: status, headers, body, raw bytes."""
+    raw = reader.readline()
+    status = int(raw.split()[1])
+    headers: dict[str, str] = {}
+    while True:
+        line = reader.readline()
+        raw += line
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = reader.read(int(headers.get("content-length", 0)))
+    return status, headers, body, raw + body
+
+
+class TestOneWriteReplies:
+    """Each reply leaves in one write on a TCP_NODELAY socket: a head sent
+    apart from its body waits for the client's delayed ACK under Nagle."""
+
+    @pytest.fixture
+    def recorded(self, service_factory, monkeypatch):
+        from repro.service.api import ServiceRequestHandler
+        from repro.service.cluster import CapacityBoard
+
+        writes: list[bytes] = []
+        nodelay: list[int] = []
+        original_setup = ServiceRequestHandler.setup
+
+        def setup(handler):
+            original_setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            handler.wfile = _RecordingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(ServiceRequestHandler, "setup", setup)
+        service = service_factory(register=False, session_budget=5.0, rng=11)
+        service.register_database("k4", database_from_edges(K4_EDGES))
+        board = CapacityBoard(1, 1)
+        board.attach(0, os.getpid())
+        server = make_server(service, "127.0.0.1", 0, capacity=board)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server.server_address[:2], board, writes, nodelay
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            board.close()
+        assert not thread.is_alive()
+
+    def test_every_reply_is_one_write_on_a_nodelay_socket(self, recorded):
+        (host, port), board, writes, nodelay = recorded
+        count = json.dumps({"database": "k4", "query": "Edge(x, y)", "epsilon": 0.5})
+        requests = [
+            ("count", _raw_request("POST", "/count", count.encode("utf-8"))),
+            ("stats", _raw_request("GET", "/stats")),
+            ("metrics", _raw_request("GET", "/metrics")),
+            ("missing", _raw_request("GET", "/no-such-endpoint")),
+            # Rejected before the declared body is read: drained, then one write.
+            ("early 400", _raw_request("GET", "/budget", b'{"unread": "body"}')),
+            ("shed", _raw_request("POST", "/count", count.encode("utf-8"))),
+        ]
+        expected = {
+            "count": 200, "stats": 200, "metrics": 200,
+            "missing": 404, "early 400": 400, "shed": 503,
+        }
+        # Close the reader too: an open makefile() keeps the connection alive,
+        # and the server joins its handler thread on shutdown.
+        with socket.create_connection((host, port), timeout=10) as conn, conn.makefile(
+            "rb"
+        ) as reader:
+            for name, request in requests:
+                if name == "shed":
+                    assert board.admit()  # take the only slot: the next /count sheds
+                before = len(writes)
+                try:
+                    conn.sendall(request)
+                    status, headers, _, raw = _read_raw_response(reader)
+                finally:
+                    if name == "shed":
+                        board.release()
+                assert status == expected[name], name
+                assert writes[before:] == [raw], name
+                if name == "metrics":
+                    assert headers["content-type"].startswith("text/plain")
+                else:
+                    assert headers["content-type"] == "application/json"
+                if name == "shed":
+                    assert int(headers["retry-after"]) >= 1
+        assert len(nodelay) == 1  # one keep-alive connection served them all
+        assert nodelay[0] != 0
+
+
+class TestWarmLatency:
+    def test_keep_alive_warm_count_median_under_15ms(self, server_url):
+        """Two writes without TCP_NODELAY cost a ~40 ms delayed ACK per reply."""
+        import http.client
+        import statistics
+        import time
+
+        post(f"{server_url}/register", {"name": "k4", "edges": K4_EDGES})
+        host, port = server_url.removeprefix("http://").split(":")
+        body = json.dumps(
+            {"database": "k4", "query": "Edge(x, y), Edge(y, z)", "epsilon": 0.01}
+        )
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+
+            def count() -> float:
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/count", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+                elapsed = time.perf_counter() - start
+                assert response.status == 200, payload
+                return elapsed
+
+            count()  # warm every cache
+            latencies = [count() for _ in range(50)]
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.015
