@@ -4,15 +4,16 @@ The delta path's claim (see ``docs/mutation.md``): a one-tuple update
 through ``POST /mutate`` advances only the touched relation's epoch, so the
 next query re-derives only what the edit invalidated — untouched relations'
 lattice components come back from the epoch-keyed component cache and the
-columnar factorizations are maintained in place, never recomputed.  A full
+coded columns are maintained in place, never re-coded.  A full
 re-registration bumps the version and recomputes everything from scratch.
 
 ``test_one_tuple_update_speedup`` measures both arms end to end on the
 300-node collaboration graph (service warm in both cases, identical noise
 streams), requires the delta arm to be the cheaper one, and gates the delta
 arm's absolute latency against the committed ``BENCH_mutation.json``.  It
-also *observes* the warmth the speedup is built on: zero factorization
-misses and at least one component cache hit on the delta arm, and a
+also *observes* the warmth the speedup is built on: zero coded-column
+misses (``factorization_misses``: no relation re-coded) and at least one
+component cache hit on the delta arm, and a
 bitwise-identical release against the rebuild arm.
 
 Run::
@@ -137,10 +138,11 @@ def test_one_tuple_update_speedup():
     assert delta.noisy_count == rereg.noisy_count
 
     # The warmth the speedup is built on, observed directly: the one-tuple
-    # update re-factorized nothing (columns maintained in place) and every
-    # Edge-only lattice component came back from the epoch-keyed cache.
+    # update re-coded no relation (Member's coded columns were extended in
+    # place, Edge's untouched) and every Edge-only lattice component came
+    # back from the epoch-keyed cache.
     assert measured["factorization"]["misses"] == 0, (
-        f"delta path re-factorized columns: {measured['factorization']}"
+        f"delta path re-coded a relation: {measured['factorization']}"
     )
     assert measured["component_cache_hits"] > 0, (
         "no component cache hits: untouched components were re-evaluated"

@@ -487,7 +487,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"{profiler['subsets_total']} subsets -> "
                 f"{profiler['components_evaluated']} component evaluations "
                 f"({profiler['component_hits']} shared), "
-                f"{profiler['factorization_hits']} factorization cache hits"
+                f"{profiler['factorization_hits']} coded-column hits"
             )
         return 0
 

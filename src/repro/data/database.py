@@ -12,18 +12,155 @@ a container it implements the notions the paper's DP policy needs:
   :mod:`repro.sensitivity.smooth`;
 * ``size`` — the total number of tuples ``N = |I|`` (over private relations),
   which relaxed DP treats as public.
+
+It also owns the instance's :class:`ValueDictionary`, the one code space in
+which the columnar engine (:mod:`repro.engine.columnar`) joins, groups and
+compares every relation's values.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.data.relation import Relation
 from repro.data.schema import DatabaseSchema, RelationSchema
 from repro.exceptions import SchemaError
 
-__all__ = ["Database"]
+__all__ = ["Database", "ValueDictionary"]
+
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class ValueDictionary:
+    """An append-only map from values to dense ``int64`` codes.
+
+    Every relation of a :class:`Database` is coded against the database's
+    one dictionary (:attr:`Database.dictionary`), so equal values carry equal
+    codes in every column: the columnar engine joins, groups and tests
+    inequalities on codes and decodes only what it must compare by order or
+    return.  Codes follow Python equality — ``1``, ``1.0`` and ``True`` share
+    one code, whose representative value is the first of them coded.
+
+    The dictionary is seeded with the values of the database's ``int64``
+    columns in ascending order, so until a delta brings in a new value the
+    code order of those values is their value order (group order, witnesses
+    and tie-breaks follow it).  Any other value gets the next free code when
+    it is first coded.  Appends happen under a lock and never change an
+    issued code, so a reader holding codes from an older snapshot can always
+    decode them.
+    """
+
+    def __init__(self, columns: Iterable[np.ndarray] = ()):
+        self._lock = threading.Lock()
+        int_columns = [column for column in columns if column.dtype != object]
+        ints = np.unique(np.concatenate(int_columns)) if int_columns else np.empty(0, np.int64)
+        self._values: list = ints.tolist()
+        self._index: dict = {value: code for code, value in enumerate(self._values)}
+        # Sorted int64 keys with their codes: the vectorised path of encode().
+        self._ints = (ints, np.arange(len(ints), dtype=np.int64))
+        # Decode tables, extended to new codes on the next decode(): each
+        # code's value as int64 (0 where it is no int that fits), which codes
+        # those are, and whether all are; the object table is built on the
+        # first decode that needs it.
+        self._int_table = (ints, np.ones(len(ints), dtype=bool), True)
+        self._object_table: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def lookup(self, value: object) -> int | None:
+        """The code of ``value``, or ``None`` if no coded value equals it."""
+        try:
+            return self._index.get(value)
+        except TypeError:  # unhashable: no relation can hold it
+            return None
+
+    def encode(self, column: np.ndarray) -> np.ndarray:
+        """The ``int64`` codes of a value column, coding unseen values first."""
+        if column.dtype == object:
+            return self._encode_objects(column.tolist())
+        keys, codes = self._ints
+        if not len(column):
+            return np.empty(0, dtype=np.int64)
+        if len(keys):
+            position = np.minimum(np.searchsorted(keys, column), len(keys) - 1)
+            found = keys[position] == column
+            if found.all():
+                return codes[position]
+            column_missing = column[~found]
+        else:
+            column_missing = column
+        self._add_ints(np.unique(column_missing))
+        return self.encode(column)
+
+    def _add_ints(self, new: np.ndarray) -> None:
+        with self._lock:
+            keys, codes = self._ints
+            new = new[~np.isin(new, keys)]
+            if not len(new):
+                return
+            new_codes = np.array([self._code(v) for v in new.tolist()], dtype=np.int64)
+            keys = np.concatenate([keys, new])
+            order = np.argsort(keys, kind="stable")
+            self._ints = (keys[order], np.concatenate([codes, new_codes])[order])
+
+    def _encode_objects(self, values: list) -> np.ndarray:
+        index = self._index
+        codes = [index.get(v, -1) for v in values]
+        if -1 in codes:
+            with self._lock:
+                codes = [self._code(v) for v in values]
+        return np.array(codes, dtype=np.int64)
+
+    def _code(self, value: object) -> int:
+        """The code of ``value``, appending it if new (caller holds the lock)."""
+        code = self._index.get(value)
+        if code is None:
+            code = len(self._values)
+            self._values.append(value)
+            self._index[value] = code
+        return code
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """The values of ``codes``: ``int64`` when every value they code is
+        an ``int`` that fits, ``object`` otherwise."""
+        ints, fits, all_fit = self._int_table
+        if len(ints) < len(self._values):
+            ints, fits, all_fit = self._extend_int_table()
+        if all_fit or fits[codes].all():
+            return ints[codes]
+        objects = self._object_table
+        if objects is None or len(objects) < len(self._values):
+            objects = self._extend_object_table()
+        return objects[codes]
+
+    def _extend_int_table(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        with self._lock:
+            ints, fits, all_fit = self._int_table
+            tail = self._values[len(ints) :]
+            tail_fits = [type(v) is int and _INT64_MIN <= v <= _INT64_MAX for v in tail]
+            self._int_table = (
+                np.concatenate(
+                    [ints, np.array([v if ok else 0 for v, ok in zip(tail, tail_fits)], np.int64)]
+                ),
+                np.concatenate([fits, np.array(tail_fits, dtype=bool)]),
+                all_fit and all(tail_fits),
+            )
+            return self._int_table
+
+    def _extend_object_table(self) -> np.ndarray:
+        with self._lock:
+            objects = self._object_table
+            start = 0 if objects is None else len(objects)
+            tail = np.empty(len(self._values) - start, dtype=object)
+            tail[:] = self._values[start:]
+            self._object_table = tail if objects is None else np.concatenate([objects, tail])
+            return self._object_table
 
 
 class Database:
@@ -38,6 +175,8 @@ class Database:
         self._relations: dict[str, Relation] = {
             rel_schema.name: Relation(rel_schema) for rel_schema in schema
         }
+        self._dictionary: ValueDictionary | None = None
+        self._dictionary_lock = threading.Lock()
         if relations is not None:
             for name, rows in relations.items():
                 rel = self.relation(name)
@@ -132,13 +271,35 @@ class Database:
         """
         return {name: rel.epoch for name, rel in self._relations.items()}
 
+    @property
+    def dictionary(self) -> ValueDictionary:
+        """The instance's value dictionary, built on first use.
+
+        It is seeded from every relation's columnar snapshot, so building
+        it costs the first elimination, not registration.  Relations code
+        their columns against it lazily (:meth:`Relation.coded_columns`).
+        """
+        dictionary = self._dictionary
+        if dictionary is None:
+            with self._dictionary_lock:
+                if self._dictionary is None:
+                    self._dictionary = ValueDictionary(
+                        column
+                        for relation in self._relations.values()
+                        for column in relation.to_columns()
+                    )
+                dictionary = self._dictionary
+        return dictionary
+
     def release_caches(self) -> None:
-        """Drop every relation's derived caches (indexes, columns, factorizations).
+        """Drop the dictionary and every relation's derived caches (indexes,
+        columnar snapshots, coded columns).
 
         Called by the serving-layer registry when this instance's
         registration is replaced or removed, so snapshots tied to a stale
         database version free their memory instead of lingering until GC.
         """
+        self._dictionary = None
         for rel in self._relations.values():
             rel.release_caches()
 

@@ -8,14 +8,13 @@ needs directly:
 * hash indexes on attribute subsets (built lazily, invalidated on mutation),
 * maximum frequencies ``mf(x, R)`` over attribute subsets, which are the
   building block of elastic sensitivity (Section 4.4),
-* a columnar snapshot (:meth:`Relation.to_columns`) consumed by the
-  columnar elimination engine,
-* a generic per-column *factorization* slot
-  (:meth:`Relation.cached_factorization` / :meth:`Relation.store_factorization`)
-  in which the columnar engine memoizes the dense-code encodings of base
-  columns (``np.unique`` is the single hottest primitive of vectorized bucket
-  elimination; caching it here shares the work across every residual subset,
-  query and service request against the same instance), and
+* a columnar snapshot (:meth:`Relation.to_columns`, one value array per
+  attribute) and, beside it, the same rows as *coded columns*
+  (:meth:`Relation.coded_columns`): ``int64`` codes of the owning
+  database's :class:`~repro.data.database.ValueDictionary`, the only form
+  in which the columnar elimination engine reads a relation — coded once,
+  they serve every residual subset, query and service request against the
+  same instance — and
 * projection / selection helpers used by tests and data loading.
 
 Every mutation advances the relation's **epoch** (:attr:`Relation.epoch`),
@@ -26,12 +25,13 @@ computed, so a mutation invalidates exactly the entries that read this
 relation.  Single-tuple mutators (:meth:`add` / :meth:`remove` /
 :meth:`clear`) drop the derived caches wholesale; the bulk delta mutators
 (:meth:`Relation.add_rows` / :meth:`Relation.remove_rows`) instead update
-the columnar snapshot and any cached column factorizations *in place*
-(appending or compacting codes for the touched columns only), so a small
-edit against a large hot instance keeps its expensively-built columnar
-state warm.  :meth:`Relation.release_caches` still drops everything
-eagerly (the serving-layer registry calls it when a database version is
-replaced, so superseded snapshots free their memory immediately).
+the columnar snapshot and the coded columns *in place* — appending the new
+rows (new values are coded against the shared dictionary) or compacting
+with one keep-mask — so a small edit against a large hot instance keeps its
+columnar state warm and never re-codes another relation.
+:meth:`Relation.release_caches` still drops everything eagerly (the
+serving-layer registry calls it when a database version is replaced, so
+superseded snapshots free their memory immediately).
 
 Set semantics matches the paper: duplicate insertions are no-ops and the
 tuple-DP distance between two instances is the number of insertions,
@@ -71,11 +71,13 @@ class Relation:
         self._schema = schema
         self._rows: set[tuple] = set()
         self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
-        self._columns: tuple | None = None
-        # Row order of the cached columnar snapshot; the delta mutators need
-        # it to append/compact columns (and factorization codes) in place.
+        # Row order shared by the value snapshot and the coded columns; the
+        # delta mutators append to / compact all three together.
         self._column_rows: list[tuple] | None = None
-        self._factorizations: dict[int, object] = {}
+        self._columns: tuple | None = None
+        # ``(dictionary, coded columns)`` — the codes are only meaningful in
+        # the code space of the dictionary they were made with.
+        self._codes: tuple | None = None
         self._version = 0
         if rows is not None:
             for row in rows:
@@ -171,10 +173,10 @@ class Relation:
 
         All rows are validated first (a :class:`SchemaError` applies
         nothing).  Unlike :meth:`add`, an existing columnar snapshot and its
-        cached column factorizations are *extended in place* — new values
-        are appended to the touched columns and coded against the existing
-        value dictionaries — instead of being discarded.  The epoch advances
-        once for the whole batch (not at all if every row was present).
+        coded columns are *extended in place* — the new rows are appended,
+        their unseen values coded against the shared dictionary — instead of
+        being discarded.  The epoch advances once for the whole batch (not
+        at all if every row was present).
         """
         validated: list[tuple] = []
         seen: set[tuple] = set()
@@ -186,10 +188,8 @@ class Relation:
             validated.append(candidate)
         if not validated:
             return 0
-        if self._columns is not None and self._column_rows is not None:
+        if self._column_rows is not None:
             self._extend_snapshot(validated)
-        else:
-            self._drop_snapshot()
         self._rows.update(validated)
         self._indexes.clear()
         self._version += 1
@@ -198,16 +198,15 @@ class Relation:
     def remove_rows(self, rows: Iterable[Sequence]) -> int:
         """Bulk-delete ``rows`` via the delta path; return how many existed.
 
-        An existing columnar snapshot (and every cached column
-        factorization) is *compacted in place* with one keep-mask instead of
-        being discarded, so untouched columns keep their dense codes.  The
-        epoch advances once for the whole batch (not at all if no row was
+        An existing columnar snapshot and its coded columns are *compacted
+        in place* with one keep-mask instead of being discarded.  The epoch
+        advances once for the whole batch (not at all if no row was
         present).
         """
         keys = {key for key in (tuple(row) for row in rows) if key in self._rows}
         if not keys:
             return 0
-        if self._columns is not None and self._column_rows is not None:
+        if self._column_rows is not None:
             import numpy as np
 
             mask = np.fromiter(
@@ -217,15 +216,12 @@ class Relation:
             )
             # New array objects throughout: a reader holding the previous
             # snapshot tuple keeps seeing a consistent (pre-edit) view.
-            self._columns = tuple(column[mask] for column in self._columns)
-            self._factorizations = {
-                position: cached.take(mask)
-                for position, cached in self._factorizations.items()
-                if hasattr(cached, "take")
-            }
+            if self._columns is not None:
+                self._columns = tuple(column[mask] for column in self._columns)
+            if self._codes is not None:
+                dictionary, coded = self._codes
+                self._codes = (dictionary, tuple(column[mask] for column in coded))
             self._column_rows = [row for row in self._column_rows if row not in keys]
-        else:
-            self._drop_snapshot()
         self._rows.difference_update(keys)
         self._indexes.clear()
         self._version += 1
@@ -242,100 +238,52 @@ class Relation:
         self._drop_snapshot()
 
     def _drop_snapshot(self) -> None:
-        # The factorization codes are positionally aligned with the columnar
-        # snapshot's row order, so the two must always be dropped together:
-        # a rebuilt snapshot enumerates the row set in a fresh order.
-        self._columns = None
+        # The value and coded columns are positionally aligned with
+        # ``_column_rows``, so all three go together: a rebuilt snapshot
+        # enumerates the row set in a fresh order.
         self._column_rows = None
-        self._factorizations.clear()
+        self._columns = None
+        self._codes = None
 
     def _extend_snapshot(self, new_rows: list[tuple]) -> None:
-        """Append ``new_rows`` to the cached columnar snapshot in place.
+        """Append ``new_rows`` to the cached snapshot and coded columns.
 
-        Falls back to dropping the snapshot (and the factorizations aligned
-        with it) when a new value cannot join an existing column dtype —
-        correctness never depends on the fast path.
+        A value column whose dtype cannot take a new value (a string into an
+        ``int64`` column, an int past its range) is dropped and rebuilt on
+        the next :meth:`to_columns` in the kept row order; the coded columns
+        take any value, so they are always extended.
         """
         import numpy as np
 
-        try:
-            columns = []
-            for position, column in enumerate(self._columns):
-                values = [row[position] for row in new_rows]
-                if column.dtype == object:
-                    tail = np.empty(len(values), dtype=object)
-                    tail[:] = values
-                else:
-                    if not all(type(v) is int for v in values):
-                        raise TypeError("non-int value for an integer column")
-                    tail = np.array(values, dtype=column.dtype)
-                columns.append(np.concatenate([column, tail]))
-        except (OverflowError, TypeError, ValueError):
-            self._drop_snapshot()
-            return
-        factorizations = {}
-        for position, cached in self._factorizations.items():
-            extended = self._extend_factorization(
-                cached, [row[position] for row in new_rows]
+        tails = [value_column([row[p] for row in new_rows]) for p in range(self.arity)]
+        columns = self._columns
+        if columns is not None:
+            if any(
+                column.dtype != object and tail.dtype == object
+                for column, tail in zip(columns, tails)
+            ):
+                columns = None
+            else:
+                columns = tuple(
+                    np.concatenate([column, tail.astype(column.dtype, copy=False)])
+                    for column, tail in zip(columns, tails)
+                )
+        codes = self._codes
+        if codes is not None:
+            dictionary, coded = codes
+            codes = (
+                dictionary,
+                tuple(
+                    np.concatenate([column, dictionary.encode(tail)])
+                    for column, tail in zip(coded, tails)
+                ),
             )
-            if extended is not None:
-                factorizations[position] = extended
-        self._columns = tuple(columns)
-        self._factorizations = factorizations
+        self._columns = columns
+        self._codes = codes
         self._column_rows = self._column_rows + new_rows
 
-    @staticmethod
-    def _extend_factorization(cached: object, new_values: list) -> object | None:
-        """Append codes for ``new_values`` to a cached column factorization.
-
-        The stored object is opaque here but duck-typed against the columnar
-        engine's ``ColumnCodes`` contract: ``codes`` index positionally into
-        ``values``, and ``sorted_values`` certifies ascending value order.
-        Unseen values get fresh codes appended to the dictionary; if the
-        append breaks the sort order the flag is conservatively cleared.
-        Returns ``None`` (drop the entry) when the object does not match or
-        a value cannot join the dictionary dtype.
-        """
-        import numpy as np
-
-        codes = getattr(cached, "codes", None)
-        values = getattr(cached, "values", None)
-        sorted_values = getattr(cached, "sorted_values", None)
-        if codes is None or values is None or sorted_values is None:
-            return None
-        try:
-            mapping = {value: code for code, value in enumerate(values.tolist())}
-            appended: list = []
-            new_codes: list[int] = []
-            for value in new_values:
-                code = mapping.get(value)
-                if code is None:
-                    code = len(mapping)
-                    mapping[value] = code
-                    appended.append(value)
-                new_codes.append(code)
-            sorted_flag = bool(sorted_values)
-            if appended:
-                if values.dtype == object:
-                    tail = np.empty(len(appended), dtype=object)
-                    tail[:] = appended
-                else:
-                    tail = np.array(appended, dtype=values.dtype)
-                if sorted_flag:
-                    ascending = all(
-                        appended[i] < appended[i + 1] for i in range(len(appended) - 1)
-                    )
-                    sorted_flag = ascending and (
-                        len(values) == 0 or appended[0] > values[-1]
-                    )
-                values = np.concatenate([values, tail])
-            codes = np.concatenate([codes, np.asarray(new_codes, dtype=codes.dtype)])
-            return type(cached)(codes, values, sorted_flag)
-        except (OverflowError, TypeError, ValueError):
-            return None
-
     def release_caches(self) -> None:
-        """Drop every derived cache (indexes, columnar snapshot, factorizations).
+        """Drop every derived cache (indexes, columnar snapshot, coded columns).
 
         Semantically a no-op — everything recomputes on demand — but frees
         the memory of superseded snapshots immediately.  The serving-layer
@@ -420,35 +368,47 @@ class Relation:
     def to_columns(self) -> tuple:
         """A columnar snapshot: one NumPy array per attribute.
 
-        Columns whose values are all Python ints become ``int64`` arrays (the
-        fast path of the columnar engine); anything else becomes an
-        ``object`` array.  Row order is unspecified but consistent across the
-        columns of one snapshot, and the snapshot is cached until the relation
+        Columns whose values are all Python ints become ``int64`` arrays;
+        anything else becomes an ``object`` array.  Row order is unspecified
+        but consistent across the columns of one snapshot (and with
+        :meth:`coded_columns`), and the snapshot is cached until the relation
         is mutated.
         """
-        if self._columns is not None:
-            return self._columns
-        rows = list(self._rows)
-        self._columns = tuple(
+        columns = self._columns
+        if columns is not None:
+            return columns
+        rows = self._column_rows
+        if rows is None:
+            rows = list(self._rows)
+        columns = tuple(
             value_column([row[position] for row in rows]) for position in range(self.arity)
         )
         self._column_rows = rows
-        return self._columns
+        self._columns = columns
+        return columns
 
-    def cached_factorization(self, position: int) -> object | None:
-        """The memoized factorization of column ``position``, or ``None``.
+    @property
+    def coded_by(self):
+        """The dictionary the cached coded columns belong to (``None`` if none)."""
+        codes = self._codes
+        return None if codes is None else codes[0]
 
-        The stored object is opaque to this class (the columnar engine keeps
-        its :class:`~repro.engine.columnar.ColumnCodes` here); it is dropped
-        whenever the relation mutates, exactly like the columnar snapshot.
+    def coded_columns(self, dictionary) -> tuple:
+        """The snapshot's columns as ``int64`` codes of ``dictionary``.
+
+        Aligned row for row with :meth:`to_columns`.  Coded on first use and
+        kept beside the snapshot until the relation is re-coded against
+        another dictionary or a single-tuple mutation drops the snapshot;
+        the delta mutators maintain them in place.
         """
-        return self._factorizations.get(position)
-
-    def store_factorization(self, position: int, factorization: object) -> None:
-        """Memoize the factorization of column ``position`` until mutation."""
-        if position < 0 or position >= self.arity:
-            raise SchemaError(f"position {position} out of range for {self.name!r}")
-        self._factorizations[position] = factorization
+        codes = self._codes
+        if codes is not None and codes[0] is dictionary:
+            return codes[1]
+        columns = self.to_columns()
+        coded = tuple(dictionary.encode(column) for column in columns)
+        if self._columns is columns:  # no delta replaced the snapshot meanwhile
+            self._codes = (dictionary, coded)
+        return coded
 
     def active_domain(self, position: int | None = None) -> set:
         """Values appearing in the instance (at ``position``, or anywhere)."""

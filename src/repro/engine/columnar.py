@@ -7,26 +7,37 @@ part with classic *bucket elimination* over count-annotated factors, which
 runs in time polynomial in the instance for bounded elimination width — the
 polynomial-time claim of Theorem 1.1.
 
-Relations are read through :meth:`repro.data.relation.Relation.to_columns`
-(one array per attribute), intermediate results are :class:`ArrayFactor`
-objects — count annotations over value columns — and the primitive
-operations of bucket elimination are all vectorized:
+Relations are read as **dictionary codes**: every
+:class:`~repro.data.database.Database` owns one append-only
+:class:`~repro.data.database.ValueDictionary` mapping each value to a dense
+``int64`` code, and each relation keeps its columns coded against it
+(:meth:`~repro.data.relation.Relation.coded_columns`), beside its columnar
+snapshot.  Intermediate results are :class:`ArrayFactor` objects — count
+annotations over code columns — and the engine never touches a value until
+it must order or return one, in the manner of column stores that execute
+directly on compressed data (Abadi, Madden & Ferreira, SIGMOD 2006):
 
-* **hash join** — join keys are *factorized* into dense ``int64`` codes
-  (:class:`ColumnCodes`), both sides' code spaces are merged over their
-  distinct values, and rows are matched with ``np.argsort``/``np.searchsorted``
-  and expanded with ``np.repeat`` (a sort-merge join over the factorized
-  codes);
+* **equi-join** — the shared code columns of both sides are packed into one
+  key per row (both sides share the code space, so nothing is re-mapped);
+  a dense key space finds each key's match range by counting
+  (``bincount`` + ``cumsum``), a sparse one by ``argsort`` +
+  ``searchsorted``, and the pairs are expanded with ``np.repeat``;
 * **group-by aggregation** (summing variables out, and the boundary
-  multiplicity profiles of residual sensitivity) — group keys are packed from
-  the per-column codes and counts are accumulated with ``np.add.at``;
-* **predicate filtering** — inequality and comparison predicates become
-  boolean column masks; generic predicates fall back to a row loop so that
-  exactness is preserved;
+  multiplicity profiles of residual sensitivity) — the group columns are
+  packed into one key and summed with one sort and ``np.add.reduceat``;
+* **predicate filtering** — inequalities compare codes; comparisons and
+  generic predicates decode their columns through the dictionary (generic
+  ones row by row, so exactness is preserved);
 * **heavy-bucket aggregation** — two-factor buckets whose shared variables
   are all being summed out and whose join size exceeds
   :data:`MATMUL_THRESHOLD` take a sparse matrix product (the joined rows are
   never materialised).
+
+Only the final group columns are decoded
+(:attr:`EliminationResult.columns`).  The dictionary codes the values of a
+database's ``int64`` columns in ascending order, so on them group order,
+witnesses and tie-breaks follow value order as long as no delta has
+appended a value.
 
 Predicates are part of the plan, in the spirit of FAQ with additive
 inequalities (Abo Khamis et al., PODS 2019): every predicate is applied on
@@ -45,25 +56,13 @@ plan: predicates that never become applicable there are reported back as
 *dropped*, the counts are upper bounds, and callers that need exactness
 fall back to :mod:`repro.engine.join`.
 
-Factorization is the single hottest primitive, so it is **cached and
-propagated** instead of recomputed:
-
-* base-relation columns are factorized once per ``(relation, column)`` and
-  memoized on the :class:`~repro.data.relation.Relation` itself (invalidated
-  on mutation, released when the serving-layer registry bumps a database
-  version) — every residual subset, query and service request against the
-  same instance reuses the codes;
-* every :class:`ArrayFactor` carries its per-column :class:`ColumnCodes`
-  through joins, filters and projections (indexing codes is O(rows); the
-  ``np.unique`` it replaces is O(rows log rows)), so intermediate results
-  never re-factorize a column they inherited.
-
-:func:`factorization_cache_stats` exposes process-wide hit/miss counters,
-and :func:`factorization_counter_scope` opens a *context-local* view whose
-delta is immune to concurrent unrelated work — the profile evaluator
-(:mod:`repro.engine.profile`) computes its per-profile counters through a
-scope, so two serving-layer services in one process never cross-contaminate
-each other's ``/stats`` and ``/metrics``.
+Each read of a relation's coded columns is counted as a hit (already coded)
+or a miss (coded now): :func:`factorization_cache_stats` exposes the
+process-wide totals, and :func:`factorization_counter_scope` opens a
+*context-local* view whose delta is immune to concurrent unrelated work —
+the profile evaluator (:mod:`repro.engine.profile`) computes its
+per-profile counters through a scope, so two serving-layer services in one
+process never cross-contaminate each other's ``/stats`` and ``/metrics``.
 
 Counts are exact.  They are ``int64`` while they provably fit: before every
 count multiply (a join) or sum (a group-by), a Python-int bound on the
@@ -79,12 +78,12 @@ import contextlib
 import contextvars
 import functools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.data.database import Database
+from repro.data.database import Database, ValueDictionary
 from repro.data.relation import Relation
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Constant, Variable
@@ -98,7 +97,6 @@ from repro.query.predicates import (
 __all__ = [
     "ArrayFactor",
     "BUCKET_ROW_CAP",
-    "ColumnCodes",
     "EliminationResult",
     "MATMUL_THRESHOLD",
     "adopt_factorization_scope",
@@ -113,9 +111,9 @@ __all__ = [
     "reset_factorization_cache_stats",
 ]
 
-#: Re-factorize packed row codes once their key space exceeds this bound,
-#: keeping every subsequent ``codes * cardinality + codes`` combination safely
-#: inside ``int64``.
+#: Re-densify a packed key once its key space exceeds this bound, keeping
+#: every subsequent ``key * radix + code`` combination safely inside
+#: ``int64``.
 _RENORMALIZE_CARDINALITY = 2**31
 
 #: Above this estimated number of joined rows, a two-factor bucket whose
@@ -138,6 +136,11 @@ BUCKET_ROW_CAP = 1_000_000
 #: is carried as a Python int instead (see :func:`_exact_counts`).
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+#: A packed key space of at most this many keys per row is *dense*: joins
+#: find their match ranges by counting into it (``bincount``) instead of
+#: searching.
+_DENSE_KEYS_PER_ROW = 4
+
 
 @dataclass
 class EliminationResult:
@@ -152,27 +155,35 @@ class EliminationResult:
     Attributes
     ----------
     group_variables:
-        The group variables, in the order of ``columns``.
-    columns:
-        One value array per group variable.
+        The group variables, in the order of ``codes``.
+    codes:
+        One code column per group variable, in ``dictionary``'s code space.
     count_array:
         The per-group counts (``int64``, or ``object`` Python ints).
     dropped_predicates:
         Predicates that could not be applied during elimination.
     elimination_order:
         The internal variables in the order they were summed out.
+    dictionary:
+        The database's value dictionary (``None`` without atoms).
     """
 
     group_variables: tuple[Variable, ...]
-    columns: tuple[np.ndarray, ...]
+    codes: tuple[np.ndarray, ...]
     count_array: np.ndarray
     dropped_predicates: tuple[Predicate, ...]
     elimination_order: tuple[Variable, ...]
+    dictionary: ValueDictionary | None
 
     @property
     def is_exact(self) -> bool:
         """Whether every predicate was applied (counts are exact)."""
         return not self.dropped_predicates
+
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """One value array per group variable (decoded on first use)."""
+        return tuple(self.dictionary.decode(codes) for codes in self.codes)
 
     @functools.cached_property
     def counts(self) -> dict[tuple, int]:
@@ -185,14 +196,14 @@ class EliminationResult:
 
     def key(self, row: int) -> tuple:
         """The group-value tuple of one row, as Python values."""
-        return tuple(col[row : row + 1].tolist()[0] for col in self.columns)
+        return tuple(
+            self.dictionary.decode(codes[row : row + 1]).tolist()[0] for codes in self.codes
+        )
 
     def group_codes(self, arity: int) -> np.ndarray:
         """Dense ``int64`` codes of the rows' values on the first ``arity``
         group variables (equal codes ⇔ equal values)."""
-        prefix = self.group_variables[:arity]
-        factor = ArrayFactor(prefix, self.columns[:arity], self.count_array)
-        return _renormalize(_factor_row_codes(factor, prefix))[0]
+        return _renormalize(_pack(self.codes[:arity], len(self.count_array))[0])[0]
 
 
 def order_factors_for_join(factors):
@@ -260,58 +271,10 @@ def greedy_elimination_order(
 
 
 # --------------------------------------------------------------------- #
-# Key factorization
+# Coded-column lookup counters
 # --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ColumnCodes:
-    """The dense factorization of one value column.
-
-    ``codes`` assigns every row an ``int64`` code in ``range(cardinality)``;
-    ``values`` lists the distinct values (``values[codes]`` reconstructs the
-    column).  ``sorted_values`` records whether ``values`` is a sorted
-    non-object array (the ``np.unique`` fast path) — two sorted code spaces
-    can be merged with vectorized ``searchsorted`` arithmetic, everything
-    else goes through Python-dict interning (which also unifies
-    numerically-equal values of different types, exactly like Python's own
-    hashing).
-
-    Codes survive row selection and fancy indexing unchanged (``values`` may
-    then over-approximate the values actually present, which is harmless:
-    codes are only ever compared for equality), so factors propagate their
-    factorizations through joins and filters instead of recomputing them.
-    """
-
-    codes: np.ndarray
-    values: np.ndarray
-    sorted_values: bool
-
-    @property
-    def cardinality(self) -> int:
-        """Number of distinct values in the code space."""
-        return int(len(self.values))
-
-    def take(self, selector: np.ndarray) -> "ColumnCodes":
-        """The factorization of the rows chosen by a mask / index array."""
-        return ColumnCodes(self.codes[selector], self.values, self.sorted_values)
-
-
-def _factorize_column(col: np.ndarray) -> ColumnCodes:
-    """Factorize one column: ``np.unique`` for plain dtypes, dict interning
-    for object columns (hashable but not necessarily mutually orderable)."""
-    if col.dtype != object:
-        uniq, inverse = np.unique(col, return_inverse=True)
-        return ColumnCodes(inverse.astype(np.int64, copy=False), uniq, True)
-    table: dict = {}
-    out = np.empty(len(col), dtype=np.int64)
-    for i, value in enumerate(col.tolist()):
-        out[i] = table.setdefault(value, len(table))
-    values = np.empty(len(table), dtype=object)
-    values[:] = list(table)
-    return ColumnCodes(out, values, False)
-
-
 class _FactorizationCounters:
-    """Thread-safe hit/miss counters of the base-column factorization cache.
+    """Thread-safe hit/miss counters of coded-column lookups.
 
     One process-wide instance (:data:`_FACTORIZATION_COUNTERS`) accumulates
     the global totals; additional *scoped* instances are installed
@@ -361,7 +324,7 @@ _FACTORIZATION_SCOPE: "contextvars.ContextVar[_FactorizationCounters | None]" = 
 
 
 def _record_factorization(hit: bool) -> None:
-    """Record one cache event on the global counters and every active scope."""
+    """Record one lookup on the global counters and every active scope."""
     _FACTORIZATION_COUNTERS._record_one(hit)
     scope = _FACTORIZATION_SCOPE.get()
     while scope is not None:
@@ -374,7 +337,7 @@ def merge_factorization_delta(hits: int, misses: int) -> None:
     the global counters and every active scope.
 
     This is the process-pool analogue of :func:`_record_factorization`:
-    workers count their cache events in a worker-local scope, ship the
+    workers count their lookups in a worker-local scope, ship the
     snapshot home, and the parent merges it here so
     :func:`factorization_cache_stats` and any open
     :func:`factorization_counter_scope` stay consistent across
@@ -390,8 +353,9 @@ def merge_factorization_delta(hits: int, misses: int) -> None:
 
 
 def factorization_cache_stats() -> dict[str, int]:
-    """Cumulative process-wide ``{"hits", "misses"}`` of the per-(relation,
-    column) cache (the cache itself lives on each
+    """Cumulative process-wide ``{"hits", "misses"}`` of coded-column
+    lookups, one per relation read (a miss when the relation had to be
+    coded; the coded columns live on each
     :class:`~repro.data.relation.Relation`).
 
     These totals are shared by everything in the process; callers that need
@@ -410,7 +374,7 @@ def reset_factorization_cache_stats() -> None:
 
 @contextlib.contextmanager
 def factorization_counter_scope() -> "Iterator[_FactorizationCounters]":
-    """A context-local counter seeing only this context's cache events.
+    """A context-local counter seeing only this context's lookups.
 
     Nested scopes stack (both count); the global totals always count.  The
     yielded object stays readable after the ``with`` block — its snapshot is
@@ -449,159 +413,112 @@ def current_factorization_scope() -> "_FactorizationCounters | None":
     return _FACTORIZATION_SCOPE.get()
 
 
-def _relation_factorization(relation: Relation, position: int) -> ColumnCodes:
-    """The cached factorization of a base-relation column (compute on miss)."""
-    cached = relation.cached_factorization(position)
-    if isinstance(cached, ColumnCodes):
-        _record_factorization(True)
-        return cached
-    factorized = _factorize_column(relation.to_columns()[position])
-    relation.store_factorization(position, factorized)
-    _record_factorization(False)
-    return factorized
+def _relation_codes(
+    relation: Relation, dictionary: ValueDictionary
+) -> tuple[np.ndarray, ...]:
+    """The relation's coded columns in ``dictionary``'s code space; counts
+    one lookup per call (a miss when the relation had to be coded)."""
+    hit = relation.coded_by is dictionary
+    codes = relation.coded_columns(dictionary)
+    _record_factorization(hit)
+    return codes
 
 
 # --------------------------------------------------------------------- #
-# Factors
+# Factors and keys
 # --------------------------------------------------------------------- #
 @dataclass
 class ArrayFactor:
     """A count-annotated factor stored columnar.
 
-    ``columns`` holds one value array per entry of ``variables`` (aligned,
-    equal length); ``counts`` is the per-row multiplicity, ``int64`` or —
-    once it could overflow — ``object`` (Python ints).  Value arrays are
-    either ``int64`` (fast path) or ``object`` (arbitrary hashable values).
-    ``codes`` optionally carries the :class:`ColumnCodes` factorization of
-    each column (``None`` entries are factorized lazily and memoized).
-    A factor over zero variables is a scalar: ``columns`` is empty and
-    ``counts`` has exactly one entry (or zero entries for the empty result).
+    ``columns`` holds one ``int64`` code column (codes of the database's
+    :class:`~repro.data.database.ValueDictionary`) per entry of
+    ``variables`` (aligned, equal length); ``counts`` is the per-row
+    multiplicity, ``int64`` or — once it could overflow — ``object``
+    (Python ints).  A factor over zero variables is a scalar: ``columns`` is
+    empty and ``counts`` has exactly one entry (or zero entries for the
+    empty result).
     """
 
     variables: tuple[Variable, ...]
     columns: tuple[np.ndarray, ...]
     counts: np.ndarray
-    codes: list[ColumnCodes | None] | None = field(default=None)
 
     def __len__(self) -> int:
         return int(self.counts.shape[0])
 
     def column(self, var: Variable) -> np.ndarray:
-        """The value column of ``var`` (raises ``ValueError`` if absent)."""
+        """The code column of ``var`` (raises ``ValueError`` if absent)."""
         return self.columns[self.variables.index(var)]
-
-    def _code_slots(self) -> list[ColumnCodes | None]:
-        if self.codes is None:
-            self.codes = [None] * len(self.columns)
-        return self.codes
-
-    def code_of(self, var: Variable) -> ColumnCodes:
-        """The (lazily computed, memoized) factorization of ``var``'s column."""
-        slots = self._code_slots()
-        index = self.variables.index(var)
-        if slots[index] is None:
-            slots[index] = _factorize_column(self.columns[index])
-        return slots[index]
 
     def take(self, selector: np.ndarray) -> "ArrayFactor":
         """A new factor keeping the rows chosen by a boolean mask / index array."""
-        codes = None
-        if self.codes is not None:
-            codes = [cc.take(selector) if cc is not None else None for cc in self.codes]
         return ArrayFactor(
             self.variables,
             tuple(col[selector] for col in self.columns),
             self.counts[selector],
-            codes,
         )
 
 
-def _renormalize(codes: np.ndarray) -> tuple[np.ndarray, int]:
-    uniq, inverse = np.unique(codes, return_inverse=True)
+def _renormalize(key: np.ndarray) -> tuple[np.ndarray, int]:
+    uniq, inverse = np.unique(key, return_inverse=True)
     return inverse.astype(np.int64, copy=False), max(int(len(uniq)), 1)
 
 
-def _factor_row_codes(factor: ArrayFactor, variables: Sequence[Variable]) -> np.ndarray:
-    """``int64`` codes identifying the distinct rows of ``variables`` in ``factor``.
+def _radix(column: np.ndarray) -> int:
+    return int(column.max()) + 1 if len(column) else 1
 
-    Zero variables means every row is the same (all-zero codes).  Multi-column
-    keys are packed positionally (``codes * cardinality + codes``) from the
-    per-column factorizations and re-factorized whenever the packed key space
-    approaches the ``int64`` range.
+
+def _pack(columns: Sequence[np.ndarray], length: int) -> tuple[np.ndarray, int]:
+    """One ``int64`` key per row of the code ``columns``, and the key space.
+
+    Codes are packed positionally (``key * radix + code``, the radix being
+    the column's largest code plus one), so equal keys ⇔ equal rows and keys
+    ascend lexicographically with the codes.  The key is re-densified
+    whenever its space passes :data:`_RENORMALIZE_CARDINALITY`, which keeps
+    every product inside ``int64``.  No columns means one all-zero key.
     """
-    if not variables:
-        return np.zeros(len(factor), dtype=np.int64)
-    codes: np.ndarray | None = None
-    cardinality = 1
-    for var in variables:
-        cc = factor.code_of(var)
-        distinct = max(cc.cardinality, 1)
-        if codes is None:
-            codes, cardinality = cc.codes, distinct
-        else:
-            codes = codes * np.int64(distinct) + cc.codes
-            cardinality *= distinct
+    if not columns:
+        return np.zeros(length, dtype=np.int64), 1
+    key, cardinality = columns[0], _radix(columns[0])
+    for column in columns[1:]:
+        radix = _radix(column)
+        key = key * np.int64(radix) + column
+        cardinality *= radix
         if cardinality > _RENORMALIZE_CARDINALITY:
-            codes, cardinality = _renormalize(codes)
-    return codes
+            key, cardinality = _renormalize(key)
+    return key, cardinality
 
 
-def _merge_column_codes(
-    left: ColumnCodes, right: ColumnCodes
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Re-encode two factorizations of one variable into a joint code space.
-
-    Only the *distinct values* of each side are compared (O(distinct) work
-    instead of the O(rows) column concatenation the codes replace); the row
-    codes are then translated with one vectorized ``take`` per side.
-    """
-    if left.sorted_values and right.sorted_values:
-        combined = np.concatenate([left.values, right.values])
-        joint, inverse = np.unique(combined, return_inverse=True)
-        left_map = inverse[: len(left.values)].astype(np.int64, copy=False)
-        right_map = inverse[len(left.values) :].astype(np.int64, copy=False)
-        cardinality = int(len(joint))
-    else:
-        table: dict = {}
-        left_map = np.fromiter(
-            (table.setdefault(v, len(table)) for v in left.values.tolist()),
-            dtype=np.int64,
-            count=len(left.values),
-        )
-        right_map = np.fromiter(
-            (table.setdefault(v, len(table)) for v in right.values.tolist()),
-            dtype=np.int64,
-            count=len(right.values),
-        )
-        cardinality = len(table)
-    left_codes = left_map[left.codes] if len(left.values) else left.codes
-    right_codes = right_map[right.codes] if len(right.values) else right.codes
-    return left_codes, right_codes, cardinality
-
-
-def _factor_join_codes(
+def _join_keys(
     left: ArrayFactor, right: ArrayFactor, shared: Sequence[Variable]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row codes for the shared key columns, consistent across both join sides."""
-    nl, nr = len(left), len(right)
-    lcodes: np.ndarray | None = None
-    rcodes: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Packed keys of the shared columns on both sides, in one key space.
+
+    Both sides code values in the same dictionary, so equal codes are equal
+    values and the keys compare directly; only the radix is shared.
+    """
+    nl = len(left)
+    lkey = rkey = None
     cardinality = 1
     for var in shared:
-        lcol, rcol, distinct = _merge_column_codes(left.code_of(var), right.code_of(var))
-        distinct = max(distinct, 1)
-        if lcodes is None or rcodes is None:
-            lcodes, rcodes, cardinality = lcol, rcol, distinct
+        lcol, rcol = left.column(var), right.column(var)
+        radix = max(_radix(lcol), _radix(rcol))
+        if lkey is None:
+            lkey, rkey, cardinality = lcol, rcol, radix
         else:
-            lcodes = lcodes * np.int64(distinct) + lcol
-            rcodes = rcodes * np.int64(distinct) + rcol
-            cardinality *= distinct
+            lkey = lkey * np.int64(radix) + lcol
+            rkey = rkey * np.int64(radix) + rcol
+            cardinality *= radix
         if cardinality > _RENORMALIZE_CARDINALITY:
-            combined, cardinality = _renormalize(np.concatenate([lcodes, rcodes]))
-            lcodes, rcodes = combined[:nl], combined[nl:]
-    if lcodes is None or rcodes is None:
-        return np.zeros(nl, dtype=np.int64), np.zeros(nr, dtype=np.int64)
-    return lcodes, rcodes
+            joint, cardinality = _renormalize(np.concatenate([lkey, rkey]))
+            lkey, rkey = joint[:nl], joint[nl:]
+    return lkey, rkey, cardinality
+
+
+def _is_dense(cardinality: int, rows: int) -> bool:
+    """Whether a key space is small enough to count into directly."""
+    return cardinality <= _DENSE_KEYS_PER_ROW * max(rows, 1)
 
 
 # --------------------------------------------------------------------- #
@@ -617,48 +534,56 @@ def _check_row_cap(rows: int, row_cap: int | None) -> None:
 
 
 def _expand_matches(
-    lkey: np.ndarray, rkey: np.ndarray, row_cap: int | None = None
+    lkey: np.ndarray, rkey: np.ndarray, cardinality: int, row_cap: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matching ``(left_idx, right_idx)`` row pairs of a factorized join.
+    """Matching ``(left_idx, right_idx)`` row pairs of an equi-join on keys.
 
-    The right codes are stable-sorted; every left row is expanded to its
-    matching right rows through ``searchsorted`` ranges, ``repeat`` and
-    ``cumsum`` offsets.  The number of pairs is known from the ranges before
-    anything is expanded, and is checked against ``row_cap`` there.
+    The right rows are sorted by key (in any order among equal keys) and
+    every left row is expanded to the range of its key with ``repeat`` and
+    ``cumsum`` offsets.  A dense key space finds the ranges by counting
+    (``bincount`` + ``cumsum``), a sparse one by ``searchsorted``.  The
+    number of pairs is known before anything is expanded, and is checked
+    against ``row_cap`` there.
     """
-    order = np.argsort(rkey, kind="stable")
-    rsorted = rkey[order]
-    lo = np.searchsorted(rsorted, lkey, side="left")
-    hi = np.searchsorted(rsorted, lkey, side="right")
-    matches = hi - lo
-    hit = matches > 0
-    per_left = matches[hit]
-    total = int(per_left.sum())
+    order = np.argsort(rkey)
+    if _is_dense(cardinality, len(lkey) + len(rkey)):
+        per_key = np.bincount(rkey, minlength=cardinality)
+        lo = (np.cumsum(per_key) - per_key)[lkey]
+        matches = per_key[lkey]
+    else:
+        rsorted = rkey[order]
+        lo = np.searchsorted(rsorted, lkey, side="left")
+        matches = np.searchsorted(rsorted, lkey, side="right") - lo
+    total = int(matches.sum())
     _check_row_cap(total, row_cap)
-    left_idx = np.repeat(np.nonzero(hit)[0], per_left)
-    starts = np.repeat(lo[hit], per_left)
-    offsets = np.repeat(np.cumsum(per_left) - per_left, per_left)
-    right_idx = order[starts + (np.arange(total, dtype=np.int64) - offsets)]
+    left_idx = np.repeat(np.arange(len(lkey), dtype=np.int64), matches)
+    shift = np.repeat(lo - (np.cumsum(matches) - matches), matches)
+    right_idx = order[np.arange(total, dtype=np.int64) + shift]
     return left_idx, right_idx
 
 
 def _join(
-    left: ArrayFactor, right: ArrayFactor, row_cap: int | None = None
-) -> ArrayFactor:
-    """Natural join of two factors, multiplying counts (vectorized).
+    left: ArrayFactor,
+    right: ArrayFactor,
+    pending: list[Predicate],
+    dictionary: ValueDictionary,
+    row_cap: int | None = None,
+) -> tuple[ArrayFactor, list[Predicate]]:
+    """Natural join of two factors, multiplying counts, then every pending
+    predicate it covers; ``(factor, still pending)``.
 
-    With shared variables this is a factorized sort-merge join: both sides'
-    key columns are encoded into one code space, the right side is sorted by
-    code, and every left row is expanded to its matching right rows through
-    ``searchsorted`` ranges.  Without shared variables it degenerates to a
-    cross product.  A join that would produce more than ``row_cap`` rows
-    raises :class:`_RowCapExceeded` before materialising them.
+    With shared variables the packed key columns of both sides are matched
+    by :func:`_expand_matches`; without them the join is a cross product.
+    A join that would produce more than ``row_cap`` rows raises
+    :class:`_RowCapExceeded` before materialising them.  The predicates are
+    evaluated on the matched row pairs, so only surviving rows are
+    materialised.
     """
     shared = tuple(v for v in left.variables if v in right.variables)
     nl, nr = len(left), len(right)
     if shared:
-        lkey, rkey = _factor_join_codes(left, right, shared)
-        left_idx, right_idx = _expand_matches(lkey, rkey, row_cap)
+        lkey, rkey, cardinality = _join_keys(left, right, shared)
+        left_idx, right_idx = _expand_matches(lkey, rkey, cardinality, row_cap)
     else:
         _check_row_cap(nl * nr, row_cap)
         left_idx = np.repeat(np.arange(nl, dtype=np.int64), nr)
@@ -666,20 +591,31 @@ def _join(
 
     extra = tuple(v for v in right.variables if v not in shared)
     out_vars = left.variables + extra
-    out_cols = tuple(col[left_idx] for col in left.columns) + tuple(
-        right.column(v)[right_idx] for v in extra
-    )
-    left_codes = left.codes or [None] * len(left.columns)
-    right_slots = right.codes or [None] * len(right.columns)
-    out_codes: list[ColumnCodes | None] = [
-        cc.take(left_idx) if cc is not None else None for cc in left_codes
-    ]
-    for v in extra:
-        cc = right_slots[right.variables.index(v)]
-        out_codes.append(cc.take(right_idx) if cc is not None else None)
+
+    def gather(var: Variable) -> np.ndarray:
+        if var in extra:
+            return right.column(var)[right_idx]
+        return left.column(var)[left_idx]
+
+    ready, pending = _split_ready(pending, out_vars)
+    if ready:
+        gathered: dict[Variable, np.ndarray] = {}
+
+        def column(var: Variable) -> np.ndarray:
+            if var not in gathered:
+                gathered[var] = gather(var)
+            return gathered[var]
+
+        keep = _conjunction(ready, column, len(left_idx), dictionary)
+        left_idx, right_idx = left_idx[keep], right_idx[keep]
+        out_cols = tuple(
+            gathered[v][keep] if v in gathered else gather(v) for v in out_vars
+        )
+    else:
+        out_cols = tuple(gather(v) for v in out_vars)
     bound = _max_count(left.counts) * _max_count(right.counts)
     counts = _exact_counts(left.counts[left_idx], bound) * right.counts[right_idx]
-    return ArrayFactor(out_vars, out_cols, counts, out_codes)
+    return ArrayFactor(out_vars, out_cols, counts), pending
 
 
 def _max_count(counts: np.ndarray) -> int:
@@ -698,31 +634,29 @@ def _exact_counts(counts: np.ndarray, bound: int) -> np.ndarray:
     return counts
 
 
-def _group_reduce(codes: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-group first-occurrence indices and count sums, groups in
-    ascending code order."""
-    uniq, first_idx, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    counts = _exact_counts(counts, len(counts) * _max_count(counts))
-    sums = np.zeros(len(uniq), dtype=counts.dtype)
-    np.add.at(sums, inverse, counts)
-    return first_idx, sums
+def _group_reduce(key: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One representative row index and the count sum per group, groups in
+    ascending key order: one sort and ``np.add.reduceat`` over its runs."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
+    counts = _exact_counts(counts, len(key) * _max_count(counts))
+    return order[starts], np.add.reduceat(counts[order], starts)
 
 
 def _project_sum(factor: ArrayFactor, keep: Sequence[Variable]) -> ArrayFactor:
     """Sum out every variable not in ``keep`` (vectorized group-by)."""
     keep_set = set(keep)
     keep_vars = tuple(v for v in factor.variables if v in keep_set)
-    codes = _factor_row_codes(factor, keep_vars)
-    first_idx, sums = _group_reduce(codes, factor.counts)
-    slots = factor.codes or [None] * len(factor.columns)
-    out_codes = []
-    out_cols = []
-    for v in keep_vars:
-        index = factor.variables.index(v)
-        out_cols.append(factor.columns[index][first_idx])
-        cc = slots[index]
-        out_codes.append(cc.take(first_idx) if cc is not None else None)
-    return ArrayFactor(keep_vars, tuple(out_cols), sums, out_codes)
+    if not len(factor):
+        return ArrayFactor(keep_vars, tuple(factor.column(v) for v in keep_vars), factor.counts)
+    if not keep_vars:
+        counts = _exact_counts(factor.counts, len(factor) * _max_count(factor.counts))
+        total = counts.sum()
+        return ArrayFactor((), (), np.array([total], dtype=counts.dtype))
+    columns = [factor.column(v) for v in keep_vars]
+    representative, sums = _group_reduce(_pack(columns, len(factor))[0], factor.counts)
+    return ArrayFactor(keep_vars, tuple(col[representative] for col in columns), sums)
 
 
 # --------------------------------------------------------------------- #
@@ -777,37 +711,80 @@ def predicate_mask(
     )
 
 
-def _apply_ready_predicates(
-    factor: ArrayFactor, pending: list[Predicate]
-) -> tuple[ArrayFactor, list[Predicate]]:
-    """Apply (and consume) every pending predicate contained in ``factor``."""
-    var_set = frozenset(factor.variables)
+def _code_mask(
+    pred: Predicate, column, length: int, dictionary: ValueDictionary
+) -> np.ndarray:
+    """``pred``'s keep-mask over ``length`` rows; ``column(var)`` gives the
+    code column of a variable.
+
+    An inequality on a variable compares codes (equal codes ⇔ equal
+    values; a constant no value equals gets code ``-1``); every other
+    predicate decodes its columns through the dictionary and compares
+    values.
+    """
+    if isinstance(pred, InequalityPredicate) and pred.variables:
+
+        def code(term):
+            if isinstance(term, Variable):
+                return column(term)
+            found = dictionary.lookup(term.value)
+            return -1 if found is None else found
+
+        return _as_bool_mask(code(pred.left) != code(pred.right), length)
+    operands = {v: dictionary.decode(column(v)) for v in pred.variables}
+    return predicate_mask(pred, operands, length)
+
+
+def _conjunction(
+    predicates: Sequence[Predicate], column, length: int, dictionary: ValueDictionary
+) -> np.ndarray:
+    mask = _code_mask(predicates[0], column, length, dictionary)
+    for pred in predicates[1:]:
+        mask &= _code_mask(pred, column, length, dictionary)
+    return mask
+
+
+def _split_ready(
+    pending: list[Predicate], variables: Sequence[Variable]
+) -> tuple[list[Predicate], list[Predicate]]:
+    """``(predicates covered by variables, the rest)``."""
+    var_set = frozenset(variables)
     ready = [p for p in pending if p.variables <= var_set]
     if not ready:
+        return ready, pending
+    return ready, [p for p in pending if p not in ready]
+
+
+def _apply_ready_predicates(
+    factor: ArrayFactor, pending: list[Predicate], dictionary: ValueDictionary
+) -> tuple[ArrayFactor, list[Predicate]]:
+    """Apply (and consume) every pending predicate contained in ``factor``."""
+    ready, pending = _split_ready(pending, factor.variables)
+    if not ready:
         return factor, pending
-    remaining = [p for p in pending if p not in ready]
-    operands = dict(zip(factor.variables, factor.columns))
-    mask = np.ones(len(factor), dtype=bool)
-    for pred in ready:
-        mask &= predicate_mask(pred, operands, len(factor))
-    return factor.take(mask), remaining
+    return factor.take(_conjunction(ready, factor.column, len(factor), dictionary)), pending
 
 
 # --------------------------------------------------------------------- #
 # Atom factors
 # --------------------------------------------------------------------- #
-def _atom_factor(query: ConjunctiveQuery, database: Database, atom_index: int) -> ArrayFactor:
+def _atom_factor(
+    query: ConjunctiveQuery,
+    database: Database,
+    atom_index: int,
+    dictionary: ValueDictionary,
+) -> ArrayFactor:
     """The initial factor of one atom: distinct variable bindings with count 1.
 
-    Columns (and their factorizations) come straight from the relation's
-    cached columnar snapshot, so repeated eliminations over the same
-    instance — every subset of a sensitivity profile, every query of a
-    serving session — skip the ``np.unique`` factorization entirely.
+    Columns come straight from the relation's coded columns, so repeated
+    eliminations over the same instance — every subset of a sensitivity
+    profile, every query of a serving session — code nothing.  Constants
+    and repeated variables are matched on codes.
     """
     atom = query.atoms[atom_index]
     relation = database.relation(atom.relation)
-    raw = relation.to_columns()
-    length = len(relation)
+    coded = _relation_codes(relation, dictionary)
+    length = len(coded[0]) if coded else len(relation)
 
     mask: np.ndarray | None = None
 
@@ -817,27 +794,22 @@ def _atom_factor(query: ConjunctiveQuery, database: Database, atom_index: int) -
 
     for position, term in enumerate(atom.terms):
         if isinstance(term, Constant):
-            conjoin(_as_bool_mask(raw[position] == term.value, length))
+            code = dictionary.lookup(term.value)
+            conjoin(coded[position] == (-1 if code is None else code))
     variables = atom.variables
     var_positions = {v: atom.positions_of(v) for v in variables}
     for positions in var_positions.values():
         for position in positions[1:]:
-            conjoin(_as_bool_mask(raw[positions[0]] == raw[position], length))
+            conjoin(coded[positions[0]] == coded[position])
 
-    codes: list[ColumnCodes | None] = [
-        _relation_factorization(relation, var_positions[v][0]) for v in variables
-    ]
+    columns = tuple(coded[var_positions[v][0]] for v in variables)
     if mask is not None:
-        keep = np.nonzero(mask)[0]
-        columns = tuple(raw[var_positions[v][0]][keep] for v in variables)
-        codes = [cc.take(keep) if cc is not None else None for cc in codes]
-        rows = int(len(keep))
-    else:
-        columns = tuple(raw[var_positions[v][0]] for v in variables)
-        rows = length
+        keep = np.flatnonzero(mask)
+        columns = tuple(col[keep] for col in columns)
+        length = int(len(keep))
     # Distinct relation rows always induce distinct bindings (constants and
     # repeated variables are filtered above), so every count is 1.
-    return ArrayFactor(tuple(variables), columns, np.ones(rows, dtype=np.int64), codes)
+    return ArrayFactor(tuple(variables), columns, np.ones(length, dtype=np.int64))
 
 
 # --------------------------------------------------------------------- #
@@ -846,12 +818,18 @@ def _atom_factor(query: ConjunctiveQuery, database: Database, atom_index: int) -
 def _estimated_join_rows(
     left: ArrayFactor, right: ArrayFactor, shared: tuple[Variable, ...]
 ) -> int:
-    """Number of rows the join of two factors would produce (exact, cheap)."""
-    lkey, rkey = _factor_join_codes(left, right, shared)
-    rsorted = np.sort(rkey, kind="stable")
-    lo = np.searchsorted(rsorted, lkey, side="left")
-    hi = np.searchsorted(rsorted, lkey, side="right")
-    return int((hi - lo).sum())
+    """Number of rows the join of two factors would produce (exact, cheap):
+    the dot product of both sides' per-key row counts."""
+    lkey, rkey, cardinality = _join_keys(left, right, shared)
+    if not _is_dense(cardinality, len(lkey) + len(rkey)):
+        joint, cardinality = _renormalize(np.concatenate([lkey, rkey]))
+        lkey, rkey = joint[: len(lkey)], joint[len(lkey) :]
+    return int(
+        np.dot(
+            np.bincount(lkey, minlength=cardinality),
+            np.bincount(rkey, minlength=cardinality),
+        )
+    )
 
 
 def _matmul_aggregate(
@@ -859,6 +837,7 @@ def _matmul_aggregate(
     right: ArrayFactor,
     shared: tuple[Variable, ...],
     pending: list[Predicate],
+    dictionary: ValueDictionary,
 ) -> tuple[ArrayFactor, list[Predicate]]:
     """Sum out ``shared`` from ``left ⋈ right`` via a sparse matrix product.
 
@@ -880,9 +859,7 @@ def _matmul_aggregate(
     out_vars = left_keep + right_keep
 
     def empty_result() -> ArrayFactor:
-        columns = tuple(left.column(v)[:0] for v in left_keep) + tuple(
-            right.column(v)[:0] for v in right_keep
-        )
+        columns = tuple(np.empty(0, dtype=np.int64) for _ in out_vars)
         return ArrayFactor(out_vars, columns, np.zeros(0, dtype=np.int64))
 
     # An empty side, or no right row matching any left mid, returns the
@@ -891,14 +868,14 @@ def _matmul_aggregate(
     if not nl or not nr:
         return empty_result(), pending
 
-    lmid, rmid = _factor_join_codes(left, right, shared)
+    lmid, rmid, _ = _join_keys(left, right, shared)
     if not np.isin(rmid, lmid).any():
         return empty_result(), pending
     mid_uniq, mid_inverse = np.unique(np.concatenate([lmid, rmid]), return_inverse=True)
     lmid_dense, rmid_dense = mid_inverse[:nl], mid_inverse[nl:]
 
-    lrow = _factor_row_codes(left, left_keep)
-    rcol = _factor_row_codes(right, right_keep)
+    lrow = _pack([left.column(v) for v in left_keep], nl)[0]
+    rcol = _pack([right.column(v) for v in right_keep], nr)[0]
     lrow_uniq, lrow_first, lrow_dense = np.unique(
         lrow, return_index=True, return_inverse=True
     )
@@ -926,19 +903,10 @@ def _matmul_aggregate(
     out_cols = tuple(left.column(v)[left_idx] for v in left_keep) + tuple(
         right.column(v)[right_idx] for v in right_keep
     )
-    left_slots = left.codes or [None] * len(left.columns)
-    right_slots = right.codes or [None] * len(right.columns)
-    out_codes: list[ColumnCodes | None] = []
-    for v in left_keep:
-        cc = left_slots[left.variables.index(v)]
-        out_codes.append(cc.take(left_idx) if cc is not None else None)
-    for v in right_keep:
-        cc = right_slots[right.variables.index(v)]
-        out_codes.append(cc.take(right_idx) if cc is not None else None)
-    factor = ArrayFactor(out_vars, out_cols, counts, out_codes)
+    factor = ArrayFactor(out_vars, out_cols, counts)
 
     # Apply the pending predicates that survived the projection.
-    return _apply_ready_predicates(factor, pending)
+    return _apply_ready_predicates(factor, pending, dictionary)
 
 
 # --------------------------------------------------------------------- #
@@ -959,6 +927,7 @@ def _join_and_aggregate(
     bucket: Sequence[ArrayFactor],
     keep: Sequence[Variable],
     pending: list[Predicate],
+    dictionary: ValueDictionary,
     row_cap: int | None = None,
 ) -> tuple[ArrayFactor, list[Predicate]]:
     """Join ``bucket``, filter, and sum onto ``keep`` (vectorized).
@@ -981,15 +950,14 @@ def _join_and_aggregate(
             estimated = _estimated_join_rows(bucket[0], bucket[1], shared)
             if estimated > MATMUL_THRESHOLD and _matmul_fits_int64(bucket[0], bucket[1]):
                 factor, pending = _matmul_aggregate(
-                    bucket[0], bucket[1], shared, pending
+                    bucket[0], bucket[1], shared, pending, dictionary
                 )
                 return _project_sum(factor, keep), pending
 
     ordered = order_factors_for_join(bucket)
-    current, pending = _apply_ready_predicates(ordered[0], pending)
+    current, pending = _apply_ready_predicates(ordered[0], pending, dictionary)
     for factor in ordered[1:]:
-        current = _join(current, factor, row_cap)
-        current, pending = _apply_ready_predicates(current, pending)
+        current, pending = _join(current, factor, pending, dictionary, row_cap)
     return _project_sum(current, keep), pending
 
 
@@ -998,6 +966,7 @@ def _eliminate(
     internal: Sequence[Variable],
     group_vars: tuple[Variable, ...],
     pending: list[Predicate],
+    dictionary: ValueDictionary,
     row_cap: int | None,
 ) -> tuple[ArrayFactor, list[Predicate], list[Variable]]:
     """Sum ``internal`` out of ``factors``; ``(final factor, dropped, order)``.
@@ -1024,10 +993,12 @@ def _eliminate(
             continue
         others = [f for f in factors if not linked.intersection(f.variables)]
         keep = [v for factor in bucket for v in factor.variables if v != var]
-        summed, pending = _join_and_aggregate(bucket, keep, pending, row_cap)
+        summed, pending = _join_and_aggregate(bucket, keep, pending, dictionary, row_cap)
         factors = others + [summed]
 
-    final, pending = _join_and_aggregate(factors, list(group_vars), pending, row_cap)
+    final, pending = _join_and_aggregate(
+        factors, list(group_vars), pending, dictionary, row_cap
+    )
     return final, pending, order
 
 
@@ -1068,7 +1039,7 @@ def eliminate_group_counts_columnar(
     indices = list(range(query.num_atoms)) if atom_indices is None else list(atom_indices)
     if not indices:
         return EliminationResult(
-            tuple(group_variables), (), np.ones(1, dtype=np.int64), (), ()
+            tuple(group_variables), (), np.ones(1, dtype=np.int64), (), (), None
         )
 
     covered_vars = query.variables_of(indices)
@@ -1086,27 +1057,36 @@ def eliminate_group_counts_columnar(
         if p.variables <= covered_vars
     ]
 
+    # One dictionary for the whole elimination: a concurrent
+    # ``release_caches`` may replace the database's, and codes of two
+    # dictionaries must never meet in one join.
+    dictionary = database.dictionary
     factors: list[ArrayFactor] = []
     for idx in indices:
-        factor = _atom_factor(query, database, idx)
-        factor, pending = _apply_ready_predicates(factor, pending)
+        factor = _atom_factor(query, database, idx, dictionary)
+        factor, pending = _apply_ready_predicates(factor, pending, dictionary)
         factors.append(factor)
 
     internal = [v for v in covered_vars if v not in group_vars]
     plan = None
     if pending:
         try:
-            plan = _eliminate(factors, internal, group_vars, pending, BUCKET_ROW_CAP)
+            plan = _eliminate(
+                factors, internal, group_vars, pending, dictionary, BUCKET_ROW_CAP
+            )
         except _RowCapExceeded:
             pass  # the predicate-blind plan below drops what it cannot apply
-    final, pending, order = plan or _eliminate(factors, internal, group_vars, pending, None)
+    final, pending, order = plan or _eliminate(
+        factors, internal, group_vars, pending, dictionary, None
+    )
 
     # Key columns in the requested group-variable order (the final factor's
     # variables are a permutation of ``group_vars``).
     return EliminationResult(
         group_variables=group_vars,
-        columns=tuple(final.column(v) for v in group_vars),
+        codes=tuple(final.column(v) for v in group_vars),
         count_array=final.counts,
         dropped_predicates=tuple(pending),
         elimination_order=tuple(order),
+        dictionary=dictionary,
     )

@@ -10,13 +10,15 @@ ideal shared-nothing units — this module ships them to worker **processes**.
 A :class:`ComponentTask` is the picklable task spec: the parent query, the
 kept-atom subset, the evaluation knobs, and a snapshot of the rows of every
 relation the component reads (tagged with the source database's identity
-token and per-relation epochs).  Workers rebuild each relation lazily —
-including its :class:`~repro.engine.columnar.ColumnCodes` factorizations —
-and keep the rebuilt relations in a small per-worker cache keyed by
-``(database token, relation, epoch)``, so a warm worker re-evaluating
-components of the same registered database skips both the rebuild and the
-re-factorization.  The worker counts its factorization-cache events in a
-worker-local scope and returns the snapshot together with the
+token and per-relation epochs).  Workers rebuild each relation lazily and
+keep the rebuilt relations in a small per-worker cache keyed by
+``(database token, relation, epoch)``; every relation of one token is coded
+against one append-only value dictionary of the worker's own, built from
+the rows it is shipped.  A warm worker re-evaluating components of the same
+registered database therefore skips both the rebuild and the coding, and an
+epoch change rebuilds and codes only the relation that changed.  The worker
+counts its coded-column lookups in a worker-local scope and returns the
+snapshot together with the
 :class:`~repro.engine.aggregates.MultiplicityResult`; the parent merges the
 delta through :func:`repro.engine.columnar.merge_factorization_delta` so
 ``ProfileStats`` counters stay invariant across serial/thread/process runs
@@ -43,7 +45,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from repro.data.database import Database
+from repro.data.database import Database, ValueDictionary
 from repro.data.relation import Relation
 from repro.data.schema import DatabaseSchema
 
@@ -159,6 +161,12 @@ def database_token(database: Database) -> int:
 _WORKER_RELATION_LIMIT = 64
 _WORKER_RELATIONS: "OrderedDict[tuple[int, str, int], Relation]" = OrderedDict()
 
+#: One value dictionary per ``db_token``, coding every relation of that token
+#: the worker rebuilds.  It is append-only, so the codes of a cached relation
+#: stay valid when another relation of the token changes epoch.
+_WORKER_DICTIONARY_LIMIT = 8
+_WORKER_DICTIONARIES: "OrderedDict[int, ValueDictionary]" = OrderedDict()
+
 
 def _worker_relation(
     token: int, name: str, epoch: int, schema: DatabaseSchema, rows
@@ -176,21 +184,42 @@ def _worker_relation(
     return relation
 
 
+def _worker_dictionary(token: int, database: Database) -> ValueDictionary:
+    dictionary = _WORKER_DICTIONARIES.get(token)
+    if dictionary is None:
+        # Seeded from the first slice of the token, as a parent database
+        # seeds its own; values of later slices are appended.
+        dictionary = database.dictionary
+        _WORKER_DICTIONARIES[token] = dictionary
+        while len(_WORKER_DICTIONARIES) > _WORKER_DICTIONARY_LIMIT:
+            _WORKER_DICTIONARIES.popitem(last=False)
+    else:
+        _WORKER_DICTIONARIES.move_to_end(token)
+    return dictionary
+
+
 def _worker_database(task: ComponentTask) -> Database:
     """Rebuild the component's database slice from cached warm relations.
 
     The :class:`Database` wrapper is fresh per task, but the
     :class:`Relation` instances inside it — and therefore their columnar
-    snapshots and factorization caches — are shared across every task of
-    the same ``(db_token, epoch)``, which is exactly the warm-worker
-    amortization the pool exists for.  Sharing is safe because worker
-    processes evaluate one task at a time and evaluation never mutates rows.
+    snapshots and coded columns — are shared across every task of the same
+    ``(db_token, epoch)``, and the value dictionary across every task of the
+    same ``db_token``, which is exactly the warm-worker amortization the pool
+    exists for.  Sharing is safe because worker processes evaluate one task
+    at a time and evaluation never mutates rows.
+
+    Values and exactness match serial evaluation.  Which group a witness
+    names among groups tied at the maximum follows the worker's code order,
+    which is the parent's only while both code the values in value order
+    (as for a fresh single-relation database).
     """
     database = Database(task.schema)
     for name, epoch, rows in task.relations:
         database._relations[name] = _worker_relation(
             task.db_token, name, epoch, task.schema, rows
         )
+    database._dictionary = _worker_dictionary(task.db_token, database)
     return database
 
 
@@ -198,7 +227,7 @@ def evaluate_component_task(task: ComponentTask):
     """Worker entry point: evaluate one component, return result + stats delta.
 
     Returns ``(MultiplicityResult, {"hits": int, "misses": int})`` where the
-    dict is the worker-local factorization-cache delta of exactly this
+    dict is the worker-local coded-column lookup delta of exactly this
     evaluation (counted through a scope, so concurrent warm state in the
     worker never pollutes it).
     """

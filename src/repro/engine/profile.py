@@ -125,7 +125,9 @@ class ProfileStats:
         ``components_total == components_evaluated + component_hits +
         component_cache_hits``.
     factorization_hits / factorization_misses:
-        This run's per-(relation, column) factorization-cache events,
+        This run's coded-column lookups, one per relation read by an
+        atom (a miss when the relation had to be coded against the
+        database's value dictionary),
         counted through a context-local scope
         (:func:`repro.engine.columnar.factorization_counter_scope`) — exact
         even when unrelated evaluations run concurrently in the process.

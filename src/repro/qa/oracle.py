@@ -6,7 +6,7 @@ purpose shares no code with the production engines it is used to check:
 * :func:`oracle_count` evaluates ``|q(I)|`` by a naive nested-loop join —
   one loop level per atom, a plain dict as the variable assignment, every
   predicate applied on the fully materialised assignment.  No indexes, no
-  elimination orders, no factorization.
+  elimination orders, no dictionary codes.
 * :func:`oracle_group_counts` is the same loop with a group-by on an
   explicit variable list — the semantics the boundary-multiplicity
   machinery reduces to.
@@ -45,11 +45,19 @@ __all__ = [
 ]
 
 
+def _row_key(row: tuple) -> tuple:
+    """A total sort key for rows of any values: ``str`` and ``int`` in one
+    column do not compare with ``<``, their type names and reprs do."""
+    return tuple((type(value).__name__, repr(value)) for value in row)
+
+
 def _assignments(
     query: ConjunctiveQuery, database: Database
 ) -> Iterator[dict[Variable, object]]:
     """Every satisfying assignment, by nested loops over raw tuple lists."""
-    atom_rows = [sorted(database.relation(atom.relation)) for atom in query.atoms]
+    atom_rows = [
+        sorted(database.relation(atom.relation), key=_row_key) for atom in query.atoms
+    ]
     predicates = query.predicates
 
     def extend(level: int, assignment: dict[Variable, object]) -> Iterator[dict]:
@@ -111,7 +119,7 @@ def _neighbors(database: Database) -> Iterator[Database]:
     """All instances at tuple-DP distance exactly one (private edits only)."""
     for name in sorted(database.schema.private_relations):
         relation = database.relation(name)
-        existing = sorted(relation)
+        existing = sorted(relation, key=_row_key)
         candidates = _candidate_rows(database, name)
         for row in existing:
             yield database.with_tuple_removed(name, row)

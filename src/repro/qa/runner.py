@@ -40,8 +40,8 @@ executes a fixed battery of checks:
 ``incremental``
     A seed-addressable random edit script applied through the delta path
     (:meth:`Relation.add_rows` / :meth:`Relation.remove_rows` /
-    :meth:`Relation.replace`, with warm columnar snapshots and
-    factorization caches maintained in place) must leave the database
+    :meth:`Relation.replace`, with warm columnar snapshots and coded
+    columns maintained in place) must leave the database
     indistinguishable from a from-scratch rebuild with the same final
     rows: tuple sets, counts, full lattice profiles and bitwise seeded
     releases must agree.
@@ -51,8 +51,9 @@ executes a fixed battery of checks:
     path through :mod:`repro.engine.procpool`) must be indistinguishable
     from the serial evaluation: identical values, exactness flags and
     dropped-predicate multisets for every subset, identical structural
-    stats counters, and the same factorization hits+misses total (the
-    hit/miss *split* may shift toward misses — worker caches start cold).
+    stats counters, and the same coded-column lookup total
+    (``factorization_hits + factorization_misses``; the hit/miss *split*
+    may shift toward misses — worker caches start cold).
 
 Every failure is wrapped in a :class:`FuzzFailure` that carries a
 self-contained replay snippet — paste it into a Python prompt (or pipe to
@@ -506,7 +507,7 @@ class DifferentialRunner:
         import random
 
         query, db = case.query(), case.database()
-        # Warm the columnar snapshots and factorization caches first so the
+        # Warm the columnar snapshots and coded columns first so the
         # edit script exercises the *in-place* maintenance path rather than
         # a cold rebuild.
         count_query(query, db)

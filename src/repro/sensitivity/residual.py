@@ -96,8 +96,8 @@ class ResidualSensitivityReport:
         Distinct residual-component evaluations the shared-lattice evaluator
         actually ran (see :class:`repro.engine.profile.ProfileStats`).
     factorization_hits:
-        Columnar factorization-cache hits observed during the profile
-        evaluation.
+        Coded-column lookups that found the relation already coded during
+        the profile evaluation.
     """
 
     value: float

@@ -8,8 +8,8 @@ records, and invalidation is two-tier:
   in their keys, so every cached plan, profile or sensitivity derived from
   the old contents silently becomes unreachable (and ages out of the LRU)
   instead of being served stale.  The version bump also releases the
-  superseded instance's *data-level* caches — columnar snapshots and
-  per-(relation, column) factorizations (see
+  superseded instance's *data-level* caches — its value dictionary,
+  columnar snapshots and coded columns (see
   :meth:`repro.data.database.Database.release_caches`) — so the memory of a
   replaced registration is reclaimed eagerly.
 * **Delta mutation** (:meth:`DatabaseRegistry.mutate`) keeps the version
@@ -17,8 +17,8 @@ records, and invalidation is two-tier:
   it touches; query-layer caches additionally key on the epochs of the
   relations an entry reads, so a mutation invalidates only the entries
   touching mutated relations while everything else — including the
-  columnar snapshots and factorization codes, which the delta mutators
-  update in place — stays warm.  See ``docs/mutation.md``.
+  columnar snapshots and coded columns, which the delta mutators update
+  in place — stays warm.  See ``docs/mutation.md``.
 
 When the registry is backed by a :class:`~repro.service.persistence.StateStore`,
 every (un)registration journals a **versioned metadata snapshot** of the
@@ -148,10 +148,11 @@ class DatabaseRegistry:
                     self._recovered.pop(name, None)
                     # The version bump already makes every cache key derived
                     # from the old contents unreachable; releasing the old
-                    # instance's derived caches (columnar snapshots, column
-                    # factorizations, indexes) frees their memory now rather
-                    # than when the LRU ages the last reference out — unless
-                    # another registration still serves the same object.
+                    # instance's derived caches (value dictionary, columnar
+                    # snapshots, coded columns, indexes) frees their memory
+                    # now rather than when the LRU ages the last reference
+                    # out — unless another registration still serves the
+                    # same object.
                     if previous is not None and previous.database is not database:
                         self._release_if_unreferenced(previous.database)
 

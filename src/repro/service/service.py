@@ -15,7 +15,7 @@ Three caches cooperate (see :mod:`repro.service.cache`):
   sensitivity and are *β-independent*, so one profile serves every ε;
   profiles are produced by the shared-lattice evaluator
   (:func:`repro.engine.profile.evaluate_profile`), whose subplan-dedup and
-  factorization-cache counters the service accumulates into the
+  coded-column lookup counters the service accumulates into the
   ``profiler`` block of :meth:`PrivateQueryService.stats`;
 * **sensitivity** / **count** — final sensitivity values and true counts per
   ``(db, version, shape, epochs[, method, β])``;
@@ -445,7 +445,7 @@ class PrivateQueryService:
         mutated_rows.set_callback(lambda: float(self._rows_deleted), op="delete")
         factorization = m.counter(
             "repro_profiler_factorization_total",
-            "Columnar factorization-cache lookups during profiling, by outcome.",
+            "Coded-column lookups (one per relation read) during profiling, by outcome.",
             ("outcome",),
         )
         self._m_fact_hit = factorization.labels(outcome="hit")

@@ -146,8 +146,8 @@ class TestPredicateAwarePlan:
         sizes = []
         expand = columnar._expand_matches
 
-        def recording(lkey, rkey, row_cap=None):
-            left_idx, right_idx = expand(lkey, rkey, row_cap)
+        def recording(lkey, rkey, cardinality, row_cap=None):
+            left_idx, right_idx = expand(lkey, rkey, cardinality, row_cap)
             if row_cap is not None:
                 sizes.append(len(left_idx))
             return left_idx, right_idx

@@ -59,19 +59,28 @@ class TestRelationDelta:
         assert rel.tuples() == two_table_db().relation("R").tuples()
 
     def test_delta_path_maintains_columnar_state(self):
-        """Snapshot + factorization survive mutation without re-factorizing."""
+        """Snapshots and coded columns survive delta mutations: no relation
+        is re-coded, and an untouched one keeps its very code arrays."""
         db = two_table_db()
         query = parse_query("R(x, y), S(y, z)")
         count_query(query, db)  # warm columns + codes
-        db.relation("R").add_rows([(5, 2)])
+        dictionary = db.dictionary
+        untouched = db.relation("S").coded_columns(dictionary)
+        db.relation("R").add_rows([(5, 2), (99, 2)])  # 99 is a never-seen value
+        assert db.relation("S").coded_columns(dictionary) is untouched
         db.relation("S").remove_rows([(4, 6)])
         db.relation("S").replace((3, 5), (3, 6))
+        assert db.dictionary is dictionary
+        assert all(rel.coded_by is dictionary for rel in db)
 
         reset_factorization_cache_stats()
         mutated = count_query(query, db)
         warm = factorization_cache_stats()
-        assert warm["misses"] == 0, "delta path re-factorized from scratch"
+        assert warm["misses"] == 0, "delta path re-coded a relation from scratch"
         assert warm["hits"] > 0
+        for rel in db:  # codes stay aligned with the value snapshot
+            for column, codes in zip(rel.to_columns(), rel.coded_columns(dictionary)):
+                assert dictionary.decode(codes).tolist() == column.tolist()
 
         fresh = Database.from_rows(
             DatabaseSchema.from_arities({"R": 2, "S": 2}),

@@ -16,8 +16,9 @@ Covers
   order pinned against the recursive formulation it replaced);
 * the vectorized ``L̂S^(k)`` contraction (pinned against a literal
   nested-loop evaluation of Equations 19–20);
-* the per-(relation, column) factorization cache — population, hit
-  counting, invalidation on mutation and release on registry version bump;
+* the database's value dictionary and each relation's coded columns —
+  population on first elimination, lookup counting, invalidation on
+  mutation and release on registry version bump;
 * the profiler counters surfaced through ``ResidualSensitivityReport`` and
   the service ``/stats`` block.
 """
@@ -33,7 +34,7 @@ import pytest
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.engine.aggregates import boundary_multiplicity
-from repro.engine.columnar import ColumnCodes, factorization_cache_stats
+from repro.engine.columnar import factorization_cache_stats
 from repro.engine.profile import evaluate_profile
 from repro.graphs.loader import database_from_edges, edge_schema
 from repro.graphs.patterns import k_star_query, triangle_query
@@ -321,6 +322,36 @@ class TestParallelismModes:
         assert (result.value, result.exact) == (reference.value, reference.exact)
         assert set(delta) == {"hits", "misses"}
 
+    def test_worker_codes_only_the_relation_whose_epoch_changed(self):
+        from repro.engine.procpool import build_component_task, evaluate_component_task
+
+        schema = DatabaseSchema.from_arities({"Edge": 2, "Member": 2})
+        db = Database.from_rows(
+            schema,
+            Edge=[(1, 2), (2, 3), (3, 1), (1, 3)],
+            Member=[(1, 10), (2, 10), (3, 11)],
+        )
+        query = parse_query("Edge(x, y), Edge(y, z), Member(x, g)")
+        kept = frozenset({0, 1, 2})
+
+        def evaluate():
+            task = build_component_task(
+                query, db, kept, relation_names={"Edge", "Member"},
+                strategy="auto", max_enumeration=None,
+            )
+            result, delta = evaluate_component_task(task)
+            reference = boundary_multiplicity(query, db, kept)
+            assert (result.value, result.exact) == (reference.value, reference.exact)
+            return delta
+
+        # Three atoms read two relations: both coded on the first task.
+        assert evaluate() == {"hits": 1, "misses": 2}
+        assert evaluate() == {"hits": 3, "misses": 0}
+        # A Member row with a never-seen value: the worker rebuilds and codes
+        # Member against the same dictionary and keeps Edge's codes.
+        db.relation("Member").add_rows([(2, 99)])
+        assert evaluate() == {"hits": 2, "misses": 1}
+
 
 def _exploding_component_task(task):
     """Module-level so the spawn worker can unpickle it by reference."""
@@ -487,61 +518,73 @@ class TestVectorizedLsHat:
 
 
 class TestFactorizationCache:
+    """The value dictionary and each relation's coded columns (the cache the
+    ``factorization_*`` counters count lookups of)."""
+
     def test_populated_by_numpy_evaluation_and_counted(self, graph_db):
         relation = graph_db.relation("Edge")
-        assert relation.cached_factorization(0) is None
+        assert graph_db._dictionary is None  # registration codes nothing
         before = factorization_cache_stats()
         engine = ResidualSensitivity(triangle_query(), beta=0.1)
         engine.profile(graph_db)
-        assert isinstance(relation.cached_factorization(0), ColumnCodes)
-        assert isinstance(relation.cached_factorization(1), ColumnCodes)
+        assert relation.coded_by is graph_db.dictionary
         after = factorization_cache_stats()
-        assert after["misses"] - before["misses"] == 2  # one per column
+        assert after["misses"] - before["misses"] == 1  # one per relation
         assert after["hits"] > before["hits"]
 
     def test_invalidated_on_mutation(self, graph_db):
         relation = graph_db.relation("Edge")
         ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)
-        assert relation.cached_factorization(0) is not None
+        assert relation.coded_by is graph_db.dictionary
         relation.add((100, 101))
-        assert relation.cached_factorization(0) is None
+        assert relation.coded_by is None
 
     def test_codes_reconstruct_the_column(self, graph_db):
         ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)
         relation = graph_db.relation("Edge")
-        column = relation.to_columns()[0]
-        codes = relation.cached_factorization(0)
-        assert (codes.values[codes.codes] == column).all()
+        dictionary = graph_db.dictionary
+        for column, codes in zip(
+            relation.to_columns(), relation.coded_columns(dictionary)
+        ):
+            assert (dictionary.decode(codes) == column).all()
+            # int64 columns are coded in value order: code order is value order.
+            order = np.argsort(codes, kind="stable")
+            assert (np.diff(column[order]) >= 0).all()
 
     def test_released_on_registry_version_bump(self, graph_db):
         service = PrivateQueryService(rng=0)
         service.register_database("g", graph_db)
         service.count("g", "Edge(x, y), Edge(y, z)", epsilon=0.1)
-        assert graph_db.relation("Edge").cached_factorization(0) is not None
+        assert graph_db.relation("Edge").coded_by is graph_db.dictionary
         replacement = database_from_edges([(1, 2), (2, 3)])
         service.register_database("g", replacement, replace=True)
-        assert graph_db.relation("Edge").cached_factorization(0) is None
+        assert graph_db._dictionary is None
+        assert graph_db.relation("Edge").coded_by is None
 
     def test_released_on_unregister(self, graph_db):
         service = PrivateQueryService(rng=0)
         service.register_database("g", graph_db)
         service.count("g", "Edge(x, y)", epsilon=0.1)
         service.registry.unregister("g")
-        assert graph_db.relation("Edge").cached_factorization(0) is None
+        assert graph_db._dictionary is None
+        assert graph_db.relation("Edge").coded_by is None
 
     def test_kept_while_another_registration_serves_the_same_object(self, graph_db):
         service = PrivateQueryService(rng=0)
         service.register_database("a", graph_db)
         service.register_database("b", graph_db)
         service.count("b", "Edge(x, y)", epsilon=0.1)
-        assert graph_db.relation("Edge").cached_factorization(0) is not None
-        # Replacing "a" must not evict the caches "b" is still serving from.
+        dictionary = graph_db.dictionary
+        assert graph_db.relation("Edge").coded_by is dictionary
+        # Replacing "a" must not evict the codes "b" is still serving from.
         service.register_database(
             "a", database_from_edges([(1, 2)]), replace=True
         )
-        assert graph_db.relation("Edge").cached_factorization(0) is not None
+        assert graph_db.dictionary is dictionary
+        assert graph_db.relation("Edge").coded_by is dictionary
         service.registry.unregister("b")  # "a" no longer references graph_db
-        assert graph_db.relation("Edge").cached_factorization(0) is None
+        assert graph_db._dictionary is None
+        assert graph_db.relation("Edge").coded_by is None
 
 
 class TestProfilerCounters:
