@@ -4,14 +4,15 @@ The serving layer's claim is that the residual-sensitivity machinery — the
 dominant per-release cost — is data-independent per query *shape*, so
 repeated shapes can be served from cache with only the noise draw left on
 the hot path.  ``test_cached_speedup_and_identical_results`` measures that
-claim end to end (and asserts the ≥2× bar the serving layer promises), and
-verifies that caching changes *nothing* statistically: same sensitivities,
-and bitwise-identical noisy counts under a fixed seed.
+claim end to end (gating both arms' absolute latency against
+``BENCH_service.json``; the speedup is reported only), and verifies that
+caching changes *nothing* statistically: same sensitivities, and
+bitwise-identical noisy counts under a fixed seed.
 
 Run::
 
     pytest benchmarks/bench_service.py --benchmark-only   # micro-benchmarks
-    pytest benchmarks/bench_service.py -k speedup         # the 2x assertion
+    pytest benchmarks/bench_service.py -k speedup         # the latency gates
 """
 
 from __future__ import annotations
@@ -79,9 +80,18 @@ def test_cached_speedup_and_identical_results(graph_db):
         f"uncached {uncached_time * 1e3:.1f} ms, cached {cached_time * 1e3:.1f} ms, "
         f"speedup {speedup:.1f}x"
     )
-    # Trend gate: fail on a >25 % regression from the committed
-    # BENCH_service.json baseline, never below the 2× acceptance floor.
-    trend_gate("service", "cache_speedup", speedup, floor=2.0)
+    # Both arms are gated as absolute latencies: fail on a >25 % regression
+    # from the committed BENCH_service.json baseline, never tighter than the
+    # fixed caps.  The speedup is printed only: the uncached arm is the
+    # engine, so every engine speedup shrinks it.
+    trend_gate(
+        "service", "uncached_seconds", uncached_time,
+        floor=0.15, higher_is_better=False,
+    )
+    trend_gate(
+        "service", "cached_seconds", cached_time,
+        floor=0.025, higher_is_better=False,
+    )
 
 
 def measure_observability_overhead(graph_db, *, pairs: int = 30, calls: int = 50) -> float:

@@ -5,9 +5,10 @@ It provides two complementary strategies:
 
 * :mod:`repro.engine.columnar` — vectorized bucket (variable) elimination
   over count-annotated NumPy columns, which evaluates the aggregate queries
-  behind ``T_E(I)`` in polynomial time for bounded-width residuals, joining
-  the factors a predicate spans into one bucket so every predicate is
-  applied, and
+  behind ``T_E(I)`` in polynomial time for bounded-width residuals,
+  expanding inequalities across buckets by Möbius inversion
+  (:mod:`repro.engine.mobius`) and joining the factors any other predicate
+  spans into one bucket, so every predicate is applied, and
 * :mod:`repro.engine.join` — exact backtracking enumeration that applies
   every predicate (the fallback when elimination drops one above its row
   cap, and the evaluator of :func:`evaluate_query`).

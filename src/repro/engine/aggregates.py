@@ -15,13 +15,14 @@ This module computes ``T_E(I)`` with two interchangeable strategies:
   which applies *all* predicates (used on small inputs and in tests);
 * ``"eliminate"`` — columnar bucket elimination
   (:mod:`repro.engine.columnar`), polynomial for bounded-width residuals.
-  It applies every predicate inside the residual, including inequalities
-  between variables summed out in different buckets, and reads the maximum
-  straight off the group-count arrays.
+  It applies every predicate inside the residual — inequalities between
+  variables summed out in different buckets by Möbius inversion into
+  predicate-free terms — and reads the maximum straight off the
+  group-count arrays.
 
 The default ``"auto"`` strategy runs elimination and falls back to bounded
-enumeration only when elimination dropped a predicate because a bucket of
-its predicate-aware plan would pass
+enumeration only when elimination dropped a comparison or generic
+predicate because a bucket of its predicate-aware plan would pass
 :data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows.  A predicate spanning
 two disconnected components of the residual is dropped too: the components
 are evaluated separately and multiplied, and the product is kept as a

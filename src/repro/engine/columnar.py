@@ -39,22 +39,30 @@ database's ``int64`` columns in ascending order, so on them group order,
 witnesses and tie-breaks follow value order as long as no delta has
 appended a value.
 
-Predicates are part of the plan, in the spirit of FAQ with additive
-inequalities (Abo Khamis et al., PODS 2019): every predicate is applied on
-the first factor (atom factor, bucket join, or the final join over the group
+Inequalities ``x != y`` still pending after the atom factors, with an
+endpoint outside the group variables, are expanded by Möbius inversion over
+set partitions (:mod:`repro.engine.mobius`): the count is a signed sum of
+counts of quotient queries, each with the inequalities dropped and a block
+of variables merged into one, and each counted by plain elimination.  The
+leaf pairs of a k-star and the non-adjacent pairs of a path are exact this
+way at the cost of a few predicate-free eliminations.
+
+Every other predicate is part of the plan, in the spirit of FAQ with
+additive inequalities (Abo Khamis et al., PODS 2019): it is applied on the
+first factor (atom factor, bucket join, or the final join over the group
 variables) that contains all of its variables, each predicate still pending
 after the atom factors is a hyperedge of the elimination order, and when a
 variable ``v`` is summed out its bucket also takes every factor sharing a
 variable with a pending predicate on ``v`` — so the predicate is applied in
-the joined bucket instead of being lost with ``v``.  The leaf pairs of a
-k-star and the non-adjacent pairs of a path are exact this way.
+the joined bucket instead of being lost with ``v``.
 
 That plan joins more rows per bucket, so each of its joins is checked
 against :data:`BUCKET_ROW_CAP` before anything is materialised.  When one
-would pass the cap, the whole elimination reruns with the predicate-blind
-plan: predicates that never become applicable there are reported back as
-*dropped*, the counts are upper bounds, and callers that need exactness
-fall back to :mod:`repro.engine.join`.
+would pass the cap (in the query or in a term of its expansion), the
+unexpanded query reruns on that plan and then, if it passes the cap too,
+on the predicate-blind plan: predicates that never become applicable there
+are reported back as *dropped*, the counts are upper bounds, and callers
+that need exactness fall back to :mod:`repro.engine.join`.
 
 Each read of a relation's coded columns is counted as a hit (already coded)
 or a miss (coded now): :func:`factorization_cache_stats` exposes the
@@ -85,11 +93,13 @@ import numpy as np
 
 from repro.data.database import Database, ValueDictionary
 from repro.data.relation import Relation
+from repro.engine import mobius
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Constant, Variable
 from repro.query.cq import ConjunctiveQuery
 from repro.query.predicates import (
     ComparisonPredicate,
+    GenericPredicate,
     InequalityPredicate,
     Predicate,
 )
@@ -127,9 +137,10 @@ MATMUL_THRESHOLD = 200_000
 #: The most rows one join of the predicate-aware plan may materialise.  A
 #: join that would pass it makes the elimination rerun with the
 #: predicate-blind plan, which drops the predicates it cannot apply (see
-#: :func:`eliminate_group_counts_columnar`).  On the 300-node benchmark
-#: graph the 4-star's all-leaves bucket (8.4 M rows) is above it; every
-#: bucket of the other paper shapes is below.
+#: :func:`eliminate_group_counts_columnar`).  Inequalities with an endpoint
+#: outside the group variables are expanded instead of joined, so only
+#: comparisons, generic predicates and inequalities between group variables
+#: reach it.
 BUCKET_ROW_CAP = 1_000_000
 
 #: The largest count an ``int64`` array holds; a count that could exceed it
@@ -1002,6 +1013,200 @@ def _eliminate(
     return final, pending, order
 
 
+# --------------------------------------------------------------------- #
+# Möbius expansion of disequalities
+# --------------------------------------------------------------------- #
+#: What :func:`_rename_predicate` returns for a predicate that always holds.
+_ALWAYS = object()
+
+
+def _rename_term(term, rep: Mapping[Variable, Variable]):
+    """``term`` renamed by ``rep`` (constants are kept)."""
+    return rep.get(term, term) if isinstance(term, Variable) else term
+
+
+def _rename_predicate(pred: Predicate, rep: Mapping[Variable, Variable]):
+    """``pred`` over the merged variables of ``rep``: the predicate itself,
+    ``None`` when it can never hold (``x != x``, ``x < x``), or
+    :data:`_ALWAYS` when it always does (``x <= x``)."""
+    if all(rep.get(v, v) == v for v in pred.variables):
+        return pred
+    if isinstance(pred, InequalityPredicate):
+        left, right = _rename_term(pred.left, rep), _rename_term(pred.right, rep)
+        return None if left == right else InequalityPredicate(left, right)
+    if isinstance(pred, ComparisonPredicate):
+        left, right = _rename_term(pred.left, rep), _rename_term(pred.right, rep)
+        if left == right:
+            return _ALWAYS if pred.op in ("<=", ">=") else None
+        return ComparisonPredicate(left, pred.op, right)
+    renamed = tuple(rep.get(v, v) for v in pred.vars)
+    merged = tuple(dict.fromkeys(renamed))
+    position = [merged.index(v) for v in renamed]
+    func = pred.func
+    return GenericPredicate(
+        lambda *values: func(*(values[i] for i in position)), merged, pred.name
+    )
+
+
+def _merge_columns(factor: ArrayFactor, rep: Mapping[Variable, Variable]) -> ArrayFactor:
+    """``factor`` with its variables renamed by ``rep``: rows whose merged
+    columns disagree are dropped, and each merged variable keeps one column."""
+    renamed = tuple(rep.get(v, v) for v in factor.variables)
+    if renamed == factor.variables:
+        return factor
+    first: dict[Variable, np.ndarray] = {}
+    mask: np.ndarray | None = None
+    for var, column in zip(renamed, factor.columns):
+        if var not in first:
+            first[var] = column
+            continue
+        equal = first[var] == column
+        mask = equal if mask is None else mask & equal
+    merged = ArrayFactor(tuple(first), tuple(first.values()), factor.counts)
+    return merged if mask is None else merged.take(np.flatnonzero(mask))
+
+
+def _quotient_factors(
+    factors: Sequence[ArrayFactor],
+    rep: Mapping[Variable, Variable],
+    kept: Sequence[Predicate],
+    dictionary: ValueDictionary,
+) -> tuple[list[ArrayFactor], list[Predicate]] | None:
+    """The atom factors and pending predicates of ``q/π``, or ``None`` when
+    ``q/π`` provably counts nothing.
+
+    Each factor is derived from its atom's factor, which already applied
+    the atom's own predicates, so no relation is read again.
+    """
+    predicates = []
+    for pred in kept:
+        renamed = _rename_predicate(pred, rep)
+        if renamed is None:
+            return None
+        if renamed is not _ALWAYS:
+            predicates.append(renamed)
+    quotient = []
+    for factor in factors:
+        merged = _merge_columns(factor, rep)
+        if merged is not factor and not len(merged):
+            return None
+        merged, predicates = _apply_ready_predicates(merged, predicates, dictionary)
+        quotient.append(merged)
+    return quotient, predicates
+
+
+def _signed_sum(
+    group_vars: tuple[Variable, ...],
+    terms: Sequence[tuple[int, ArrayFactor, Mapping[Variable, Variable]]],
+) -> ArrayFactor:
+    """``Σ c · count`` per group over ``(c, final factor, rep)`` terms.
+
+    The first term is the all-singletons one (``c = 1``): every other
+    term's groups are among its groups, so each of them is located there by
+    one ``searchsorted`` and added with ``np.add.at``; groups whose sum is 0
+    are dropped.  The keys are packed in the first term's variable order,
+    in which its group-by already sorted them, so the stable sort that
+    orders them is a linear pass.  The sums stay exact: when
+    ``Σ |c| · max count`` could pass ``int64`` they are carried as Python
+    ints.
+    """
+    _, base, _ = terms[0]
+    lengths = [len(final) for _, final, _ in terms]
+    columns = [
+        np.concatenate([final.column(rep.get(v, v)) for _, final, rep in terms])
+        for v in base.variables
+    ]
+    keys = _pack(columns, sum(lengths))[0]
+    base_keys = keys[: lengths[0]]
+    order = np.argsort(base_keys, kind="stable")
+    position = order[np.searchsorted(base_keys[order], keys[lengths[0] :])]
+
+    bound = sum(abs(c) * _max_count(final.counts) for c, final, _ in terms)
+    wide = bound > _INT64_MAX or any(final.counts.dtype == object for _, final, _ in terms)
+    dtype = object if wide else np.int64
+    total = base.counts.astype(dtype)
+    signed = np.concatenate(
+        [final.counts.astype(dtype) * c for c, final, _ in terms[1:]]
+    )
+    np.add.at(total, position, signed)
+    keep = np.flatnonzero(total != 0)
+    return ArrayFactor(
+        group_vars, tuple(base.column(g)[keep] for g in group_vars), total[keep]
+    )
+
+
+def _expand_disequalities(
+    factors: list[ArrayFactor],
+    internal: Sequence[Variable],
+    group_vars: tuple[Variable, ...],
+    pending: list[Predicate],
+    dictionary: ValueDictionary,
+) -> tuple[ArrayFactor, list[Predicate], list[Variable]] | None:
+    """Count by Möbius inversion over the pending ``x != y`` predicates with
+    a non-group endpoint (see :mod:`repro.engine.mobius`).
+
+    Every term ``q/π`` is counted by plain elimination, or by the
+    predicate-aware plan when predicates that are not expanded stay
+    pending.  Returns ``(final factor, [], order of the all-singletons
+    term)``, or ``None`` when there is nothing to expand or a term's plan
+    would pass :data:`BUCKET_ROW_CAP` — a signed sum of upper bounds bounds
+    nothing, so the caller then runs the unexpanded plans.
+    """
+    group_set = set(group_vars)
+    expanded = [
+        p
+        for p in pending
+        if isinstance(p, InequalityPredicate)
+        and len(p.variables) == 2
+        and not p.variables <= group_set
+    ]
+    if not expanded:
+        return None
+    kept = [p for p in pending if p not in expanded]
+    touched = set().union(*(p.variables for p in expanded))
+    vertices = list(dict.fromkeys(v for f in factors for v in f.variables if v in touched))
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = tuple(sorted({tuple(sorted(index[v] for v in p.variables)) for p in expanded}))
+
+    terms = []
+    order: list[Variable] = []
+    for blocks, coefficient in mobius.signed_partitions(len(vertices), edges):
+        rep: dict[Variable, Variable] = {}
+        for block in blocks:
+            members = [v for i, v in enumerate(vertices) if block >> i & 1]
+            head = next((g for g in group_vars if g in members), members[0])
+            rep.update((v, head) for v in members)
+        quotient = _quotient_factors(factors, rep, kept, dictionary)
+        if quotient is None:
+            continue
+        term_factors, term_pending = quotient
+        term_groups = tuple(dict.fromkeys(rep.get(g, g) for g in group_vars))
+        term_internal = [
+            v for v in dict.fromkeys(rep.get(v, v) for v in internal) if v not in term_groups
+        ]
+        try:
+            final, left, term_order = _eliminate(
+                term_factors,
+                term_internal,
+                term_groups,
+                term_pending,
+                dictionary,
+                BUCKET_ROW_CAP if term_pending else None,
+            )
+        except _RowCapExceeded:
+            return None
+        if left:
+            return None
+        if not terms:
+            order = term_order
+            if not len(final):
+                return final, [], order
+        terms.append((coefficient, final, rep))
+    if len(terms) == 1:
+        return terms[0][1], [], order
+    return _signed_sum(group_vars, terms), [], order
+
+
 def eliminate_group_counts_columnar(
     query: ConjunctiveQuery,
     database: Database,
@@ -1012,10 +1217,13 @@ def eliminate_group_counts_columnar(
 ) -> EliminationResult:
     """Group-by counts of a (residual) CQ via vectorized bucket elimination.
 
-    Predicates that no single atom covers run through the predicate-aware
-    plan, which applies every one of them; if one of its joins would pass
-    :data:`BUCKET_ROW_CAP` rows, the predicate-blind plan runs instead and
-    reports the predicates it could not apply as dropped.
+    Pending ``x != y`` predicates with a non-group endpoint are expanded by
+    Möbius inversion, so every term is counted on a plan without them.
+    Predicates that are not expanded, and every predicate when a term's plan
+    would pass :data:`BUCKET_ROW_CAP`, run through the predicate-aware plan,
+    which applies every one of them; if one of its joins would pass the cap,
+    the predicate-blind plan runs instead and reports the predicates it
+    could not apply as dropped.
 
     Parameters
     ----------
@@ -1070,6 +1278,8 @@ def eliminate_group_counts_columnar(
     internal = [v for v in covered_vars if v not in group_vars]
     plan = None
     if pending:
+        plan = _expand_disequalities(factors, internal, group_vars, pending, dictionary)
+    if plan is None and pending:
         try:
             plan = _eliminate(
                 factors, internal, group_vars, pending, dictionary, BUCKET_ROW_CAP

@@ -7,10 +7,11 @@ actual result tuples (projections onto the output variables) and is used by
 examples and tests.
 
 The count is obtained through columnar bucket elimination
-(:mod:`repro.engine.columnar`), which applies every predicate — including
-inequalities between variables summed out in different buckets — without
-enumerating the result.  Only when elimination drops a predicate, because a
-bucket of its predicate-aware plan would pass
+(:mod:`repro.engine.columnar`), which applies every predicate without
+enumerating the result; inequalities between variables summed out in
+different buckets are expanded by Möbius inversion into predicate-free
+terms.  Only when elimination drops a comparison or generic predicate,
+because a bucket of its predicate-aware plan would pass
 :data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows, does the count fall back
 to exact enumeration (optionally capped).
 """

@@ -17,8 +17,9 @@ The sampled space is deliberately adversarial for this library:
   empty relations;
 * **queries** cover self-joins, constants in atoms, inequality and
   comparison predicates (both variable–variable and variable–constant),
-  and non-full projections — every feature of the paper's query class the
-  engines claim to support.
+  graphs of inequalities over all the used variables (all pairs, or each
+  pair with probability 1/2), and non-full projections — every feature of
+  the paper's query class the engines claim to support.
 
 Cases are value objects: ``case.schema()`` / ``case.database()`` /
 ``case.query()`` rebuild fresh library objects on every call, so checks
@@ -27,6 +28,7 @@ can mutate instances without poisoning later checks.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -268,6 +270,15 @@ class WorkloadGenerator:
                 predicate_texts.append(
                     f"{variable} {rng.choice(_COMPARISON_OPS)} {constant}"
                 )
+        # A graph of inequalities over the used variables — all pairs, or
+        # each pair with probability 1/2 — so blocks of three or more
+        # variables with every pair unequal occur, as in the paper's
+        # injective graph patterns.
+        roll = rng.random()
+        if roll < 0.25 and len(used_variables) >= 3:
+            for left, right in itertools.combinations(used_variables, 2):
+                if roll < 0.125 or rng.random() < 0.5:
+                    predicate_texts.append(f"{left} != {right}")
 
         body = ", ".join(atom_texts + predicate_texts)
         if rng.random() < 0.3 and len(used_variables) >= 2:

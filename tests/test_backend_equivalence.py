@@ -130,10 +130,9 @@ def test_random_instances_counts_identical():
 # Level 2: group counts and sensitivity profiles
 # --------------------------------------------------------------------- #
 def test_group_counts_identical_including_bookkeeping(graph_db, monkeypatch):
-    query = parse_query("Edge(x, y), Edge(y, z), x != z")
     groups = [(), ("y",), ("x", "z"), ("z", "y")]
 
-    def eliminate_each():
+    def eliminate_each(query):
         for group in groups:
             group_vars = tuple(
                 v for name in group for v in query.variables if v.name == name
@@ -145,17 +144,26 @@ def test_group_counts_identical_including_bookkeeping(graph_db, monkeypatch):
             assert result.is_exact == (not result.dropped_predicates)
             yield result, group_counts(query, graph_db, group_vars)
 
-    # x != z spans both atoms; the predicate-aware plan applies it for every
-    # grouping, including those that sum x or z out.
-    for result, reference in eliminate_each():
+    # x != z and x < z span both atoms; the expansion of x != z and the
+    # predicate-aware plan apply them for every grouping, including those
+    # that sum x or z out.
+    inequality = parse_query("Edge(x, y), Edge(y, z), x != z")
+    comparison = parse_query("Edge(x, y), Edge(y, z), x < z")
+    for query in (inequality, comparison):
+        for result, reference in eliminate_each(query):
+            assert result.is_exact
+            assert result.counts == reference
+    # Above the row cap x != z stays exact: its expansion's terms carry no
+    # predicate that spans buckets.
+    monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+    for result, reference in eliminate_each(inequality):
         assert result.is_exact
         assert result.counts == reference
-    # Above the row cap the predicate-blind plan drops it wherever x or z is
-    # summed out before the other joins in.
-    monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+    # x < z is not expanded: the predicate-blind plan drops it wherever x
+    # or z is summed out before the other joins in.
     exactness = []
-    for result, reference in eliminate_each():
-        assert set(result.dropped_predicates) <= set(query.predicates)
+    for result, reference in eliminate_each(comparison):
+        assert set(result.dropped_predicates) <= set(comparison.predicates)
         if result.is_exact:
             assert result.counts == reference
         else:

@@ -79,15 +79,21 @@ class TestEvaluation:
         from repro.engine import columnar
         from repro.graphs.patterns import k_path_query
 
-        query = k_path_query(3)  # contains non co-occurring inequalities
+        query = parse_query("Edge(x1, x2), Edge(x2, x3), Edge(x3, x4), x1 < x4")
         exact = count_query(query, k4_db, strategy="enumerate")
-        # The predicate-aware plan applies every one of them...
+        # The predicate-aware plan applies the comparison across buckets...
         assert count_query(query, k4_db, strategy="eliminate") == exact
         # ... and above its row cap "eliminate" must refuse rather than
         # silently over-count.
         monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
         with pytest.raises(EvaluationError):
             count_query(query, k4_db, strategy="eliminate")
+        # Non co-occurring inequalities are expanded into predicate-free
+        # terms, so they stay exact under the same cap.
+        path = k_path_query(3)
+        assert count_query(path, k4_db, strategy="eliminate") == count_query(
+            path, k4_db, strategy="enumerate"
+        )
 
     def test_unknown_strategy(self, join_query, small_join_db):
         with pytest.raises(EvaluationError):

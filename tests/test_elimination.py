@@ -93,9 +93,9 @@ class TestValidation:
 class TestAgainstBruteForceOnGraphs:
     def test_star_boundary_counts(self, small_graph_db, monkeypatch):
         # 3-star residual {0, 1}: Edge(x0,x1), Edge(x0,x2) grouped by x0.  The
-        # leaves are summed out in different buckets, so the bucket of the
-        # first one also takes the other leaf's atom and applies x1 != x2
-        # there: the counts are the exact d(x0)(d(x0)-1).
+        # leaves are summed out in different buckets, so x1 != x2 is
+        # expanded: d(x0)^2 minus the term with x1 = x2, d(x0), is the exact
+        # d(x0)(d(x0)-1).
         from repro.graphs.patterns import k_star_query
 
         query = k_star_query(3)
@@ -113,19 +113,29 @@ class TestAgainstBruteForceOnGraphs:
             relaxed, small_graph_db, boundary, atom_indices=[0, 1]
         )
         assert result_relaxed.counts == expected_relaxed
-        # Above the row cap the predicate-blind plan drops x1 != x2: the
-        # counts are then upper bounds d(x0)^2.
+        # x1 != x2 is expanded by Möbius inversion, whose terms join no
+        # bucket the predicate spans: the counts stay exact under any cap.
         monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
         capped = eliminate_group_counts_columnar(query, small_graph_db, boundary, atom_indices=[0, 1])
+        assert capped.is_exact
+        assert capped.counts == expected
+        # A comparison across the buckets is not expanded: above the row cap
+        # the predicate-blind plan drops x1 < x2, and the counts are then
+        # upper bounds d(x0)^2.
+        ordered = parse_query("Edge(x0, x1), Edge(x0, x2), x1 < x2")
+        exact = group_counts(ordered, small_graph_db, boundary)
+        capped = eliminate_group_counts_columnar(ordered, small_graph_db, boundary)
         assert not capped.is_exact
-        assert set(capped.counts) == set(expected)
-        for key, exact_count in expected.items():
+        assert set(capped.counts) >= set(exact)
+        for key, exact_count in exact.items():
             assert capped.counts[key] >= exact_count
+        assert any(capped.counts[key] > count for key, count in exact.items())
 
 
 class TestPredicateAwarePlan:
-    """Predicates spanning buckets are applied exactly below the row cap,
-    and dropped (with the enumeration fallback) above it."""
+    """Comparisons spanning buckets are applied exactly below the row cap,
+    and dropped (with the enumeration fallback) above it; ``!=`` is
+    expanded and stays exact."""
 
     def test_path_inequalities_are_exact_for_every_grouping(self, small_graph_db):
         query = k_path_query(3)  # x1..x4 with all-pairs inequalities
@@ -137,9 +147,10 @@ class TestPredicateAwarePlan:
             assert result.counts == oracle_group_counts(query, small_graph_db, group_vars)
 
     def test_cap_bounds_every_materialised_join(self, small_graph_db, monkeypatch):
-        # The 4-star's leaves are pairwise linked, so its plan joins every
-        # atom in one bucket; with a cap below that join, no join of the
-        # predicate-aware plan may materialise more than the cap.
+        # The order x1 < x2 < x3 < x4, stated pairwise, links the 4-star's
+        # leaves, so its plan joins every atom in one bucket; with a cap
+        # below that join, no join of the predicate-aware plan may
+        # materialise more than the cap.
         from repro.graphs.patterns import k_star_query
 
         cap = 60
@@ -154,11 +165,21 @@ class TestPredicateAwarePlan:
 
         monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", cap)
         monkeypatch.setattr(columnar, "_expand_matches", recording)
-        query = k_star_query(4)
+        query = parse_query(
+            "Edge(x0, x1), Edge(x0, x2), Edge(x0, x3), Edge(x0, x4), "
+            "x1 < x2, x1 < x3, x1 < x4, x2 < x3, x2 < x4, x3 < x4"
+        )
         result = eliminate_group_counts_columnar(query, small_graph_db, [])
         assert not result.is_exact
         assert sizes and max(sizes) <= cap
         assert count_query(query, small_graph_db) == oracle_count(query, small_graph_db)
+        # The all-pairs != 4-star is expanded into predicate-free terms: it
+        # is exact even when no predicate-aware join is allowed at all.
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+        star = k_star_query(4)
+        result = eliminate_group_counts_columnar(star, small_graph_db, [])
+        assert result.is_exact
+        assert result.counts == {(): oracle_count(star, small_graph_db)}
 
     def test_cycle5_path_residuals_exact_without_enumeration(self, small_graph_db):
         # Each 4-atom residual of the 5-cycle is a 4-edge path with all-pairs

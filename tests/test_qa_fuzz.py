@@ -14,6 +14,7 @@ Three layers:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -74,6 +75,25 @@ class TestWorkloadGenerator:
         assert any(any(a.arity == 3 for a in q.atoms) for q in queries)
         assert any(case.neighbor_op == "remove" for case in cases)
         assert any(case.neighbor_op == "add" for case in cases)
+
+    def test_inequality_cliques_are_generated(self):
+        """Some of the first 200 cases put ``!=`` between every pair of three
+        variables: the blocks whose Möbius coefficient is ``(|B|-1)!``."""
+
+        def has_clique(query) -> bool:
+            edges = {
+                p.variables
+                for p in query.predicates
+                if p.is_inequality and len(p.variables) == 2
+            }
+            variables = sorted(set().union(*edges), key=lambda v: v.name) if edges else []
+            return any(
+                all(frozenset(pair) in edges for pair in itertools.combinations(trio, 2))
+                for trio in itertools.combinations(variables, 3)
+            )
+
+        queries = [case.query() for case in WorkloadGenerator(0).cases(200)]
+        assert any(has_clique(query) for query in queries)
 
 
 class TestOracle:
