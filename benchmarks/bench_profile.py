@@ -18,10 +18,6 @@ and recorded only: cheaper components shrink it).
 ``test_profile_report_queries`` reports the same comparison (equality
 asserted, timings informational) for the paper's triangle / 3-star / path-4
 queries, together with the subplan-dedup and coded-column lookup counts.
-``test_profile_process_speedup_star4``
-compares several concurrent star4 profiles through the shared process pool
-(``parallelism_mode="process"``) with the thread default: the profiles
-must be identical, the wall-clock ratio is reported only.
 
 Run::
 
@@ -31,9 +27,7 @@ Run::
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -139,66 +133,8 @@ def test_profile_report_queries(graph_db):
     print("\n" + "\n".join(lines))
 
 
-#: Concurrent profile evaluations in the process-speedup comparison (the
-#: serving layer's shape: several /count requests profiling at once).
-CONCURRENT_PROFILES = 4
-
-
-def measure_concurrent_profiles(query, db, subsets, mode, repeats=3):
-    """Best wall-clock of ``CONCURRENT_PROFILES`` simultaneous evaluations."""
-    from repro.engine.profile import evaluate_profile
-
-    best, profiles = None, None
-    for _ in range(repeats):
-        with ThreadPoolExecutor(max_workers=CONCURRENT_PROFILES) as pool:
-            start = time.perf_counter()
-            futures = [
-                pool.submit(
-                    evaluate_profile, query, db, subsets, parallelism_mode=mode
-                )
-                for _ in range(CONCURRENT_PROFILES)
-            ]
-            results = [f.result() for f in futures]
-            elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best, profiles = elapsed, results
-    return best, profiles
-
-
-def test_profile_process_speedup_star4(graph_db):
-    """Concurrent star4 profiles, process pool vs threads: identical results.
-
-    The serving layer's shape: several requests profiling at once.  With
-    every star4 residual expanded into predicate-free eliminations a
-    profile is about 10 ms of mostly NumPy work; the ratio is printed and
-    recorded in ``BENCH_profile.json`` but not gated.
-    """
-    from repro.engine.procpool import get_process_pool
-
-    query = k_star_query(4)
-    engine = ResidualSensitivity(query, beta=0.1)
-    subsets = engine.required_subsets(graph_db)
-    get_process_pool(None)  # spawn cost is amortized, not benchmarked
-    reference = engine.profile(graph_db)
-
-    thread_time, thread_profiles = measure_concurrent_profiles(
-        query, graph_db, subsets, None
-    )
-    process_time, process_profiles = measure_concurrent_profiles(
-        query, graph_db, subsets, "process"
-    )
-    for profile in thread_profiles + process_profiles:
-        assert profile.results == reference.results  # bitwise identical
-
-    print(
-        f"\nconcurrent star4 profiles [{os.cpu_count() or 1} cores]: thread-mode "
-        f"{thread_time:.2f} s, process-mode {process_time:.2f} s "
-        f"({thread_time / process_time:.2f}x)"
-    )
-
-
 def test_parallel_profile_identical(graph_db):
-    """The worker-pool knob changes throughput only, never results."""
+    """The thread fan-out knob changes throughput only, never results."""
     serial = ResidualSensitivity(k_star_query(3), beta=0.1)
     parallel = ResidualSensitivity(k_star_query(3), beta=0.1, parallelism=4)
     assert serial.multiplicities(graph_db) == parallel.multiplicities(graph_db)

@@ -115,40 +115,20 @@ def snapshot_profile() -> dict:
             bp.NUM_NODES, bp.AVERAGE_DEGREE, seed=derive_seed("profile.graph")
         )
     )
-    from repro.engine.procpool import get_process_pool, shutdown_process_pool
-
     engine = ResidualSensitivity(k_star_query(4), beta=0.1)
     _, shared, baseline_time, shared_time = bp._compare(engine, graph_db)
     stats = shared.stats
-
-    # Concurrent profiles through the shared process pool vs the thread
-    # default (see bench_profile.test_profile_process_speedup_star4).  Not
-    # gated; recorded with the core count so the trajectory stays
-    # interpretable.
-    query = k_star_query(4)
-    subsets = engine.required_subsets(graph_db)
-    get_process_pool(None)
-    thread_time, _ = bp.measure_concurrent_profiles(query, graph_db, subsets, None)
-    process_time, _ = bp.measure_concurrent_profiles(
-        query, graph_db, subsets, "process"
-    )
-    shutdown_process_pool()
 
     return {
         "workload": {
             "query": "star4",
             "graph_nodes": bp.NUM_NODES,
             "graph_average_degree": bp.AVERAGE_DEGREE,
-            "concurrent_profiles": bp.CONCURRENT_PROFILES,
         },
         "results": {
             "per_subset_seconds": round(baseline_time, 6),
             "shared_lattice_seconds": round(shared_time, 6),
             "speedup": round(baseline_time / shared_time, 2),
-            "concurrent_thread_seconds": round(thread_time, 6),
-            "concurrent_process_seconds": round(process_time, 6),
-            "process_speedup": round(thread_time / process_time, 2),
-            "process_speedup_cores": os.cpu_count(),
             "subsets_total": stats.subsets_total,
             "components_evaluated": stats.components_evaluated,
             "component_dedup_hits": stats.component_hits,

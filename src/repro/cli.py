@@ -63,13 +63,11 @@ Installed as ``repro-dp`` (see ``pyproject.toml``).  Sub-commands:
 
 ``count`` and ``sensitivity`` accept ``--json`` to emit machine-readable
 output instead of the human-readable text.  ``count``, ``sensitivity``,
-``serve`` and ``batch`` accept ``--parallelism N`` to fan
-residual-sensitivity component evaluations out over a worker pool and
-``--parallelism-mode {thread,process,auto}`` to choose *which* pool — the
-default in-process threads or the shared GIL-free process pool for large
-lattices (``fuzz`` also accepts the mode, to run the differential battery
-under it; see ``docs/performance.md``).  Results are identical whichever
-combination runs.
+``serve`` and ``batch`` accept ``--parallelism N`` to fan one request's
+residual-sensitivity component evaluations out over ``N`` threads (serial
+by default; results are identical either way).  ``serve --workers N``
+spreads requests over a prefork cluster instead; see
+``docs/performance.md``.
 
 Examples
 --------
@@ -128,25 +126,24 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=None, help="surrogate scale factor")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_parallelism_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallelism",
-        type=int,
+        type=_non_negative_int,
         default=None,
-        help="worker-pool size for residual-sensitivity component "
-        "evaluations (default: serial); results are identical either way",
-    )
-    _add_parallelism_mode_argument(parser)
-
-
-def _add_parallelism_mode_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallelism-mode",
-        default=None,
-        choices=["thread", "process", "auto"],
-        help="how component evaluations fan out: in-process threads "
-        "(default), a shared GIL-free process pool, or auto (process for "
-        "large lattices); results are identical across modes",
+        help="thread-pool size for one request's residual-sensitivity "
+        "component evaluations (default: serial); results are identical "
+        "either way",
     )
 
 
@@ -378,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         "prefork server and require releases bitwise-identical to the "
         "in-process service (0 disables)",
     )
-    _add_parallelism_mode_argument(fuzz)
 
     batch = subparsers.add_parser(
         "batch", help="answer a JSON file of (query, epsilon) requests in one shot"
@@ -431,7 +427,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             method=args.method,
             rng=args.seed,
             parallelism=args.parallelism,
-            parallelism_mode=args.parallelism_mode,
         )
         release = releaser.release(database)
         if args.json:
@@ -457,10 +452,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         database = _load_database(args)
         query = parse_query(args.query)
         residual = ResidualSensitivity(
-            query,
-            beta=args.beta,
-            parallelism=args.parallelism,
-            parallelism_mode=args.parallelism_mode,
+            query, beta=args.beta, parallelism=args.parallelism
         ).compute(database)
         elastic = ElasticSensitivity(query, beta=args.beta).compute(database)
         global_bound = GlobalSensitivityBound(query).compute(database)
@@ -618,7 +610,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         session_ttl=args.session_ttl,
         rng=args.seed,
         parallelism=args.parallelism,
-        parallelism_mode=args.parallelism_mode,
         state_dir=args.state_dir,
         snapshot_interval=args.snapshot_interval,
         observability=not args.no_observability,
@@ -692,7 +683,6 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
             session_ttl=args.session_ttl,
             rng=args.seed,
             parallelism=args.parallelism,
-            parallelism_mode=args.parallelism_mode,
             state_dir=args.state_dir,
             snapshot_interval=args.snapshot_interval,
             observability=not args.no_observability,
@@ -917,7 +907,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     from repro.qa.calibration import verify_calibration
     from repro.qa.runner import DifferentialRunner
 
-    runner = DifferentialRunner(args.seed, parallelism_mode=args.parallelism_mode)
+    runner = DifferentialRunner(args.seed)
     report = runner.run(args.cases, start=args.start)
 
     calibration = None
@@ -1033,7 +1023,6 @@ def _run_batch(args: argparse.Namespace) -> int:
         session_budget=budget,
         rng=args.seed,
         parallelism=args.parallelism,
-        parallelism_mode=args.parallelism_mode,
     )
     name = service.registry.names()[0]
     session = service.create_session()

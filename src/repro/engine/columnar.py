@@ -115,7 +115,6 @@ __all__ = [
     "factorization_cache_stats",
     "factorization_counter_scope",
     "greedy_elimination_order",
-    "merge_factorization_delta",
     "order_factors_for_join",
     "predicate_mask",
     "reset_factorization_cache_stats",
@@ -310,12 +309,6 @@ class _FactorizationCounters:
             else:
                 self.misses += 1
 
-    def add_delta(self, hits: int, misses: int) -> None:
-        """Fold a batch of events counted elsewhere into this counter."""
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
-
     def snapshot(self) -> dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses}
@@ -340,26 +333,6 @@ def _record_factorization(hit: bool) -> None:
     scope = _FACTORIZATION_SCOPE.get()
     while scope is not None:
         scope._record_one(hit)
-        scope = scope.parent
-
-
-def merge_factorization_delta(hits: int, misses: int) -> None:
-    """Fold a ``{"hits", "misses"}`` delta counted in another process into
-    the global counters and every active scope.
-
-    This is the process-pool analogue of :func:`_record_factorization`:
-    workers count their lookups in a worker-local scope, ship the
-    snapshot home, and the parent merges it here so
-    :func:`factorization_cache_stats` and any open
-    :func:`factorization_counter_scope` stay consistent across
-    serial/thread/process evaluation modes.
-    """
-    if not hits and not misses:
-        return
-    _FACTORIZATION_COUNTERS.add_delta(hits, misses)
-    scope = _FACTORIZATION_SCOPE.get()
-    while scope is not None:
-        scope.add_delta(hits, misses)
         scope = scope.parent
 
 

@@ -21,15 +21,9 @@ evaluated exactly once (isomorphism detected through a conservative
 canonical signature in the spirit of
 :func:`repro.engine.canonical.canonical_query_key`), and per-subset results
 are assembled from the memoized component results.  Independent component
-evaluations can optionally fan out over a thread pool (``parallelism=``) or
-— because components are pure functions of relation snapshots — over a
-shared **process pool** that escapes the GIL entirely
-(``parallelism_mode="process"``; see :mod:`repro.engine.procpool`).
-``parallelism_mode="auto"`` picks the process pool for large lattices
-(:data:`AUTO_PROCESS_THRESHOLD` pending representatives) and threads
-otherwise.  Workers return each result with a factorization-counter delta
-that is merged into the parent's scope, so :class:`ProfileStats` is
-invariant across serial/thread/process evaluation.
+evaluations can optionally fan out over a thread pool (``parallelism=``);
+each thread adopts the profile's factorization-counter scope, so the
+:class:`ProfileStats` totals match serial evaluation.
 
 The evaluator is *result-identical* to the per-subset reference path:
 value, exactness flag and dropped-predicate multiset agree on every subset
@@ -53,7 +47,6 @@ full epoch vector.
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
@@ -70,37 +63,14 @@ from repro.engine.columnar import (
     adopt_factorization_scope,
     current_factorization_scope,
     factorization_counter_scope,
-    merge_factorization_delta,
 )
-from repro.engine.procpool import (
-    build_component_task,
-    evaluate_component_task,
-    get_process_pool,
-)
-from repro.exceptions import EvaluationError
 from repro.obs.tracing import span as obs_span
 from repro.query.atoms import Variable
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import QueryHypergraph
 from repro.query.residual import ResidualQuery, residual_query
 
-__all__ = [
-    "AUTO_PROCESS_THRESHOLD",
-    "LatticeProfile",
-    "PARALLELISM_MODES",
-    "ProfileStats",
-    "evaluate_profile",
-]
-
-#: The accepted ``parallelism_mode`` values (``None`` means ``"thread"``).
-PARALLELISM_MODES = ("thread", "process", "auto")
-
-#: ``parallelism_mode="auto"`` switches from threads to the process pool
-#: once this many representatives are pending evaluation: below it the
-#: per-task pickling/dispatch overhead dominates, above it escaping the GIL
-#: on the pure-Python orchestration wins.  Tune per deployment by passing
-#: an explicit mode instead.
-AUTO_PROCESS_THRESHOLD = 8
+__all__ = ["LatticeProfile", "ProfileStats", "evaluate_profile"]
 
 
 @dataclass(frozen=True)
@@ -315,80 +285,6 @@ def _component_cache_key(
 
 
 # --------------------------------------------------------------------- #
-# Process-pool fan-out
-# --------------------------------------------------------------------- #
-def _evaluate_pending_process(
-    query: ConjunctiveQuery,
-    database: Database,
-    pending: list[frozenset[int]],
-    infos: Mapping[frozenset[int], _ComponentInfo],
-    *,
-    strategy: str,
-    max_enumeration: int | None,
-    parallelism: int | None,
-    evaluate,
-) -> dict[frozenset[int], MultiplicityResult]:
-    """Ship pending representatives to the shared process pool.
-
-    Each task carries only the rows of the relations its component actually
-    reads (elimination never touches the others) — except augmented-domain
-    components (non-inequality dropped predicates), whose value ranges over
-    the whole database's active domain and which therefore ship everything.
-    Tasks that fail to pickle (generic predicates wrapping closures, rows
-    holding unpicklable values) fall back to in-parent evaluation.  Worker
-    factorization deltas are merged into this context's counter scopes so
-    the profile's stats match serial evaluation; a component failure
-    cancels queued siblings and propagates promptly.
-    """
-    tasks: dict[frozenset[int], object] = {}
-    unpicklable: list[frozenset[int]] = []
-    for component in pending:
-        info = infos[component]
-        if any(not p.is_inequality for p in info.residual.dropped_predicates):
-            names = None  # Section 5.2: ranges over the full active domain
-        else:
-            names = {query.atoms[idx].relation for idx in info.atoms}
-        task = build_component_task(
-            query,
-            database,
-            component,
-            relation_names=names,
-            strategy=strategy,
-            max_enumeration=max_enumeration,
-        )
-        try:
-            pickle.dumps(task)
-        except Exception:
-            unpicklable.append(component)
-        else:
-            tasks[component] = task
-
-    fresh: dict[frozenset[int], MultiplicityResult] = {}
-    futures: dict = {}
-    if tasks:
-        pool = get_process_pool(parallelism)
-        futures = {
-            pool.submit(evaluate_component_task, task): component
-            for component, task in tasks.items()
-        }
-    # In-parent fallbacks run while the workers chew on the shipped tasks.
-    for component in unpicklable:
-        fresh[component] = evaluate(component)
-    if futures:
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        failure = next((f.exception() for f in done if f.exception() is not None), None)
-        if failure is not None:
-            for future in not_done:
-                future.cancel()
-            raise failure
-        for future, component in futures.items():
-            result, delta = future.result()
-            merge_factorization_delta(delta["hits"], delta["misses"])
-            fresh[component] = result
-    return {component: fresh[component] for component in pending}
-
-
-# --------------------------------------------------------------------- #
 # The evaluator
 # --------------------------------------------------------------------- #
 def evaluate_profile(
@@ -399,7 +295,6 @@ def evaluate_profile(
     strategy: str = "auto",
     max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
     parallelism: int | None = None,
-    parallelism_mode: str | None = None,
     component_cache=None,
     cache_scope: tuple = (),
 ) -> LatticeProfile:
@@ -418,25 +313,10 @@ def evaluate_profile(
         exact-enumeration path does not decompose residuals either) and
         evaluates per subset.
     parallelism:
-        Fan independent component evaluations out over a worker pool of
-        this size.  In the default ``"thread"`` mode ``None``/``0``/``1``
-        evaluates serially; in ``"process"`` mode it sizes the shared pool
-        (``None``/``0``/``1`` meaning the per-core default of
-        :func:`repro.engine.procpool.default_process_workers`).  Results
-        are identical either way.
-    parallelism_mode:
-        ``"thread"`` (the default when ``None``) fans out over an
-        in-process thread pool — cheap, but GIL-bound on the pure-Python
-        sections.  ``"process"`` ships pending representatives to the
-        shared :mod:`repro.engine.procpool` worker pool as picklable task
-        specs; components whose task fails to pickle (e.g. generic
-        predicates wrapping closures) quietly evaluate in-parent.
-        ``"auto"`` picks the process pool when at least
-        :data:`AUTO_PROCESS_THRESHOLD` representatives are pending and
-        threads otherwise.  Profiles and stats are identical across modes
-        (only the factorization hit/miss *split* may shift toward misses in
-        process mode while worker caches warm; the total is invariant).
-        ``strategy="enumerate"`` evaluates serially regardless of mode.
+        Fan independent component evaluations out over a thread pool of
+        this size (``None``/``0``/``1`` evaluates serially).  Results are
+        identical either way; ``strategy="enumerate"`` always evaluates
+        serially.
     component_cache / cache_scope:
         Optional cross-run memo table for representative components —
         anything with the :class:`repro.service.cache.LRUCache` ``get(key,
@@ -453,11 +333,6 @@ def evaluate_profile(
         Per-subset :class:`~repro.engine.aggregates.MultiplicityResult`
         values (in ``subsets`` order) plus sharing statistics.
     """
-    if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
-        raise EvaluationError(
-            f"unknown parallelism_mode {parallelism_mode!r}; "
-            f"expected one of {PARALLELISM_MODES}"
-        )
     subset_list = [frozenset(s) for s in subsets]
     # The factorization counters are read through a context-local scope so
     # the per-profile delta is exact even when other services/threads are
@@ -473,7 +348,6 @@ def evaluate_profile(
             strategy=strategy,
             max_enumeration=max_enumeration,
             parallelism=parallelism,
-            parallelism_mode=parallelism_mode,
             fact_counters=fact_counters,
             component_cache=component_cache,
             cache_scope=cache_scope,
@@ -488,7 +362,6 @@ def _evaluate_profile_scoped(
     strategy: str,
     max_enumeration: int | None,
     parallelism: int | None,
-    parallelism_mode: str | None,
     fact_counters,
     component_cache=None,
     cache_scope: tuple = (),
@@ -578,21 +451,7 @@ def _evaluate_profile_scoped(
             if hit is not _MISS:
                 cached[component] = hit
     pending = [c for c in to_evaluate if c not in cached]
-    mode = parallelism_mode or "thread"
-    if mode == "auto":
-        mode = "process" if len(pending) >= AUTO_PROCESS_THRESHOLD else "thread"
-    if mode == "process" and pending:
-        fresh = _evaluate_pending_process(
-            query,
-            database,
-            pending,
-            infos,
-            strategy=strategy,
-            max_enumeration=max_enumeration,
-            parallelism=parallelism,
-            evaluate=evaluate,
-        )
-    elif parallelism is not None and parallelism > 1 and len(pending) > 1:
+    if parallelism is not None and parallelism > 1 and len(pending) > 1:
         # Pool workers start with an empty context: re-establish the
         # factorization-counter scope there so parallel evaluation counts
         # exactly like serial evaluation (spans are deliberately not

@@ -104,15 +104,9 @@ class PrivateCountingQuery:
     strategy:
         Evaluation strategy forwarded to the residual-sensitivity engine.
     parallelism:
-        Worker-pool size for the residual-sensitivity component
+        Thread-pool size for the residual-sensitivity component
         evaluations (``None``/``0``/``1``: serial, the default).  A pure
         throughput knob — results are identical.
-    parallelism_mode:
-        ``"thread"`` (the ``None`` default), ``"process"`` or ``"auto"`` —
-        whether the residual-sensitivity component fan-out runs on threads
-        or on the shared GIL-free process pool (see
-        :func:`repro.engine.profile.evaluate_profile`).  Results are
-        identical across modes.
 
     Examples
     --------
@@ -137,10 +131,11 @@ class PrivateCountingQuery:
         edge_relation: str = "Edge",
         strategy: str = "auto",
         parallelism: int | None = None,
-        parallelism_mode: str | None = None,
     ):
         if epsilon <= 0:
             raise PrivacyError(f"epsilon must be positive, got {epsilon}")
+        if parallelism is not None and parallelism < 0:
+            raise PrivacyError(f"parallelism must be non-negative, got {parallelism}")
         if method not in ("residual", "elastic", "smooth-triangle", "smooth-star", "global"):
             raise PrivacyError(f"unknown calibration method {method!r}")
         self._query = query
@@ -151,7 +146,6 @@ class PrivateCountingQuery:
         self._edge_relation = edge_relation
         self._strategy = strategy
         self._parallelism = parallelism
-        self._parallelism_mode = parallelism_mode
         self._smooth = SmoothSensitivityMechanism(self._epsilon, rng=self._rng)
 
     @property
@@ -186,7 +180,6 @@ class PrivateCountingQuery:
                 beta=beta,
                 strategy=self._strategy,
                 parallelism=self._parallelism,
-                parallelism_mode=self._parallelism_mode,
             ).compute(database)
         if self._method == "elastic":
             return ElasticSensitivity(self._query, beta=beta).compute(database)

@@ -22,7 +22,7 @@ executes a fixed battery of checks:
     memoization, isomorphism dedup, optional parallelism) must equal the
     per-subset ``boundary_multiplicity`` reference on every required
     subset — value, exactness flag and dropped-predicate multiset — and a
-    parallel evaluation must equal the serial one.
+    2-thread evaluation must equal the serial one.
 ``profile``
     A full residual-sensitivity computation must dominate the polynomial
     local-sensitivity bound.
@@ -45,15 +45,6 @@ executes a fixed battery of checks:
     indistinguishable from a from-scratch rebuild with the same final
     rows: tuple sets, counts, full lattice profiles and bitwise seeded
     releases must agree.
-``process-profile``
-    Process-pool lattice evaluation
-    (``evaluate_profile(..., parallelism_mode="process")``, the GIL-free
-    path through :mod:`repro.engine.procpool`) must be indistinguishable
-    from the serial evaluation: identical values, exactness flags and
-    dropped-predicate multisets for every subset, identical structural
-    stats counters, and the same coded-column lookup total
-    (``factorization_hits + factorization_misses``; the hit/miss *split*
-    may shift toward misses — worker caches start cold).
 
 Every failure is wrapped in a :class:`FuzzFailure` that carries a
 self-contained replay snippet — paste it into a Python prompt (or pipe to
@@ -73,7 +64,7 @@ import numpy as np
 from repro.data.database import Database
 from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.domains import augmented_active_domain
-from repro.engine.profile import PARALLELISM_MODES, evaluate_profile
+from repro.engine.profile import evaluate_profile
 from repro.engine.evaluation import count_query
 from repro.mechanisms.mechanism import PrivateCountingQuery
 from repro.qa.generator import FuzzCase, WorkloadGenerator
@@ -101,7 +92,6 @@ CHECKS = (
     "smoothness",
     "release",
     "incremental",
-    "process-profile",
 )
 
 #: Numerical slack for float comparisons of analytically-ordered quantities.
@@ -194,30 +184,11 @@ class DifferentialRunner:
         Work-estimate cap above which the exhaustive-neighbor
         ``local-sensitivity`` check is skipped for a case (see
         :func:`repro.qa.oracle.oracle_neighbor_cost`).
-    parallelism_mode:
-        The evaluation mode (``"thread"``, ``"process"`` or ``"auto"``)
-        the parallel legs of ``lattice-profile`` and ``incremental`` use,
-        so a CI matrix leg can route the whole battery through the
-        process pool.  ``None`` keeps the thread default.  The dedicated
-        ``process-profile`` check always exercises process mode,
-        whatever this is set to.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        oracle_budget: int = 150_000,
-        parallelism_mode: str | None = None,
-    ):
-        if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
-            raise ValueError(
-                f"unknown parallelism_mode {parallelism_mode!r}; "
-                f"expected one of {PARALLELISM_MODES}"
-            )
+    def __init__(self, seed: int = 0, *, oracle_budget: int = 150_000):
         self._generator = WorkloadGenerator(seed)
         self._oracle_budget = oracle_budget
-        self._parallelism_mode = parallelism_mode
 
     @property
     def seed(self) -> int:
@@ -412,10 +383,7 @@ class DifferentialRunner:
                     f"shared-lattice {got.dropped_predicates!r} != "
                     f"per-subset {base.dropped_predicates!r}"
                 )
-        parallel = evaluate_profile(
-            query, db, subsets, parallelism=2,
-            parallelism_mode=self._parallelism_mode,
-        )
+        parallel = evaluate_profile(query, db, subsets, parallelism=2)
         serial = evaluate_profile(query, db, subsets)
         for kept in subsets:
             if parallel.results[kept] != serial.results[kept]:
@@ -573,12 +541,8 @@ class DifferentialRunner:
                 f"count after edit script {script}: "
                 f"delta path {delta_count} != rebuild {fresh_count}"
             )
-        delta_profile = evaluate_profile(
-            query, db, subsets, parallelism_mode=self._parallelism_mode
-        )
-        fresh_profile = evaluate_profile(
-            query, fresh, subsets, parallelism_mode=self._parallelism_mode
-        )
+        delta_profile = evaluate_profile(query, db, subsets)
+        fresh_profile = evaluate_profile(query, fresh, subsets)
         for kept in subsets:
             got, want = delta_profile.results[kept], fresh_profile.results[kept]
             if (got.value, got.exact) != (want.value, want.exact):
@@ -614,59 +578,5 @@ class DifferentialRunner:
                 f"delta=(noisy={dl.noisy_count!r}, S={dl.sensitivity!r}, "
                 f"count={dl.true_count!r}) rebuild=(noisy={rb.noisy_count!r}, "
                 f"S={rb.sensitivity!r}, count={rb.true_count!r})"
-            )
-        return "; ".join(problems) or None
-
-    def _check_process_profile(self, case: FuzzCase, report) -> str | None:
-        query, db = case.query(), case.database()
-        engine = ResidualSensitivity(query, beta=case.beta)
-        subsets = engine.required_subsets(db)
-        problems = []
-        serial = evaluate_profile(query, db, subsets)
-        pooled = evaluate_profile(
-            query, db, subsets, parallelism=2, parallelism_mode="process"
-        )
-        for kept in subsets:
-            got, want = pooled.results[kept], serial.results[kept]
-            if (got.value, got.exact) != (want.value, want.exact):
-                problems.append(
-                    f"T_{tuple(sorted(kept))}: process pool "
-                    f"({got.value}, exact={got.exact}) != serial "
-                    f"({want.value}, exact={want.exact})"
-                )
-            elif sorted(map(repr, got.dropped_predicates)) != sorted(
-                map(repr, want.dropped_predicates)
-            ):
-                problems.append(
-                    f"T_{tuple(sorted(kept))}: dropped predicates "
-                    f"differ: process pool {got.dropped_predicates!r} != "
-                    f"serial {want.dropped_predicates!r}"
-                )
-        ps, ss = pooled.stats, serial.stats
-        structural = (
-            "subsets_total",
-            "components_total",
-            "components_evaluated",
-            "component_hits",
-            "component_cache_hits",
-        )
-        for field_name in structural:
-            if getattr(ps, field_name) != getattr(ss, field_name):
-                problems.append(
-                    f"stats.{field_name}: process pool "
-                    f"{getattr(ps, field_name)} != serial "
-                    f"{getattr(ss, field_name)}"
-                )
-        # Cold worker caches may turn hits into misses, but every
-        # factorization event must still be counted exactly once.
-        pooled_events = ps.factorization_hits + ps.factorization_misses
-        serial_events = ss.factorization_hits + ss.factorization_misses
-        if pooled_events != serial_events:
-            problems.append(
-                f"factorization events: process pool "
-                f"{pooled_events} (hits={ps.factorization_hits}, "
-                f"misses={ps.factorization_misses}) != serial "
-                f"{serial_events} (hits={ss.factorization_hits}, "
-                f"misses={ss.factorization_misses})"
             )
         return "; ".join(problems) or None

@@ -49,12 +49,7 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
-from repro.engine.profile import (
-    PARALLELISM_MODES,
-    LatticeProfile,
-    ProfileStats,
-    evaluate_profile,
-)
+from repro.engine.profile import LatticeProfile, ProfileStats, evaluate_profile
 from repro.exceptions import SensitivityError
 from repro.query.cq import ConjunctiveQuery, SelfJoinBlock
 from repro.query.residual import all_subsets_of_block
@@ -134,15 +129,9 @@ class ResidualSensitivity:
         Optional override of the Lemma 3.10 truncation point (mainly for
         tests).
     parallelism:
-        Fan independent residual-component evaluations out over a worker
+        Fan independent residual-component evaluations out over a thread
         pool of this size (``None``/``0``/``1`` — the default — evaluates
-        serially in thread mode, or uses the per-core default pool size in
-        process mode).  Purely a throughput knob: results are identical.
-    parallelism_mode:
-        ``"thread"`` (the ``None`` default), ``"process"`` or ``"auto"`` —
-        whether component fan-out uses an in-process thread pool or the
-        shared GIL-free process pool of :mod:`repro.engine.procpool`
-        (``"auto"`` switches on lattice size).  See
+        serially).  Purely a throughput knob: results are identical.  See
         :func:`repro.engine.profile.evaluate_profile`.
 
     Examples
@@ -166,23 +155,16 @@ class ResidualSensitivity:
         strategy: str = "auto",
         k_max: int | None = None,
         parallelism: int | None = None,
-        parallelism_mode: str | None = None,
     ):
         if (beta is None) == (epsilon is None):
             raise SensitivityError("provide exactly one of beta= or epsilon=")
         if parallelism is not None and parallelism < 0:
             raise SensitivityError(f"parallelism must be non-negative, got {parallelism}")
-        if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
-            raise SensitivityError(
-                f"unknown parallelism_mode {parallelism_mode!r}; "
-                f"expected one of {PARALLELISM_MODES}"
-            )
         self._beta = validate_beta(beta if beta is not None else beta_from_epsilon(epsilon))
         self._query = query
         self._strategy = strategy
         self._k_max_override = k_max
         self._parallelism = parallelism
-        self._parallelism_mode = parallelism_mode
 
     # ------------------------------------------------------------------ #
     # Public accessors
@@ -271,7 +253,6 @@ class ResidualSensitivity:
             self.required_subsets(database),
             strategy=self._strategy,
             parallelism=self._parallelism,
-            parallelism_mode=self._parallelism_mode,
             component_cache=component_cache,
             cache_scope=cache_scope,
         )

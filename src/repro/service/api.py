@@ -5,9 +5,8 @@ Endpoints (all bodies and responses are ``application/json``):
 ``POST /register``
     ``{"name": ..., "edges": [[u, v], ...]}`` or
     ``{"name": ..., "dataset": "GrQc", "scale": 0.02}`` — register a named
-    database (``"replace": true`` to update an existing name;
-    ``"parallelism_mode": "process"``/``"auto"`` to pin how sensitivity
-    profiles against this database fan out across workers).
+    database (``"replace": true`` to update an existing name).  Unknown
+    keys are ignored.
 ``POST /mutate``
     ``{"database": ..., "operations": [{"relation": "edge", "op": "insert",
     "rows": [[1, 2]]}, ...]}`` — apply a batch of tuple-level delta
@@ -458,10 +457,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise ServiceError("register payload needs a 'name'")
         database = _database_from_payload(payload)
         entry = self.service.register_database(
-            name,
-            database,
-            replace=bool(payload.get("replace", False)),
-            parallelism_mode=payload.get("parallelism_mode"),
+            name, database, replace=bool(payload.get("replace", False))
         )
         return 200, entry.describe()
 

@@ -96,8 +96,29 @@ __all__ = [
     "StateStore",
     "exclusive_or_null",
     "ledger_entry",
+    "register_metadata",
     "replay_records",
 ]
+
+
+#: The database metadata a ``mutate`` record refreshes.
+MUTATE_METADATA_KEYS = ("relations", "private_tuples", "epochs")
+
+#: The database metadata kept from a ``register`` record or a snapshot's
+#: ``databases`` entry (see :func:`register_metadata`).
+REGISTER_METADATA_KEYS = ("name", "version") + MUTATE_METADATA_KEYS
+
+
+def register_metadata(record: Mapping[str, Any]) -> dict[str, Any]:
+    """The :data:`REGISTER_METADATA_KEYS` of a ``register`` record or a
+    snapshot's ``databases`` entry.
+
+    Journal replay, a cluster sibling's absorb and snapshot restore all
+    filter through here, so a key retired from
+    :meth:`~repro.service.registry.RegisteredDatabase.describe` is dropped
+    on recovery instead of propagating into every later snapshot.
+    """
+    return {key: record[key] for key in REGISTER_METADATA_KEYS if key in record}
 
 
 def exclusive_or_null(store: "StateStore | None"):
@@ -437,18 +458,7 @@ def replay_records(
             _audit_entry(state, record, "deny", ok=False)
         elif event == "register":
             name = record["name"]
-            meta = {
-                key: record[key]
-                for key in (
-                    "name",
-                    "version",
-                    "relations",
-                    "private_tuples",
-                    "epochs",
-                )
-                if key in record
-            }
-            state.databases[name] = meta
+            state.databases[name] = register_metadata(record)
             state.versions[name] = max(
                 int(record["version"]), state.versions.get(name, 0)
             )
@@ -462,7 +472,7 @@ def replay_records(
             # unregister is stale and skipped (journal-authority rule).
             meta = state.databases.get(record["name"])
             if meta is not None:
-                for key in ("relations", "private_tuples", "epochs"):
+                for key in MUTATE_METADATA_KEYS:
                     if key in record:
                         meta[key] = record[key]
         else:

@@ -40,9 +40,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.data.database import Database
-from repro.engine.profile import PARALLELISM_MODES
 from repro.exceptions import ServiceError, UnknownResourceError
-from repro.service.persistence import exclusive_or_null
+from repro.service.persistence import (
+    MUTATE_METADATA_KEYS,
+    exclusive_or_null,
+    register_metadata,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.service.persistence import StateStore
@@ -52,17 +55,11 @@ __all__ = ["DatabaseRegistry", "RegisteredDatabase"]
 
 @dataclass(frozen=True)
 class RegisteredDatabase:
-    """A database registered under a name, at a specific version.
-
-    ``parallelism_mode`` optionally pins how sensitivity profiles against
-    this database fan out (``"thread"``/``"process"``/``"auto"``);
-    ``None`` defers to the service-wide default.
-    """
+    """A database registered under a name, at a specific version."""
 
     name: str
     version: int
     database: Database
-    parallelism_mode: str | None = None
 
     @property
     def key(self) -> tuple[str, int]:
@@ -74,7 +71,6 @@ class RegisteredDatabase:
         return {
             "name": self.name,
             "version": self.version,
-            "parallelism_mode": self.parallelism_mode,
             "relations": {
                 rel.schema.name: len(rel) for rel in self.database
             },
@@ -109,24 +105,15 @@ class DatabaseRegistry:
         database: Database,
         *,
         replace: bool = False,
-        parallelism_mode: str | None = None,
     ) -> RegisteredDatabase:
         """Register ``database`` under ``name``.
 
-        ``parallelism_mode`` (``"thread"``/``"process"``/
-        ``"auto"``, validated here) pins the profiler fan-out for this
-        registration; ``None`` defers to the service default.  Raises
-        :class:`ServiceError` if the name is taken and ``replace`` is
-        false.  Replacing bumps the version so cache keys derived from the
-        previous contents can never match again.
+        Raises :class:`ServiceError` if the name is taken and ``replace``
+        is false.  Replacing bumps the version so cache keys derived from
+        the previous contents can never match again.
         """
         if not name or not isinstance(name, str):
             raise ServiceError(f"database name must be a non-empty string, got {name!r}")
-        if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
-            raise ServiceError(
-                f"unknown parallelism_mode {parallelism_mode!r}; "
-                f"expected one of {PARALLELISM_MODES}"
-            )
         with self._exclusive():
             with self._lock:
                 if name in self._entries and not replace:
@@ -134,12 +121,7 @@ class DatabaseRegistry:
                         f"database {name!r} is already registered (pass replace=True to update)"
                     )
                 version = self._versions.get(name, 0) + 1
-                entry = RegisteredDatabase(
-                    name=name,
-                    version=version,
-                    database=database,
-                    parallelism_mode=parallelism_mode,
-                )
+                entry = RegisteredDatabase(name=name, version=version, database=database)
                 previous = self._entries.get(name)
 
                 def install() -> None:
@@ -382,7 +364,7 @@ class DatabaseRegistry:
                 self._versions[name] = max(self._versions.get(name, 0), int(version))
             for name, meta in metadata.items():
                 if name not in self._entries:
-                    self._recovered[name] = dict(meta)
+                    self._recovered[name] = register_metadata(meta)
 
     def absorb(self, record: dict[str, Any]) -> None:
         """Mirror one registry record journaled by a sibling worker process.
@@ -408,18 +390,7 @@ class DatabaseRegistry:
             with self._lock:
                 self._versions[name] = max(self._versions.get(name, 0), version)
                 if name not in self._entries:
-                    self._recovered[name] = {
-                        key: record[key]
-                        for key in (
-                            "name",
-                            "version",
-                            "parallelism_mode",
-                            "relations",
-                            "private_tuples",
-                            "epochs",
-                        )
-                        if key in record
-                    }
+                    self._recovered[name] = register_metadata(record)
         elif record["event"] == "unregister":
             with self._lock:
                 self._recovered.pop(name, None)
@@ -441,7 +412,7 @@ class DatabaseRegistry:
                         pass
                 meta = self._recovered.get(name)
                 if meta is not None:
-                    for key in ("relations", "private_tuples", "epochs"):
+                    for key in MUTATE_METADATA_KEYS:
                         if key in record:
                             meta[key] = record[key]
 

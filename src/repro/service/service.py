@@ -59,8 +59,6 @@ import numpy as np
 from repro.data.database import Database
 from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query
-from repro.engine.procpool import shutdown_process_pool
-from repro.engine.profile import PARALLELISM_MODES
 from repro.exceptions import PrivacyError, ServiceError, UnknownResourceError
 from repro.mechanisms.accountant import PrivacyAccountant
 from repro.mechanisms.mechanism import PrivateCountingQuery
@@ -162,18 +160,12 @@ class PrivateQueryService:
     strategy:
         Evaluation strategy forwarded to the residual-sensitivity engine.
     parallelism:
-        Worker-pool size for the residual-sensitivity component
-        evaluations (``None``/``0``/``1``: serial in thread mode, the
-        per-core default pool size in process mode).  Purely a throughput
-        knob — results, and therefore seeded release sequences, are
-        identical.
-    parallelism_mode:
-        Service-wide default for how component fan-out runs: ``"thread"``
-        (the ``None`` default), ``"process"`` (the shared GIL-free pool of
-        :mod:`repro.engine.procpool`, shut down by :meth:`close`) or
-        ``"auto"`` (process for large lattices).  Individual registrations
-        can override it via ``register_database(parallelism_mode=...)``.
-        Results are identical across modes.
+        Thread-pool size for the residual-sensitivity component
+        evaluations within one request (``None``/``0``/``1``: serial, the
+        default; negative values raise :class:`ServiceError`).  Purely a
+        throughput knob — results, and therefore seeded release sequences,
+        are identical.  Parallelism *across* requests comes from the
+        prefork cluster (``repro-dp serve --workers``).
     state_dir:
         Optional directory for durable state (see
         :mod:`repro.service.persistence`).  Sessions, budgets and audit
@@ -234,7 +226,6 @@ class PrivateQueryService:
         rng: np.random.Generator | int | None = None,
         strategy: str = "auto",
         parallelism: int | None = None,
-        parallelism_mode: str | None = None,
         state_dir: str | None = None,
         snapshot_interval: int = 1000,
         observability: bool = True,
@@ -245,11 +236,8 @@ class PrivateQueryService:
     ):
         if noise_mode not in ("stream", "charge-seq"):
             raise ServiceError(f"unknown noise_mode {noise_mode!r}")
-        if parallelism_mode is not None and parallelism_mode not in PARALLELISM_MODES:
-            raise ServiceError(
-                f"unknown parallelism_mode {parallelism_mode!r}; "
-                f"expected one of {PARALLELISM_MODES}"
-            )
+        if parallelism is not None and parallelism < 0:
+            raise ServiceError(f"parallelism must be non-negative, got {parallelism}")
         if noise_mode == "charge-seq" and not isinstance(rng, int):
             raise ServiceError(
                 "noise_mode='charge-seq' requires an integer seed (rng=<int>) "
@@ -290,7 +278,6 @@ class PrivateQueryService:
         self._component_cache = LRUCache(cache_capacity * 4)
         self._strategy = strategy
         self._parallelism = parallelism
-        self._parallelism_mode = parallelism_mode
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         # numpy Generators are not thread-safe; the batch executor funnels
         # every noise draw through this lock.
@@ -555,16 +542,11 @@ class PrivateQueryService:
         }
 
     def close(self, *, snapshot: bool = True) -> None:
-        """Flush durable state and stop background workers.
+        """Flush durable state and close the state store.
 
         With ``snapshot=True`` (the default) a final compacted snapshot is
-        written first, so the next recovery replays an empty journal.  The
-        shared profiler process pool (warmed by ``parallelism_mode=
-        "process"`` evaluations) is always shut down, even for a service
-        without ``state_dir``, so worker processes never outlive the
-        service — cluster workers reach this on ``SIGTERM`` drain.
+        written first, so the next recovery replays an empty journal.
         """
-        shutdown_process_pool()
         if self._store is None:
             return
         if snapshot and self._store.snapshot_provider is not None:
@@ -590,22 +572,9 @@ class PrivateQueryService:
         database: Database,
         *,
         replace: bool = False,
-        parallelism_mode: str | None = None,
     ) -> RegisteredDatabase:
-        """Register (or with ``replace=True`` update) a named database.
-
-        ``parallelism_mode`` (``"thread"``/``"process"``/``"auto"``) pins
-        the profiler fan-out for this registration; ``None`` defers to the
-        service-wide default.  It is result-equivalent — with a fixed
-        service seed the released sequence is bitwise identical whichever is
-        chosen — so it tunes performance only.
-        """
-        return self._registry.register(
-            name,
-            database,
-            replace=replace,
-            parallelism_mode=parallelism_mode,
-        )
+        """Register (or with ``replace=True`` update) a named database."""
+        return self._registry.register(name, database, replace=replace)
 
     def mutate(self, name: str, operations: list[dict[str, Any]]) -> dict[str, Any]:
         """Apply a batch of tuple-level delta operations to a registered database.
@@ -722,7 +691,6 @@ class PrivateQueryService:
                     beta=beta,
                     strategy=self._strategy,
                     parallelism=self._parallelism,
-                    parallelism_mode=reg.parallelism_mode or self._parallelism_mode,
                 )
                 if key is None:
                     return engine.compute(reg.database)
@@ -1183,10 +1151,7 @@ class PrivateQueryService:
                 "metrics": self.metrics.names() if self.metrics is not None else [],
             },
             "backends": {"default": ENGINE_NAME},
-            "parallelism": {
-                "workers": self._parallelism,
-                "mode": self._parallelism_mode or "thread",
-            },
+            "parallelism": {"workers": self._parallelism},
             "databases": self._registry.describe(),
             "sessions": {
                 "active": self._sessions.active_ids(),

@@ -36,6 +36,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--datasets", "NotADataset"])
 
+    def test_negative_parallelism_rejected_at_parse_time(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--parallelism", "-1", "--port", "0"])
+        assert excinfo.value.code == 2
+        assert "--parallelism: must be non-negative" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_count_on_edge_file(self, edge_file, capsys):

@@ -9,7 +9,12 @@ import pytest
 
 from repro.exceptions import PrivacyError, ServiceError
 from repro.mechanisms.accountant import PrivacyAccountant
-from repro.service.persistence import LedgerJournal, StateStore, replay_records
+from repro.service.persistence import (
+    REGISTER_METADATA_KEYS,
+    LedgerJournal,
+    StateStore,
+    replay_records,
+)
 from repro.service.sessions import SessionManager
 
 
@@ -550,7 +555,8 @@ class TestFoldedLedgers:
             return _left_fold(epsilon for epsilon, _ in entry["charges"])
 
         sessions = {entry["session"]: entry for entry in document["sessions"]}
-        recovered = make_service(state_dir)
+        # Not re-registered, so "toy" is carried as recovered metadata.
+        recovered = make_service(state_dir, register=False)
         for sid, entry in sessions.items():
             view = recovered.budget(sid)
             assert view["spent"].hex() == spent(entry).hex()
@@ -563,10 +569,34 @@ class TestFoldedLedgers:
         recovered.close()
         rewritten = json.loads((state_dir / "snapshot.json").read_text())
         assert rewritten["format"] == 2
+        # The fixture's entry also carries a retired key; it is not carried
+        # forward into the rewritten snapshot.
+        assert set(rewritten["databases"]["toy"]) == set(REGISTER_METADATA_KEYS)
         again = make_service(state_dir)
         for sid, entry in sessions.items():
             assert again.budget(sid)["spent"].hex() == spent(entry).hex()
         assert again.sessions.shared.spent.hex() == shared_spent.hex()
+
+    def test_register_record_with_retired_parallelism_mode_recovers(
+        self, tmp_path, toy_db, make_service
+    ):
+        """A journal written while registrations carried ``parallelism_mode``."""
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        record = {
+            "seq": 1, "ts": 0.0, "event": "register", "name": "toy", "version": 1,
+            "parallelism_mode": "process", "relations": {"R": 4, "S": 3},
+            "private_tuples": 7, "epochs": {"R": 4, "S": 3},
+        }
+        (state_dir / "journal.jsonl").write_text(json.dumps(record) + "\n")
+        recovered = make_service(state_dir, register=False)
+        meta = recovered.registry.recovered_metadata()["toy"]
+        assert set(meta) == set(REGISTER_METADATA_KEYS)
+        entry = recovered.register_database("toy", toy_db, replace=True)
+        assert entry.version == 2
+        sid = recovered.create_session().session_id
+        response = recovered.count("toy", "R(x, y), S(y, z)", epsilon=0.5, session=sid)
+        assert response.epsilon == 0.5
 
     def test_absorbed_charges_stay_open_until_rolled_back(self):
         """A cluster worker cannot settle a sibling's charge: the sibling's

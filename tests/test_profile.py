@@ -7,11 +7,10 @@ Covers
   (value, exactness, dropped predicates) across query shapes that exercise
   component memoization, isomorphism dedup, projections, predicates and the
   empty-subset convention, on ``int64`` and on ``object`` value columns;
-* the ``parallelism`` knob (identical results, any pool size);
-* the ``parallelism_mode`` knob — the serial/thread/process equivalence
-  matrix on both column representations (values, dropped predicates, merged
-  stats counters), pickle round-trips of the process-pool task specs, prompt
-  failure propagation with sibling cancellation, and mode validation;
+* the ``parallelism`` knob — identical results for any thread-pool size,
+  the serial/2-thread equivalence on both column representations (values,
+  dropped predicates, stats counters), and prompt failure propagation with
+  sibling cancellation;
 * the iterative stars-and-bars ``_distance_vectors`` generator (count and
   order pinned against the recursive formulation it replaced);
 * the vectorized ``L̂S^(k)`` contraction (pinned against a literal
@@ -199,14 +198,21 @@ class TestParallelism:
         assert serial.compute(graph_db).value == parallel.compute(graph_db).value
 
     def test_negative_parallelism_rejected(self):
-        from repro.exceptions import SensitivityError
+        """Every constructor that takes it checks it, so the service and the
+        mechanism fail at construction, not on the first residual request."""
+        from repro.exceptions import PrivacyError, SensitivityError, ServiceError
+        from repro.mechanisms.mechanism import PrivateCountingQuery
 
         with pytest.raises(SensitivityError):
             ResidualSensitivity(triangle_query(), beta=0.1, parallelism=-1)
+        with pytest.raises(ServiceError, match="parallelism"):
+            PrivateQueryService(parallelism=-1)
+        with pytest.raises(PrivacyError, match="parallelism"):
+            PrivateCountingQuery(triangle_query(), epsilon=1.0, parallelism=-1)
 
 
 class TestParallelismModes:
-    """The serial / thread / process equivalence matrix (ISSUE 9 tentpole)."""
+    """Serial and 2-thread evaluation agree, on both column representations."""
 
     _STRUCTURAL = (
         "subsets_total",
@@ -229,133 +235,23 @@ class TestParallelismModes:
         engine = ResidualSensitivity(query, beta=0.1)
         subsets = engine.required_subsets(graph_db)
         serial = evaluate_profile(query, graph_db, subsets)
-        by_mode = {
-            "thread": evaluate_profile(
-                query, graph_db, subsets, parallelism=2, parallelism_mode="thread"
-            ),
-            "process": evaluate_profile(
-                query, graph_db, subsets, parallelism=2, parallelism_mode="process"
-            ),
-        }
-        for mode, profile in by_mode.items():
-            for kept in subsets:
-                got, want = profile.results[kept], serial.results[kept]
-                assert (got.value, got.exact) == (want.value, want.exact), (
-                    mode, tuple(sorted(kept)),
-                )
-                assert sorted(map(repr, got.dropped_predicates)) == sorted(
-                    map(repr, want.dropped_predicates)
-                ), (mode, tuple(sorted(kept)))
-            for field in self._STRUCTURAL:
-                assert getattr(profile.stats, field) == getattr(
-                    serial.stats, field
-                ), (mode, field)
-            # Cold worker caches can turn factorization hits into misses,
-            # but the event total is structural and mode-invariant.
-            assert (
-                profile.stats.factorization_hits
-                + profile.stats.factorization_misses
-                == serial.stats.factorization_hits
-                + serial.stats.factorization_misses
-            ), mode
-
-    def test_auto_mode_matches_serial(self, graph_db):
-        query = parse_query("Edge(a, b), Edge(b, c), Edge(c, d), Edge(d, e)")
-        engine = ResidualSensitivity(query, beta=0.1)
-        subsets = engine.required_subsets(graph_db)
-        serial = evaluate_profile(query, graph_db, subsets)
-        auto = evaluate_profile(
-            query, graph_db, subsets, parallelism=2, parallelism_mode="auto"
-        )
-        assert auto.results == serial.results
-
-    def test_unknown_mode_rejected(self, graph_db):
-        from repro.exceptions import EvaluationError
-
-        with pytest.raises(EvaluationError, match="parallelism_mode"):
-            evaluate_profile(
-                triangle_query(), graph_db, [frozenset({0})],
-                parallelism_mode="greenlet",
+        threaded = evaluate_profile(query, graph_db, subsets, parallelism=2)
+        for kept in subsets:
+            got, want = threaded.results[kept], serial.results[kept]
+            assert (got.value, got.exact) == (want.value, want.exact), tuple(
+                sorted(kept)
             )
-
-    def test_mode_threads_through_the_engine(self, graph_db):
-        serial = ResidualSensitivity(triangle_query(), beta=0.1)
-        pooled = ResidualSensitivity(
-            triangle_query(), beta=0.1, parallelism=2, parallelism_mode="process"
+            assert sorted(map(repr, got.dropped_predicates)) == sorted(
+                map(repr, want.dropped_predicates)
+            ), tuple(sorted(kept))
+        for field in self._STRUCTURAL:
+            assert getattr(threaded.stats, field) == getattr(serial.stats, field), field
+        # Coded columns are built without a lock, so two threads can both
+        # miss on a cold relation; the event total is still exact.
+        assert (
+            threaded.stats.factorization_hits + threaded.stats.factorization_misses
+            == serial.stats.factorization_hits + serial.stats.factorization_misses
         )
-        assert serial.compute(graph_db).value == pooled.compute(graph_db).value
-
-    def test_engine_rejects_unknown_mode(self):
-        from repro.exceptions import SensitivityError
-
-        with pytest.raises(SensitivityError):
-            ResidualSensitivity(
-                triangle_query(), beta=0.1, parallelism_mode="fork"
-            )
-
-    def test_component_task_pickle_roundtrip(self, graph_db):
-        import pickle
-
-        from repro.engine.procpool import build_component_task, evaluate_component_task
-
-        query = triangle_query()
-        task = build_component_task(
-            query,
-            graph_db,
-            frozenset({0, 1}),
-            relation_names={"Edge"},
-            strategy="auto",
-            max_enumeration=None,
-        )
-        clone = pickle.loads(pickle.dumps(task))
-        # DatabaseSchema compares by identity; check the shipped payload.
-        assert clone.relations == task.relations
-        assert (clone.kept, clone.db_token) == (task.kept, task.db_token)
-        assert (clone.strategy, clone.max_enumeration) == (
-            task.strategy, task.max_enumeration,
-        )
-        assert repr(clone.schema) == repr(task.schema)
-        # The thawed spec evaluates to the same result as the parent-side
-        # reference path.
-        result, delta = evaluate_component_task(clone)
-        reference = boundary_multiplicity(query, graph_db, frozenset({0, 1}))
-        assert (result.value, result.exact) == (reference.value, reference.exact)
-        assert set(delta) == {"hits", "misses"}
-
-    def test_worker_codes_only_the_relation_whose_epoch_changed(self):
-        from repro.engine.procpool import build_component_task, evaluate_component_task
-
-        schema = DatabaseSchema.from_arities({"Edge": 2, "Member": 2})
-        db = Database.from_rows(
-            schema,
-            Edge=[(1, 2), (2, 3), (3, 1), (1, 3)],
-            Member=[(1, 10), (2, 10), (3, 11)],
-        )
-        query = parse_query("Edge(x, y), Edge(y, z), Member(x, g)")
-        kept = frozenset({0, 1, 2})
-
-        def evaluate():
-            task = build_component_task(
-                query, db, kept, relation_names={"Edge", "Member"},
-                strategy="auto", max_enumeration=None,
-            )
-            result, delta = evaluate_component_task(task)
-            reference = boundary_multiplicity(query, db, kept)
-            assert (result.value, result.exact) == (reference.value, reference.exact)
-            return delta
-
-        # Three atoms read two relations: both coded on the first task.
-        assert evaluate() == {"hits": 1, "misses": 2}
-        assert evaluate() == {"hits": 3, "misses": 0}
-        # A Member row with a never-seen value: the worker rebuilds and codes
-        # Member against the same dictionary and keeps Edge's codes.
-        db.relation("Member").add_rows([(2, 99)])
-        assert evaluate() == {"hits": 2, "misses": 1}
-
-
-def _exploding_component_task(task):
-    """Module-level so the spawn worker can unpickle it by reference."""
-    raise RuntimeError("worker blew up")
 
 
 class TestPoisonedComponent:
@@ -403,25 +299,6 @@ class TestPoisonedComponent:
         # have recorded all n calls here.
         assert frozenset({0}) in calls
         assert len(calls) <= 4
-
-    def test_process_failure_propagates(self, monkeypatch):
-        import repro.engine.profile as profile_module
-
-        # The worker unpickles this module-level function by reference and
-        # raises inside the pool — the genuine worker-failure path.
-        monkeypatch.setattr(
-            profile_module, "evaluate_component_task", _exploding_component_task
-        )
-        query = triangle_query()
-        db = database_from_edges([(1, 2), (2, 3)])
-        with pytest.raises(RuntimeError, match="worker blew up"):
-            evaluate_profile(
-                query,
-                db,
-                [frozenset({0, 1})],
-                parallelism=2,
-                parallelism_mode="process",
-            )
 
 
 class TestDistanceVectors:

@@ -451,35 +451,28 @@ class TestShedRetryAfter:
 
 
 class TestParallelismModeOverHttp:
+    """``parallelism_mode`` is retired: ``/register`` ignores it like any
+    other unknown key, and neither ``/stats`` block reports a mode."""
+
     def test_register_with_mode_and_stats_block(self, server_url):
         status, body = post(
             f"{server_url}/register",
             {"name": "k4", "edges": K4_EDGES, "parallelism_mode": "process"},
         )
         assert status == 200
+        assert "parallelism_mode" not in body
 
         status, stats = get(f"{server_url}/stats")
         assert status == 200
-        block = stats["parallelism"]
-        assert set(block) == {"workers", "mode"}
-        assert block["mode"] == "thread"  # the service-wide default
-        assert stats["databases"]["k4"]["parallelism_mode"] == "process"
+        assert stats["parallelism"] == {"workers": None}  # serial default
+        assert "parallelism_mode" not in stats["databases"]["k4"]
 
-        # Registration-pinned process mode serves counts end to end.
         status, release = post(
             f"{server_url}/count",
             {"database": "k4", "query": "Edge(x, y), Edge(y, z)", "epsilon": 0.5},
         )
         assert status == 200
         assert isinstance(release["noisy_count"], float)
-
-    def test_register_rejects_unknown_mode(self, server_url):
-        status, body = post(
-            f"{server_url}/register",
-            {"name": "k4", "edges": K4_EDGES, "parallelism_mode": "fork"},
-        )
-        assert status == 400
-        assert "parallelism_mode" in body["error"]
 
 
 class _RecordingWriter:
