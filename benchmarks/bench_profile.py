@@ -15,6 +15,11 @@ evaluator must produce a profile **identical** to the per-subset baseline's,
 evaluating 3 components, and its absolute latency is gated against the
 committed ``BENCH_profile.json`` (the speedup over the baseline is printed
 and recorded only: cheaper components shrink it).
+``test_profile_speedup_two_triangle`` pins the sharing on the undirected
+graph: the two-triangle profile must equal the baseline's while evaluating
+9 of its 32 component references, which takes sharing up to atom order and
+up to the argument order of the symmetric ``Edge`` (matching components
+position by position evaluated 21); its timings are printed only.
 ``test_profile_report_queries`` reports the same comparison (equality
 asserted, timings informational) for the paper's triangle / 3-star / path-4
 queries, together with the subplan-dedup and coded-column lookup counts.
@@ -34,7 +39,12 @@ import pytest
 from repro.data.database import Database
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
-from repro.graphs.patterns import k_path_query, k_star_query, triangle_query
+from repro.graphs.patterns import (
+    k_path_query,
+    k_star_query,
+    triangle_query,
+    two_triangle_query,
+)
 from repro.sensitivity.residual import ResidualSensitivity
 
 from bench_utils import derive_seed, trend_gate
@@ -121,6 +131,20 @@ def test_profile_speedup_star4(graph_db):
         "profile", "shared_lattice_seconds", shared_time,
         floor=0.02, higher_is_better=False,
     )
+
+
+def test_profile_speedup_two_triangle(graph_db):
+    """An identical profile with the components shared up to isomorphism."""
+    engine = ResidualSensitivity(two_triangle_query(), beta=0.1)
+    _, shared, baseline_time, shared_time = _compare(engine, graph_db)
+    print("\n" + _describe("two_triangle", shared, baseline_time, shared_time))
+
+    stats = shared.stats
+    assert stats.subsets_total == 31  # all proper subsets of 5 private atoms
+    assert stats.components_total == 32
+    # The 28 distinct components fall into 9 isomorphism classes once the
+    # two argument orders of the symmetric Edge count as one.
+    assert stats.components_evaluated == 9
 
 
 def test_profile_report_queries(graph_db):

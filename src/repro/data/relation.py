@@ -14,7 +14,9 @@ needs directly:
   database's :class:`~repro.data.database.ValueDictionary`, the only form
   in which the columnar elimination engine reads a relation — coded once,
   they serve every residual subset, query and service request against the
-  same instance — and
+  same instance,
+* for a binary relation, whether its rows are closed under swapping the
+  two columns (:attr:`Relation.symmetry`, recorded per epoch), and
 * projection / selection helpers used by tests and data loading.
 
 Every mutation advances the relation's **epoch** (:attr:`Relation.epoch`),
@@ -78,6 +80,9 @@ class Relation:
         # ``(dictionary, coded columns)`` — the codes are only meaningful in
         # the code space of the dictionary they were made with.
         self._codes: tuple | None = None
+        # ``(epoch, flag)``: whether the rows were closed under swapping the
+        # two columns at that epoch (see :attr:`symmetry`).
+        self._symmetry: tuple[int, bool] | None = None
         self._version = 0
         if rows is not None:
             for row in rows:
@@ -283,7 +288,8 @@ class Relation:
         self._column_rows = self._column_rows + new_rows
 
     def release_caches(self) -> None:
-        """Drop every derived cache (indexes, columnar snapshot, coded columns).
+        """Drop every derived cache (indexes, columnar snapshot, coded columns,
+        the symmetry flag).
 
         Semantically a no-op — everything recomputes on demand — but frees
         the memory of superseded snapshots immediately.  The serving-layer
@@ -292,6 +298,24 @@ class Relation:
         """
         self._indexes.clear()
         self._drop_snapshot()
+        self._symmetry = None
+
+    @property
+    def symmetry(self) -> bool | None:
+        """Whether the rows are closed under swapping the two columns, as
+        recorded for the current epoch (``None`` when not recorded).
+
+        :func:`repro.engine.columnar.relation_is_symmetric` computes and
+        records it; a mutation advances the epoch, which retires the record.
+        """
+        recorded = self._symmetry
+        if recorded is None or recorded[0] != self._version:
+            return None
+        return recorded[1]
+
+    def record_symmetry(self, epoch: int, flag: bool) -> None:
+        """Record the swap-closure ``flag`` computed on the rows of ``epoch``."""
+        self._symmetry = (epoch, flag)
 
     # ------------------------------------------------------------------ #
     # Copying and comparison

@@ -117,6 +117,7 @@ __all__ = [
     "greedy_elimination_order",
     "order_factors_for_join",
     "predicate_mask",
+    "relation_is_symmetric",
     "reset_factorization_cache_stats",
 ]
 
@@ -406,6 +407,28 @@ def _relation_codes(
     codes = relation.coded_columns(dictionary)
     _record_factorization(hit)
     return codes
+
+
+def relation_is_symmetric(relation: Relation, dictionary: ValueDictionary) -> bool:
+    """Whether the binary ``relation`` holds ``(b, a)`` for every row ``(a, b)``.
+
+    The sorted packed code keys of both column orders are compared, and the
+    flag is recorded on the relation for its epoch (:attr:`Relation.symmetry`).
+    Every call reads the codes through the counted lookup, recorded or not,
+    so a relation coded here counts its one miss and every profile counts
+    the same lookups.
+    """
+    epoch = relation.epoch
+    first, second = _relation_codes(relation, dictionary)
+    flag = relation.symmetry
+    if flag is None:
+        # Codes are dense, so the squared radix stays far inside int64.
+        radix = np.int64(max(_radix(first), _radix(second)))
+        flag = bool(
+            np.array_equal(np.sort(first * radix + second), np.sort(second * radix + first))
+        )
+        relation.record_symmetry(epoch, flag)
+    return flag
 
 
 # --------------------------------------------------------------------- #

@@ -11,16 +11,26 @@ isolation — the reference path of
   boundaries are disjoint, so ``T_F`` is the product of the per-component
   maxima (see :func:`repro.engine.aggregates.combine_component_results`) —
   and the *same* component recurs across dozens of subsets of the lattice;
-* components that are **isomorphic up to variable renaming** (ubiquitous
-  under self-joins: every single-atom residual of the triangle query is the
-  same query shape) have identical multiplicities on every instance.
+* components that are **isomorphic** have identical multiplicities on every
+  instance — up to variable renaming and atom order, and, for a binary
+  relation whose rows are closed under swapping its two columns on the
+  current data (an undirected graph stored as a symmetric ``Edge``), up to
+  the order of that relation's two arguments.  Isomorphic twins are
+  ubiquitous under self-joins: every single-atom residual of the triangle
+  query is the same shape, and on a symmetric ``Edge`` so are its three
+  two-atom paths.
 
 :func:`evaluate_profile` therefore plans the whole lattice up front:
 every subset is decomposed once, each *structurally distinct* component is
-evaluated exactly once (isomorphism detected through a conservative
-canonical signature in the spirit of
-:func:`repro.engine.canonical.canonical_query_key`), and per-subset results
-are assembled from the memoized component results.  Independent component
+evaluated exactly once, and per-subset results are assembled from the
+memoized component results.  Isomorphism is detected through a canonical
+labelling (:func:`_canonical_labelling`): the least key over the leaves of
+an individualisation-refinement search, capped at :data:`MAX_LABELLINGS`
+leaves.  The symmetry flag of each binary relation the query reads is
+computed once per profile from its coded columns and recorded on the
+relation for its epoch
+(:func:`repro.engine.columnar.relation_is_symmetric`), so a delta that
+breaks the symmetry re-plans the next profile.  Independent component
 evaluations can optionally fan out over a thread pool (``parallelism=``);
 each thread adopts the profile's factorization-counter scope, so the
 :class:`ProfileStats` totals match serial evaluation.
@@ -31,8 +41,8 @@ value, exactness flag and dropped-predicate multiset agree on every subset
 enforces this for every generated workload).  Components
 whose evaluation depends on more than their own shape — residuals with
 boundary-crossing comparison predicates (the Section 5.2 augmented-domain
-path) or generic predicates — are never shared structurally, only by
-identical atom sets.
+path) or generic predicates — and components over the labelling cap are
+never shared structurally, only by identical atom sets.
 
 Sharing can additionally persist *across* runs through an optional
 ``component_cache``: entries are keyed by the component's exact atoms plus
@@ -49,7 +59,7 @@ from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.data.database import Database
 from repro.engine.aggregates import (
@@ -58,14 +68,15 @@ from repro.engine.aggregates import (
     boundary_multiplicity,
     combine_component_results,
 )
-from repro.engine.canonical import _predicate_key, _term_key
+from repro.engine.canonical import _term_key
 from repro.engine.columnar import (
     adopt_factorization_scope,
     current_factorization_scope,
     factorization_counter_scope,
+    relation_is_symmetric,
 )
 from repro.obs.tracing import span as obs_span
-from repro.query.atoms import Variable
+from repro.query.atoms import Constant, Variable
 from repro.query.cq import ConjunctiveQuery
 from repro.query.hypergraph import QueryHypergraph
 from repro.query.residual import ResidualQuery, residual_query
@@ -135,6 +146,16 @@ class LatticeProfile:
 # --------------------------------------------------------------------- #
 # Component canonicalization
 # --------------------------------------------------------------------- #
+#: The most candidate labellings :func:`_canonical_labelling` tries for one
+#: component.  A component with more (ties that one refinement round cannot
+#: split and that no exchange of two variables resolves) gets no signature
+#: and is shared only by identical atom set.
+MAX_LABELLINGS = 64
+
+#: Comparison operators as integers (``>`` and ``>=`` are turned around).
+_OPERATORS = {"!=": 0, "<": 1, "<=": 2}
+
+
 @dataclass(frozen=True)
 class _ComponentInfo:
     """Structural description of one connected component of the lattice."""
@@ -142,56 +163,236 @@ class _ComponentInfo:
     atoms: tuple[int, ...]
     residual: ResidualQuery
     group_vars: tuple[Variable, ...]
-    names: Mapping[Variable, str]
-    by_name: Mapping[str, Variable]
+    names: Mapping[Variable, int]
+    by_name: Mapping[int, Variable]
     signature: tuple | None
-    pred_keys: tuple[str | None, ...]
+    pred_keys: tuple[tuple, ...]
 
 
-def _component_info(query: ConjunctiveQuery, component: frozenset[int]) -> _ComponentInfo:
+class _OverCap(Exception):
+    """The labelling search passed :data:`MAX_LABELLINGS` leaves."""
+
+
+class _QueryCodes:
+    """The query as integers, built once per profile for the labelling.
+
+    Variables are numbered from 0 in order of first appearance; relations
+    are numbered from 0 and constants from -1 down, in the sorted order of
+    their names and keys.  The numbers mean nothing outside this query, and
+    signatures are only compared within one profile.  ``atoms`` holds
+    ``(relation number, relation name, terms)`` per atom and ``predicates``
+    ``(operator, left, right)`` per inequality or comparison, by ``id``.
+    """
+
+    def __init__(
+        self, query: ConjunctiveQuery, is_symmetric: Callable[[str], bool]
+    ) -> None:
+        self.query = query
+        self.is_symmetric = is_symmetric
+        self.variables: list[Variable] = []
+        self.index: dict[Variable, int] = {}
+        oriented = {}
+        for pred in query.predicates:
+            if pred.is_inequality:
+                oriented[id(pred)] = ("!=", pred.left, pred.right)
+            elif pred.is_comparison:
+                if pred.op in (">", ">="):
+                    oriented[id(pred)] = (pred.op.replace(">", "<"), pred.right, pred.left)
+                else:
+                    oriented[id(pred)] = (pred.op, pred.left, pred.right)
+        terms = [t for atom in query.atoms for t in atom.terms]
+        terms += [t for _, left, right in oriented.values() for t in (left, right)]
+        self._constants = {
+            key: -1 - rank
+            for rank, key in enumerate(
+                sorted({_term_key(t, {}) for t in terms if isinstance(t, Constant)})
+            )
+        }
+        relations = {
+            name: rank
+            for rank, name in enumerate(sorted({atom.relation for atom in query.atoms}))
+        }
+        self.atoms = [
+            (relations[atom.relation], atom.relation, tuple(map(self._code, atom.terms)))
+            for atom in query.atoms
+        ]
+        self.predicates = {
+            key: (_OPERATORS[op], self._code(left), self._code(right))
+            for key, (op, left, right) in oriented.items()
+        }
+
+    def _code(self, term) -> int:
+        if isinstance(term, Variable):
+            code = self.index.get(term)
+            if code is None:
+                code = self.index[term] = len(self.variables)
+                self.variables.append(term)
+            return code
+        return self._constants[_term_key(term, {})]
+
+
+def _canonical_labelling(
+    codes: _QueryCodes, atoms: tuple[int, ...], residual: ResidualQuery
+) -> tuple[tuple, dict[Variable, int], tuple[tuple, ...]] | None:
+    """The component's canonical key, the variable names giving it, and its
+    predicates' keys under those names (``None`` over :data:`MAX_LABELLINGS`).
+
+    A labelling names the variables with distinct integers; the key under
+    it is the sorted atom keys (a symmetric relation's two terms sorted),
+    the boundary names, the output names and the sorted predicate keys, and
+    the canonical key is the least key over the candidate labellings.  The
+    candidates are the leaves of an individualisation-refinement search:
+    the variables are coloured by boundary and output membership, the
+    colours are refined once by atom and predicate incidences (a symmetric
+    relation's two positions count as one), and each remaining tie is
+    broken every possible way in turn, the leaf's colours being its names.
+    A way is skipped when exchanging its variable with the tie's first one
+    maps the component onto itself, since its leaves repeat the first one's
+    keys (checked only where it saves more than one leaf).  Every step
+    reads colours, never variable names, so isomorphic components try the
+    same set of keys and get the same least one, and equal keys make the
+    two name maps an isomorphism.
+    """
+    local: dict[int, int] = {}  # query variable number -> component variable
+    specs = []  # (relation, symmetric, terms); a term is a variable or a constant (< 0)
+    for idx in atoms:
+        relation, name, terms = codes.atoms[idx]
+        terms = tuple(local.setdefault(t, len(local)) if t >= 0 else t for t in terms)
+        specs.append((relation, len(terms) == 2 and codes.is_symmetric(name), terms))
+    preds = [
+        (op, local.get(left, left), local.get(right, right))
+        for op, left, right in (codes.predicates[id(p)] for p in residual.predicates)
+    ]
+    n = len(local)
+    colour = [0] * n
+    boundary = [local[codes.index[v]] for v in residual.boundary_relational]
+    for i in boundary:
+        colour[i] = 1
+    outputs = []
+    if not codes.query.is_full:
+        outputs = [local[codes.index[v]] for v in residual.output_variables]
+        for i in outputs:
+            colour[i] += 2
+
+    # Refine once: each colour is split by the sorted incidences of its
+    # variables (an atom's relation, the position in it unless symmetric,
+    # and the colours there; a predicate's operator, side and other colour).
+    seen: list[list[tuple]] = [[] for _ in range(n)]
+    for relation, symmetric, terms in specs:
+        coded = tuple(colour[t] if t >= 0 else t for t in terms)
+        if symmetric:
+            entry = (relation, -1, tuple(sorted(coded)))
+            for t in terms:
+                if t >= 0:
+                    seen[t].append(entry)
+        else:
+            for position, t in enumerate(terms):
+                if t >= 0:
+                    seen[t].append((relation, position, coded))
+    for op, left, right in preds:
+        left_colour = colour[left] if left >= 0 else left
+        right_colour = colour[right] if right >= 0 else right
+        if left >= 0:
+            seen[left].append((-1 - op, 0, (right_colour,)))
+        if right >= 0:
+            seen[right].append((-1 - op, 0 if op == 0 else 1, (left_colour,)))
+    keys = [(colour[i], *sorted(seen[i])) for i in range(n)]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    colour = [rank[key] for key in keys]
+
+    def described(names, atom_specs, pred_specs) -> tuple[list, list]:
+        """Atom and predicate keys with variable ``i`` named ``names[i]``."""
+        atom_keys = []
+        for relation, symmetric, terms in atom_specs:
+            named = [names[t] if t >= 0 else t for t in terms]
+            if symmetric:
+                named.sort()
+            atom_keys.append((relation, *named))
+        pred_keys = []
+        for op, left, right in pred_specs:
+            left = names[left] if left >= 0 else left
+            right = names[right] if right >= 0 else right
+            if op == 0 and right < left:
+                left, right = right, left
+            pred_keys.append((op, left, right))
+        return atom_keys, pred_keys
+
+    def swap_is_automorphism(u: int, v: int) -> bool:
+        """Whether exchanging variables ``u`` and ``v`` maps the atoms and
+        predicates onto themselves."""
+        atom_specs = [spec for spec in specs if u in spec[2] or v in spec[2]]
+        pred_specs = [spec for spec in preds if u in spec[1:] or v in spec[1:]]
+        names = list(range(n))
+        before = described(names, atom_specs, pred_specs)
+        names[u], names[v] = v, u
+        after = described(names, atom_specs, pred_specs)
+        return all(sorted(a) == sorted(b) for a, b in zip(before, after))
+
+    best = None  # (key, names, predicate keys) of the least leaf so far
+    leaves = 0
+
+    def search(colour: list[int]) -> None:
+        nonlocal best, leaves
+        ordered = sorted(colour)
+        target = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
+        if target is None:
+            leaves += 1
+            if leaves > MAX_LABELLINGS:
+                raise _OverCap
+            atom_keys, pred_keys = described(colour, specs, preds)
+            key = (
+                tuple(sorted(atom_keys)),
+                tuple(sorted(colour[i] for i in boundary)),
+                tuple(sorted(colour[i] for i in outputs)),
+                tuple(sorted(pred_keys)),
+            )
+            if best is None or key < best[0]:
+                best = (key, colour, pred_keys)
+            return
+        cell = [i for i in range(n) if colour[i] == target]
+        # Exchanging two variables of one cell, when that maps the component
+        # onto itself, maps the first one's subtree onto the other's: the
+        # same keys, so the other is skipped — unless each subtree is a
+        # single leaf, which costs no more than the check.
+        prune = len(set(colour)) < n - 1
+        for chosen in cell:
+            if prune and chosen != cell[0] and swap_is_automorphism(cell[0], chosen):
+                continue
+            search([2 * c + (c == target and i != chosen) for i, c in enumerate(colour)])
+
+    try:
+        search(colour)
+    except _OverCap:
+        return None
+    key, names, pred_keys = best
+    variables = codes.variables
+    return key, {variables[code]: names[i] for code, i in local.items()}, tuple(pred_keys)
+
+
+def _component_info(
+    codes: _QueryCodes, component: frozenset[int]
+) -> _ComponentInfo:
+    query = codes.query
     residual = residual_query(query, component)
     group_vars = tuple(sorted(residual.boundary_relational, key=lambda v: v.name))
     atoms = tuple(sorted(component))
 
-    names: dict[Variable, str] = {}
-    for idx in atoms:
-        for term in query.atoms[idx].terms:
-            if isinstance(term, Variable) and term not in names:
-                names[term] = f"v{len(names)}"
-    by_name = {name: var for var, name in names.items()}
-
-    pred_keys = tuple(_predicate_key(p, names) for p in residual.predicates)
-
-    signature: tuple | None
-    if any(not p.is_inequality for p in residual.dropped_predicates) or any(
-        key is None for key in pred_keys
+    labelling = None
+    if all(p.is_inequality for p in residual.dropped_predicates) and all(
+        id(p) in codes.predicates for p in residual.predicates
     ):
-        # Section 5.2 domain-ranging (value depends on predicates linking to
-        # the outside) or generic predicates (not structurally comparable):
-        # share only by identical atom set.
-        signature = None
-    else:
-        atom_keys = tuple(
-            (
-                query.atoms[idx].relation,
-                tuple(_term_key(t, names) for t in query.atoms[idx].terms),
-            )
-            for idx in atoms
-        )
-        boundary_key = tuple(sorted(names[v] for v in residual.boundary_relational))
-        output_key = (
-            ("*",)
-            if query.is_full
-            else tuple(sorted(names[v] for v in residual.output_variables))
-        )
-        signature = (atom_keys, boundary_key, output_key, tuple(sorted(pred_keys)))
+        labelling = _canonical_labelling(codes, atoms, residual)
+    # Section 5.2 domain ranging (the value depends on predicates linking to
+    # the outside), generic predicates (not structurally comparable) and
+    # components over the labelling cap are shared only by identical atom set.
+    signature, names, pred_keys = labelling or (None, {}, ())
 
     return _ComponentInfo(
         atoms=atoms,
         residual=residual,
         group_vars=group_vars,
         names=names,
-        by_name=by_name,
+        by_name={name: var for var, name in names.items()},
         signature=signature,
         pred_keys=pred_keys,
     )
@@ -202,19 +403,20 @@ def _translate_result(
 ) -> MultiplicityResult:
     """Re-express an isomorphic component's result in the target's variables.
 
-    ``source`` and ``target`` share a canonical signature, so the positional
-    variable correspondence (canonical name → variable) is a query
-    isomorphism: the value, exactness and strategy carry over verbatim,
-    dropped predicates map to the target's own predicate objects through
-    their canonical keys, and the witness tuple is re-ordered to the
-    target's boundary-variable ordering.
+    ``source`` and ``target`` share a canonical signature, so the variable
+    correspondence through the canonical labelling (name → variable) is a
+    query isomorphism — on the current data, when it swaps the arguments
+    of a symmetric relation: the value, exactness and strategy carry over
+    verbatim, dropped predicates map to the target's own predicate objects
+    through their canonical keys, and the witness tuple is re-ordered to
+    the target's boundary-variable ordering.
     """
     dropped = []
     if result.dropped_predicates:
-        target_by_key: dict[str, list[int]] = {}
+        target_by_key: dict[tuple, list[int]] = {}
         for idx, key in enumerate(target.pred_keys):
             target_by_key.setdefault(key, []).append(idx)
-        consumed: dict[str, int] = {}
+        consumed: dict[tuple, int] = {}
         source_preds = list(source.residual.predicates)
         for pred in result.dropped_predicates:
             source_idx = next(
@@ -401,6 +603,19 @@ def _evaluate_profile_scoped(
         return finish(results, nonempty, nonempty)
 
     # Phase 1 — plan: decompose every subset into connected components.
+    # A binary relation's symmetry flag is read on first need, once per
+    # profile (and recorded on the relation for its epoch).
+    symmetric: dict[str, bool] = {}
+
+    def is_symmetric(name: str) -> bool:
+        flag = symmetric.get(name)
+        if flag is None:
+            flag = symmetric[name] = relation_is_symmetric(
+                database.relation(name), database.dictionary
+            )
+        return flag
+
+    codes = _QueryCodes(query, is_symmetric)
     plans: dict[frozenset[int], list[frozenset[int]]] = {}
     infos: dict[frozenset[int], _ComponentInfo] = {}
     for kept in subset_list:
@@ -415,7 +630,7 @@ def _evaluate_profile_scoped(
         plans[kept] = components
         for component in components:
             if component not in infos:
-                infos[component] = _component_info(query, component)
+                infos[component] = _component_info(codes, component)
 
     # Phase 2 — dedupe: pick one representative per canonical signature.
     representative: dict[frozenset[int], frozenset[int]] = {}

@@ -14,7 +14,11 @@ The sampled space is deliberately adversarial for this library:
   and occasionally a public relation;
 * **databases** are drawn uniformly or with a skewed hot join key (heavy
   boundary multiplicities are where elimination bugs hide), including
-  empty relations;
+  empty relations; each binary relation is closed under swapping its two
+  columns with probability 1/2 (an undirected graph stored symmetrically,
+  whose self-joins the profile evaluator shares up to argument order), a
+  choice drawn from its own per-case stream so every other draw of a case
+  is the one it would be without it;
 * **queries** cover self-joins, constants in atoms, inequality and
   comparison predicates (both variable–variable and variable–constant),
   graphs of inequalities over all the used variables (all pairs, or each
@@ -161,6 +165,12 @@ class WorkloadGenerator:
         rng = random.Random(f"{self._seed}:{index}")
         relations = self._sample_relations(rng)
         rows = {spec.name: self._sample_rows(rng, spec) for spec in relations}
+        symmetrise = random.Random(f"{self._seed}:{index}:sym")
+        for spec in relations:
+            if spec.arity == 2 and symmetrise.random() < 0.5:
+                rows[spec.name] = sorted(
+                    set(rows[spec.name]) | {(b, a) for a, b in rows[spec.name]}
+                )
         query_text = self._sample_query(rng, relations)
         epsilon = rng.choice((0.5, 1.0, 2.0))
         neighbor_relation, neighbor_op, neighbor_row = self._sample_neighbor_edit(

@@ -8,7 +8,8 @@ purpose shares no code with the production engines it is used to check:
   predicate applied on the fully materialised assignment.  No indexes, no
   elimination orders, no dictionary codes.
 * :func:`oracle_group_counts` is the same loop with a group-by on an
-  explicit variable list — the semantics the boundary-multiplicity
+  explicit variable list (counting assignments, or distinct projections
+  for non-full queries) — the semantics the boundary-multiplicity
   machinery reduces to.
 * :func:`oracle_crossing_max_group_count` is the Section 5.2 boundary
   multiplicity of a residual whose comparison predicates cross its
@@ -96,12 +97,24 @@ def oracle_group_counts(
     query: ConjunctiveQuery,
     database: Database,
     group_variables: Sequence[Variable],
+    distinct_on: Sequence[Variable] | None = None,
 ) -> dict[tuple, int]:
-    """Satisfying-assignment counts grouped by ``group_variables``."""
+    """Satisfying-assignment counts grouped by ``group_variables``.
+
+    With ``distinct_on`` a group's count is its number of distinct
+    projections onto those variables instead — the non-full convention of
+    Section 6.
+    """
     query.validate_against_schema(database.schema)
     counts: dict[tuple, int] = {}
+    projected: set[tuple] = set()
     for assignment in _assignments(query, database):
         key = tuple(assignment[v] for v in group_variables)
+        if distinct_on is not None:
+            projection = (key, tuple(assignment[v] for v in distinct_on))
+            if projection in projected:
+                continue
+            projected.add(projection)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -170,15 +183,8 @@ def oracle_max_group_count(
     projections onto those variables rather than the raw assignment count —
     the non-full convention of Section 6.
     """
-    query.validate_against_schema(database.schema)
-    if distinct_on is None:
-        counts = oracle_group_counts(query, database, group_variables)
-        return max(counts.values(), default=0)
-    groups: dict[tuple, set[tuple]] = {}
-    for assignment in _assignments(query, database):
-        key = tuple(assignment[v] for v in group_variables)
-        groups.setdefault(key, set()).add(tuple(assignment[v] for v in distinct_on))
-    return max((len(values) for values in groups.values()), default=0)
+    counts = oracle_group_counts(query, database, group_variables, distinct_on)
+    return max(counts.values(), default=0)
 
 
 def oracle_crossing_max_group_count(

@@ -22,7 +22,11 @@ executes a fixed battery of checks:
     memoization, isomorphism dedup, optional parallelism) must equal the
     per-subset ``boundary_multiplicity`` reference on every required
     subset — value, exactness flag and dropped-predicate multiset — and a
-    2-thread evaluation must equal the serial one.
+    2-thread evaluation must equal the serial one.  Every exact
+    ``eliminate`` or ``enumerate`` result with a witness must name a group
+    whose oracle count (distinct outputs, for non-full queries) is its
+    value, so a wrong variable map of a shared component shows even when
+    the values agree.
 ``profile``
     A full residual-sensitivity computation must dominate the polynomial
     local-sensitivity bound.
@@ -71,6 +75,7 @@ from repro.qa.generator import FuzzCase, WorkloadGenerator
 from repro.qa.oracle import (
     oracle_count,
     oracle_crossing_max_group_count,
+    oracle_group_counts,
     oracle_local_sensitivity,
     oracle_max_group_count,
     oracle_neighbor_cost,
@@ -383,6 +388,18 @@ class DifferentialRunner:
                     f"shared-lattice {got.dropped_predicates!r} != "
                     f"per-subset {base.dropped_predicates!r}"
                 )
+            if (
+                got.exact
+                and got.strategy in ("eliminate", "enumerate")
+                and got.witness is not None
+            ):
+                witnessed = self._oracle_witness_count(query, db, kept, got)
+                if witnessed != got.value:
+                    problems.append(
+                        f"T_{label}: witness {got.witness!r} of "
+                        f"{got.boundary!r} has oracle count {witnessed}, "
+                        f"not the value {got.value}"
+                    )
         parallel = evaluate_profile(query, db, subsets, parallelism=2)
         serial = evaluate_profile(query, db, subsets)
         for kept in subsets:
@@ -392,6 +409,19 @@ class DifferentialRunner:
                     f"{parallel.results[kept]!r} != serial {serial.results[kept]!r}"
                 )
         return "; ".join(problems) or None
+
+    @staticmethod
+    def _oracle_witness_count(query, db, kept, result) -> int:
+        """The oracle's count of the group ``result.witness`` names in the
+        residual on ``kept`` (its predicates inside, grouped by
+        ``result.boundary``)."""
+        residual = residual_query(query, kept)
+        sub_query = ConjunctiveQuery(
+            [query.atoms[index] for index in sorted(kept)], residual.predicates
+        )
+        distinct_on = None if query.is_full else tuple(residual.output_variables)
+        counts = oracle_group_counts(sub_query, db, result.boundary, distinct_on)
+        return counts.get(result.witness, 0)
 
     def _check_profile(self, case: FuzzCase, report) -> str | None:
         query, db = case.query(), case.database()

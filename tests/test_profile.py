@@ -7,6 +7,10 @@ Covers
   (value, exactness, dropped predicates) across query shapes that exercise
   component memoization, isomorphism dedup, projections, predicates and the
   empty-subset convention, on ``int64`` and on ``object`` value columns;
+* sharing up to isomorphism on a symmetric ``Edge`` — a symmetric
+  relation's two argument orders count as one, the symmetry flag follows
+  the relation's epoch (a delta that breaks it re-plans), and a component
+  over the labelling cap falls back to identity sharing;
 * the ``parallelism`` knob — identical results for any thread-pool size,
   the serial/2-thread equivalence on both column representations (values,
   dropped predicates, stats counters), and prompt failure propagation with
@@ -36,7 +40,12 @@ from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.columnar import factorization_cache_stats
 from repro.engine.profile import evaluate_profile
 from repro.graphs.loader import database_from_edges, edge_schema
-from repro.graphs.patterns import k_star_query, triangle_query
+from repro.graphs.patterns import (
+    k_star_query,
+    rectangle_query,
+    triangle_query,
+    two_triangle_query,
+)
 from repro.query.parser import parse_query
 from repro.query.residual import all_subsets_of_block
 from repro.sensitivity.residual import ResidualSensitivity
@@ -80,6 +89,24 @@ def _database(columns: str, schema: DatabaseSchema, **rows) -> Database:
 
 def _graph(columns: str) -> Database:
     return _database(columns, edge_schema(), Edge=EDGES)
+
+
+def _symmetric_graph(columns: str) -> Database:
+    """The same graph stored undirected: each edge in both orientations."""
+    return _database(columns, edge_schema(), Edge=EDGES + [(b, a) for a, b in EDGES])
+
+
+def _assert_witnesses_attain(query, db, profile):
+    """Every exact eliminated witness names a group the oracle counts at the
+    value (distinct outputs for a non-full query), so a shared component's
+    variable map — through an argument swap too — is checked, not just its
+    value."""
+    from repro.qa.runner import DifferentialRunner
+
+    for kept, result in profile.results.items():
+        if result.exact and result.strategy == "eliminate" and result.witness is not None:
+            witnessed = DifferentialRunner._oracle_witness_count(query, db, kept, result)
+            assert witnessed == result.value, (tuple(sorted(kept)), result)
 
 
 def _assert_profiles_match(query, db):
@@ -180,6 +207,101 @@ class TestEvaluateProfileEquality:
         for kept in subsets:
             reference = boundary_multiplicity(query, graph_db, kept, strategy="enumerate")
             assert shared.results[kept] == reference
+
+
+class TestSymmetricSharing:
+    """On a symmetric relation, components are shared up to argument order."""
+
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_triangle_shares_every_pair(self, columns):
+        db = _symmetric_graph(columns)
+        shared = _assert_profiles_match(triangle_query(), db)
+        _assert_witnesses_attain(triangle_query(), db, shared)
+        # The three single edges are one class and so are the three paths
+        # of two edges, which on a directed graph are three (test above).
+        assert shared.stats.components_evaluated == 2
+        assert shared.stats.component_hits == 4
+
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_two_triangle(self, columns):
+        db = _symmetric_graph(columns)
+        shared = _assert_profiles_match(two_triangle_query(), db)
+        _assert_witnesses_attain(two_triangle_query(), db, shared)
+        assert shared.stats.components_total == 32
+        assert shared.stats.components_evaluated <= 10
+
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_boundary_comparisons_still_unshared(self, columns):
+        query = parse_query("Edge(x, y), Edge(y, z), x < z")
+        shared = _assert_profiles_match(query, _symmetric_graph(columns))
+        assert shared.stats.components_evaluated == 2
+
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_constants_and_repeated_variables(self, columns):
+        schema = DatabaseSchema.from_arities({"R": 2})
+        rows = [(1, 1), (1, 2), (1, 3), (2, 3), (3, 3), (3, 4)]
+        symmetric = _database(columns, schema, R=rows + [(b, a) for a, b in rows])
+        directed = _database(columns, schema, R=rows)
+        three = _lift(3, columns)
+        # R(x, 3) and R(3, y) are one shape exactly when R is symmetric.
+        query = parse_query(f"R(x, {three}), R({three}, y)")
+        assert _assert_profiles_match(query, symmetric).stats.components_evaluated == 1
+        assert _assert_profiles_match(query, directed).stats.components_evaluated == 2
+        for text in (
+            "R(x, x), R(x, y), R(y, z)",
+            f"R(x, x), R(y, {three}), R({three}, x), x != y",
+            "Q(x) :- R(x, y), R(z, y), R(z, z)",
+        ):
+            query = parse_query(text)
+            _assert_witnesses_attain(
+                query, symmetric, _assert_profiles_match(query, symmetric)
+            )
+
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_delta_breaking_the_symmetry_replans(self, columns):
+        from repro.service.cache import LRUCache
+
+        db = _symmetric_graph(columns)
+        edge = db.relation("Edge")
+        query = triangle_query()
+        subsets = ResidualSensitivity(query, beta=0.1).required_subsets(db)
+        cache = LRUCache(256)
+
+        def profile():
+            shared = evaluate_profile(query, db, subsets, component_cache=cache)
+            for kept in subsets:
+                reference = boundary_multiplicity(query, db, kept)
+                assert (shared.results[kept].value, shared.results[kept].exact) == (
+                    reference.value,
+                    reference.exact,
+                )
+            return shared.stats
+
+        assert profile().components_evaluated == 2
+        assert edge.symmetry is True
+        reverse = (_lift(2, columns), _lift(1, columns))
+        edge.remove_rows([reverse])  # (1, 2) stays: no longer symmetric
+        stats = profile()
+        assert edge.symmetry is False
+        assert stats.component_cache_hits == 0
+        assert stats.components_evaluated == 4
+        edge.add_rows([reverse])
+        stats = profile()
+        assert edge.symmetry is True
+        assert (stats.components_evaluated, stats.component_cache_hits) == (2, 0)
+
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_over_the_labelling_cap_shares_by_identity(self, columns, monkeypatch):
+        import repro.engine.profile as profile_module
+
+        db = _symmetric_graph(columns)
+        shared = _assert_profiles_match(rectangle_query(), db)
+        assert shared.stats.components_evaluated == 3
+        # The four three-edge paths need four candidate labellings each, so
+        # under a cap of two each is its own representative.
+        monkeypatch.setattr(profile_module, "MAX_LABELLINGS", 2)
+        shared = _assert_profiles_match(rectangle_query(), db)
+        assert shared.stats.components_evaluated == 2 + 4
 
 
 class TestParallelism:
@@ -409,6 +531,23 @@ class TestFactorizationCache:
         assert after["misses"] - before["misses"] == 1  # one per relation
         assert after["hits"] > before["hits"]
 
+    def test_symmetry_flag_counted_and_recorded_per_epoch(self):
+        from repro.engine.columnar import relation_is_symmetric
+
+        db = database_from_edges(EDGES, symmetric=True)
+        edge = db.relation("Edge")
+        before = factorization_cache_stats()
+        assert relation_is_symmetric(edge, db.dictionary) is True
+        assert edge.symmetry is True
+        after = factorization_cache_stats()
+        # The flag coded the relation: its one miss, through the counted lookup.
+        assert after["misses"] - before["misses"] == 1
+        edge.add((100, 101))
+        assert edge.symmetry is None  # the epoch moved on
+        assert relation_is_symmetric(edge, db.dictionary) is False
+        edge.release_caches()
+        assert edge.symmetry is None
+
     def test_invalidated_on_mutation(self, graph_db):
         relation = graph_db.relation("Edge")
         ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)
@@ -494,9 +633,10 @@ class TestProfilerCounters:
         service.count("g", "Edge(x, y), Edge(y, z)", epsilon=0.1)  # cache hit
         stats = service.stats()["profiler"]
         assert stats["profiles_computed"] == 1  # second request hit the cache
-        # Required subsets of the 2-atom self-join: {}, {0}, {1}; the two
-        # singles are connected and not positionally isomorphic (the shared
-        # variable sits at a different position), so both are evaluated.
+        # Required subsets of the 2-atom self-join: {}, {0}, {1}; on this
+        # directed graph the two singles are not isomorphic (the shared
+        # variable is one edge's head and the other's tail), so both are
+        # evaluated.
         assert stats["subsets_total"] == 3
         assert stats["components_total"] == 2
         assert stats["components_evaluated"] == 2
