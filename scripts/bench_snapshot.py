@@ -206,6 +206,7 @@ def snapshot_mutation() -> dict:
             "reregister_seconds": round(measured["reregister_seconds"], 6),
             "delta_speedup": round(measured["speedup"], 2),
             "component_cache_hits": measured["component_cache_hits"],
+            "component_delta_updates": measured["component_delta_updates"],
             "factorization_hits": measured["factorization"]["hits"],
             "factorization_misses": measured["factorization"]["misses"],
         },

@@ -957,6 +957,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         f"fuzz: {report.cases} cases (seed {report.seed}, start {report.start}), "
         f"{report.checks_run} checks, "
         f"{report.oracle_ls_cases} exhaustive-LS cases, "
+        f"{report.delta_cases} cases caught up by delta, "
         f"{len(report.failures)} failure(s)"
     )
     if calibration is not None:

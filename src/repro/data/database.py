@@ -179,9 +179,7 @@ class Database:
         self._dictionary_lock = threading.Lock()
         if relations is not None:
             for name, rows in relations.items():
-                rel = self.relation(name)
-                for row in rows:
-                    rel.add(row)
+                self._relations[name] = Relation(self.relation(name).schema, rows)
 
     # ------------------------------------------------------------------ #
     # Container protocol

@@ -35,6 +35,22 @@ columnar state warm and never re-codes another relation.
 serving-layer registry calls it when a database version is replaced, so
 superseded snapshots free their memory immediately).
 
+The bulk delta mutators also keep a **change log**: the rows each call
+inserted or deleted, by epoch, holding at most as many rows as the
+relation.  :meth:`Relation.changes_since` folds it into the net rows
+inserted and deleted since an earlier epoch, which is what a cache of
+counts over this relation needs to catch up by a delta query instead of a
+recomputation (see :mod:`repro.engine.profile`).  Rows given to the
+constructor are not logged, and a single-tuple mutation resets the log.
+
+Each mutation runs under the relation's lock and is atomic for a reader of
+:meth:`Relation.coded_snapshot`, which returns the coded columns together
+with the epoch they hold: the delta mutators publish their new coded
+columns already labelled with the epoch the mutation advances to, and a
+snapshot built from the rows is built under the lock.  A cache that stores
+counts derived from the codes can therefore tell exactly which epoch they
+belong to, even while a writer is half way through an edit.
+
 Set semantics matches the paper: duplicate insertions are no-ops and the
 tuple-DP distance between two instances is the number of insertions,
 deletions, and substitutions needed to transform one into the other.
@@ -42,7 +58,9 @@ deletions, and substitutions needed to transform one into the other.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+import bisect
+import threading
+from collections import Counter, defaultdict, deque
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.data.schema import RelationSchema
@@ -77,16 +95,25 @@ class Relation:
         # delta mutators append to / compact all three together.
         self._column_rows: list[tuple] | None = None
         self._columns: tuple | None = None
-        # ``(dictionary, coded columns)`` — the codes are only meaningful in
-        # the code space of the dictionary they were made with.
+        # ``(dictionary, coded columns, epoch)`` — the codes are only
+        # meaningful in the code space of the dictionary they were made
+        # with, and hold the rows of that epoch.
         self._codes: tuple | None = None
         # ``(epoch, flag)``: whether the rows were closed under swapping the
         # two columns at that epoch (see :attr:`symmetry`).
         self._symmetry: tuple[int, bool] | None = None
         self._version = 0
+        # ``(epoch after, +1 insert / -1 delete, rows)`` per bulk call since
+        # the last reset, oldest first; ``_log_rows`` rows in all.
+        self._log: deque[tuple[int, int, tuple[tuple, ...]]] = deque()
+        self._log_rows = 0
+        # Held by every mutation and by every build of a snapshot from the
+        # rows, so neither sees the other half done.
+        self._lock = threading.RLock()
         if rows is not None:
+            # Not shared yet: no lock.
             for row in rows:
-                self.add(row)
+                self._insert(self._schema.validate_tuple(tuple(row)))
 
     # ------------------------------------------------------------------ #
     # Basic container protocol
@@ -142,6 +169,10 @@ class Relation:
     def add(self, row: Sequence) -> bool:
         """Insert ``row`` (validated against the schema); return ``True`` if new."""
         validated = self._schema.validate_tuple(tuple(row))
+        with self._lock:
+            return self._insert(validated)
+
+    def _insert(self, validated: tuple) -> bool:
         if validated in self._rows:
             return False
         self._rows.add(validated)
@@ -151,11 +182,12 @@ class Relation:
     def remove(self, row: Sequence) -> bool:
         """Delete ``row`` if present; return ``True`` if it was present."""
         key = tuple(row)
-        if key in self._rows:
-            self._rows.remove(key)
-            self._bump()
-            return True
-        return False
+        with self._lock:
+            if key in self._rows:
+                self._rows.remove(key)
+                self._bump()
+                return True
+            return False
 
     def replace(self, old_row: Sequence, new_row: Sequence) -> None:
         """Substitute ``old_row`` by ``new_row`` (a single DP "change").
@@ -165,13 +197,16 @@ class Relation:
         instance exactly as it was (no lost tuple, no epoch advance).
         """
         old_key = tuple(old_row)
-        if old_key not in self._rows:
-            raise SchemaError(f"cannot replace missing tuple {old_key!r} in {self.name!r}")
-        new_key = self._schema.validate_tuple(tuple(new_row))
-        if new_key == old_key:
-            return
-        self.remove_rows((old_key,))
-        self.add_rows((new_key,))
+        with self._lock:
+            if old_key not in self._rows:
+                raise SchemaError(
+                    f"cannot replace missing tuple {old_key!r} in {self.name!r}"
+                )
+            new_key = self._schema.validate_tuple(tuple(new_row))
+            if new_key == old_key:
+                return
+            self.remove_rows((old_key,))
+            self.add_rows((new_key,))
 
     def add_rows(self, rows: Iterable[Sequence]) -> int:
         """Bulk-insert ``rows`` via the delta path; return how many were new.
@@ -183,22 +218,21 @@ class Relation:
         being discarded.  The epoch advances once for the whole batch (not
         at all if every row was present).
         """
-        validated: list[tuple] = []
-        seen: set[tuple] = set()
-        for row in rows:
-            candidate = self._schema.validate_tuple(tuple(row))
-            if candidate in self._rows or candidate in seen:
-                continue
-            seen.add(candidate)
-            validated.append(candidate)
-        if not validated:
-            return 0
-        if self._column_rows is not None:
-            self._extend_snapshot(validated)
-        self._rows.update(validated)
-        self._indexes.clear()
-        self._version += 1
-        return len(validated)
+        candidates = [self._schema.validate_tuple(tuple(row)) for row in rows]
+        with self._lock:
+            validated = [
+                row for row in dict.fromkeys(candidates) if row not in self._rows
+            ]
+            if not validated:
+                return 0
+            epoch = self._version + 1
+            if self._column_rows is not None:
+                self._extend_snapshot(validated, epoch)
+            self._rows.update(validated)
+            self._indexes.clear()
+            self._version = epoch
+            self._log_change(1, validated)
+            return len(validated)
 
     def remove_rows(self, rows: Iterable[Sequence]) -> int:
         """Bulk-delete ``rows`` via the delta path; return how many existed.
@@ -208,39 +242,99 @@ class Relation:
         advances once for the whole batch (not at all if no row was
         present).
         """
-        keys = {key for key in (tuple(row) for row in rows) if key in self._rows}
-        if not keys:
-            return 0
-        if self._column_rows is not None:
-            import numpy as np
+        requested = [tuple(row) for row in rows]
+        with self._lock:
+            keys = {key for key in requested if key in self._rows}
+            if not keys:
+                return 0
+            epoch = self._version + 1
+            if self._column_rows is not None:
+                import numpy as np
 
-            mask = np.fromiter(
-                (row not in keys for row in self._column_rows),
-                dtype=bool,
-                count=len(self._column_rows),
-            )
-            # New array objects throughout: a reader holding the previous
-            # snapshot tuple keeps seeing a consistent (pre-edit) view.
-            if self._columns is not None:
-                self._columns = tuple(column[mask] for column in self._columns)
-            if self._codes is not None:
-                dictionary, coded = self._codes
-                self._codes = (dictionary, tuple(column[mask] for column in coded))
-            self._column_rows = [row for row in self._column_rows if row not in keys]
-        self._rows.difference_update(keys)
-        self._indexes.clear()
-        self._version += 1
-        return len(keys)
+                mask = np.fromiter(
+                    (row not in keys for row in self._column_rows),
+                    dtype=bool,
+                    count=len(self._column_rows),
+                )
+                # New array objects throughout: a reader holding the previous
+                # snapshot tuple keeps seeing a consistent (pre-edit) view.
+                if self._columns is not None:
+                    self._columns = tuple(column[mask] for column in self._columns)
+                if self._codes is not None:
+                    dictionary, coded, _ = self._codes
+                    self._codes = (
+                        dictionary,
+                        tuple(column[mask] for column in coded),
+                        epoch,
+                    )
+                self._column_rows = [row for row in self._column_rows if row not in keys]
+            self._rows.difference_update(keys)
+            self._indexes.clear()
+            self._version = epoch
+            self._log_change(-1, keys)
+            return len(keys)
 
     def clear(self) -> None:
         """Remove all tuples."""
-        self._rows.clear()
-        self._bump()
+        with self._lock:
+            self._rows.clear()
+            self._bump()
 
     def _bump(self) -> None:
         self._version += 1
         self._indexes.clear()
         self._drop_snapshot()
+        self._log.clear()
+        self._log_rows = 0
+
+    def _log_change(self, sign: int, rows) -> None:
+        """Log one bulk call's rows, then drop the oldest calls until the log
+        holds at most as many rows as the relation."""
+        log = self._log
+        log.append((self._version, sign, tuple(rows)))
+        self._log_rows += len(log[-1][2])
+        while log and self._log_rows > len(self._rows):
+            self._log_rows -= len(log.popleft()[2])
+
+    @property
+    def change_log_rows(self) -> int:
+        """How many rows the change log holds (0 when nothing is logged)."""
+        return self._log_rows
+
+    def changes_since(
+        self, epoch: int, until: int | None = None
+    ) -> tuple[list[tuple], list[tuple]] | None:
+        """The net ``(inserted, deleted)`` rows between ``epoch`` and
+        ``until`` (default: now).
+
+        A row inserted and deleted again (or the reverse) cancels out, so
+        ``inserted`` holds only rows absent at ``epoch`` and ``deleted`` only
+        rows present then.  ``None`` when the log does not cover every epoch
+        in ``(epoch, until]``: a single-tuple mutation since, rows trimmed
+        off by the size limit, or an epoch this relation never had.
+        """
+        with self._lock:
+            current = self._version
+            log = tuple(self._log)
+        version = current if until is None else until
+        if not epoch <= version <= current:
+            return None
+        # One call per epoch since the last reset, oldest first, so the log
+        # covers the range exactly when it holds each of its epochs.
+        start = bisect.bisect_right(log, epoch, key=lambda entry: entry[0])
+        needed = log[start : start + version - epoch]
+        if [entry[0] for entry in needed] != list(range(epoch + 1, version + 1)):
+            return None
+        inserted: dict[tuple, None] = {}
+        deleted: dict[tuple, None] = {}
+        for _, sign, rows in needed:
+            add, cancel = (inserted, deleted) if sign > 0 else (deleted, inserted)
+            for row in rows:
+                if row in cancel:
+                    del cancel[row]
+                else:
+                    add[row] = None
+        return list(inserted), list(deleted)
 
     def _drop_snapshot(self) -> None:
         # The value and coded columns are positionally aligned with
@@ -250,8 +344,9 @@ class Relation:
         self._columns = None
         self._codes = None
 
-    def _extend_snapshot(self, new_rows: list[tuple]) -> None:
-        """Append ``new_rows`` to the cached snapshot and coded columns.
+    def _extend_snapshot(self, new_rows: list[tuple], epoch: int) -> None:
+        """Append ``new_rows`` to the cached snapshot and coded columns, the
+        latter labelled with the ``epoch`` the mutation advances to.
 
         A value column whose dtype cannot take a new value (a string into an
         ``int64`` column, an int past its range) is dropped and rebuilt on
@@ -275,13 +370,14 @@ class Relation:
                 )
         codes = self._codes
         if codes is not None:
-            dictionary, coded = codes
+            dictionary, coded, _ = codes
             codes = (
                 dictionary,
                 tuple(
                     np.concatenate([column, dictionary.encode(tail)])
                     for column, tail in zip(coded, tails)
                 ),
+                epoch,
             )
         self._columns = columns
         self._codes = codes
@@ -296,9 +392,10 @@ class Relation:
         registry calls this when a registration is replaced or removed, so
         cache state tied to an old database version cannot linger.
         """
-        self._indexes.clear()
-        self._drop_snapshot()
-        self._symmetry = None
+        with self._lock:
+            self._indexes.clear()
+            self._drop_snapshot()
+            self._symmetry = None
 
     @property
     def symmetry(self) -> bool | None:
@@ -401,15 +498,17 @@ class Relation:
         columns = self._columns
         if columns is not None:
             return columns
-        rows = self._column_rows
-        if rows is None:
-            rows = list(self._rows)
-        columns = tuple(
-            value_column([row[position] for row in rows]) for position in range(self.arity)
-        )
-        self._column_rows = rows
-        self._columns = columns
-        return columns
+        with self._lock:
+            if self._columns is None:
+                rows = self._column_rows
+                if rows is None:
+                    rows = list(self._rows)
+                self._columns = tuple(
+                    value_column([row[position] for row in rows])
+                    for position in range(self.arity)
+                )
+                self._column_rows = rows
+            return self._columns
 
     @property
     def coded_by(self):
@@ -425,14 +524,24 @@ class Relation:
         another dictionary or a single-tuple mutation drops the snapshot;
         the delta mutators maintain them in place.
         """
+        return self.coded_snapshot(dictionary)[1]
+
+    def coded_snapshot(self, dictionary) -> tuple[int, tuple]:
+        """``(epoch, coded columns)``: :meth:`coded_columns` together with
+        the epoch whose rows they hold.
+
+        Read as one pair even while a mutation is under way, which a plain
+        read of :attr:`epoch` next to the codes is not: a delta mutator
+        publishes its new codes before it advances the epoch.
+        """
         codes = self._codes
-        if codes is not None and codes[0] is dictionary:
-            return codes[1]
-        columns = self.to_columns()
-        coded = tuple(dictionary.encode(column) for column in columns)
-        if self._columns is columns:  # no delta replaced the snapshot meanwhile
-            self._codes = (dictionary, coded)
-        return coded
+        if codes is None or codes[0] is not dictionary:
+            with self._lock:
+                codes = self._codes
+                if codes is None or codes[0] is not dictionary:
+                    coded = tuple(dictionary.encode(column) for column in self.to_columns())
+                    codes = self._codes = (dictionary, coded, self._version)
+        return codes[2], codes[1]
 
     def active_domain(self, position: int | None = None) -> set:
         """Values appearing in the instance (at ``position``, or anywhere)."""

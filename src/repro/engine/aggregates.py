@@ -63,8 +63,10 @@ from repro.query.residual import ResidualQuery, residual_query
 
 __all__ = [
     "MultiplicityResult",
+    "boundary_group_counts",
     "boundary_multiplicity",
     "combine_component_results",
+    "multiplicity_from_counts",
 ]
 
 #: Default cap on backtracking extension steps before giving up on the exact
@@ -190,6 +192,17 @@ def _enumerate_counts(
     )
 
 
+def multiplicity_from_counts(
+    result: EliminationResult, boundary: tuple[Variable, ...]
+) -> MultiplicityResult:
+    """The exact ``T_E`` of a full residual whose boundary group counts are
+    ``result`` (grouped by ``boundary``, in that order)."""
+    value, witness = _max_group(result, len(boundary), False)
+    return MultiplicityResult(
+        value=value, witness=witness, boundary=boundary, strategy="eliminate", exact=True
+    )
+
+
 def _eliminate_max(
     query: ConjunctiveQuery,
     database: Database,
@@ -197,8 +210,8 @@ def _eliminate_max(
     group_vars: tuple[Variable, ...],
     distinct_on: tuple[Variable, ...] | None,
     predicates: Sequence[Predicate],
-) -> tuple[int, tuple | None, tuple[Predicate, ...]]:
-    """``(value, witness, dropped predicates)`` by bucket elimination.
+) -> tuple[int, tuple | None, EliminationResult]:
+    """``(value, witness, elimination result)`` by bucket elimination.
 
     Non-full residuals group by the boundary plus the output variables, so
     each row of the result is one distinct output of its boundary group.
@@ -214,7 +227,7 @@ def _eliminate_max(
         predicates=predicates,
     )
     value, witness = _max_group(result, len(group_vars), distinct_on is not None)
-    return value, witness, result.dropped_predicates
+    return value, witness, result
 
 
 def _comparison_boundary_value(
@@ -338,11 +351,28 @@ def boundary_multiplicity(
     -------
     MultiplicityResult
     """
+    return boundary_group_counts(
+        query, database, kept_atoms, strategy=strategy, max_enumeration=max_enumeration
+    )[0]
+
+
+def boundary_group_counts(
+    query: ConjunctiveQuery,
+    database: Database,
+    kept_atoms: Iterable[int],
+    *,
+    strategy: str = "auto",
+    max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
+) -> tuple[MultiplicityResult, EliminationResult | None]:
+    """:func:`boundary_multiplicity`, plus the boundary group counts the value
+    was read off when it is an exact elimination maximum of a connected
+    full residual (``None`` otherwise) — what a cache needs to catch the
+    value up after a delta (:func:`repro.engine.columnar.refresh_group_counts`)."""
     residual = residual_query(query, kept_atoms)
     if residual.is_empty:
         return MultiplicityResult(
             value=1, witness=None, boundary=(), strategy="convention", exact=True
-        )
+        ), None
 
     group_vars = tuple(sorted(residual.boundary_relational, key=lambda v: v.name))
 
@@ -371,7 +401,7 @@ def boundary_multiplicity(
                 group_vars,
                 parts,
                 [query.variables_of(component) for component in components],
-            )
+            ), None
 
     # Non-full queries: count distinct projections onto o_E.  The list may
     # be *empty* (no output variable realised inside E): every non-empty
@@ -400,7 +430,7 @@ def boundary_multiplicity(
             )
         return _comparison_boundary_value(
             query, database, residual, group_vars, distinct_on, max_enumeration
-        )
+        ), None
 
     inside_preds = list(residual.predicates)
 
@@ -419,11 +449,12 @@ def boundary_multiplicity(
             strategy="enumerate",
             exact=True,
             dropped_predicates=(),
-        )
+        ), None
 
-    value, witness, dropped = _eliminate_max(
+    value, witness, eliminated = _eliminate_max(
         query, database, residual, group_vars, distinct_on, inside_preds
     )
+    dropped = eliminated.dropped_predicates
     eliminate_result = MultiplicityResult(
         value=value,
         witness=witness,
@@ -432,8 +463,10 @@ def boundary_multiplicity(
         exact=not dropped,
         dropped_predicates=tuple(dropped),
     )
-    if strategy == "eliminate" or eliminate_result.exact:
-        return eliminate_result
+    if eliminate_result.exact:
+        return eliminate_result, eliminated if distinct_on is None else None
+    if strategy == "eliminate":
+        return eliminate_result, None
 
     # auto: elimination dropped predicates — try exact enumeration under the cap.
     try:
@@ -441,7 +474,7 @@ def boundary_multiplicity(
             query, database, residual, group_vars, distinct_on, inside_preds, max_enumeration
         )
     except EvaluationError:
-        return eliminate_result
+        return eliminate_result, None
     value, witness = _max_entry(counts)
     return MultiplicityResult(
         value=value,
@@ -450,4 +483,4 @@ def boundary_multiplicity(
         strategy="enumerate",
         exact=True,
         dropped_predicates=(),
-    )
+    ), None

@@ -84,15 +84,18 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import functools
 import threading
+import weakref
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.data.database import Database, ValueDictionary
-from repro.data.relation import Relation
+from repro.data.relation import Relation, value_column
 from repro.engine import mobius
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Constant, Variable
@@ -107,6 +110,7 @@ from repro.query.predicates import (
 __all__ = [
     "ArrayFactor",
     "BUCKET_ROW_CAP",
+    "CountsEntry",
     "EliminationResult",
     "MATMUL_THRESHOLD",
     "adopt_factorization_scope",
@@ -114,9 +118,14 @@ __all__ = [
     "eliminate_group_counts_columnar",
     "factorization_cache_stats",
     "factorization_counter_scope",
+    "fold_group_counts",
     "greedy_elimination_order",
+    "keeps_counts",
+    "maintained_counts",
     "order_factors_for_join",
     "predicate_mask",
+    "refresh_group_counts",
+    "relation_epochs",
     "relation_is_symmetric",
     "reset_factorization_cache_stats",
 ]
@@ -177,6 +186,10 @@ class EliminationResult:
         The internal variables in the order they were summed out.
     dictionary:
         The database's value dictionary (``None`` without atoms).
+    epochs:
+        The sorted ``(relation, epoch)`` pairs of the rows the atoms read
+        (:meth:`~repro.data.relation.Relation.coded_snapshot`); a relation
+        read at two epochs, by a self-join during a mutation, has two.
     """
 
     group_variables: tuple[Variable, ...]
@@ -185,6 +198,7 @@ class EliminationResult:
     dropped_predicates: tuple[Predicate, ...]
     elimination_order: tuple[Variable, ...]
     dictionary: ValueDictionary | None
+    epochs: tuple[tuple[str, int], ...] = ()
 
     @property
     def is_exact(self) -> bool:
@@ -400,13 +414,14 @@ def current_factorization_scope() -> "_FactorizationCounters | None":
 
 def _relation_codes(
     relation: Relation, dictionary: ValueDictionary
-) -> tuple[np.ndarray, ...]:
-    """The relation's coded columns in ``dictionary``'s code space; counts
-    one lookup per call (a miss when the relation had to be coded)."""
+) -> tuple[int, tuple[np.ndarray, ...]]:
+    """``(epoch, coded columns)`` of the relation in ``dictionary``'s code
+    space (:meth:`~repro.data.relation.Relation.coded_snapshot`); counts one
+    lookup per call (a miss when the relation had to be coded)."""
     hit = relation.coded_by is dictionary
-    codes = relation.coded_columns(dictionary)
+    snapshot = relation.coded_snapshot(dictionary)
     _record_factorization(hit)
-    return codes
+    return snapshot
 
 
 def relation_is_symmetric(relation: Relation, dictionary: ValueDictionary) -> bool:
@@ -418,8 +433,7 @@ def relation_is_symmetric(relation: Relation, dictionary: ValueDictionary) -> bo
     so a relation coded here counts its one miss and every profile counts
     the same lookups.
     """
-    epoch = relation.epoch
-    first, second = _relation_codes(relation, dictionary)
+    epoch, (first, second) = _relation_codes(relation, dictionary)
     flag = relation.symmetry
     if flag is None:
         # Codes are dense, so the squared radix stays far inside int64.
@@ -641,10 +655,13 @@ def _exact_counts(counts: np.ndarray, bound: int) -> np.ndarray:
     return counts
 
 
-def _group_reduce(key: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _group_reduce(
+    key: np.ndarray, counts: np.ndarray, kind: str | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """One representative row index and the count sum per group, groups in
-    ascending key order: one sort and ``np.add.reduceat`` over its runs."""
-    order = np.argsort(key)
+    ascending key order: one sort (of NumPy's ``kind``) and
+    ``np.add.reduceat`` over its runs."""
+    order = np.argsort(key, kind=kind)
     sorted_key = key[order]
     starts = np.flatnonzero(np.concatenate(([True], sorted_key[1:] != sorted_key[:-1])))
     counts = _exact_counts(counts, len(key) * _max_count(counts))
@@ -776,23 +793,16 @@ def _apply_ready_predicates(
 # Atom factors
 # --------------------------------------------------------------------- #
 def _atom_factor(
-    query: ConjunctiveQuery,
-    database: Database,
-    atom_index: int,
-    dictionary: ValueDictionary,
+    atom, coded: tuple[np.ndarray, ...], length: int, dictionary: ValueDictionary
 ) -> ArrayFactor:
-    """The initial factor of one atom: distinct variable bindings with count 1.
+    """The initial factor of one atom over the coded rows ``coded``: distinct
+    variable bindings with count 1.
 
-    Columns come straight from the relation's coded columns, so repeated
+    The columns are normally the relation's coded columns, so repeated
     eliminations over the same instance — every subset of a sensitivity
     profile, every query of a serving session — code nothing.  Constants
     and repeated variables are matched on codes.
     """
-    atom = query.atoms[atom_index]
-    relation = database.relation(atom.relation)
-    coded = _relation_codes(relation, dictionary)
-    length = len(coded[0]) if coded else len(relation)
-
     mask: np.ndarray | None = None
 
     def conjoin(condition: np.ndarray) -> None:
@@ -817,6 +827,27 @@ def _atom_factor(
     # Distinct relation rows always induce distinct bindings (constants and
     # repeated variables are filtered above), so every count is 1.
     return ArrayFactor(tuple(variables), columns, np.ones(length, dtype=np.int64))
+
+
+def _cut_to(factors: list[ArrayFactor], position: int) -> list[ArrayFactor]:
+    """``factors`` with every factor sharing a variable with
+    ``factors[position]`` cut to the rows whose codes there occur in it (a
+    semi-join: the rows cut away join nothing).
+
+    Only the direct neighbours are cut: cutting their neighbours in turn
+    measured slower on the mutation workload than the joins it saves.
+    """
+    seed = factors[position]
+    cut = []
+    for index, factor in enumerate(factors):
+        mask = None
+        if index != position:
+            for var in factor.variables:
+                if var in seed.variables:
+                    found = np.isin(factor.column(var), seed.column(var))
+                    mask = found if mask is None else mask & found
+        cut.append(factor if mask is None else factor.take(np.flatnonzero(mask)))
+    return cut
 
 
 # --------------------------------------------------------------------- #
@@ -1210,6 +1241,7 @@ def eliminate_group_counts_columnar(
     *,
     atom_indices: Sequence[int] | None = None,
     predicates: Sequence[Predicate] | None = None,
+    delta: tuple[int, Sequence[tuple]] | None = None,
 ) -> EliminationResult:
     """Group-by counts of a (residual) CQ via vectorized bucket elimination.
 
@@ -1234,6 +1266,11 @@ def eliminate_group_counts_columnar(
         Predicates to apply (defaults to ``query.predicates``); predicates
         mentioning variables outside the selected atoms are ignored here —
         residual classification is the caller's responsibility.
+    delta:
+        ``(atom index, rows)``: that atom reads only ``rows`` (value tuples
+        of its relation) instead of the relation, and every atom sharing a
+        variable with it is first cut to the rows that can join them — the
+        delta query of :func:`refresh_group_counts`.
 
     Returns
     -------
@@ -1266,10 +1303,26 @@ def eliminate_group_counts_columnar(
     # dictionaries must never meet in one join.
     dictionary = database.dictionary
     factors: list[ArrayFactor] = []
+    read: set[tuple[str, int]] = set()
     for idx in indices:
-        factor = _atom_factor(query, database, idx, dictionary)
-        factor, pending = _apply_ready_predicates(factor, pending, dictionary)
-        factors.append(factor)
+        atom = query.atoms[idx]
+        if delta is not None and idx == delta[0]:
+            rows = delta[1]
+            coded = tuple(
+                dictionary.encode(value_column([row[p] for row in rows]))
+                for p in range(len(atom.terms))
+            )
+            length = len(rows)
+        else:
+            relation = database.relation(atom.relation)
+            epoch, coded = _relation_codes(relation, dictionary)
+            read.add((atom.relation, epoch))
+            length = len(coded[0]) if coded else len(relation)
+        factors.append(_atom_factor(atom, coded, length, dictionary))
+    if delta is not None:
+        factors = _cut_to(factors, indices.index(delta[0]))
+    for position, factor in enumerate(factors):
+        factors[position], pending = _apply_ready_predicates(factor, pending, dictionary)
 
     internal = [v for v in covered_vars if v not in group_vars]
     plan = None
@@ -1295,4 +1348,232 @@ def eliminate_group_counts_columnar(
         dropped_predicates=tuple(pending),
         elimination_order=tuple(order),
         dictionary=dictionary,
+        epochs=tuple(sorted(read)),
     )
+
+
+# --------------------------------------------------------------------- #
+# Delta maintenance of cached group counts
+# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CountsEntry:
+    """A cached result with what it was computed from.
+
+    ``value`` is what the cache serves (a component's
+    :class:`~repro.engine.aggregates.MultiplicityResult`, a query's count),
+    ``epochs`` the ``(relation, epoch)`` pairs it read, and ``counts`` the
+    exact group counts it was read off — kept only when
+    :func:`keeps_counts` holds, so the entry can be caught up by
+    :func:`refresh_group_counts` instead of recomputed.  The kept counts
+    hold their dictionary weakly (``coded_by``): an entry never keeps the
+    dictionary of a superseded database alive, and counts whose dictionary
+    is gone are recomputed.
+    """
+
+    epochs: tuple[tuple[str, int], ...]
+    value: object
+    counts: EliminationResult | None = None
+    coded_by: weakref.ref | None = None
+
+    @classmethod
+    def keeping(
+        cls, epochs: tuple[tuple[str, int], ...], value: object, counts: EliminationResult
+    ) -> "CountsEntry":
+        """An entry that keeps ``counts`` (their dictionary held weakly)."""
+        return cls(
+            epochs,
+            value,
+            dataclasses.replace(counts, dictionary=None),
+            weakref.ref(counts.dictionary),
+        )
+
+    def counts_in(self, dictionary: ValueDictionary) -> EliminationResult | None:
+        """The kept counts if they are codes of ``dictionary``, else ``None``."""
+        if self.counts is None or self.coded_by() is not dictionary:
+            return None
+        return dataclasses.replace(self.counts, dictionary=dictionary)
+
+
+def relation_epochs(database: Database, names) -> tuple[tuple[str, int], ...]:
+    """The sorted ``(name, epoch)`` pairs of the relations ``names``."""
+    return tuple(sorted((name, database.relation(name).epoch) for name in set(names)))
+
+
+def keeps_counts(
+    query: ConjunctiveQuery, database: Database, atom_indices: Sequence[int] | None = None
+) -> bool:
+    """Whether group counts over these atoms are worth keeping for
+    :func:`refresh_group_counts`: some relation that logs its changes occurs
+    in exactly one of them, the only shape a refresh can catch up."""
+    indices = range(query.num_atoms) if atom_indices is None else atom_indices
+    occurrences = Counter(query.atoms[idx].relation for idx in indices)
+    return any(
+        count == 1 and database.relation(name).change_log_rows
+        for name, count in occurrences.items()
+    )
+
+
+def fold_group_counts(
+    base: EliminationResult, deltas: Sequence[tuple[int, EliminationResult]]
+) -> EliminationResult:
+    """``base``'s counts plus ``Σ sign · counts`` of the ``(sign, result)``
+    deltas, per group.
+
+    The codes of every part are packed into one key space and summed with
+    the engine's one-sort group-by (:func:`_group_reduce`), so the groups
+    come out in ascending key order, as from an elimination; groups whose
+    sum is 0 are dropped.  The sort is stable: once folded, ``base`` is in
+    key order and the few delta rows follow it, which a merge sort orders
+    in about one pass.  Sums that could pass ``int64`` are carried as
+    Python ints.
+    """
+    parts = [(1, base), *deltas]
+    length = sum(len(part.count_array) for _, part in parts)
+    if not length:
+        return base
+    columns = [
+        np.concatenate([part.codes[j] for _, part in parts])
+        for j in range(len(base.group_variables))
+    ]
+    bound = sum(
+        len(part.count_array) * int(np.abs(part.count_array).max())
+        for _, part in parts
+        if len(part.count_array)
+    )
+    wide = bound > _INT64_MAX or any(part.count_array.dtype == object for _, part in parts)
+    dtype = object if wide else np.int64
+    counts = np.concatenate(
+        [part.count_array.astype(dtype) * sign for sign, part in parts]
+    )
+    representative, sums = _group_reduce(_pack(columns, length)[0], counts, "stable")
+    keep = np.flatnonzero(sums != 0)
+    return EliminationResult(
+        group_variables=base.group_variables,
+        codes=tuple(column[representative[keep]] for column in columns),
+        count_array=sums[keep],
+        dropped_predicates=(),
+        elimination_order=base.elimination_order,
+        dictionary=base.dictionary,
+    )
+
+
+def refresh_group_counts(
+    query: ConjunctiveQuery,
+    database: Database,
+    entry: CountsEntry,
+    epochs: tuple[tuple[str, int], ...],
+    *,
+    atom_indices: Sequence[int] | None = None,
+    predicates: Sequence[Predicate] | None = None,
+) -> EliminationResult | None:
+    """``entry``'s group counts caught up to ``epochs`` by delta queries, or
+    ``None`` when they must be recomputed.
+
+    The counts are linear in the rows of a relation that occurs in one atom
+    only, so when exactly one relation's epoch differs and it is such a
+    relation, the counts at ``epochs`` are the old ones plus the counts with
+    that atom reading only the rows inserted up to its epoch in ``epochs``,
+    minus those with it reading only the rows deleted
+    (:meth:`~repro.data.relation.Relation.changes_since`).  Each delta query
+    is the same elimination as the cached one (``atom_indices`` /
+    ``predicates`` / the group variables), with every atom sharing a
+    variable with the delta atom cut to the delta's codes, and must read the
+    other relations at the entry's epochs.  ``None`` when the entry holds no
+    counts in the database's dictionary, no relation or more than one
+    changed, the changed one occurs twice, its log does not cover the
+    epochs, a delta query is inexact or read another epoch, or a count would
+    turn negative.
+    """
+    base = entry.counts_in(database.dictionary)
+    if base is None:
+        return None
+    indices = list(range(query.num_atoms)) if atom_indices is None else list(atom_indices)
+    target = dict(epochs)
+    changed = [(name, epoch) for name, epoch in entry.epochs if target.get(name) != epoch]
+    if len(changed) != 1:
+        return None
+    name, epoch = changed[0]
+    atoms = [idx for idx in indices if query.atoms[idx].relation == name]
+    if len(atoms) != 1 or target.get(name) is None:
+        return None
+    changes = database.relation(name).changes_since(epoch, target[name])
+    if changes is None:
+        return None
+    deltas = []
+    for sign, rows in zip((1, -1), changes):
+        if not rows:
+            continue
+        result = eliminate_group_counts_columnar(
+            query,
+            database,
+            base.group_variables,
+            atom_indices=indices,
+            predicates=predicates,
+            delta=(atoms[0], rows),
+        )
+        if (
+            not result.is_exact
+            or result.dictionary is not base.dictionary
+            or not set(result.epochs) <= set(entry.epochs)
+        ):
+            return None
+        deltas.append((sign, result))
+    folded = fold_group_counts(base, deltas) if deltas else base
+    if len(folded.count_array) and folded.count_array.min() < 0:
+        return None  # the log and the counts disagree: recompute
+    return dataclasses.replace(folded, epochs=tuple(epochs))
+
+
+def maintained_counts(
+    cache,
+    key: Hashable,
+    query: ConjunctiveQuery,
+    database: Database,
+    names: Sequence[str],
+    compute: Callable[[], tuple[object, EliminationResult | None]],
+    value_of: Callable[[EliminationResult], object],
+    *,
+    atom_indices: Sequence[int] | None = None,
+    predicates: Sequence[Predicate] | None = None,
+) -> tuple[object, str]:
+    """A value read off group counts, maintained in ``cache`` under ``key``.
+
+    ``cache`` is a :class:`repro.service.cache.LRUCache` of
+    :class:`CountsEntry`; ``names`` are the relations the value depends on,
+    and ``atom_indices`` / ``predicates`` the elimination the counts come
+    from.  Returns ``(value, how)``:
+
+    * ``"hit"`` — the entry is at the current epochs of ``names``;
+    * ``"delta"`` — a stale entry was caught up by
+      :func:`refresh_group_counts` and the value is ``value_of(counts)``
+      (the stale lookup counts as a cache miss);
+    * ``"evaluated"`` — ``compute()`` ran; it returns the value and the
+      exact group counts it was read off, or ``None`` for them.
+
+    The result is stored under the epochs looked up, and only if they did
+    not move while it was computed and, for counts, only if they are the
+    epochs the counts read (:attr:`EliminationResult.epochs`: a mutation
+    publishes its rows before it advances the epoch).  The counts are kept
+    only when :func:`keeps_counts` holds.
+    """
+    epochs = relation_epochs(database, names)
+    entry = cache.get(key, None, is_current=lambda entry: entry.epochs == epochs)
+    if entry is not None and entry.epochs == epochs:
+        return entry.value, "hit"
+    counts = None
+    if entry is not None:
+        counts = refresh_group_counts(
+            query, database, entry, epochs, atom_indices=atom_indices, predicates=predicates
+        )
+    if counts is not None:
+        value, how = value_of(counts), "delta"
+    else:
+        (value, counts), how = compute(), "evaluated"
+    if relation_epochs(database, names) == epochs and (
+        counts is None or counts.epochs == epochs
+    ):
+        if counts is not None and keeps_counts(query, database, atom_indices):
+            cache.put(key, CountsEntry.keeping(epochs, value, counts))
+        else:
+            cache.put(key, CountsEntry(epochs, value))
+    return value, how

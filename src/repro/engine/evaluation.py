@@ -14,6 +14,12 @@ terms.  Only when elimination drops a comparison or generic predicate,
 because a bucket of its predicate-aware plan would pass
 :data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows, does the count fall back
 to exact enumeration (optionally capped).
+
+Given a ``component_cache``, the count of a full query is kept there with
+the epochs it read, and after a delta to one relation that occurs in one
+atom it is caught up by the delta query — the count with no group
+variables, maintained as a lattice component's group counts are
+(:func:`repro.engine.columnar.maintained_counts`).
 """
 
 from __future__ import annotations
@@ -24,7 +30,12 @@ import numpy as np
 
 from repro.data.database import Database
 from repro.engine import join as join_engine
-from repro.engine.columnar import eliminate_group_counts_columnar
+from repro.engine.columnar import (
+    EliminationResult,
+    eliminate_group_counts_columnar,
+    keeps_counts,
+    maintained_counts,
+)
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Variable
 from repro.query.cq import ConjunctiveQuery
@@ -60,6 +71,8 @@ def count_query(
     *,
     strategy: str = "auto",
     max_intermediate: int | None = None,
+    component_cache=None,
+    cache_scope: tuple = (),
 ) -> int:
     """The result size ``|q(I)|``.
 
@@ -73,6 +86,13 @@ def count_query(
         exact for this query and enumeration otherwise.
     max_intermediate:
         Step cap for the enumeration strategy.
+    component_cache / cache_scope:
+        Optional :class:`repro.service.cache.LRUCache` and namespace (as for
+        :func:`repro.engine.profile.evaluate_profile`).  A full query's
+        count is looked up there while a relation that logs its changes
+        occurs in one of its atoms, caught up by the delta query when it is
+        stale and can be, and stored with the epochs it read
+        (:func:`repro.engine.columnar.maintained_counts`).
 
     Notes
     -----
@@ -91,7 +111,17 @@ def count_query(
         distinct_on = tuple(query.output_variables)
 
     if strategy in ("auto", "eliminate"):
-        result = eliminate_group_counts_columnar(query, database, distinct_on or ())
+        result = None
+        if (
+            component_cache is not None
+            and distinct_on is None
+            and keeps_counts(query, database)
+        ):
+            count, result = _maintained_count(query, database, component_cache, cache_scope)
+            if count is not None:
+                return count
+        if result is None:
+            result = eliminate_group_counts_columnar(query, database, distinct_on or ())
         if result.is_exact:
             if distinct_on is None:
                 return int(result.count_array.sum())
@@ -108,3 +138,37 @@ def count_query(
         distinct_on=distinct_on,
         max_intermediate=max_intermediate,
     )
+
+
+def _maintained_count(
+    query: ConjunctiveQuery, database: Database, cache, scope: tuple
+) -> tuple[int | None, EliminationResult | None]:
+    """A full query's count through the component cache (see
+    :func:`count_query`): ``(count, None)`` when it is exact, else ``(None,
+    the inexact elimination result)`` — or ``(None, None)`` on a hit on an
+    inexact entry."""
+    key = (
+        "count",
+        scope,
+        tuple((atom.relation, tuple(map(repr, atom.terms))) for atom in query.atoms),
+        tuple(map(repr, query.predicates)),
+    )
+    inexact: list[EliminationResult] = []
+
+    def compute() -> tuple[int | None, EliminationResult | None]:
+        result = eliminate_group_counts_columnar(query, database, ())
+        if not result.is_exact:
+            inexact.append(result)
+            return None, None
+        return int(result.count_array.sum()), result
+
+    count, _ = maintained_counts(
+        cache,
+        key,
+        query,
+        database,
+        [atom.relation for atom in query.atoms],
+        compute,
+        lambda counts: int(counts.count_array.sum()),
+    )
+    return count, (inexact[0] if inexact else None)

@@ -45,18 +45,29 @@ path) or generic predicates — and components over the labelling cap are
 never shared structurally, only by identical atom sets.
 
 Sharing can additionally persist *across* runs through an optional
-``component_cache``: entries are keyed by the component's exact atoms plus
-the **epochs** of the relations the component actually reads
-(:meth:`repro.data.database.Database.epochs`), so a delta mutation of
-relation ``R`` (see ``docs/mutation.md``) invalidates exactly the entries
-touching ``R`` — untouched components come back as cache hits and only the
-changed ones are re-evaluated.  Components on the augmented-domain path
-read the whole database's active domain, so their entries are keyed on the
-full epoch vector.
+``component_cache``: entries are keyed by the component's exact atoms and
+record the **epochs** of the relations the component actually reads
+(:meth:`repro.data.database.Database.epochs`), so after a delta mutation of
+relation ``R`` (see ``docs/mutation.md``) only the entries touching ``R``
+are stale — untouched components come back as cache hits.  A stale entry
+that kept its boundary group counts is caught up by the delta query
+instead of re-evaluated (:func:`repro.engine.columnar.refresh_group_counts`:
+``R`` must be the only relation that changed and occur in one atom of the
+component), the way incremental view maintenance keeps a view (F-IVM,
+Nikolic & Olteanu, SIGMOD 2018).  An entry keeps its counts only when the
+component is an exact elimination over a full query and a relation that
+logs its changes occurs in exactly one of its atoms, so a pass over fresh
+data keeps nothing but the results.  Components on the augmented-domain
+path read the whole database's active domain, so their entries record the
+full epoch vector and are never refreshed.  An entry is stored only for
+the epochs whose rows it read
+(:func:`repro.engine.columnar.maintained_counts`, which the true count of
+:func:`repro.engine.evaluation.count_query` shares).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
@@ -65,14 +76,17 @@ from repro.data.database import Database
 from repro.engine.aggregates import (
     DEFAULT_MAX_ENUMERATION,
     MultiplicityResult,
-    boundary_multiplicity,
+    boundary_group_counts,
     combine_component_results,
+    multiplicity_from_counts,
 )
 from repro.engine.canonical import _term_key
 from repro.engine.columnar import (
+    EliminationResult,
     adopt_factorization_scope,
     current_factorization_scope,
     factorization_counter_scope,
+    maintained_counts,
     relation_is_symmetric,
 )
 from repro.obs.tracing import span as obs_span
@@ -102,9 +116,12 @@ class ProfileStats:
         isomorphic twin folded onto its representative).
     component_cache_hits:
         Representatives answered from the cross-run ``component_cache``
-        (epoch-keyed; zero when no cache is supplied).  Together:
-        ``components_total == components_evaluated + component_hits +
-        component_cache_hits``.
+        (entries at the current epochs; zero when no cache is supplied).
+    component_delta_updates:
+        Representatives whose stale cache entry was caught up by a delta
+        query instead of re-evaluated.  Together: ``components_total ==
+        components_evaluated + component_hits + component_cache_hits +
+        component_delta_updates``.
     factorization_hits / factorization_misses:
         This run's coded-column lookups, one per relation read by an
         atom (a miss when the relation had to be coded against the
@@ -121,6 +138,7 @@ class ProfileStats:
     factorization_hits: int
     factorization_misses: int
     component_cache_hits: int = 0
+    component_delta_updates: int = 0
 
     def to_dict(self) -> dict[str, int]:
         """A JSON-serialisable view (for reports, ``--json`` and ``/stats``)."""
@@ -130,6 +148,7 @@ class ProfileStats:
             "components_evaluated": self.components_evaluated,
             "component_hits": self.component_hits,
             "component_cache_hits": self.component_cache_hits,
+            "component_delta_updates": self.component_delta_updates,
             "factorization_hits": self.factorization_hits,
             "factorization_misses": self.factorization_misses,
         }
@@ -446,18 +465,15 @@ def _translate_result(
 # --------------------------------------------------------------------- #
 # Cross-run component caching
 # --------------------------------------------------------------------- #
-_MISS = object()
-
-
 def _component_cache_key(
     query: ConjunctiveQuery,
-    database: Database,
     info: _ComponentInfo,
     scope: tuple,
     strategy: str,
     max_enumeration: int | None,
 ) -> tuple:
-    """Cache key pinning everything a component's result depends on.
+    """Cache key pinning everything a component's result depends on, except
+    the data (the entry records the epochs it read).
 
     The atoms are recorded with their literal terms (not the canonical
     signature) so a hit is guaranteed to come from a textually identical
@@ -475,15 +491,19 @@ def _component_cache_key(
         tuple(repr(p) for p in info.residual.predicates),
         tuple(repr(p) for p in info.residual.dropped_predicates),
     )
+    return (scope, strategy, max_enumeration, atoms_key, preds_key)
+
+
+def _component_relations(
+    query: ConjunctiveQuery, database: Database, info: _ComponentInfo
+) -> list[str]:
+    """The relations whose epochs a component's result depends on."""
     if any(not p.is_inequality for p in info.residual.dropped_predicates):
         # Section 5.2 augmented-domain path: the boundary value ranges over
         # the *whole* database's active domain, so any relation's mutation
-        # can change the result — key on the full epoch vector.
-        epochs = tuple(sorted(database.epochs().items()))
-    else:
-        names = {query.atoms[idx].relation for idx in info.atoms}
-        epochs = tuple(sorted((n, database.relation(n).epoch) for n in names))
-    return (scope, strategy, max_enumeration, atoms_key, preds_key, epochs)
+        # can change the result.
+        return list(database.epochs())
+    return [query.atoms[idx].relation for idx in info.atoms]
 
 
 # --------------------------------------------------------------------- #
@@ -520,14 +540,15 @@ def evaluate_profile(
         identical either way; ``strategy="enumerate"`` always evaluates
         serially.
     component_cache / cache_scope:
-        Optional cross-run memo table for representative components —
-        anything with the :class:`repro.service.cache.LRUCache` ``get(key,
-        default)`` / ``put(key, value)`` shape.  Entries embed the epochs of
+        Optional cross-run memo table for representative components — a
+        :class:`repro.service.cache.LRUCache` (``get(key, default,
+        is_current=)`` / ``put(key, value)``).  Entries record the epochs of
         the relations each component reads (see the module docstring), so
         after a delta mutation only the components touching mutated
-        relations re-evaluate.  ``cache_scope`` namespaces entries (the
-        serving layer passes ``(name, version, plan_key)``) so distinct
-        registrations never collide even if their relation epochs do.
+        relations are caught up by delta or re-evaluated.  ``cache_scope``
+        namespaces entries (the serving layer passes ``(name, version,
+        plan_key)``) so distinct registrations never collide even if their
+        relation epochs do.
 
     Returns
     -------
@@ -575,21 +596,26 @@ def _evaluate_profile_scoped(
         components_total: int,
         components_evaluated: int,
         cache_hits: int = 0,
+        delta_updates: int = 0,
     ) -> LatticeProfile:
         fact = fact_counters.snapshot()
         stats = ProfileStats(
             subsets_total=len(subset_list),
             components_total=components_total,
             components_evaluated=components_evaluated,
-            component_hits=components_total - components_evaluated - cache_hits,
+            component_hits=components_total
+            - components_evaluated
+            - cache_hits
+            - delta_updates,
             factorization_hits=fact["hits"],
             factorization_misses=fact["misses"],
             component_cache_hits=cache_hits,
+            component_delta_updates=delta_updates,
         )
         return LatticeProfile(results=results, stats=stats)
 
-    def evaluate(kept: Iterable[int]) -> MultiplicityResult:
-        return boundary_multiplicity(
+    def evaluate(kept: Iterable[int]) -> tuple[MultiplicityResult, EliminationResult | None]:
+        return boundary_group_counts(
             query,
             database,
             kept,
@@ -598,7 +624,7 @@ def _evaluate_profile_scoped(
         )
 
     if strategy == "enumerate":
-        results = {kept: evaluate(kept) for kept in subset_list}
+        results = {kept: evaluate(kept)[0] for kept in subset_list}
         nonempty = sum(1 for kept in subset_list if kept)
         return finish(results, nonempty, nonempty)
 
@@ -643,39 +669,40 @@ def _evaluate_profile_scoped(
             representative[component] = by_signature.setdefault(signature, component)
 
     # Phase 3 — evaluate each representative once (optionally in parallel).
-    # Representatives already answered by the epoch-keyed component cache
-    # (same scope, same atoms, same relation epochs) skip evaluation
-    # entirely; only the remainder runs.
+    # Through the component cache, a representative whose entry is at the
+    # current epochs skips evaluation entirely, a stale entry that kept its
+    # group counts is caught up by the delta query, and only the remainder
+    # is evaluated.
     to_evaluate = sorted(
         set(representative.values()), key=lambda c: (len(c), tuple(sorted(c)))
     )
-    cache_keys: dict[frozenset[int], tuple] = {}
-    cached: dict[frozenset[int], MultiplicityResult] = {}
-    if component_cache is not None:
-        for component in to_evaluate:
-            key = _component_cache_key(
-                query,
-                database,
-                infos[component],
-                cache_scope,
-                strategy,
-                max_enumeration,
-            )
-            cache_keys[component] = key
-            hit = component_cache.get(key, _MISS)
-            if hit is not _MISS:
-                cached[component] = hit
-    pending = [c for c in to_evaluate if c not in cached]
-    if parallelism is not None and parallelism > 1 and len(pending) > 1:
+
+    def evaluate_representative(component: frozenset[int]) -> tuple[MultiplicityResult, str]:
+        if component_cache is None:
+            return evaluate(component)[0], "evaluated"
+        info = infos[component]
+        return maintained_counts(
+            component_cache,
+            _component_cache_key(query, info, cache_scope, strategy, max_enumeration),
+            query,
+            database,
+            _component_relations(query, database, info),
+            lambda: evaluate(component),
+            lambda counts: multiplicity_from_counts(counts, info.group_vars),
+            atom_indices=info.atoms,
+            predicates=info.residual.predicates,
+        )
+
+    if parallelism is not None and parallelism > 1 and len(to_evaluate) > 1:
         # Pool workers start with an empty context: re-establish the
         # factorization-counter scope there so parallel evaluation counts
         # exactly like serial evaluation (spans are deliberately not
         # propagated — concurrent child wall times would double-count).
         scope = current_factorization_scope()
 
-        def evaluate_scoped(kept: frozenset[int]) -> MultiplicityResult:
+        def evaluate_scoped(kept: frozenset[int]):
             with adopt_factorization_scope(scope):
-                return evaluate(kept)
+                return evaluate_representative(kept)
 
         # Submit + wait(FIRST_EXCEPTION) rather than pool.map: map surfaces
         # the first failure only after every in-flight sibling finishes and
@@ -683,7 +710,7 @@ def _evaluate_profile_scoped(
         # the failure propagates as soon as it happens.
         pool = ThreadPoolExecutor(max_workers=parallelism)
         try:
-            futures = {pool.submit(evaluate_scoped, kept): kept for kept in pending}
+            futures = {pool.submit(evaluate_scoped, kept): kept for kept in to_evaluate}
             done, _ = wait(futures, return_when=FIRST_EXCEPTION)
             failure = next(
                 (f.exception() for f in done if f.exception() is not None), None
@@ -691,15 +718,13 @@ def _evaluate_profile_scoped(
             if failure is not None:
                 raise failure
             by_component = {kept: future for future, kept in futures.items()}
-            fresh = {kept: by_component[kept].result() for kept in pending}
+            outcomes = {kept: by_component[kept].result() for kept in to_evaluate}
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     else:
-        fresh = {component: evaluate(component) for component in pending}
-    if component_cache is not None:
-        for component, result in fresh.items():
-            component_cache.put(cache_keys[component], result)
-    evaluated = {**cached, **fresh}
+        outcomes = {component: evaluate_representative(component) for component in to_evaluate}
+    evaluated = {component: result for component, (result, _) in outcomes.items()}
+    tally = Counter(how for _, how in outcomes.values())
 
     component_results: dict[frozenset[int], MultiplicityResult] = {}
     for component, rep in representative.items():
@@ -715,7 +740,7 @@ def _evaluate_profile_scoped(
     for kept in subset_list:
         components = plans[kept]
         if not components:
-            results[kept] = evaluate(kept)  # the T_∅ = 1 convention
+            results[kept] = evaluate(kept)[0]  # the T_∅ = 1 convention
         elif len(components) == 1:
             results[kept] = component_results[components[0]]
         else:
@@ -731,4 +756,6 @@ def _evaluate_profile_scoped(
             )
 
     components_total = sum(len(c) for c in plans.values())
-    return finish(results, components_total, len(pending), len(cached))
+    return finish(
+        results, components_total, tally["evaluated"], tally["hit"], tally["delta"]
+    )

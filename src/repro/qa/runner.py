@@ -48,7 +48,11 @@ executes a fixed battery of checks:
     columns maintained in place) must leave the database
     indistinguishable from a from-scratch rebuild with the same final
     rows: tuple sets, counts, full lattice profiles and bitwise seeded
-    releases must agree.
+    releases must agree.  A component cache filled before the script and
+    re-queried after every step (so its entries are caught up from the
+    change logs where they can be) must give the rebuild's profile, count
+    and seeded release too; :attr:`FuzzReport.delta_cases` counts the
+    cases in which it caught a component up by delta.
 
 Every failure is wrapped in a :class:`FuzzFailure` that carries a
 self-contained replay snippet — paste it into a Python prompt (or pipe to
@@ -134,6 +138,9 @@ class FuzzReport:
     start: int = 0
     checks_run: int = 0
     oracle_ls_cases: int = 0
+    #: Cases whose ``incremental`` check caught a cached component up by
+    #: delta at least once.
+    delta_cases: int = 0
     failures: list[FuzzFailure] = field(default_factory=list)
 
     @property
@@ -147,6 +154,7 @@ class FuzzReport:
             "start": self.start,
             "checks_run": self.checks_run,
             "oracle_ls_cases": self.oracle_ls_cases,
+            "delta_cases": self.delta_cases,
             "ok": self.ok,
             "failures": [f.to_dict() for f in self.failures],
         }
@@ -504,13 +512,27 @@ class DifferentialRunner:
     def _check_incremental(self, case: FuzzCase, report) -> str | None:
         import random
 
-        query, db = case.query(), case.database()
-        # Warm the columnar snapshots and coded columns first so the
-        # edit script exercises the *in-place* maintenance path rather than
-        # a cold rebuild.
-        count_query(query, db)
+        from repro.service.cache import LRUCache
 
-        # Seed-addressable edit script over the delta path.
+        query, db = case.query(), case.database()
+        engine = ResidualSensitivity(query, beta=case.beta)
+        subsets = engine.required_subsets(db)
+        # Warm the columnar snapshots and coded columns, and fill a component
+        # cache, first: the edit script then exercises the *in-place*
+        # maintenance of both rather than a cold rebuild.
+        cache = LRUCache(4096)
+
+        def through_cache():
+            return (
+                evaluate_profile(query, db, subsets, component_cache=cache),
+                count_query(query, db, component_cache=cache),
+            )
+
+        cached = through_cache()
+        delta_updates = 0
+
+        # Seed-addressable edit script over the delta path, re-querying the
+        # cache after every step.
         rng = random.Random(f"{case.seed}:{case.index}:incremental")
         script = []
         for _ in range(rng.randrange(3, 8)):
@@ -539,8 +561,12 @@ class DifferentialRunner:
                 old, new = rng.choice(pool), random_row()
                 rel.replace(old, new)
                 script.append(("replace", spec.name, old, new))
+            cached = through_cache()
+            delta_updates += cached[0].stats.component_delta_updates
         if not script:
             return None
+        if delta_updates and report is not None:
+            report.delta_cases += 1
 
         # From-scratch rebuild with the same final rows.
         fresh = Database(
@@ -562,51 +588,60 @@ class DifferentialRunner:
         if problems:
             return "; ".join(problems)  # no point comparing query results
 
-        engine = ResidualSensitivity(query, beta=case.beta)
-        subsets = engine.required_subsets(db)
-        delta_count = count_query(query, db)
         fresh_count = count_query(query, fresh)
-        if delta_count != fresh_count:
-            problems.append(
-                f"count after edit script {script}: "
-                f"delta path {delta_count} != rebuild {fresh_count}"
-            )
-        delta_profile = evaluate_profile(query, db, subsets)
         fresh_profile = evaluate_profile(query, fresh, subsets)
-        for kept in subsets:
-            got, want = delta_profile.results[kept], fresh_profile.results[kept]
-            if (got.value, got.exact) != (want.value, want.exact):
+        for label, count, profile in (
+            ("delta path", count_query(query, db), evaluate_profile(query, db, subsets)),
+            ("component cache", cached[1], cached[0]),
+        ):
+            if count != fresh_count:
                 problems.append(
-                    f"T_{tuple(sorted(kept))}: delta path "
-                    f"({got.value}, exact={got.exact}) != rebuild "
-                    f"({want.value}, exact={want.exact})"
+                    f"count after edit script {script}: "
+                    f"{label} {count} != rebuild {fresh_count}"
                 )
-            elif sorted(map(repr, got.dropped_predicates)) != sorted(
-                map(repr, want.dropped_predicates)
-            ):
-                problems.append(
-                    f"T_{tuple(sorted(kept))}: dropped predicates "
-                    f"differ: delta path {got.dropped_predicates!r} != "
-                    f"rebuild {want.dropped_predicates!r}"
-                )
-        releases = {}
-        for label, instance in (("delta", db), ("rebuild", fresh)):
+            for kept in subsets:
+                got, want = profile.results[kept], fresh_profile.results[kept]
+                if (got.value, got.exact) != (want.value, want.exact):
+                    problems.append(
+                        f"T_{tuple(sorted(kept))}: {label} "
+                        f"({got.value}, exact={got.exact}) != rebuild "
+                        f"({want.value}, exact={want.exact})"
+                    )
+                elif sorted(map(repr, got.dropped_predicates)) != sorted(
+                    map(repr, want.dropped_predicates)
+                ):
+                    problems.append(
+                        f"T_{tuple(sorted(kept))}: dropped predicates "
+                        f"differ: {label} {got.dropped_predicates!r} != "
+                        f"rebuild {want.dropped_predicates!r}"
+                    )
+
+        def release(instance, **precomputed):
             releaser = PrivateCountingQuery(
                 query,
                 epsilon=case.epsilon,
                 rng=np.random.default_rng((case.seed, case.index)),
             )
-            releases[label] = releaser.release(instance, keep_true_count=True)
-        dl, rb = releases["delta"], releases["rebuild"]
-        if (dl.noisy_count, dl.sensitivity, dl.true_count) != (
-            rb.noisy_count,
-            rb.sensitivity,
-            rb.true_count,
+            if precomputed:
+                precomputed["sensitivity"] = ResidualSensitivity(
+                    query, beta=releaser.beta
+                ).compute(instance, multiplicities=precomputed["sensitivity"])
+            return releaser.release(instance, keep_true_count=True, **precomputed)
+
+        rb = release(fresh)
+        for label, dl in (
+            ("delta", release(db)),
+            ("cache", release(db, true_count=cached[1], sensitivity=cached[0].results)),
         ):
-            problems.append(
-                f"seeded release differs after edit script: "
-                f"delta=(noisy={dl.noisy_count!r}, S={dl.sensitivity!r}, "
-                f"count={dl.true_count!r}) rebuild=(noisy={rb.noisy_count!r}, "
-                f"S={rb.sensitivity!r}, count={rb.true_count!r})"
-            )
+            if (dl.noisy_count, dl.sensitivity, dl.true_count) != (
+                rb.noisy_count,
+                rb.sensitivity,
+                rb.true_count,
+            ):
+                problems.append(
+                    f"seeded release differs after edit script: "
+                    f"{label}=(noisy={dl.noisy_count!r}, S={dl.sensitivity!r}, "
+                    f"count={dl.true_count!r}) rebuild=(noisy={rb.noisy_count!r}, "
+                    f"S={rb.sensitivity!r}, count={rb.true_count!r})"
+                )
         return "; ".join(problems) or None

@@ -28,9 +28,10 @@ Two layers of work sharing keep the computation polynomial *and* fast:
   :meth:`ResidualSensitivity.multiplicities_reference` and is checked
   against the shared path by the differential fuzzer);
 * the ``(E, E')`` coefficient structure of Equations (19)–(20) is folded
-  once into a ``(block, exponent-vector)`` matrix, after which every
-  ``L̂S^(k)`` is a single vectorized NumPy contraction over all distance
-  vectors instead of nested Python loops per vector per ``k``.
+  once into a ``(block, exponent-vector)`` matrix, after which ``L̂S^(k)``
+  for every ``k ≤ k_max`` is one vectorized NumPy contraction over the
+  distance vectors of all those ``k`` at once, streamed in bounded chunks,
+  instead of nested Python loops per vector per ``k``.
 
 Predicates (Section 5) and projections (Section 6) are handled entirely
 inside the ``T_F`` evaluation: predicates via the Corollary 5.1 /
@@ -43,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -160,6 +161,8 @@ class ResidualSensitivity:
             raise SensitivityError("provide exactly one of beta= or epsilon=")
         if parallelism is not None and parallelism < 0:
             raise SensitivityError(f"parallelism must be non-negative, got {parallelism}")
+        if k_max is not None and k_max < 0:
+            raise SensitivityError(f"k_max must be non-negative, got {k_max}")
         self._beta = validate_beta(beta if beta is not None else beta_from_epsilon(epsilon))
         self._query = query
         self._strategy = strategy
@@ -243,9 +246,10 @@ class ResidualSensitivity:
         work-sharing statistics alongside the results.
 
         ``component_cache`` / ``cache_scope`` optionally persist
-        representative-component results across calls under epoch-sensitive
-        keys, so re-profiling after a delta mutation re-evaluates only the
-        components whose relations changed (see ``docs/mutation.md``).
+        representative-component results across calls with the epochs they
+        read, so re-profiling after a delta mutation catches up or
+        re-evaluates only the components whose relations changed (see
+        ``docs/mutation.md``).
         """
         return evaluate_profile(
             self._query,
@@ -283,39 +287,52 @@ class ResidualSensitivity:
             )
         return results
 
-    @staticmethod
-    def _distance_vectors(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-        """All compositions of ``total`` into ``parts`` non-negative integers.
+    @classmethod
+    def _distance_vectors(
+        cls, parts: int, k_max: int, k_min: int = 0
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Every composition of every ``k`` in ``[k_min, k_max]`` into
+        ``parts`` non-negative integers, as ``(vectors, k)`` array chunks.
 
-        An iterative stars-and-bars successor walk in ascending
-        lexicographic order (the order the recursive formulation produced):
-        starting from ``(0, ..., 0, total)``, repeatedly increment the
-        rightmost position that still has weight to its right and flush that
-        weight (minus one) back to the last position.  Iteration keeps the
-        generator O(parts) per vector with no recursion depth or tuple
-        re-concatenation, so large ``total × parts`` grids stream safely.
+        The vectors come in ascending ``k`` and, within each ``k``, in
+        ascending lexicographic order; a chunk holds at most
+        :attr:`_LS_HAT_CHUNK` of them and may span several ``k``.  The
+        vectors are the leaves of a tree whose level ``j`` fixes part ``j``
+        (level 0 fixes ``k``): consecutive subtrees that fit one chunk
+        together are written out level by level with NumPy
+        (:func:`_fill_compositions`), and a subtree too large for a chunk is
+        opened one level down first.  The walk is iterative, so neither a
+        large ``k`` nor many parts nest any calls.
         """
-        if parts <= 0:
-            if parts == 0 and total == 0:
-                yield ()
-            return
-        vector = [0] * parts
-        vector[-1] = total
-        while True:
-            yield tuple(vector)
-            # Find the rightmost position with weight to its right;
-            # ``tail`` tracks sum(vector[position + 1:]) as we scan left.
-            position = parts - 2
-            tail = vector[parts - 1]
-            while position >= 0 and tail == 0:
-                tail += vector[position]
-                position -= 1
-            if position < 0:
-                return
-            vector[position] += 1
-            for i in range(position + 1, parts):
-                vector[i] = 0
-            vector[parts - 1] = tail - 1
+        chunk = cls._LS_HAT_CHUNK
+        path = np.zeros(parts + 1, dtype=np.int64)  # the values fixed above
+        totals = np.arange(k_min, k_max + 1, dtype=np.int64)
+        # Sibling subtrees still to write: (level, their values, their rests).
+        stack = [(0, totals, totals)]
+        while stack:
+            level, values, rests = stack.pop()
+            sizes = _composition_counts(rests, parts - level, chunk + 1)
+            ends = np.cumsum(sizes)
+            start = 0
+            while start < len(values):
+                base = int(ends[start - 1]) if start else 0
+                stop = int(np.searchsorted(ends, base + chunk, side="right"))
+                if stop > start:
+                    rows = _fill_compositions(
+                        path[:level], values[start:stop], rests[start:stop],
+                        sizes[start:stop], parts,
+                    )
+                    yield rows[:, 1:], rows[:, 0]
+                    start = stop
+                    continue
+                # One subtree holds more than a chunk: open it a level down,
+                # keeping its later siblings for after it.
+                if start + 1 < len(values):
+                    stack.append((level, values[start + 1 :], rests[start + 1 :]))
+                path[level] = values[start]
+                children = np.arange(rests[start] + 1, dtype=np.int64)
+                stack.append((level + 1, children, rests[start] - children))
+                break
 
     def _ls_hat_structure(
         self,
@@ -330,7 +347,8 @@ class ResidualSensitivity:
         that exponent vector once yields coefficients ``C[i, e] = Σ T_F`` —
         after which ``L̂S^(k)`` for *any* distance vector ``s`` is the single
         contraction ``max_i Σ_e C[i, e] · Π_b s_b^{e_b}``, evaluated for all
-        vectors of all ``k`` as NumPy matrix products.
+        vectors of all ``k`` as NumPy matrix products
+        (:meth:`_ls_hat_series`).
 
         Returns ``(exponents, coefficients)`` with shapes ``(terms, m)`` and
         ``(m_P, terms)``.
@@ -377,38 +395,34 @@ class ResidualSensitivity:
     #: ``k_max`` (and with it the composition count) into the millions.
     _LS_HAT_CHUNK = 1 << 15
 
-    def _ls_hat_from_structure(
-        self, structure: tuple[np.ndarray, np.ndarray], k: int
-    ) -> float:
-        """``L̂S^(k)`` as a vectorized contraction over all distance vectors.
+    def _ls_hat_series(
+        self, structure: tuple[np.ndarray, np.ndarray], k_max: int, k_min: int = 0
+    ) -> np.ndarray:
+        """``L̂S^(k)`` for every ``k`` in ``[k_min, k_max]`` in one contraction.
 
-        Vectors stream in bounded chunks and the monomials ``Π_b s_b^{e_b}``
-        are accumulated block by block (with ``0^0 = 1`` for empty products),
-        so memory stays O(chunk × terms) rather than O(vectors × terms × m).
+        The distance vectors of all those ``k`` stream in bounded chunks
+        (:meth:`_distance_vectors`); per chunk, the monomials ``Π_b
+        s_b^{e_b}`` are accumulated block by block (with ``0^0 = 1`` for
+        empty products), contracted with the coefficients, maximised over
+        the blocks, and each ``k``'s maximum is taken with one
+        ``np.maximum.reduceat``.  Memory stays O(chunk × terms).  Every term
+        of the paper's shapes is an integer below ``2**53``, so the sums are
+        exact and independent of how vectors are batched.
         """
         exponents, coefficients = structure
         m = exponents.shape[1]
-        best = 0.0
-
-        def fold(batch: list[tuple[int, ...]]) -> float:
-            vectors = np.array(batch, dtype=np.int64).reshape(-1, m)
-            monomials = np.ones((len(batch), exponents.shape[0]), dtype=np.float64)
+        best = np.zeros(k_max - k_min + 1, dtype=np.float64)
+        for vectors, totals in self._distance_vectors(m, k_max, k_min):
+            monomials = np.ones((len(vectors), exponents.shape[0]), dtype=np.float64)
             for b in range(m):
                 monomials *= np.power(
                     vectors[:, b : b + 1].astype(np.float64), exponents[None, :, b]
                 )
-            totals = monomials @ coefficients.T  # (vectors, blocks)
-            return float(totals.max()) if totals.size else 0.0
-
-        batch: list[tuple[int, ...]] = []
-        for vector in self._distance_vectors(k, m):
-            batch.append(vector)
-            if len(batch) >= self._LS_HAT_CHUNK:
-                best = max(best, fold(batch))
-                batch = []
-        if batch:
-            best = max(best, fold(batch))
-        return max(best, 0.0)
+            per_vector = (monomials @ coefficients.T).max(axis=1)
+            starts = np.flatnonzero(np.concatenate(([True], totals[1:] != totals[:-1])))
+            ks = totals[starts] - k_min
+            best[ks] = np.maximum(best[ks], np.maximum.reduceat(per_vector, starts))
+        return best
 
     def ls_hat(
         self,
@@ -423,7 +437,7 @@ class ResidualSensitivity:
         if multiplicities is None:
             multiplicities = self.multiplicities(database)
         t_value = {kept: result.value for kept, result in multiplicities.items()}
-        return self._ls_hat_from_structure(self._ls_hat_structure(blocks, t_value), k)
+        return float(self._ls_hat_series(self._ls_hat_structure(blocks, t_value), k, k)[0])
 
     def compute(
         self,
@@ -452,12 +466,10 @@ class ResidualSensitivity:
         )
         t_value = {kept: result.value for kept, result in multiplicities.items()}
         structure = self._ls_hat_structure(blocks, t_value)
-        series: list[float] = []
+        series = self._ls_hat_series(structure, k_max).tolist()
         best = 0.0
         best_k = 0
-        for k in range(k_max + 1):
-            ls_hat_k = self._ls_hat_from_structure(structure, k)
-            series.append(ls_hat_k)
+        for k, ls_hat_k in enumerate(series):
             smoothed = math.exp(-self._beta * k) * ls_hat_k
             if smoothed > best:
                 best = smoothed
@@ -498,3 +510,60 @@ class ResidualSensitivity:
     def value(self, database: Database) -> float:
         """Shorthand for ``self.compute(database).value``."""
         return self.compute(database).value
+
+
+def _composition_counts(rests: np.ndarray, parts: int, cap: int) -> np.ndarray:
+    """How many compositions of each ``rest`` into ``parts`` parts there
+    are, ``C(rest + parts - 1, parts - 1)``, capped at ``cap``.
+
+    Built up one factor at a time over the shorter of ``parts - 1`` and the
+    largest rest (``C(n, i) = C(n - 1, i - 1) · n / i``, exact before the
+    cap); a count once capped stays at least ``cap``, so the cap only ever
+    marks a count as too large."""
+    counts = np.ones(len(rests), dtype=np.int64)
+    longest = int(rests.max()) if len(rests) else 0
+    if parts - 1 <= longest:
+        for i in range(1, parts):
+            counts = np.minimum(counts * (rests + i) // i, cap)
+    else:
+        for i in range(1, longest + 1):
+            grown = np.minimum(counts * (parts - 1 + i) // i, cap)
+            counts = np.where(rests >= i, grown, counts)
+    return counts
+
+
+def _fill_compositions(
+    prefix: np.ndarray,
+    values: np.ndarray,
+    rests: np.ndarray,
+    sizes: np.ndarray,
+    parts: int,
+) -> np.ndarray:
+    """The leaves of sibling subtrees as rows ``(k, s_1, ..., s_parts)``.
+
+    The subtrees share the fixed values ``prefix`` (columns before theirs);
+    subtree ``i`` fixes ``values[i]`` in the next column and splits
+    ``rests[i]`` over the columns after it, in lexicographic order, giving
+    ``sizes[i]`` rows.  Each later column is written for all rows at once:
+    every node of the previous column is repeated over its children ``0 ..
+    rest``, each child over its own leaf count.
+    """
+    level = len(prefix)
+    out = np.empty((int(sizes.sum()), parts + 1), dtype=np.int64)
+    out[:, :level] = prefix
+    out[:, level] = np.repeat(values, sizes)
+    for column in range(level + 1, parts + 1):
+        if column == parts:
+            out[:, column] = np.repeat(rests, sizes)  # the last part takes the rest
+            break
+        if not rests.any():
+            out[:, column:] = 0
+            break
+        # Children 0 .. rest of every node, in node order.
+        fanout = rests + 1
+        first = np.repeat(np.cumsum(fanout) - fanout, fanout)
+        children = np.arange(int(fanout.sum()), dtype=np.int64) - first
+        rests = np.repeat(rests, fanout) - children
+        sizes = _composition_counts(rests, parts - column, len(out) + 1)
+        out[:, column] = np.repeat(children, sizes)
+    return out

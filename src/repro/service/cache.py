@@ -105,13 +105,27 @@ class LRUCache:
         with self._lock:
             return iter(tuple(self._entries))
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """The cached value (marking it recently used), or ``default``."""
+    def get(
+        self,
+        key: Hashable,
+        default: Any = None,
+        *,
+        is_current: Callable[[Any], bool] | None = None,
+    ) -> Any:
+        """The cached value (marking it recently used), or ``default``.
+
+        With ``is_current``, an entry it rejects is still returned (the
+        caller may bring it up to date) but counts as a miss.
+        """
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._hits += 1
-                return self._entries[key]
+                value = self._entries[key]
+                if is_current is None or is_current(value):
+                    self._hits += 1
+                else:
+                    self._misses += 1
+                return value
             self._misses += 1
             return default
 

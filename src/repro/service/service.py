@@ -19,8 +19,10 @@ Three caches cooperate (see :mod:`repro.service.cache`):
   ``profiler`` block of :meth:`PrivateQueryService.stats`;
 * **sensitivity** / **count** — final sensitivity values and true counts per
   ``(db, version, shape, epochs[, method, β])``;
-* **component** — cross-profile memo of representative lattice components,
-  keyed per component on the epochs of exactly the relations it reads.
+* **component** — cross-profile memo of representative lattice components
+  and true counts; each entry records the epochs of exactly the relations
+  it reads, and a stale one is caught up by a delta query when it can be
+  (see :mod:`repro.engine.profile`).
 
 The ``epochs`` element is the per-relation mutation-epoch vector of the
 relations the query touches (:meth:`repro.data.database.Database.epochs`):
@@ -272,9 +274,9 @@ class PrivateQueryService:
         self._profile_cache = LRUCache(cache_capacity)
         self._sensitivity_cache = LRUCache(cache_capacity)
         self._count_cache = LRUCache(cache_capacity)
-        # Cross-profile component memo (epoch-keyed; see repro.engine.profile).
-        # Sized above the per-shape caches because one profile can hold many
-        # components and entries for superseded epochs age out via the LRU.
+        # Cross-profile memo of components and true counts (each entry records
+        # its epochs; see repro.engine.profile).  Sized above the per-shape
+        # caches because one profile can hold many components.
         self._component_cache = LRUCache(cache_capacity * 4)
         self._strategy = strategy
         self._parallelism = parallelism
@@ -302,6 +304,7 @@ class PrivateQueryService:
             "components_evaluated": 0,
             "component_hits": 0,
             "component_cache_hits": 0,
+            "component_delta_updates": 0,
             "factorization_hits": 0,
             "factorization_misses": 0,
         }
@@ -419,6 +422,7 @@ class PrivateQueryService:
         self._m_components_eval = components.labels(outcome="evaluated")
         self._m_components_dedup = components.labels(outcome="deduplicated")
         self._m_components_cached = components.labels(outcome="cached")
+        self._m_components_delta = components.labels(outcome="delta")
         m.counter(
             "repro_mutations_total",
             "Delta-mutation batches applied to registered databases.",
@@ -585,10 +589,12 @@ class PrivateQueryService:
         relations' in-place bulk mutators, and journaled so sibling cluster
         workers replay it on their own copy.  The registration *version* is
         unchanged — only the touched relations' epochs advance, so cached
-        plans survive untouched and epoch-keyed entries (counts, profiles,
-        sensitivities, lattice components) are invalidated exactly where
-        the data changed.  Returns a JSON-serialisable summary with the
-        effective ``inserted``/``deleted`` counts and the new epoch vector.
+        plans survive untouched, epoch-keyed entries (counts, profiles,
+        sensitivities) are invalidated exactly where the data changed, and
+        the lattice components and true counts that read a changed relation
+        are caught up from its change log where they can be.  Returns a
+        JSON-serialisable summary with the effective ``inserted``/``deleted``
+        counts and the new epoch vector.
         """
         summary = self._registry.mutate(name, operations)
         with self._stats_lock:
@@ -658,11 +664,18 @@ class PrivateQueryService:
     def _true_count(
         self, reg: RegisteredDatabase, query: ConjunctiveQuery, key: str | None
     ) -> tuple[int, bool]:
+        """The (possibly cached) true count; a count-cache miss after a delta
+        catches the count up from the component cache when it can."""
         if key is None:
             return count_query(query, reg.database), False
         return self._count_cache.get_or_compute(
             (reg.name, reg.version, key, self._epoch_key(reg, query)),
-            lambda: count_query(query, reg.database),
+            lambda: count_query(
+                query,
+                reg.database,
+                component_cache=self._component_cache,
+                cache_scope=(reg.name, reg.version, key),
+            ),
         )
 
     def _sensitivity(
@@ -681,7 +694,7 @@ class PrivateQueryService:
         evaluation.  Both caches additionally key on the epochs of the
         relations the query reads, and a profile-cache miss after a delta
         mutation still recovers the untouched components from the
-        epoch-keyed component cache.
+        component cache and catches the touched ones up by delta.
         """
 
         def compute() -> SensitivityResult:
@@ -742,6 +755,7 @@ class PrivateQueryService:
             totals["components_evaluated"] += stats.components_evaluated
             totals["component_hits"] += stats.component_hits
             totals["component_cache_hits"] += stats.component_cache_hits
+            totals["component_delta_updates"] += stats.component_delta_updates
             totals["factorization_hits"] += stats.factorization_hits
             totals["factorization_misses"] += stats.factorization_misses
         if self._obs:
@@ -749,6 +763,7 @@ class PrivateQueryService:
             self._m_components_eval.inc(stats.components_evaluated)
             self._m_components_dedup.inc(stats.component_hits)
             self._m_components_cached.inc(stats.component_cache_hits)
+            self._m_components_delta.inc(stats.component_delta_updates)
             self._m_fact_hit.inc(stats.factorization_hits)
             self._m_fact_miss.inc(stats.factorization_misses)
         return profile.results

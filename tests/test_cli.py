@@ -169,6 +169,7 @@ class TestJsonOutput:
             "components_evaluated",
             "component_hits",
             "component_cache_hits",
+            "component_delta_updates",
             "factorization_hits",
             "factorization_misses",
         }

@@ -15,10 +15,10 @@ Covers
   the serial/2-thread equivalence on both column representations (values,
   dropped predicates, stats counters), and prompt failure propagation with
   sibling cancellation;
-* the iterative stars-and-bars ``_distance_vectors`` generator (count and
-  order pinned against the recursive formulation it replaced);
-* the vectorized ``L̂S^(k)`` contraction (pinned against a literal
-  nested-loop evaluation of Equations 19–20);
+* the NumPy ``_distance_vectors`` generator (every vector of every ``k``
+  once, in the order of the recursive formulation, in bounded chunks);
+* the one ``L̂S^(k)`` contraction over all ``k`` (pinned exactly against a
+  literal nested-loop evaluation of Equations 19–20);
 * the database's value dictionary and each relation's coded columns —
   population on first elimination, lookup counting, invalidation on
   mutation and release on registry version bump;
@@ -36,7 +36,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
-from repro.engine.aggregates import boundary_multiplicity
+from repro.engine.aggregates import boundary_group_counts, boundary_multiplicity
 from repro.engine.columnar import factorization_cache_stats
 from repro.engine.profile import evaluate_profile
 from repro.graphs.loader import database_from_edges, edge_schema
@@ -288,7 +288,10 @@ class TestSymmetricSharing:
         edge.add_rows([reverse])
         stats = profile()
         assert edge.symmetry is True
-        assert (stats.components_evaluated, stats.component_cache_hits) == (2, 0)
+        # The single edge is caught up from the change log (Edge occurs once
+        # in it); the two-edge path, a self-join of Edge, re-evaluates.
+        assert stats.component_cache_hits == 0
+        assert (stats.components_evaluated, stats.component_delta_updates) == (1, 1)
 
     @pytest.mark.parametrize("columns", COLUMNS)
     def test_over_the_labelling_cap_shares_by_identity(self, columns, monkeypatch):
@@ -398,7 +401,7 @@ class TestPoisonedComponent:
         db = Database.from_rows(
             schema, **{f"R{i}": [(1, 2), (2, 3)] for i in range(n)}
         )
-        real = boundary_multiplicity
+        real = boundary_group_counts
         calls = []
 
         def poisoned(query_, db_, kept, **kwargs):
@@ -411,7 +414,7 @@ class TestPoisonedComponent:
             time.sleep(0.05)
             return real(query_, db_, kept, **kwargs)
 
-        monkeypatch.setattr(profile_module, "boundary_multiplicity", poisoned)
+        monkeypatch.setattr(profile_module, "boundary_group_counts", poisoned)
         with pytest.raises(RuntimeError, match="poisoned component"):
             evaluate_profile(
                 query, db, [frozenset(range(n))], parallelism=2
@@ -424,6 +427,8 @@ class TestPoisonedComponent:
 
 
 class TestDistanceVectors:
+    """The NumPy generator of the distance vectors of every ``k ≤ k_max``."""
+
     @staticmethod
     def _reference(total, parts):
         if parts == 1:
@@ -433,26 +438,52 @@ class TestDistanceVectors:
             for rest in TestDistanceVectors._reference(total - first, parts - 1):
                 yield (first,) + rest
 
-    def test_count_and_order_match_the_recursive_formulation(self):
-        for total in range(7):
+    @staticmethod
+    def _rows(parts, k_max, k_min=0):
+        """``(k, vector)`` per generated row, and the chunk sizes."""
+        rows, chunks = [], []
+        for vectors, totals in ResidualSensitivity._distance_vectors(parts, k_max, k_min):
+            assert vectors.shape == (len(totals), parts)
+            chunks.append(len(totals))
+            rows += [(k, tuple(v)) for k, v in zip(totals.tolist(), vectors.tolist())]
+        return rows, chunks
+
+    def test_count_and_order_match_the_recursive_formulation(self, monkeypatch):
+        for chunk in (1, 2, 3, 7, 1 << 15):
+            monkeypatch.setattr(ResidualSensitivity, "_LS_HAT_CHUNK", chunk)
             for parts in range(1, 5):
-                got = list(ResidualSensitivity._distance_vectors(total, parts))
-                assert got == list(self._reference(total, parts))
-                assert len(got) == comb(total + parts - 1, parts - 1)
-                assert all(sum(v) == total and len(v) == parts for v in got)
+                rows, chunks = self._rows(parts, 6)
+                assert max(chunks) <= chunk
+                # C(k + m - 1, m - 1) vectors per k, each exactly once, in
+                # ascending k and lexicographic order within each k.
+                assert rows == [
+                    (k, v) for k in range(7) for v in self._reference(k, parts)
+                ]
+                for k in range(7):
+                    assert sum(1 for total, _ in rows if total == k) == comb(
+                        k + parts - 1, parts - 1
+                    )
+                tail = self._rows(parts, 6, 4)[0]
+                assert tail == [row for row in rows if row[0] >= 4]
 
     def test_order_is_ascending_lexicographic(self):
-        got = list(ResidualSensitivity._distance_vectors(2, 3))
-        assert got == [
+        rows, _ = self._rows(3, 2, 2)
+        assert [v for _, v in rows] == [
             (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
         ]
 
-    def test_no_recursion_limit_on_deep_grids(self):
-        # The recursive formulation it replaced recursed once per part and
-        # would overflow the interpreter stack around ~1000 parts.
-        vectors = ResidualSensitivity._distance_vectors(1, 5000)
-        assert sum(1 for _ in vectors) == comb(5000, 4999)
-        assert list(ResidualSensitivity._distance_vectors(10_000, 1)) == [(10_000,)]
+    def test_no_recursion_limit_on_deep_grids(self, monkeypatch):
+        # 5000 parts: the grid is 5000 vectors of 5000 entries, never built
+        # as one array; the walk nests no calls, so no recursion limit.
+        monkeypatch.setattr(ResidualSensitivity, "_LS_HAT_CHUNK", 100)
+        total = 0
+        for vectors, totals in ResidualSensitivity._distance_vectors(5000, 1, 1):
+            assert len(vectors) <= 100 and vectors.shape[1] == 5000
+            assert (vectors.sum(axis=1) == 1).all() and (totals == 1).all()
+            total += len(vectors)
+        assert total == comb(5000, 4999)
+        rows, _ = self._rows(1, 10_000, 10_000)
+        assert rows == [(10_000, (10_000,))]
 
 
 class TestVectorizedLsHat:
@@ -466,7 +497,7 @@ class TestVectorizedLsHat:
         }
         all_atoms = frozenset(range(engine.query.num_atoms))
         best = 0.0
-        for vector in engine._distance_vectors(k, len(blocks)):
+        for vector in TestDistanceVectors._reference(k, len(blocks)):
             s_of_atom = {i: vector[atom_block[i]] for i in private_atoms}
             for block in blocks:
                 total = 0.0
@@ -501,19 +532,29 @@ class TestVectorizedLsHat:
             db = graph_db
         engine = ResidualSensitivity(query, beta=0.1)
         multiplicities = engine.multiplicities(db)
+        # Every term is an integer below 2**53, so the sums are exact.
+        series = engine.compute(db, multiplicities).details["ls_hat_series"]
         for k in range(5):
-            assert engine.ls_hat(db, k, multiplicities) == pytest.approx(
-                self._literal_ls_hat(engine, db, k, multiplicities)
-            )
+            literal = self._literal_ls_hat(engine, db, k, multiplicities)
+            assert engine.ls_hat(db, k, multiplicities) == literal
+            assert series[k] == literal
 
     def test_chunked_streaming_matches_one_shot(self, graph_db, monkeypatch):
-        """A tiny chunk size forces multiple batches; the max is unchanged."""
+        """A tiny chunk size forces multiple batches, which cross ``k``
+        boundaries; the series is unchanged."""
         engine = ResidualSensitivity(triangle_query(), beta=0.1)
         multiplicities = engine.multiplicities(graph_db)
-        expected = [engine.ls_hat(graph_db, k, multiplicities) for k in range(6)]
+        expected = engine.compute(graph_db, multiplicities).details["ls_hat_series"]
+        singles = [engine.ls_hat(graph_db, k, multiplicities) for k in range(6)]
         monkeypatch.setattr(ResidualSensitivity, "_LS_HAT_CHUNK", 2)
-        chunked = [engine.ls_hat(graph_db, k, multiplicities) for k in range(6)]
+        chunks = [
+            totals.tolist() for _, totals in ResidualSensitivity._distance_vectors(1, 5)
+        ]
+        assert chunks == [[0, 1], [2, 3], [4, 5]]
+        chunked = engine.compute(graph_db, multiplicities).details["ls_hat_series"]
         assert chunked == expected
+        assert [engine.ls_hat(graph_db, k, multiplicities) for k in range(6)] == singles
+        assert list(expected[:6]) == singles
 
 
 class TestFactorizationCache:

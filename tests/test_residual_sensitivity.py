@@ -48,6 +48,13 @@ class TestConstruction:
         with pytest.raises(SensitivityError):
             ResidualSensitivity(query, beta=0.0)
 
+    def test_negative_k_max_rejected(self):
+        # The series covers k = 0 .. k_max, so a negative override has none.
+        query = parse_query("R(x, y)")
+        with pytest.raises(SensitivityError, match="k_max"):
+            ResidualSensitivity(query, beta=0.1, k_max=-1)
+        assert ResidualSensitivity(query, beta=0.1, k_max=0) is not None
+
     def test_requires_private_relation(self, small_join_db):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2}, private=[])
         db = Database(schema)
