@@ -1,9 +1,9 @@
 """Micro-benchmarks of the evaluation engine.
 
 These do not correspond to a paper table; they size the building blocks the
-Table 1 harness is made of (boundary multiplicities under both strategies,
-bucket elimination, the backtracking join) so performance regressions are
-visible independently of the end-to-end experiments.
+Table 1 harness is made of (boundary multiplicities, bucket elimination)
+so performance regressions are visible independently of the end-to-end
+experiments.
 
 Run::
 
@@ -16,7 +16,6 @@ import pytest
 
 from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.columnar import eliminate_group_counts_columnar
-from repro.engine.evaluation import count_query
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
 from repro.graphs.patterns import k_star_query, triangle_query
@@ -33,17 +32,7 @@ def medium_graph_db():
 
 def test_triangle_residual_multiplicity_eliminate(benchmark, medium_graph_db):
     query = triangle_query()
-    result = benchmark(
-        lambda: boundary_multiplicity(query, medium_graph_db, [0, 1], strategy="eliminate")
-    )
-    assert result.value >= 1
-
-
-def test_triangle_residual_multiplicity_enumerate(benchmark, medium_graph_db):
-    query = triangle_query()
-    result = benchmark(
-        lambda: boundary_multiplicity(query, medium_graph_db, [0, 1], strategy="enumerate")
-    )
+    result = benchmark(lambda: boundary_multiplicity(query, medium_graph_db, [0, 1]))
     assert result.value >= 1
 
 
@@ -56,8 +45,3 @@ def test_star_group_counts_elimination(benchmark, medium_graph_db):
     )
     assert result.counts
 
-
-def test_triangle_count_enumeration(benchmark, medium_graph_db):
-    query = triangle_query()
-    count = benchmark(lambda: count_query(query, medium_graph_db, strategy="enumerate"))
-    assert count >= 0

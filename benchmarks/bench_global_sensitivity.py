@@ -41,7 +41,7 @@ def test_gs_examples_1_and_2(benchmark, database):
         for label, query in queries.items():
             bound = GlobalSensitivityBound(query)
             result = bound.compute(database)
-            rs = ResidualSensitivity(query, beta=0.1, strategy="eliminate").compute(database)
+            rs = ResidualSensitivity(query, beta=0.1).compute(database)
             rows.append((label, result.detail("exponent"), result.value, rs.value))
         return rows
 

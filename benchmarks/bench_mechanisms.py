@@ -37,7 +37,7 @@ def true_count(graph_db):
 
 
 def test_residual_sensitivity_triangle(benchmark, graph_db):
-    engine = ResidualSensitivity(triangle_query(), beta=0.1, strategy="eliminate")
+    engine = ResidualSensitivity(triangle_query(), beta=0.1)
     result = benchmark(lambda: engine.compute(graph_db))
     assert result.value > 0
 

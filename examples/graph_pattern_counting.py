@@ -62,7 +62,7 @@ def main() -> None:
     rows = []
     for label, query in queries.items():
         count = pattern_count(database, query)
-        rs = ResidualSensitivity(query, beta=beta, strategy="eliminate").compute(database)
+        rs = ResidualSensitivity(query, beta=beta).compute(database)
         es = ElasticSensitivity(query, beta=beta).compute(database)
         ss_value = smooth[label].compute(database).value if label in smooth else None
         release = PrivateCountingQuery(

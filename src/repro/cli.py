@@ -54,8 +54,8 @@ Installed as ``repro-dp`` (see ``pyproject.toml``).  Sub-commands:
 
 ``fuzz``
     Differential fuzzing and statistical verification (:mod:`repro.qa`):
-    random schemas/databases/queries are checked engine == exact
-    enumeration == brute-force oracle (counts, boundary multiplicities,
+    random schemas/databases/queries are checked engine == brute-force
+    oracle (counts, boundary multiplicities,
     sensitivity profiles, smoothness invariants), and seeded releases are
     goodness-of-fit tested against the exact noise law at query, service
     and batch level.  Every failure prints a self-contained replay

@@ -1,19 +1,17 @@
 """Query evaluation engine.
 
-This subpackage evaluates conjunctive queries over the relational substrate.
-It provides two complementary strategies:
+This subpackage evaluates conjunctive queries over the relational substrate
+with one evaluator, :mod:`repro.engine.columnar` — vectorized bucket
+(variable) elimination over count-annotated columns of dictionary codes,
+which evaluates the aggregate queries behind ``T_E(I)`` in polynomial time
+for bounded-width residuals, expanding inequalities across buckets by
+Möbius inversion (:mod:`repro.engine.mobius`) and joining the factors any
+other predicate spans into one bucket, so every predicate is applied.  When
+such a bucket would pass its row cap, a count is refused and a boundary
+multiplicity becomes a certified upper bound.  :mod:`repro.engine.join`
+(exact backtracking enumeration) is kept as a test reference only.
 
-* :mod:`repro.engine.columnar` — vectorized bucket (variable) elimination
-  over count-annotated NumPy columns, which evaluates the aggregate queries
-  behind ``T_E(I)`` in polynomial time for bounded-width residuals,
-  expanding inequalities across buckets by Möbius inversion
-  (:mod:`repro.engine.mobius`) and joining the factors any other predicate
-  spans into one bucket, so every predicate is applied, and
-* :mod:`repro.engine.join` — exact backtracking enumeration that applies
-  every predicate (the fallback when elimination drops one above its row
-  cap, and the evaluator of :func:`evaluate_query`).
-
-On top of these, :mod:`repro.engine.aggregates` computes the boundary
+On top of it, :mod:`repro.engine.aggregates` computes the boundary
 multiplicities ``T_E(I)`` of residual queries (the building block of residual
 sensitivity), :mod:`repro.engine.profile` evaluates whole residual-sensitivity
 profiles in one shared-lattice pass (component memoization, isomorphism
@@ -29,7 +27,6 @@ from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
 from repro.engine.agm import AGMBound, fractional_edge_cover
 from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query, evaluate_query
-from repro.engine.join import count_assignments, group_counts, iterate_assignments
 from repro.engine.profile import LatticeProfile, ProfileStats, evaluate_profile
 
 __all__ = [
@@ -39,11 +36,8 @@ __all__ = [
     "ProfileStats",
     "boundary_multiplicity",
     "canonical_query_key",
-    "count_assignments",
     "count_query",
     "evaluate_profile",
     "evaluate_query",
     "fractional_edge_cover",
-    "group_counts",
-    "iterate_assignments",
 ]

@@ -9,46 +9,38 @@ boundary multiplicity* is
 with the conventions ``T_∅(I) = 1`` and, for non-full queries,
 ``T_E(I) = 1`` whenever ``o_E = ∅`` (Section 6).
 
-This module computes ``T_E(I)`` with two interchangeable strategies:
-
-* ``"enumerate"`` — the exact backtracking join of :mod:`repro.engine.join`,
-  which applies *all* predicates (used on small inputs and in tests);
-* ``"eliminate"`` — columnar bucket elimination
-  (:mod:`repro.engine.columnar`), polynomial for bounded-width residuals.
-  It applies every predicate inside the residual — inequalities between
-  variables summed out in different buckets by Möbius inversion into
-  predicate-free terms — and reads the maximum straight off the
-  group-count arrays.
-
-The default ``"auto"`` strategy runs elimination and falls back to bounded
-enumeration only when elimination dropped a comparison or generic
-predicate because a bucket of its predicate-aware plan would pass
-:data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows.  A predicate spanning
-two disconnected components of the residual is dropped too: the components
-are evaluated separately and multiplied, and the product is kept as a
-certified upper bound.
+``T_E`` is read off the group counts of one columnar bucket elimination
+(:mod:`repro.engine.columnar`), polynomial for bounded-width residuals.  It
+applies every predicate inside the residual — inequalities between
+variables summed out in different buckets by Möbius inversion into
+predicate-free terms.  The value is a certified upper bound
+(``exact=False``, the predicates listed as dropped) in two cases: a bucket
+joined for a comparison or generic predicate would pass
+:data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows, or a predicate spans two
+disconnected components of the residual, which are evaluated separately
+and multiplied.
 
 Predicate-only boundary variables (``∂q2``, Section 5) are handled as
-follows: dropped predicates that are pure inequalities are ignored, which is
-exact for large domains (Corollary 5.1); dropped comparison predicates are
-resolved by ranging the ``∂q2`` variables over the augmented active domain
-``Z+(q, I)`` (Section 5.2), one NumPy mask over the residual rows per
-assignment; dropped generic predicates are rejected with an
-:class:`~repro.exceptions.EvaluationError` (the general Section 5.1
-algorithm is exponential and out of scope for the evaluation engine).
+follows: predicates crossing the boundary that are pure inequalities are
+ignored, which is exact for large domains (Corollary 5.1); crossing
+comparison predicates are resolved by ranging the ``∂q2`` variables they
+read over the augmented active domain ``Z+(q, I)`` (Section 5.2), one NumPy
+mask over the residual's grouped rows per assignment; crossing generic
+predicates are rejected with an :class:`~repro.exceptions.EvaluationError`
+(the general Section 5.1 algorithm is exponential and out of scope for the
+evaluation engine).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.data.database import Database
-from repro.data.relation import value_column
-from repro.engine import join as join_engine
+from repro.engine import columnar
 from repro.engine.columnar import (
     EliminationResult,
     eliminate_group_counts_columnar,
@@ -69,10 +61,6 @@ __all__ = [
     "multiplicity_from_counts",
 ]
 
-#: Default cap on backtracking extension steps before giving up on the exact
-#: enumeration fallback.
-DEFAULT_MAX_ENUMERATION = 500_000
-
 
 @dataclass(frozen=True)
 class MultiplicityResult:
@@ -89,8 +77,8 @@ class MultiplicityResult:
     boundary:
         The relational boundary variables ``∂q1_E`` used for grouping.
     strategy:
-        ``"convention"``, ``"enumerate"``, ``"eliminate"`` or
-        ``"eliminate+domain"`` — how the value was obtained.
+        ``"convention"``, ``"eliminate"`` or ``"eliminate+domain"`` (the
+        Section 5.2 ranging) — how the value was obtained.
     exact:
         ``True`` if every predicate was honoured exactly; ``False`` if the
         value is an upper bound because predicates were dropped.
@@ -144,13 +132,6 @@ def combine_component_results(
     )
 
 
-def _max_entry(counts: dict[tuple, int]) -> tuple[int, tuple | None]:
-    if not counts:
-        return 0, None
-    best_key = max(counts, key=lambda k: counts[k])
-    return counts[best_key], best_key
-
-
 def _max_group(
     result: EliminationResult, group_arity: int, distinct: bool
 ) -> tuple[int, tuple | None]:
@@ -172,26 +153,6 @@ def _max_group(
     return int(per_row[best]), result.key(best)[:group_arity]
 
 
-def _enumerate_counts(
-    query: ConjunctiveQuery,
-    database: Database,
-    residual: ResidualQuery,
-    group_vars: tuple[Variable, ...],
-    distinct_on: tuple[Variable, ...] | None,
-    predicates: Sequence[Predicate],
-    max_intermediate: int | None,
-) -> dict[tuple, int]:
-    return join_engine.group_counts(
-        query,
-        database,
-        group_vars,
-        atom_indices=sorted(residual.atom_indices),
-        predicates=predicates,
-        distinct_on=distinct_on,
-        max_intermediate=max_intermediate,
-    )
-
-
 def multiplicity_from_counts(
     result: EliminationResult, boundary: tuple[Variable, ...]
 ) -> MultiplicityResult:
@@ -209,7 +170,6 @@ def _eliminate_max(
     residual: ResidualQuery,
     group_vars: tuple[Variable, ...],
     distinct_on: tuple[Variable, ...] | None,
-    predicates: Sequence[Predicate],
 ) -> tuple[int, tuple | None, EliminationResult]:
     """``(value, witness, elimination result)`` by bucket elimination.
 
@@ -224,7 +184,7 @@ def _eliminate_max(
         database,
         extended,
         atom_indices=sorted(residual.atom_indices),
-        predicates=predicates,
+        predicates=residual.predicates,
     )
     value, witness = _max_group(result, len(group_vars), distinct_on is not None)
     return value, witness, result
@@ -236,98 +196,103 @@ def _comparison_boundary_value(
     residual: ResidualQuery,
     group_vars: tuple[Variable, ...],
     distinct_on: tuple[Variable, ...] | None,
-    max_intermediate: int | None,
 ) -> MultiplicityResult:
     """Section 5.2: resolve comparison predicates crossing the boundary.
 
     The ``∂q2`` variables (realised only outside the residual but linked to
     it through comparison predicates) range over the augmented active domain
-    ``Z+(q, I)``.  We enumerate the residual exactly, then for every
-    assignment of the ``∂q2`` variables evaluate the crossing predicates as
-    one boolean mask over all residual rows, count the surviving rows (or
-    their distinct outputs) per boundary group with ``np.bincount``, and
-    keep each group's maximum.  The witness is the first group, in
-    enumeration order, that attains the overall maximum.
+    ``Z+(q, I)``; only those some crossing comparison reads are ranged, as
+    the others change no mask.  One elimination groups the residual, with
+    its inside predicates, by the boundary, then (for non-full queries) the
+    output variables, then the residual variables the crossing comparisons
+    read: rows that agree on those columns behave alike under every
+    crossing comparison.  For every assignment of the ranged variables the
+    crossing comparisons are one boolean mask over the grouped rows, whose
+    counts (or distinct outputs) are summed per boundary group, and each
+    group keeps its maximum.  The witness is the first group, in the
+    elimination's group order, that attains the overall maximum.
+
+    When the rows times the number of assignments pass
+    :data:`~repro.engine.columnar.BUCKET_ROW_CAP`, the value is the
+    boundary maximum without the crossing comparisons, an upper bound that
+    reports them as dropped.
     """
     crossing = [p for p in residual.dropped_predicates if not p.is_inequality]
-    q2_vars = tuple(sorted(residual.boundary_predicate_only, key=lambda v: v.name))
-    domain_values = augmented_active_domain(query, database)
-
-    inside_preds = list(residual.predicates) + [
-        p for p in residual.dropped_predicates if p.is_inequality and p.variables <= residual.variables
-    ]
-
-    assignments = list(
-        join_engine.iterate_assignments(
-            query,
-            database,
-            atom_indices=sorted(residual.atom_indices),
-            predicates=inside_preds,
-            max_intermediate=max_intermediate,
-        )
+    read = {v for p in crossing for v in p.variables}
+    q2_vars = sorted(read & residual.boundary_predicate_only, key=lambda v: v.name)
+    row_vars = read - residual.boundary_predicate_only
+    extended = group_vars
+    if distinct_on is not None:
+        extended += tuple(v for v in distinct_on if v not in extended)
+    pair_arity = len(extended)
+    extended += tuple(sorted(row_vars - set(extended), key=lambda v: v.name))
+    grouped = eliminate_group_counts_columnar(
+        query,
+        database,
+        extended,
+        atom_indices=sorted(residual.atom_indices),
+        predicates=residual.predicates,
     )
-    result = MultiplicityResult(
-        value=0,
-        witness=None,
+    dropped = list(grouped.dropped_predicates)
+    rows = len(grouped.count_array)
+    if not rows:
+        return MultiplicityResult(
+            value=0,
+            witness=None,
+            boundary=group_vars,
+            strategy="eliminate+domain",
+            exact=not dropped,
+            dropped_predicates=tuple(dropped),
+        )
+
+    groups = grouped.group_codes(len(group_vars))
+    n_groups = int(groups.max()) + 1
+    if distinct_on is None:
+        counts = grouped.count_array
+
+        def per_group(mask: np.ndarray) -> np.ndarray:
+            sums = np.zeros(n_groups, dtype=counts.dtype)
+            np.add.at(sums, groups[mask], counts[mask])
+            return sums
+
+    else:
+        # Count distinct (group, output) pairs: one code per pair.
+        pairs = grouped.group_codes(pair_arity)
+        group_of_pair = np.empty(int(pairs.max()) + 1, dtype=np.int64)
+        group_of_pair[pairs] = groups
+
+        def per_group(mask: np.ndarray) -> np.ndarray:
+            return np.bincount(group_of_pair[np.unique(pairs[mask])], minlength=n_groups)
+
+    domain_values = augmented_active_domain(query, database)
+    if rows * len(domain_values) ** len(q2_vars) > columnar.BUCKET_ROW_CAP:
+        best = per_group(np.ones(rows, dtype=bool))
+        dropped.extend(crossing)
+    else:
+        columns = {v: grouped.dictionary.decode(grouped.codes[extended.index(v)]) for v in row_vars}
+        best = np.zeros(n_groups, dtype=np.int64)
+        for combo in itertools.product(domain_values, repeat=len(q2_vars)):
+            operands = {**columns, **dict(zip(q2_vars, combo))}
+            mask = np.ones(rows, dtype=bool)
+            for pred in crossing:
+                mask &= predicate_mask(pred, operands, rows)
+            best = np.maximum(best, per_group(mask))
+
+    top = int(np.argmax(best))
+    value = int(best[top])
+    witness = grouped.key(int(np.argmax(groups == top)))[: len(group_vars)] if value else None
+    return MultiplicityResult(
+        value=value,
+        witness=witness,
         boundary=group_vars,
         strategy="eliminate+domain",
-        exact=True,
-        dropped_predicates=(),
+        exact=not dropped,
+        dropped_predicates=tuple(dropped),
     )
-    if not assignments:
-        return result
-
-    # Predicates with a variable neither row nor ∂q2 assignment binds are
-    # skipped, as an unbound predicate cannot be evaluated.
-    known = set(assignments[0]) | set(q2_vars)
-    bound = [p for p in crossing if p.variables <= known]
-    row_vars = {v for p in bound for v in p.variables if v not in q2_vars}
-    columns = {v: value_column([a[v] for a in assignments]) for v in row_vars}
-
-    groups: dict[tuple, int] = {}
-    group_of_row = np.array(
-        [groups.setdefault(tuple(a[v] for v in group_vars), len(groups)) for a in assignments],
-        dtype=np.int64,
-    )
-    if distinct_on is not None:
-        # Count distinct (group, output) pairs: one code per pair.
-        pairs: dict[tuple, int] = {}
-        pair_of_row = np.array(
-            [
-                pairs.setdefault((g, tuple(a[v] for v in distinct_on)), len(pairs))
-                for g, a in zip(group_of_row.tolist(), assignments)
-            ],
-            dtype=np.int64,
-        )
-        group_of_pair = np.array([g for g, _ in pairs], dtype=np.int64)
-
-    rows = len(assignments)
-    best = np.zeros(len(groups), dtype=np.int64)
-    for combo in itertools.product(domain_values, repeat=len(q2_vars)):
-        operands = {**columns, **dict(zip(q2_vars, combo))}
-        mask = np.ones(rows, dtype=bool)
-        for pred in bound:
-            mask &= predicate_mask(pred, operands, rows)
-        if distinct_on is None:
-            selected = group_of_row[mask]
-        else:
-            selected = group_of_pair[np.unique(pair_of_row[mask])]
-        np.maximum(best, np.bincount(selected, minlength=len(groups)), out=best)
-
-    value = int(best.max())
-    if not value:
-        return result
-    witness = list(groups)[int(np.argmax(best))]
-    return replace(result, value=value, witness=witness)
 
 
 def boundary_multiplicity(
-    query: ConjunctiveQuery,
-    database: Database,
-    kept_atoms: Iterable[int],
-    *,
-    strategy: str = "auto",
-    max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
+    query: ConjunctiveQuery, database: Database, kept_atoms: Iterable[int]
 ) -> MultiplicityResult:
     """Compute ``T_E(I)`` for the residual query on ``kept_atoms``.
 
@@ -341,28 +306,16 @@ def boundary_multiplicity(
     kept_atoms:
         The subset ``E`` of atom indices forming the residual query.  The
         empty set returns the conventional value ``1``.
-    strategy:
-        ``"auto"`` (default), ``"enumerate"`` or ``"eliminate"``.
-    max_enumeration:
-        Step cap for the exact enumeration strategy / fallback; ``None``
-        disables the cap.
 
     Returns
     -------
     MultiplicityResult
     """
-    return boundary_group_counts(
-        query, database, kept_atoms, strategy=strategy, max_enumeration=max_enumeration
-    )[0]
+    return boundary_group_counts(query, database, kept_atoms)[0]
 
 
 def boundary_group_counts(
-    query: ConjunctiveQuery,
-    database: Database,
-    kept_atoms: Iterable[int],
-    *,
-    strategy: str = "auto",
-    max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
+    query: ConjunctiveQuery, database: Database, kept_atoms: Iterable[int]
 ) -> tuple[MultiplicityResult, EliminationResult | None]:
     """:func:`boundary_multiplicity`, plus the boundary group counts the value
     was read off when it is an exact elimination maximum of a connected
@@ -381,27 +334,16 @@ def boundary_group_counts(
     # their boundaries are disjoint, so the maximum joint multiplicity is the
     # product of the per-component maxima.  This avoids materialising cross
     # products (e.g. the two opposite edges of the rectangle query).
-    if strategy != "enumerate":
-        from repro.query.hypergraph import QueryHypergraph
+    from repro.query.hypergraph import QueryHypergraph
 
-        components = QueryHypergraph(query, residual.atom_indices).connected_components()
-        if len(components) > 1:
-            parts = [
-                boundary_multiplicity(
-                    query,
-                    database,
-                    component,
-                    strategy=strategy,
-                    max_enumeration=max_enumeration,
-                )
-                for component in components
-            ]
-            return combine_component_results(
-                residual,
-                group_vars,
-                parts,
-                [query.variables_of(component) for component in components],
-            ), None
+    components = QueryHypergraph(query, residual.atom_indices).connected_components()
+    if len(components) > 1:
+        return combine_component_results(
+            residual,
+            group_vars,
+            [boundary_multiplicity(query, database, component) for component in components],
+            [query.variables_of(component) for component in components],
+        ), None
 
     # Non-full queries: count distinct projections onto o_E.  The list may
     # be *empty* (no output variable realised inside E): every non-empty
@@ -415,47 +357,23 @@ def boundary_group_counts(
     if not query.is_full:
         distinct_on = tuple(residual.output_variables)
 
-    # Predicate classification.
-    dropped_comparison_or_generic = [
-        p for p in residual.dropped_predicates if not p.is_inequality
-    ]
-    if dropped_comparison_or_generic:
-        if any(
-            not (p.is_inequality or p.is_comparison) for p in dropped_comparison_or_generic
-        ):
+    crossing = [p for p in residual.dropped_predicates if not p.is_inequality]
+    if crossing:
+        if not all(p.is_comparison for p in crossing):
             raise EvaluationError(
                 "generic predicates crossing a residual boundary are not supported by "
                 "the evaluation engine (Section 5.1 requires a satisfiability oracle); "
-                f"offending predicates: {dropped_comparison_or_generic!r}"
+                f"offending predicates: {crossing!r}"
             )
         return _comparison_boundary_value(
-            query, database, residual, group_vars, distinct_on, max_enumeration
-        ), None
-
-    inside_preds = list(residual.predicates)
-
-    if strategy not in ("auto", "enumerate", "eliminate"):
-        raise EvaluationError(f"unknown strategy {strategy!r}")
-
-    if strategy == "enumerate":
-        counts = _enumerate_counts(
-            query, database, residual, group_vars, distinct_on, inside_preds, max_enumeration
-        )
-        value, witness = _max_entry(counts)
-        return MultiplicityResult(
-            value=value,
-            witness=witness,
-            boundary=group_vars,
-            strategy="enumerate",
-            exact=True,
-            dropped_predicates=(),
+            query, database, residual, group_vars, distinct_on
         ), None
 
     value, witness, eliminated = _eliminate_max(
-        query, database, residual, group_vars, distinct_on, inside_preds
+        query, database, residual, group_vars, distinct_on
     )
     dropped = eliminated.dropped_predicates
-    eliminate_result = MultiplicityResult(
+    result = MultiplicityResult(
         value=value,
         witness=witness,
         boundary=group_vars,
@@ -463,24 +381,4 @@ def boundary_group_counts(
         exact=not dropped,
         dropped_predicates=tuple(dropped),
     )
-    if eliminate_result.exact:
-        return eliminate_result, eliminated if distinct_on is None else None
-    if strategy == "eliminate":
-        return eliminate_result, None
-
-    # auto: elimination dropped predicates — try exact enumeration under the cap.
-    try:
-        counts = _enumerate_counts(
-            query, database, residual, group_vars, distinct_on, inside_preds, max_enumeration
-        )
-    except EvaluationError:
-        return eliminate_result, None
-    value, witness = _max_entry(counts)
-    return MultiplicityResult(
-        value=value,
-        witness=witness,
-        boundary=group_vars,
-        strategy="enumerate",
-        exact=True,
-        dropped_predicates=(),
-    ), None
+    return result, eliminated if result.exact and distinct_on is None else None

@@ -61,8 +61,9 @@ against :data:`BUCKET_ROW_CAP` before anything is materialised.  When one
 would pass the cap (in the query or in a term of its expansion), the
 unexpanded query reruns on that plan and then, if it passes the cap too,
 on the predicate-blind plan: predicates that never become applicable there
-are reported back as *dropped*, the counts are upper bounds, and callers
-that need exactness fall back to :mod:`repro.engine.join`.
+are reported back as *dropped* and the counts are upper bounds: a boundary
+multiplicity read off them is reported as one, and a count is refused
+(:mod:`repro.engine.evaluation`).
 
 Each read of a relation's coded columns is counted as a hit (already coded)
 or a miss (coded now): :func:`factorization_cache_stats` exposes the

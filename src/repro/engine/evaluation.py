@@ -6,14 +6,14 @@ conjunctive query.  This module provides that top-level entry point
 actual result tuples (projections onto the output variables) and is used by
 examples and tests.
 
-The count is obtained through columnar bucket elimination
-(:mod:`repro.engine.columnar`), which applies every predicate without
-enumerating the result; inequalities between variables summed out in
-different buckets are expanded by Möbius inversion into predicate-free
-terms.  Only when elimination drops a comparison or generic predicate,
-because a bucket of its predicate-aware plan would pass
-:data:`~repro.engine.columnar.BUCKET_ROW_CAP` rows, does the count fall back
-to exact enumeration (optionally capped).
+Both run on columnar bucket elimination (:mod:`repro.engine.columnar`),
+which applies every predicate without enumerating the result;
+inequalities between variables summed out in different buckets are
+expanded by Möbius inversion into predicate-free terms.  When elimination
+drops a comparison or generic predicate, because a bucket of its
+predicate-aware plan would pass :data:`~repro.engine.columnar.BUCKET_ROW_CAP`
+rows, its counts are only upper bounds, and both refuse with an
+:class:`~repro.exceptions.EvaluationError` instead of answering.
 
 Given a ``component_cache``, the count of a full query is kept there with
 the epochs it read, and after a delta to one relation that occurs in one
@@ -24,12 +24,9 @@ variables, maintained as a lattice component's group counts are
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.data.database import Database
-from repro.engine import join as join_engine
 from repro.engine.columnar import (
     EliminationResult,
     eliminate_group_counts_columnar,
@@ -37,55 +34,49 @@ from repro.engine.columnar import (
     maintained_counts,
 )
 from repro.exceptions import EvaluationError
-from repro.query.atoms import Variable
 from repro.query.cq import ConjunctiveQuery
 
 __all__ = ["evaluate_query", "count_query"]
 
 
-def evaluate_query(
-    query: ConjunctiveQuery,
-    database: Database,
-    *,
-    max_intermediate: int | None = None,
-) -> list[tuple]:
+def _require_exact(result: EliminationResult) -> None:
+    if not result.is_exact:
+        raise EvaluationError(
+            "bucket elimination cannot honour these predicates without passing "
+            f"the row cap: {result.dropped_predicates!r}"
+        )
+
+
+def evaluate_query(query: ConjunctiveQuery, database: Database) -> list[tuple]:
     """The distinct result tuples of ``query`` on ``database``.
 
     Results are projections onto :attr:`ConjunctiveQuery.output_variables`
-    (all variables for a full query), returned in an unspecified but
-    deterministic-per-run order as plain tuples.
+    (all variables for a full query) — one elimination grouped by them —
+    returned as plain tuples sorted by ``repr``.
     """
     query.validate_against_schema(database.schema)
-    output_vars = query.output_variables
-    results: set[tuple] = set()
-    for assignment in join_engine.iterate_assignments(
-        query, database, max_intermediate=max_intermediate
-    ):
-        results.add(tuple(assignment[v] for v in output_vars))
-    return sorted(results, key=repr)
+    result = eliminate_group_counts_columnar(query, database, query.output_variables)
+    _require_exact(result)
+    occupied = np.flatnonzero(result.count_array)
+    columns = [column[occupied].tolist() for column in result.columns]
+    rows = zip(*columns) if columns else [()] * len(occupied)
+    return sorted(map(tuple, rows), key=repr)
 
 
 def count_query(
     query: ConjunctiveQuery,
     database: Database,
     *,
-    strategy: str = "auto",
-    max_intermediate: int | None = None,
     component_cache=None,
     cache_scope: tuple = (),
 ) -> int:
     """The result size ``|q(I)|``.
 
+    Raises :class:`~repro.exceptions.EvaluationError` when elimination
+    cannot apply every predicate under its row cap.
+
     Parameters
     ----------
-    strategy:
-        ``"enumerate"`` forces exact backtracking enumeration;
-        ``"eliminate"`` forces bucket elimination (raises
-        :class:`~repro.exceptions.EvaluationError` if a predicate cannot be
-        applied exactly); ``"auto"`` (default) uses elimination when it is
-        exact for this query and enumeration otherwise.
-    max_intermediate:
-        Step cap for the enumeration strategy.
     component_cache / cache_scope:
         Optional :class:`repro.service.cache.LRUCache` and namespace (as for
         :func:`repro.engine.profile.evaluate_profile`).  A full query's
@@ -103,72 +94,33 @@ def count_query(
       grouping on the output variables and counting non-empty groups.
     """
     query.validate_against_schema(database.schema)
-    if strategy not in ("auto", "enumerate", "eliminate"):
-        raise EvaluationError(f"unknown strategy {strategy!r}")
-
-    distinct_on: Sequence[Variable] | None = None
     if not query.is_full:
-        distinct_on = tuple(query.output_variables)
+        result = eliminate_group_counts_columnar(query, database, query.output_variables)
+        _require_exact(result)
+        return int(np.count_nonzero(result.count_array))
 
-    if strategy in ("auto", "eliminate"):
-        result = None
-        if (
-            component_cache is not None
-            and distinct_on is None
-            and keeps_counts(query, database)
-        ):
-            count, result = _maintained_count(query, database, component_cache, cache_scope)
-            if count is not None:
-                return count
-        if result is None:
-            result = eliminate_group_counts_columnar(query, database, distinct_on or ())
-        if result.is_exact:
-            if distinct_on is None:
-                return int(result.count_array.sum())
-            return int(np.count_nonzero(result.count_array))
-        if strategy == "eliminate":
-            raise EvaluationError(
-                "bucket elimination cannot honour these predicates exactly: "
-                f"{result.dropped_predicates!r}; use strategy='enumerate'"
-            )
-
-    return join_engine.count_assignments(
-        query,
-        database,
-        distinct_on=distinct_on,
-        max_intermediate=max_intermediate,
-    )
-
-
-def _maintained_count(
-    query: ConjunctiveQuery, database: Database, cache, scope: tuple
-) -> tuple[int | None, EliminationResult | None]:
-    """A full query's count through the component cache (see
-    :func:`count_query`): ``(count, None)`` when it is exact, else ``(None,
-    the inexact elimination result)`` — or ``(None, None)`` on a hit on an
-    inexact entry."""
+    if component_cache is None or not keeps_counts(query, database):
+        return _full_count(query, database)[0]
     key = (
         "count",
-        scope,
+        cache_scope,
         tuple((atom.relation, tuple(map(repr, atom.terms))) for atom in query.atoms),
         tuple(map(repr, query.predicates)),
     )
-    inexact: list[EliminationResult] = []
-
-    def compute() -> tuple[int | None, EliminationResult | None]:
-        result = eliminate_group_counts_columnar(query, database, ())
-        if not result.is_exact:
-            inexact.append(result)
-            return None, None
-        return int(result.count_array.sum()), result
-
     count, _ = maintained_counts(
-        cache,
+        component_cache,
         key,
         query,
         database,
         [atom.relation for atom in query.atoms],
-        compute,
+        lambda: _full_count(query, database),
         lambda counts: int(counts.count_array.sum()),
     )
-    return count, (inexact[0] if inexact else None)
+    return count
+
+
+def _full_count(query: ConjunctiveQuery, database: Database) -> tuple[int, EliminationResult]:
+    """A full query's count and the elimination result it was read off."""
+    result = eliminate_group_counts_columnar(query, database, ())
+    _require_exact(result)
+    return int(result.count_array.sum()), result

@@ -1,4 +1,10 @@
-"""Exact backtracking join evaluation.
+"""Exact backtracking join evaluation — a test reference, not an engine.
+
+No production path calls this module: every count and boundary
+multiplicity comes from columnar elimination (:mod:`repro.engine.columnar`).
+The test suite uses it as an exact per-subset reference, and the benchmark
+harness under ``perfbench/`` still wraps :func:`group_counts` and
+:func:`count_assignments` to count enumeration calls (which stay zero).
 
 This module enumerates the satisfying assignments of a conjunctive query by
 backtracking over atoms in a connectivity-aware order, using hash indexes for
@@ -17,8 +23,7 @@ The module exposes three entry points:
 
 All entry points accept ``max_intermediate`` as a safety valve: if the number
 of extension steps exceeds it, an :class:`~repro.exceptions.EvaluationError`
-is raised, which callers such as the ``auto`` strategy of
-:mod:`repro.engine.aggregates` interpret as "switch to variable elimination".
+is raised.
 """
 
 from __future__ import annotations

@@ -74,7 +74,6 @@ from typing import Callable, Iterable, Mapping
 
 from repro.data.database import Database
 from repro.engine.aggregates import (
-    DEFAULT_MAX_ENUMERATION,
     MultiplicityResult,
     boundary_group_counts,
     combine_component_results,
@@ -465,13 +464,7 @@ def _translate_result(
 # --------------------------------------------------------------------- #
 # Cross-run component caching
 # --------------------------------------------------------------------- #
-def _component_cache_key(
-    query: ConjunctiveQuery,
-    info: _ComponentInfo,
-    scope: tuple,
-    strategy: str,
-    max_enumeration: int | None,
-) -> tuple:
+def _component_cache_key(query: ConjunctiveQuery, info: _ComponentInfo, scope: tuple) -> tuple:
     """Cache key pinning everything a component's result depends on, except
     the data (the entry records the epochs it read).
 
@@ -491,7 +484,7 @@ def _component_cache_key(
         tuple(repr(p) for p in info.residual.predicates),
         tuple(repr(p) for p in info.residual.dropped_predicates),
     )
-    return (scope, strategy, max_enumeration, atoms_key, preds_key)
+    return (scope, atoms_key, preds_key)
 
 
 def _component_relations(
@@ -514,8 +507,6 @@ def evaluate_profile(
     database: Database,
     subsets: Iterable[Iterable[int]],
     *,
-    strategy: str = "auto",
-    max_enumeration: int | None = DEFAULT_MAX_ENUMERATION,
     parallelism: int | None = None,
     component_cache=None,
     cache_scope: tuple = (),
@@ -529,16 +520,10 @@ def evaluate_profile(
     subsets:
         The kept-atom subsets the profile must cover (typically
         :meth:`~repro.sensitivity.residual.ResidualSensitivity.required_subsets`).
-    strategy / max_enumeration:
-        Forwarded to :func:`repro.engine.aggregates.boundary_multiplicity`.
-        ``strategy="enumerate"`` deliberately bypasses all sharing (the
-        exact-enumeration path does not decompose residuals either) and
-        evaluates per subset.
     parallelism:
         Fan independent component evaluations out over a thread pool of
         this size (``None``/``0``/``1`` evaluates serially).  Results are
-        identical either way; ``strategy="enumerate"`` always evaluates
-        serially.
+        identical either way.
     component_cache / cache_scope:
         Optional cross-run memo table for representative components — a
         :class:`repro.service.cache.LRUCache` (``get(key, default,
@@ -568,8 +553,6 @@ def evaluate_profile(
             query,
             database,
             subset_list,
-            strategy=strategy,
-            max_enumeration=max_enumeration,
             parallelism=parallelism,
             fact_counters=fact_counters,
             component_cache=component_cache,
@@ -582,8 +565,6 @@ def _evaluate_profile_scoped(
     database: Database,
     subset_list: list[frozenset[int]],
     *,
-    strategy: str,
-    max_enumeration: int | None,
     parallelism: int | None,
     fact_counters,
     component_cache=None,
@@ -615,18 +596,7 @@ def _evaluate_profile_scoped(
         return LatticeProfile(results=results, stats=stats)
 
     def evaluate(kept: Iterable[int]) -> tuple[MultiplicityResult, EliminationResult | None]:
-        return boundary_group_counts(
-            query,
-            database,
-            kept,
-            strategy=strategy,
-            max_enumeration=max_enumeration,
-        )
-
-    if strategy == "enumerate":
-        results = {kept: evaluate(kept)[0] for kept in subset_list}
-        nonempty = sum(1 for kept in subset_list if kept)
-        return finish(results, nonempty, nonempty)
+        return boundary_group_counts(query, database, kept)
 
     # Phase 1 — plan: decompose every subset into connected components.
     # A binary relation's symmetry flag is read on first need, once per
@@ -683,7 +653,7 @@ def _evaluate_profile_scoped(
         info = infos[component]
         return maintained_counts(
             component_cache,
-            _component_cache_key(query, info, cache_scope, strategy, max_enumeration),
+            _component_cache_key(query, info, cache_scope),
             query,
             database,
             _component_relations(query, database, info),

@@ -84,7 +84,7 @@ def run_example3(sizes: Sequence[int] = (16, 32, 64, 128, 256)) -> list[Example3
         elastic_result = elastic.compute(database)
         gs = GlobalSensitivityBound(query)
         gs_result = gs.compute(database)
-        rs_result = ResidualSensitivity(query, beta=0.1, strategy="eliminate").compute(database)
+        rs_result = ResidualSensitivity(query, beta=0.1).compute(database)
         rows.append(
             Example3Row(
                 n=n,

@@ -50,15 +50,12 @@ class Figure3Config:
         Subset selection (defaults: all five surrogates, all four queries).
     scale:
         Surrogate scale factor.
-    strategy:
-        Residual-multiplicity evaluation strategy.
     """
 
     betas: tuple[float, ...] = ()
     datasets: tuple[str, ...] = ()
     queries: tuple[str, ...] = ()
     scale: float | None = None
-    strategy: str = "eliminate"
 
 
 @dataclass
@@ -120,11 +117,11 @@ def run_figure3(
 
             # The residual multiplicities T_F are β-independent: evaluate once
             # (with any β) and re-run only the smoothing maximisation per β.
-            probe = ResidualSensitivity(query, beta=betas[0], strategy=config.strategy)
+            probe = ResidualSensitivity(query, beta=betas[0])
             multiplicities = probe.multiplicities(database)
             rs_values = []
             for beta in betas:
-                engine = ResidualSensitivity(query, beta=beta, strategy=config.strategy)
+                engine = ResidualSensitivity(query, beta=beta)
                 rs_values.append(engine.compute(database, multiplicities).value)
 
             es_values = [

@@ -52,7 +52,6 @@ def run_optimality_study(
     datasets: Sequence[str] = (),
     queries: Sequence[str] = (),
     scale: float | None = None,
-    strategy: str = "eliminate",
     databases: dict[str, Database] | None = None,
 ) -> list[OptimalityRow]:
     """Compute the empirical optimality ratio for each (dataset, query) pair."""
@@ -69,9 +68,9 @@ def run_optimality_study(
             database = surrogate_database(dataset_name, scale=scale)
         for query_name in query_names:
             query = all_queries[query_name]
-            rs = ResidualSensitivity(query, beta=beta, strategy=strategy).compute(database)
+            rs = ResidualSensitivity(query, beta=beta).compute(database)
             error = mechanism_error_from_sensitivity(rs, epsilon)
-            bound = lemma_4_5_lower_bound(query, database, epsilon, strategy=strategy)
+            bound = lemma_4_5_lower_bound(query, database, epsilon)
             rows.append(
                 OptimalityRow(
                     dataset=dataset_name,

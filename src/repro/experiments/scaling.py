@@ -41,7 +41,6 @@ def run_scaling_study(
     query: ConjunctiveQuery | None = None,
     beta: float = 0.1,
     seed: int = 5,
-    strategy: str = "eliminate",
 ) -> list[ScalingRow]:
     """Measure RS value and computation time on graphs of growing size."""
     query = query or triangle_query()
@@ -50,7 +49,7 @@ def run_scaling_study(
         graph = collaboration_graph(size, average_degree, seed=seed)
         database = database_from_networkx(graph)
         start = time.perf_counter()
-        rs = ResidualSensitivity(query, beta=beta, strategy=strategy).compute(database)
+        rs = ResidualSensitivity(query, beta=beta).compute(database)
         elapsed = time.perf_counter() - start
         rows.append(
             ScalingRow(

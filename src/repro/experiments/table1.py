@@ -78,8 +78,6 @@ class Table1Config:
         Query labels (defaults to all four benchmark queries).
     scale:
         Surrogate scale factor (``None`` = package default / environment).
-    strategy:
-        Evaluation strategy for the residual multiplicities.
     include_smooth:
         Whether to compute the SS baselines where available.
     """
@@ -88,7 +86,6 @@ class Table1Config:
     datasets: tuple[str, ...] = ()
     queries: tuple[str, ...] = ()
     scale: float | None = None
-    strategy: str = "eliminate"
     include_smooth: bool = True
 
 
@@ -187,9 +184,7 @@ def run_table1(
             query_result = pattern_count(database, query)
 
             start = time.perf_counter()
-            rs = ResidualSensitivity(
-                query, beta=config.beta, strategy=config.strategy
-            ).compute(database)
+            rs = ResidualSensitivity(query, beta=config.beta).compute(database)
             rs_seconds = time.perf_counter() - start
 
             start = time.perf_counter()

@@ -101,8 +101,6 @@ class PrivateCountingQuery:
         Number of leaves for the ``"smooth-star"`` method (default 3).
     edge_relation:
         Relation name for the closed-form graph methods (default ``"Edge"``).
-    strategy:
-        Evaluation strategy forwarded to the residual-sensitivity engine.
     parallelism:
         Thread-pool size for the residual-sensitivity component
         evaluations (``None``/``0``/``1``: serial, the default).  A pure
@@ -129,7 +127,6 @@ class PrivateCountingQuery:
         rng: np.random.Generator | int | None = None,
         star_arity: int = 3,
         edge_relation: str = "Edge",
-        strategy: str = "auto",
         parallelism: int | None = None,
     ):
         if epsilon <= 0:
@@ -144,7 +141,6 @@ class PrivateCountingQuery:
         self._rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         self._star_arity = star_arity
         self._edge_relation = edge_relation
-        self._strategy = strategy
         self._parallelism = parallelism
         self._smooth = SmoothSensitivityMechanism(self._epsilon, rng=self._rng)
 
@@ -178,7 +174,6 @@ class PrivateCountingQuery:
             return ResidualSensitivity(
                 self._query,
                 beta=beta,
-                strategy=self._strategy,
                 parallelism=self._parallelism,
             ).compute(database)
         if self._method == "elastic":

@@ -17,8 +17,7 @@ Four cooperating pieces:
   with the production engines, which is what makes the comparison a real
   differential test.
 * :mod:`repro.qa.runner` — the differential runner: production engine ==
-  exact enumeration == oracle for counts, boundary multiplicities and
-  sensitivity profiles, plus the smoothness / ``RS ≥ LS`` invariants the
+  oracle for counts, boundary multiplicities and sensitivity profiles, plus the smoothness / ``RS ≥ LS`` invariants the
   paper's proof rests on, checked on generated neighbor pairs.  Every
   failure carries a self-contained replay snippet.
 * :mod:`repro.qa.calibration` — the statistical verifier: seeded releases

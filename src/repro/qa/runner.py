@@ -4,18 +4,17 @@ For every generated :class:`~repro.qa.generator.FuzzCase` the runner
 executes a fixed battery of checks:
 
 ``count``
-    ``|q(I)|`` must agree across the brute-force oracle, the production
-    engine (elimination with its enumeration fallback), and the
-    exact-enumeration strategy.
+    ``|q(I)|`` of the production engine must equal the brute-force
+    oracle's.
 ``multiplicity``
     Every boundary multiplicity ``T_F(I)`` the residual-sensitivity
-    formula needs: when the elimination result is exact it must equal
-    exact enumeration *and* the independent nested-loop oracle, and when
-    predicates were dropped it must still upper-bound both.  Residuals
-    whose boundary-crossing predicates include comparisons are checked
-    against the oracle's own Section 5.2 ranging over the augmented active
-    domain; residuals crossed only by inequalities follow the Corollary 5.1
-    infinite-domain convention and skip the oracle.
+    formula needs: when the production result is exact it must equal the
+    independent nested-loop oracle, and when predicates were dropped it
+    must still upper-bound it.  Residuals whose boundary-crossing
+    predicates include comparisons are checked against the oracle's own
+    Section 5.2 ranging over the augmented active domain; residuals crossed
+    only by inequalities against the residual sub-query with its inside
+    predicates, the Corollary 5.1 value.
 ``lattice-profile``
     The shared-lattice profile evaluator
     (:func:`repro.engine.profile.evaluate_profile` — component
@@ -23,7 +22,7 @@ executes a fixed battery of checks:
     per-subset ``boundary_multiplicity`` reference on every required
     subset — value, exactness flag and dropped-predicate multiset — and a
     2-thread evaluation must equal the serial one.  Every exact
-    ``eliminate`` or ``enumerate`` result with a witness must name a group
+    ``eliminate`` result with a witness must name a group
     whose oracle count (distinct outputs, for non-full queries) is its
     value, so a wrong variable map of a shared component shows even when
     the values agree.
@@ -268,14 +267,9 @@ class DifferentialRunner:
     # ------------------------------------------------------------------ #
     def _check_count(self, case: FuzzCase, report) -> str | None:
         query, db = case.query(), case.database()
-        expected = oracle_count(query, db)
-        observed = {
-            "strategy=auto": count_query(query, db),
-            "strategy=enumerate": count_query(query, db, strategy="enumerate"),
-        }
-        mismatched = {k: v for k, v in observed.items() if v != expected}
-        if mismatched:
-            return f"oracle count {expected} but {mismatched}"
+        expected, observed = oracle_count(query, db), count_query(query, db)
+        if observed != expected:
+            return f"oracle count {expected} but engine count {observed}"
         return None
 
     def _check_multiplicity(self, case: FuzzCase, report) -> str | None:
@@ -285,19 +279,9 @@ class DifferentialRunner:
         for kept in engine.required_subsets(db):
             label = tuple(sorted(kept))
             got = boundary_multiplicity(query, db, kept)
-            exact = boundary_multiplicity(query, db, kept, strategy="enumerate")
-            if got.exact and exact.value != got.value:
-                problems.append(
-                    f"T_{label}: exact enumeration {exact.value} != "
-                    f"eliminate {got.value} (claimed exact)"
-                )
-            elif exact.value > got.value:
-                problems.append(
-                    f"T_{label}: upper bound {got.value} below exact {exact.value}"
-                )
             oracle = self._oracle_multiplicity(query, db, kept)
             if oracle is None:
-                continue  # crossed only by inequalities: convention-defined, skip
+                continue  # the empty residual, or generic predicates crossing
             if got.exact and got.value != oracle:
                 problems.append(
                     f"T_{label}: independent oracle {oracle} != "
@@ -315,16 +299,15 @@ class DifferentialRunner:
 
         Comparison predicates crossing the boundary are resolved the
         Section 5.2 way, by ranging the outside variables over the augmented
-        active domain.  Residuals crossed only by inequalities (or by
-        generic predicates) are skipped (``None``): their value follows the
-        paper's infinite-domain convention (Corollary 5.1), which the
-        finite-instance oracle deliberately does not model.
+        active domain.  Inequalities crossing it are left out: under the
+        paper's infinite-domain convention (Corollary 5.1) an outside
+        variable can always avoid the residual's values, so ``T_F`` is the
+        residual sub-query with its inside predicates.  The empty residual
+        and residuals crossed by generic predicates give ``None``.
         """
         residual = residual_query(query, kept)
         crossing = [p for p in residual.dropped_predicates if not p.is_inequality]
-        if residual.is_empty or (residual.dropped_predicates and not crossing):
-            return None
-        if not all(p.is_comparison for p in crossing):
+        if residual.is_empty or not all(p.is_comparison for p in crossing):
             return None
         sub_query = ConjunctiveQuery(
             [query.atoms[index] for index in sorted(residual.atom_indices)],
@@ -398,7 +381,7 @@ class DifferentialRunner:
                 )
             if (
                 got.exact
-                and got.strategy in ("eliminate", "enumerate")
+                and got.strategy == "eliminate"
                 and got.witness is not None
             ):
                 witnessed = self._oracle_witness_count(query, db, kept, got)

@@ -9,8 +9,9 @@ variables.  The library models three families:
   (and against constants), the predicates of spatiotemporal queries, which
   require the augmented active-domain treatment of Section 5.2; and
 * :class:`GenericPredicate` — an arbitrary Python callable, supported by the
-  general (exponential-time in the worst case) algorithm of Section 5.1 and
-  by the exact enumeration engine.
+  general (exponential-time in the worst case) algorithm of Section 5.1;
+  the elimination engine applies it row by row inside a residual and
+  rejects it across a residual's boundary.
 
 Every predicate can evaluate itself on a (partial) variable assignment; the
 evaluation engines only apply a predicate once all of its variables are
@@ -35,12 +36,13 @@ __all__ = [
 
 
 class Predicate:
-    """Abstract base class for query predicates."""
+    """Abstract base class for query predicates.
 
-    @property
-    def variables(self) -> frozenset[Variable]:
-        """The variables the predicate mentions."""
-        raise NotImplementedError
+    Every predicate sets :attr:`variables`, the variables it mentions, once
+    at construction: the evaluation engines read it at every step.
+    """
+
+    variables: frozenset[Variable]
 
     def evaluate(self, assignment: Mapping[Variable, object]) -> bool:
         """Evaluate on a complete assignment of :attr:`variables`.
@@ -76,6 +78,10 @@ def _term_value(term: Term, assignment: Mapping[Variable, object]) -> object:
         raise QueryError(f"variable {term!r} is not bound in the assignment") from None
 
 
+def _variables_of(*terms: Term) -> frozenset[Variable]:
+    return frozenset(t for t in terms if isinstance(t, Variable))
+
+
 def _as_term(value: object) -> Term:
     if isinstance(value, (Variable, Constant)):
         return value
@@ -100,10 +106,7 @@ class InequalityPredicate(Predicate):
         object.__setattr__(self, "right", _as_term(right))
         if self.left == self.right:
             raise QueryError(f"inequality predicate {self!r} is unsatisfiable")
-
-    @property
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(t for t in (self.left, self.right) if isinstance(t, Variable))
+        object.__setattr__(self, "variables", _variables_of(self.left, self.right))
 
     def evaluate(self, assignment: Mapping[Variable, object]) -> bool:
         return _term_value(self.left, assignment) != _term_value(self.right, assignment)
@@ -138,10 +141,7 @@ class ComparisonPredicate(Predicate):
         object.__setattr__(self, "left", _as_term(left))
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "right", _as_term(right))
-
-    @property
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(t for t in (self.left, self.right) if isinstance(t, Variable))
+        object.__setattr__(self, "variables", _variables_of(self.left, self.right))
 
     def evaluate(self, assignment: Mapping[Variable, object]) -> bool:
         return _COMPARISON_OPS[self.op](
@@ -189,10 +189,7 @@ class GenericPredicate(Predicate):
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "vars", converted)
         object.__setattr__(self, "name", name)
-
-    @property
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(self.vars)
+        object.__setattr__(self, "variables", frozenset(converted))
 
     def evaluate(self, assignment: Mapping[Variable, object]) -> bool:
         values = []

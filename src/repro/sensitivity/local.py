@@ -67,7 +67,7 @@ def local_sensitivity_exact(
     """
     query.validate_against_schema(database.schema)
     _require_private(query, database)
-    base_count = count_query(query, database, strategy="enumerate")
+    base_count = count_query(query, database)
     worst = 0
     best_neighbor = None
     for neighbor in database.neighbors(
@@ -75,7 +75,7 @@ def local_sensitivity_exact(
         allow_delete=allow_delete,
         allow_substitute=allow_substitute,
     ):
-        neighbor_count = count_query(query, neighbor, strategy="enumerate")
+        neighbor_count = count_query(query, neighbor)
         diff = abs(neighbor_count - base_count)
         if diff > worst:
             worst = diff
@@ -159,8 +159,6 @@ def local_sensitivity_at_distance(
 def local_sensitivity_upper_bound(
     query: ConjunctiveQuery,
     database: Database,
-    *,
-    strategy: str = "auto",
 ) -> SensitivityResult:
     """Residual-query bound on ``LS(I)``.
 
@@ -169,8 +167,11 @@ def local_sensitivity_upper_bound(
     * Queries with self-joins: ``LS(I) <= max_{i ∈ P_m} Σ_{E ⊆ D_i, E ≠ ∅}
       T_{[n]-E}(I)`` (Theorem 3.5) — the returned value is an upper bound.
 
-    The ``details`` record, per private block, the contributing residual
-    multiplicities.
+    A multiplicity that is itself only an upper bound (predicates dropped)
+    makes the value one too.  The measure is ``"LS"`` and
+    ``details["exact"]`` is ``True`` only when the value is exact;
+    otherwise the measure is ``"LS-upper"``.  The ``details`` also record,
+    per private block, the contributing residual multiplicities.
     """
     query.validate_against_schema(database.schema)
     _require_private(query, database)
@@ -178,6 +179,7 @@ def local_sensitivity_upper_bound(
     all_atoms = frozenset(range(n))
     per_block: dict[str, int] = {}
     contributions: dict[str, list[tuple[tuple[int, ...], int]]] = {}
+    exact = query.is_self_join_free
     for block in query.private_blocks(database.schema):
         total = 0
         terms: list[tuple[tuple[int, ...], int]] = []
@@ -191,9 +193,10 @@ def local_sensitivity_upper_bound(
         values = []
         for removed in subsets:
             kept = all_atoms - removed
-            result = boundary_multiplicity(query, database, kept, strategy=strategy)
+            result = boundary_multiplicity(query, database, kept)
             terms.append((tuple(sorted(removed)), result.value))
             values.append(result.value)
+            exact = exact and result.exact
         if query.is_self_join_free:
             total = max(values) if values else 0
         else:
@@ -202,12 +205,8 @@ def local_sensitivity_upper_bound(
         contributions[block.relation] = terms
     value = max(per_block.values()) if per_block else 0
     return SensitivityResult(
-        measure="LS-upper" if not query.is_self_join_free else "LS",
+        measure="LS" if exact else "LS-upper",
         value=float(value),
         beta=None,
-        details={
-            "per_block": per_block,
-            "contributions": contributions,
-            "exact": query.is_self_join_free,
-        },
+        details={"per_block": per_block, "contributions": contributions, "exact": exact},
     )

@@ -87,14 +87,13 @@ def lemma_4_5_lower_bound(
     query: ConjunctiveQuery,
     database: Database,
     epsilon: float,
-    *,
-    strategy: str = "auto",
 ) -> NeighborhoodLowerBound:
     """The radius-``n_P`` neighborhood lower bound from Lemmas 4.2 + 4.5.
 
     Only meaningful for **full** CQs (the paper's lower bound breaks for
     projections, Theorem 6.4); calling it on a non-full query raises
-    :class:`SensitivityError`.
+    :class:`SensitivityError`.  Only exact multiplicities enter the
+    maximum: an upper bound on ``T_{[n]-E}`` bounds nothing from below.
     """
     if not query.is_full:
         raise SensitivityError(
@@ -113,8 +112,8 @@ def lemma_4_5_lower_bound(
     for size in range(1, len(private_atoms) + 1):
         for removed in itertools.combinations(sorted(private_atoms), size):
             kept = all_atoms - frozenset(removed)
-            result = boundary_multiplicity(query, database, kept, strategy=strategy)
-            if result.value > best_value:
+            result = boundary_multiplicity(query, database, kept)
+            if result.exact and result.value > best_value:
                 best_value = result.value
                 best_removed = tuple(removed)
     radius = len(private_atoms)

@@ -122,10 +122,6 @@ class ResidualSensitivity:
         used.
     epsilon:
         The privacy parameter, used only to derive ``β``.
-    strategy:
-        Evaluation strategy for the boundary multiplicities (``"auto"``,
-        ``"enumerate"`` or ``"eliminate"``); see
-        :func:`repro.engine.aggregates.boundary_multiplicity`.
     k_max:
         Optional override of the Lemma 3.10 truncation point (mainly for
         tests).
@@ -153,7 +149,6 @@ class ResidualSensitivity:
         *,
         beta: float | None = None,
         epsilon: float | None = None,
-        strategy: str = "auto",
         k_max: int | None = None,
         parallelism: int | None = None,
     ):
@@ -165,7 +160,6 @@ class ResidualSensitivity:
             raise SensitivityError(f"k_max must be non-negative, got {k_max}")
         self._beta = validate_beta(beta if beta is not None else beta_from_epsilon(epsilon))
         self._query = query
-        self._strategy = strategy
         self._k_max_override = k_max
         self._parallelism = parallelism
 
@@ -255,7 +249,6 @@ class ResidualSensitivity:
             self._query,
             database,
             self.required_subsets(database),
-            strategy=self._strategy,
             parallelism=self._parallelism,
             component_cache=component_cache,
             cache_scope=cache_scope,
@@ -279,12 +272,7 @@ class ResidualSensitivity:
         """
         results: dict[frozenset[int], MultiplicityResult] = {}
         for kept in self.required_subsets(database):
-            results[kept] = boundary_multiplicity(
-                self._query,
-                database,
-                kept,
-                strategy=self._strategy,
-            )
+            results[kept] = boundary_multiplicity(self._query, database, kept)
         return results
 
     @classmethod

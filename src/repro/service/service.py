@@ -159,8 +159,6 @@ class PrivateQueryService:
         numpy Generator or seed for all noise drawn by this service.  One
         generator serves every request (guarded by a lock), so a seeded
         service produces a reproducible release sequence.
-    strategy:
-        Evaluation strategy forwarded to the residual-sensitivity engine.
     parallelism:
         Thread-pool size for the residual-sensitivity component
         evaluations within one request (``None``/``0``/``1``: serial, the
@@ -226,7 +224,6 @@ class PrivateQueryService:
         cache_capacity: int = 256,
         session_ttl: float | None = None,
         rng: np.random.Generator | int | None = None,
-        strategy: str = "auto",
         parallelism: int | None = None,
         state_dir: str | None = None,
         snapshot_interval: int = 1000,
@@ -278,7 +275,6 @@ class PrivateQueryService:
         # its epochs; see repro.engine.profile).  Sized above the per-shape
         # caches because one profile can hold many components.
         self._component_cache = LRUCache(cache_capacity * 4)
-        self._strategy = strategy
         self._parallelism = parallelism
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         # numpy Generators are not thread-safe; the batch executor funnels
@@ -702,7 +698,6 @@ class PrivateQueryService:
                 engine = ResidualSensitivity(
                     query,
                     beta=beta,
-                    strategy=self._strategy,
                     parallelism=self._parallelism,
                 )
                 if key is None:
@@ -721,7 +716,6 @@ class PrivateQueryService:
                 query,
                 epsilon=(beta * BETA_FRACTION) if beta is not None else 1.0,
                 method=method,  # type: ignore[arg-type]
-                strategy=self._strategy,
             )
             return probe.sensitivity(reg.database)
 
@@ -952,7 +946,6 @@ class PrivateQueryService:
                 epsilon=epsilon,
                 method=method,  # type: ignore[arg-type]
                 rng=rng,
-                strategy=self._strategy,
             )
             return releaser.release(
                 reg.database, true_count=true_count, sensitivity=sensitivity

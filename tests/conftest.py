@@ -139,6 +139,35 @@ def state_service_factory(service_factory, tmp_path):
 
 
 @pytest.fixture
+def enumerated_multiplicity():
+    """``T_F`` by exact backtracking enumeration (:mod:`repro.engine.join`),
+    the per-subset reference for instances the nested-loop oracle is too
+    slow for: the residual on ``kept`` with its inside predicates, grouped
+    by its relational boundary (distinct outputs for non-full queries), then
+    the largest group.  Crossing predicates are left out (Corollary 5.1),
+    so residuals crossed by comparisons need the Section 5.2 oracle
+    instead."""
+    from repro.engine.join import group_counts
+    from repro.query.residual import residual_query
+
+    def compute(query, database, kept) -> int:
+        residual = residual_query(query, kept)
+        if residual.is_empty:
+            return 1
+        counts = group_counts(
+            query,
+            database,
+            sorted(residual.boundary_relational, key=lambda v: v.name),
+            atom_indices=sorted(residual.atom_indices),
+            predicates=residual.predicates,
+            distinct_on=None if query.is_full else residual.output_variables,
+        )
+        return max(counts.values(), default=0)
+
+    return compute
+
+
+@pytest.fixture
 def k4_db() -> Database:
     """The complete graph K4 stored symmetrically in ``Edge``."""
     edges = [(a, b) for a in range(4) for b in range(4) if a != b]

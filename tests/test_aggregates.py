@@ -6,6 +6,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
+from repro.engine import columnar
 from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.domains import augmented_active_domain
 from repro.exceptions import EvaluationError
@@ -65,18 +66,10 @@ class TestFullQueries:
         assert result.value == 7  # the full join size
 
     def test_strategies_agree(self, join_query, small_join_db):
+        # Elimination against the QA oracle's nested loops.
         for kept in ([0], [1], [0, 1]):
-            enumerate_result = boundary_multiplicity(
-                join_query, small_join_db, kept, strategy="enumerate"
-            )
-            eliminate_result = boundary_multiplicity(
-                join_query, small_join_db, kept, strategy="eliminate"
-            )
-            assert enumerate_result.value == eliminate_result.value
-
-    def test_unknown_strategy(self, join_query, small_join_db):
-        with pytest.raises(EvaluationError):
-            boundary_multiplicity(join_query, small_join_db, [0], strategy="bogus")
+            result = boundary_multiplicity(join_query, small_join_db, kept)
+            assert result.value == _oracle_multiplicity(join_query, small_join_db, kept)
 
 
 class TestGraphResiduals:
@@ -97,18 +90,33 @@ class TestGraphResiduals:
         query = rectangle_query()
         # Atoms 0 and 2 (Edge(x1,x2) and Edge(x3,x4)) share no variables; each
         # has full boundary so each contributes 1, and the product is 1.
-        result = boundary_multiplicity(query, k4_db, [0, 2], strategy="eliminate")
+        result = boundary_multiplicity(query, k4_db, [0, 2])
         assert result.value == 1
 
     def test_enumerate_and_eliminate_agree_on_k4(self, k4_db):
         query = triangle_query()
         for kept in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            exact = boundary_multiplicity(query, k4_db, kept, strategy="enumerate")
-            fast = boundary_multiplicity(query, k4_db, kept, strategy="eliminate")
+            exact = _oracle_multiplicity(query, k4_db, kept)
+            fast = boundary_multiplicity(query, k4_db, kept)
             # Elimination may only over-count (when it drops predicates).
-            assert fast.value >= exact.value
+            assert fast.value >= exact
             if fast.exact:
-                assert fast.value == exact.value
+                assert fast.value == exact
+
+
+    def test_over_the_row_cap_is_an_upper_bound(self, k4_db, monkeypatch):
+        # x1 < x4 spans buckets; with no join allowed for it, elimination
+        # drops it and the value bounds the oracle's from above.
+        query = parse_query("Edge(x1, x2), Edge(x2, x3), Edge(x3, x4), x1 < x4")
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+        for kept in ([0, 1, 2], [0, 1]):
+            result = boundary_multiplicity(query, k4_db, kept)
+            assert not result.exact, kept
+            assert result.dropped_predicates == query.predicates, kept
+            assert result.value >= _oracle_multiplicity(query, k4_db, kept), kept
+        assert boundary_multiplicity(query, k4_db, [0, 1, 2]).value > _oracle_multiplicity(
+            query, k4_db, [0, 1, 2]
+        )
 
 
 class TestNonFullQueries:
@@ -129,9 +137,8 @@ class TestNonFullQueries:
     def test_projection_strategies_agree(self, small_join_db):
         projected = parse_query("Q(x) :- R(x, y), S(y, z)")
         for kept in ([0], [1], [0, 1]):
-            exact = boundary_multiplicity(projected, small_join_db, kept, strategy="enumerate")
-            fast = boundary_multiplicity(projected, small_join_db, kept, strategy="eliminate")
-            assert exact.value == fast.value
+            exact = _oracle_multiplicity(projected, small_join_db, kept)
+            assert boundary_multiplicity(projected, small_join_db, kept).value == exact
 
 
 class TestPredicateBoundaries:
@@ -160,11 +167,11 @@ class TestPredicateBoundaries:
             boundary_multiplicity(query, small_join_db, [0])
 
 
-def _section52_oracle(query, db, kept) -> int:
-    """``T_E`` from the QA oracle's nested loops over ``Z+(q, I)``."""
+def _oracle_multiplicity(query, db, kept) -> int:
+    """``T_E`` from the QA oracle's nested loops, the ``∂q2`` variables of
+    crossing comparisons ranging over ``Z+(q, I)`` (Section 5.2)."""
     residual = residual_query(query, kept)
     crossing = [p for p in residual.dropped_predicates if p.is_comparison]
-    assert crossing, "the residual must have a crossing comparison"
     sub_query = ConjunctiveQuery(
         [query.atoms[i] for i in sorted(residual.atom_indices)], residual.predicates
     )
@@ -217,7 +224,7 @@ class TestSection52AgainstOracle:
         result = boundary_multiplicity(query, db, kept)
         assert result.strategy == "eliminate+domain"
         assert result.exact
-        assert result.value == _section52_oracle(query, db, kept)
+        assert result.value == _oracle_multiplicity(query, db, kept)
         assert (result.witness is None) == (result.value == 0)
         return result.value
 
@@ -255,6 +262,19 @@ class TestSection52AgainstOracle:
         self._check(query, db, [1])
         # No output variable inside R: occupied groups count 1.
         self._check(query, db, [0])
+
+    def test_over_the_row_cap_drops_the_crossing_comparisons(self, db, monkeypatch):
+        # More masked rows than the cap allows: the value is the boundary
+        # maximum without the crossing comparisons, which are reported.
+        query = parse_query(f"R(a, b), S(a, lo, hi), {self.INTERVAL['<']}")
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+        for kept in ([0], [1]):
+            result = boundary_multiplicity(query, db, kept)
+            assert result.strategy == "eliminate+domain"
+            assert not result.exact
+            assert result.dropped_predicates == query.predicates
+            assert result.value >= _oracle_multiplicity(query, db, kept)
+        assert boundary_multiplicity(query, db, [1]).value == 4  # group 1's rows
 
     def test_empty_residual(self):
         db = Database.from_rows(

@@ -18,6 +18,7 @@ from repro.engine.columnar import eliminate_group_counts_columnar
 from repro.engine.evaluation import count_query
 from repro.engine.join import group_counts
 from repro.exceptions import EvaluationError
+from repro.qa.oracle import oracle_count
 from repro.query.atoms import Variable
 from repro.query.parser import parse_query
 
@@ -125,8 +126,4 @@ class TestNumpyBackendEdgeCases:
         )
         query = parse_query("T(name, k), U(k, tag)")
         assert count_query(query, db) == 5
-        assert count_query(query, db) == count_query(query, db, strategy="enumerate")
-
-    def test_strategy_validation(self, small_join_db, join_query):
-        with pytest.raises(EvaluationError, match="unknown strategy"):
-            count_query(join_query, small_join_db, strategy="turbo")
+        assert count_query(query, db) == oracle_count(query, db)

@@ -1,14 +1,15 @@
 """Engine equivalence: the columnar engine must agree with the references.
 
 The elimination engine is checked against two independent references: the
-exact backtracking enumeration (``strategy="enumerate"``) and, on instances
-small enough for it, the nested-loop QA oracle
+exact backtracking enumeration of :mod:`repro.engine.join` and, on
+instances small enough for it, the nested-loop QA oracle
 (:func:`repro.qa.oracle.oracle_count`).  Where elimination claims exactness
 its counts, boundary-multiplicity profiles (and therefore residual
-sensitivities) must equal the references; where it drops a predicate
-(a bucket above the row cap) its counts must upper-bound them.  Because noise is drawn from the caller's
-generator after those deterministic values are fixed, seeded releases must
-be *bitwise identical* to those calibrated from exact enumeration.
+sensitivities) must equal the references; where it drops a predicate (a
+bucket above the row cap) its group counts must upper-bound them and a
+count is refused.  Because noise is drawn from the caller's generator after
+those deterministic values are fixed, seeded releases must be *bitwise
+identical* to those calibrated from exact enumeration.
 
 This harness asserts all three levels on synthetic graph data, TPC-H-style
 relational data with string columns, and randomly generated instances, over
@@ -25,10 +26,10 @@ from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.datasets.tpch import generate_tpch
 from repro.engine import columnar
-from repro.engine.aggregates import boundary_multiplicity
+from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
 from repro.engine.columnar import eliminate_group_counts_columnar
 from repro.engine.evaluation import count_query
-from repro.engine.join import group_counts
+from repro.engine.join import count_assignments, group_counts
 from repro.exceptions import EvaluationError
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
@@ -73,18 +74,29 @@ def _databases(graph_db, tpch_db):
     return {"graph": graph_db, "tpch": tpch_db}
 
 
+def _enumerated_count(query, db) -> int:
+    return count_assignments(
+        query, db, distinct_on=None if query.is_full else query.output_variables
+    )
+
+
 def _assert_count_matches_enumeration(query, db) -> int:
-    """The engine's count equals exact enumeration, on the fallback path and,
-    where elimination is exact, on the pure elimination path too."""
-    expected = count_query(query, db, strategy="enumerate")
+    """The engine's count equals exact enumeration."""
+    expected = _enumerated_count(query, db)
     assert count_query(query, db) == expected
-    try:
-        eliminated = count_query(query, db, strategy="eliminate")
-    except EvaluationError:
-        pass  # a predicate elimination cannot honour: auto enumerated above
-    else:
-        assert eliminated == expected
     return expected
+
+
+def _enumerated_rs(query, db, beta, enumerated_multiplicity):
+    """``RS(I)`` from multiplicities counted by exact enumeration."""
+    engine = ResidualSensitivity(query, beta=beta)
+    multiplicities = {
+        kept: MultiplicityResult(
+            enumerated_multiplicity(query, db, kept), None, (), "enumerate", True
+        )
+        for kept in engine.required_subsets(db)
+    }
+    return engine.compute(db, multiplicities)
 
 
 # --------------------------------------------------------------------- #
@@ -180,18 +192,17 @@ def test_group_counts_identical_including_bookkeeping(graph_db, monkeypatch):
         "Q(x) :- Edge(x, y), Edge(y, z)",
     ],
 )
-def test_boundary_multiplicity_profiles_identical(graph_db, text):
+def test_boundary_multiplicity_profiles_identical(graph_db, text, enumerated_multiplicity):
     query = parse_query(text)
     engine = ResidualSensitivity(query, beta=0.1)
     for kept in engine.required_subsets(graph_db):
         got = boundary_multiplicity(query, graph_db, kept)
-        reference = boundary_multiplicity(query, graph_db, kept, strategy="enumerate")
         assert got.exact, kept
-        assert got.value == reference.value, kept
+        assert got.value == enumerated_multiplicity(query, graph_db, kept), kept
 
 
 @pytest.mark.parametrize("db_name", ["graph", "tpch"])
-def test_residual_sensitivity_identical(graph_db, tpch_db, db_name):
+def test_residual_sensitivity_identical(graph_db, tpch_db, db_name, enumerated_multiplicity):
     db = _databases(graph_db, tpch_db)[db_name]
     text = (
         "Edge(x, y), Edge(y, z), Edge(x, z), x != y, y != z, x != z"
@@ -200,7 +211,7 @@ def test_residual_sensitivity_identical(graph_db, tpch_db, db_name):
     )
     query = parse_query(text)
     engine = ResidualSensitivity(query, beta=0.2).compute(db)
-    reference = ResidualSensitivity(query, beta=0.2, strategy="enumerate").compute(db)
+    reference = _enumerated_rs(query, db, 0.2, enumerated_multiplicity)
     assert engine.value == reference.value
     assert engine.details["multiplicities"] == reference.details["multiplicities"]
     assert engine.details["k_star"] == reference.details["k_star"]
@@ -233,9 +244,8 @@ def test_matmul_fast_path_parity(monkeypatch):
     The matmul fast path cannot honour predicates involving the summed-out
     variables, so a bucket with one joins instead.  Above the row cap the
     predicate-blind plan takes the fast path and drops the predicate,
-    making the counts upper bounds, and the counting API then falls back to
-    exact enumeration.  The threshold is monkeypatched down so a small
-    instance exercises the path.
+    making the counts upper bounds, and the counting API then refuses.  The
+    threshold is monkeypatched down so a small instance exercises the path.
     """
     monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 4)
     calls = _spy_on_matmul(monkeypatch)
@@ -269,12 +279,13 @@ def test_matmul_fast_path_parity(monkeypatch):
     assert calls
 
     # Above the row cap the fast path drops the predicate; the full
-    # counting API falls back to exact enumeration.
+    # counting API refuses instead of releasing an upper bound.
     monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
     capped = eliminate_group_counts_columnar(query, db, ())
     assert capped.dropped_predicates == (parity,)
     assert capped.counts[()] >= expected
-    assert count_query(query, db) == expected
+    with pytest.raises(EvaluationError, match="row cap"):
+        count_query(query, db)
 
 
 def test_matmul_no_matching_mids_parity(monkeypatch):
@@ -297,48 +308,63 @@ def test_matmul_no_matching_mids_parity(monkeypatch):
     capped = eliminate_group_counts_columnar(query, db, ())
     assert capped.counts == {}
     assert capped.dropped_predicates == (parity,)
-    assert count_query(query, db) == oracle_count(query, db) == 0
+    assert oracle_count(query, db) == 0
+    with pytest.raises(EvaluationError, match="row cap"):
+        count_query(query, db)
 
 
 # --------------------------------------------------------------------- #
 # Level 3: bitwise-identical releases under a fixed seed
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("method", ["residual", "elastic", "global"])
-def test_seeded_releases_bitwise_identical(graph_db, method):
+def test_seeded_releases_bitwise_identical(graph_db, method, enumerated_multiplicity):
     """A seeded release equals the one calibrated from exact enumeration."""
     query = parse_query("Edge(x, y), Edge(y, z)")
-    engine, reference = (
-        PrivateCountingQuery(
-            query, epsilon=0.8, method=method, rng=1234, strategy=strategy
-        ).release(graph_db, keep_true_count=True)
-        for strategy in ("auto", "enumerate")
+
+    def mechanism():
+        return PrivateCountingQuery(query, epsilon=0.8, method=method, rng=1234)
+
+    engine = mechanism().release(graph_db, keep_true_count=True)
+    true_count = _enumerated_count(query, graph_db)
+    sensitivity = None
+    if method == "residual":
+        sensitivity = _enumerated_rs(
+            query, graph_db, mechanism().beta, enumerated_multiplicity
+        )
+    reference = mechanism().release(
+        graph_db, keep_true_count=True, true_count=true_count, sensitivity=sensitivity
     )
     assert engine.noisy_count == reference.noisy_count
     assert engine.sensitivity == reference.sensitivity
     assert engine.expected_error == reference.expected_error
-    assert engine.true_count == count_query(query, graph_db, strategy="enumerate")
+    assert engine.true_count == true_count
 
 
-def test_service_release_sequences_bitwise_identical(graph_db):
-    """A seeded service serves the sequence an enumerating service serves."""
+def test_service_release_sequences_bitwise_identical(graph_db, enumerated_multiplicity):
+    """A seeded service serves the sequence of releases calibrated from
+    exact enumeration that draw from one generator seeded alike."""
     queries = [
         "Edge(x, y)",
         "Edge(x, y), Edge(y, z)",
         "Edge(a, b), Edge(b, c)",  # same shape as above: cache/dedup path
         "Edge(x, y), Edge(y, z), Edge(x, z), x != y, y != z, x != z",
     ]
-    responses = {}
-    for strategy in ("auto", "enumerate"):
-        service = PrivateQueryService(session_budget=10.0, rng=7, strategy=strategy)
-        service.register_database("g", graph_db)
-        session = service.create_session().session_id
-        responses[strategy] = [
-            service.count("g", text, epsilon=0.25, session=session) for text in queries
-        ]
-        service.close()
-    for engine_resp, reference_resp in zip(responses["auto"], responses["enumerate"]):
-        assert engine_resp.noisy_count == reference_resp.noisy_count
-        assert engine_resp.sensitivity == reference_resp.sensitivity
+    service = PrivateQueryService(session_budget=10.0, rng=7)
+    service.register_database("g", graph_db)
+    session = service.create_session().session_id
+    responses = [service.count("g", text, epsilon=0.25, session=session) for text in queries]
+    service.close()
+    rng = np.random.default_rng(7)
+    for text, response in zip(queries, responses):
+        query = parse_query(text)
+        mechanism = PrivateCountingQuery(query, epsilon=0.25, rng=rng)
+        reference = mechanism.release(
+            graph_db,
+            true_count=_enumerated_count(query, graph_db),
+            sensitivity=_enumerated_rs(query, graph_db, mechanism.beta, enumerated_multiplicity),
+        )
+        assert response.noisy_count == reference.noisy_count
+        assert response.sensitivity == reference.sensitivity
 
 
 def test_service_stats_report_backend(graph_db):

@@ -523,7 +523,7 @@ def test_counts_are_kept_only_where_a_refresh_can_use_them(columns):
     count_query(query, db, component_cache=cache)
     entries = {key: cache.get(key) for key in cache.keys()}
     assert not [key for key in entries if key[0] == "count"]  # Edge thrice
-    atoms = {key: len(key[3]) for key in entries}
+    atoms = {key: len(key[1]) for key in entries}
     assert {atoms[key] for key, entry in entries.items() if entry.counts is not None} == {1}
     assert {atoms[key] for key, entry in entries.items() if entry.counts is None} == {2}
 

@@ -121,15 +121,10 @@ def test_count_and_multiplicities_match_the_oracle(case):
     rows, text = CASES[case]
     db, query = _database(rows), parse_query(text)
     assert count_query(query, db) == oracle_count(query, db)
-    assert count_query(query, db) == count_query(query, db, strategy="enumerate")
     for kept in _subsets(query):
         got = boundary_multiplicity(query, db, kept)
-        enumerated = boundary_multiplicity(query, db, kept, strategy="enumerate")
         assert got.exact, kept
-        assert got.value == enumerated.value, kept
-        oracle = DifferentialRunner._oracle_multiplicity(query, db, kept)
-        if oracle is not None:
-            assert got.value == oracle, kept
+        assert got.value == DifferentialRunner._oracle_multiplicity(query, db, kept), kept
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

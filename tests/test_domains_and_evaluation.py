@@ -9,6 +9,7 @@ from repro.data.schema import DatabaseSchema
 from repro.engine.domains import active_domain, augmented_active_domain, predicate_variables
 from repro.engine.evaluation import count_query, evaluate_query
 from repro.exceptions import EvaluationError
+from repro.qa.oracle import oracle_count
 from repro.query.atoms import Variable
 from repro.query.parser import parse_query
 
@@ -61,43 +62,35 @@ class TestEvaluation:
         rows = evaluate_query(query, small_join_db)
         assert sorted(rows) == [(1,), (2,), (3,), (4,)]
 
-    def test_count_strategies_agree(self, join_query, small_join_db):
-        for strategy in ("auto", "enumerate", "eliminate"):
-            assert count_query(join_query, small_join_db, strategy=strategy) == 7
-
     def test_count_projection(self, small_join_db):
         query = parse_query("Q(z) :- R(x, y), S(y, z)")
         assert count_query(query, small_join_db) == 2
 
     def test_count_with_predicates(self, small_join_db):
         query = parse_query("R(x, y), S(y, z), x != z")
-        assert count_query(query, small_join_db) == count_query(
-            query, small_join_db, strategy="enumerate"
-        )
+        assert count_query(query, small_join_db) == oracle_count(query, small_join_db)
 
     def test_eliminate_strategy_rejects_unapplicable_predicates(self, k4_db, monkeypatch):
         from repro.engine import columnar
         from repro.graphs.patterns import k_path_query
 
         query = parse_query("Edge(x1, x2), Edge(x2, x3), Edge(x3, x4), x1 < x4")
-        exact = count_query(query, k4_db, strategy="enumerate")
         # The predicate-aware plan applies the comparison across buckets...
-        assert count_query(query, k4_db, strategy="eliminate") == exact
-        # ... and above its row cap "eliminate" must refuse rather than
-        # silently over-count.
+        assert count_query(query, k4_db) == oracle_count(query, k4_db)
+        # ... and above its row cap the count is refused rather than
+        # silently over-counted, for a full and a non-full query alike.
         monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
         with pytest.raises(EvaluationError):
-            count_query(query, k4_db, strategy="eliminate")
+            count_query(query, k4_db)
+        projected = parse_query("Q(x1) :- Edge(x1, x2), Edge(x2, x3), Edge(x3, x4), x1 < x4")
+        with pytest.raises(EvaluationError):
+            count_query(projected, k4_db)
+        with pytest.raises(EvaluationError):
+            evaluate_query(projected, k4_db)
         # Non co-occurring inequalities are expanded into predicate-free
         # terms, so they stay exact under the same cap.
         path = k_path_query(3)
-        assert count_query(path, k4_db, strategy="eliminate") == count_query(
-            path, k4_db, strategy="enumerate"
-        )
-
-    def test_unknown_strategy(self, join_query, small_join_db):
-        with pytest.raises(EvaluationError):
-            count_query(join_query, small_join_db, strategy="magic")
+        assert count_query(path, k4_db) == oracle_count(path, k4_db)
 
     def test_schema_validation(self, small_join_db):
         query = parse_query("Missing(x)")

@@ -134,8 +134,7 @@ class TestAgainstBruteForceOnGraphs:
 
 class TestPredicateAwarePlan:
     """Comparisons spanning buckets are applied exactly below the row cap,
-    and dropped (with the enumeration fallback) above it; ``!=`` is
-    expanded and stays exact."""
+    and dropped above it; ``!=`` is expanded and stays exact."""
 
     def test_path_inequalities_are_exact_for_every_grouping(self, small_graph_db):
         query = k_path_query(3)  # x1..x4 with all-pairs inequalities
@@ -172,7 +171,9 @@ class TestPredicateAwarePlan:
         result = eliminate_group_counts_columnar(query, small_graph_db, [])
         assert not result.is_exact
         assert sizes and max(sizes) <= cap
-        assert count_query(query, small_graph_db) == oracle_count(query, small_graph_db)
+        # Over the cap the true count is refused, never enumerated.
+        with pytest.raises(EvaluationError, match="row cap"):
+            count_query(query, small_graph_db)
         # The all-pairs != 4-star is expanded into predicate-free terms: it
         # is exact even when no predicate-aware join is allowed at all.
         monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
@@ -181,20 +182,19 @@ class TestPredicateAwarePlan:
         assert result.is_exact
         assert result.counts == {(): oracle_count(star, small_graph_db)}
 
-    def test_cycle5_path_residuals_exact_without_enumeration(self, small_graph_db):
+    def test_cycle5_path_residuals_exact_without_enumeration(
+        self, small_graph_db, enumerated_multiplicity
+    ):
         # Each 4-atom residual of the 5-cycle is a 4-edge path with all-pairs
-        # inequalities, grouped by its two end points.  A step cap far below
-        # the enumeration cost leaves elimination as the only exact route.
+        # inequalities, grouped by its two end points: elimination applies
+        # every inequality itself.
         query = k_cycle_query(5)
         for dropped in range(5):
             kept = [i for i in range(5) if i != dropped]
-            result = boundary_multiplicity(query, small_graph_db, kept, max_enumeration=10)
-            reference = boundary_multiplicity(
-                query, small_graph_db, kept, strategy="enumerate", max_enumeration=None
-            )
+            result = boundary_multiplicity(query, small_graph_db, kept)
             assert result.exact, kept
             assert result.strategy == "eliminate"
-            assert result.value == reference.value, kept
+            assert result.value == enumerated_multiplicity(query, small_graph_db, kept), kept
 
 
 class TestExactBeyondInt64:

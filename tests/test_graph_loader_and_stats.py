@@ -123,7 +123,7 @@ class TestStatistics:
     )
     def test_closed_form_counts_match_engine_on_k4(self, k4_db, query_builder):
         query = query_builder()
-        assert pattern_count(k4_db, query) == count_query(query, k4_db, strategy="enumerate")
+        assert pattern_count(k4_db, query) == count_query(query, k4_db)
 
     @pytest.mark.parametrize(
         "query_builder",
@@ -133,13 +133,13 @@ class TestStatistics:
         graph = erdos_renyi_graph(12, 26, seed=9)
         db = database_from_networkx(graph)
         query = query_builder()
-        assert pattern_count(db, query) == count_query(query, db, strategy="enumerate")
+        assert pattern_count(db, query) == count_query(query, db)
 
     def test_closed_form_counts_match_engine_on_clustered_graph(self):
         graph = collaboration_graph(20, 4.0, seed=4)
         db = database_from_networkx(graph)
         for query in (triangle_query(), k_star_query(3)):
-            assert pattern_count(db, query) == count_query(query, db, strategy="enumerate")
+            assert pattern_count(db, query) == count_query(query, db)
 
     def test_unknown_pattern_rejected(self, k4_db):
         from repro.query.parser import parse_query
@@ -148,9 +148,7 @@ class TestStatistics:
             pattern_count(k4_db, parse_query("Edge(a, b), Edge(b, c)"))
 
     def test_star_counts_for_other_arities(self, k4_db):
-        assert pattern_count(k4_db, k_star_query(2)) == count_query(
-            k_star_query(2), k4_db, strategy="enumerate"
-        )
+        assert pattern_count(k4_db, k_star_query(2)) == count_query(k_star_query(2), k4_db)
 
     def test_empty_graph_counts(self):
         db = database_from_edges([])

@@ -38,7 +38,7 @@ class TestGraphPipeline:
 
     def test_counts_agree(self, graph_db):
         query = triangle_query()
-        assert pattern_count(graph_db, query) == count_query(query, graph_db, strategy="enumerate")
+        assert pattern_count(graph_db, query) == count_query(query, graph_db)
 
     def test_residual_release_error_is_calibrated(self, graph_db):
         query = triangle_query()

@@ -1,6 +1,11 @@
-"""Tests for the exact backtracking join engine."""
+"""Tests for the exact backtracking join engine, a test reference that no
+production path reaches."""
 
 from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -106,3 +111,53 @@ class TestGroupCounts:
     def test_empty_group_variables(self, join_query, small_join_db):
         counts = group_counts(join_query, small_join_db, [])
         assert counts == {(): 7}
+
+
+def test_no_production_path_reaches_the_enumerator():
+    import repro
+    from repro.engine.aggregates import boundary_group_counts, boundary_multiplicity
+    from repro.engine.evaluation import count_query, evaluate_query
+    from repro.engine.profile import evaluate_profile
+    from repro.experiments.figure3 import Figure3Config
+    from repro.experiments.optimality import run_optimality_study
+    from repro.experiments.scaling import run_scaling_study
+    from repro.experiments.table1 import Table1Config
+    from repro.mechanisms.mechanism import PrivateCountingQuery
+    from repro.sensitivity.local import local_sensitivity_upper_bound
+    from repro.sensitivity.lower_bounds import lemma_4_5_lower_bound
+    from repro.sensitivity.residual import ResidualSensitivity
+    from repro.service.service import PrivateQueryService
+
+    root = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if {"repro.engine.join", "repro.engine.indexes"} & set(names):
+                importers.append(path.relative_to(root).as_posix())
+    assert importers == ["engine/join.py"]
+
+    entry_points = [
+        PrivateQueryService,
+        PrivateCountingQuery,
+        ResidualSensitivity,
+        evaluate_profile,
+        boundary_multiplicity,
+        boundary_group_counts,
+        count_query,
+        evaluate_query,
+        lemma_4_5_lower_bound,
+        local_sensitivity_upper_bound,
+        Table1Config,
+        Figure3Config,
+        run_optimality_study,
+        run_scaling_study,
+    ]
+    knobs = {"strategy", "max_enumeration", "max_intermediate"}
+    for entry in entry_points:
+        assert not knobs & set(inspect.signature(entry).parameters), entry.__name__

@@ -6,10 +6,14 @@ import math
 
 import pytest
 
+from repro.data.database import Database
+from repro.data.schema import DatabaseSchema
+from repro.engine.aggregates import boundary_multiplicity
 from repro.exceptions import SensitivityError
 from repro.graphs.patterns import triangle_query
 from repro.query.parser import parse_query
 from repro.sensitivity.base import SensitivityResult
+from repro.sensitivity.local import local_sensitivity_upper_bound
 from repro.sensitivity.lower_bounds import (
     lemma_4_5_lower_bound,
     mechanism_error_from_sensitivity,
@@ -63,6 +67,39 @@ class TestLemma45:
         error = mechanism_error_from_sensitivity(rs, epsilon)
         bound = lemma_4_5_lower_bound(query, k4_db, epsilon=epsilon)
         assert bound.value <= error
+
+
+class TestInexactMultiplicities:
+    """``T_{R,T}`` of ``R(x1,x2), S(x2,x3), T(x3,x4), x1 < x4`` falls apart
+    into ``{R}`` and ``{T}``, linked only by ``x1 < x4``: the product 4·4 is
+    an upper bound (every ``x1`` exceeds every ``x4``, so the true value is
+    0).  Neither bound may treat it as exact."""
+
+    QUERY = parse_query("R(x1, x2), S(x2, x3), T(x3, x4), x1 < x4")
+
+    @pytest.fixture
+    def db(self) -> Database:
+        return Database.from_rows(
+            DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2}),
+            R=[(x, 1) for x in range(10, 14)],
+            S=[(1, 2)],
+            T=[(2, x) for x in range(4)],
+        )
+
+    def test_upper_bound_multiplicity_is_not_exact(self, db):
+        result = boundary_multiplicity(self.QUERY, db, [0, 2])
+        assert (result.value, result.exact) == (16, False)
+
+    def test_lemma_4_5_uses_exact_multiplicities_only(self, db):
+        bound = lemma_4_5_lower_bound(self.QUERY, db, epsilon=1.0)
+        assert bound.ls_lower_bound == 4.0
+        assert bound.witness_removed_atoms != (1,)
+
+    def test_local_upper_bound_reports_inexactness(self, db):
+        result = local_sensitivity_upper_bound(self.QUERY, db)
+        assert result.value == 16.0
+        assert result.measure == "LS-upper"
+        assert result.details["exact"] is False
 
 
 class TestOptimalityRatio:

@@ -14,6 +14,7 @@ from repro.engine.columnar import (
 )
 from repro.engine.evaluation import count_query
 from repro.exceptions import SchemaError, ServiceError
+from repro.qa.oracle import oracle_count
 from repro.query.parser import parse_query
 
 
@@ -87,8 +88,7 @@ class TestRelationDelta:
             R=sorted(db.relation("R").tuples()),
             S=sorted(db.relation("S").tuples()),
         )
-        assert mutated == count_query(query, fresh)
-        assert mutated == count_query(query, fresh, strategy="enumerate")
+        assert mutated == count_query(query, fresh) == oracle_count(query, fresh)
 
     def test_database_epochs_vector(self):
         db = two_table_db()

@@ -70,6 +70,18 @@ class TestComparison:
             ComparisonPredicate("x", "==", "y")
 
 
+def test_variables_built_once():
+    for pred in (
+        InequalityPredicate("x", "y"),
+        ComparisonPredicate("x", "<", 3),
+        GenericPredicate(lambda a, b: a < b, ["a", "b"]),
+    ):
+        assert pred.variables is pred.variables
+        assert "variables" not in repr(pred)
+    assert InequalityPredicate("x", "y") == InequalityPredicate("x", "y")
+    assert hash(ComparisonPredicate("x", "<", 3)) == hash(ComparisonPredicate("x", "<", 3))
+
+
 class TestGeneric:
     def test_callable_evaluation(self):
         pred = GenericPredicate(lambda a, b: (a + b) % 2 == 0, ["x", "y"], name="EvenSum")

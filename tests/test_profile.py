@@ -198,16 +198,6 @@ class TestEvaluateProfileEquality:
         result = profile.results[frozenset()]
         assert (result.value, result.strategy, result.exact) == (1, "convention", True)
 
-    def test_enumerate_strategy_bypasses_sharing(self, graph_db):
-        query = k_star_query(3)
-        engine = ResidualSensitivity(query, beta=0.1, strategy="enumerate")
-        subsets = engine.required_subsets(graph_db)
-        shared = evaluate_profile(query, graph_db, subsets, strategy="enumerate")
-        assert shared.stats.component_hits == 0
-        for kept in subsets:
-            reference = boundary_multiplicity(query, graph_db, kept, strategy="enumerate")
-            assert shared.results[kept] == reference
-
 
 class TestSymmetricSharing:
     """On a symmetric relation, components are shared up to argument order."""

@@ -13,8 +13,8 @@ randomly generated small instances:
 * **RS ≥ LS** and monotonicity of ``L̂S^(k)`` in ``k``.
 * Elastic sensitivity's analogous smoothness, and ES ≥ its own ``L̂S^(0)``.
 * Distance symmetry / triangle-style sanity of the database edit distance.
-* Strategy agreement (``enumerate`` == ``eliminate``/``auto``) for counting
-  and boundary multiplicities under generated predicate combinations.
+* Agreement with the QA oracle for counting and boundary multiplicities
+  under generated predicate combinations.
 * The privacy ledger: under any sequence of charges, commits, refunds,
   restores, removals and resets, ``spent`` is bitwise the in-order left fold
   of the surviving charges, however many of them were folded away.
@@ -39,6 +39,8 @@ from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.evaluation import count_query
 from repro.exceptions import PrivacyError
 from repro.mechanisms.accountant import PrivacyAccountant
+from repro.qa.oracle import oracle_count
+from repro.qa.runner import DifferentialRunner
 from repro.query.parser import parse_query
 from repro.sensitivity.elastic import ElasticSensitivity
 from repro.sensitivity.local import local_sensitivity_upper_bound
@@ -154,42 +156,41 @@ class TestMultiplicityProperties:
     def test_strategies_agree(self, r_rows, s_rows):
         db = _join_db(r_rows, s_rows)
         for kept in ([0], [1], [0, 1]):
-            exact = boundary_multiplicity(JOIN_QUERY, db, kept, strategy="enumerate").value
-            fast = boundary_multiplicity(JOIN_QUERY, db, kept, strategy="eliminate").value
-            assert exact == fast
+            exact = DifferentialRunner._oracle_multiplicity(JOIN_QUERY, db, kept)
+            assert boundary_multiplicity(JOIN_QUERY, db, kept).value == exact
 
     @SETTINGS
     @given(r_rows=pairs, s_rows=pairs, suffixes=join_predicates)
     def test_count_strategies_agree_with_generated_predicates(
         self, r_rows, s_rows, suffixes
     ):
-        """enumerate == auto for counting, whatever predicates are attached."""
+        """The engine counts what the oracle counts, whatever predicates are
+        attached."""
         query = _with_predicates("R(x, y), S(y, z)", suffixes)
         db = _join_db(r_rows, s_rows)
-        exact = count_query(query, db, strategy="enumerate")
-        auto = count_query(query, db, strategy="auto")
-        assert exact == auto
+        assert count_query(query, db) == oracle_count(query, db)
 
     @SETTINGS
     @given(u_rows=triples, r_rows=pairs, suffixes=ternary_predicates)
     def test_ternary_counts_agree_with_enumeration(self, u_rows, r_rows, suffixes):
         query = _with_predicates("U(x, y, z), R(z, w)", suffixes)
         db = _ternary_db(u_rows, r_rows)
-        assert count_query(query, db) == count_query(query, db, strategy="enumerate")
+        assert count_query(query, db) == oracle_count(query, db)
 
     @SETTINGS
     @given(r_rows=pairs, s_rows=pairs, suffixes=join_predicates)
     def test_predicate_multiplicities_upper_bound_exact(self, r_rows, s_rows, suffixes):
-        """``auto`` boundary multiplicities always dominate exact enumeration."""
+        """Boundary multiplicities always dominate the oracle's, and equal
+        it when exact."""
         query = _with_predicates("R(x, y), S(y, z)", suffixes)
         db = _join_db(r_rows, s_rows)
         for kept in ([0], [1], [0, 1]):
-            exact = boundary_multiplicity(query, db, kept, strategy="enumerate")
-            auto = boundary_multiplicity(query, db, kept, strategy="auto")
-            if auto.exact:
-                assert auto.value == exact.value
+            exact = DifferentialRunner._oracle_multiplicity(query, db, kept)
+            got = boundary_multiplicity(query, db, kept)
+            if got.exact:
+                assert got.value == exact
             else:
-                assert auto.value >= exact.value
+                assert got.value >= exact
 
 
 class TestResidualSensitivityProperties:

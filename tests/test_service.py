@@ -378,6 +378,28 @@ class TestServiceCounting:
             )
         assert service.stats()["caches"]["sensitivity"]["misses"] == misses_before
 
+    def test_over_cap_count_refused_before_the_charge(self, service_factory, monkeypatch):
+        # Above the row cap x1 < x4 cannot be applied, so the true count is
+        # refused — after the sensitivity, before any ε is charged.
+        from repro.engine import columnar
+        from repro.exceptions import EvaluationError
+        from repro.graphs.loader import database_from_edges
+
+        k4 = database_from_edges([(a, b) for a in range(4) for b in range(4) if a != b])
+        service = service_factory(db=k4)
+        session = service.create_session(budget=1.0).session_id
+        monkeypatch.setattr(columnar, "BUCKET_ROW_CAP", 0)
+        with pytest.raises(EvaluationError, match="row cap"):
+            service.count(
+                "toy",
+                "Edge(x1, x2), Edge(x2, x3), Edge(x3, x4), x1 < x4",
+                epsilon=0.5,
+                session=session,
+            )
+        view = service.budget(session)
+        assert (view["spent"], view["charges"]) == (0.0, 0)
+        assert service.stats()["requests_served"] == 0
+
     def test_non_positive_epsilon_rejected(self, service):
         with pytest.raises(ServiceError):
             service.count("toy", "R(x, y)", epsilon=0.0)
