@@ -157,13 +157,6 @@ def test_profile_report_queries(graph_db):
     print("\n" + "\n".join(lines))
 
 
-def test_parallel_profile_identical(graph_db):
-    """The thread fan-out knob changes throughput only, never results."""
-    serial = ResidualSensitivity(k_star_query(3), beta=0.1)
-    parallel = ResidualSensitivity(k_star_query(3), beta=0.1, parallelism=4)
-    assert serial.multiplicities(graph_db) == parallel.multiplicities(graph_db)
-
-
 def test_shared_profile_benchmark(benchmark, graph_db):
     """Steady-state shared-lattice profile latency (warm caches), 3-star."""
     engine = ResidualSensitivity(k_star_query(3), beta=0.1)

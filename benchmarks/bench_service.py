@@ -192,6 +192,6 @@ def test_batch_dedup_benchmark(benchmark, graph_db):
         {"query": TRIANGLE if i % 2 else "Edge(x, y), Edge(y, z)", "epsilon": 0.01}
         for i in range(16)
     ]
-    result = benchmark(lambda: service.batch("g", requests, max_workers=4))
+    result = benchmark(lambda: service.batch("g", requests))
     assert result.groups == 2
     assert result.deduplicated == 14

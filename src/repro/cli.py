@@ -39,7 +39,7 @@ Installed as ``repro-dp`` (see ``pyproject.toml``).  Sub-commands:
 ``batch``
     Answer a JSON file of ``(query, epsilon)`` requests in one shot through
     the serving layer: identical query shapes are deduplicated (answered
-    once, charged once) and sensitivities are computed concurrently.
+    once, charged once) and the groups are answered in request order.
 
 ``mutate``
     Apply a tuple-level delta batch to a database registered on a running
@@ -62,12 +62,10 @@ Installed as ``repro-dp`` (see ``pyproject.toml``).  Sub-commands:
     snippet; exit code 1 means mismatches were found.
 
 ``count`` and ``sensitivity`` accept ``--json`` to emit machine-readable
-output instead of the human-readable text.  ``count``, ``sensitivity``,
-``serve`` and ``batch`` accept ``--parallelism N`` to fan one request's
-residual-sensitivity component evaluations out over ``N`` threads (serial
-by default; results are identical either way).  ``serve --workers N``
-spreads requests over a prefork cluster instead; see
-``docs/performance.md``.
+output instead of the human-readable text.  Every request runs on one
+thread; ``serve`` answers requests concurrently on its request threads, and
+``serve --workers N`` spreads them over a prefork cluster (see
+``docs/performance.md``).
 
 Examples
 --------
@@ -126,27 +124,6 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=None, help="surrogate scale factor")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-def _add_parallelism_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallelism",
-        type=_non_negative_int,
-        default=None,
-        help="thread-pool size for one request's residual-sensitivity "
-        "component evaluations (default: serial); results are identical "
-        "either way",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse command-line parser."""
     parser = argparse.ArgumentParser(
@@ -167,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("--seed", type=int, default=None, help="noise seed (for reproducibility)")
     count.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    _add_parallelism_argument(count)
 
     sensitivity = subparsers.add_parser(
         "sensitivity", help="print sensitivities of a query without releasing a count"
@@ -176,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     sensitivity.add_argument("--query", required=True, help="query in the datalog-style syntax")
     sensitivity.add_argument("--beta", type=float, default=0.1, help="smoothing parameter")
     sensitivity.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    _add_parallelism_argument(sensitivity)
 
     table1 = subparsers.add_parser("table1", help="reproduce Table 1")
     table1.add_argument("--datasets", nargs="*", default=[], choices=available_datasets())
@@ -291,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable metrics and tracing (no /metrics endpoint, no timings)",
     )
-    _add_parallelism_argument(serve)
 
     metrics = subparsers.add_parser(
         "metrics", help="scrape, validate and print a running server's /metrics"
@@ -398,10 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="session budget (default: exactly what the batch needs)",
     )
-    batch.add_argument("--max-workers", type=int, default=4, help="concurrent sensitivity workers")
     batch.add_argument("--seed", type=int, default=None, help="noise seed (for reproducibility)")
     batch.add_argument("--json", action="store_true", help="emit the full JSON batch result")
-    _add_parallelism_argument(batch)
 
     return parser
 
@@ -426,7 +398,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             method=args.method,
             rng=args.seed,
-            parallelism=args.parallelism,
         )
         release = releaser.release(database)
         if args.json:
@@ -451,9 +422,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sensitivity":
         database = _load_database(args)
         query = parse_query(args.query)
-        residual = ResidualSensitivity(
-            query, beta=args.beta, parallelism=args.parallelism
-        ).compute(database)
+        residual = ResidualSensitivity(query, beta=args.beta).compute(database)
         elastic = ElasticSensitivity(query, beta=args.beta).compute(database)
         global_bound = GlobalSensitivityBound(query).compute(database)
         profiler = residual.detail("profiler")
@@ -609,7 +578,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_capacity,
         session_ttl=args.session_ttl,
         rng=args.seed,
-        parallelism=args.parallelism,
         state_dir=args.state_dir,
         snapshot_interval=args.snapshot_interval,
         observability=not args.no_observability,
@@ -682,7 +650,6 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
             cache_capacity=args.cache_capacity,
             session_ttl=args.session_ttl,
             rng=args.seed,
-            parallelism=args.parallelism,
             state_dir=args.state_dir,
             snapshot_interval=args.snapshot_interval,
             observability=not args.no_observability,
@@ -1019,12 +986,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             "pass --epsilon-total / --budget"
         )
 
-    service = _build_service(
-        args,
-        session_budget=budget,
-        rng=args.seed,
-        parallelism=args.parallelism,
-    )
+    service = _build_service(args, session_budget=budget, rng=args.seed)
     name = service.registry.names()[0]
     session = service.create_session()
     result = service.batch(
@@ -1032,7 +994,6 @@ def _run_batch(args: argparse.Namespace) -> int:
         requests,
         session=session.session_id,
         epsilon_total=epsilon_total,
-        max_workers=args.max_workers,
     )
     if args.json:
         print(json.dumps(result.to_dict(), indent=2))

@@ -114,8 +114,6 @@ __all__ = [
     "CountsEntry",
     "EliminationResult",
     "MATMUL_THRESHOLD",
-    "adopt_factorization_scope",
-    "current_factorization_scope",
     "eliminate_group_counts_columnar",
     "factorization_cache_stats",
     "factorization_counter_scope",
@@ -378,9 +376,7 @@ def factorization_counter_scope() -> "Iterator[_FactorizationCounters]":
 
     Nested scopes stack (both count); the global totals always count.  The
     yielded object stays readable after the ``with`` block — its snapshot is
-    the computation's exact delta.  Worker threads spawned inside the scope
-    start with an empty context; re-establish the scope there with
-    :func:`adopt_factorization_scope`.
+    the computation's exact delta.
     """
     scope = _FactorizationCounters(parent=_FACTORIZATION_SCOPE.get())
     token = _FACTORIZATION_SCOPE.set(scope)
@@ -388,29 +384,6 @@ def factorization_counter_scope() -> "Iterator[_FactorizationCounters]":
         yield scope
     finally:
         _FACTORIZATION_SCOPE.reset(token)
-
-
-@contextlib.contextmanager
-def adopt_factorization_scope(scope: "_FactorizationCounters | None"):
-    """Re-establish ``scope`` (captured in another thread) in this context.
-
-    ``adopt_factorization_scope(None)`` is a no-op context, so callers can
-    pass through whatever they captured.  The counters are thread-safe, so
-    any number of workers may adopt one scope concurrently.
-    """
-    if scope is None:
-        yield None
-        return
-    token = _FACTORIZATION_SCOPE.set(scope)
-    try:
-        yield scope
-    finally:
-        _FACTORIZATION_SCOPE.reset(token)
-
-
-def current_factorization_scope() -> "_FactorizationCounters | None":
-    """The innermost active scope (capture before fanning out to a pool)."""
-    return _FACTORIZATION_SCOPE.get()
 
 
 def _relation_codes(

@@ -13,7 +13,8 @@ expanded by Möbius inversion into predicate-free terms.  When elimination
 drops a comparison or generic predicate, because a bucket of its
 predicate-aware plan would pass :data:`~repro.engine.columnar.BUCKET_ROW_CAP`
 rows, its counts are only upper bounds, and both refuse with an
-:class:`~repro.exceptions.EvaluationError` instead of answering.
+:class:`~repro.exceptions.EvaluationError` instead of answering — unless
+every upper bound is 0, which proves the query has no answers.
 
 Given a ``component_cache``, the count of a full query is kept there with
 the epochs it read, and after a delta to one relation that occurs in one
@@ -40,7 +41,9 @@ __all__ = ["evaluate_query", "count_query"]
 
 
 def _require_exact(result: EliminationResult) -> None:
-    if not result.is_exact:
+    """Refuse an upper-bound result that still has a group.  Over the cap
+    every count is an upper bound, so a result with none is exact: empty."""
+    if not result.is_exact and np.count_nonzero(result.count_array):
         raise EvaluationError(
             "bucket elimination cannot honour these predicates without passing "
             f"the row cap: {result.dropped_predicates!r}"
@@ -73,7 +76,8 @@ def count_query(
     """The result size ``|q(I)|``.
 
     Raises :class:`~repro.exceptions.EvaluationError` when elimination
-    cannot apply every predicate under its row cap.
+    cannot apply every predicate under its row cap, unless its upper-bound
+    counts are all 0 (then the count is exactly 0).
 
     Parameters
     ----------
@@ -119,8 +123,12 @@ def count_query(
     return count
 
 
-def _full_count(query: ConjunctiveQuery, database: Database) -> tuple[int, EliminationResult]:
-    """A full query's count and the elimination result it was read off."""
+def _full_count(
+    query: ConjunctiveQuery, database: Database
+) -> tuple[int, EliminationResult | None]:
+    """A full query's count and the exact elimination result it was read
+    off (``None`` for a provably-zero count over the cap: upper bounds are
+    never kept as counts)."""
     result = eliminate_group_counts_columnar(query, database, ())
     _require_exact(result)
-    return int(result.count_array.sum()), result
+    return int(result.count_array.sum()), result if result.is_exact else None

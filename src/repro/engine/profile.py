@@ -30,10 +30,9 @@ leaves.  The symmetry flag of each binary relation the query reads is
 computed once per profile from its coded columns and recorded on the
 relation for its epoch
 (:func:`repro.engine.columnar.relation_is_symmetric`), so a delta that
-breaks the symmetry re-plans the next profile.  Independent component
-evaluations can optionally fan out over a thread pool (``parallelism=``);
-each thread adopts the profile's factorization-counter scope, so the
-:class:`ProfileStats` totals match serial evaluation.
+breaks the symmetry re-plans the next profile.  Components are evaluated
+one after another on the calling thread; concurrency comes only from
+serving several requests at once.
 
 The evaluator is *result-identical* to the per-subset reference path:
 value, exactness flag and dropped-predicate multiset agree on every subset
@@ -68,7 +67,6 @@ the epochs whose rows it read
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
@@ -82,8 +80,6 @@ from repro.engine.aggregates import (
 from repro.engine.canonical import _term_key
 from repro.engine.columnar import (
     EliminationResult,
-    adopt_factorization_scope,
-    current_factorization_scope,
     factorization_counter_scope,
     maintained_counts,
     relation_is_symmetric,
@@ -507,7 +503,6 @@ def evaluate_profile(
     database: Database,
     subsets: Iterable[Iterable[int]],
     *,
-    parallelism: int | None = None,
     component_cache=None,
     cache_scope: tuple = (),
 ) -> LatticeProfile:
@@ -520,10 +515,6 @@ def evaluate_profile(
     subsets:
         The kept-atom subsets the profile must cover (typically
         :meth:`~repro.sensitivity.residual.ResidualSensitivity.required_subsets`).
-    parallelism:
-        Fan independent component evaluations out over a thread pool of
-        this size (``None``/``0``/``1`` evaluates serially).  Results are
-        identical either way.
     component_cache / cache_scope:
         Optional cross-run memo table for representative components — a
         :class:`repro.service.cache.LRUCache` (``get(key, default,
@@ -553,7 +544,6 @@ def evaluate_profile(
             query,
             database,
             subset_list,
-            parallelism=parallelism,
             fact_counters=fact_counters,
             component_cache=component_cache,
             cache_scope=cache_scope,
@@ -565,7 +555,6 @@ def _evaluate_profile_scoped(
     database: Database,
     subset_list: list[frozenset[int]],
     *,
-    parallelism: int | None,
     fact_counters,
     component_cache=None,
     cache_scope: tuple = (),
@@ -638,7 +627,7 @@ def _evaluate_profile_scoped(
         else:
             representative[component] = by_signature.setdefault(signature, component)
 
-    # Phase 3 — evaluate each representative once (optionally in parallel).
+    # Phase 3 — evaluate each representative once.
     # Through the component cache, a representative whose entry is at the
     # current epochs skips evaluation entirely, a stale entry that kept its
     # group counts is caught up by the delta query, and only the remainder
@@ -663,36 +652,7 @@ def _evaluate_profile_scoped(
             predicates=info.residual.predicates,
         )
 
-    if parallelism is not None and parallelism > 1 and len(to_evaluate) > 1:
-        # Pool workers start with an empty context: re-establish the
-        # factorization-counter scope there so parallel evaluation counts
-        # exactly like serial evaluation (spans are deliberately not
-        # propagated — concurrent child wall times would double-count).
-        scope = current_factorization_scope()
-
-        def evaluate_scoped(kept: frozenset[int]):
-            with adopt_factorization_scope(scope):
-                return evaluate_representative(kept)
-
-        # Submit + wait(FIRST_EXCEPTION) rather than pool.map: map surfaces
-        # the first failure only after every in-flight sibling finishes and
-        # keeps running queued work — here queued siblings are cancelled and
-        # the failure propagates as soon as it happens.
-        pool = ThreadPoolExecutor(max_workers=parallelism)
-        try:
-            futures = {pool.submit(evaluate_scoped, kept): kept for kept in to_evaluate}
-            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            failure = next(
-                (f.exception() for f in done if f.exception() is not None), None
-            )
-            if failure is not None:
-                raise failure
-            by_component = {kept: future for future, kept in futures.items()}
-            outcomes = {kept: by_component[kept].result() for kept in to_evaluate}
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    else:
-        outcomes = {component: evaluate_representative(component) for component in to_evaluate}
+    outcomes = {component: evaluate_representative(component) for component in to_evaluate}
     evaluated = {component: result for component, (result, _) in outcomes.items()}
     tally = Counter(how for _, how in outcomes.values())
 

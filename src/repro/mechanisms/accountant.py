@@ -10,7 +10,7 @@ library, which are all pure ε-DP.
 
 The accountant is thread-safe: :meth:`PrivacyAccountant.charge` performs its
 affordability check and the ledger append atomically under an internal lock,
-so concurrent releases (e.g. from the batch executor of
+so concurrent releases (e.g. from the request threads of
 :mod:`repro.service`) can never jointly overspend the budget.
 
 ``spent`` is the in-order left fold ``((0.0 + ε₁) + ε₂) + …`` of the

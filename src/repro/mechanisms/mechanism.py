@@ -101,10 +101,6 @@ class PrivateCountingQuery:
         Number of leaves for the ``"smooth-star"`` method (default 3).
     edge_relation:
         Relation name for the closed-form graph methods (default ``"Edge"``).
-    parallelism:
-        Thread-pool size for the residual-sensitivity component
-        evaluations (``None``/``0``/``1``: serial, the default).  A pure
-        throughput knob — results are identical.
 
     Examples
     --------
@@ -127,12 +123,9 @@ class PrivateCountingQuery:
         rng: np.random.Generator | int | None = None,
         star_arity: int = 3,
         edge_relation: str = "Edge",
-        parallelism: int | None = None,
     ):
         if epsilon <= 0:
             raise PrivacyError(f"epsilon must be positive, got {epsilon}")
-        if parallelism is not None and parallelism < 0:
-            raise PrivacyError(f"parallelism must be non-negative, got {parallelism}")
         if method not in ("residual", "elastic", "smooth-triangle", "smooth-star", "global"):
             raise PrivacyError(f"unknown calibration method {method!r}")
         self._query = query
@@ -141,7 +134,6 @@ class PrivateCountingQuery:
         self._rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
         self._star_arity = star_arity
         self._edge_relation = edge_relation
-        self._parallelism = parallelism
         self._smooth = SmoothSensitivityMechanism(self._epsilon, rng=self._rng)
 
     @property
@@ -171,11 +163,7 @@ class PrivateCountingQuery:
         """The sensitivity value the noise would be calibrated to on ``database``."""
         beta = self._smooth.beta
         if self._method == "residual":
-            return ResidualSensitivity(
-                self._query,
-                beta=beta,
-                parallelism=self._parallelism,
-            ).compute(database)
+            return ResidualSensitivity(self._query, beta=beta).compute(database)
         if self._method == "elastic":
             return ElasticSensitivity(self._query, beta=beta).compute(database)
         if self._method == "smooth-triangle":

@@ -26,7 +26,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     parse_prometheus_text,
 )
-from repro.obs.tracing import NULL_SPAN, Span, Tracer, activate, current_span, span
+from repro.obs.tracing import NULL_SPAN, Span, Tracer, current_span, span
 
 __all__ = [
     "LOG_SCHEMA",
@@ -42,7 +42,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "activate",
     "current_span",
     "span",
 ]

@@ -12,10 +12,8 @@ A *trace* is the tree of timed spans produced while serving one request
    within the instrumentation budget gated by ``bench_service.py``.
 2. **Correct nesting across threads.**  The ambient span lives in a
    :class:`contextvars.ContextVar`, so concurrent requests on different
-   threads never see each other's spans.  Code that fans work out to a
-   thread pool propagates the ambient span explicitly with
-   :func:`current_span` + :func:`activate` (pool workers start with an
-   empty context).
+   threads never see each other's spans.  Each request runs entirely on
+   the thread that received it, so its spans nest without any hand-off.
 3. **Spans always close.**  :class:`Span` is only ever used as a context
    manager; an exception inside marks the span ``status="error"`` (with the
    exception text) and still records a non-negative duration.
@@ -26,7 +24,6 @@ Span taxonomy and attribute conventions are documented in
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
@@ -38,7 +35,6 @@ __all__ = [
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "activate",
     "current_span",
     "span",
 ]
@@ -113,8 +109,8 @@ class Span:
         self._wall_start: float | None = None
         self._cpu_start: float | None = None
         self._token = None
-        # Guards ``children``: siblings can be appended from pool threads
-        # (the batch executor fans groups out under one batch span).
+        # Guards ``children``, so a span tree can be read on another thread
+        # while its request is still appending to it.
         self._lock = threading.Lock()
 
     # -- context manager ------------------------------------------------ #
@@ -231,25 +227,6 @@ def span(name: str, **attributes: Any):
     if parent is None:
         return NULL_SPAN
     return parent.child(name, **attributes)
-
-
-@contextlib.contextmanager
-def activate(target: Span | None):
-    """Re-establish ``target`` as the ambient span in *this* context.
-
-    Thread pools start workers with an empty context, severing the ambient
-    chain; callers capture :func:`current_span` before submitting and wrap
-    the worker body in ``activate(captured)`` so children attach to the
-    right parent.  ``activate(None)`` is a no-op context.
-    """
-    if target is None:
-        yield None
-        return
-    token = _CURRENT_SPAN.set(target)
-    try:
-        yield target
-    finally:
-        _CURRENT_SPAN.reset(token)
 
 
 class Tracer:

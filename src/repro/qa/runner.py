@@ -18,10 +18,9 @@ executes a fixed battery of checks:
 ``lattice-profile``
     The shared-lattice profile evaluator
     (:func:`repro.engine.profile.evaluate_profile` — component
-    memoization, isomorphism dedup, optional parallelism) must equal the
-    per-subset ``boundary_multiplicity`` reference on every required
-    subset — value, exactness flag and dropped-predicate multiset — and a
-    2-thread evaluation must equal the serial one.  Every exact
+    memoization, isomorphism dedup) must equal the per-subset
+    ``boundary_multiplicity`` reference on every required subset — value,
+    exactness flag and dropped-predicate multiset.  Every exact
     ``eliminate`` result with a witness must name a group
     whose oracle count (distinct outputs, for non-full queries) is its
     value, so a wrong variable map of a shared component shows even when
@@ -391,14 +390,6 @@ class DifferentialRunner:
                         f"{got.boundary!r} has oracle count {witnessed}, "
                         f"not the value {got.value}"
                     )
-        parallel = evaluate_profile(query, db, subsets, parallelism=2)
-        serial = evaluate_profile(query, db, subsets)
-        for kept in subsets:
-            if parallel.results[kept] != serial.results[kept]:
-                problems.append(
-                    f"T_{tuple(sorted(kept))}: parallel evaluation "
-                    f"{parallel.results[kept]!r} != serial {serial.results[kept]!r}"
-                )
         return "; ".join(problems) or None
 
     @staticmethod

@@ -125,11 +125,6 @@ class ResidualSensitivity:
     k_max:
         Optional override of the Lemma 3.10 truncation point (mainly for
         tests).
-    parallelism:
-        Fan independent residual-component evaluations out over a thread
-        pool of this size (``None``/``0``/``1`` — the default — evaluates
-        serially).  Purely a throughput knob: results are identical.  See
-        :func:`repro.engine.profile.evaluate_profile`.
 
     Examples
     --------
@@ -150,18 +145,14 @@ class ResidualSensitivity:
         beta: float | None = None,
         epsilon: float | None = None,
         k_max: int | None = None,
-        parallelism: int | None = None,
     ):
         if (beta is None) == (epsilon is None):
             raise SensitivityError("provide exactly one of beta= or epsilon=")
-        if parallelism is not None and parallelism < 0:
-            raise SensitivityError(f"parallelism must be non-negative, got {parallelism}")
         if k_max is not None and k_max < 0:
             raise SensitivityError(f"k_max must be non-negative, got {k_max}")
         self._beta = validate_beta(beta if beta is not None else beta_from_epsilon(epsilon))
         self._query = query
         self._k_max_override = k_max
-        self._parallelism = parallelism
 
     # ------------------------------------------------------------------ #
     # Public accessors
@@ -249,7 +240,6 @@ class ResidualSensitivity:
             self._query,
             database,
             self.required_subsets(database),
-            parallelism=self._parallelism,
             component_cache=component_cache,
             cache_scope=cache_scope,
         )

@@ -14,7 +14,7 @@ it into a multi-tenant serving system:
   that caches plans, residual-sensitivity profiles and sensitivity values
   across requests (caching never changes the released distribution);
 * :mod:`repro.service.executor` — batch execution with budget splitting,
-  duplicate-answer reuse and concurrent sensitivity computation;
+  duplicate-answer reuse and the groups answered in request order;
 * :mod:`repro.service.api` — a stdlib ``http.server`` JSON API
   (``/register``, ``/count``, ``/batch``, ``/budget``, ``/stats``) behind
   the ``repro-dp serve`` CLI command;

@@ -265,6 +265,11 @@ class ClusterDispatcher:
         try:
             sock.bind((self._host, self._port))
             sock.listen(128)
+            # Every worker's select() wakes on a new connection; the workers
+            # that lose the accept() race must get BlockingIOError (which
+            # socketserver ignores) rather than block in accept(), where
+            # they would never see shutdown() and only die by SIGKILL.
+            sock.setblocking(False)
         except BaseException:
             sock.close()
             raise

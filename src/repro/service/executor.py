@@ -1,4 +1,4 @@
-"""Batch execution: budget splitting, deduplication, concurrent sensitivity.
+"""Batch execution: budget splitting, deduplication, groups in request order.
 
 A batch is a list of ``(query, ε, method)`` requests against one registered
 database.  The executor:
@@ -12,9 +12,10 @@ database.  The executor:
    with the same noisy value discloses nothing beyond answering it once, so
    only one charge of ε is made per group — the classic "answer reuse"
    optimisation of DP query engines;
-4. runs the per-group sensitivity computations **concurrently** via
-   :mod:`concurrent.futures` (noise drawing itself is serialised on the
-   service's generator lock, keeping seeded runs reproducible).
+4. answers the groups **one after another**, in the order of each group's
+   first request, on the calling thread — so a seeded batch releases
+   exactly what the same requests sent one by one through
+   :meth:`~repro.service.service.PrivateQueryService.count` release.
 
 Failures are per-item: a group whose budget charge or evaluation fails
 produces error entries for its members without aborting the rest.
@@ -23,12 +24,11 @@ produces error entries for its members without aborting the rest.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.exceptions import ServiceError
-from repro.obs.tracing import activate, current_span, span as obs_span
+from repro.obs.tracing import span as obs_span
 from repro.query.cq import ConjunctiveQuery
 from repro.service.service import CountResponse, PrivateQueryService
 
@@ -127,11 +127,8 @@ class BatchResult:
 class BatchExecutor:
     """Run batches of counting queries through a :class:`PrivateQueryService`."""
 
-    def __init__(self, service: PrivateQueryService, *, max_workers: int = 4):
-        if max_workers <= 0:
-            raise ServiceError(f"max_workers must be positive, got {max_workers}")
+    def __init__(self, service: PrivateQueryService):
         self._service = service
-        self._max_workers = max_workers
 
     def run(
         self,
@@ -193,20 +190,16 @@ class BatchExecutor:
             epsilon_total / len(members) if epsilon_total is not None else None
         )
 
-        # Pool workers start with an empty context, severing the ambient span
-        # chain; capture it here and re-establish it per group so group spans
-        # nest under the batch trace (Span.children appends are lock-guarded).
-        parent_span = current_span()
-
-        def run_group(group_members: list[int]) -> CountResponse | Exception:
+        items: list[BatchItemResult | None] = [None] * len(normalized)
+        charged = 0.0
+        deduplicated = 0
+        for group_idx, group_members in enumerate(members):
             leader = group_members[0]
             req = normalized[leader]
             epsilon = req.epsilon if req.epsilon is not None else epsilon_per_group
             try:
-                with activate(parent_span), obs_span(
-                    "group", members=len(group_members), method=req.method
-                ):
-                    return self._service.count(
+                with obs_span("group", members=len(group_members), method=req.method):
+                    response = self._service.count(
                         database,
                         plans[leader][0],
                         epsilon,
@@ -216,34 +209,23 @@ class BatchExecutor:
             except Exception as exc:
                 # The per-item failure contract covers *any* exception — a
                 # poisoned query object raising something outside ReproError
-                # must not escape pool.map and abort the whole batch.
-                return exc
-
-        with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-            outcomes = list(pool.map(run_group, members))
-
-        items: list[BatchItemResult | None] = [None] * len(normalized)
-        charged = 0.0
-        deduplicated = 0
-        for group_idx, (group_members, outcome) in enumerate(zip(members, outcomes)):
-            for position, idx in enumerate(group_members):
-                if isinstance(outcome, Exception):
+                # must not abort the rest of the batch.
+                for idx in group_members:
                     items[idx] = BatchItemResult(
-                        index=idx, ok=False, error=str(outcome), group=group_idx
+                        index=idx, ok=False, error=str(exc), group=group_idx
                     )
-                    continue
+                continue
+            charged += response.epsilon
+            for position, idx in enumerate(group_members):
                 is_dup = position > 0
-                if is_dup:
-                    deduplicated += 1
+                deduplicated += is_dup
                 items[idx] = BatchItemResult(
                     index=idx,
                     ok=True,
-                    response=outcome if not is_dup else _mark_deduplicated(outcome),
+                    response=_mark_deduplicated(response) if is_dup else response,
                     deduplicated=is_dup,
                     group=group_idx,
                 )
-            if not isinstance(outcome, Exception):
-                charged += outcome.epsilon
         return BatchResult(
             items=tuple(items),  # type: ignore[arg-type]
             groups=len(members),

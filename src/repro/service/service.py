@@ -158,14 +158,10 @@ class PrivateQueryService:
     rng:
         numpy Generator or seed for all noise drawn by this service.  One
         generator serves every request (guarded by a lock), so a seeded
-        service produces a reproducible release sequence.
-    parallelism:
-        Thread-pool size for the residual-sensitivity component
-        evaluations within one request (``None``/``0``/``1``: serial, the
-        default; negative values raise :class:`ServiceError`).  Purely a
-        throughput knob — results, and therefore seeded release sequences,
-        are identical.  Parallelism *across* requests comes from the
-        prefork cluster (``repro-dp serve --workers``).
+        service produces a reproducible release sequence.  Each request
+        runs entirely on the thread that received it; concurrency comes
+        from serving several requests at once (``repro-dp serve``'s request
+        threads and its prefork ``--workers`` cluster).
     state_dir:
         Optional directory for durable state (see
         :mod:`repro.service.persistence`).  Sessions, budgets and audit
@@ -224,7 +220,6 @@ class PrivateQueryService:
         cache_capacity: int = 256,
         session_ttl: float | None = None,
         rng: np.random.Generator | int | None = None,
-        parallelism: int | None = None,
         state_dir: str | None = None,
         snapshot_interval: int = 1000,
         observability: bool = True,
@@ -235,8 +230,6 @@ class PrivateQueryService:
     ):
         if noise_mode not in ("stream", "charge-seq"):
             raise ServiceError(f"unknown noise_mode {noise_mode!r}")
-        if parallelism is not None and parallelism < 0:
-            raise ServiceError(f"parallelism must be non-negative, got {parallelism}")
         if noise_mode == "charge-seq" and not isinstance(rng, int):
             raise ServiceError(
                 "noise_mode='charge-seq' requires an integer seed (rng=<int>) "
@@ -275,10 +268,9 @@ class PrivateQueryService:
         # its epochs; see repro.engine.profile).  Sized above the per-shape
         # caches because one profile can hold many components.
         self._component_cache = LRUCache(cache_capacity * 4)
-        self._parallelism = parallelism
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        # numpy Generators are not thread-safe; the batch executor funnels
-        # every noise draw through this lock.
+        # numpy Generators are not thread-safe, and concurrent request
+        # threads draw noise from this one; every draw takes this lock.
         self._rng_lock = threading.Lock()
         self._requests_served = 0
         # Cumulative ε actually charged (committed) by this service; the
@@ -695,11 +687,7 @@ class PrivateQueryService:
 
         def compute() -> SensitivityResult:
             if method == "residual":
-                engine = ResidualSensitivity(
-                    query,
-                    beta=beta,
-                    parallelism=self._parallelism,
-                )
+                engine = ResidualSensitivity(query, beta=beta)
                 if key is None:
                     return engine.compute(reg.database)
                 profile, _ = self._profile_cache.get_or_compute(
@@ -993,19 +981,18 @@ class PrivateQueryService:
         *,
         session: str | None = None,
         epsilon_total: float | None = None,
-        max_workers: int = 4,
         timings: bool = False,
     ):
         """Answer a batch of requests (see :class:`~repro.service.executor.BatchExecutor`).
 
         With ``timings=True`` the whole batch runs under a ``request.batch``
-        root span (group spans fan out beneath it — their wall times overlap
-        under concurrency) and the result's ``trace_id``/``timings`` are
-        surfaced through :meth:`BatchResult.to_dict`.
+        root span (one ``group`` span per shape group beneath it, in request
+        order) and the result's ``trace_id``/``timings`` are surfaced
+        through :meth:`BatchResult.to_dict`.
         """
         from repro.service.executor import BatchExecutor
 
-        executor = BatchExecutor(self, max_workers=max_workers)
+        executor = BatchExecutor(self)
         if not self._obs and self._request_logger is None:
             return executor.run(
                 database, requests, session=session, epsilon_total=epsilon_total
@@ -1159,7 +1146,6 @@ class PrivateQueryService:
                 "metrics": self.metrics.names() if self.metrics is not None else [],
             },
             "backends": {"default": ENGINE_NAME},
-            "parallelism": {"workers": self._parallelism},
             "databases": self._registry.describe(),
             "sessions": {
                 "active": self._sessions.active_ids(),

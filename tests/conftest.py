@@ -3,13 +3,17 @@
 Besides the small data fixtures, this file centralises the serving-layer
 test setup (``toy_db`` + the ``service_factory`` / ``state_service_factory``
 factories adopted by ``test_service*.py``, ``test_persistence.py`` and
-``test_stress.py``) and implements the test-tier selection: tests marked
+``test_stress.py``, and the ``running_server`` HTTP harness of
+``test_service_api.py`` and ``test_obs.py``) and implements the test-tier selection: tests marked
 ``soak`` (registered in ``pyproject.toml``) are skipped unless the ``-m``
 marker expression explicitly selects them — CI picks tiers by marker, not
 by environment variable.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
 
 import pytest
 
@@ -136,6 +140,35 @@ def state_service_factory(service_factory, tmp_path):
         return service_factory(state_dir=str(target), **kwargs)
 
     return make
+
+
+@pytest.fixture
+def running_server():
+    """``with running_server(service, **options) as server:`` serves
+    ``make_server(service, "127.0.0.1", 0, **options)`` on a thread.
+
+    ``serve_forever`` polls every 50 ms, the cluster workers' interval, so
+    ``shutdown()`` on exit returns within 50 ms rather than the default
+    0.5 s poll.
+    """
+    from repro.service.api import make_server
+
+    @contextlib.contextmanager
+    def run(service, **options):
+        server = make_server(service, "127.0.0.1", 0, **options)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    return run
 
 
 @pytest.fixture

@@ -28,7 +28,7 @@ from repro.datasets.tpch import generate_tpch
 from repro.engine import columnar
 from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
 from repro.engine.columnar import eliminate_group_counts_columnar
-from repro.engine.evaluation import count_query
+from repro.engine.evaluation import count_query, evaluate_query
 from repro.engine.join import count_assignments, group_counts
 from repro.exceptions import EvaluationError
 from repro.graphs.generators import collaboration_graph
@@ -40,6 +40,7 @@ from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
 from repro.query.predicates import GenericPredicate
 from repro.sensitivity.residual import ResidualSensitivity
+from repro.service.cache import LRUCache
 from repro.service.service import PrivateQueryService
 
 GRAPH_QUERIES = [
@@ -290,7 +291,8 @@ def test_matmul_fast_path_parity(monkeypatch):
 
 def test_matmul_no_matching_mids_parity(monkeypatch):
     """No join partners: the empty result is exact, and above the row cap
-    the fast path leaves the predicate pending, to be reported dropped."""
+    the fast path leaves the predicate pending, to be reported dropped.
+    Its upper bounds are then all 0, so the count is exactly 0."""
     monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", 0)
     schema = DatabaseSchema.from_arities({"R": 2, "S": 2, "T": 2})
     db = Database.from_rows(
@@ -308,9 +310,15 @@ def test_matmul_no_matching_mids_parity(monkeypatch):
     capped = eliminate_group_counts_columnar(query, db, ())
     assert capped.counts == {}
     assert capped.dropped_predicates == (parity,)
-    assert oracle_count(query, db) == 0
-    with pytest.raises(EvaluationError, match="row cap"):
-        count_query(query, db)
+    assert count_query(query, db) == oracle_count(query, db) == 0
+    assert evaluate_query(query, db) == []
+    # Through the count cache: the value is kept, the upper bounds are not.
+    db.relation("T").add_rows([(1, 5)])
+    db.relation("T").remove_rows([(1, 5)])  # the same rows, but T logs them
+    cache = LRUCache(4)
+    assert count_query(query, db, component_cache=cache) == 0
+    (key,) = cache.keys()
+    assert cache.get(key).counts is None
 
 
 # --------------------------------------------------------------------- #

@@ -37,10 +37,62 @@ class TestParser:
             build_parser().parse_args(["table1", "--datasets", "NotADataset"])
 
     def test_negative_parallelism_rejected_at_parse_time(self, capsys):
+        """``--parallelism`` is gone, so any value is an argparse error."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "--parallelism", "-1", "--port", "0"])
         assert excinfo.value.code == 2
-        assert "--parallelism: must be non-negative" in capsys.readouterr().err
+        assert "unrecognized arguments: --parallelism -1" in capsys.readouterr().err
+
+    def test_no_thread_fan_out_knobs(self, capsys):
+        """Each request runs on the thread that received it: no module fans
+        work out to a pool, and no entry point or CLI flag sizes one."""
+        import ast
+        import inspect
+        from pathlib import Path
+
+        import repro
+        from repro.engine.profile import evaluate_profile
+        from repro.mechanisms.mechanism import PrivateCountingQuery
+        from repro.sensitivity.residual import ResidualSensitivity
+        from repro.service.executor import BatchExecutor
+        from repro.service.service import PrivateQueryService
+
+        root = Path(repro.__file__).parent
+        importers = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name.startswith("concurrent.futures") for name in names):
+                    importers.append(path.relative_to(root).as_posix())
+        assert importers == []
+
+        for entry in (
+            evaluate_profile,
+            ResidualSensitivity,
+            PrivateCountingQuery,
+            PrivateQueryService,
+            PrivateQueryService.batch,
+            BatchExecutor,
+        ):
+            parameters = set(inspect.signature(entry).parameters)
+            assert not {"parallelism", "max_workers"} & parameters, entry.__qualname__
+
+        for argv in (
+            ["count", "--query", "Edge(x, y)", "--parallelism", "2"],
+            ["sensitivity", "--query", "Edge(x, y)", "--parallelism", "2"],
+            ["serve", "--port", "0", "--parallelism", "2"],
+            ["batch", "--requests", "r.json", "--parallelism", "2"],
+            ["batch", "--requests", "r.json", "--max-workers", "2"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(argv)
+            assert excinfo.value.code == 2, argv
+            assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 class TestCommands:

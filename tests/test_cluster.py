@@ -29,6 +29,7 @@ import http.client
 import json
 import os
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -132,15 +133,22 @@ def _wait_for_board(url, *, used, timeout=30):
     raise AssertionError(f"capacity board never reached used={used}; last: {last}")
 
 
+#: Seconds a SIGTERM drain may take.  Below the dispatcher's 30 s SIGKILL
+#: deadline, so a drain that only ends by SIGKILL fails the test.
+DRAIN_TIMEOUT = 15
+
+
 def _stop(proc):
     """SIGTERM the server and require a clean (drained) exit."""
     proc.send_signal(signal.SIGTERM)
     try:
-        code = proc.wait(timeout=60)
+        code = proc.wait(timeout=DRAIN_TIMEOUT)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait(timeout=60)
-        raise AssertionError("server did not drain within 60s of SIGTERM")
+        raise AssertionError(
+            f"server did not drain within {DRAIN_TIMEOUT}s of SIGTERM"
+        )
     assert code == 0, f"server exited {code} instead of draining cleanly"
 
 
@@ -425,6 +433,38 @@ def test_admission_sheds_with_503_before_ledger(edge_file, tmp_path):
 # --------------------------------------------------------------------- #
 # Graceful shutdown: SIGTERM drains in-flight work, exits 0
 # --------------------------------------------------------------------- #
+def test_dispatcher_listener_is_non_blocking():
+    """Workers that lose the ``accept()`` race must not block in it.
+
+    Every worker's ``select()`` wakes on a new connection; only one
+    ``accept()`` wins.  On a blocking listener the losers sit in
+    ``accept()``, never see ``shutdown()``, and the drain ends only by the
+    dispatcher's SIGKILL deadline.
+    """
+    from repro.service.cluster import ClusterDispatcher
+
+    dispatcher = ClusterDispatcher(
+        "127.0.0.1", 0, 2, service_factory=lambda label: None
+    )
+    dispatcher.bind()
+    try:
+        assert dispatcher._sock.getblocking() is False
+        # A losing worker gets BlockingIOError, which socketserver ignores.
+        with pytest.raises(BlockingIOError):
+            dispatcher._sock.accept()
+        # An accepted connection is still blocking: handlers read it whole.
+        host, port = dispatcher.address
+        with socket.create_connection((host, port), timeout=5):
+            ready, _, _ = select.select([dispatcher._sock], [], [], 5)
+            assert ready
+            conn, _ = dispatcher._sock.accept()
+            with conn:
+                assert conn.getblocking() is True
+    finally:
+        dispatcher._sock.close()
+        dispatcher.board.close()
+
+
 @pytest.mark.slow
 def test_sigterm_drains_inflight_request(edge_file, tmp_path):
     proc, url = _spawn(edge_file, tmp_path / "st")
@@ -438,7 +478,7 @@ def test_sigterm_drains_inflight_request(edge_file, tmp_path):
         time.sleep(0.3)  # the server has stopped accepting but must drain
         status_line = _finish_slow_request(sock, tail)
         assert "200" in status_line, status_line
-        code = proc.wait(timeout=60)
+        code = proc.wait(timeout=DRAIN_TIMEOUT)
         assert code == 0
     finally:
         _kill(proc)
@@ -457,7 +497,7 @@ def test_cluster_sigterm_drains_inflight_request(edge_file, tmp_path):
         time.sleep(0.3)
         status_line = _finish_slow_request(sock, tail)
         assert "200" in status_line, status_line
-        code = proc.wait(timeout=60)
+        code = proc.wait(timeout=DRAIN_TIMEOUT)
         assert code == 0
     finally:
         _kill(proc)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import json
-import threading
 import urllib.request
 
 import pytest
@@ -28,7 +27,7 @@ from repro.obs.metrics import (
     PENDING_DRAIN_THRESHOLD,
     parse_prometheus_text,
 )
-from repro.obs.tracing import NULL_SPAN, Span, Tracer, activate, current_span, span
+from repro.obs.tracing import NULL_SPAN, Span, Tracer, current_span, span
 
 
 # --------------------------------------------------------------------- #
@@ -241,19 +240,35 @@ class TestTracing:
         assert tracer.trace("request") is NULL_SPAN
         assert tracer.traces_started == 0
 
-    def test_activate_bridges_thread_pool_workers(self):
-        with Tracer().trace("batch") as root:
-            captured = current_span()
-
-            def worker():
-                with activate(captured), span("group"):
-                    pass
-
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-        assert [c.name for c in root.children] == ["group"]
-        assert root.children[0].parent_id == root.span_id
+    def test_batch_groups_nest_under_the_batch_root(self, service_factory):
+        """Each batch group runs on the calling thread, so its span — and
+        the stage spans of its count — nest under the batch root without
+        any hand-off, one group after another in request order."""
+        service = service_factory()
+        requests = [
+            {"query": "R(x, y), S(y, z)", "epsilon": 0.5},
+            {"query": "R(x, y)", "epsilon": 0.25},
+            {"query": "R(a, b), S(b, c)", "epsilon": 0.5},  # same shape as 0
+        ]
+        with Tracer().trace("outer") as outer:
+            result = service.batch("toy", requests, timings=True)
+        assert result.ok
+        (root,) = outer.children
+        assert root.name == "request.batch"
+        assert root.trace_id == result.to_dict()["trace_id"]
+        groups = [child for child in root.children if child.name == "group"]
+        assert [child.name for child in root.children] == ["plan", "group", "group"]
+        assert [g.attributes["members"] for g in groups] == [2, 1]
+        for group in groups:
+            assert group.parent_id == root.span_id
+            assert group.trace_id == root.trace_id
+            names = [child.name for child in group.children]
+            assert {"sensitivity", "true_count", "charge", "release"} <= set(names)
+            for child in group.children:
+                assert child.parent_id == group.span_id
+        # The batch's direct children ran one after another, so their wall
+        # times fit inside the root's (overlapping groups could exceed it).
+        assert sum(child.duration_ms for child in root.children) <= root.duration_ms
 
     def test_nested_trace_attaches_as_child(self):
         tracer = Tracer()
@@ -498,18 +513,11 @@ class TestServiceInstrumentation:
 
 class TestMetricsEndpoint:
     @pytest.fixture
-    def server(self, service_factory):
-        from repro.service.api import make_server
-
+    def server(self, service_factory, running_server):
         service = service_factory(session_budget=5.0)
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}", service
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+        with running_server(service) as server:
+            host, port = server.server_address[:2]
+            yield f"http://{host}:{port}", service
 
     def test_scrape_parses_as_valid_prometheus(self, server):
         url, service = server
@@ -538,19 +546,10 @@ class TestMetricsEndpoint:
         ]
         assert count_samples == [1.0]
 
-    def test_metrics_404_when_disabled(self, service_factory):
-        from repro.service.api import make_server
-
+    def test_metrics_404_when_disabled(self, service_factory, running_server):
         service = service_factory(observability=False)
-        server = make_server(service, "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
+        with running_server(service) as server:
+            host, port = server.server_address[:2]
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"http://{host}:{port}/metrics")
             assert excinfo.value.code == 404
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)

@@ -11,10 +11,8 @@ Covers
   relation's two argument orders count as one, the symmetry flag follows
   the relation's epoch (a delta that breaks it re-plans), and a component
   over the labelling cap falls back to identity sharing;
-* the ``parallelism`` knob — identical results for any thread-pool size,
-  the serial/2-thread equivalence on both column representations (values,
-  dropped predicates, stats counters), and prompt failure propagation with
-  sibling cancellation;
+* failure propagation — a failing component stops the profile before any
+  later component is evaluated;
 * the NumPy ``_distance_vectors`` generator (every vector of every ``k``
   once, in the order of the recursive formulation, in bounded chunks);
 * the one ``L̂S^(k)`` contraction over all ``k`` (pinned exactly against a
@@ -297,85 +295,10 @@ class TestSymmetricSharing:
         assert shared.stats.components_evaluated == 2 + 4
 
 
-class TestParallelism:
-    def test_parallel_results_identical(self, graph_db):
-        query = triangle_query()
-        engine = ResidualSensitivity(query, beta=0.1)
-        subsets = engine.required_subsets(graph_db)
-        serial = evaluate_profile(query, graph_db, subsets)
-        for workers in (2, 8):
-            parallel = evaluate_profile(query, graph_db, subsets, parallelism=workers)
-            assert parallel.results == serial.results
-
-    def test_parallelism_threads_through_the_engine(self, graph_db):
-        serial = ResidualSensitivity(triangle_query(), beta=0.1)
-        parallel = ResidualSensitivity(triangle_query(), beta=0.1, parallelism=3)
-        assert serial.compute(graph_db).value == parallel.compute(graph_db).value
-
-    def test_negative_parallelism_rejected(self):
-        """Every constructor that takes it checks it, so the service and the
-        mechanism fail at construction, not on the first residual request."""
-        from repro.exceptions import PrivacyError, SensitivityError, ServiceError
-        from repro.mechanisms.mechanism import PrivateCountingQuery
-
-        with pytest.raises(SensitivityError):
-            ResidualSensitivity(triangle_query(), beta=0.1, parallelism=-1)
-        with pytest.raises(ServiceError, match="parallelism"):
-            PrivateQueryService(parallelism=-1)
-        with pytest.raises(PrivacyError, match="parallelism"):
-            PrivateCountingQuery(triangle_query(), epsilon=1.0, parallelism=-1)
-
-
-class TestParallelismModes:
-    """Serial and 2-thread evaluation agree, on both column representations."""
-
-    _STRUCTURAL = (
-        "subsets_total",
-        "components_total",
-        "components_evaluated",
-        "component_hits",
-        "component_cache_hits",
-    )
-
-    @pytest.mark.parametrize("columns", COLUMNS)
-    @pytest.mark.parametrize(
-        "query_factory",
-        [triangle_query, lambda: k_star_query(3),
-         lambda: parse_query("q(x) :- Edge(x, y), Edge(y, z)")],
-        ids=["triangle", "star3", "projection"],
-    )
-    def test_cross_mode_equivalence(self, columns, query_factory):
-        graph_db = _graph(columns)
-        query = query_factory()
-        engine = ResidualSensitivity(query, beta=0.1)
-        subsets = engine.required_subsets(graph_db)
-        serial = evaluate_profile(query, graph_db, subsets)
-        threaded = evaluate_profile(query, graph_db, subsets, parallelism=2)
-        for kept in subsets:
-            got, want = threaded.results[kept], serial.results[kept]
-            assert (got.value, got.exact) == (want.value, want.exact), tuple(
-                sorted(kept)
-            )
-            assert sorted(map(repr, got.dropped_predicates)) == sorted(
-                map(repr, want.dropped_predicates)
-            ), tuple(sorted(kept))
-        for field in self._STRUCTURAL:
-            assert getattr(threaded.stats, field) == getattr(serial.stats, field), field
-        # Coded columns are built without a lock, so two threads can both
-        # miss on a cold relation; the event total is still exact.
-        assert (
-            threaded.stats.factorization_hits + threaded.stats.factorization_misses
-            == serial.stats.factorization_hits + serial.stats.factorization_misses
-        )
-
-
 class TestPoisonedComponent:
-    """Regression: a failing component must cancel its queued siblings.
-
-    The parallel path used to go through ``pool.map``, which surfaces the
-    first exception only after every in-flight sibling finishes and lets
-    all queued components run to completion anyway.
-    """
+    """A failing component stops the profile: components are evaluated one
+    after another on the calling thread, so the failure propagates at once
+    and no component queued after it is evaluated."""
 
     @staticmethod
     def _disconnected_query(n):
@@ -399,21 +322,14 @@ class TestPoisonedComponent:
             calls.append(kept)
             if kept == frozenset({0}):
                 raise RuntimeError("poisoned component")
-            import time
-
-            time.sleep(0.05)
             return real(query_, db_, kept, **kwargs)
 
         monkeypatch.setattr(profile_module, "boundary_group_counts", poisoned)
         with pytest.raises(RuntimeError, match="poisoned component"):
-            evaluate_profile(
-                query, db, [frozenset(range(n))], parallelism=2
-            )
-        # The poison fires while at most one sibling is in flight; the
-        # queued remainder must be cancelled, not drained.  pool.map would
-        # have recorded all n calls here.
-        assert frozenset({0}) in calls
-        assert len(calls) <= 4
+            evaluate_profile(query, db, [frozenset(range(n))])
+        # Components run in order, the poisoned one first: nothing after it
+        # was evaluated.
+        assert calls == [frozenset({0})]
 
 
 class TestDistanceVectors:

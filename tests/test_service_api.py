@@ -5,27 +5,20 @@ from __future__ import annotations
 import json
 import os
 import socket
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.graphs.loader import database_from_edges
-from repro.service.api import make_server
 
 
 @pytest.fixture
-def server_url(service_factory):
+def server_url(service_factory, running_server):
     service = service_factory(register=False, session_budget=5.0, rng=11)
-    server = make_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    with running_server(service) as server:
+        host, port = server.server_address[:2]
+        yield f"http://{host}:{port}"
 
 
 def post(url: str, payload: dict) -> tuple[int, dict]:
@@ -452,7 +445,8 @@ class TestShedRetryAfter:
 
 class TestParallelismModeOverHttp:
     """``parallelism_mode`` is retired: ``/register`` ignores it like any
-    other unknown key, and neither ``/stats`` block reports a mode."""
+    other unknown key, and neither ``/stats`` block reports a mode.  Each
+    request runs on one thread, so ``/stats`` reports no thread count."""
 
     def test_register_with_mode_and_stats_block(self, server_url):
         status, body = post(
@@ -464,7 +458,7 @@ class TestParallelismModeOverHttp:
 
         status, stats = get(f"{server_url}/stats")
         assert status == 200
-        assert stats["parallelism"] == {"workers": None}  # serial default
+        assert "parallelism" not in stats
         assert "parallelism_mode" not in stats["databases"]["k4"]
 
         status, release = post(
@@ -511,7 +505,7 @@ class TestOneWriteReplies:
     apart from its body waits for the client's delayed ACK under Nagle."""
 
     @pytest.fixture
-    def recorded(self, service_factory, monkeypatch):
+    def recorded(self, service_factory, monkeypatch, running_server):
         from repro.service.api import ServiceRequestHandler
         from repro.service.cluster import CapacityBoard
 
@@ -531,17 +525,11 @@ class TestOneWriteReplies:
         service.register_database("k4", database_from_edges(K4_EDGES))
         board = CapacityBoard(1, 1)
         board.attach(0, os.getpid())
-        server = make_server(service, "127.0.0.1", 0, capacity=board)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            yield server.server_address[:2], board, writes, nodelay
+            with running_server(service, capacity=board) as server:
+                yield server.server_address[:2], board, writes, nodelay
         finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
             board.close()
-        assert not thread.is_alive()
 
     def test_every_reply_is_one_write_on_a_nodelay_socket(self, recorded):
         (host, port), board, writes, nodelay = recorded

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.exceptions import ServiceError
-from repro.service.executor import BatchExecutor, BatchRequest
+from repro.service.executor import BatchRequest
 
 
 @pytest.fixture
@@ -103,13 +105,14 @@ class TestFailureIsolation:
                 {"query": "R(x, y), S(y, z)", "epsilon": 0.25},
             ],
             session=session.session_id,
-            max_workers=1,  # deterministic order: first group charges first
         )
         assert not result.ok
-        outcomes = [item.ok for item in result.items]
-        assert outcomes.count(True) == 1
-        failed = next(item for item in result.items if not item.ok)
-        assert "budget" in failed.error
+        # Groups run in request order: the first charges, the second is
+        # refused by the exhausted budget.
+        first, second = result.items
+        assert first.ok
+        assert not second.ok
+        assert "budget" in second.error
 
     def test_invalid_query_is_a_service_error(self, service):
         with pytest.raises(Exception):
@@ -117,7 +120,7 @@ class TestFailureIsolation:
 
     def test_poisoned_query_fails_only_its_item(self, service):
         """An arbitrary (non-ReproError) exception inside one group must be
-        recorded per-item, not escape pool.map and abort the whole batch."""
+        recorded per-item, not escape and abort the whole batch."""
         from repro.query.cq import ConjunctiveQuery
         from repro.query.predicates import GenericPredicate
         from repro.query.parser import parse_query
@@ -172,27 +175,52 @@ class TestFailureIsolation:
             BatchRequest.from_mapping({"epsilon": 0.5})
 
 
-class TestConcurrency:
-    def test_many_workers_match_sequential_totals(self, service):
+class TestRequestOrder:
+    def test_identical_requests_share_one_group(self, service):
         requests = [{"query": "R(x, y)", "epsilon": 0.01} for _ in range(10)]
         # 10 identical requests: one group, one charge, nine shared answers.
-        result = service.batch("toy", requests, max_workers=8)
+        result = service.batch("toy", requests)
         assert result.groups == 1
         assert result.deduplicated == 9
         values = {item.response.noisy_count for item in result.items}
         assert len(values) == 1
 
-    def test_distinct_shapes_run_concurrently(self, service):
+    def test_distinct_shapes_answered_in_request_order(self, service):
         requests = [
             {"query": "R(x, y)", "epsilon": 0.05},
             {"query": "R(x, y), S(y, z)", "epsilon": 0.05},
             {"query": "R(x, y), R(y, z)", "epsilon": 0.05},
             {"query": "S(x, y)", "epsilon": 0.05},
         ]
-        result = service.batch("toy", requests, max_workers=4)
+        result = service.batch("toy", requests)
         assert result.ok
         assert result.groups == 4
+        assert [item.group for item in result.items] == [0, 1, 2, 3]
 
-    def test_executor_rejects_bad_workers(self, service):
-        with pytest.raises(ServiceError):
-            BatchExecutor(service, max_workers=0)
+    def test_seeded_batch_equals_sequential_counts(self, service_factory, monkeypatch):
+        """A seeded batch releases exactly what the same requests sent one
+        by one through ``count`` release, even when its first group is the
+        slow one: groups draw their noise in request order, not in the
+        order they finish."""
+        from repro.service.service import PrivateQueryService
+
+        slow, fast = "R(x, y), S(y, z)", "R(x, y)"
+        real = PrivateQueryService._sensitivity
+
+        def sensitivity(self, reg, query, key, method, beta):
+            if len(query.atoms) > 1:
+                time.sleep(0.2)  # the first group finishes last
+            return real(self, reg, query, key, method, beta)
+
+        monkeypatch.setattr(PrivateQueryService, "_sensitivity", sensitivity)
+        requests = [
+            {"query": slow, "epsilon": 0.5},
+            {"query": fast, "epsilon": 0.25},
+        ]
+        batched = service_factory(rng=7).batch("toy", requests)
+        one_by_one = service_factory(rng=7)
+        expected = [
+            one_by_one.count("toy", req["query"], req["epsilon"]).noisy_count
+            for req in requests
+        ]
+        assert [item.response.noisy_count for item in batched.items] == expected
