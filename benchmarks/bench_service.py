@@ -17,8 +17,6 @@ Run::
 
 from __future__ import annotations
 
-import gc
-import statistics
 import time
 
 import pytest
@@ -91,73 +89,6 @@ def test_cached_speedup_and_identical_results(graph_db):
     trend_gate(
         "service", "cached_seconds", cached_time,
         floor=0.025, higher_is_better=False,
-    )
-
-
-def measure_observability_overhead(graph_db, *, pairs: int = 30, calls: int = 50) -> float:
-    """Fractional warm-path cost of instrumentation (0.02 == 2 %).
-
-    One service object serves both sides of the comparison — its runtime
-    observability toggle flips between chunks — so object layout, cache
-    state and rng stream are held constant.  Chunks run in an A-B-B-A
-    pattern (linear clock-frequency drift cancels exactly within a pair)
-    and the estimate is the median of the per-pair ratios, which is robust
-    to the one-sided scheduling noise of shared machines.  Used both by
-    ``test_observability_overhead_speedup`` (the ≤5 % gate) and by
-    ``scripts/bench_snapshot.py`` (the committed trajectory).
-    """
-    service = PrivateQueryService(
-        session_budget=1e9, cache_capacity=64, rng=derive_seed("service.noise")
-    )
-    service.register_database("g", graph_db)
-    clock = time.perf_counter
-
-    def chunk() -> float:
-        start = clock()
-        for _ in range(calls):
-            service.count("g", TRIANGLE, epsilon=0.5)
-        return clock() - start
-
-    chunk()  # warm plan/profile/sensitivity/count caches
-    ratios = []
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(pairs):
-            service.set_observability(False)
-            plain_1 = chunk()
-            service.set_observability(True)
-            instrumented = chunk() + chunk()
-            service.set_observability(False)
-            plain_2 = chunk()
-            ratios.append(instrumented / (plain_1 + plain_2))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-        service.set_observability(True)
-    return statistics.median(ratios) - 1.0
-
-
-def test_observability_overhead_speedup(graph_db):
-    """The instrumented warm path must stay within 5 % of the plain one.
-
-    The metrics design makes this possible at all: every per-request
-    counter is derived at scrape time from totals the service maintains
-    anyway, latency lands in a lock-free buffered histogram handle, and
-    stage spans collapse to a single ContextVar read when no trace is
-    active — so a warm request pays two clock reads and one list append.
-    """
-    overhead = measure_observability_overhead(graph_db)
-    print(f"\nwarm-path instrumentation overhead: {overhead * 100:+.2f}%")
-    # Lower-is-better trend gate: the cap is the looser of the fixed 5 %
-    # and baseline+25 % — wall-clock-sensitive, so it keeps the headroom.
-    trend_gate(
-        "service",
-        "observability_overhead_percent",
-        overhead * 100,
-        floor=5.0,
-        higher_is_better=False,
     )
 
 

@@ -2,7 +2,7 @@
 """Write compact benchmark snapshots (``BENCH_<area>.json``) at the repo root.
 
 This is the committed perf trajectory: each run re-executes the gated
-benchmark workloads — serving-layer cache speedup, warm latency and instrumentation overhead
+benchmark workloads — serving-layer cache speedup and warm latency
 (``benchmarks/bench_service.py``), and the shared-lattice profiler speedup
 (``benchmarks/bench_profile.py``) — and records the headline numbers in a
 small, diffable JSON document per area.  Workloads are reproduced
@@ -58,7 +58,7 @@ def _median_of(samples: list) -> float:
 
 
 def snapshot_service() -> dict:
-    """Serving layer: cache speedup, warm latency, instrumentation overhead."""
+    """Serving layer: cache speedup and warm latency."""
     import bench_service as bs
     from repro.graphs.generators import collaboration_graph
     from repro.graphs.loader import database_from_networkx
@@ -84,7 +84,6 @@ def snapshot_service() -> dict:
             service.count("g", bs.TRIANGLE, epsilon=0.5)
         samples.append((time.perf_counter() - start) / calls)
     warm_latency = min(samples)
-    overhead = bs.measure_observability_overhead(graph_db)
     return {
         "workload": {
             "query": bs.TRIANGLE,
@@ -97,7 +96,6 @@ def snapshot_service() -> dict:
             "cached_seconds": round(cached_time, 6),
             "cache_speedup": round(uncached_time / cached_time, 2),
             "warm_release_microseconds": round(warm_latency * 1e6, 2),
-            "observability_overhead_percent": round(overhead * 100, 2),
         },
     }
 

@@ -14,7 +14,7 @@ budget denial and an unknown-database error — then:
 * checks the opt-in ``timings`` breakdown sums to its total;
 * validates every structured log line against the pinned schema
   (``repro.obs.logs.validate_log_line``);
-* asserts ``GET /stats`` carries the observability block.
+* asserts the ``GET /stats`` observability block counts the same traffic.
 
 Exit code 0 when every check passes; 1 with a report otherwise. Run from
 anywhere::
@@ -202,8 +202,17 @@ def check_stats(base: str) -> None:
     status, stats = request(f"{base}/stats")
     check(status == 200, "GET /stats answers 200")
     observability = stats.get("observability") or {}
-    check(observability.get("enabled") is True, "observability block is enabled")
-    check(observability.get("log_lines_written", 0) >= 5, "log lines were written")
+    traces = observability.get("traces_started")
+    check(traces == 1, f"1 trace started, by the timings request (saw {traces})")
+    errored = observability.get("requests_errored")
+    check(errored == 2, f"2 errored requests counted (saw {errored})")
+    check(observability.get("slow_ms") == 0.0, "the --slow-ms threshold is reported")
+    lines = observability.get("log_lines_written", 0)
+    check(lines >= 5, "log lines were written")
+    check(
+        observability.get("slow_requests") == lines,
+        "--slow-ms 0 marks every logged request slow",
+    )
     check(
         "repro_requests_total" in observability.get("metrics", []),
         "declared metric names are listed",

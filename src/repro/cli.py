@@ -261,11 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(logged at WARNING; counted in repro_slow_requests_total); "
         "implies --log-json to stderr unless a path is given",
     )
-    serve.add_argument(
-        "--no-observability",
-        action="store_true",
-        help="disable metrics and tracing (no /metrics endpoint, no timings)",
-    )
 
     metrics = subparsers.add_parser(
         "metrics", help="scrape, validate and print a running server's /metrics"
@@ -559,12 +554,24 @@ def _serve_request_logger(args: argparse.Namespace):
     return RequestLogger(handle, slow_ms=args.slow_ms), handle
 
 
+def _service_kwargs(args: argparse.Namespace) -> dict:
+    """The :class:`PrivateQueryService` settings ``serve`` takes from its flags."""
+    return {
+        "session_budget": args.session_budget,
+        "total_budget": args.total_budget,
+        "cache_capacity": args.cache_capacity,
+        "session_ttl": args.session_ttl,
+        "rng": args.seed,
+        "state_dir": args.state_dir,
+        "snapshot_interval": args.snapshot_interval,
+        "noise_mode": args.noise_mode,
+    }
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     import os
-    import signal
-    import threading
 
-    from repro.service.api import make_server
+    from repro.service.api import serve
     from repro.service.cluster import CapacityBoard
 
     if args.workers > 1:
@@ -572,55 +579,37 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     request_logger, log_handle = _serve_request_logger(args)
     service = _build_service(
-        args,
-        session_budget=args.session_budget,
-        total_budget=args.total_budget,
-        cache_capacity=args.cache_capacity,
-        session_ttl=args.session_ttl,
-        rng=args.seed,
-        state_dir=args.state_dir,
-        snapshot_interval=args.snapshot_interval,
-        observability=not args.no_observability,
-        request_logger=request_logger,
-        noise_mode=args.noise_mode,
+        args, request_logger=request_logger, **_service_kwargs(args)
     )
     board = CapacityBoard(1, args.max_inflight)
     board.attach(0, os.getpid())
     board.bind_metrics(service.metrics)
-    server = make_server(
-        service, args.host, args.port, log_requests=args.log_requests, capacity=board
-    )
-    host, port = server.server_address[:2]
-    name = service.registry.names()[0]
-    if args.state_dir is not None:
-        recovered = service.sessions.active_ids()
-        print(
-            f"recovered state from {args.state_dir!r}: {len(recovered)} session(s), "
-            f"audit total {service.sessions.audit.total_recorded}"
-        )
-    print(f"serving database {name!r} on http://{host}:{port}  (Ctrl-C to stop)")
-    if not args.no_observability:
+
+    def banner(server) -> None:
+        host, port = server.server_address[:2]
+        name = service.registry.names()[0]
+        if args.state_dir is not None:
+            recovered = service.sessions.active_ids()
+            print(
+                f"recovered state from {args.state_dir!r}: {len(recovered)} session(s), "
+                f"audit total {service.sessions.audit.total_recorded}"
+            )
+        print(f"serving database {name!r} on http://{host}:{port}  (Ctrl-C to stop)")
         print(f"metrics on http://{host}:{port}/metrics")
-    sys.stdout.flush()
+        sys.stdout.flush()
 
-    def drain(signum, frame):
-        # Graceful shutdown: stop accepting, let in-flight requests finish.
-        # shutdown() blocks until serve_forever returns, so it must not run
-        # on the serving thread the signal interrupted.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous_term = signal.signal(signal.SIGTERM, drain)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
+        # The drain finishes everything it accepted before exiting 0:
+        # in-flight requests complete, then the journal is compacted.
+        serve(
+            service,
+            args.host,
+            args.port,
+            log_requests=args.log_requests,
+            capacity=board,
+            ready=banner,
+        )
     finally:
-        signal.signal(signal.SIGTERM, previous_term)
-        # server_close() joins in-flight request threads (they are
-        # non-daemonic), then close() flushes and compacts the journal —
-        # the drain finishes everything it accepted before exiting 0.
-        server.server_close()
-        service.close()
         board.close()
         if log_handle is not None:
             log_handle.close()
@@ -645,18 +634,10 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
         request_logger, _ = _serve_request_logger(args)
         return _build_service(
             args,
-            session_budget=args.session_budget,
-            total_budget=args.total_budget,
-            cache_capacity=args.cache_capacity,
-            session_ttl=args.session_ttl,
-            rng=args.seed,
-            state_dir=args.state_dir,
-            snapshot_interval=args.snapshot_interval,
-            observability=not args.no_observability,
             request_logger=request_logger,
             shared_state=True,
-            noise_mode=args.noise_mode,
             worker_label=worker_label,
+            **_service_kwargs(args),
         )
 
     def finalize():
@@ -672,7 +653,6 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
             total_budget=args.total_budget,
             state_dir=args.state_dir,
             snapshot_interval=args.snapshot_interval,
-            observability=False,
         )
         service.close(snapshot=True)
 
@@ -691,8 +671,7 @@ def _run_serve_cluster(args: argparse.Namespace) -> int:
         f"serving database {name!r} with {args.workers} workers "
         f"on http://{host}:{port}  (Ctrl-C to stop)"
     )
-    if not args.no_observability:
-        print(f"metrics on http://{host}:{port}/metrics (per-worker labels)")
+    print(f"metrics on http://{host}:{port}/metrics (per-worker labels)")
     print(f"capacity board on http://{host}:{port}/capacity")
     # Flush before forking: children inherit the stdout buffer, and an
     # unflushed banner would be printed once per worker.

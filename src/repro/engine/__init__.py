@@ -15,7 +15,7 @@ On top of it, :mod:`repro.engine.aggregates` computes the boundary
 multiplicities ``T_E(I)`` of residual queries (the building block of residual
 sensitivity), :mod:`repro.engine.profile` evaluates whole residual-sensitivity
 profiles in one shared-lattice pass (component memoization, isomorphism
-dedup, optional thread fan-out — see ``docs/performance.md``),
+dedup, delta catch-up — see ``docs/performance.md``),
 :mod:`repro.engine.agm` computes AGM bounds via the fractional
 edge cover LP, and :mod:`repro.engine.domains` builds the augmented active
 domain ``Z+(q, I)`` needed for comparison predicates (Section 5.2).

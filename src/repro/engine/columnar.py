@@ -66,12 +66,11 @@ multiplicity read off them is reported as one, and a count is refused
 (:mod:`repro.engine.evaluation`).
 
 Each read of a relation's coded columns is counted as a hit (already coded)
-or a miss (coded now): :func:`factorization_cache_stats` exposes the
-process-wide totals, and :func:`factorization_counter_scope` opens a
-*context-local* view whose delta is immune to concurrent unrelated work —
-the profile evaluator (:mod:`repro.engine.profile`) computes its
-per-profile counters through a scope, so two serving-layer services in one
-process never cross-contaminate each other's ``/stats`` and ``/metrics``.
+or a miss (coded now) on every active :func:`factorization_counter_scope`:
+a *context-local* counter immune to concurrent unrelated work — the profile
+evaluator (:mod:`repro.engine.profile`) computes its per-profile counters
+through a scope, so two serving-layer services in one process never
+cross-contaminate each other's ``/stats`` and ``/metrics``.
 
 Counts are exact.  They are ``int64`` while they provably fit: before every
 count multiply (a join) or sum (a group-by), a Python-int bound on the
@@ -115,7 +114,6 @@ __all__ = [
     "EliminationResult",
     "MATMUL_THRESHOLD",
     "eliminate_group_counts_columnar",
-    "factorization_cache_stats",
     "factorization_counter_scope",
     "fold_group_counts",
     "greedy_elimination_order",
@@ -126,7 +124,6 @@ __all__ = [
     "refresh_group_counts",
     "relation_epochs",
     "relation_is_symmetric",
-    "reset_factorization_cache_stats",
 ]
 
 #: Re-densify a packed key once its key space exceeds this bound, keeping
@@ -300,10 +297,9 @@ def greedy_elimination_order(
 class _FactorizationCounters:
     """Thread-safe hit/miss counters of coded-column lookups.
 
-    One process-wide instance (:data:`_FACTORIZATION_COUNTERS`) accumulates
-    the global totals; additional *scoped* instances are installed
-    context-locally (:func:`factorization_counter_scope`) so one
-    computation's delta can be read without racing unrelated work — two
+    Instances are installed context-locally
+    (:func:`factorization_counter_scope`) so one computation's counts can be
+    read without racing unrelated work — two
     :class:`~repro.service.service.PrivateQueryService` instances evaluating
     profiles concurrently in one process each see only their own events.
     Scopes nest: a ``parent`` chain lets an outer scope keep counting while
@@ -327,56 +323,29 @@ class _FactorizationCounters:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses}
 
-    def reset(self) -> None:
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
 
-
-_FACTORIZATION_COUNTERS = _FactorizationCounters()
-
-#: The innermost context-local counter scope (``None``: only globals count).
+#: The innermost context-local counter scope (``None``: nothing counts).
 _FACTORIZATION_SCOPE: "contextvars.ContextVar[_FactorizationCounters | None]" = (
     contextvars.ContextVar("repro_factorization_scope", default=None)
 )
 
 
 def _record_factorization(hit: bool) -> None:
-    """Record one lookup on the global counters and every active scope."""
-    _FACTORIZATION_COUNTERS._record_one(hit)
+    """Record one lookup on every active scope."""
     scope = _FACTORIZATION_SCOPE.get()
     while scope is not None:
         scope._record_one(hit)
         scope = scope.parent
 
 
-def factorization_cache_stats() -> dict[str, int]:
-    """Cumulative process-wide ``{"hits", "misses"}`` of coded-column
-    lookups, one per relation read (a miss when the relation had to be
-    coded; the coded columns live on each
-    :class:`~repro.data.relation.Relation`).
-
-    These totals are shared by everything in the process; callers that need
-    the delta of *one* computation must not diff before/after snapshots
-    (concurrent work pollutes the difference) — open a
-    :func:`factorization_counter_scope` instead, as
-    :func:`repro.engine.profile.evaluate_profile` does.
-    """
-    return _FACTORIZATION_COUNTERS.snapshot()
-
-
-def reset_factorization_cache_stats() -> None:
-    """Zero the process-wide counters (tests/benchmarks; scopes are unaffected)."""
-    _FACTORIZATION_COUNTERS.reset()
-
-
 @contextlib.contextmanager
 def factorization_counter_scope() -> "Iterator[_FactorizationCounters]":
-    """A context-local counter seeing only this context's lookups.
+    """A context-local counter seeing only this context's lookups, one per
+    relation read (a miss when the relation had to be coded; the coded
+    columns live on each :class:`~repro.data.relation.Relation`).
 
-    Nested scopes stack (both count); the global totals always count.  The
-    yielded object stays readable after the ``with`` block — its snapshot is
-    the computation's exact delta.
+    Nested scopes stack (both count).  The yielded object stays readable
+    after the ``with`` block — its snapshot is the computation's exact count.
     """
     scope = _FactorizationCounters(parent=_FACTORIZATION_SCOPE.get())
     token = _FACTORIZATION_SCOPE.set(scope)

@@ -21,13 +21,9 @@ import numpy as np
 
 from repro.exceptions import PrivacyError
 from repro.mechanisms.noise import GeneralCauchyNoise
-from repro.sensitivity.base import SensitivityResult
+from repro.sensitivity.base import DEFAULT_BETA_FRACTION, SensitivityResult
 
 __all__ = ["SmoothSensitivityMechanism", "SmoothRelease"]
-
-#: β = ε / BETA_FRACTION, following the paper's (and NRS's) choice of 10 for
-#: the exponent-4 general Cauchy distribution.
-BETA_FRACTION = 10.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ class SmoothSensitivityMechanism:
             raise PrivacyError(f"epsilon must be positive, got {epsilon}")
         self._epsilon = float(epsilon)
         self._gamma = float(gamma)
-        self._beta = float(beta) if beta is not None else epsilon / BETA_FRACTION
+        self._beta = float(beta) if beta is not None else epsilon / DEFAULT_BETA_FRACTION
         if self._beta <= 0:
             raise PrivacyError(f"beta must be positive, got {self._beta}")
         # Materialise the generator once so that successive releases draw

@@ -3,9 +3,10 @@
 The telemetry layer every serving component reports through:
 
 * :mod:`repro.obs.tracing` — request-scoped spans (trace id, nested stack,
-  wall/CPU time, attributes) with an ambient, zero-cost-when-off entry
-  point (:func:`~repro.obs.tracing.span`) used by the service façade, the
-  batch executor, the shared-lattice profiler and the elimination engine.
+  wall/CPU time, attributes) with an ambient entry point
+  (:func:`~repro.obs.tracing.span`, one ``ContextVar`` read without a
+  trace) used by the service façade, the batch executor and the
+  shared-lattice profiler.
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket histograms
   in a :class:`~repro.obs.metrics.MetricsRegistry`, rendered in Prometheus
   text format by the serving layer's ``GET /metrics`` endpoint.

@@ -35,7 +35,7 @@ LOG_SCHEMA: dict[str, tuple[tuple[type, ...], bool]] = {
     "level": ((str,), True),                # "info" | "warning" | "error"
     "event": ((str,), True),                # "request"
     "endpoint": ((str,), True),             # "count" | "batch" | ...
-    "trace_id": ((str, type(None)), True),  # null when tracing was off
+    "trace_id": ((str, type(None)), True),  # null without ``timings``
     "session": ((str, type(None)), True),
     "database": ((str, type(None)), True),
     "query_key": ((str, type(None)), True),  # canonical shape key

@@ -3,13 +3,12 @@
 A *trace* is the tree of timed spans produced while serving one request
 (``/count``, ``/batch``, a CLI invocation).  The design goals, in order:
 
-1. **Zero cost when off.**  Tracing is *ambient*: lower layers (the batch
-   executor, the shared-lattice profiler, the elimination engine) call the
-   module-level :func:`span` without knowing whether anyone is listening.
-   When no trace is active — the common case, since per-request timing
-   breakdowns are opt-in — :func:`span` returns a shared no-op context
-   manager after a single ``ContextVar.get``.  The warm serving path stays
-   within the instrumentation budget gated by ``bench_service.py``.
+1. **Near-zero cost without a trace.**  Tracing is *ambient*: the serving
+   stages and lower layers (the batch executor, the shared-lattice
+   profiler) call the module-level :func:`span` without knowing whether
+   anyone is listening.  When no trace is active — the common case, since
+   per-request timing breakdowns are opt-in — :func:`span` returns a shared
+   no-op context manager after a single ``ContextVar.get``.
 2. **Correct nesting across threads.**  The ambient span lives in a
    :class:`contextvars.ContextVar`, so concurrent requests on different
    threads never see each other's spans.  Each request runs entirely on
@@ -232,25 +231,20 @@ def span(name: str, **attributes: Any):
 class Tracer:
     """Creates root spans and counts traces.
 
-    One tracer per :class:`~repro.service.service.PrivateQueryService`; a
-    disabled tracer (``enabled=False``) hands out :data:`NULL_SPAN` so the
-    whole span machinery collapses to one attribute check.
+    One tracer per :class:`~repro.service.service.PrivateQueryService`.
     """
 
-    def __init__(self, *, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._traces_started = 0
         self._lock = threading.Lock()
 
-    def trace(self, name: str, **attributes: Any):
-        """A new root span (fresh trace id) — or a no-op when disabled.
+    def trace(self, name: str, **attributes: Any) -> Span:
+        """A new root span (fresh trace id).
 
         If an ambient span is already active (e.g. a ``/batch`` item running
         inside the batch trace), the "root" attaches as its child instead of
         starting a disconnected second trace.
         """
-        if not self.enabled:
-            return NULL_SPAN
         with self._lock:
             self._traces_started += 1
         parent = _CURRENT_SPAN.get()

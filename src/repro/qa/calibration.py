@@ -41,8 +41,8 @@ from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.engine.evaluation import count_query
 from repro.mechanisms.mechanism import PrivateCountingQuery
-from repro.mechanisms.smooth_mechanism import BETA_FRACTION
 from repro.query.parser import parse_query
+from repro.sensitivity.base import DEFAULT_BETA_FRACTION
 from repro.sensitivity.residual import ResidualSensitivity
 
 __all__ = ["CalibrationCheck", "CalibrationReport", "verify_calibration", "LEVELS"]
@@ -246,7 +246,7 @@ def _draw_query(db, seed, samples, *, method):
     if method == "global":
         scale = sensitivity.value / _EPSILON
     else:
-        scale = sensitivity.value / (_EPSILON / BETA_FRACTION)
+        scale = sensitivity.value / (_EPSILON / DEFAULT_BETA_FRACTION)
     draws = np.array(
         [
             releaser.release(db, true_count=true_count, sensitivity=sensitivity).noisy_count
@@ -262,7 +262,7 @@ def _draw_query(db, seed, samples, *, method):
 def _expected_sensitivity(db, query_text: str, epsilon: float) -> float:
     """Independently recomputed RS — the value the service *should* use."""
     query = parse_query(query_text)
-    return ResidualSensitivity(query, beta=epsilon / BETA_FRACTION).value(db)
+    return ResidualSensitivity(query, beta=epsilon / DEFAULT_BETA_FRACTION).value(db)
 
 
 def _make_service(db, seed, label, **kwargs):
@@ -288,7 +288,7 @@ def _draw_service(db, seed, samples):
                 f"service calibrated to sensitivity {response.sensitivity}, "
                 f"independent recomputation says {expected}"
             )
-        scale = response.sensitivity / (_EPSILON / BETA_FRACTION)
+        scale = response.sensitivity / (_EPSILON / DEFAULT_BETA_FRACTION)
         residuals.append((response.noisy_count - true_count) / scale)
     return np.array(residuals), f"service.count ε={_EPSILON} S={expected}"
 
@@ -309,7 +309,7 @@ def _draw_batch(db, seed, samples):
             if not item.ok:
                 raise AssertionError(f"batch item failed: {item.error}")
             response = item.response
-            scale = response.sensitivity / (response.epsilon / BETA_FRACTION)
+            scale = response.sensitivity / (response.epsilon / DEFAULT_BETA_FRACTION)
             query_text = _BATCH_QUERIES[item.index]
             residuals.append((response.noisy_count - true_counts[query_text]) / scale)
     return np.array(residuals), (
@@ -328,7 +328,7 @@ def _draw_replay(db, seed, samples, state_dir):
     def drain(svc, count):
         for _ in range(count):
             response = svc.count("qa", _QUERY, _EPSILON, session="calibration")
-            scale = response.sensitivity / (_EPSILON / BETA_FRACTION)
+            scale = response.sensitivity / (_EPSILON / DEFAULT_BETA_FRACTION)
             residuals.append((response.noisy_count - true_count) / scale)
 
     drain(service, first_half)

@@ -33,7 +33,7 @@ Endpoints (all bodies and responses are ``application/json``):
     The service's metrics registry in Prometheus text exposition format
     (``text/plain; version=0.0.4``) — request counters/latency histograms,
     cache hit ratios, budget-ledger and WAL journal timings, profiler
-    counters.  404 when the service was built with ``observability=False``.
+    counters.
 
 ``/count`` and ``/batch`` accept ``"timings": true`` to run the request
 under a trace and return a ``trace_id`` plus a per-stage wall-time
@@ -58,6 +58,10 @@ the body until the client's delayed ACK of the headers arrived (RFC 1122
 §4.2.3.2) — ~40 ms on every keep-alive request; one write and no Nagle make
 a warm ``/count`` cost one round trip.
 
+:func:`serve` runs a server for its whole life — bind, accept until
+SIGTERM, drain — for single-process ``repro-dp serve`` and for every worker
+of the prefork cluster (:mod:`repro.service.cluster`) alike.
+
 This front end is built on :mod:`http.server` so the library stays
 dependency-free; production deployments would put a real WSGI/ASGI server in
 front of :class:`PrivateQueryService` the same way this module does.
@@ -67,8 +71,10 @@ from __future__ import annotations
 
 import json
 import math
+import signal
+import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, urlparse
 
 from repro.exceptions import (
@@ -79,7 +85,7 @@ from repro.exceptions import (
 )
 from repro.service.service import PrivateQueryService
 
-__all__ = ["make_server", "shed_retry_after", "ServiceRequestHandler"]
+__all__ = ["make_server", "serve", "shed_retry_after", "ServiceRequestHandler"]
 
 #: Bounds of the derived ``Retry-After`` on shed (503) responses.
 MIN_RETRY_AFTER = 1
@@ -367,14 +373,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             self._send_json(status, payload)
 
     def _get_metrics(self) -> None:
-        registry = self.service.metrics
-        if registry is None:
-            self._send_error_json(
-                404, "metrics are disabled (service built with observability=False)"
-            )
-            return
         try:
-            body = registry.render()
+            body = self.service.metrics.render()
         except Exception as exc:  # pragma: no cover - defensive
             self._send_error_json(500, f"internal error: {exc}")
             return
@@ -571,3 +571,47 @@ def make_server(
     server.server_name = host_name
     server.server_port = port_number
     return server
+
+
+def serve(
+    service: PrivateQueryService,
+    host: str = "127.0.0.1",
+    port: int = 8080,
+    *,
+    log_requests: bool = False,
+    sock=None,
+    capacity=None,
+    snapshot: bool = True,
+    ready: Callable[[ThreadingHTTPServer], None] | None = None,
+) -> None:
+    """Serve ``service`` until SIGTERM (or Ctrl-C), then drain and close it.
+
+    The arguments up to ``capacity`` go to :func:`make_server`; ``ready``
+    runs once the socket is bound, before the first request is accepted
+    (the CLI prints its banner there).  The accept loop polls for shutdown
+    every 50 ms, so a SIGTERM starts the drain within one poll: the server
+    stops accepting, ``server_close()`` joins every in-flight request, and
+    ``service.close(snapshot=snapshot)`` flushes the journal (cluster
+    workers pass ``snapshot=False``: a shared journal is compacted once, by
+    the dispatcher).  Must run on the main thread, which owns signals.
+    """
+    server = make_server(
+        service, host, port, log_requests=log_requests, sock=sock, capacity=capacity
+    )
+
+    def drain(signum, frame):
+        # shutdown() blocks until serve_forever returns, so it must not run
+        # on the serving thread the signal interrupted.
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    previous = signal.signal(signal.SIGTERM, drain)
+    try:
+        if ready is not None:
+            ready(server)
+        server.serve_forever(poll_interval=0.05)
+    except KeyboardInterrupt:  # pragma: no cover - interactive
+        pass
+    finally:
+        server.server_close()
+        service.close(snapshot=snapshot)
+        signal.signal(signal.SIGTERM, previous)

@@ -5,8 +5,8 @@ processes the way classic prefork servers do:
 
 1. The **dispatcher** binds the listening socket once (before forking) and
    ``fork()``s N workers.  Each worker inherits the bound descriptor and
-   runs its own :func:`~repro.service.api.make_server` accept loop on it —
-   the kernel's accept queue is the load balancer; no userspace proxy.
+   runs its own :func:`~repro.service.api.serve` accept loop on it — the
+   kernel's accept queue is the load balancer; no userspace proxy.
 2. Every worker opens the same ``--state-dir`` in **shared mode**
    (:class:`~repro.service.persistence.StateStore` with ``shared=True``):
    a per-mutation ``fcntl`` lock serialises reserve→journal→commit across
@@ -46,7 +46,7 @@ import time
 from typing import Any, Callable
 
 from repro.exceptions import ServiceError
-from repro.service.api import make_server
+from repro.service.api import serve
 from repro.service.service import PrivateQueryService
 
 __all__ = ["CapacityBoard", "ClusterDispatcher"]
@@ -171,8 +171,6 @@ class CapacityBoard:
 
     def bind_metrics(self, registry) -> None:
         """Expose the owning worker's slot on a metrics registry."""
-        if registry is None:
-            return
         index = self._index
 
         def field(position: int) -> Callable[[], float]:
@@ -284,31 +282,21 @@ class ClusterDispatcher:
         # The child must not inherit the dispatcher's supervision handlers.
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         self.board.attach(index, os.getpid())
-        label = f"w{index}"
-        service = self._service_factory(label)
+        service = self._service_factory(f"w{index}")
         self.board.bind_metrics(service.metrics)
-        server = make_server(
-            service,
-            sock=self._sock,
-            capacity=self.board,
-            log_requests=self._log_requests,
-        )
-
-        def drain(signum, frame):
-            # shutdown() blocks until serve_forever returns; calling it on
-            # the serving thread would deadlock, so hand it to a helper.
-            threading.Thread(target=server.shutdown, daemon=True).start()
-
-        signal.signal(signal.SIGTERM, drain)
         try:
-            server.serve_forever(poll_interval=0.05)
-            # Joins in-flight request threads (daemon_threads=False), then
-            # closes the inherited listener in this process only.
-            server.server_close()
-            service.close(snapshot=False)  # shared stores never compact
-            return 0
+            # Closing the server closes the inherited listener in this
+            # process only; shared stores never compact.
+            serve(
+                service,
+                sock=self._sock,
+                capacity=self.board,
+                log_requests=self._log_requests,
+                snapshot=False,
+            )
         except Exception:
             return 1
+        return 0
 
     # ------------------------------------------------------------------ #
     # Dispatcher side

@@ -64,13 +64,12 @@ from repro.engine.evaluation import count_query
 from repro.exceptions import PrivacyError, ServiceError, UnknownResourceError
 from repro.mechanisms.accountant import PrivacyAccountant
 from repro.mechanisms.mechanism import PrivateCountingQuery
-from repro.mechanisms.smooth_mechanism import BETA_FRACTION
 from repro.obs.logs import RequestLogger
 from repro.obs.metrics import DEFAULT_IO_BUCKETS, MetricsRegistry
-from repro.obs.tracing import Tracer, current_span, span as obs_span
+from repro.obs.tracing import NULL_SPAN, Tracer, span as obs_span
 from repro.query.cq import ConjunctiveQuery
 from repro.query.parser import parse_query
-from repro.sensitivity.base import SensitivityResult
+from repro.sensitivity.base import DEFAULT_BETA_FRACTION, SensitivityResult
 from repro.sensitivity.residual import ResidualSensitivity
 from repro.service.cache import LRUCache
 from repro.service.persistence import RecoveredState, StateStore
@@ -170,13 +169,6 @@ class PrivateQueryService:
     snapshot_interval:
         Journal records between automatic compacted snapshots (``0``
         disables automatic compaction).  Only meaningful with ``state_dir``.
-    observability:
-        ``True`` (the default) wires up the telemetry layer: a
-        :class:`~repro.obs.metrics.MetricsRegistry` (exposed as
-        :attr:`metrics`, rendered by ``GET /metrics``) and a
-        :class:`~repro.obs.tracing.Tracer` powering opt-in per-request
-        ``timings`` breakdowns.  ``False`` disables both — the baseline the
-        instrumentation-overhead benchmark compares against.
     request_logger:
         Optional :class:`~repro.obs.logs.RequestLogger` emitting one
         schema-pinned JSON line per request (``repro-dp serve --log-json``);
@@ -222,7 +214,6 @@ class PrivateQueryService:
         rng: np.random.Generator | int | None = None,
         state_dir: str | None = None,
         snapshot_interval: int = 1000,
-        observability: bool = True,
         request_logger: RequestLogger | None = None,
         shared_state: bool = False,
         noise_mode: str = "stream",
@@ -297,28 +288,26 @@ class PrivateQueryService:
             "factorization_misses": 0,
         }
         # -- observability ------------------------------------------------ #
-        self._obs = bool(observability)
-        self._tracer = Tracer(enabled=self._obs)
-        #: The service's metrics registry (``None`` with observability off);
-        #: rendered in Prometheus text format by ``GET /metrics``.
-        const_labels = {"worker": worker_label} if worker_label else None
-        self.metrics: MetricsRegistry | None = (
-            MetricsRegistry(const_labels=const_labels) if self._obs else None
+        # Every request is instrumented: its latency lands in the registry,
+        # and ``timings=True`` runs it under a root span of this tracer.
+        self._tracer = Tracer()
+        #: The service's metrics registry, rendered in Prometheus text
+        #: format by ``GET /metrics``.
+        self.metrics = MetricsRegistry(
+            const_labels={"worker": worker_label} if worker_label else None
         )
         self._request_logger = request_logger
         self._slow_requests = 0
         self._requests_errored = 0
-        if self._obs:
-            self._init_metrics()
-            if self._store is not None:
-                self._store.bind_metrics(self.metrics)
+        self._init_metrics()
+        if self._store is not None:
+            self._store.bind_metrics(self.metrics)
 
     def _init_metrics(self) -> None:
         """Declare every instrument and pre-resolve the hot series handles.
 
         Two techniques keep the warm serving path nearly free of
-        instrumentation cost (the ≤5 % overhead gate in
-        ``benchmarks/bench_service.py``):
+        instrumentation cost:
 
         * **pre-resolved handles** — label sets resolve once, here, so the
           per-request work is at most one latency ``observe``;
@@ -357,7 +346,6 @@ class PrivateQueryService:
         self._m_latency = {
             endpoint: latency.bind(endpoint=endpoint) for endpoint in ("count", "batch")
         }
-        self._m_latency_count = self._m_latency["count"]
         # Cache traffic is read straight off each LRU's own hit/miss
         # counters at scrape time — no per-request increments.
         for name, lru in (
@@ -452,35 +440,6 @@ class PrivateQueryService:
                 "repro_recovered_journal_seq",
                 "Journal seq recovered at startup (0: fresh start).",
             ).set_function(lambda: float(self._recovered_seq))
-
-    def set_observability(self, enabled: bool) -> None:
-        """Toggle instrumentation at runtime (an operational kill-switch).
-
-        Disabling stops per-request recording (latency observations, span
-        roots) without tearing anything down: the registry keeps rendering,
-        and its callback-backed series — cache traffic, requests served,
-        ε charged, session/budget gauges — stay live because they read
-        service state at scrape time.  Re-enabling (or enabling on a service
-        constructed with ``observability=False``) declares the instruments
-        on first use.  The overhead benchmark drives this toggle so both
-        sides of the comparison run on one service object.
-        """
-        enabled = bool(enabled)
-        if enabled and self.metrics is None:
-            const_labels = (
-                {"worker": self._worker_label} if self._worker_label else None
-            )
-            self.metrics = MetricsRegistry(const_labels=const_labels)
-            self._init_metrics()
-            if self._store is not None:
-                self._store.bind_metrics(self.metrics)
-        self._obs = enabled
-        self._tracer.enabled = enabled
-
-    @property
-    def observability_enabled(self) -> bool:
-        """Whether per-request instrumentation is currently recording."""
-        return self._obs
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -702,7 +661,7 @@ class PrivateQueryService:
             # β here, which we pin via beta directly below.
             probe = PrivateCountingQuery(
                 query,
-                epsilon=(beta * BETA_FRACTION) if beta is not None else 1.0,
+                epsilon=(beta * DEFAULT_BETA_FRACTION) if beta is not None else 1.0,
                 method=method,  # type: ignore[arg-type]
             )
             return probe.sensitivity(reg.database)
@@ -740,14 +699,13 @@ class PrivateQueryService:
             totals["component_delta_updates"] += stats.component_delta_updates
             totals["factorization_hits"] += stats.factorization_hits
             totals["factorization_misses"] += stats.factorization_misses
-        if self._obs:
-            self._m_profiles.inc()
-            self._m_components_eval.inc(stats.components_evaluated)
-            self._m_components_dedup.inc(stats.component_hits)
-            self._m_components_cached.inc(stats.component_cache_hits)
-            self._m_components_delta.inc(stats.component_delta_updates)
-            self._m_fact_hit.inc(stats.factorization_hits)
-            self._m_fact_miss.inc(stats.factorization_misses)
+        self._m_profiles.inc()
+        self._m_components_eval.inc(stats.components_evaluated)
+        self._m_components_dedup.inc(stats.component_hits)
+        self._m_components_cached.inc(stats.component_cache_hits)
+        self._m_components_delta.inc(stats.component_delta_updates)
+        self._m_fact_hit.inc(stats.factorization_hits)
+        self._m_fact_miss.inc(stats.factorization_misses)
         return profile.results
 
     # ------------------------------------------------------------------ #
@@ -773,50 +731,22 @@ class PrivateQueryService:
         reservation is rolled back (and the refusal journaled) instead of
         silently consuming ε without an answer.
 
-        With ``timings=True`` (and observability on) the request runs under
-        a root span and the response carries ``trace_id`` plus a ``timings``
-        breakdown over the serving stages (plan / sensitivity / true_count /
-        charge / release + ``other``) whose values sum exactly to ``total``.
+        Every request is recorded in :attr:`metrics` (and, with a request
+        logger, in the structured log).  With ``timings=True`` the request
+        runs under a root span and the response carries ``trace_id`` plus a
+        ``timings`` breakdown over the serving stages (plan / sensitivity /
+        true_count / charge / release + ``other``) whose values sum exactly
+        to ``total``.
         """
-        if not self._obs and self._request_logger is None:
-            return self._count_core(database, query, epsilon, session=session, method=method)
-        if self._obs and not timings and self._request_logger is None:
-            # Metrics-only fast path: every counter is derived at scrape
-            # time (or error-path only), so a warm request pays two clock
-            # reads and one histogram observation.
-            start = time.perf_counter()
-            try:
-                response = self._count_core(
-                    database, query, epsilon, session=session, method=method
-                )
-            except Exception as exc:
-                self._record_request(
-                    "count",
-                    time.perf_counter() - start,
-                    status="error",
-                    exc=exc,
-                    session=session,
-                    database=database,
-                    method=method,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                raise
-            self._m_latency_count(time.perf_counter() - start)
-            return response
         start = time.perf_counter()
         root = (
             self._tracer.trace("request.count", database=database, method=method)
-            if (timings and self._obs)
-            else None
+            if timings
+            else NULL_SPAN
         )
-        trace_id = root.trace_id if root is not None else None
+        trace_id = root.trace_id if timings else None
         try:
-            if root is not None:
-                with root:
-                    response = self._count_core(
-                        database, query, epsilon, session=session, method=method
-                    )
-            else:
+            with root:
                 response = self._count_core(
                     database, query, epsilon, session=session, method=method
                 )
@@ -824,24 +754,19 @@ class PrivateQueryService:
             self._record_request(
                 "count",
                 time.perf_counter() - start,
-                status="error",
-                exc=exc,
+                exc,
                 trace_id=trace_id,
                 session=session,
                 database=database,
                 method=method,
-                error=f"{type(exc).__name__}: {exc}",
             )
             raise
         duration = time.perf_counter() - start
-        if root is not None:
-            response = replace(
-                response, trace_id=root.trace_id, timings=root.stage_timings()
-            )
+        if timings:
+            response = replace(response, trace_id=trace_id, timings=root.stage_timings())
         self._record_request(
             "count",
             duration,
-            status="ok",
             trace_id=trace_id,
             session=session,
             database=database,
@@ -865,7 +790,12 @@ class PrivateQueryService:
         session: str | None,
         method: str,
     ) -> CountResponse:
-        """The uninstrumented serving path (see :meth:`count` for the contract)."""
+        """The serving stages of :meth:`count` (see there for the contract).
+
+        Each stage runs under an :func:`~repro.obs.tracing.span`; without an
+        active trace that is one ``ContextVar`` read returning
+        :data:`~repro.obs.tracing.NULL_SPAN`.
+        """
         if method not in _METHODS:
             raise ServiceError(f"unknown calibration method {method!r}")
         if not isinstance(epsilon, (int, float)) or not math.isfinite(epsilon) or epsilon <= 0:
@@ -884,38 +814,21 @@ class PrivateQueryService:
                 raise
             self._sync_shared()
             self._sessions.precheck(session, epsilon)
-        # One ContextVar read decides whether stage spans exist at all: the
-        # untraced warm path (no ``timings``, not under a batch trace) must
-        # not pay even for no-op context managers.
-        traced = current_span() is not None
-        if traced:
-            with obs_span("plan"):
-                parsed, key, plan_hit = self.plan(query)
-        else:
+        with obs_span("plan"):
             parsed, key, plan_hit = self.plan(query)
-        beta = None if method == "global" else epsilon / BETA_FRACTION
-
-        if traced:
-            with obs_span("sensitivity", method=method):
-                sensitivity, sens_hit = self._sensitivity(reg, parsed, key, method, beta)
-            with obs_span("true_count"):
-                true_count, count_hit = self._true_count(reg, parsed, key)
-        else:
+        beta = None if method == "global" else epsilon / DEFAULT_BETA_FRACTION
+        with obs_span("sensitivity", method=method):
             sensitivity, sens_hit = self._sensitivity(reg, parsed, key, method, beta)
+        with obs_span("true_count"):
             true_count, count_hit = self._true_count(reg, parsed, key)
 
         label = key if key is not None else parsed.name
         # The charge histogram targets ledger contention and journal cost,
         # which only exist for session-scoped or durable charges; timing the
         # in-memory sessionless no-op would tax the warm path for nothing.
-        charge_timed = self._obs and (session is not None or self._store is not None)
-        charge_start = time.perf_counter() if charge_timed else 0.0
-        if traced:
-            with obs_span("charge"):
-                txn = self._sessions.begin_charge(
-                    session, epsilon, label=f"{database}:{label}"
-                )
-        else:
+        charge_timed = session is not None or self._store is not None
+        charge_start = time.perf_counter()
+        with obs_span("charge"):
             txn = self._sessions.begin_charge(session, epsilon, label=f"{database}:{label}")
         if charge_timed:
             self._m_charge(time.perf_counter() - charge_start)
@@ -940,12 +853,8 @@ class PrivateQueryService:
             )
 
         try:
-            if traced:
-                with obs_span("release", method=method), self._rng_lock:
-                    release = draw()
-            else:
-                with self._rng_lock:
-                    release = draw()
+            with obs_span("release", method=method), self._rng_lock:
+                release = draw()
         except Exception as exc:
             txn.rollback(reason=f"release failed: {exc}")
             raise
@@ -992,63 +901,49 @@ class PrivateQueryService:
         """
         from repro.service.executor import BatchExecutor
 
-        executor = BatchExecutor(self)
-        if not self._obs and self._request_logger is None:
-            return executor.run(
-                database, requests, session=session, epsilon_total=epsilon_total
-            )
         start = time.perf_counter()
         root = (
             self._tracer.trace("request.batch", database=database)
-            if (timings and self._obs)
-            else None
+            if timings
+            else NULL_SPAN
         )
-        trace_id = root.trace_id if root is not None else None
+        trace_id = root.trace_id if timings else None
         try:
-            if root is not None:
-                with root:
-                    result = executor.run(
-                        database, requests, session=session, epsilon_total=epsilon_total
-                    )
-            else:
-                result = executor.run(
+            with root:
+                result = BatchExecutor(self).run(
                     database, requests, session=session, epsilon_total=epsilon_total
                 )
         except Exception as exc:
             self._record_request(
                 "batch",
                 time.perf_counter() - start,
-                status="error",
-                exc=exc,
+                exc,
                 trace_id=trace_id,
                 session=session,
                 database=database,
-                error=f"{type(exc).__name__}: {exc}",
             )
             raise
         duration = time.perf_counter() - start
-        if self._obs:
-            for item in result.items:
-                outcome = (
-                    "error" if not item.ok
-                    else ("deduplicated" if item.deduplicated else "ok")
-                )
-                self._m_batch_items[outcome].inc()
+        for item in result.items:
+            outcome = (
+                "error" if not item.ok
+                else ("deduplicated" if item.deduplicated else "ok")
+            )
+            self._m_batch_items[outcome].inc()
         self._record_request(
             "batch",
             duration,
-            status="ok",
             trace_id=trace_id,
             session=session,
             database=database,
             epsilon=result.epsilon_charged,
         )
-        if root is not None:
+        if timings:
             result = replace(
                 result,
                 details={
                     **dict(result.details),
-                    "trace_id": root.trace_id,
+                    "trace_id": trace_id,
                     "timings": root.stage_timings(),
                 },
             )
@@ -1058,53 +953,41 @@ class PrivateQueryService:
         self,
         endpoint: str,
         duration_s: float,
-        *,
-        status: str,
         exc: BaseException | None = None,
-        trace_id: str | None = None,
-        session: str | None = None,
-        database: str | None = None,
-        query_key: str | None = None,
-        method: str | None = None,
-        error: str | None = None,
-        epsilon: float | None = None,
-        cache: Mapping[str, bool] | None = None,
+        **fields: Any,
     ) -> None:
-        """Record one finished request into metrics and the structured log.
+        """Record one finished request (failed when ``exc`` is given) into
+        metrics and, with a request logger, the structured log.
 
-        Only the cold combinations increment counters here: ``(count, ok)``
-        requests, ε charged and cache traffic are all callback-backed series
-        read at scrape time (see :meth:`_init_metrics`).
+        ``fields`` are the log record's request fields (see
+        :meth:`~repro.obs.logs.RequestLogger.log_request`).  Only the cold
+        combinations increment counters here: ``(count, ok)`` requests, ε
+        charged and cache traffic are all callback-backed series read at
+        scrape time (see :meth:`_init_metrics`).
         """
-        if self._obs:
-            self._m_latency[endpoint](duration_s)
-            if endpoint != "count" or status != "ok":
-                self._m_requests[(endpoint, status)].inc()
+        self._m_latency[endpoint](duration_s)
+        if exc is not None:
+            self._m_requests[(endpoint, "error")].inc()
             if isinstance(exc, PrivacyError):
                 self._m_denials.inc(endpoint=endpoint)
-            if status == "error":
-                with self._stats_lock:
-                    self._requests_errored += 1
+            with self._stats_lock:
+                self._requests_errored += 1
+        elif endpoint != "count":
+            self._m_requests[(endpoint, "ok")].inc()
         logger = self._request_logger
-        if logger is not None:
-            record = logger.log_request(
-                endpoint=endpoint,
-                duration_ms=duration_s * 1e3,
-                status=status,
-                trace_id=trace_id,
-                session=session,
-                database=database,
-                query_key=query_key,
-                method=method,
-                error=error,
-                epsilon=epsilon,
-                cache=cache,
-            )
-            if record["slow"]:
-                with self._stats_lock:
-                    self._slow_requests += 1
-                if self._obs:
-                    self._m_slow.inc(endpoint=endpoint)
+        if logger is None:
+            return
+        record = logger.log_request(
+            endpoint=endpoint,
+            duration_ms=duration_s * 1e3,
+            status="ok" if exc is None else "error",
+            error=None if exc is None else f"{type(exc).__name__}: {exc}",
+            **fields,
+        )
+        if record["slow"]:
+            with self._stats_lock:
+                self._slow_requests += 1
+            self._m_slow.inc(endpoint=endpoint)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1137,13 +1020,12 @@ class PrivateQueryService:
             "worker": self._worker_label,
             "charge_events": self._sessions.charge_events,
             "observability": {
-                "enabled": self._obs,
                 "traces_started": self._tracer.traces_started,
                 "requests_errored": errored,
                 "slow_requests": slow,
                 "slow_ms": logger.slow_ms if logger is not None else None,
                 "log_lines_written": logger.lines_written if logger is not None else 0,
-                "metrics": self.metrics.names() if self.metrics is not None else [],
+                "metrics": self.metrics.names(),
             },
             "backends": {"default": ENGINE_NAME},
             "databases": self._registry.describe(),

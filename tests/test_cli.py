@@ -43,9 +43,10 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --parallelism -1" in capsys.readouterr().err
 
-    def test_no_thread_fan_out_knobs(self, capsys):
-        """Each request runs on the thread that received it: no module fans
-        work out to a pool, and no entry point or CLI flag sizes one."""
+    def test_removed_knobs_stay_gone(self, capsys):
+        """Each request runs on the thread that received it, and every
+        request is instrumented: no module fans work out to a pool, and no
+        entry point or CLI flag sizes one or turns observability off."""
         import ast
         import inspect
         from pathlib import Path
@@ -53,6 +54,7 @@ class TestParser:
         import repro
         from repro.engine.profile import evaluate_profile
         from repro.mechanisms.mechanism import PrivateCountingQuery
+        from repro.obs.tracing import Tracer
         from repro.sensitivity.residual import ResidualSensitivity
         from repro.service.executor import BatchExecutor
         from repro.service.service import PrivateQueryService
@@ -81,6 +83,10 @@ class TestParser:
         ):
             parameters = set(inspect.signature(entry).parameters)
             assert not {"parallelism", "max_workers"} & parameters, entry.__qualname__
+        assert "observability" not in inspect.signature(PrivateQueryService).parameters
+        for attribute in ("set_observability", "observability_enabled"):
+            assert not hasattr(PrivateQueryService, attribute), attribute
+        assert list(inspect.signature(Tracer).parameters) == []
 
         for argv in (
             ["count", "--query", "Edge(x, y)", "--parallelism", "2"],
@@ -88,11 +94,13 @@ class TestParser:
             ["serve", "--port", "0", "--parallelism", "2"],
             ["batch", "--requests", "r.json", "--parallelism", "2"],
             ["batch", "--requests", "r.json", "--max-workers", "2"],
+            ["serve", "--port", "0", "--no-observability"],
         ):
             with pytest.raises(SystemExit) as excinfo:
                 build_parser().parse_args(argv)
             assert excinfo.value.code == 2, argv
-            assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+            flag = [arg for arg in argv if arg.startswith("--")][-1]
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -353,6 +361,30 @@ class TestServeParser:
         )
         assert args.state_dir == "./state"
         assert args.snapshot_interval == 50
+
+
+class TestServeLifecycle:
+    def test_single_process_serve_polls_like_cluster_workers(
+        self, edge_file, monkeypatch, capsys
+    ):
+        """Single-process ``serve`` shares the cluster workers' lifecycle:
+        its accept loop polls every 50 ms (not the stdlib's 0.5 s), so a
+        SIGTERM drain starts within one poll, and the previous SIGTERM
+        handler is back once the server has closed."""
+        import signal
+        import socketserver
+
+        polls = []
+
+        def serve_forever(self, poll_interval=0.5):
+            polls.append(poll_interval)
+
+        monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
+        handler = signal.getsignal(signal.SIGTERM)
+        assert main(["serve", "--edge-file", str(edge_file), "--port", "0"]) == 0
+        assert polls == [0.05]
+        assert signal.getsignal(signal.SIGTERM) is handler
+        assert "metrics on http://" in capsys.readouterr().out
 
 
 class TestStateCommand:

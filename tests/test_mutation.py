@@ -8,10 +8,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
-from repro.engine.columnar import (
-    factorization_cache_stats,
-    reset_factorization_cache_stats,
-)
+from repro.engine.columnar import factorization_counter_scope
 from repro.engine.evaluation import count_query
 from repro.exceptions import SchemaError, ServiceError
 from repro.qa.oracle import oracle_count
@@ -74,9 +71,9 @@ class TestRelationDelta:
         assert db.dictionary is dictionary
         assert all(rel.coded_by is dictionary for rel in db)
 
-        reset_factorization_cache_stats()
-        mutated = count_query(query, db)
-        warm = factorization_cache_stats()
+        with factorization_counter_scope() as counters:
+            mutated = count_query(query, db)
+        warm = counters.snapshot()
         assert warm["misses"] == 0, "delta path re-coded a relation from scratch"
         assert warm["hits"] > 0
         for rel in db:  # codes stay aligned with the value snapshot

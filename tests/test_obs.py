@@ -235,11 +235,6 @@ class TestTracing:
         assert sum(parts) == pytest.approx(stages["total"], abs=1e-9)
         assert set(stages) == {"a", "b", "other", "total"}
 
-    def test_disabled_tracer_hands_out_null_span(self):
-        tracer = Tracer(enabled=False)
-        assert tracer.trace("request") is NULL_SPAN
-        assert tracer.traces_started == 0
-
     def test_batch_groups_nest_under_the_batch_root(self, service_factory):
         """Each batch group runs on the calling thread, so its span — and
         the stage spans of its count — nest under the batch root without
@@ -440,23 +435,6 @@ class TestServiceInstrumentation:
         slow = service.metrics.get("repro_slow_requests_total")
         assert slow.value(endpoint="count") >= 1.0
 
-    def test_observability_toggle(self, service_factory):
-        service = service_factory(observability=False)
-        assert service.metrics is None
-        assert not service.observability_enabled
-        service.count("toy", JOIN, epsilon=0.1)
-        service.set_observability(True)
-        service.count("toy", JOIN, epsilon=0.1)
-        latency = service.metrics.get("repro_request_seconds")
-        assert latency.snapshot(endpoint="count")["count"] == 1
-        # Callback-backed counters see the whole service lifetime.
-        requests = service.metrics.get("repro_requests_total")
-        assert requests.value(endpoint="count", status="ok") == 2.0
-        service.set_observability(False)
-        service.count("toy", JOIN, epsilon=0.1)
-        assert latency.snapshot(endpoint="count")["count"] == 1
-        assert requests.value(endpoint="count", status="ok") == 3.0
-
     def test_metrics_survive_crash_recovery_cycle(self, state_service_factory, tmp_path):
         state_dir = tmp_path / "state"
         first = state_service_factory(state_dir)
@@ -545,11 +523,3 @@ class TestMetricsEndpoint:
             if labels.get("endpoint") == "count" and labels.get("status") == "ok"
         ]
         assert count_samples == [1.0]
-
-    def test_metrics_404_when_disabled(self, service_factory, running_server):
-        service = service_factory(observability=False)
-        with running_server(service) as server:
-            host, port = server.server_address[:2]
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(f"http://{host}:{port}/metrics")
-            assert excinfo.value.code == 404

@@ -35,7 +35,7 @@ import pytest
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.engine.aggregates import boundary_group_counts, boundary_multiplicity
-from repro.engine.columnar import factorization_cache_stats
+from repro.engine.columnar import factorization_counter_scope
 from repro.engine.profile import evaluate_profile
 from repro.graphs.loader import database_from_edges, edge_schema
 from repro.graphs.patterns import (
@@ -470,25 +470,24 @@ class TestFactorizationCache:
     def test_populated_by_numpy_evaluation_and_counted(self, graph_db):
         relation = graph_db.relation("Edge")
         assert graph_db._dictionary is None  # registration codes nothing
-        before = factorization_cache_stats()
         engine = ResidualSensitivity(triangle_query(), beta=0.1)
-        engine.profile(graph_db)
+        with factorization_counter_scope() as counters:
+            engine.profile(graph_db)
         assert relation.coded_by is graph_db.dictionary
-        after = factorization_cache_stats()
-        assert after["misses"] - before["misses"] == 1  # one per relation
-        assert after["hits"] > before["hits"]
+        counted = counters.snapshot()
+        assert counted["misses"] == 1  # one per relation
+        assert counted["hits"] > 0
 
     def test_symmetry_flag_counted_and_recorded_per_epoch(self):
         from repro.engine.columnar import relation_is_symmetric
 
         db = database_from_edges(EDGES, symmetric=True)
         edge = db.relation("Edge")
-        before = factorization_cache_stats()
-        assert relation_is_symmetric(edge, db.dictionary) is True
+        with factorization_counter_scope() as counters:
+            assert relation_is_symmetric(edge, db.dictionary) is True
         assert edge.symmetry is True
-        after = factorization_cache_stats()
         # The flag coded the relation: its one miss, through the counted lookup.
-        assert after["misses"] - before["misses"] == 1
+        assert counters.snapshot()["misses"] == 1
         edge.add((100, 101))
         assert edge.symmetry is None  # the epoch moved on
         assert relation_is_symmetric(edge, db.dictionary) is False
