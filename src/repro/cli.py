@@ -97,7 +97,7 @@ from repro.experiments.runner import run_all_experiments
 from repro.experiments.scaling import format_scaling_study, run_scaling_study
 from repro.experiments.table1 import Table1Config, format_table1, run_table1
 from repro.graphs.loader import database_from_edge_file, write_edge_file
-from repro.mechanisms.mechanism import PrivateCountingQuery
+from repro.mechanisms.mechanism import METHODS, PrivateCountingQuery
 from repro.query.parser import parse_query
 from repro.sensitivity.elastic import ElasticSensitivity
 from repro.sensitivity.global_sensitivity import GlobalSensitivityBound
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument(
         "--method",
         default="residual",
-        choices=["residual", "elastic", "smooth-triangle", "smooth-star", "global"],
+        choices=METHODS,
         help="sensitivity engine used for calibration",
     )
     count.add_argument("--seed", type=int, default=None, help="noise seed (for reproducibility)")
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--requests",
         required=True,
-        help="JSON file: a list of {query, epsilon?, method?} objects, or "
+        help="JSON file: a list of {query, epsilon?} objects, or "
         "{requests: [...], epsilon_total: ...} ('-' reads stdin)",
     )
     batch.add_argument(
@@ -983,7 +983,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             dedup = "  (deduplicated)" if item.deduplicated else ""
             print(
                 f"[{item.index}] noisy count {response.noisy_count:.2f}  "
-                f"eps {response.epsilon:.4f}  method {response.method}{dedup}"
+                f"eps {response.epsilon:.4f}{dedup}"
             )
         else:
             print(f"[{item.index}] error: {item.error}")

@@ -18,7 +18,9 @@ Supported calibration methods:
     Elastic sensitivity (the FLEX baseline).
 ``"smooth-triangle"`` / ``"smooth-star"``
     Closed-form smooth sensitivity, valid only for the triangle / k-star
-    pattern counting queries over a binary edge relation.
+    pattern counting queries over a binary edge relation; the query must
+    equal :func:`~repro.graphs.patterns.triangle_query` /
+    :func:`~repro.graphs.patterns.k_star_query` up to variable renaming.
 ``"global"``
     The Laplace mechanism calibrated to the AGM-based global-sensitivity
     bound (relaxed DP).
@@ -28,13 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from repro.data.database import Database
+from repro.engine.canonical import canonical_query_key
 from repro.engine.evaluation import count_query
 from repro.exceptions import PrivacyError
+from repro.graphs.patterns import k_star_query, triangle_query
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.smooth_mechanism import SmoothRelease, SmoothSensitivityMechanism
 from repro.query.cq import ConjunctiveQuery
@@ -44,11 +47,10 @@ from repro.sensitivity.residual import ResidualSensitivity
 from repro.sensitivity.smooth_star import StarSmoothSensitivity
 from repro.sensitivity.smooth_triangle import TriangleSmoothSensitivity
 
-__all__ = ["PrivateCountingQuery", "PrivateRelease"]
+__all__ = ["METHODS", "PrivateCountingQuery", "PrivateRelease"]
 
-Method = Literal[
-    "residual", "elastic", "smooth-triangle", "smooth-star", "global"
-]
+#: The calibration methods, in the order of the module docstring.
+METHODS = ("residual", "elastic", "smooth-triangle", "smooth-star", "global")
 
 
 @dataclass(frozen=True)
@@ -97,10 +99,6 @@ class PrivateCountingQuery:
     rng:
         numpy Generator or seed controlling the noise (pass a fixed seed for
         reproducible experiments; production use should leave it ``None``).
-    star_arity:
-        Number of leaves for the ``"smooth-star"`` method (default 3).
-    edge_relation:
-        Relation name for the closed-form graph methods (default ``"Edge"``).
 
     Examples
     --------
@@ -119,21 +117,27 @@ class PrivateCountingQuery:
         query: ConjunctiveQuery,
         epsilon: float,
         *,
-        method: Method = "residual",
+        method: str = "residual",
         rng: np.random.Generator | int | None = None,
-        star_arity: int = 3,
-        edge_relation: str = "Edge",
     ):
         if epsilon <= 0:
             raise PrivacyError(f"epsilon must be positive, got {epsilon}")
-        if method not in ("residual", "elastic", "smooth-triangle", "smooth-star", "global"):
+        if method not in METHODS:
             raise PrivacyError(f"unknown calibration method {method!r}")
+        if method in ("smooth-triangle", "smooth-star"):
+            # The closed forms hold only for the pattern they were derived for.
+            relation = query.atoms[0].relation
+            pattern = (
+                triangle_query(relation)
+                if method == "smooth-triangle"
+                else k_star_query(len(query.atoms), relation)
+            )
+            if canonical_query_key(query) != canonical_query_key(pattern):
+                raise PrivacyError(f"method {method!r} needs {pattern!r}, got {query!r}")
         self._query = query
         self._epsilon = float(epsilon)
         self._method = method
         self._rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-        self._star_arity = star_arity
-        self._edge_relation = edge_relation
         self._smooth = SmoothSensitivityMechanism(self._epsilon, rng=self._rng)
 
     @property
@@ -166,13 +170,12 @@ class PrivateCountingQuery:
             return ResidualSensitivity(self._query, beta=beta).compute(database)
         if self._method == "elastic":
             return ElasticSensitivity(self._query, beta=beta).compute(database)
+        relation = self._query.atoms[0].relation
         if self._method == "smooth-triangle":
-            return TriangleSmoothSensitivity(
-                beta=beta, relation=self._edge_relation
-            ).compute(database)
+            return TriangleSmoothSensitivity(beta=beta, relation=relation).compute(database)
         if self._method == "smooth-star":
             return StarSmoothSensitivity(
-                self._star_arity, beta=beta, relation=self._edge_relation
+                len(self._query.atoms), beta=beta, relation=relation
             ).compute(database)
         # "global" — handled in release() through the Laplace mechanism, but a
         # SensitivityResult is still useful for inspection.

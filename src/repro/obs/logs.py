@@ -24,7 +24,7 @@ from typing import Any, IO, Mapping
 __all__ = ["LOG_SCHEMA", "RequestLogger", "validate_log_line"]
 
 #: Version stamped into every line; bump when the schema changes shape.
-LOG_SCHEMA_VERSION = 1
+LOG_SCHEMA_VERSION = 2
 
 #: The pinned schema: field → (types, required).  ``None`` is allowed for
 #: every nullable field; extra fields are rejected by the validator so the
@@ -39,7 +39,6 @@ LOG_SCHEMA: dict[str, tuple[tuple[type, ...], bool]] = {
     "session": ((str, type(None)), True),
     "database": ((str, type(None)), True),
     "query_key": ((str, type(None)), True),  # canonical shape key
-    "method": ((str, type(None)), True),
     "status": ((str,), True),               # "ok" | "error"
     "error": ((str, type(None)), True),
     "epsilon": ((float, int, type(None)), True),
@@ -133,7 +132,6 @@ class RequestLogger:
         session: str | None = None,
         database: str | None = None,
         query_key: str | None = None,
-        method: str | None = None,
         error: str | None = None,
         epsilon: float | None = None,
         cache: Mapping[str, bool] | None = None,
@@ -151,7 +149,6 @@ class RequestLogger:
             "session": session,
             "database": database,
             "query_key": query_key,
-            "method": method,
             "status": status,
             "error": error,
             "epsilon": epsilon,

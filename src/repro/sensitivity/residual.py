@@ -122,9 +122,6 @@ class ResidualSensitivity:
         used.
     epsilon:
         The privacy parameter, used only to derive ``β``.
-    k_max:
-        Optional override of the Lemma 3.10 truncation point (mainly for
-        tests).
 
     Examples
     --------
@@ -144,15 +141,11 @@ class ResidualSensitivity:
         *,
         beta: float | None = None,
         epsilon: float | None = None,
-        k_max: int | None = None,
     ):
         if (beta is None) == (epsilon is None):
             raise SensitivityError("provide exactly one of beta= or epsilon=")
-        if k_max is not None and k_max < 0:
-            raise SensitivityError(f"k_max must be non-negative, got {k_max}")
         self._beta = validate_beta(beta if beta is not None else beta_from_epsilon(epsilon))
         self._query = query
-        self._k_max_override = k_max
 
     # ------------------------------------------------------------------ #
     # Public accessors
@@ -437,11 +430,7 @@ class ResidualSensitivity:
             profile = self.profile(database)
             multiplicities = profile.results
             stats = profile.stats
-        k_max = (
-            self._k_max_override
-            if self._k_max_override is not None
-            else self.lemma_3_10_k_max(database)
-        )
+        k_max = self.lemma_3_10_k_max(database)
         t_value = {kept: result.value for kept, result in multiplicities.items()}
         structure = self._ls_hat_structure(blocks, t_value)
         series = self._ls_hat_series(structure, k_max).tolist()

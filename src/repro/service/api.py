@@ -16,11 +16,11 @@ Endpoints (all bodies and responses are ``application/json``):
     unchanged), and is journaled for sibling workers and recovery.  See
     ``docs/mutation.md``.
 ``POST /count``
-    ``{"database": ..., "query": "...", "epsilon": 0.5, "method"?,
-    "session"?}`` — one private release.
+    ``{"database": ..., "query": "...", "epsilon": 0.5, "session"?}`` — one
+    private release, calibrated to residual sensitivity.
 ``POST /batch``
-    ``{"database": ..., "requests": [{"query": ..., "epsilon"?, "method"?},
-    ...], "epsilon_total"?, "session"?}`` — a deduplicated batch.
+    ``{"database": ..., "requests": [{"query": ..., "epsilon"?}, ...],
+    "epsilon_total"?, "session"?}`` — a deduplicated batch.
 ``POST /budget`` / ``GET /budget?session=ID``
     Create a session (``{"budget"?: 2.0}``) / inspect a session's ledger.
 ``GET /stats``
@@ -37,7 +37,9 @@ Endpoints (all bodies and responses are ``application/json``):
 
 ``/count`` and ``/batch`` accept ``"timings": true`` to run the request
 under a trace and return a ``trace_id`` plus a per-stage wall-time
-breakdown alongside the normal response fields.
+breakdown alongside the normal response fields.  Any other field (such as a
+calibration ``"method"``), in a body or a ``/batch`` request, or a field of
+the wrong JSON type is a 400 before anything is charged.
 
 Errors map onto status codes: malformed requests → 400, exhausted budgets →
 403, unknown databases/sessions → 404.  The server is a
@@ -118,12 +120,36 @@ def _as_float(value: Any, field: str) -> float:
     at coercion before they can poison budget arithmetic downstream.
     """
     try:
+        if isinstance(value, bool):  # float(True) is 1.0
+            raise TypeError
         result = float(value)
     except (TypeError, ValueError):
         raise ServiceError(f"{field!r} must be a number, got {value!r}") from None
     if not math.isfinite(result):
         raise ServiceError(f"{field!r} must be a finite number, got {value!r}")
     return result
+
+
+def _as_type(value: Any, field: str, kind: type, *, nullable: bool = False) -> Any:
+    """``value`` if it is a ``kind`` (or ``None`` when ``nullable``), else a 400."""
+    if isinstance(value, kind) or (nullable and value is None):
+        return value
+    raise ServiceError(f"{field!r} must be a {kind.__name__}, got {value!r}")
+
+
+def _check_fields(
+    payload: Mapping[str, Any],
+    endpoint: str,
+    required: tuple[str, ...],
+    optional: tuple[str, ...],
+) -> None:
+    """Refuse a body that misses a ``required`` field or has an unknown one."""
+    for field in required:
+        if field not in payload:
+            raise ServiceError(f"{endpoint} payload needs {field!r}")
+    unknown = set(payload).difference(required, optional)
+    if unknown:
+        raise ServiceError(f"unknown {endpoint} fields: {sorted(unknown)}")
 
 
 def _reject_non_finite(constant: str) -> float:
@@ -475,38 +501,34 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _post_count(self):
         payload = self._read_body()
-        for field in ("database", "query", "epsilon"):
-            if field not in payload:
-                raise ServiceError(f"count payload needs {field!r}")
+        _check_fields(
+            payload, "count", ("database", "query", "epsilon"), ("session", "timings")
+        )
         response = self.service.count(
-            payload["database"],
-            payload["query"],
+            _as_type(payload["database"], "database", str),
+            _as_type(payload["query"], "query", str),
             _as_float(payload["epsilon"], "epsilon"),
-            session=payload.get("session"),
-            method=payload.get("method", "residual"),
-            timings=bool(payload.get("timings", False)),
+            session=_as_type(payload.get("session"), "session", str, nullable=True),
+            timings=_as_type(payload.get("timings", False), "timings", bool),
         )
         return 200, response.to_dict()
 
     def _post_batch(self):
         payload = self._read_body()
-        for field in ("database", "requests"):
-            if field not in payload:
-                raise ServiceError(f"batch payload needs {field!r}")
-        requests = payload["requests"]
-        if not isinstance(requests, list):
-            raise ServiceError("'requests' must be a list")
+        _check_fields(
+            payload, "batch", ("database", "requests"), ("epsilon_total", "session", "timings")
+        )
         epsilon_total = payload.get("epsilon_total")
         result = self.service.batch(
-            payload["database"],
-            requests,
-            session=payload.get("session"),
+            _as_type(payload["database"], "database", str),
+            _as_type(payload["requests"], "requests", list),
+            session=_as_type(payload.get("session"), "session", str, nullable=True),
             epsilon_total=(
                 _as_float(epsilon_total, "epsilon_total")
                 if epsilon_total is not None
                 else None
             ),
-            timings=bool(payload.get("timings", False)),
+            timings=_as_type(payload.get("timings", False), "timings", bool),
         )
         return 200, result.to_dict()
 

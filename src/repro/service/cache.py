@@ -3,15 +3,15 @@
 The serving layer keeps three of these: a *plan* cache (query text →
 canonicalized query), a *profile* cache (per-database residual-query
 multiplicities, which are β-independent) and a *sensitivity* cache (final
-sensitivity values per ``(database, version, shape, method, β)``).  All three
+sensitivity values per ``(database, version, shape, epochs, β)``).  All three
 store deterministic, data-derived values, so a duplicate computation can
 never be *wrong* — but it can be expensive: a profile over a large lattice
 runs for seconds, and a thundering herd of identical queries used to compute
 it once per thread.  :meth:`LRUCache.get_or_compute` therefore latches
 in-flight fills per key: the first caller (the *leader*) runs the factory,
 every concurrent caller of the same key blocks on the leader's result, and
-callers of independent keys still compute concurrently (the batch executor
-relies on that).  A leader failure wakes the waiters, who retry the factory
+callers of independent keys still compute concurrently (concurrent request
+threads rely on that).  A leader failure wakes the waiters, who retry the factory
 themselves rather than inheriting an exception for work they did not run.
 """
 

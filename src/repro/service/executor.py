@@ -1,10 +1,10 @@
 """Batch execution: budget splitting, deduplication, groups in request order.
 
-A batch is a list of ``(query, ε, method)`` requests against one registered
+A batch is a list of ``(query, ε)`` requests against one registered
 database.  The executor:
 
 1. **canonicalizes** every request and groups exact duplicates — same query
-   shape, same method, same ε;
+   shape, same ε;
 2. **splits the budget**: with ``epsilon_total`` given, each *distinct* group
    receives ``epsilon_total / #groups`` (duplicates are free — see below);
 3. **deduplicates**: one noisy release is drawn per group and *shared* by
@@ -24,7 +24,7 @@ produces error entries for its members without aborting the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
 from repro.exceptions import ServiceError
@@ -37,23 +37,29 @@ __all__ = ["BatchExecutor", "BatchRequest", "BatchItemResult", "BatchResult"]
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """One entry of a batch: a query plus optional per-request parameters."""
+    """One entry of a batch: a query plus an optional per-request ε."""
 
     query: ConjunctiveQuery | str
     epsilon: float | None = None
-    method: str = "residual"
 
     @classmethod
     def from_mapping(cls, payload: Mapping[str, Any]) -> "BatchRequest":
         """Build from a JSON-style dict (``{"query": ..., "epsilon": ...}``)."""
+        if not isinstance(payload, Mapping):
+            raise ServiceError(f"batch request must be an object, got {payload!r}")
         if "query" not in payload:
             raise ServiceError(f"batch request missing 'query': {dict(payload)!r}")
-        unknown = set(payload) - {"query", "epsilon", "method"}
+        unknown = set(payload) - {"query", "epsilon"}
         if unknown:
             raise ServiceError(f"unknown batch request fields: {sorted(unknown)}")
+        query = payload["query"]
+        if not isinstance(query, (str, ConjunctiveQuery)):
+            raise ServiceError(f"batch request 'query' must be a string, got {query!r}")
         epsilon = payload.get("epsilon")
         if epsilon is not None:
             try:
+                if isinstance(epsilon, bool):  # float(True) is 1.0
+                    raise TypeError
                 epsilon = float(epsilon)
             except (TypeError, ValueError):
                 raise ServiceError(
@@ -61,11 +67,7 @@ class BatchRequest:
                 ) from None
             if not math.isfinite(epsilon):
                 raise ServiceError(f"batch request epsilon must be finite, got {epsilon}")
-        return cls(
-            query=payload["query"],
-            epsilon=epsilon,
-            method=payload.get("method", "residual"),
-        )
+        return cls(query=query, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ class BatchExecutor:
         members: list[list[int]] = []
         for idx, (req, (_, key)) in enumerate(zip(normalized, plans)):
             shape = key if key is not None else ("#", idx)
-            group_key = (shape, req.method, req.epsilon)
+            group_key = (shape, req.epsilon)
             if group_key not in group_of:
                 group_of[group_key] = len(members)
                 members.append([])
@@ -198,13 +200,9 @@ class BatchExecutor:
             req = normalized[leader]
             epsilon = req.epsilon if req.epsilon is not None else epsilon_per_group
             try:
-                with obs_span("group", members=len(group_members), method=req.method):
+                with obs_span("group", members=len(group_members)):
                     response = self._service.count(
-                        database,
-                        plans[leader][0],
-                        epsilon,
-                        session=session,
-                        method=req.method,
+                        database, plans[leader][0], epsilon, session=session
                     )
             except Exception as exc:
                 # The per-item failure contract covers *any* exception — a
@@ -222,7 +220,7 @@ class BatchExecutor:
                 items[idx] = BatchItemResult(
                     index=idx,
                     ok=True,
-                    response=_mark_deduplicated(response) if is_dup else response,
+                    response=replace(response, deduplicated=True) if is_dup else response,
                     deduplicated=is_dup,
                     group=group_idx,
                 )
@@ -233,10 +231,3 @@ class BatchExecutor:
             epsilon_per_group=epsilon_per_group,
             epsilon_charged=charged,
         )
-
-
-def _mark_deduplicated(response: CountResponse) -> CountResponse:
-    """A copy of ``response`` flagged as a shared (deduplicated) answer."""
-    from dataclasses import replace
-
-    return replace(response, deduplicated=True)

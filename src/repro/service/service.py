@@ -4,7 +4,8 @@ This is the multi-tenant entry point the paper's Section 8 deployment
 setting calls for: databases are registered once, clients open sessions with
 per-session ε budgets (optionally capped by a deployment-wide budget), and
 repeated query shapes are served from caches instead of re-running the
-residual-sensitivity machinery.
+residual-sensitivity machinery.  Residual sensitivity (Theorem 1.1) is the
+only mechanism served; the Table 1 baselines stay in ``repro-dp count --method``.
 
 Three caches cooperate (see :mod:`repro.service.cache`):
 
@@ -18,7 +19,7 @@ Three caches cooperate (see :mod:`repro.service.cache`):
   coded-column lookup counters the service accumulates into the
   ``profiler`` block of :meth:`PrivateQueryService.stats`;
 * **sensitivity** / **count** — final sensitivity values and true counts per
-  ``(db, version, shape, epochs[, method, β])``;
+  ``(db, version, shape, epochs[, β])``;
 * **component** — cross-profile memo of representative lattice components
   and true counts; each entry records the epochs of exactly the relations
   it reads, and a stale one is caught up by a delta query when it can be
@@ -53,7 +54,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, ClassVar, Mapping
 
 import numpy as np
@@ -78,8 +79,6 @@ from repro.service.sessions import SessionManager
 
 __all__ = ["PrivateQueryService", "CountResponse"]
 
-_METHODS = ("residual", "elastic", "smooth-triangle", "smooth-star", "global")
-
 #: What the ``backend`` field of ``/count`` and ``/stats`` reports, for
 #: clients that still read it: the columnar engine is the only engine.
 ENGINE_NAME = "numpy"
@@ -94,7 +93,6 @@ class CountResponse:
     query_key: str | None
     noisy_count: float
     epsilon: float
-    method: str
     sensitivity: float
     expected_error: float
     session: str | None
@@ -103,7 +101,6 @@ class CountResponse:
     count_cache_hit: bool
     deduplicated: bool = False
     remaining_budget: float | None = None
-    details: Mapping[str, Any] = field(default_factory=dict)
     trace_id: str | None = None
     timings: Mapping[str, float] | None = None
     #: Always :data:`ENGINE_NAME`; kept for clients that read ``backend``.
@@ -117,7 +114,6 @@ class CountResponse:
             "query_key": self.query_key,
             "noisy_count": self.noisy_count,
             "epsilon": self.epsilon,
-            "method": self.method,
             "backend": self.backend,
             "sensitivity": self.sensitivity,
             "expected_error": self.expected_error,
@@ -630,46 +626,35 @@ class PrivateQueryService:
         reg: RegisteredDatabase,
         query: ConjunctiveQuery,
         key: str | None,
-        method: str,
-        beta: float | None,
+        beta: float,
     ) -> tuple[SensitivityResult, bool]:
-        """The (possibly cached) sensitivity the noise is calibrated to.
+        """The (possibly cached) residual sensitivity the noise is calibrated to.
 
-        For the residual method the β-independent boundary-multiplicity
-        profile is cached separately, so a new ε on a known shape only pays
-        the (cheap) smoothing recombination, not the residual-query
-        evaluation.  Both caches additionally key on the epochs of the
-        relations the query reads, and a profile-cache miss after a delta
-        mutation still recovers the untouched components from the
-        component cache and catches the touched ones up by delta.
+        The β-independent boundary-multiplicity profile is cached
+        separately, so a new ε on a known shape only pays the (cheap)
+        smoothing recombination, not the residual-query evaluation.  Both
+        caches additionally key on the epochs of the relations the query
+        reads, and a profile-cache miss after a delta mutation still
+        recovers the untouched components from the component cache and
+        catches the touched ones up by delta.
         """
 
         def compute() -> SensitivityResult:
-            if method == "residual":
-                engine = ResidualSensitivity(query, beta=beta)
-                if key is None:
-                    return engine.compute(reg.database)
-                profile, _ = self._profile_cache.get_or_compute(
-                    (reg.name, reg.version, key, self._epoch_key(reg, query)),
-                    lambda: self._build_profile(
-                        engine, reg.database, (reg.name, reg.version, key)
-                    ),
-                )
-                return engine.compute(reg.database, multiplicities=profile)
-            # The other engines have no reusable sub-plan; delegate to the
-            # same dispatch the one-shot API uses.  epsilon only determines
-            # β here, which we pin via beta directly below.
-            probe = PrivateCountingQuery(
-                query,
-                epsilon=(beta * DEFAULT_BETA_FRACTION) if beta is not None else 1.0,
-                method=method,  # type: ignore[arg-type]
+            engine = ResidualSensitivity(query, beta=beta)
+            if key is None:
+                return engine.compute(reg.database)
+            profile, _ = self._profile_cache.get_or_compute(
+                (reg.name, reg.version, key, self._epoch_key(reg, query)),
+                lambda: self._build_profile(
+                    engine, reg.database, (reg.name, reg.version, key)
+                ),
             )
-            return probe.sensitivity(reg.database)
+            return engine.compute(reg.database, multiplicities=profile)
 
         if key is None:
             return compute(), False
         return self._sensitivity_cache.get_or_compute(
-            (reg.name, reg.version, key, self._epoch_key(reg, query), method, beta),
+            (reg.name, reg.version, key, self._epoch_key(reg, query), beta),
             compute,
         )
 
@@ -718,7 +703,6 @@ class PrivateQueryService:
         epsilon: float,
         *,
         session: str | None = None,
-        method: str = "residual",
         timings: bool = False,
     ) -> CountResponse:
         """One ε-DP release of the query's count on a registered database.
@@ -740,16 +724,14 @@ class PrivateQueryService:
         """
         start = time.perf_counter()
         root = (
-            self._tracer.trace("request.count", database=database, method=method)
+            self._tracer.trace("request.count", database=database)
             if timings
             else NULL_SPAN
         )
         trace_id = root.trace_id if timings else None
         try:
             with root:
-                response = self._count_core(
-                    database, query, epsilon, session=session, method=method
-                )
+                response = self._count_core(database, query, epsilon, session=session)
         except Exception as exc:
             self._record_request(
                 "count",
@@ -758,7 +740,6 @@ class PrivateQueryService:
                 trace_id=trace_id,
                 session=session,
                 database=database,
-                method=method,
             )
             raise
         duration = time.perf_counter() - start
@@ -771,7 +752,6 @@ class PrivateQueryService:
             session=session,
             database=database,
             query_key=response.query_key,
-            method=method,
             epsilon=response.epsilon,
             cache={
                 "plan": response.plan_cache_hit,
@@ -788,7 +768,6 @@ class PrivateQueryService:
         epsilon: float,
         *,
         session: str | None,
-        method: str,
     ) -> CountResponse:
         """The serving stages of :meth:`count` (see there for the contract).
 
@@ -796,8 +775,6 @@ class PrivateQueryService:
         active trace that is one ``ContextVar`` read returning
         :data:`~repro.obs.tracing.NULL_SPAN`.
         """
-        if method not in _METHODS:
-            raise ServiceError(f"unknown calibration method {method!r}")
         if not isinstance(epsilon, (int, float)) or not math.isfinite(epsilon) or epsilon <= 0:
             raise ServiceError(f"epsilon must be positive and finite, got {epsilon}")
         reg = self._registry.get(database)
@@ -816,9 +793,10 @@ class PrivateQueryService:
             self._sessions.precheck(session, epsilon)
         with obs_span("plan"):
             parsed, key, plan_hit = self.plan(query)
-        beta = None if method == "global" else epsilon / DEFAULT_BETA_FRACTION
-        with obs_span("sensitivity", method=method):
-            sensitivity, sens_hit = self._sensitivity(reg, parsed, key, method, beta)
+        with obs_span("sensitivity"):
+            sensitivity, sens_hit = self._sensitivity(
+                reg, parsed, key, epsilon / DEFAULT_BETA_FRACTION
+            )
         with obs_span("true_count"):
             true_count, count_hit = self._true_count(reg, parsed, key)
 
@@ -842,18 +820,13 @@ class PrivateQueryService:
                 rng = np.random.default_rng((self._noise_seed, txn.charge_seq))
             else:
                 rng = self._rng
-            releaser = PrivateCountingQuery(
-                parsed,
-                epsilon=epsilon,
-                method=method,  # type: ignore[arg-type]
-                rng=rng,
-            )
+            releaser = PrivateCountingQuery(parsed, epsilon=epsilon, rng=rng)
             return releaser.release(
                 reg.database, true_count=true_count, sensitivity=sensitivity
             )
 
         try:
-            with obs_span("release", method=method), self._rng_lock:
+            with obs_span("release"), self._rng_lock:
                 release = draw()
         except Exception as exc:
             txn.rollback(reason=f"release failed: {exc}")
@@ -873,7 +846,6 @@ class PrivateQueryService:
             query_key=key,
             noisy_count=release.noisy_count,
             epsilon=epsilon,
-            method=method,
             sensitivity=release.sensitivity,
             expected_error=release.expected_error,
             session=session,

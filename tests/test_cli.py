@@ -44,9 +44,10 @@ class TestParser:
         assert "unrecognized arguments: --parallelism -1" in capsys.readouterr().err
 
     def test_removed_knobs_stay_gone(self, capsys):
-        """Each request runs on the thread that received it, and every
-        request is instrumented: no module fans work out to a pool, and no
-        entry point or CLI flag sizes one or turns observability off."""
+        """Each request runs on the thread that received it, every request
+        is instrumented, and every served release is calibrated to residual
+        sensitivity: no module fans work out to a pool, and no entry point
+        or CLI flag sizes one, turns observability off or picks a method."""
         import ast
         import inspect
         from pathlib import Path
@@ -56,8 +57,8 @@ class TestParser:
         from repro.mechanisms.mechanism import PrivateCountingQuery
         from repro.obs.tracing import Tracer
         from repro.sensitivity.residual import ResidualSensitivity
-        from repro.service.executor import BatchExecutor
-        from repro.service.service import PrivateQueryService
+        from repro.service.executor import BatchExecutor, BatchRequest
+        from repro.service.service import CountResponse, PrivateQueryService
 
         root = Path(repro.__file__).parent
         importers = []
@@ -87,6 +88,16 @@ class TestParser:
         for attribute in ("set_observability", "observability_enabled"):
             assert not hasattr(PrivateQueryService, attribute), attribute
         assert list(inspect.signature(Tracer).parameters) == []
+        for entry, removed in (
+            (PrivateQueryService.count, {"method"}),
+            (PrivateQueryService.batch, {"method"}),
+            (BatchRequest, {"method"}),
+            (CountResponse, {"method", "details"}),
+            (PrivateCountingQuery, {"star_arity", "edge_relation"}),
+            (ResidualSensitivity, {"k_max"}),
+        ):
+            parameters = set(inspect.signature(entry).parameters)
+            assert not removed & parameters, entry.__qualname__
 
         for argv in (
             ["count", "--query", "Edge(x, y)", "--parallelism", "2"],

@@ -117,6 +117,21 @@ class TestPrivateCountingQuery:
         assert triangle_release.sensitivity > 0
         assert star_release.sensitivity > 0
 
+    def test_closed_forms_refuse_other_queries(self):
+        # Each closed form holds only for the pattern it was derived for; on
+        # another query it would calibrate the noise to the wrong relation.
+        path = parse_query("R(x, y), R(y, z)")
+        for method in ("smooth-triangle", "smooth-star"):
+            with pytest.raises(PrivacyError, match=method):
+                PrivateCountingQuery(path, epsilon=1.0, method=method)
+        renamed = parse_query("Edge(a, b), Edge(b, c), Edge(a, c), a != b, a != c, b != c")
+        for query, method in (
+            (triangle_query(), "smooth-triangle"),
+            (renamed, "smooth-triangle"),
+            (k_star_query(3), "smooth-star"),
+        ):
+            assert PrivateCountingQuery(query, epsilon=1.0, method=method).method == method
+
     def test_global_method(self, join_query, small_join_db):
         release = PrivateCountingQuery(
             join_query, epsilon=1.0, method="global", rng=3

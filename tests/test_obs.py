@@ -293,7 +293,7 @@ class TestRequestLogs:
         logger = RequestLogger(stream)
         logger.log_request(
             endpoint="count", duration_ms=1.25, status="ok", database="toy",
-            query_key="k", method="residual", epsilon=0.5, cache={"plan": True},
+            query_key="k", epsilon=0.5, cache={"plan": True},
         )
         (line,) = stream.getvalue().splitlines()
         record = validate_log_line(line)

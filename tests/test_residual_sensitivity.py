@@ -48,13 +48,6 @@ class TestConstruction:
         with pytest.raises(SensitivityError):
             ResidualSensitivity(query, beta=0.0)
 
-    def test_negative_k_max_rejected(self):
-        # The series covers k = 0 .. k_max, so a negative override has none.
-        query = parse_query("R(x, y)")
-        with pytest.raises(SensitivityError, match="k_max"):
-            ResidualSensitivity(query, beta=0.1, k_max=-1)
-        assert ResidualSensitivity(query, beta=0.1, k_max=0) is not None
-
     def test_requires_private_relation(self, small_join_db):
         schema = DatabaseSchema.from_arities({"R": 2, "S": 2}, private=[])
         db = Database(schema)
@@ -204,9 +197,11 @@ class TestTruncation:
         rs = ResidualSensitivity(join_query, beta=0.1)
         k_max = rs.lemma_3_10_k_max(small_join_db)
         truncated = rs.compute(small_join_db).value
-        extended = ResidualSensitivity(join_query, beta=0.1, k_max=k_max + 10).compute(
-            small_join_db
-        ).value
+        profile = rs.multiplicities(small_join_db)
+        extended = max(
+            math.exp(-0.1 * k) * rs.ls_hat(small_join_db, k, profile)
+            for k in range(k_max + 11)
+        )
         assert truncated == pytest.approx(extended)
 
     def test_required_subsets_cover_all_for_single_block(self, k4_db):

@@ -293,8 +293,6 @@ class TestServiceCounting:
     def test_unknown_database_and_method(self, service):
         with pytest.raises(ServiceError):
             service.count("missing", "R(x, y)", epsilon=0.5)
-        with pytest.raises(ServiceError):
-            service.count("toy", "R(x, y)", epsilon=0.5, method="bogus")
 
     def test_repeated_shape_hits_caches(self, service):
         first = service.count("toy", "R(x, y), S(y, z)", epsilon=0.5)
@@ -353,12 +351,6 @@ class TestServiceCounting:
         after = service.count("toy", "R(x, y)", epsilon=0.5)
         assert not after.sensitivity_cache_hit  # version changed => new key
         assert after.version == before.version + 1
-
-    def test_methods_route_through_service(self, service):
-        for method in ("residual", "elastic", "global"):
-            response = service.count("toy", "R(x, y), S(y, z)", epsilon=0.5, method=method)
-            assert response.method == method
-            assert response.sensitivity >= 0
 
     def test_sessionless_requests_use_shared_budget(self, service_factory):
         svc = service_factory(session_budget=1.0, total_budget=0.5)

@@ -217,13 +217,66 @@ class TestErrorMapping:
         assert status == 404
 
     def test_unknown_method_is_400_not_404(self, server_url):
+        """Every release is calibrated to residual sensitivity: a request that
+        names any calibration method, even ``residual``, is refused rather
+        than answered another way, and nothing is charged."""
         post(f"{server_url}/register", {"name": "k4", "edges": K4_EDGES})
-        status, body = post(
-            f"{server_url}/count",
-            {"database": "k4", "query": "Edge(x, y)", "epsilon": 0.5, "method": "bogus"},
-        )
+        _, session = post(f"{server_url}/budget", {"budget": 2.0})
+        sid = session["session"]
+        request = {"query": "Edge(x, y)", "epsilon": 0.5}
+        for method in ("smooth-triangle", "residual"):
+            status, body = post(
+                f"{server_url}/count",
+                {"database": "k4", "session": sid, **request, "method": method},
+            )
+            assert status == 400
+            assert "method" in body["error"]
+            status, body = post(
+                f"{server_url}/batch",
+                {
+                    "database": "k4",
+                    "session": sid,
+                    "requests": [request, {**request, "method": method}],
+                },
+            )
+            assert status == 400
+            assert "method" in body["error"]
+        status, budget = get(f"{server_url}/budget?session={sid}")
+        assert status == 200
+        assert budget["spent"] == 0.0
+
+    @pytest.mark.parametrize(
+        "path, fields, named",
+        [
+            ("/count", {"session": {}}, "session"),
+            ("/count", {"query": 5}, "query"),
+            ("/count", {"database": ["h"]}, "database"),
+            ("/count", {"epsilon": True}, "epsilon"),
+            ("/batch", {"requests": [5]}, "batch request"),
+            ("/batch", {"requests": [{"query": 5, "epsilon": 0.1}]}, "query"),
+        ],
+        ids=[
+            "count-session-object",
+            "count-query-number",
+            "count-database-list",
+            "count-epsilon-boolean",
+            "batch-request-number",
+            "batch-query-number",
+        ],
+    )
+    def test_mistyped_field_is_400_before_any_charge(self, server_url, path, fields, named):
+        post(f"{server_url}/register", {"name": "k4", "edges": K4_EDGES})
+        _, session = post(f"{server_url}/budget", {"budget": 2.0})
+        body = {"database": "k4", "session": session["session"]}
+        if path == "/count":
+            body.update(query="Edge(x, y)", epsilon=0.5)
+        else:
+            body.update(requests=[{"query": "Edge(x, y)", "epsilon": 0.5}])
+        status, reply = post(f"{server_url}{path}", {**body, **fields})
         assert status == 400
-        assert "method" in body["error"]
+        assert named in reply["error"]
+        _, stats = get(f"{server_url}/stats")
+        assert stats["epsilon_charged"] == 0.0
 
     def test_non_finite_epsilon_is_400(self, server_url):
         post(f"{server_url}/register", {"name": "k4", "edges": K4_EDGES})

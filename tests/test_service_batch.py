@@ -48,17 +48,6 @@ class TestDeduplication:
         assert result.groups == 2
         assert result.deduplicated == 0
 
-    def test_same_shape_different_method_not_deduplicated(self, service):
-        result = service.batch(
-            "toy",
-            [
-                {"query": "R(x, y)", "epsilon": 0.2, "method": "residual"},
-                {"query": "R(x, y)", "epsilon": 0.2, "method": "elastic"},
-            ],
-        )
-        assert result.groups == 2
-        assert result.deduplicated == 0
-
 
 class TestBudgetSplitting:
     def test_epsilon_total_split_over_distinct_shapes(self, service):
@@ -207,10 +196,10 @@ class TestRequestOrder:
         slow, fast = "R(x, y), S(y, z)", "R(x, y)"
         real = PrivateQueryService._sensitivity
 
-        def sensitivity(self, reg, query, key, method, beta):
+        def sensitivity(self, reg, query, key, beta):
             if len(query.atoms) > 1:
                 time.sleep(0.2)  # the first group finishes last
-            return real(self, reg, query, key, method, beta)
+            return real(self, reg, query, key, beta)
 
         monkeypatch.setattr(PrivateQueryService, "_sensitivity", sensitivity)
         requests = [
