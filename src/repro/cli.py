@@ -815,29 +815,41 @@ def _run_state(args: argparse.Namespace) -> int:
     from repro.service.persistence import StateStore
 
     store = StateStore(args.state_dir, create=False)
-    recovered = store.recover()
+    sessions, registry = store.replay()
+    seq = store.describe()["last_seq"]
+    views = [sessions.get(sid).describe() for sid in sessions.active_ids()]
+    shared = sessions.shared
+    databases = registry.snapshot_state()
     if args.json:
-        print(json.dumps(recovered.describe(), indent=2))
+        state = {
+            "seq": seq,
+            "sessions": {view["session"]: view for view in views},
+            "shared": {"spent": shared.spent, "charges": shared.charge_count},
+            "audit": {
+                "total_recorded": sessions.audit.total_recorded,
+                "tail": len(sessions.audit),
+            },
+            **databases,
+        }
+        print(json.dumps(state, indent=2))
         return 0
     print(f"state directory : {args.state_dir}")
-    print(f"last journal seq: {recovered.seq}")
-    print(f"audit total     : {recovered.audit_total}")
-    shared = recovered.shared_spent
-    print(f"shared spent    : {shared:.6f} ({recovered.shared_charges} charges)")
-    if recovered.sessions:
-        print(f"{len(recovered.sessions)} live session(s):")
-        for session in sorted(recovered.sessions.values(), key=lambda s: s.session_id):
-            view = session.describe()
+    print(f"last journal seq: {seq}")
+    print(f"audit total     : {sessions.audit.total_recorded}")
+    print(f"shared spent    : {shared.spent:.6f} ({shared.charge_count} charges)")
+    if views:
+        print(f"{len(views)} live session(s):")
+        for view in views:
             print(
-                f"  {session.session_id}: budget {view['budget']}, "
+                f"  {view['session']}: budget {view['budget']}, "
                 f"spent {view['spent']:.6f}, remaining {view['remaining']:.6f}, "
                 f"{view['charges']} charge(s)"
             )
     else:
         print("no live sessions")
-    if recovered.databases:
-        print(f"{len(recovered.databases)} registered database(s):")
-        for name, meta in sorted(recovered.databases.items()):
+    if databases["databases"]:
+        print(f"{len(databases['databases'])} registered database(s):")
+        for name, meta in sorted(databases["databases"].items()):
             print(
                 f"  {name}: version {meta.get('version')}, "
                 f"private tuples {meta.get('private_tuples')}"

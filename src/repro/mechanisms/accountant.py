@@ -38,9 +38,10 @@ __all__ = ["PrivacyAccountant", "BudgetCharge", "fold_epsilons"]
 def fold_epsilons(epsilons: Iterable[float], start: float = 0.0) -> float:
     """The in-order left fold ``((start + ε₁) + ε₂) + …`` of a charge list.
 
-    The one definition of a ledger's ``spent``: the live accountant, the
-    recovered sessions and the recovered shared budget all use it, so live and
-    replayed ledgers agree bitwise.  On Python 3.10/3.11 it equals ``sum()``;
+    The one definition of a ledger's ``spent``: every charge, refund and
+    fold of the accountant refolds with it, and a recovered ledger resumes
+    from its snapshot's folded total, so live and recovered ledgers agree
+    bitwise.  On Python 3.10/3.11 it equals ``sum()``;
     from 3.12 ``sum()`` uses compensated summation, so compare ledgers with
     this fold, never with ``sum()``.
     """
@@ -173,10 +174,10 @@ class PrivacyAccountant:
     def remove_charge(self, epsilon: float, label: str = "") -> bool:
         """Remove the most recent open charge matching ``(epsilon, label)`` by value.
 
-        The cross-process absorption path uses this to mirror a *rollback*
-        journaled by a sibling worker: the local ledger holds an equal-value
-        copy of the remote charge (installed via :meth:`restore_charge`), not
-        the remote object, so identity-based :meth:`refund` cannot find it.
+        Applying a journaled *rollback* (on recovery, or absorbing a sibling
+        worker's record) uses this: the ledger holds an equal-value copy of
+        the charge (installed via :meth:`restore_charge`), not the object
+        that was reserved, so identity-based :meth:`refund` cannot find it.
         Settled charges are skipped: they were committed here and no rollback
         can name them.  Returns whether a matching charge was found.
         """
@@ -193,7 +194,7 @@ class PrivacyAccountant:
         return False
 
     def restore_charge(self, epsilon: float, label: str = "") -> None:
-        """Re-apply a historically granted charge during journal replay.
+        """Re-apply a historically granted charge from the journal.
 
         Unlike :meth:`charge` this skips the affordability check: the charge
         was granted in a previous process lifetime (or by a sibling worker)
@@ -209,20 +210,15 @@ class PrivacyAccountant:
             self._append(epsilon, label)
 
     def restore_ledger(
-        self,
-        folded: tuple[float, int],
-        charges: Iterable[tuple[float, str]],
-        *,
-        settled: bool,
+        self, folded: tuple[float, int], charges: Iterable[tuple[float, str]]
     ) -> None:
-        """Reload a recovered ledger into this empty accountant (start-up only).
+        """Reload a snapshot's ledger into this empty accountant (start-up only).
 
         ``folded`` is the ``(total, count)`` of the prefix a snapshot folded
         away and ``charges`` the ``(epsilon, label)`` pairs that followed it;
         ``spent`` continues the fold from ``total``, exactly as the ledger
-        that wrote them read.  With ``settled=True`` every restored charge is
-        committed (and folded): right for a single-writer ledger, whose open
-        reservations died with the process that made them.
+        that wrote them read.  The charges stay open, like those
+        :meth:`restore_charge` applies from the journal after the snapshot.
         """
         total, count = folded
         if not math.isfinite(total) or total < 0 or count < 0:
@@ -234,9 +230,17 @@ class PrivacyAccountant:
             self._folded_count = int(count)
             for epsilon, label in charges:
                 self.restore_charge(epsilon, label=label)
-            if settled:
-                self._settled = [True] * len(self.charges)
-                self._fold_settled_prefix()
+
+    def settle_all(self) -> None:
+        """Commit every open charge and fold the whole ledger away.
+
+        Right after a single-writer recovery: the reservations still open
+        when the process died can no longer be rolled back, so they stay
+        spent (the conservative direction) and fold like committed ones.
+        """
+        with self._lock:
+            self._settled = [True] * len(self.charges)
+            self._fold_settled_prefix()
 
     def settle(self, record: BudgetCharge) -> None:
         """Mark an open charge committed: it can no longer be refunded.

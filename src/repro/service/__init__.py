@@ -25,12 +25,7 @@ it into a multi-tenant serving system:
 """
 
 from repro.service.cache import CacheStats, LRUCache
-from repro.service.persistence import (
-    LedgerJournal,
-    RecoveredSession,
-    RecoveredState,
-    StateStore,
-)
+from repro.service.persistence import LedgerJournal, StateStore
 from repro.service.executor import (
     BatchExecutor,
     BatchItemResult,
@@ -61,8 +56,6 @@ __all__ = [
     "LedgerJournal",
     "LRUCache",
     "PrivateQueryService",
-    "RecoveredSession",
-    "RecoveredState",
     "RegisteredDatabase",
     "Session",
     "SessionManager",

@@ -481,17 +481,18 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         name = payload.get("name")
         if not name:
             raise ServiceError("register payload needs a 'name'")
+        replace = _as_type(payload.get("replace", False), "replace", bool)
         database = _database_from_payload(payload)
-        entry = self.service.register_database(
-            name, database, replace=bool(payload.get("replace", False))
-        )
+        entry = self.service.register_database(name, database, replace=replace)
         return 200, entry.describe()
 
     def _post_mutate(self):
         # Like /register, mutation bypasses capacity admission: it is
         # control-plane traffic and must not be shed behind query load.
         payload = self._read_body()
-        name = payload.get("database") or payload.get("name")
+        name = _as_type(
+            payload.get("database"), "database", str, nullable=True
+        ) or _as_type(payload.get("name"), "name", str, nullable=True)
         if not name:
             raise ServiceError("mutate payload needs a 'database'")
         operations = payload.get("operations")
@@ -537,7 +538,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         budget = payload.get("budget")
         session = self.service.create_session(
             budget=_as_float(budget, "budget") if budget is not None else None,
-            session_id=payload.get("session_id"),
+            session_id=_as_type(
+                payload.get("session_id"), "session_id", str, nullable=True
+            ),
         )
         return 200, session.describe()
 

@@ -8,13 +8,14 @@ of a **write-ahead journal** and **periodic compacted snapshots**:
 * :class:`LedgerJournal` — an append-only JSON-lines file recording every
   state transition (session create/close/expire, charge, deny, rollback,
   database register/unregister/mutate).  Each record carries a monotonically
-  increasing ``seq`` so replay can be resumed from a snapshot cut.  A
-  truncated final line (the signature of a crash mid-write) is tolerated
-  and discarded on replay.
-* snapshots — a single JSON document of the full reconstructed state,
-  written atomically (temp file + ``fsync`` + ``rename``) every
+  increasing ``seq`` so recovery can resume from a snapshot cut.  A line
+  counts as a record only once its newline is written: a last line without
+  one is an append that never returned (a crash mid-write), so every reader
+  skips it and a writable store cuts it off.
+* snapshots — a single JSON document of the full state, written
+  atomically (temp file + ``fsync`` + ``rename``) every
   ``snapshot_interval`` journal records; the journal is then truncated.
-  A crash between rename and truncate is harmless because replay skips
+  A crash between rename and truncate is harmless because recovery skips
   journal records with ``seq`` ≤ the snapshot's cut.  Format 2 stores each
   ledger as ``folded: [total, count]`` — the left fold and length of its
   committed prefix — plus the charges it still holds, so a snapshot costs
@@ -23,6 +24,15 @@ of a **write-ahead journal** and **periodic compacted snapshots**:
 * :class:`StateStore` — the façade owning a state directory
   (``journal.jsonl`` + ``snapshot.json``), used by
   :class:`~repro.service.service.PrivateQueryService` via ``state_dir=``.
+
+Recovery has no model of its own: :meth:`StateStore.recover` loads the
+snapshot into the live :class:`~repro.service.sessions.SessionManager` and
+:class:`~repro.service.registry.DatabaseRegistry` (the inverse of their
+``snapshot_state``) and applies the journal records after its cut through
+their ``absorb`` methods.  A cluster worker applies its siblings' records
+through the same methods, and ``repro-dp state replay``
+(:meth:`StateStore.replay`) runs recovery on managers that journal nothing,
+so one applier and one journal reader serve all three.
 
 Consistency model
 -----------------
@@ -61,8 +71,8 @@ without interleaving seqs or double-spending budgets:
   ``<dir>/journal.lock`` for the whole reserve → journal → commit window,
   making the journal the single serialization point of the cluster;
 * on each process-lock acquisition the store first *absorbs* journal
-  records appended by sibling workers since its last read offset (handing
-  them to the ``absorb_records`` callback installed by the service), so
+  records appended by sibling workers since its last read offset (applying
+  them to the managers it recovered into), so
   the local seq resumes past the global maximum and every worker's ledger
   reflects every charge before it decides whether a new one is affordable;
 * shared stores never compact (a snapshot+truncate would pull the journal
@@ -82,22 +92,24 @@ try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
-from dataclasses import dataclass, field
+import sys
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.exceptions import ServiceError
-from repro.mechanisms.accountant import PrivacyAccountant, fold_epsilons
+from repro.mechanisms.accountant import PrivacyAccountant
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.service.registry import DatabaseRegistry
+    from repro.service.sessions import SessionManager
 
 __all__ = [
     "LedgerJournal",
-    "RecoveredSession",
-    "RecoveredState",
     "StateStore",
     "exclusive_or_null",
     "ledger_entry",
+    "ledger_from_entry",
     "register_metadata",
-    "replay_records",
 ]
 
 
@@ -113,8 +125,8 @@ def register_metadata(record: Mapping[str, Any]) -> dict[str, Any]:
     """The :data:`REGISTER_METADATA_KEYS` of a ``register`` record or a
     snapshot's ``databases`` entry.
 
-    Journal replay, a cluster sibling's absorb and snapshot restore all
-    filter through here, so a key retired from
+    Applying a ``register`` record and loading a snapshot both filter
+    through here, so a key retired from
     :meth:`~repro.service.registry.RegisteredDatabase.describe` is dropped
     on recovery instead of propagating into every later snapshot.
     """
@@ -190,52 +202,15 @@ class LedgerJournal:
         self._handle.flush()
 
     def tell(self) -> int:
-        """Current end-of-journal byte offset (0 when the file is absent).
+        """Current end-of-journal byte offset: the file's size (0 when absent).
 
-        Appends open the file in append mode, so after a write the handle
-        position *is* the file size; shared stores use this to advance their
-        absorbed-bytes offset past their own records.
+        Every append is flushed, so this counts this process's records and
+        any a sibling process appended since.
         """
-        if self._handle is not None:
-            return self._handle.tell()
         try:
             return self._path.stat().st_size
         except OSError:
             return 0
-
-    def repair_torn_tail(self) -> int:
-        """Physically drop a half-written final line; returns bytes removed.
-
-        :meth:`read_records` merely *skips* a torn tail — but a later append
-        would then write onto the partial line, merging two records into one
-        unparseable line in the *middle* of the journal and poisoning the
-        next recovery.  Recovery therefore truncates the file back to the
-        end of the last good record before the journal is appended to again.
-
-        Only the final line is examined (a torn write can only be the last
-        thing in the file); callers replay the journal first, so corruption
-        anywhere else has already raised.
-        """
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        if not self._path.exists():
-            return 0
-        with open(self._path, "rb") as handle:
-            data = handle.read()
-        lines = data.splitlines(keepends=True)
-        if not lines:
-            return 0
-        last = lines[-1].strip()
-        if last:
-            try:
-                json.loads(last)
-            except json.JSONDecodeError:
-                good_bytes = len(data) - len(lines[-1])
-                with open(self._path, "r+b") as handle:
-                    handle.truncate(good_bytes)
-                return len(lines[-1])
-        return 0
 
     def close(self) -> None:
         """Close the underlying file handle (appends reopen it)."""
@@ -244,240 +219,43 @@ class LedgerJournal:
             self._handle = None
 
     @staticmethod
-    def read_records(path: Path) -> Iterator[dict[str, Any]]:
-        """Yield the journal's records, tolerating a truncated final line.
+    def read_records(path: Path, offset: int = 0) -> tuple[list[dict[str, Any]], int]:
+        """The records from byte ``offset`` on, and the offset just past them.
 
-        A crash can leave the last line half-written; that line (and only
-        that line) is discarded.  A malformed line in the *middle* of the
-        journal means real corruption and raises :class:`ServiceError`.
+        The one journal reader (recovery and sibling absorption both use
+        it).  A line counts as a record only once its newline is written: a
+        last line without one is an append that never returned — a crash
+        mid-write, or a live writer's record still being flushed — so it is
+        not returned, and the returned offset stops before it.  A whole
+        line that does not parse to an event record is corruption and
+        raises :class:`ServiceError`.
         """
-        path = Path(path)
-        if not path.exists():
-            return
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for idx, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                if idx == len(lines) - 1:
-                    return  # torn tail write: the record never committed
-                raise ServiceError(
-                    f"corrupt journal {path}: unparseable record at line {idx + 1}"
-                ) from None
-            if not isinstance(record, dict) or "event" not in record:
-                raise ServiceError(
-                    f"corrupt journal {path}: line {idx + 1} is not an event record"
-                )
-            yield record
+        try:
+            with open(path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read()
+        except FileNotFoundError:
+            return [], offset
+        *lines, _partial = data.split(b"\n")
+        records: list[dict[str, Any]] = []
+        for line in lines:
+            if line.strip():
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    record = None
+                if not isinstance(record, dict) or "event" not in record:
+                    raise ServiceError(
+                        f"corrupt journal {path}: unparseable record at byte offset {offset}"
+                    )
+                records.append(record)
+            offset += len(line) + 1
+        return records, offset
 
 
-@dataclass
-class RecoveredSession:
-    """One session's reconstructed ledger state."""
-
-    session_id: str
-    budget: float
-    #: Charges after the folded prefix, oldest first.
-    charges: list[tuple[float, str]] = field(default_factory=list)
-    #: ``(total, count)`` of the committed prefix a snapshot folded away.
-    folded: tuple[float, int] = (0.0, 0)
-
-    @property
-    def spent(self) -> float:
-        """Total ε consumed: the left fold of the folded prefix and the charges."""
-        return fold_epsilons((epsilon for epsilon, _ in self.charges), self.folded[0])
-
-    @property
-    def charge_count(self) -> int:
-        """How many charges the ledger holds, folded ones included."""
-        return self.folded[1] + len(self.charges)
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-serialisable budget view (mirrors ``Session.describe``)."""
-        spent = self.spent
-        return {
-            "session": self.session_id,
-            "budget": self.budget,
-            "spent": spent,
-            "remaining": self.budget - spent,
-            "charges": self.charge_count,
-        }
-
-
-@dataclass
-class RecoveredState:
-    """The full state reconstructed from a snapshot plus journal replay."""
-
-    seq: int = 0
-    sessions: dict[str, RecoveredSession] = field(default_factory=dict)
-    #: Shared-budget charges after the folded prefix, oldest first.
-    shared_charge_list: list[tuple[float, str]] = field(default_factory=list)
-    #: ``(total, count)`` of the shared budget's folded committed prefix.
-    shared_folded: tuple[float, int] = (0.0, 0)
-    audit_total: int = 0
-    audit_tail: list[dict[str, Any]] = field(default_factory=list)
-    databases: dict[str, dict[str, Any]] = field(default_factory=dict)
-    versions: dict[str, int] = field(default_factory=dict)
-    #: Total committed charge events ever journaled (never decremented by
-    #: rollbacks) — the deterministic per-charge noise ordinal used by the
-    #: cluster's ``noise_mode="charge-seq"`` (see ``PrivateQueryService``).
-    charge_events: int = 0
-
-    @property
-    def shared_spent(self) -> float:
-        """Total ε drawn from the shared deployment budget."""
-        return fold_epsilons(
-            (epsilon for epsilon, _ in self.shared_charge_list), self.shared_folded[0]
-        )
-
-    @property
-    def shared_charges(self) -> int:
-        """Number of charges against the shared deployment budget."""
-        return self.shared_folded[1] + len(self.shared_charge_list)
-
-    def describe(self) -> dict[str, Any]:
-        """A JSON-serialisable summary (the ``state replay`` CLI output)."""
-        return {
-            "seq": self.seq,
-            "sessions": {
-                sid: session.describe() for sid, session in sorted(self.sessions.items())
-            },
-            "shared": {"spent": self.shared_spent, "charges": self.shared_charges},
-            "audit": {"total_recorded": self.audit_total, "tail": len(self.audit_tail)},
-            "databases": self.databases,
-            "versions": self.versions,
-        }
-
-
-#: Bound on the audit tail carried through snapshots and replay (the live
-#: in-memory log keeps its own, larger bound).  Shared with
-#: ``SessionManager.snapshot_state`` so snapshot and replay can never
-#: silently disagree on how much tail survives.
+#: Bound on the audit tail a snapshot carries and ``repro-dp state replay``
+#: keeps (the live in-memory log keeps its own, larger bound).
 AUDIT_TAIL_LIMIT = 1000
-
-
-def _audit_entry(state: RecoveredState, record: Mapping[str, Any], action: str, *,
-                 ok: bool = True) -> None:
-    """Reconstruct the audit record an in-memory run would have appended."""
-    state.audit_total += 1
-    state.audit_tail.append(
-        {
-            "session": record.get("session") or "-",
-            "action": action,
-            "epsilon": float(record.get("epsilon", 0.0)),
-            "label": record.get("label", ""),
-            "ok": ok,
-            "detail": record.get("detail", ""),
-            "timestamp": record.get("ts", 0.0),
-        }
-    )
-    if len(state.audit_tail) > AUDIT_TAIL_LIMIT:
-        del state.audit_tail[: len(state.audit_tail) - AUDIT_TAIL_LIMIT]
-
-
-def replay_records(
-    records: Iterator[Mapping[str, Any]], state: RecoveredState | None = None
-) -> RecoveredState:
-    """Fold journal records into a :class:`RecoveredState`.
-
-    Replay is tolerant by design: records about sessions that no longer
-    exist (e.g. an ``expire`` journaled after a compaction already dropped
-    the session) are skipped rather than fatal, because the journal is the
-    authority and later records supersede earlier ones.
-    """
-    state = state if state is not None else RecoveredState()
-    for record in records:
-        seq = int(record.get("seq", 0))
-        if seq <= state.seq:
-            continue  # already folded into the snapshot this replay started from
-        state.seq = seq
-        event = record["event"]
-        session_id = record.get("session")
-        if event == "session_create":
-            budget = float(record["budget"])
-            if session_id not in state.sessions:
-                state.sessions[session_id] = RecoveredSession(
-                    session_id=session_id, budget=budget
-                )
-            # Mirror the live AuditLog exactly: create records carry the
-            # budget as their epsilon and the standard detail string.
-            _audit_entry(
-                state,
-                {**record, "epsilon": budget, "detail": "session created"},
-                "create",
-            )
-        elif event in ("session_close", "session_expire"):
-            state.sessions.pop(session_id, None)
-            detail = (
-                "session closed" if event == "session_close" else "idle past ttl"
-            )
-            _audit_entry(
-                state,
-                {**record, "detail": detail},
-                event.removeprefix("session_"),
-            )
-        elif event == "charge":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
-                session = state.sessions.get(session_id)
-                if session is not None:
-                    session.charges.append((epsilon, label))
-            # The record says whether a shared deployment accountant took
-            # part; a deployment without one must not grow phantom shared
-            # spend on replay.  The shared ledger labels session charges
-            # "<session>:<label>", exactly as the live charge path does.
-            if record.get("shared", True):
-                state.shared_charge_list.append(
-                    (epsilon, label if session_id is None else f"{session_id}:{label}")
-                )
-            state.charge_events += 1
-            _audit_entry(state, record, "charge")
-        elif event == "rollback":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
-                session = state.sessions.get(session_id)
-                if session is not None:
-                    for idx in range(len(session.charges) - 1, -1, -1):
-                        if session.charges[idx] == (epsilon, label):
-                            del session.charges[idx]
-                            break
-            if record.get("shared", True):
-                shared_label = label if session_id is None else f"{session_id}:{label}"
-                for idx in range(len(state.shared_charge_list) - 1, -1, -1):
-                    if state.shared_charge_list[idx] == (epsilon, shared_label):
-                        del state.shared_charge_list[idx]
-                        break
-            _audit_entry(state, record, "rollback", ok=False)
-        elif event == "deny":
-            _audit_entry(state, record, "deny", ok=False)
-        elif event == "register":
-            name = record["name"]
-            state.databases[name] = register_metadata(record)
-            state.versions[name] = max(
-                int(record["version"]), state.versions.get(name, 0)
-            )
-        elif event == "unregister":
-            state.databases.pop(record["name"], None)
-        elif event == "mutate":
-            # Delta mutation of a registered database: refresh the metadata
-            # (sizes, tuple counts, epochs) without touching the version —
-            # mutations are not re-registrations.  A mutate record for a
-            # database whose register record was dropped by a later
-            # unregister is stale and skipped (journal-authority rule).
-            meta = state.databases.get(record["name"])
-            if meta is not None:
-                for key in MUTATE_METADATA_KEYS:
-                    if key in record:
-                        meta[key] = record[key]
-        else:
-            raise ServiceError(f"unknown journal event {event!r} (seq {seq})")
-    return state
 
 
 def ledger_entry(ledger: PrivacyAccountant) -> dict[str, list]:
@@ -490,41 +268,14 @@ def ledger_entry(ledger: PrivacyAccountant) -> dict[str, list]:
     }
 
 
-def _ledger_from_snapshot(
+def ledger_from_entry(
     entry: Mapping[str, Any],
 ) -> tuple[tuple[float, int], list[tuple[float, str]]]:
-    """A snapshot ledger's folded prefix and charges (format 1 has no prefix)."""
+    """A snapshot ledger's folded prefix and charges (format 1 has no prefix):
+    the inverse of :func:`ledger_entry`."""
     total, count = entry.get("folded", (0.0, 0))
     charges = [(float(epsilon), str(label)) for epsilon, label in entry.get("charges", [])]
     return (float(total), int(count)), charges
-
-
-def _state_from_snapshot(snapshot: Mapping[str, Any]) -> RecoveredState:
-    if snapshot.get("format") not in READABLE_SNAPSHOT_FORMATS:
-        raise ServiceError(
-            f"unsupported snapshot format {snapshot.get('format')!r} "
-            f"(this build reads formats {READABLE_SNAPSHOT_FORMATS})"
-        )
-    state = RecoveredState(seq=int(snapshot.get("seq", 0)))
-    for entry in snapshot.get("sessions", []):
-        folded, charges = _ledger_from_snapshot(entry)
-        session = RecoveredSession(
-            session_id=entry["session"],
-            budget=float(entry["budget"]),
-            charges=charges,
-            folded=folded,
-        )
-        state.sessions[session.session_id] = session
-    state.shared_folded, state.shared_charge_list = _ledger_from_snapshot(
-        snapshot.get("shared") or {}
-    )
-    audit = snapshot.get("audit") or {}
-    state.audit_total = int(audit.get("total_recorded", 0))
-    state.audit_tail = list(audit.get("tail", []))
-    state.databases = dict(snapshot.get("databases", {}))
-    state.versions = {name: int(v) for name, v in snapshot.get("versions", {}).items()}
-    state.charge_events = int(snapshot.get("charge_events", 0))
-    return state
 
 
 class StateStore:
@@ -545,10 +296,10 @@ class StateStore:
         ``True`` (the default) opens the directory for *writing*: it is
         created if missing, an exclusive inter-process lock is taken on it
         (a second live process fails fast instead of interleaving journal
-        seqs), and recovery repairs a torn tail.  ``False`` opens it
-        read-only for offline inspection (``repro-dp state replay``): no
-        lock, no repair, no mutation of any kind — safe against a live
-        server.
+        seqs), and reading the journal cuts off a partial last line.
+        ``False`` opens it read-only for offline inspection (``repro-dp
+        state replay``): no lock, no truncation, no mutation of any kind —
+        safe against a live server.
     shared:
         Open the directory for *co-writing* by sibling worker processes of
         one cluster: the directory lock degrades to shared, every mutation
@@ -601,12 +352,10 @@ class StateStore:
         # which this process has read (own appends + absorbed records).
         self._proc_depth = 0
         self._journal_offset = 0
-        #: Set by the service: returns the snapshot document body (without
-        #: ``format``/``seq``, which the store adds).
-        self.snapshot_provider: Callable[[], dict[str, Any]] | None = None
-        #: Set by the service in shared mode: receives records journaled by
-        #: sibling worker processes, in seq order, under the process lock.
-        self.absorb_records: Callable[[list[dict[str, Any]]], None] | None = None
+        # The managers recover() loaded: compaction snapshots them and
+        # absorption applies sibling records to them.
+        self._sessions: "SessionManager | None" = None
+        self._registry: "DatabaseRegistry | None" = None
         # Optional observability binding (see bind_metrics).
         self._m_append = None
         self._m_records = None
@@ -716,7 +465,7 @@ class StateStore:
         if self._proc_depth == 0:
             fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_EX)
             try:
-                self._absorb_remote_locked()
+                self._absorb_journal_locked()
             except BaseException:
                 fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_UN)
                 raise
@@ -728,63 +477,55 @@ class StateStore:
         if self._proc_depth == 0:
             fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_UN)
 
-    def _absorb_remote_locked(self) -> None:
-        """Read and absorb records journaled by siblings since our offset.
+    def _absorb_journal_locked(self) -> None:
+        """Apply the records journaled past our read offset, in seq order.
 
-        Runs under both ``self._lock`` and the fcntl journal lock.  A
-        trailing partial line can only be the torn write of a *crashed*
-        sibling (live writers flush whole lines while holding the lock we
-        now hold), so it is truncated away exactly like recovery does.
+        Recovery runs it over the whole journal; a shared store runs it on
+        each acquisition of the fcntl journal lock (under ``self._lock``
+        too) to absorb what sibling workers appended.  Records at or below
+        the current seq (folded into the snapshot, or already applied) are
+        skipped.  A partial last line is not a record: a writable store
+        cuts it off so the next append starts on a clean line.  Under the
+        journal lock it can only be a crashed writer's, since live writers
+        append whole lines while holding it.  A read-only store leaves it
+        alone: against a live server it may be a record still being flushed.
         """
-        try:
-            with open(self._journal.path, "rb") as handle:
-                handle.seek(self._journal_offset)
-                data = handle.read()
-        except FileNotFoundError:
-            return
-        if not data:
-            return
-        fresh: list[dict[str, Any]] = []
-        consumed = 0
-        for raw in data.splitlines(keepends=True):
-            if not raw.endswith(b"\n"):
-                # Torn tail from a crashed sibling: cut it off so the next
-                # append (ours or anyone's) starts on a clean line.
-                with open(self._journal.path, "r+b") as handle:
-                    handle.truncate(self._journal_offset + consumed)
-                break
-            consumed += len(raw)
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                raise ServiceError(
-                    f"corrupt journal {self._journal.path}: unparseable record "
-                    f"at byte offset {self._journal_offset + consumed - len(raw)}"
-                ) from None
+        records, end = LedgerJournal.read_records(self._journal.path, self._journal_offset)
+        if self._writable and self._journal.tell() > end:
+            with open(self._journal.path, "r+b") as handle:
+                handle.truncate(end)
+        self._journal_offset = end
+        for record in records:
             seq = int(record.get("seq", 0))
-            if seq > self._seq:
-                self._seq = seq
-                fresh.append(record)
-        self._journal_offset += consumed
-        if fresh and self.absorb_records is not None:
-            self.absorb_records(fresh)
+            if seq <= self._seq:
+                continue
+            self._seq = seq
+            if record["event"] in ("register", "unregister", "mutate"):
+                self._registry.absorb(record)
+            else:
+                self._sessions.absorb(record)
 
-    def recover(self) -> RecoveredState:
-        """Rebuild the state from snapshot + journal and resume the seq.
+    def recover(self, sessions: "SessionManager", registry: "DatabaseRegistry") -> int:
+        """Load the snapshot and the journal after its cut into the managers.
+
+        The managers must be empty (start-up).  The snapshot goes through
+        their ``restore`` methods and every later record through their
+        ``absorb`` methods, the code a cluster worker runs on its siblings'
+        records.  A single-writer store then settles every ledger: the
+        reservations still open when its process died can no longer be
+        rolled back.  From here on the store snapshots these managers when
+        it compacts and, shared, applies sibling records to them.  Returns
+        the recovered seq.
 
         Shared stores recover under the inter-process journal lock so the
-        snapshot read, journal replay, torn-tail repair and read-offset
-        initialization see a frozen journal even while sibling workers are
-        already serving.
+        snapshot read, the journal read and the read-offset initialisation
+        see a frozen journal even while sibling workers are already serving.
         """
         with self._lock:
             if self._shared:
                 fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_EX)
             try:
-                state = RecoveredState()
+                self._sessions, self._registry = sessions, registry
                 if self._snapshot_path.exists():
                     try:
                         snapshot = json.loads(
@@ -794,23 +535,40 @@ class StateStore:
                         raise ServiceError(
                             f"corrupt snapshot {self._snapshot_path}: {exc}"
                         ) from None
-                    state = _state_from_snapshot(snapshot)
-                state = replay_records(
-                    LedgerJournal.read_records(self._journal.path), state
-                )
-                if self._writable:
-                    # A torn final line was skipped by replay; cut it off
-                    # physically so the next append starts on a clean line
-                    # instead of merging with the partial record.  Read-only
-                    # stores must never do this: against a *live* server the
-                    # "torn" tail may simply be a record still being flushed.
-                    self._journal.repair_torn_tail()
-                self._seq = max(self._seq, state.seq)
-                self._journal_offset = self._journal.tell()
+                    if snapshot.get("format") not in READABLE_SNAPSHOT_FORMATS:
+                        raise ServiceError(
+                            f"unsupported snapshot format {snapshot.get('format')!r} "
+                            f"(this build reads formats {READABLE_SNAPSHOT_FORMATS})"
+                        )
+                    sessions.restore(snapshot)
+                    registry.restore(snapshot)
+                    self._seq = max(self._seq, int(snapshot.get("seq", 0)))
+                self._journal_offset = 0
+                self._absorb_journal_locked()
+                if not self._shared:
+                    sessions.settle_all()
             finally:
                 if self._shared:
                     fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_UN)
-        return state
+            return self._seq
+
+    def replay(self) -> tuple["SessionManager", "DatabaseRegistry"]:
+        """Recover into fresh managers that journal nothing (``repro-dp state replay``).
+
+        The state directory does not record the deployment's total budget,
+        so the shared ledger here only counts: its budget is never
+        enforced.  The audit log keeps :data:`AUDIT_TAIL_LIMIT` records,
+        the tail a snapshot carries.
+        """
+        from repro.service.registry import DatabaseRegistry
+        from repro.service.sessions import AuditLog, SessionManager
+
+        sessions = SessionManager(
+            shared=PrivacyAccountant(sys.float_info.max), audit=AuditLog(AUDIT_TAIL_LIMIT)
+        )
+        registry = DatabaseRegistry()
+        self.recover(sessions, registry)
+        return sessions, registry
 
     def append(self, event: str, *, apply: Callable[[], None] | None = None, **fields) -> int:
         """Journal one record, then run ``apply`` under the same lock.
@@ -848,7 +606,7 @@ class StateStore:
                 if (
                     not self._shared
                     and self._snapshot_interval
-                    and self.snapshot_provider is not None
+                    and self._sessions is not None
                     and self._records_since_snapshot >= self._snapshot_interval
                 ):
                     self._compact_locked()
@@ -864,15 +622,19 @@ class StateStore:
             # sibling workers' read offsets; the cluster dispatcher compacts
             # once, exclusively, after the workers have exited.
             raise ServiceError("shared state stores cannot compact")
-        if self.snapshot_provider is None:
-            raise ServiceError("no snapshot provider is registered")
+        if self._sessions is None:
+            raise ServiceError("a store compacts only the state it recovered")
         with self._lock:
             self._compact_locked()
         return self._snapshot_path
 
     def _compact_locked(self) -> None:
-        body = self.snapshot_provider()
-        document = {"format": SNAPSHOT_FORMAT, "seq": self._seq, **body}
+        document = {
+            "format": SNAPSHOT_FORMAT,
+            "seq": self._seq,
+            **self._sessions.snapshot_state(),
+            **self._registry.snapshot_state(),
+        }
         tmp = self._snapshot_path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(document, handle, allow_nan=False)
@@ -892,7 +654,7 @@ class StateStore:
                 os.fsync(dir_fd)
             finally:
                 os.close(dir_fd)
-        # A crash right here leaves snapshot + full journal: replay skips
+        # A crash right here leaves snapshot + full journal: recovery skips
         # records with seq <= the snapshot cut, so nothing double-counts.
         self._journal.truncate()
         self._records_since_snapshot = 0

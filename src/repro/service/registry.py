@@ -27,17 +27,19 @@ mutation journals its operations plus the post-mutation sizes and epochs.
 Database *contents* are not persisted (re-register them after a restart);
 what recovery guarantees is that the version sequence resumes where it left
 off, so cache keys derived from pre-restart contents can never be
-resurrected by a post-restart registration under the same name.  In a
-cluster, sibling workers absorb each other's mutation records and apply the
-operations to their own loaded copy, keeping contents and epochs in sync
-across processes.
+resurrected by a post-restart registration under the same name.  Recovery
+loads a snapshot through :meth:`DatabaseRegistry.restore` and applies each
+later record through :meth:`DatabaseRegistry.absorb`, the method through
+which cluster siblings absorb each other's records: a mutation record's
+operations are applied to a loaded copy, keeping contents and epochs in
+sync across processes.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.data.database import Database
 from repro.exceptions import ServiceError, UnknownResourceError
@@ -349,34 +351,36 @@ class DatabaseRegistry:
         if not any(entry.database is database for entry in self._entries.values()):
             database.release_caches()
 
-    def restore(
-        self, versions: dict[str, int], metadata: dict[str, dict[str, Any]]
-    ) -> None:
-        """Resume the version sequence (and remember metadata) from recovery.
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Load a snapshot's version counters and database metadata (the
+        inverse of :meth:`snapshot_state`).
 
-        Silent by design — the state came *from* the journal.  Contents are
-        not restored; a recovered name answers queries again only after the
-        caller re-registers its database (with ``replace=True``), which
-        continues the version sequence from the recovered counter.
+        Silent by design — the state came *from* the journal's snapshot.
+        Contents are not restored; a recovered name answers queries again
+        only after the caller re-registers its database (with
+        ``replace=True``), which continues the version sequence from the
+        recovered counter.
         """
         with self._lock:
-            for name, version in versions.items():
+            for name, version in snapshot.get("versions", {}).items():
                 self._versions[name] = max(self._versions.get(name, 0), int(version))
-            for name, meta in metadata.items():
+            for name, meta in snapshot.get("databases", {}).items():
                 if name not in self._entries:
                     self._recovered[name] = register_metadata(meta)
 
-    def absorb(self, record: dict[str, Any]) -> None:
-        """Mirror one registry record journaled by a sibling worker process.
+    def absorb(self, record: Mapping[str, Any]) -> None:
+        """Apply one journal record of a registry event.
 
-        Contents never cross the journal, so a remote registration only
-        advances the local version counter (keeping cluster-wide cache keys
-        unique) and, when the name is not locally loaded, records recovered
-        metadata — exactly what journal replay would reconstruct.  Local
+        The one applier of these records, for recovery, for a cluster
+        worker absorbing its siblings' records and for ``repro-dp state
+        replay``.  Contents never cross the journal, so a registration
+        record only advances the local version counter (keeping cache keys
+        unique across restarts and workers) and, when the name is not
+        locally loaded, records its metadata as recovered.  Local
         registrations are never displaced: each worker serves the contents
         it loaded itself.
 
-        A remote *mutation* carries its normalized operations: if this
+        A *mutation* record carries its normalized operations: if this
         worker has the name loaded, the same delta is applied to the local
         copy (identical copies stay identical, and the local epochs advance
         in lock-step, invalidating exactly the same cache entries as on the

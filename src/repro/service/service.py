@@ -7,7 +7,7 @@ repeated query shapes are served from caches instead of re-running the
 residual-sensitivity machinery.  Residual sensitivity (Theorem 1.1) is the
 only mechanism served; the Table 1 baselines stay in ``repro-dp count --method``.
 
-Three caches cooperate (see :mod:`repro.service.cache`):
+Five caches cooperate (see :mod:`repro.service.cache`):
 
 * **plan** — query text → (parsed query, canonical shape key); skips the
   parser and canonicalizer on repeated request strings;
@@ -18,8 +18,8 @@ Three caches cooperate (see :mod:`repro.service.cache`):
   (:func:`repro.engine.profile.evaluate_profile`), whose subplan-dedup and
   coded-column lookup counters the service accumulates into the
   ``profiler`` block of :meth:`PrivateQueryService.stats`;
-* **sensitivity** / **count** — final sensitivity values and true counts per
-  ``(db, version, shape, epochs[, β])``;
+* **sensitivity** and **count** — final sensitivity values and true counts
+  per ``(db, version, shape, epochs[, β])``;
 * **component** — cross-profile memo of representative lattice components
   and true counts; each entry records the epochs of exactly the relations
   it reads, and a stale one is caught up by a delta query when it can be
@@ -43,7 +43,9 @@ With ``state_dir=`` the service becomes **restartable**: sessions, spent
 budgets, the shared deployment budget, audit totals and registered-database
 version metadata are write-ahead journaled (and periodically compacted into
 snapshots) by :mod:`repro.service.persistence`, and a service constructed on
-the same directory recovers them.  Charges are transactional — reserve →
+the same directory recovers them into its session manager and registry,
+applying each journal record through the same ``absorb`` methods a cluster
+worker uses for its siblings' records.  Charges are transactional — reserve →
 journal → commit, with rollback if drawing the release fails — so ε can
 never be consumed without either a release or a durable record of the
 refusal.
@@ -73,7 +75,7 @@ from repro.query.parser import parse_query
 from repro.sensitivity.base import DEFAULT_BETA_FRACTION, SensitivityResult
 from repro.sensitivity.residual import ResidualSensitivity
 from repro.service.cache import LRUCache
-from repro.service.persistence import RecoveredState, StateStore
+from repro.service.persistence import StateStore
 from repro.service.registry import DatabaseRegistry, RegisteredDatabase
 from repro.service.sessions import SessionManager
 
@@ -107,7 +109,14 @@ class CountResponse:
     backend: ClassVar[str] = ENGINE_NAME
 
     def to_dict(self) -> dict[str, Any]:
-        """A JSON-serialisable view (publishable fields only)."""
+        """A JSON-serialisable view of every field, not only publishable ones.
+
+        ``sensitivity`` and ``expected_error`` are functions of the private
+        instance (residual sensitivity is), and so are the cache-hit flags.
+        They are returned next to ``noisy_count``, ``epsilon`` and
+        ``remaining_budget`` until the response is split into an analyst
+        view and an operator view.
+        """
         payload = {
             "database": self.database,
             "version": self.version,
@@ -234,19 +243,16 @@ class PrivateQueryService:
             if state_dir is not None
             else None
         )
-        recovered = self._store.recover() if self._store is not None else None
         shared = PrivacyAccountant(total_budget) if total_budget is not None else None
         self._registry = DatabaseRegistry(journal=self._store)
         self._sessions = SessionManager(
             session_budget, ttl=session_ttl, shared=shared, journal=self._store
         )
-        self._recovered_seq = 0
-        if recovered is not None:
-            self._restore(recovered)
-        if self._store is not None:
-            self._store.snapshot_provider = self._snapshot_state
-            if self._store.shared:
-                self._store.absorb_records = self._absorb_records
+        self._recovered_seq = (
+            self._store.recover(self._sessions, self._registry)
+            if self._store is not None
+            else 0
+        )
         self._plan_cache = LRUCache(cache_capacity)
         self._profile_cache = LRUCache(cache_capacity)
         self._sensitivity_cache = LRUCache(cache_capacity)
@@ -445,49 +451,6 @@ class PrivateQueryService:
         """The durable state store (``None`` without ``state_dir``)."""
         return self._store
 
-    def _restore(self, recovered: RecoveredState) -> None:
-        """Rebuild sessions, budgets, audit and registry metadata — silently
-        (no journaling: the state came *from* the journal).
-
-        A single-writer store settles every restored charge: its open
-        reservations died with the process that made them.  Cluster workers
-        keep restored charges open, because a sibling's rollback may still
-        remove one."""
-        settled = not self._store.shared
-        for session in recovered.sessions.values():
-            self._sessions.restore_session(session, settled=settled)
-        if self._sessions.shared is not None:
-            self._sessions.shared.restore_ledger(
-                recovered.shared_folded, recovered.shared_charge_list, settled=settled
-            )
-        if recovered.audit_total:
-            self._sessions.audit.restore(recovered.audit_tail, recovered.audit_total)
-        self._registry.restore(recovered.versions, recovered.databases)
-        self._sessions.restore_charge_events(recovered.charge_events)
-        self._recovered_seq = recovered.seq
-
-    def _absorb_records(self, records: list[dict[str, Any]]) -> None:
-        """Mirror journal records appended by sibling cluster workers.
-
-        Installed as the shared store's absorption callback; runs under the
-        store lock and the inter-process journal lock, in seq order, before
-        any local budget decision that triggered the synchronization.
-        """
-        for record in records:
-            event = record["event"]
-            if event in ("register", "unregister", "mutate"):
-                self._registry.absorb(record)
-            else:
-                self._sessions.absorb(record)
-
-    def _snapshot_state(self) -> dict[str, Any]:
-        """The compacted-snapshot body (called under the store lock, which
-        quiesces every mutating path)."""
-        return {
-            **self._sessions.snapshot_state(),
-            **self._registry.snapshot_state(),
-        }
-
     def close(self, *, snapshot: bool = True) -> None:
         """Flush durable state and close the state store.
 
@@ -496,7 +459,7 @@ class PrivateQueryService:
         """
         if self._store is None:
             return
-        if snapshot and self._store.snapshot_provider is not None:
+        if snapshot:
             self._store.compact()
         self._store.close()
 

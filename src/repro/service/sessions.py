@@ -22,6 +22,12 @@ Lock ordering: when a journal is attached, its store lock is the outermost
 lock (``store > manager/session > accountant``); mutating paths enter
 ``journal.exclusive()`` first so a state snapshot can never observe an
 in-memory effect whose journal record it does not cover.
+
+Recovery rebuilds a manager in place: :meth:`SessionManager.restore` loads
+a snapshot (the inverse of :meth:`SessionManager.snapshot_state`), and
+:meth:`SessionManager.absorb` applies each later journal record — the same
+method that applies a cluster sibling's records and that ``repro-dp state
+replay`` runs.
 """
 
 from __future__ import annotations
@@ -33,14 +39,19 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.exceptions import PrivacyError, ServiceError, UnknownResourceError
 from repro.mechanisms.accountant import BudgetCharge, PrivacyAccountant
-from repro.service.persistence import AUDIT_TAIL_LIMIT, exclusive_or_null, ledger_entry
+from repro.service.persistence import (
+    AUDIT_TAIL_LIMIT,
+    exclusive_or_null,
+    ledger_entry,
+    ledger_from_entry,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.service.persistence import RecoveredSession, StateStore
+    from repro.service.persistence import StateStore
 
 __all__ = [
     "AuditLog",
@@ -126,8 +137,10 @@ class AuditLog:
         label: str = "",
         ok: bool = True,
         detail: str = "",
+        timestamp: float | None = None,
     ) -> AuditRecord:
-        """Record an event; the oldest record is dropped when full."""
+        """Record an event (at ``timestamp``, default now); the oldest
+        record is dropped when full."""
         with self._lock:
             record = AuditRecord(
                 seq=next(self._seq),
@@ -137,7 +150,7 @@ class AuditLog:
                 label=label,
                 ok=ok,
                 detail=detail,
-                timestamp=time.time(),
+                timestamp=time.time() if timestamp is None else timestamp,
             )
             self._records.append(record)
             self._total += 1
@@ -149,7 +162,7 @@ class AuditLog:
             return list(itertools.islice(reversed(self._records), max(n, 0)))[::-1]
 
     def restore(self, tail: list[dict[str, Any]], total_recorded: int) -> None:
-        """Reload the log from recovered state (a bounded tail + the total).
+        """Reload the log from a snapshot (a bounded tail + the total).
 
         Used once, at service start, before any new record is appended; the
         sequence counter resumes at ``total_recorded`` so recovered and new
@@ -456,118 +469,113 @@ class SessionManager:
         with self._lock:
             return sorted(self._sessions)
 
-    def restore_session(self, recovered: "RecoveredSession", *, settled: bool) -> Session:
-        """Rebuild a session from recovered journal state.
-
-        Silent by design: no journal record (the state came *from* the
-        journal) and no audit entry (the audit log is restored separately).
-        ``settled`` commits every restored charge (see
-        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.restore_ledger`).
-        """
-        with self._lock:
-            if recovered.session_id in self._sessions:
-                raise ServiceError(
-                    f"cannot restore session {recovered.session_id!r}: already live"
-                )
-            session = Session(
-                recovered.session_id, recovered.budget, created_at=self._clock()
-            )
-            session.ledger.restore_ledger(
-                recovered.folded, recovered.charges, settled=settled
-            )
-            self._sessions[recovered.session_id] = session
-        return session
-
     @property
     def charge_events(self) -> int:
         """Committed charge events ever seen (local + absorbed + recovered)."""
         with self._lock:
             return self._charge_events
 
-    def restore_charge_events(self, count: int) -> None:
-        """Resume the charge-event ordinal from recovered state (start-up only)."""
+    # ------------------------------------------------------------------ #
+    # Recovery and absorption
+    # ------------------------------------------------------------------ #
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Load a snapshot's sessions, shared ledger, audit log and charge
+        ordinal into this empty manager (the inverse of :meth:`snapshot_state`).
+
+        Silent: nothing is journaled (the state came from the journal's
+        snapshot) and nothing is audited (the snapshot carries the audit
+        log).  A snapshot without a shared ledger leaves this manager's
+        shared ledger untouched.
+        """
         with self._lock:
-            self._charge_events = max(self._charge_events, int(count))
+            for entry in snapshot.get("sessions", []):
+                session = Session(
+                    entry["session"], float(entry["budget"]), created_at=self._clock()
+                )
+                session.ledger.restore_ledger(*ledger_from_entry(entry))
+                self._sessions[session.session_id] = session
+            self._charge_events = int(snapshot.get("charge_events", 0))
+        if self.shared is not None and snapshot.get("shared"):
+            self.shared.restore_ledger(*ledger_from_entry(snapshot["shared"]))
+        audit = snapshot.get("audit") or {}
+        if audit.get("total_recorded"):
+            self.audit.restore(list(audit.get("tail", [])), int(audit["total_recorded"]))
 
-    def absorb(self, record: dict[str, Any]) -> None:
-        """Mirror one journal record appended by a sibling worker process.
+    def absorb(self, record: Mapping[str, Any]) -> None:
+        """Apply one journal record of a session event.
 
-        Called (via the service) from the store's absorption path, under the
-        store lock and the inter-process journal lock, so the local ledgers
-        reflect every cluster-wide charge before this worker's next
-        affordability decision.  Mirrors :func:`~repro.service.persistence.replay_records`
-        and the live mutation paths exactly — audit entries included — so a
-        worker's ``/stats`` always matches an offline journal replay.
-        Absorbed charges stay open (unsettled): the journal records no
-        commits, and the sibling may still roll one back, so a worker's
-        ledgers cannot fold past the first absorbed charge.
+        The one applier of these records: recovery runs it on every record
+        after the snapshot's cut, a cluster worker (under the store lock and
+        the inter-process journal lock) on every record a sibling appended,
+        and ``repro-dp state replay`` on every record.  It journals nothing,
+        and audits what the live path audited, stamped with the record's
+        ``ts``.  Records about a session that is gone (an ``expire`` after
+        a compaction dropped it) change no ledger: later records supersede
+        earlier ones.  Applied charges stay open: the journal records no
+        commits and a sibling may still roll one back, so only
+        :meth:`settle_all` folds them.  An unknown event raises
+        :class:`ServiceError`.
         """
         event = record["event"]
         session_id = record.get("session")
+        epsilon = float(record.get("epsilon", 0.0))
+        label = record.get("label", "")
+        detail = record.get("detail", "")
         if event == "session_create":
-            budget = float(record["budget"])
+            epsilon, detail = float(record["budget"]), "session created"
             with self._lock:
                 if session_id not in self._sessions:
                     self._sessions[session_id] = Session(
-                        session_id, budget, created_at=self._clock()
+                        session_id, epsilon, created_at=self._clock()
                     )
-            self.audit.append(
-                session_id, "create", epsilon=budget, detail="session created"
-            )
         elif event in ("session_close", "session_expire"):
+            detail = "session closed" if event == "session_close" else "idle past ttl"
             with self._lock:
                 session = self._sessions.pop(session_id, None)
             if session is not None:
                 session.closed = True
-            action = event.removeprefix("session_")
-            detail = "session closed" if event == "session_close" else "idle past ttl"
-            self.audit.append(session_id or "-", action, detail=detail)
-        elif event == "charge":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
-                with self._lock:
-                    session = self._sessions.get(session_id)
-                if session is not None:
-                    with session.lock:
-                        session.ledger.restore_charge(epsilon, label=label)
-            if self.shared is not None and record.get("shared", True):
-                shared_label = label if session_id is None else f"{session_id}:{label}"
-                self.shared.restore_charge(epsilon, label=shared_label)
-            self.audit.append(
-                session_id or "-", "charge", epsilon=epsilon, label=label
-            )
+        elif event in ("charge", "rollback"):
+            ledgers: list[tuple[PrivacyAccountant, str]] = []
             with self._lock:
-                self._charge_events += 1
-        elif event == "rollback":
-            epsilon = float(record["epsilon"])
-            label = record.get("label", "")
-            if session_id is not None:
-                with self._lock:
-                    session = self._sessions.get(session_id)
-                if session is not None:
-                    with session.lock:
-                        session.ledger.remove_charge(epsilon, label=label)
+                session = self._sessions.get(session_id)
+                if event == "charge":
+                    self._charge_events += 1
+            if session is not None:
+                ledgers.append((session.ledger, label))
+            # The record says whether a shared accountant took part, so a
+            # deployment without one grows no phantom shared spend; the live
+            # charge path labels a session's shared charges "<session>:<label>".
             if self.shared is not None and record.get("shared", True):
-                shared_label = label if session_id is None else f"{session_id}:{label}"
-                self.shared.remove_charge(epsilon, label=shared_label)
-            self.audit.append(
-                session_id or "-",
-                "rollback",
-                epsilon=epsilon,
-                label=label,
-                ok=False,
-                detail=record.get("detail", ""),
-            )
-        elif event == "deny":
-            self.audit.append(
-                session_id or "-",
-                "deny",
-                epsilon=float(record.get("epsilon", 0.0)),
-                label=record.get("label", ""),
-                ok=False,
-                detail=record.get("detail", ""),
-            )
+                ledgers.append(
+                    (self.shared, label if session_id is None else f"{session_id}:{label}")
+                )
+            for ledger, ledger_label in ledgers:
+                if event == "charge":
+                    ledger.restore_charge(epsilon, label=ledger_label)
+                else:
+                    ledger.remove_charge(epsilon, label=ledger_label)
+        elif event != "deny":
+            raise ServiceError(f"unknown journal event {event!r} (seq {record.get('seq')})")
+        self.audit.append(
+            session_id or "-",
+            event.removeprefix("session_"),
+            epsilon=epsilon,
+            label=label,
+            ok=event not in ("rollback", "deny"),
+            detail=detail,
+            timestamp=float(record.get("ts", 0.0)),
+        )
+
+    def settle_all(self) -> None:
+        """Settle every ledger (see
+        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.settle_all`):
+        what a single-writer recovery does once the journal is applied."""
+        with self._lock:
+            ledgers = [session.ledger for session in self._sessions.values()]
+        if self.shared is not None:
+            ledgers.append(self.shared)
+        for ledger in ledgers:
+            ledger.settle_all()
 
     # ------------------------------------------------------------------ #
     # Charging

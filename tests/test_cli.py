@@ -47,17 +47,23 @@ class TestParser:
         """Each request runs on the thread that received it, every request
         is instrumented, and every served release is calibrated to residual
         sensitivity: no module fans work out to a pool, and no entry point
-        or CLI flag sizes one, turns observability off or picks a method."""
+        or CLI flag sizes one, turns observability off or picks a method.
+        Recovery has no state model of its own: the live managers apply
+        every journal record."""
         import ast
         import inspect
         from pathlib import Path
 
         import repro
+        import repro.service
+        import repro.service.persistence
         from repro.engine.profile import evaluate_profile
+        from repro.mechanisms.accountant import PrivacyAccountant
         from repro.mechanisms.mechanism import PrivateCountingQuery
         from repro.obs.tracing import Tracer
         from repro.sensitivity.residual import ResidualSensitivity
         from repro.service.executor import BatchExecutor, BatchRequest
+        from repro.service.persistence import LedgerJournal
         from repro.service.service import CountResponse, PrivateQueryService
 
         root = Path(repro.__file__).parent
@@ -95,9 +101,18 @@ class TestParser:
             (CountResponse, {"method", "details"}),
             (PrivateCountingQuery, {"star_arity", "edge_relation"}),
             (ResidualSensitivity, {"k_max"}),
+            (PrivacyAccountant.restore_ledger, {"settled"}),
         ):
             parameters = set(inspect.signature(entry).parameters)
             assert not removed & parameters, entry.__qualname__
+        for module, removed in (
+            (repro.service, ("RecoveredState", "RecoveredSession")),
+            (repro.service.persistence, ("RecoveredState", "RecoveredSession", "replay_records")),
+        ):
+            for name in removed:
+                assert not hasattr(module, name), name
+                assert name not in module.__all__, name
+        assert not hasattr(LedgerJournal, "repair_torn_tail")
 
         for argv in (
             ["count", "--query", "Edge(x, y)", "--parallelism", "2"],

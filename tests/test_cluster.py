@@ -275,12 +275,12 @@ def test_mixed_traffic_spend_equals_sequential_replay(edge_file, tmp_path):
     # The journal's sequential replay IS the ground truth: every session's
     # recovered ledger must equal the ε its client was acknowledged, and
     # the cluster-wide spend must equal the grand total — exactly.
-    recovered = StateStore(str(state_dir), create=False).recover()
+    sessions, _ = StateStore(str(state_dir), create=False).replay()
     for sid, values in acked.items():
-        replayed = recovered.sessions[sid].describe()
+        replayed = sessions.get(sid).describe()
         assert replayed["spent"] == pytest.approx(sum(values), abs=1e-12)
         assert replayed["spent"] <= replayed["budget"] + 1e-9
-    assert recovered.shared_spent == pytest.approx(
+    assert sessions.shared.spent == pytest.approx(
         sum(sum(values) for values in acked.values()), abs=1e-12
     )
 
@@ -353,8 +353,8 @@ def test_sigkill_worker_respawns_and_ledger_survives(edge_file, tmp_path):
         stop.set()
         _kill(proc)
 
-    recovered = StateStore(str(state_dir), create=False).recover()
-    replayed = recovered.sessions["soak"].describe()
+    sessions, _ = StateStore(str(state_dir), create=False).replay()
+    replayed = sessions.get("soak").describe()
     assert replayed["spent"] >= acknowledged - 1e-9
     assert replayed["spent"] <= replayed["budget"] + 1e-9
     assert replayed["spent"] == pytest.approx(view["spent"], abs=1e-12)

@@ -213,17 +213,19 @@ class TestPrivacyAccountant:
 
     def test_restore_ledger_continues_the_fold(self):
         accountant = PrivacyAccountant(total_budget=10.0)
-        accountant.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")], settled=False)
+        accountant.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")])
         assert accountant.spent.hex() == ((0.1 + 0.2) + 0.3).hex()
         assert accountant.charge_count == 3
         assert accountant.remove_charge(0.2, label="q")  # open: a rollback may name it
         assert accountant.spent.hex() == (0.1 + 0.3).hex()
         settled = PrivacyAccountant(total_budget=10.0)
-        settled.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")], settled=True)
+        settled.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")])
+        settled.settle_all()  # what a single-writer recovery does
         assert settled.charges == [] and settled.charge_count == 3
+        assert settled.spent.hex() == ((0.1 + 0.2) + 0.3).hex()
         assert not settled.remove_charge(0.2, label="q")
         with pytest.raises(PrivacyError):  # only an empty ledger takes one
-            settled.restore_ledger((0.0, 0), [], settled=True)
+            settled.restore_ledger((0.0, 0), [])
 
     def test_concurrent_charges_never_overspend(self):
         import threading

@@ -9,12 +9,7 @@ import pytest
 
 from repro.exceptions import PrivacyError, ServiceError
 from repro.mechanisms.accountant import PrivacyAccountant
-from repro.service.persistence import (
-    REGISTER_METADATA_KEYS,
-    LedgerJournal,
-    StateStore,
-    replay_records,
-)
+from repro.service.persistence import REGISTER_METADATA_KEYS, LedgerJournal, StateStore
 from repro.service.sessions import SessionManager
 
 
@@ -30,27 +25,30 @@ class TestJournal:
         journal.append({"seq": 1, "event": "charge", "epsilon": 0.5})
         journal.append({"seq": 2, "event": "deny", "epsilon": 1.5})
         journal.close()
-        records = list(LedgerJournal.read_records(tmp_path / "j.jsonl"))
+        records, end = LedgerJournal.read_records(tmp_path / "j.jsonl")
         assert [r["seq"] for r in records] == [1, 2]
+        assert end == (tmp_path / "j.jsonl").stat().st_size
 
     def test_torn_tail_write_is_discarded(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = LedgerJournal(path)
         journal.append({"seq": 1, "event": "charge", "epsilon": 0.5})
         journal.close()
+        whole = path.stat().st_size
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 2, "event": "char')  # crash mid-write
-        records = list(LedgerJournal.read_records(path))
+        records, end = LedgerJournal.read_records(path)
         assert [r["seq"] for r in records] == [1]
+        assert end == whole  # the reader stops before the partial line
 
     def test_mid_journal_corruption_raises(self, tmp_path):
         path = tmp_path / "j.jsonl"
         path.write_text('not json\n{"seq": 2, "event": "deny"}\n', encoding="utf-8")
         with pytest.raises(ServiceError, match="corrupt journal"):
-            list(LedgerJournal.read_records(path))
+            LedgerJournal.read_records(path)
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert list(LedgerJournal.read_records(tmp_path / "absent.jsonl")) == []
+        assert LedgerJournal.read_records(tmp_path / "absent.jsonl") == ([], 0)
 
     def test_appends_after_torn_tail_do_not_corrupt_the_journal(self, tmp_path, make_service):
         """Crash-recover-crash-recover: recovery must truncate the torn line,
@@ -69,6 +67,49 @@ class TestJournal:
         third = make_service(tmp_path)  # must still be parseable
         assert third.budget(sid)["spent"] == pytest.approx(0.75)
 
+    def test_unterminated_last_record_does_not_poison_later_starts(
+        self, tmp_path, make_service
+    ):
+        """A last record whose newline never reached the file is an append
+        that never returned: the charge it records released nothing, so
+        recovery drops it and cuts it off instead of appending onto it."""
+        service = make_service(tmp_path)
+        sid = service.create_session().session_id
+        service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        service.close(snapshot=False)
+        path = tmp_path / "journal.jsonl"
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        path.write_bytes(data[:-1])  # the charge record lost its newline
+
+        second = make_service(tmp_path)
+        assert second.budget(sid)["spent"] == 0.0
+        second.count("toy", "R(x, y)", epsilon=0.25, session=sid)
+        second.close(snapshot=False)
+
+        third = make_service(tmp_path)  # the journal still parses
+        assert third.budget(sid)["spent"] == pytest.approx(0.25)
+
+    def test_shared_store_cuts_a_crashed_siblings_partial_record(
+        self, tmp_path, make_service
+    ):
+        """A cluster worker absorbing after a sibling died mid-append cuts
+        the partial line off, even once its own appends have moved its
+        journal handle."""
+        service = make_service(tmp_path, shared_state=True)
+        sid = service.create_session().session_id
+        service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        path = tmp_path / "journal.jsonl"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 99, "event": "char')  # a sibling crashed mid-append
+        service.count("toy", "R(x, y)", epsilon=0.25, session=sid)
+        service.close(snapshot=False)
+        records, end = LedgerJournal.read_records(path)
+        assert end == path.stat().st_size  # every line is whole
+        assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
+        sessions, _ = StateStore(str(tmp_path), create=False).replay()
+        assert sessions.get(sid).ledger.spent == pytest.approx(0.75)
+
     def test_read_only_recovery_never_mutates_the_journal(self, tmp_path, make_service):
         """`state replay` against a live server must not truncate a tail
         that may simply be a record still being flushed."""
@@ -79,24 +120,32 @@ class TestJournal:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 99, "event": "char')  # in-flight record
         before = path.read_bytes()
-        state = StateStore(str(tmp_path), create=False).recover()
+        sessions, _ = StateStore(str(tmp_path), create=False).replay()
         assert path.read_bytes() == before  # untouched
-        assert state.sessions[sid].spent == pytest.approx(0.5)
+        assert sessions.get(sid).ledger.spent == pytest.approx(0.5)
+
+
+def _replay(state_dir: Path, records: list[dict]):
+    """Write ``records`` as a journal and replay it offline: the sessions
+    and registry that ``repro-dp state replay`` reports."""
+    lines = "".join(json.dumps(record) + "\n" for record in records)
+    (state_dir / "journal.jsonl").write_text(lines, encoding="utf-8")
+    return StateStore(str(state_dir), create=False).replay()
 
 
 class TestReplay:
-    def test_charge_and_rollback_cancel_out(self):
+    def test_charge_and_rollback_cancel_out(self, tmp_path):
         records = [
             {"seq": 1, "event": "session_create", "session": "s", "budget": 2.0},
             {"seq": 2, "event": "charge", "session": "s", "epsilon": 0.5, "label": "q"},
             {"seq": 3, "event": "rollback", "session": "s", "epsilon": 0.5, "label": "q"},
         ]
-        state = replay_records(iter(records))
-        assert state.sessions["s"].spent == 0.0
-        assert state.shared_spent == 0.0
-        assert state.audit_total == 3  # create + charge + rollback all audited
+        sessions, _ = _replay(tmp_path, records)
+        assert sessions.get("s").ledger.spent == 0.0
+        assert sessions.shared.spent == 0.0
+        assert sessions.audit.total_recorded == 3  # create + charge + rollback all audited
 
-    def test_close_and_expire_remove_sessions(self):
+    def test_close_and_expire_remove_sessions(self, tmp_path):
         records = [
             {"seq": 1, "event": "session_create", "session": "a", "budget": 1.0},
             {"seq": 2, "event": "session_create", "session": "b", "budget": 1.0},
@@ -104,31 +153,50 @@ class TestReplay:
             {"seq": 4, "event": "session_expire", "session": "b"},
             {"seq": 5, "event": "session_expire", "session": "b"},  # tolerated
         ]
-        state = replay_records(iter(records))
-        assert state.sessions == {}
+        sessions, _ = _replay(tmp_path, records)
+        assert sessions.active_ids() == []
 
-    def test_unknown_event_rejected(self):
+    def test_unknown_event_rejected(self, tmp_path):
+        # Recovery, `state replay` and a cluster worker's absorption all
+        # apply records through SessionManager.absorb, which refuses it.
         with pytest.raises(ServiceError, match="unknown journal event"):
-            replay_records(iter([{"seq": 1, "event": "bogus"}]))
+            _replay(tmp_path, [{"seq": 1, "event": "bogus"}])
+        with pytest.raises(ServiceError, match="unknown journal event"):
+            SessionManager().absorb({"seq": 1, "event": "bogus"})
 
-    def test_register_tracks_highest_version(self):
+    def test_applied_record_audits_at_its_own_timestamp(self, tmp_path):
+        records = [
+            {"seq": 1, "ts": 100.0, "event": "session_create", "session": "s",
+             "budget": 2.0},
+            {"seq": 2, "ts": 101.5, "event": "charge", "session": "s",
+             "epsilon": 0.5, "label": "q"},
+        ]
+        sessions, _ = _replay(tmp_path, records)
+        assert [r.timestamp for r in sessions.audit.tail(2)] == [100.0, 101.5]
+        sibling = SessionManager()
+        for record in records:
+            sibling.absorb(record)
+        assert [r.timestamp for r in sibling.audit.tail(2)] == [100.0, 101.5]
+
+    def test_register_tracks_highest_version(self, tmp_path):
         records = [
             {"seq": 1, "event": "register", "name": "g", "version": 3, "backend": "python"},
             {"seq": 2, "event": "unregister", "name": "g"},
         ]
-        state = replay_records(iter(records))
-        assert state.databases == {}
-        assert state.versions == {"g": 3}
+        _, registry = _replay(tmp_path, records)
+        assert registry.snapshot_state() == {"databases": {}, "versions": {"g": 3}}
 
-    def test_register_record_with_retired_backend_field_replays(self):
+    def test_register_record_with_retired_backend_field_replays(self, tmp_path):
         # Journals written before the engine choice was retired carry a
         # "backend" key; replay keeps the metadata and drops the key.
         record = {
             "seq": 1, "event": "register", "name": "g", "version": 2,
             "backend": "python", "relations": {"Edge": 4},
         }
-        state = replay_records(iter([record]))
-        assert state.databases == {"g": {"name": "g", "version": 2, "relations": {"Edge": 4}}}
+        _, registry = _replay(tmp_path, [record])
+        assert registry.recovered_metadata() == {
+            "g": {"name": "g", "version": 2, "relations": {"Edge": 4}}
+        }
 
 
 class TestRecovery:
@@ -222,13 +290,12 @@ class TestRecovery:
         sid = service.create_session(budget=5.0).session_id
         for epsilon in (0.5, 0.25, 0.125):
             service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
-        store = StateStore(str(tmp_path), create=False)
-        state = store.recover()
-        view = state.sessions[sid].describe()
+        sessions, _ = StateStore(str(tmp_path), create=False).replay()
+        view = sessions.get(sid).describe()
         live = service.budget(sid)
         assert view["spent"] == pytest.approx(live["spent"])
         assert view["charges"] == live["charges"]
-        assert state.audit_total == service.sessions.audit.total_recorded
+        assert sessions.audit.total_recorded == service.sessions.audit.total_recorded
 
     def test_missing_state_dir_rejected_without_create(self, tmp_path):
         with pytest.raises(ServiceError, match="does not exist"):
@@ -241,7 +308,7 @@ class TestRecovery:
         with pytest.raises(ServiceError, match="locked by another live process"):
             StateStore(str(tmp_path))
         # Read-only inspection is always allowed...
-        StateStore(str(tmp_path), create=False).recover()
+        StateStore(str(tmp_path), create=False).replay()
         # ...and the lock dies with the owner.
         service.close(snapshot=False)
         StateStore(str(tmp_path)).close()
@@ -265,9 +332,9 @@ class TestRecovery:
         sid = service.create_session(budget=5.0).session_id
         service.count("toy", "R(x, y)", epsilon=3.0, session=sid)
 
-        state = StateStore(str(tmp_path), create=False).recover()
-        assert state.shared_spent == 0.0
-        assert state.shared_charges == 0
+        sessions, _ = StateStore(str(tmp_path), create=False).replay()
+        assert sessions.shared.spent == 0.0
+        assert sessions.shared.charge_count == 0
         # Restarting *with* a shared budget starts it untouched.
         service.close(snapshot=False)
         recovered = make_service(tmp_path, total_budget=4.0)
@@ -289,8 +356,8 @@ class TestTransactionalCharge:
         actions = [record.action for record in manager.audit.tail(10)]
         assert actions == ["create", "charge", "rollback"]
         # The journal carries both the charge and the compensating rollback.
-        events = [r["event"] for r in LedgerJournal.read_records(store.journal_path)]
-        assert events == ["session_create", "charge", "rollback"]
+        records, _ = LedgerJournal.read_records(store.journal_path)
+        assert [r["event"] for r in records] == ["session_create", "charge", "rollback"]
 
     def test_non_finite_epsilon_denial_is_journaled_not_fatal(self, tmp_path):
         """A NaN/inf ε must deny as PrivacyError and leave a serialisable
@@ -301,7 +368,7 @@ class TestTransactionalCharge:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(PrivacyError):
                 manager.charge(sid, bad)
-        events = list(LedgerJournal.read_records(store.journal_path))
+        events, _ = LedgerJournal.read_records(store.journal_path)
         assert [r["event"] for r in events] == ["session_create", "deny", "deny"]
         assert all(r["epsilon"] == 0.0 for r in events if r["event"] == "deny")
         assert manager.audit.total_recorded == 3
@@ -488,11 +555,11 @@ class TestFoldedLedgers:
         assert live["spent"].hex() == _left_fold((0.1, 0.3, 0.7, 0.1, 0.7)).hex()
         service.close(snapshot=False)  # die: snapshot + journal tail survive
 
-        state = StateStore(str(tmp_path), create=False).recover()
-        assert state.sessions[sid].spent.hex() == live["spent"].hex()
-        assert state.shared_spent.hex() == live_shared.hex()
+        sessions, _ = StateStore(str(tmp_path), create=False).replay()
+        assert sessions.get(sid).ledger.spent.hex() == live["spent"].hex()
+        assert sessions.shared.spent.hex() == live_shared.hex()
         # `state replay` counts folded charges too.
-        assert state.sessions[sid].describe()["charges"] == state.shared_charges == 5
+        assert sessions.get(sid).describe()["charges"] == sessions.shared.charge_count == 5
         recovered = make_service(tmp_path)
         after = recovered.budget(sid)
         assert after["spent"].hex() == live["spent"].hex()

@@ -312,6 +312,49 @@ class TestErrorMapping:
         assert status == 400
         assert "epsilon" in body["error"]
 
+    def test_register_replace_must_be_a_boolean(self, server_url):
+        post(f"{server_url}/register", {"name": "g", "edges": [[0, 1]]})
+        status, body = post(
+            f"{server_url}/register", {"name": "g", "edges": [[0, 1]], "replace": "no"}
+        )
+        assert status == 400
+        assert "'replace'" in body["error"]
+        _, stats = get(f"{server_url}/stats")
+        assert stats["databases"]["g"]["version"] == 1
+
+    @pytest.mark.parametrize(
+        "path, body, field",
+        [
+            (
+                "/mutate",
+                {
+                    "database": ["g"],
+                    "operations": [{"relation": "Edge", "op": "insert", "rows": [[1, 2]]}],
+                },
+                "database",
+            ),
+            ("/budget", {"session_id": {}}, "session_id"),
+            ("/budget", {"session_id": 7}, "session_id"),
+        ],
+    )
+    def test_mistyped_ids_are_400_before_any_effect(
+        self, service_factory, running_server, tmp_path, path, body, field
+    ):
+        service = service_factory(register=False, state_dir=str(tmp_path))
+        with running_server(service) as server:
+            host, port = server.server_address[:2]
+            url = f"http://{host}:{port}"
+            post(f"{url}/register", {"name": "g", "edges": [[0, 1]]})
+            _, before = get(f"{url}/stats")
+            status, reply = post(f"{url}{path}", body)
+            assert status == 400
+            assert f"{field!r} must be a str" in reply["error"]
+            _, after = get(f"{url}/stats")
+        # Nothing was created, mutated or journaled.
+        assert after["sessions"]["active"] == []
+        assert after["databases"] == before["databases"]
+        assert after["persistence"]["last_seq"] == before["persistence"]["last_seq"]
+
     def test_negative_epsilon_is_400(self, server_url):
         post(f"{server_url}/register", {"name": "k4", "edges": K4_EDGES})
         status, body = post(

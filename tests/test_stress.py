@@ -340,8 +340,8 @@ def test_soak_kill_server_midbatch_and_replay(tmp_path):
             proc.wait(timeout=30)
 
     # Offline replay agrees with itself and never exceeds the budget.
-    state = StateStore(str(tmp_path), create=False).recover()
-    replayed = state.sessions["soak"].describe()
+    sessions, _ = StateStore(str(tmp_path), create=False).replay()
+    replayed = sessions.get("soak").describe()
     assert replayed["spent"] >= sum(acknowledged) - 1e-9  # nothing acked is lost
     assert replayed["spent"] <= replayed["budget"] + 1e-9
 
