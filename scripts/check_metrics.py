@@ -14,7 +14,9 @@ budget denial and an unknown-database error — then:
 * checks the opt-in ``timings`` breakdown sums to its total;
 * validates every structured log line against the pinned schema
   (``repro.obs.logs.validate_log_line``);
-* asserts the ``GET /stats`` observability block counts the same traffic.
+* asserts the ``GET /stats`` observability block counts the same traffic,
+  and that every scraped ``repro_profiler_*`` series equals its ``/stats``
+  ``profiler`` total.
 
 Exit code 0 when every check passes; 1 with a report otherwise. Run from
 anywhere::
@@ -43,6 +45,16 @@ from repro.obs.metrics import parse_prometheus_text  # noqa: E402
 BOOT_TIMEOUT = 30.0
 EDGES = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]
 TRIANGLE = "Edge(x, y), Edge(y, z), Edge(x, z), x != y, y != z, x != z"
+#: Each ``repro_profiler_*`` series and the ``/stats`` ``profiler`` total it exposes.
+PROFILER_SERIES = {
+    ("repro_profiler_profiles_total", ()): "profiles_computed",
+    ("repro_profiler_components_total", (("outcome", "evaluated"),)): "components_evaluated",
+    ("repro_profiler_components_total", (("outcome", "deduplicated"),)): "component_hits",
+    ("repro_profiler_components_total", (("outcome", "cached"),)): "component_cache_hits",
+    ("repro_profiler_components_total", (("outcome", "delta"),)): "component_delta_updates",
+    ("repro_profiler_factorization_total", (("outcome", "hit"),)): "factorization_hits",
+    ("repro_profiler_factorization_total", (("outcome", "miss"),)): "factorization_misses",
+}
 
 _failures: list[str] = []
 
@@ -139,7 +151,8 @@ def drive_traffic(base: str) -> None:
     check(status == 403, "over-budget request is a 403 denial")
 
 
-def check_metrics(base: str) -> None:
+def check_metrics(base: str) -> dict:
+    """Check the scrape; returns its flattened samples (see :func:`sample_values`)."""
     print("checking /metrics:")
     with urllib.request.urlopen(f"{base}/metrics", timeout=10) as response:
         check(response.status == 200, "GET /metrics answers 200")
@@ -160,6 +173,7 @@ def check_metrics(base: str) -> None:
         "repro_slow_requests_total",
         "repro_profiler_profiles_total",
         "repro_profiler_components_total",
+        "repro_profiler_factorization_total",
         "repro_sessions_active",
         "repro_audit_records_total",
         "repro_shared_budget_remaining_epsilon",
@@ -195,9 +209,12 @@ def check_metrics(base: str) -> None:
     check(dedup == 1.0, f"1 deduplicated batch item counted (saw {dedup})")
     sessions = values.get(("repro_sessions_active", ()), 0.0)
     check(sessions == 1.0, f"1 active session gauged (saw {sessions})")
+    return values
 
 
-def check_stats(base: str) -> None:
+def check_stats(base: str, values: dict) -> None:
+    """Check ``/stats`` against the traffic and against the scrape ``values``
+    taken right before it (no traffic in between)."""
     print("checking /stats:")
     status, stats = request(f"{base}/stats")
     check(status == 200, "GET /stats answers 200")
@@ -218,6 +235,19 @@ def check_stats(base: str) -> None:
         "declared metric names are listed",
     )
     check(stats.get("epsilon_charged") == 0.85, "stats epsilon_charged matches")
+    profiler = stats.get("profiler") or {}
+    check(profiler.get("profiles_computed", 0) >= 1, "the traffic computed a profile")
+    scraped = {key for key in values if key[0].startswith("repro_profiler_")}
+    check(
+        scraped == set(PROFILER_SERIES),
+        f"the {len(scraped)} repro_profiler_* series each map to a /stats total",
+    )
+    for key, total in PROFILER_SERIES.items():
+        check(
+            values.get(key) == float(profiler.get(total, -1)),
+            f"{key[0]}{dict(key[1]) or ''} equals /stats profiler.{total} "
+            f"({values.get(key)} vs {profiler.get(total)})",
+        )
 
 
 def check_logs(log_path: Path) -> None:
@@ -263,8 +293,7 @@ def main() -> int:
         try:
             base = wait_for_server(process)
             drive_traffic(base)
-            check_metrics(base)
-            check_stats(base)
+            check_stats(base, check_metrics(base))
         finally:
             process.terminate()
             try:

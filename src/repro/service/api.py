@@ -44,7 +44,8 @@ the wrong JSON type is a 400 before anything is charged.
 Errors map onto status codes: malformed requests → 400, exhausted budgets →
 403, unknown databases/sessions → 404.  The server is a
 :class:`~http.server.ThreadingHTTPServer`; thread safety is provided by the
-service layer itself (accountant locks, cache locks, the rng lock).
+service layer itself (the charge lock, under which every noise draw runs,
+accountant locks and cache locks).
 
 HTTP/1.1 keep-alive is framing-safe on every path: a response — including
 an error response sent before the request body was parsed — first drains

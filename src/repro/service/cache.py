@@ -1,10 +1,13 @@
 """A thread-safe LRU cache with hit/miss statistics and single-flight fills.
 
-The serving layer keeps three of these: a *plan* cache (query text →
+The serving layer keeps five of these: a *plan* cache (query text →
 canonicalized query), a *profile* cache (per-database residual-query
-multiplicities, which are β-independent) and a *sensitivity* cache (final
-sensitivity values per ``(database, version, shape, epochs, β)``).  All three
-store deterministic, data-derived values, so a duplicate computation can
+multiplicities, which are β-independent), a *sensitivity* cache (final
+sensitivity values per ``(database, version, shape, epochs, β)``), a *count*
+cache (true counts per ``(database, version, shape, epochs)``) and a
+*component* cache (lattice components and true counts shared across
+profiles, see :mod:`repro.engine.profile`).  All five store deterministic,
+data-derived values, so a duplicate computation can
 never be *wrong* — but it can be expensive: a profile over a large lattice
 runs for seconds, and a thundering herd of identical queries used to compute
 it once per thread.  :meth:`LRUCache.get_or_compute` therefore latches

@@ -9,10 +9,11 @@ processes the way classic prefork servers do:
    kernel's accept queue is the load balancer; no userspace proxy.
 2. Every worker opens the same ``--state-dir`` in **shared mode**
    (:class:`~repro.service.persistence.StateStore` with ``shared=True``):
-   a per-mutation ``fcntl`` lock serialises reserve→journal→commit across
-   processes and each worker absorbs its siblings' journal records before
-   every affordability check, so the budget ledgers remain the single
-   source of truth and no session can be double-spent cluster-wide.
+   a per-mutation ``fcntl`` lock serialises each charge (check, release
+   draw, journal record) across processes and each worker absorbs its
+   siblings' journal records before every affordability check, so the
+   budget ledgers remain the single source of truth and no session can be
+   double-spent cluster-wide.
 3. A **capacity board** — one page of anonymous shared memory mapped
    before the fork — tracks per-worker in-flight counts.  ``GET
    /capacity`` reports it pod-style (total/used/available), and admission

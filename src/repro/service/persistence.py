@@ -6,8 +6,8 @@ already consumed.  This module makes them durable with the classic pairing
 of a **write-ahead journal** and **periodic compacted snapshots**:
 
 * :class:`LedgerJournal` — an append-only JSON-lines file recording every
-  state transition (session create/close/expire, charge, deny, rollback,
-  database register/unregister/mutate).  Each record carries a monotonically
+  state transition (session create/close/expire, charge, deny, database
+  register/unregister/mutate).  Each record carries a monotonically
   increasing ``seq`` so recovery can resume from a snapshot cut.  A line
   counts as a record only once its newline is written: a last line without
   one is an append that never returned (a crash mid-write), so every reader
@@ -18,9 +18,10 @@ of a **write-ahead journal** and **periodic compacted snapshots**:
   A crash between rename and truncate is harmless because recovery skips
   journal records with ``seq`` ≤ the snapshot's cut.  Format 2 stores each
   ledger as ``folded: [total, count]`` — the left fold and length of its
-  committed prefix — plus the charges it still holds, so a snapshot costs
-  O(sessions + open reservations), not O(every charge ever); format-1
-  snapshots (every charge listed) still load.
+  charges — with an empty ``charges`` list, so a snapshot costs
+  O(sessions), not O(every charge ever).  Charges a snapshot does list
+  (every charge in format 1, the reservations open when an older build
+  wrote format 2) load as charges.
 * :class:`StateStore` — the façade owning a state directory
   (``journal.jsonl`` + ``snapshot.json``), used by
   :class:`~repro.service.service.PrivateQueryService` via ``state_dir=``.
@@ -47,12 +48,12 @@ serving layer acquires the store lock first (see ``SessionManager`` and
 
 What is (and is not) persisted
 ------------------------------
-Persisted: session ledgers and the shared deployment budget (budget,
-folded committed prefix, open charges), audit-log totals and a bounded
-tail, and versioned metadata of registered databases — including
-per-relation sizes and mutation **epochs**, kept current by ``mutate``
-records (see ``docs/mutation.md``) — so re-registering after a restart
-resumes the version sequence and stale cache keys can never be resurrected.
+Persisted: session ledgers and the shared deployment budget (budget and
+the fold of its charges), audit-log totals and a bounded tail, and
+versioned metadata of registered databases — including per-relation sizes
+and mutation **epochs**, kept current by ``mutate`` records (see
+``docs/mutation.md``) — so re-registering after a restart resumes the
+version sequence and stale cache keys can never be resurrected.
 Not persisted: database *contents* (re-register them after a restart,
 then replay any mutations from your own feed), caches (they rebuild), and
 the noise generator state (a restarted seeded service starts a fresh
@@ -68,8 +69,9 @@ without interleaving seqs or double-spending budgets:
   can coexist while a plain single-process server (``LOCK_EX``) is still
   locked out, and vice versa;
 * every mutation additionally holds an exclusive fcntl lock on
-  ``<dir>/journal.lock`` for the whole reserve → journal → commit window,
-  making the journal the single serialization point of the cluster;
+  ``<dir>/journal.lock`` — a charge from its check through its release
+  draw to its journal record — making the journal the single
+  serialization point of the cluster;
 * on each process-lock acquisition the store first *absorbs* journal
   records appended by sibling workers since its last read offset (applying
   them to the managers it recovered into), so
@@ -152,7 +154,6 @@ EVENTS = (
     "session_close",
     "session_expire",
     "charge",
-    "rollback",
     "deny",
     "register",
     "unregister",
@@ -259,23 +260,18 @@ AUDIT_TAIL_LIMIT = 1000
 
 
 def ledger_entry(ledger: PrivacyAccountant) -> dict[str, list]:
-    """A ledger's snapshot entry (format 2): ``folded: [total, count]`` plus
-    the ``[epsilon, label]`` charges it still holds, oldest first."""
-    (total, count), charges = ledger.snapshot()
-    return {
-        "folded": [total, count],
-        "charges": [[charge.epsilon, charge.label] for charge in charges],
-    }
+    """A ledger's snapshot entry (format 2): ``folded: [total, count]`` and
+    an empty ``charges`` list (the ledger holds no per-charge records)."""
+    total, count = ledger.snapshot()
+    return {"folded": [total, count], "charges": []}
 
 
-def ledger_from_entry(
-    entry: Mapping[str, Any],
-) -> tuple[tuple[float, int], list[tuple[float, str]]]:
-    """A snapshot ledger's folded prefix and charges (format 1 has no prefix):
-    the inverse of :func:`ledger_entry`."""
+def ledger_from_entry(entry: Mapping[str, Any]) -> tuple[tuple[float, int], list[float]]:
+    """A snapshot ledger's fold and the ε of the ``[epsilon, label]``
+    charges it lists (format 1 has no fold): what
+    :meth:`~repro.mechanisms.accountant.PrivacyAccountant.restore_ledger` takes."""
     total, count = entry.get("folded", (0.0, 0))
-    charges = [(float(epsilon), str(label)) for epsilon, label in entry.get("charges", [])]
-    return (float(total), int(count)), charges
+    return (float(total), int(count)), [float(epsilon) for epsilon, _ in entry.get("charges", [])]
 
 
 class StateStore:
@@ -416,11 +412,11 @@ class StateStore:
 
     def exclusive(self):
         """The store lock, for callers that must mutate state atomically
-        with their journal records (the transactional charge pipeline).
+        with their journal records (a charge, from its check to its record).
 
         In shared mode this is a context manager that *also* holds the
         inter-process journal lock (absorbing sibling records on entry), so
-        the whole reserve → journal → commit window of a charge is atomic
+        a whole charge — check, release draw, journal record — is atomic
         across every worker of the cluster, not just across threads.
         """
         if not self._shared:
@@ -459,7 +455,7 @@ class StateStore:
 
         Must be called with ``self._lock`` held.  On the outermost entry the
         fcntl lock is taken and sibling records are absorbed, so by the time
-        the caller reserves budget or allocates a seq its view of the ledger
+        the caller checks a budget or allocates a seq its view of the ledger
         is current across the whole cluster.
         """
         if self._proc_depth == 0:
@@ -511,11 +507,9 @@ class StateStore:
         The managers must be empty (start-up).  The snapshot goes through
         their ``restore`` methods and every later record through their
         ``absorb`` methods, the code a cluster worker runs on its siblings'
-        records.  A single-writer store then settles every ledger: the
-        reservations still open when its process died can no longer be
-        rolled back.  From here on the store snapshots these managers when
-        it compacts and, shared, applies sibling records to them.  Returns
-        the recovered seq.
+        records.  From here on the store snapshots these managers when it
+        compacts and, shared, applies sibling records to them.  Returns the
+        recovered seq.
 
         Shared stores recover under the inter-process journal lock so the
         snapshot read, the journal read and the read-offset initialisation
@@ -545,8 +539,6 @@ class StateStore:
                     self._seq = max(self._seq, int(snapshot.get("seq", 0)))
                 self._journal_offset = 0
                 self._absorb_journal_locked()
-                if not self._shared:
-                    sessions.settle_all()
             finally:
                 if self._shared:
                     fcntl.flock(self._proc_handle.fileno(), fcntl.LOCK_UN)
@@ -582,8 +574,8 @@ class StateStore:
             raise ServiceError(f"unknown journal event {event!r}")
         with self._lock:
             # Shared mode: self-acquire the inter-process lock so records
-            # journaled outside an exclusive() window (precheck denials,
-            # rollbacks) still serialize — and absorb — across workers.
+            # journaled outside an exclusive() window (precheck denials)
+            # still serialize — and absorb — across workers.
             if self._shared:
                 self._enter_process_lock()
             try:

@@ -45,10 +45,10 @@ version metadata are write-ahead journaled (and periodically compacted into
 snapshots) by :mod:`repro.service.persistence`, and a service constructed on
 the same directory recovers them into its session manager and registry,
 applying each journal record through the same ``absorb`` methods a cluster
-worker uses for its siblings' records.  Charges are transactional — reserve →
-journal → commit, with rollback if drawing the release fails — so ε can
-never be consumed without either a release or a durable record of the
-refusal.
+worker uses for its siblings' records.  A charge is one step: the ledgers
+are checked under the charge lock, the release is drawn under it, and one
+``charge`` record is journaled before the response leaves — or, if drawing
+the release fails, a ``deny`` that charges nothing.
 """
 
 from __future__ import annotations
@@ -154,18 +154,21 @@ class PrivateQueryService:
         Optional deployment-wide ε budget shared by all sessions (and by
         sessionless requests).  ``None`` leaves only per-session limits.
     cache_capacity:
-        Capacity of each cache (plan / profile / sensitivity / count).
-        ``0`` disables caching entirely — useful for benchmarking and for
-        validating that caching does not change results.
+        Capacity of each per-shape cache (plan / profile / sensitivity /
+        count); the component cache holds ``cache_capacity * 4`` entries,
+        since one profile can hold many components.  ``0`` disables caching
+        entirely — useful for benchmarking and for validating that caching
+        does not change results.
     session_ttl:
         Idle session lifetime in seconds (``None``: never expire).
     rng:
         numpy Generator or seed for all noise drawn by this service.  One
-        generator serves every request (guarded by a lock), so a seeded
-        service produces a reproducible release sequence.  Each request
-        runs entirely on the thread that received it; concurrency comes
-        from serving several requests at once (``repro-dp serve``'s request
-        threads and its prefork ``--workers`` cluster).
+        generator serves every request (every draw runs under the charge
+        lock), so a seeded service produces a reproducible release
+        sequence.  Each request runs entirely on the thread that received
+        it; concurrency comes from serving several requests at once
+        (``repro-dp serve``'s request threads and its prefork ``--workers``
+        cluster).
     state_dir:
         Optional directory for durable state (see
         :mod:`repro.service.persistence`).  Sessions, budgets and audit
@@ -187,8 +190,8 @@ class PrivateQueryService:
         ``"stream"`` (the default): all noise comes from the single service
         generator, giving one reproducible stream per process.
         ``"charge-seq"``: each release draws from a fresh generator seeded
-        by ``(seed, charge_seq)``, where ``charge_seq`` is the charge's
-        global ordinal in the journal — so a seeded *cluster* produces
+        by ``(seed, ordinal)``, where ``ordinal`` is the charge's global
+        ordinal in the journal — so a seeded *cluster* produces
         bitwise-identical releases no matter which worker serves which
         request.  Requires an integer ``rng`` seed.
     worker_label:
@@ -261,12 +264,11 @@ class PrivateQueryService:
         # its epochs; see repro.engine.profile).  Sized above the per-shape
         # caches because one profile can hold many components.
         self._component_cache = LRUCache(cache_capacity * 4)
+        # numpy Generators are not thread-safe; every draw from this one runs
+        # under the charge lock (see SessionManager.begin_charge).
         self._rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        # numpy Generators are not thread-safe, and concurrent request
-        # threads draw noise from this one; every draw takes this lock.
-        self._rng_lock = threading.Lock()
         self._requests_served = 0
-        # Cumulative ε actually charged (committed) by this service; the
+        # Cumulative ε charged by this service's releases; the
         # repro_epsilon_charged_total counter reads it at scrape time.
         self._epsilon_charged_total = 0.0
         self._stats_lock = threading.Lock()
@@ -314,9 +316,10 @@ class PrivateQueryService:
         * **pre-resolved handles** — label sets resolve once, here, so the
           per-request work is at most one latency ``observe``;
         * **scrape-time counters** — totals the service maintains anyway
-          (cache hit/miss counters, requests served, ε charged) back counter
-          series via callbacks instead of per-request ``inc`` calls; the
-          scrape pays for the read, the request pays nothing.
+          (cache hit/miss counters, requests served, ε charged, the profiler
+          totals ``/stats`` reports) back counter series via callbacks
+          instead of per-request ``inc`` calls; the scrape pays for the
+          read, the request pays nothing, and each event is counted once.
 
         Metric names, labels and bucket choices are catalogued in
         ``docs/observability.md``.
@@ -378,7 +381,7 @@ class PrivateQueryService:
         )
         self._m_charge = m.histogram(
             "repro_budget_charge_seconds",
-            "Time to reserve and journal one budget charge (includes ledger lock wait).",
+            "Time to check and journal one budget charge (includes ledger lock wait).",
             buckets=DEFAULT_IO_BUCKETS,
         ).bind()
         batch_items = m.counter(
@@ -388,19 +391,24 @@ class PrivateQueryService:
             outcome: batch_items.labels(outcome=outcome)
             for outcome in ("ok", "deduplicated", "error")
         }
-        self._m_profiles = m.counter(
+        # Profiler series read the totals /stats reports (see _build_profile).
+        totals = self._profiler_totals
+        m.counter(
             "repro_profiler_profiles_total",
             "Shared-lattice profiles computed (profile-cache misses).",
-        )
+        ).set_callback(lambda: float(totals["profiles_computed"]))
         components = m.counter(
             "repro_profiler_components_total",
             "Residual-query components seen by the profiler, by outcome.",
             ("outcome",),
         )
-        self._m_components_eval = components.labels(outcome="evaluated")
-        self._m_components_dedup = components.labels(outcome="deduplicated")
-        self._m_components_cached = components.labels(outcome="cached")
-        self._m_components_delta = components.labels(outcome="delta")
+        for outcome, total in (
+            ("evaluated", "components_evaluated"),
+            ("deduplicated", "component_hits"),
+            ("cached", "component_cache_hits"),
+            ("delta", "component_delta_updates"),
+        ):
+            components.set_callback(lambda t=total: float(totals[t]), outcome=outcome)
         m.counter(
             "repro_mutations_total",
             "Delta-mutation batches applied to registered databases.",
@@ -417,8 +425,8 @@ class PrivateQueryService:
             "Coded-column lookups (one per relation read) during profiling, by outcome.",
             ("outcome",),
         )
-        self._m_fact_hit = factorization.labels(outcome="hit")
-        self._m_fact_miss = factorization.labels(outcome="miss")
+        for outcome, total in (("hit", "factorization_hits"), ("miss", "factorization_misses")):
+            factorization.set_callback(lambda t=total: float(totals[t]), outcome=outcome)
         # Callback gauges: read live (possibly crash-recovered) state at
         # scrape time instead of hooking every write path.
         m.gauge("repro_sessions_active", "Sessions currently open.").set_function(
@@ -647,13 +655,6 @@ class PrivateQueryService:
             totals["component_delta_updates"] += stats.component_delta_updates
             totals["factorization_hits"] += stats.factorization_hits
             totals["factorization_misses"] += stats.factorization_misses
-        self._m_profiles.inc()
-        self._m_components_eval.inc(stats.components_evaluated)
-        self._m_components_dedup.inc(stats.component_hits)
-        self._m_components_cached.inc(stats.component_cache_hits)
-        self._m_components_delta.inc(stats.component_delta_updates)
-        self._m_fact_hit.inc(stats.factorization_hits)
-        self._m_fact_miss.inc(stats.factorization_misses)
         return profile.results
 
     # ------------------------------------------------------------------ #
@@ -674,9 +675,9 @@ class PrivateQueryService:
         budget, if configured) before any noise is drawn; raises
         :class:`~repro.exceptions.PrivacyError` when either budget cannot
         afford it, and :class:`ServiceError` for unknown databases/sessions.
-        The charge is transactional: if drawing the release fails, the
-        reservation is rolled back (and the refusal journaled) instead of
-        silently consuming ε without an answer.
+        The release is drawn under the charge lock and the charge journaled
+        only once it exists: if drawing it fails, a ``deny`` is journaled
+        and no ε is consumed.
 
         Every request is recorded in :attr:`metrics` (and, with a request
         logger, in the structured log).  With ``timings=True`` the request
@@ -771,38 +772,29 @@ class PrivateQueryService:
         charge_start = time.perf_counter()
         with obs_span("charge"):
             txn = self._sessions.begin_charge(session, epsilon, label=f"{database}:{label}")
+        ledger_seconds = time.perf_counter() - charge_start
+        # The draw runs under the charge lock; leaving the block journals the
+        # charge (under a second "charge" span), or a deny if the draw failed.
+        with txn:
+            with obs_span("release"):
+                # charge-seq mode derives a fresh generator from the charge's
+                # global journal ordinal, so a seeded cluster releases the same
+                # noise regardless of which worker serves the request (or how
+                # the per-process stream has advanced).
+                if self._noise_mode == "charge-seq":
+                    rng = np.random.default_rng((self._noise_seed, txn.ordinal))
+                else:
+                    rng = self._rng
+                release = PrivateCountingQuery(parsed, epsilon=epsilon, rng=rng).release(
+                    reg.database, true_count=true_count, sensitivity=sensitivity
+                )
+            journal_start = time.perf_counter()
         if charge_timed:
-            self._m_charge(time.perf_counter() - charge_start)
-
-        def draw():
-            # charge-seq mode derives a fresh generator from the charge's
-            # global journal ordinal, so a seeded cluster releases the same
-            # noise regardless of which worker serves the request (or how
-            # the per-process stream has advanced).
-            if self._noise_mode == "charge-seq":
-                rng = np.random.default_rng((self._noise_seed, txn.charge_seq))
-            else:
-                rng = self._rng
-            releaser = PrivateCountingQuery(parsed, epsilon=epsilon, rng=rng)
-            return releaser.release(
-                reg.database, true_count=true_count, sensitivity=sensitivity
-            )
-
-        try:
-            with obs_span("release"), self._rng_lock:
-                release = draw()
-        except Exception as exc:
-            txn.rollback(reason=f"release failed: {exc}")
-            raise
-        txn.commit()
+            self._m_charge(ledger_seconds + time.perf_counter() - journal_start)
         with self._stats_lock:
             self._requests_served += 1
             self._epsilon_charged_total += epsilon
 
-        # The transaction captured the post-charge remaining budget under the
-        # session lock: re-fetching the session here could race TTL expiry
-        # and lose a paid-for answer to UnknownResourceError.
-        remaining = txn.remaining
         return CountResponse(
             database=reg.name,
             version=reg.version,
@@ -815,7 +807,9 @@ class PrivateQueryService:
             plan_cache_hit=plan_hit,
             sensitivity_cache_hit=sens_hit,
             count_cache_hit=count_hit,
-            remaining_budget=remaining,
+            # Read under the charge lock: re-fetching the session here could
+            # race TTL expiry and lose a paid-for answer.
+            remaining_budget=txn.remaining,
         )
 
     def batch(

@@ -5,23 +5,25 @@ Each client session owns a :class:`~repro.mechanisms.accountant.PrivacyAccountan
 the deployment-wide budget all sessions draw from — in which case a charge
 must fit in both.
 
-Charging is **transactional** (:meth:`SessionManager.begin_charge`): the ε
-is *reserved* against both ledgers under the session's lock, the charge is
-*journaled* to the write-ahead ledger journal (when the manager is backed by
-a :class:`~repro.service.persistence.StateStore`), and the caller then either
-*commits* (the release was produced) or *rolls back* (the release failed —
-both reservations are refunded and the refusal is journaled).  A request can
-therefore never consume ε without either producing a release or leaving a
-durable record of the refusal.
+A charge is **one step** (:meth:`SessionManager.begin_charge`): both ledgers
+are checked under one lock, the caller draws its release while the lock is
+held, and only then is one ``charge`` record written ahead to the journal
+(when the manager is backed by a
+:class:`~repro.service.persistence.StateStore`) and ε folded into both
+ledgers.  A refused charge, or a release that failed to draw, journals a
+``deny`` and charges nothing.  Every ledger therefore holds only charges
+whose release exists, and each charge is durable before its release can
+leave the process.
 
-Every charge attempt — granted, denied or rolled back — is appended to a
-bounded :class:`AuditLog`, the record a deployment would reconcile against
-its DP disclosure policy.
+Every charge attempt — granted or denied — is appended to a bounded
+:class:`AuditLog`, the record a deployment would reconcile against its DP
+disclosure policy.
 
 Lock ordering: when a journal is attached, its store lock is the outermost
-lock (``store > manager/session > accountant``); mutating paths enter
+lock (``store > manager > accountant``); mutating paths enter
 ``journal.exclusive()`` first so a state snapshot can never observe an
-in-memory effect whose journal record it does not cover.
+in-memory effect whose journal record it does not cover.  Without a
+journal the manager's own lock takes its place.
 
 Recovery rebuilds a manager in place: :meth:`SessionManager.restore` loads
 a snapshot (the inverse of :meth:`SessionManager.snapshot_state`), and
@@ -32,6 +34,7 @@ replay`` runs.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
@@ -42,13 +45,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.exceptions import PrivacyError, ServiceError, UnknownResourceError
-from repro.mechanisms.accountant import BudgetCharge, PrivacyAccountant
-from repro.service.persistence import (
-    AUDIT_TAIL_LIMIT,
-    exclusive_or_null,
-    ledger_entry,
-    ledger_from_entry,
-)
+from repro.mechanisms.accountant import PrivacyAccountant
+from repro.obs.tracing import span as obs_span
+from repro.service.persistence import AUDIT_TAIL_LIMIT, ledger_entry, ledger_from_entry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.service.persistence import StateStore
@@ -60,12 +59,6 @@ __all__ = [
     "Session",
     "SessionManager",
 ]
-
-
-def _refund_all(reservations: list[tuple[PrivacyAccountant, BudgetCharge]]) -> None:
-    """Refund a reservation list in reverse acquisition order."""
-    for accountant, record in reversed(reservations):
-        accountant.refund(record)
 
 
 def _validate_epsilon(epsilon: object) -> None:
@@ -94,7 +87,9 @@ class AuditRecord:
 
     seq: int
     session_id: str
-    action: str  # "create" | "charge" | "deny" | "rollback" | "close" | "expire"
+    # "create" | "charge" | "deny" | "close" | "expire" (| "rollback", read
+    # from journals that older builds wrote)
+    action: str
     epsilon: float
     label: str
     ok: bool
@@ -217,7 +212,6 @@ class Session:
         self.created_at = created_at
         self.last_active = created_at
         self.closed = False
-        self.lock = threading.RLock()
 
     @property
     def budget(self) -> float:
@@ -238,63 +232,57 @@ class Session:
 
 
 class ChargeTransaction:
-    """A reserved charge awaiting :meth:`commit` or :meth:`rollback`.
+    """A checked charge whose release is being drawn.
 
-    Created by :meth:`SessionManager.begin_charge` *after* the ε has been
-    reserved against the session and shared ledgers and the charge has been
-    journaled.  ``remaining`` is the session's post-charge remaining budget,
-    captured atomically under the session lock — callers must use it instead
-    of re-fetching the session, which can lose a paid-for answer to a TTL
-    expiry racing the lookup.
+    :meth:`SessionManager.begin_charge` returns it holding the manager's
+    charge lock; the caller draws the release inside ``with transaction:``.
+    A normal exit journals one ``charge`` record and folds ε into the
+    session and shared ledgers; an exit by an exception journals a ``deny``
+    and charges nothing.  Either way the lock is then released.  The exit
+    runs under a ``charge`` span, so a traced request's ``charge`` stage
+    covers the journal append as well as the check.
     """
 
     def __init__(
         self,
         manager: "SessionManager",
-        session_id: str | None,
+        session: Session | None,
         epsilon: float,
         label: str,
-        remaining: float | None,
-        reservations: list[tuple[PrivacyAccountant, BudgetCharge]],
-        charge_seq: int | None = None,
+        ordinal: int,
+        lock: contextlib.ExitStack,
     ):
         self._manager = manager
-        self.session_id = session_id
+        self._session = session
+        self.session_id = session.session_id if session is not None else None
         self.epsilon = epsilon
         self.label = label
-        self.remaining = remaining
-        self._reservations = reservations
-        self._state = "reserved"
-        #: Global ordinal of this charge among every committed charge event
-        #: of the deployment (cluster-wide when journaled).  Drives the
-        #: deterministic per-charge noise stream of ``noise_mode="charge-seq"``.
-        self.charge_seq = charge_seq
+        #: Global ordinal of this charge among every charge event of the
+        #: deployment (cluster-wide when journaled), read under the lock.
+        #: Drives the deterministic per-charge noise stream of
+        #: ``noise_mode="charge-seq"``; a failed draw consumes none.
+        self.ordinal = ordinal
+        self._lock = lock
+        #: The session's remaining budget once the charge folded (``None``
+        #: for a sessionless charge, and until the block exits normally).
+        #: Callers must use it instead of re-fetching the session, which can
+        #: lose a paid-for answer to a TTL expiry racing the lookup.
+        self.remaining: float | None = None
 
-    @property
-    def state(self) -> str:
-        """``"reserved"``, ``"committed"`` or ``"rolled_back"``."""
-        return self._state
+    def __enter__(self) -> "ChargeTransaction":
+        return self
 
-    def commit(self) -> None:
-        """Finalise the charge (the release was produced).
-
-        The charge was already journaled and audited atomically at reserve
-        time; committing forfeits the right to roll back, so each ledger
-        settles its reservation and can fold it away (see
-        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.settle`).
-        """
-        if self._state != "reserved":
-            raise ServiceError(f"cannot commit a {self._state} charge transaction")
-        self._state = "committed"
-        for accountant, record in self._reservations:
-            accountant.settle(record)
-
-    def rollback(self, reason: str = "") -> None:
-        """Refund both reservations and journal the refusal."""
-        if self._state != "reserved":
-            raise ServiceError(f"cannot roll back a {self._state} charge transaction")
-        self._state = "rolled_back"
-        self._manager._rollback(self, reason)
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        with self._lock, obs_span("charge"):
+            if exc_type is not None:
+                self._manager._deny(
+                    self.session_id, self.epsilon, self.label, f"release failed: {exc}"
+                )
+                return False
+            self._manager._commit(self._session, self.epsilon, self.label)
+            if self._session is not None:
+                self.remaining = self._session.ledger.remaining
+        return False
 
 
 class SessionManager:
@@ -341,16 +329,18 @@ class SessionManager:
         self._clock = clock
         self._lock = threading.RLock()
         self._sessions: dict[str, Session] = {}
-        # Count of committed charge events (local + absorbed + recovered);
-        # never decremented — see ChargeTransaction.charge_seq.
+        # Count of charge events (local + absorbed + recovered); see
+        # ChargeTransaction.ordinal.
         self._charge_events = 0
 
     # ------------------------------------------------------------------ #
     # Journal plumbing
     # ------------------------------------------------------------------ #
     def _exclusive(self):
-        """The journal's store lock (a no-op context without a journal)."""
-        return exclusive_or_null(self.journal)
+        """The lock every state change holds: the journal's store lock
+        (shared, it also holds the journal flock and absorbs siblings'
+        records on entry), or this manager's own lock without a journal."""
+        return self._lock if self.journal is None else self.journal.exclusive()
 
     def _record(self, event: str, *, apply: Callable[[], None] | None = None, **fields) -> None:
         """Journal ``event`` then run ``apply`` (or just run it, unjournaled)."""
@@ -369,25 +359,21 @@ class SessionManager:
             raise ServiceError(f"session budget must be positive and finite, got {budget}")
         session_id = session_id or uuid.uuid4().hex[:16]
         with self._exclusive():
+            # Creators are serialised by the lock, so checking before
+            # journaling means a duplicate id never leaves a create record.
+            with self._lock:
+                if session_id in self._sessions:
+                    raise ServiceError(f"session {session_id!r} already exists")
             session = Session(session_id, budget, created_at=self._clock())
 
             def install() -> None:
                 with self._lock:
-                    if session.session_id in self._sessions:
-                        raise ServiceError(f"session {session.session_id!r} already exists")
-                    self._sessions[session.session_id] = session
-                self.audit.append(
-                    session.session_id, "create", epsilon=budget, detail="session created"
-                )
+                    self._sessions[session_id] = session
+                self.audit.append(session_id, "create", epsilon=budget, detail="session created")
 
-            # Check uniqueness before journaling so a duplicate id never
-            # leaves a create record (without a journal, install() is the
-            # atomic check-and-insert).  The audit append rides inside the
-            # applied effect so a compacted snapshot can never observe a
-            # journaled event whose audit record has not landed yet.
-            with self._lock:
-                if self.journal is not None and session_id in self._sessions:
-                    raise ServiceError(f"session {session_id!r} already exists")
+            # The audit append rides inside the applied effect so a compacted
+            # snapshot can never observe a journaled event whose audit record
+            # has not landed yet.
             self._record("session_create", apply=install, session=session_id, budget=budget)
         return session
 
@@ -403,31 +389,20 @@ class SessionManager:
     def close(self, session_id: str) -> None:
         """Close and remove a session."""
         with self._exclusive():
-            closed: list[Session] = []
+            # Racing closers are serialised by the lock: only the first
+            # finds the session, so only one journals and audits a close.
+            with self._lock:
+                session = self._sessions.get(session_id)
+            if session is None:
+                raise UnknownResourceError(f"unknown or expired session {session_id!r}")
 
             def remove() -> None:
-                # The pop doubles as the existence check so two racing
-                # closers cannot both succeed (and double-audit).
                 with self._lock:
-                    session = self._sessions.pop(session_id, None)
-                if session is None:
-                    raise UnknownResourceError(
-                        f"unknown or expired session {session_id!r}"
-                    )
-                closed.append(session)
+                    del self._sessions[session_id]
                 self.audit.append(session_id, "close", detail="session closed")
 
-            # With a journal, check existence before writing the close
-            # record (racing closers are serialised by the store lock, so
-            # remove() cannot fail after the record is journaled).
-            if self.journal is not None:
-                with self._lock:
-                    if session_id not in self._sessions:
-                        raise UnknownResourceError(
-                            f"unknown or expired session {session_id!r}"
-                        )
             self._record("session_close", apply=remove, session=session_id)
-            closed[0].closed = True
+            session.closed = True
 
     def expire_idle(self) -> list[str]:
         """Expire (and return the ids of) sessions idle past the TTL."""
@@ -471,7 +446,7 @@ class SessionManager:
 
     @property
     def charge_events(self) -> int:
-        """Committed charge events ever seen (local + absorbed + recovered)."""
+        """Charge events ever seen (local + absorbed + recovered)."""
         with self._lock:
             return self._charge_events
 
@@ -511,10 +486,11 @@ class SessionManager:
         and audits what the live path audited, stamped with the record's
         ``ts``.  Records about a session that is gone (an ``expire`` after
         a compaction dropped it) change no ledger: later records supersede
-        earlier ones.  Applied charges stay open: the journal records no
-        commits and a sibling may still roll one back, so only
-        :meth:`settle_all` folds them.  An unknown event raises
-        :class:`ServiceError`.
+        earlier ones.  A ``charge`` folds into the ledgers at once.  A
+        ``rollback``, which builds that reserved ε before drawing wrote
+        after a failed draw, is audited but refunds nothing: its charge has
+        already folded (the conservative direction).  An unknown event
+        raises :class:`ServiceError`.
         """
         event = record["event"]
         session_id = record.get("session")
@@ -534,27 +510,11 @@ class SessionManager:
                 session = self._sessions.pop(session_id, None)
             if session is not None:
                 session.closed = True
-        elif event in ("charge", "rollback"):
-            ledgers: list[tuple[PrivacyAccountant, str]] = []
+        elif event == "charge":
             with self._lock:
                 session = self._sessions.get(session_id)
-                if event == "charge":
-                    self._charge_events += 1
-            if session is not None:
-                ledgers.append((session.ledger, label))
-            # The record says whether a shared accountant took part, so a
-            # deployment without one grows no phantom shared spend; the live
-            # charge path labels a session's shared charges "<session>:<label>".
-            if self.shared is not None and record.get("shared", True):
-                ledgers.append(
-                    (self.shared, label if session_id is None else f"{session_id}:{label}")
-                )
-            for ledger, ledger_label in ledgers:
-                if event == "charge":
-                    ledger.restore_charge(epsilon, label=ledger_label)
-                else:
-                    ledger.remove_charge(epsilon, label=ledger_label)
-        elif event != "deny":
+            self._fold(session, epsilon, record.get("shared", True))
+        elif event not in ("deny", "rollback"):
             raise ServiceError(f"unknown journal event {event!r} (seq {record.get('seq')})")
         self.audit.append(
             session_id or "-",
@@ -565,17 +525,6 @@ class SessionManager:
             detail=detail,
             timestamp=float(record.get("ts", 0.0)),
         )
-
-    def settle_all(self) -> None:
-        """Settle every ledger (see
-        :meth:`~repro.mechanisms.accountant.PrivacyAccountant.settle_all`):
-        what a single-writer recovery does once the journal is applied."""
-        with self._lock:
-            ledgers = [session.ledger for session in self._sessions.values()]
-        if self.shared is not None:
-            ledgers.append(self.shared)
-        for ledger in ledgers:
-            ledger.settle_all()
 
     # ------------------------------------------------------------------ #
     # Charging
@@ -588,176 +537,118 @@ class SessionManager:
         requests *before* paying for sensitivity computation.  Denials are
         journaled and audited.
         """
-        audit_id = session_id if session_id is not None else "-"
+        self._check(session_id, epsilon, "")
+
+    def begin_charge(
+        self, session_id: str | None, epsilon: float, label: str = ""
+    ) -> ChargeTransaction:
+        """Check a charge and hold the lock while the caller draws its release.
+
+        Takes the lock every state change holds (see :meth:`_exclusive`),
+        checks that the session ledger and the shared budget can afford
+        ``epsilon``, and returns a :class:`ChargeTransaction` that keeps the
+        lock until its ``with`` block ends.  The block draws the release
+        (using :attr:`ChargeTransaction.ordinal`); a normal exit journals one
+        ``charge`` record — durable before the release can leave — and
+        folds ε into both ledgers, while an exception journals a ``deny``
+        and charges nothing.  So concurrent charges can never overspend,
+        and a ledger holds only charges whose release exists.
+
+        ``session_id=None`` charges only the shared budget (anonymous,
+        ledger-less access — the CLI one-shot path).  Denials are journaled,
+        audited and re-raised as :class:`PrivacyError`.
+        """
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(self._exclusive())
+            session = self._check(session_id, epsilon, label)
+            if session is not None:
+                session.last_active = self._clock()
+            return ChargeTransaction(
+                self, session, epsilon, label, self._charge_events + 1, stack.pop_all()
+            )
+
+    def charge(self, session_id: str | None, epsilon: float, label: str = "") -> None:
+        """Charge ``epsilon`` with no release to draw."""
+        with self.begin_charge(session_id, epsilon, label=label):
+            pass
+
+    def _check(self, session_id: str | None, epsilon: float, label: str) -> Session | None:
+        """The session a charge of ``epsilon`` goes to, once ε is valid and
+        the session ledger and the shared budget can both afford it; a
+        refusal is denied (see :meth:`_deny`) and re-raised."""
         try:
+            # Validate up front: with neither a session ledger nor a shared
+            # accountant no can_afford() would ever run, and a NaN/inf must
+            # deny here rather than reach the journal (or silently succeed).
             _validate_epsilon(epsilon)
-            if session_id is not None:
-                session = self.get(session_id)
-                if not session.ledger.can_afford(epsilon):
-                    raise PrivacyError(
-                        f"session budget exhausted: requested {epsilon}, "
-                        f"remaining {session.ledger.remaining}"
-                    )
+            session = None if session_id is None else self.get(session_id)
+            if session is not None and not session.ledger.can_afford(epsilon):
+                raise PrivacyError(
+                    f"session budget exhausted: requested {epsilon}, "
+                    f"remaining {session.ledger.remaining}"
+                )
             if self.shared is not None and not self.shared.can_afford(epsilon):
                 raise PrivacyError(
                     f"shared budget exhausted: requested {epsilon}, "
                     f"remaining {self.shared.remaining}"
                 )
         except PrivacyError as exc:
-            safe_epsilon = _journal_safe(epsilon)
-            self._record(
-                "deny",
-                apply=lambda: self.audit.append(
-                    audit_id, "deny", epsilon=safe_epsilon, ok=False, detail=str(exc)
-                ),
-                session=session_id,
-                epsilon=safe_epsilon,
-                label="",
-                detail=str(exc),
-            )
+            self._deny(session_id, epsilon, label, str(exc))
             raise
+        return session
 
-    def begin_charge(
-        self, session_id: str | None, epsilon: float, label: str = ""
-    ) -> ChargeTransaction:
-        """Atomically reserve and journal a charge; commit or roll back later.
-
-        The pipeline is *reserve → journal → commit*: the ε is charged
-        against the session ledger (under the session's lock) and the shared
-        accountant, the charge record is appended to the write-ahead journal
-        — all under the store lock, so a crash at any point replays to a
-        consistent state — and the returned transaction is then committed by
-        the caller once the release exists, or rolled back (refunding both
-        ledgers, journaling the refusal) if producing it failed.
-
-        ``session_id=None`` charges only the shared budget (anonymous,
-        ledger-less access — the CLI one-shot path).  Denials are journaled,
-        audited and re-raised as :class:`PrivacyError`.
-        """
-        audit_id = session_id if session_id is not None else "-"
-        try:
-            # Validate up front: with neither a session ledger nor a shared
-            # accountant no can_afford() would ever run, and a NaN/inf must
-            # deny here rather than reach the journal (or silently succeed).
-            _validate_epsilon(epsilon)
-            if session_id is None:
-                with self._exclusive():
-                    reservations, charge_seq = self._reserve_and_journal(
-                        None, epsilon, label
-                    )
-                remaining: float | None = None
-            else:
-                session = self.get(session_id)
-                with self._exclusive():
-                    with session.lock:
-                        # Verify the session ledger first (under its lock, so
-                        # no concurrent charge on the same session can
-                        # interleave), then reserve the shared accountant
-                        # (atomic), then the ledger — which can no longer
-                        # fail — then journal.  Any failure refunds in
-                        # reverse order.
-                        if not session.ledger.can_afford(epsilon):
-                            raise PrivacyError(
-                                f"session budget exhausted: requested {epsilon}, "
-                                f"remaining {session.ledger.remaining}"
-                            )
-                        reservations, charge_seq = self._reserve_and_journal(
-                            session, epsilon, label
-                        )
-                        session.last_active = self._clock()
-                        remaining = session.ledger.remaining
-        except PrivacyError as exc:
-            safe_epsilon = _journal_safe(epsilon)
-            self._record(
+    def _deny(self, session_id: str | None, epsilon: object, label: str, detail: str) -> None:
+        """Journal and audit a refused charge, which charges nothing."""
+        safe_epsilon = _journal_safe(epsilon)
+        self._record(
+            "deny",
+            apply=lambda: self.audit.append(
+                session_id if session_id is not None else "-",
                 "deny",
-                apply=lambda: self.audit.append(
-                    audit_id, "deny", epsilon=safe_epsilon, label=label, ok=False,
-                    detail=str(exc),
-                ),
-                session=session_id,
                 epsilon=safe_epsilon,
                 label=label,
-                detail=str(exc),
-            )
-            raise
-        return ChargeTransaction(
-            self, session_id, epsilon, label, remaining, reservations, charge_seq
+                ok=False,
+                detail=detail,
+            ),
+            session=session_id,
+            epsilon=safe_epsilon,
+            label=label,
+            detail=detail,
         )
 
-    def _reserve_and_journal(
-        self, session: Session | None, epsilon: float, label: str
-    ) -> tuple[list[tuple[PrivacyAccountant, BudgetCharge]], int]:
-        """Reserve ε on the shared (and session) ledgers, then journal it.
-
-        The single definition both ``begin_charge`` branches share: any
-        failure — including the journal append itself — refunds every
-        reservation in reverse order and re-raises.  Caller holds the store
-        lock (and the session lock, when there is a session).  Returns the
-        reservations and the charge's global ordinal (see
-        :attr:`ChargeTransaction.charge_seq`).
-        """
+    def _commit(self, session: Session | None, epsilon: float, label: str) -> None:
+        """Journal a charge whose release exists, then fold and audit it."""
         session_id = session.session_id if session is not None else None
-        audit_id = session_id if session_id is not None else "-"
-        reservations: list[tuple[PrivacyAccountant, BudgetCharge]] = []
-        # Mutable box: the ordinal is allocated inside the *applied* effect,
-        # so a failed journal append never consumes a noise ordinal.
-        seq_box: list[int] = []
-        try:
-            if self.shared is not None:
-                shared_label = label if session is None else f"{session_id}:{label}"
-                reservations.append(
-                    (self.shared, self.shared.charge(epsilon, label=shared_label))
-                )
-            if session is not None:
-                reservations.append(
-                    (session.ledger, session.ledger.charge(epsilon, label=label))
-                )
 
-            def applied() -> None:
-                self.audit.append(audit_id, "charge", epsilon=epsilon, label=label)
-                self._charge_events += 1
-                seq_box.append(self._charge_events)
-
-            self._record(
+        def apply() -> None:
+            self._fold(session, epsilon, True)
+            self.audit.append(
+                session_id if session_id is not None else "-",
                 "charge",
-                apply=applied,
-                session=session_id,
                 epsilon=epsilon,
                 label=label,
-                shared=self.shared is not None,
-            )
-        except BaseException:
-            _refund_all(reservations)
-            raise
-        return reservations, seq_box[0]
-
-    def charge(self, session_id: str | None, epsilon: float, label: str = "") -> None:
-        """Charge ``epsilon`` and commit immediately (no release to await)."""
-        self.begin_charge(session_id, epsilon, label=label).commit()
-
-    def _rollback(self, txn: ChargeTransaction, reason: str) -> None:
-        """Refund a reserved charge and journal the refusal (see ``rollback``)."""
-
-        def undo() -> None:
-            _refund_all(txn._reservations)
-            self.audit.append(
-                txn.session_id if txn.session_id is not None else "-",
-                "rollback",
-                epsilon=txn.epsilon,
-                label=txn.label,
-                ok=False,
-                detail=reason,
             )
 
         self._record(
-            "rollback",
-            apply=undo,
-            session=txn.session_id,
-            epsilon=txn.epsilon,
-            label=txn.label,
-            detail=reason,
+            "charge",
+            apply=apply,
+            session=session_id,
+            epsilon=epsilon,
+            label=label,
             shared=self.shared is not None,
         )
+
+    def _fold(self, session: Session | None, epsilon: float, shared: bool) -> None:
+        """The effect of a charge record: count its ordinal and fold ε into
+        the session's ledger and — when the record says a shared accountant
+        took part, so a deployment without one grows no phantom shared
+        spend — into the shared one."""
+        with self._lock:
+            self._charge_events += 1
+        if session is not None:
+            session.ledger.fold(epsilon)
+        if shared and self.shared is not None:
+            self.shared.fold(epsilon)
 
     def describe(self, session_id: str) -> dict[str, object]:
         """The budget view of a session, plus the shared budget if any."""
@@ -772,9 +663,9 @@ class SessionManager:
 
         Called by the :class:`~repro.service.persistence.StateStore` *while
         holding its store lock*, which quiesces every mutating path, so the
-        ledgers can be read consistently.  Each ledger is its folded prefix
-        ``[total, count]`` plus the charges it still holds (snapshot format
-        2), so the document grows with open reservations, not with history.
+        ledgers can be read consistently.  Each ledger is its fold
+        ``[total, count]`` (snapshot format 2, with an empty ``charges``
+        list), so the document grows with sessions, not with history.
         """
         with self._lock:
             sessions = list(self._sessions.values())

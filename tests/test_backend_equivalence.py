@@ -19,11 +19,14 @@ constants, repeated variables, projections and disconnected residuals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
+from repro.datasets.snap_surrogates import DEFAULT_SCALE, surrogate_database
 from repro.datasets.tpch import generate_tpch
 from repro.engine import columnar
 from repro.engine.aggregates import MultiplicityResult, boundary_multiplicity
@@ -33,6 +36,7 @@ from repro.engine.join import count_assignments, group_counts
 from repro.exceptions import EvaluationError
 from repro.graphs.generators import collaboration_graph
 from repro.graphs.loader import database_from_networkx
+from repro.graphs.patterns import rectangle_query
 from repro.mechanisms.mechanism import PrivateCountingQuery
 from repro.qa.oracle import oracle_count, oracle_group_counts
 from repro.query.atoms import Atom
@@ -287,6 +291,27 @@ def test_matmul_fast_path_parity(monkeypatch):
     assert capped.counts[()] >= expected
     with pytest.raises(EvaluationError, match="row cap"):
         count_query(query, db)
+
+
+def test_matmul_keeps_the_graph_benchmark_residual_exact(monkeypatch):
+    """On the AstroPh surrogate at its default scale, the rectangle's
+    3-path residual ``{0, 1, 2}`` has a bucket above MATMUL_THRESHOLD.  The
+    sparse product keeps the predicate-aware plan under the row cap, so the
+    value is exact; joined instead, the plan passes the cap, drops
+    ``x2 != x4`` and reads an upper bound."""
+    calls = _spy_on_matmul(monkeypatch)
+    db = surrogate_database("AstroPh", scale=DEFAULT_SCALE)
+    query = rectangle_query()
+    exact = boundary_multiplicity(query, db, [0, 1, 2])
+    assert (exact.value, exact.exact, exact.dropped_predicates) == (1683, True, ())
+    assert calls
+
+    monkeypatch.setattr(columnar, "MATMUL_THRESHOLD", math.inf)
+    calls.clear()
+    bound = boundary_multiplicity(query, db, [0, 1, 2])
+    assert not calls
+    assert (bound.value, bound.exact) == (1851, False)
+    assert [str(p) for p in bound.dropped_predicates] == ["x2 != x4"]
 
 
 def test_matmul_no_matching_mids_parity(monkeypatch):

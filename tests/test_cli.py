@@ -49,7 +49,8 @@ class TestParser:
         sensitivity: no module fans work out to a pool, and no entry point
         or CLI flag sizes one, turns observability off or picks a method.
         Recovery has no state model of its own: the live managers apply
-        every journal record."""
+        every journal record.  A charge is folded once its release exists,
+        so no ledger refunds, settles or removes one."""
         import ast
         import inspect
         from pathlib import Path
@@ -65,6 +66,7 @@ class TestParser:
         from repro.service.executor import BatchExecutor, BatchRequest
         from repro.service.persistence import LedgerJournal
         from repro.service.service import CountResponse, PrivateQueryService
+        from repro.service.sessions import SessionManager
 
         root = Path(repro.__file__).parent
         importers = []
@@ -113,6 +115,13 @@ class TestParser:
                 assert not hasattr(module, name), name
                 assert name not in module.__all__, name
         assert not hasattr(LedgerJournal, "repair_torn_tail")
+        for owner, removed in (
+            (PrivacyAccountant, ("refund", "remove_charge", "settle", "settle_all")),
+            (SessionManager, ("settle_all",)),
+        ):
+            for name in removed:
+                assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        assert "rollback" not in repro.service.persistence.EVENTS
 
         for argv in (
             ["count", "--query", "Edge(x, y)", "--parallelism", "2"],

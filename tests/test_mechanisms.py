@@ -163,7 +163,7 @@ class TestPrivacyAccountant:
         accountant.charge(0.25, label="q2")
         assert accountant.spent == pytest.approx(0.5)
         assert accountant.remaining == pytest.approx(0.5)
-        assert len(accountant.charges) == 2
+        assert accountant.charge_count == 2
 
     def test_budget_exhaustion(self):
         accountant = PrivacyAccountant(total_budget=0.3)
@@ -198,34 +198,27 @@ class TestPrivacyAccountant:
         accountant.charge(1.0)  # affordable again
 
     def test_folding_continues_the_left_fold(self):
-        """Folding a settled prefix must not regroup the additions:
+        """Checked and unchecked charges fold in order, never regrouped:
         (0.1 + 0.2) + 0.3 and 0.1 + (0.2 + 0.3) differ in the last bit."""
         expected = (0.1 + 0.2) + 0.3
         assert expected != 0.1 + (0.2 + 0.3)
         accountant = PrivacyAccountant(total_budget=10.0)
-        accountant.settle(accountant.charge(0.1))
-        open_record = accountant.charge(0.2)
-        accountant.settle(accountant.charge(0.3))  # held behind the open 0.2
-        accountant.settle(open_record)  # folds 0.2 and 0.3 onto 0.1 at once
-        (total, count), tail = accountant.snapshot()
-        assert (total.hex(), count, tail) == (expected.hex(), 3, [])
+        accountant.charge(0.1)
+        accountant.fold(0.2)  # a charge checked elsewhere (or journaled)
+        accountant.charge(0.3)
+        total, count = accountant.snapshot()
+        assert (total.hex(), count) == (expected.hex(), 3)
         assert accountant.spent.hex() == expected.hex()
 
     def test_restore_ledger_continues_the_fold(self):
         accountant = PrivacyAccountant(total_budget=10.0)
-        accountant.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")])
+        accountant.restore_ledger((0.1, 1), [0.2, 0.3])  # listed charges load as charges
         assert accountant.spent.hex() == ((0.1 + 0.2) + 0.3).hex()
         assert accountant.charge_count == 3
-        assert accountant.remove_charge(0.2, label="q")  # open: a rollback may name it
-        assert accountant.spent.hex() == (0.1 + 0.3).hex()
-        settled = PrivacyAccountant(total_budget=10.0)
-        settled.restore_ledger((0.1, 1), [(0.2, "q"), (0.3, "q")])
-        settled.settle_all()  # what a single-writer recovery does
-        assert settled.charges == [] and settled.charge_count == 3
-        assert settled.spent.hex() == ((0.1 + 0.2) + 0.3).hex()
-        assert not settled.remove_charge(0.2, label="q")
+        accountant.fold(0.7)
+        assert accountant.snapshot() == ((((0.1 + 0.2) + 0.3) + 0.7), 4)
         with pytest.raises(PrivacyError):  # only an empty ledger takes one
-            settled.restore_ledger((0.0, 0), [])
+            accountant.restore_ledger((0.0, 0), [])
 
     def test_concurrent_charges_never_overspend(self):
         import threading
@@ -252,4 +245,4 @@ class TestPrivacyAccountant:
         # interleaving of the 8 threads.
         assert len(granted) == 20
         assert accountant.spent == pytest.approx(1.0)
-        assert len(accountant.charges) == 20
+        assert accountant.charge_count == 20

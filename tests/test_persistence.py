@@ -1,8 +1,9 @@
-"""Tests for the durable state layer: journal, snapshots, recovery, rollback."""
+"""Tests for the durable state layer: journal, snapshots, recovery, charges."""
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -134,16 +135,47 @@ def _replay(state_dir: Path, records: list[dict]):
 
 
 class TestReplay:
-    def test_charge_and_rollback_cancel_out(self, tmp_path):
+    def test_legacy_rollbacks_refund_nothing(self, tmp_path, make_service):
+        """State written by builds that reserved ε before drawing recovers
+        conservatively: a snapshot's open reservation loads as a charge, and
+        a ``rollback`` record is audited but refunds nothing."""
+        prefix = (0.1 + 0.3) + 0.5
+        snapshot = {
+            "format": 2, "seq": 4, "charge_events": 4,
+            "sessions": [{"session": "s", "budget": 5.0,
+                          "folded": [prefix, 3], "charges": [[0.7, "g:q"]]}],
+            "shared": {"spent": prefix + 0.7, "folded": [prefix, 3],
+                       "charges": [[0.7, "s:g:q"]]},
+            "audit": {"total_recorded": 5, "tail": []},
+            "databases": {}, "versions": {},
+        }
+        (tmp_path / "snapshot.json").write_text(json.dumps(snapshot), encoding="utf-8")
         records = [
-            {"seq": 1, "event": "session_create", "session": "s", "budget": 2.0},
-            {"seq": 2, "event": "charge", "session": "s", "epsilon": 0.5, "label": "q"},
-            {"seq": 3, "event": "rollback", "session": "s", "epsilon": 0.5, "label": "q"},
+            {"seq": 5, "event": "rollback", "session": "s", "epsilon": 0.7, "label": "g:q",
+             "detail": "release failed: boom", "shared": True},
+            {"seq": 6, "event": "charge", "session": "s", "epsilon": 0.2, "label": "g:q",
+             "shared": True},
+            {"seq": 7, "event": "rollback", "session": "s", "epsilon": 0.2, "label": "g:q",
+             "detail": "release failed: boom", "shared": True},
         ]
         sessions, _ = _replay(tmp_path, records)
-        assert sessions.get("s").ledger.spent == 0.0
-        assert sessions.shared.spent == 0.0
-        assert sessions.audit.total_recorded == 3  # create + charge + rollback all audited
+        expected = (prefix + 0.7) + 0.2
+        for ledger in (sessions.get("s").ledger, sessions.shared):
+            assert ledger.spent.hex() == expected.hex()
+            assert ledger.charge_count == 5
+        assert sessions.charge_events == 5
+        tail = sessions.audit.tail(3)
+        assert [(r.action, r.ok) for r in tail] == [
+            ("rollback", False), ("charge", True), ("rollback", False)
+        ]
+        assert sessions.audit.total_recorded == 8
+        # A restart agrees, and its next snapshot lists no charge.
+        recovered = make_service(tmp_path, register=False)
+        assert recovered.budget("s")["spent"].hex() == expected.hex()
+        recovered.close()
+        rewritten = json.loads((tmp_path / "snapshot.json").read_text())
+        assert rewritten["sessions"][0]["charges"] == rewritten["shared"]["charges"] == []
+        assert rewritten["sessions"][0]["folded"] == [expected, 5]
 
     def test_close_and_expire_remove_sessions(self, tmp_path):
         records = [
@@ -344,20 +376,29 @@ class TestRecovery:
 
 class TestTransactionalCharge:
     def test_rollback_refunds_session_and_shared(self, tmp_path):
+        """A release that fails inside the charge block charges neither
+        ledger and journals one deny; a block that exits normally journals
+        one charge."""
         shared = PrivacyAccountant(total_budget=10.0)
         store = StateStore(str(tmp_path))
         manager = SessionManager(default_budget=2.0, shared=shared, journal=store)
         sid = manager.create().session_id
-        txn = manager.begin_charge(sid, 0.5, label="q")
+        with pytest.raises(RuntimeError):
+            with manager.begin_charge(sid, 0.5, label="q") as txn:
+                assert txn.ordinal == 1
+                raise RuntimeError("noise generator exploded")
+        assert manager.get(sid).ledger.snapshot() == (0.0, 0)
+        assert shared.snapshot() == (0.0, 0)
+        with manager.begin_charge(sid, 0.5, label="q") as txn:
+            assert txn.ordinal == 1  # the failed draw consumed no ordinal
         assert txn.remaining == pytest.approx(1.5)
-        txn.rollback(reason="release failed")
-        assert manager.get(sid).ledger.spent == 0.0
-        assert shared.spent == 0.0
+        assert shared.spent == 0.5
         actions = [record.action for record in manager.audit.tail(10)]
-        assert actions == ["create", "charge", "rollback"]
-        # The journal carries both the charge and the compensating rollback.
+        assert actions == ["create", "deny", "charge"]
         records, _ = LedgerJournal.read_records(store.journal_path)
-        assert [r["event"] for r in records] == ["session_create", "charge", "rollback"]
+        assert [r["event"] for r in records] == ["session_create", "deny", "charge"]
+        assert records[1]["detail"] == "release failed: noise generator exploded"
+        store.close()
 
     def test_non_finite_epsilon_denial_is_journaled_not_fatal(self, tmp_path):
         """A NaN/inf ε must deny as PrivacyError and leave a serialisable
@@ -408,16 +449,6 @@ class TestTransactionalCharge:
         # Exactly one close was audited (create + close).
         assert manager.audit.total_recorded == 2
 
-    def test_transaction_cannot_commit_twice(self, tmp_path):
-        manager = SessionManager(default_budget=2.0)
-        sid = manager.create().session_id
-        txn = manager.begin_charge(sid, 0.5)
-        txn.commit()
-        with pytest.raises(ServiceError):
-            txn.commit()
-        with pytest.raises(ServiceError):
-            txn.rollback()
-
     def test_failed_release_rolls_back_service_charge(self, tmp_path, make_service,
                                                       monkeypatch):
         service = make_service(tmp_path)
@@ -438,7 +469,30 @@ class TestTransactionalCharge:
         service.close(snapshot=False)
         recovered = make_service(tmp_path)
         assert recovered.budget(sid)["spent"] == 0.0
-        assert [r.action for r in recovered.sessions.audit.tail(3)][-1] == "rollback"
+        assert [r.action for r in recovered.sessions.audit.tail(3)][-1] == "deny"
+
+    def test_count_journals_one_charge_after_its_draw(self, tmp_path, make_service,
+                                                     monkeypatch):
+        """A ``/count`` appends exactly one record, a ``charge``, and only
+        once its release has been drawn."""
+        from repro.mechanisms.mechanism import PrivateCountingQuery
+
+        service = make_service(tmp_path)
+        sid = service.create_session(budget=2.0).session_id
+        journal = tmp_path / "journal.jsonl"
+        before = len(LedgerJournal.read_records(journal)[0])
+        real_release = PrivateCountingQuery.release
+        journaled_at_draw = []
+
+        def release(self, *args, **kwargs):
+            journaled_at_draw.append(len(LedgerJournal.read_records(journal)[0]))
+            return real_release(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrivateCountingQuery, "release", release)
+        service.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        records = LedgerJournal.read_records(journal)[0][before:]
+        assert journaled_at_draw == [before]
+        assert [(r["event"], r["epsilon"]) for r in records] == [("charge", 0.5)]
 
     def test_count_survives_expiry_race_after_charge(self, service_factory):
         """The paid-for answer must not be lost to a TTL lookup race."""
@@ -459,32 +513,6 @@ class TestTransactionalCharge:
 
 
 class TestAccountantRefund:
-    def test_refund_restores_budget(self):
-        accountant = PrivacyAccountant(total_budget=1.0)
-        record = accountant.charge(0.4, label="q")
-        accountant.refund(record)
-        assert accountant.spent == 0.0
-        with pytest.raises(PrivacyError):
-            accountant.refund(record)  # already refunded
-
-    def test_committed_charge_cannot_be_refunded(self):
-        accountant = PrivacyAccountant(total_budget=1.0)
-        folded = accountant.charge(0.1, label="q1")
-        accountant.settle(folded)
-        with pytest.raises(PrivacyError):
-            accountant.refund(folded)  # settled and folded away
-        open_record = accountant.charge(0.2, label="q2")
-        behind = accountant.charge(0.3, label="q3")
-        accountant.settle(behind)  # settled, but held behind the open q2
-        assert accountant.charges == [open_record, behind]
-        with pytest.raises(PrivacyError, match="committed"):
-            accountant.refund(behind)
-        assert accountant.remove_charge(0.3, label="q3") is False
-        accountant.refund(open_record)
-        assert accountant.charges == []  # q3 folds once q2 is gone
-        assert accountant.charge_count == 2
-        assert accountant.spent == 0.1 + 0.3
-
     def test_non_finite_budget_rejected(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(PrivacyError):
@@ -522,37 +550,56 @@ def _left_fold(epsilons) -> float:
 
 
 class TestFoldedLedgers:
-    """Committed charges fold into ``(total, count)``; ``spent`` stays the
-    in-order left fold, live and after recovery, bitwise."""
+    """Charges fold into ``(total, count)``; ``spent`` stays the in-order
+    left fold, live and after recovery, bitwise."""
 
     def test_single_writer_ledgers_hold_only_open_reservations(self, tmp_path, make_service):
+        """No charge is ever open outside its charge lock, so a ledger holds
+        nothing but its fold, and a snapshot lists no charge."""
         service = make_service(tmp_path)
         sid = service.create_session(budget=50.0).session_id
         for epsilon in (0.1, 0.3, 0.7) * 5:
             service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
+        expected = _left_fold((0.1, 0.3, 0.7) * 5)
         ledger = service.sessions.get(sid).ledger
-        assert ledger.charges == [] and service.sessions.shared.charges == []
+        assert ledger.snapshot() == service.sessions.shared.snapshot() == (expected, 15)
         assert ledger.charge_count == service.budget(sid)["charges"] == 15
-        assert ledger.spent.hex() == _left_fold((0.1, 0.3, 0.7) * 5).hex()
+        assert ledger.spent.hex() == expected.hex()
+        service.store.compact()
+        snapshot = json.loads((tmp_path / "snapshot.json").read_text())
+        assert snapshot["sessions"][0]["charges"] == snapshot["shared"]["charges"] == []
 
     def test_reservation_open_at_compaction_replays_bitwise(self, tmp_path, make_service):
+        """A compaction that comes while a release is being drawn waits for
+        its charge record, so no snapshot holds an open charge."""
         service = make_service(tmp_path, snapshot_interval=0)
         sid = service.create_session(budget=50.0).session_id
         for epsilon in (0.1, 0.3, 0.7):
             service.count("toy", "R(x, y)", epsilon=epsilon, session=sid)
-        txn = service.sessions.begin_charge(sid, 0.3, label="open")
-        service.count("toy", "R(x, y), S(y, z)", epsilon=0.1, session=sid)
-        service.store.compact()
+        drawing, compacted = threading.Event(), threading.Event()
+
+        def compact() -> None:
+            drawing.wait()
+            service.store.compact()
+            compacted.set()
+
+        thread = threading.Thread(target=compact)
+        thread.start()
+        try:
+            with service.sessions.begin_charge(sid, 0.3, label="open"):
+                drawing.set()
+                assert not compacted.wait(0.2)  # blocked on the charge lock
+        finally:
+            drawing.set()
+            thread.join()
         snapshot = json.loads((tmp_path / "snapshot.json").read_text())
         (entry,) = snapshot["sessions"]
-        # The open reservation blocks the fold; the charge behind it waits.
-        assert entry["folded"] == [_left_fold((0.1, 0.3, 0.7)), 3]
-        assert [epsilon for epsilon, _ in entry["charges"]] == [0.3, 0.1]
-        txn.rollback(reason="release failed")
-        service.count("toy", "R(x, y)", epsilon=0.7, session=sid)
+        assert entry["folded"] == [_left_fold((0.1, 0.3, 0.7, 0.3)), 4]
+        assert entry["charges"] == []
+        service.count("toy", "R(x, y), S(y, z)", epsilon=0.1, session=sid)
         live = service.budget(sid)
         live_shared = service.sessions.shared.spent
-        assert live["spent"].hex() == _left_fold((0.1, 0.3, 0.7, 0.1, 0.7)).hex()
+        assert live["spent"].hex() == _left_fold((0.1, 0.3, 0.7, 0.3, 0.1)).hex()
         service.close(snapshot=False)  # die: snapshot + journal tail survive
 
         sessions, _ = StateStore(str(tmp_path), create=False).replay()
@@ -565,8 +612,6 @@ class TestFoldedLedgers:
         assert after["spent"].hex() == live["spent"].hex()
         assert after["charges"] == live["charges"] == 5
         assert recovered.sessions.shared.spent.hex() == live_shared.hex()
-        # A single-writer recovery settles everything it restored.
-        assert recovered.sessions.get(sid).ledger.charges == []
 
     def test_300_counts_with_release_failures_recover_bitwise(
         self, tmp_path, make_service, monkeypatch
@@ -665,9 +710,9 @@ class TestFoldedLedgers:
         response = recovered.count("toy", "R(x, y), S(y, z)", epsilon=0.5, session=sid)
         assert response.epsilon == 0.5
 
-    def test_absorbed_charges_stay_open_until_rolled_back(self):
-        """A cluster worker cannot settle a sibling's charge: the sibling's
-        rollback may still remove it, so it (and what follows) stays unfolded."""
+    def test_absorbed_charges_fold_at_once(self):
+        """A cluster worker folds a sibling's charge as it absorbs it: the
+        sibling journaled it only once its release existed."""
         shared = PrivacyAccountant(total_budget=10.0)
         manager = SessionManager(default_budget=5.0, shared=shared)
         sid = manager.create(session_id="s").session_id
@@ -676,9 +721,49 @@ class TestFoldedLedgers:
         manager.absorb(sibling)
         manager.charge(sid, 0.7, label="local")
         ledger = manager.get(sid).ledger
-        assert [c.epsilon for c in ledger.charges] == [0.3, 0.7]
-        assert ledger.charge_count == 3
-        manager.absorb({**sibling, "event": "rollback"})
-        assert ledger.charges == [] and shared.charges == []
-        assert ledger.spent.hex() == (0.1 + 0.7).hex()
-        assert shared.spent.hex() == (0.1 + 0.7).hex()
+        expected = (0.1 + 0.3) + 0.7
+        assert ledger.snapshot() == shared.snapshot() == (expected, 3)
+        assert manager.charge_events == 3
+        manager.absorb({**sibling, "event": "rollback"})  # an older build's record
+        assert ledger.snapshot() == shared.snapshot() == (expected, 3)
+        assert manager.audit.tail(1)[0].action == "rollback"
+
+    def test_shared_workers_agree_after_a_failed_draw(
+        self, tmp_path, make_service, monkeypatch
+    ):
+        """Two cluster workers on one journal, one of whose draws fails: both
+        ledgers read the same bitwise spend, neither holds a charge record,
+        and the journal holds a deny and no rollback."""
+        from repro.mechanisms.mechanism import PrivateCountingQuery
+
+        a = make_service(tmp_path, shared_state=True)
+        b = make_service(tmp_path, shared_state=True)
+        sid = a.create_session(budget=5.0, session_id="s").session_id
+        real_release = PrivateCountingQuery.release
+        failing = [False]
+
+        def release(self, *args, **kwargs):
+            if failing[0]:
+                raise RuntimeError("injected release failure")
+            return real_release(self, *args, **kwargs)
+
+        monkeypatch.setattr(PrivateCountingQuery, "release", release)
+        a.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        b.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        failing[0] = True
+        with pytest.raises(RuntimeError):
+            b.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        failing[0] = False
+        a.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        b.count("toy", "R(x, y)", epsilon=0.5, session=sid)
+        expected = _left_fold((0.5,) * 4)
+        for worker in (a, b):
+            assert worker.budget(sid)["spent"].hex() == expected.hex()
+            assert worker.budget(sid)["charges"] == 4
+            state = worker.sessions.snapshot_state()
+            assert state["sessions"][0]["charges"] == state["shared"]["charges"] == []
+            assert worker.sessions.shared.snapshot() == (expected, 4)
+        records, _ = LedgerJournal.read_records(tmp_path / "journal.jsonl")
+        events = [r["event"] for r in records]
+        assert events.count("deny") == 1 and "rollback" not in events
+        assert events.count("charge") == 4

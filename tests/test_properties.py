@@ -15,9 +15,9 @@ randomly generated small instances:
 * Distance symmetry / triangle-style sanity of the database edit distance.
 * Agreement with the QA oracle for counting and boundary multiplicities
   under generated predicate combinations.
-* The privacy ledger: under any sequence of charges, commits, refunds,
-  restores, removals and resets, ``spent`` is bitwise the in-order left fold
-  of the surviving charges, however many of them were folded away.
+* The privacy ledger: under any sequence of checked charges, unchecked
+  folds, reloads from a snapshot and resets, ``spent`` is bitwise the
+  in-order left fold of the charges since the last reset.
 
 Failures print the hypothesis reproduction blob (``print_blob=True``) —
 rerun with ``@reproduce_failure`` exactly as hypothesis instructs.  The
@@ -29,7 +29,6 @@ every tier-1 invocation.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -37,7 +36,6 @@ from repro.data.database import Database
 from repro.data.schema import DatabaseSchema
 from repro.engine.aggregates import boundary_multiplicity
 from repro.engine.evaluation import count_query
-from repro.exceptions import PrivacyError
 from repro.mechanisms.accountant import PrivacyAccountant
 from repro.qa.oracle import oracle_count
 from repro.qa.runner import DifferentialRunner
@@ -331,23 +329,16 @@ class TestDistanceProperties:
         assert db.distance(neighbor) == 1
 
 
-# Few distinct values so value-based removals find matches; one free float
-# so the fold's rounding is exercised too.
+# A few fixed values and one free float, so the fold's rounding is exercised.
 ledger_epsilon = st.one_of(
     st.sampled_from([0.1, 0.3, 0.7]),
     st.floats(min_value=1e-6, max_value=10.0, allow_nan=False, allow_infinity=False),
 )
-ledger_label = st.sampled_from(["a", "b"])
-#: Picks count back from the newest entry: the interesting interleavings (a
-#: charge settled behind an open one) involve the most recent few charges.
-ledger_pick = st.integers(min_value=0, max_value=3)
 ledger_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("charge"), ledger_epsilon, ledger_label),
-        st.tuples(st.just("commit"), ledger_pick),
-        st.tuples(st.just("remove"), ledger_pick),
-        st.tuples(st.just("refund"), ledger_pick),
-        st.tuples(st.just("restore"), ledger_epsilon, ledger_label),
+        st.tuples(st.just("charge"), ledger_epsilon),
+        st.tuples(st.just("fold"), ledger_epsilon),
+        st.tuples(st.just("reload")),
         st.tuples(st.just("reset")),
     ),
     max_size=60,
@@ -355,68 +346,39 @@ ledger_ops = st.lists(
 
 
 class TestLedgerFoldProperties:
-    # Each example is a few dozen ledger calls; the failure modes need a
-    # specific interleaving (a settled charge behind an open one), so run many.
     @settings(max_examples=500, **_COMMON)
     @given(ops=ledger_ops)
     def test_spent_is_the_left_fold_of_surviving_charges(self, ops):
+        """Over checked charges, unchecked folds (a journaled charge),
+        reloads from a snapshot and resets, ``spent`` is bitwise the in-order
+        left fold of every charge since the last reset."""
         accountant = PrivacyAccountant(total_budget=1e9)
-        # Surviving charges, oldest first: [epsilon, label, record, committed].
-        model: list[list] = []
-        issued = []  # every record charge() handed out
+        model: list[float] = []  # the surviving charges, oldest first
         for op in ops:
             kind = op[0]
             if kind == "charge":
-                record = accountant.charge(op[1], label=op[2])
-                issued.append(record)
-                model.append([op[1], op[2], record, False])
-            elif kind == "commit":
-                open_entries = [e for e in model if e[2] is not None and not e[3]]
-                if open_entries:
-                    entry = open_entries[-1 - op[1] % len(open_entries)]
-                    accountant.settle(entry[2])
-                    entry[3] = True
-            elif kind == "refund":
-                if issued:
-                    record = issued[-1 - op[1] % len(issued)]
-                    # By identity: equal-valued records compare equal.
-                    live = [i for i, e in enumerate(model) if e[2] is record]
-                    if live and not model[live[0]][3]:
-                        accountant.refund(record)
-                        del model[live[0]]
-                    else:  # committed, refunded, removed or reset
-                        with pytest.raises(PrivacyError):
-                            accountant.refund(record)
-            elif kind == "restore":
-                accountant.restore_charge(op[1], label=op[2])
-                model.append([op[1], op[2], None, False])
-            elif kind == "remove":
-                epsilon, label = model[-1 - op[1] % len(model)][:2] if model else (0.5, "a")
-                matches = [
-                    i for i, e in enumerate(model)
-                    if e[0] == epsilon and e[1] == label and not e[3]
-                ]
-                assert accountant.remove_charge(epsilon, label=label) == bool(matches)
-                if matches:
-                    del model[matches[-1]]
+                accountant.charge(op[1], label="q")
+                model.append(op[1])
+            elif kind == "fold":
+                accountant.fold(op[1])
+                model.append(op[1])
+            elif kind == "reload":
+                # What a snapshot persists continues the same fold.
+                reloaded = PrivacyAccountant(total_budget=1e9)
+                reloaded.restore_ledger(accountant.snapshot())
+                accountant = reloaded
             else:
                 accountant.reset()
                 model.clear()
 
             assert accountant.spent.hex() == _left_fold(model).hex()
             assert accountant.charge_count == len(model)
-            # Everything before the first open charge is folded away, and
-            # what a snapshot persists continues the same fold.
-            settled = next((i for i, e in enumerate(model) if not e[3]), len(model))
-            (total, count), tail = accountant.snapshot()
-            assert (total.hex(), count) == (_left_fold(model[:settled]).hex(), settled)
-            assert [(c.epsilon, c.label) for c in tail] == [
-                (e[0], e[1]) for e in model[settled:]
-            ]
+            total, count = accountant.snapshot()
+            assert (total.hex(), count) == (_left_fold(model).hex(), len(model))
 
 
-def _left_fold(entries) -> float:
+def _left_fold(epsilons) -> float:
     total = 0.0
-    for entry in entries:
-        total += entry[0]
+    for epsilon in epsilons:
+        total += epsilon
     return total
