@@ -101,11 +101,12 @@ def snapshot_service() -> dict:
 
 
 def snapshot_profile() -> dict:
-    """Shared-lattice profiler vs the per-subset baseline (4-star query)."""
+    """Shared-lattice profiler vs the per-subset baseline (4-star query),
+    and the two-triangle profile's latency."""
     import bench_profile as bp
     from repro.graphs.generators import collaboration_graph
     from repro.graphs.loader import database_from_networkx
-    from repro.graphs.patterns import k_star_query
+    from repro.graphs.patterns import k_star_query, two_triangle_query
     from repro.sensitivity.residual import ResidualSensitivity
 
     graph_db = database_from_networkx(
@@ -116,6 +117,8 @@ def snapshot_profile() -> dict:
     engine = ResidualSensitivity(k_star_query(4), beta=0.1)
     _, shared, baseline_time, shared_time = bp._compare(engine, graph_db)
     stats = shared.stats
+    engine = ResidualSensitivity(two_triangle_query(), beta=0.1)
+    two_triangle_time = bp._compare(engine, graph_db)[3]
 
     return {
         "workload": {
@@ -132,6 +135,7 @@ def snapshot_profile() -> dict:
             "component_dedup_hits": stats.component_hits,
             "factorization_hits": stats.factorization_hits,
             "factorization_misses": stats.factorization_misses,
+            "two_triangle_shared_seconds": round(two_triangle_time, 6),
         },
     }
 

@@ -9,7 +9,7 @@ boundary multiplicity* is
 with the conventions ``T_∅(I) = 1`` and, for non-full queries,
 ``T_E(I) = 1`` whenever ``o_E = ∅`` (Section 6).
 
-``T_E`` is read off the group counts of one columnar bucket elimination
+``T_E`` is read off the group counts of columnar bucket elimination
 (:mod:`repro.engine.columnar`), polynomial for bounded-width residuals.  It
 applies every predicate inside the residual — inequalities between
 variables summed out in different buckets by Möbius inversion into
@@ -20,15 +20,26 @@ joined for a comparison or generic predicate would pass
 disconnected components of the residual, which are evaluated separately
 and multiplied.
 
+Only the maximum is needed, so a residual whose group counts are not kept
+for delta maintenance does not build every group when it need not: in the
+manner of the threshold algorithm (Fagin, Lotem & Naor, PODS 2001), the
+residual without one atom bounds each group's count from above, and the
+residual is counted only on the groups, in descending bound order, whose
+bound can still beat the best count found (:func:`_pruned_max`).  That
+path is taken from the query's predicates and the relations' change logs
+alone, only where the plan applies every predicate on any data, so value,
+``exact`` and dropped predicates are those of the full group-by.
+
 Predicate-only boundary variables (``∂q2``, Section 5) are handled as
 follows: predicates crossing the boundary that are pure inequalities are
 ignored, which is exact for large domains (Corollary 5.1); crossing
 comparison predicates are resolved by ranging the ``∂q2`` variables they
 read over the augmented active domain ``Z+(q, I)`` (Section 5.2), one NumPy
-mask over the residual's grouped rows per assignment; crossing generic
-predicates are rejected with an :class:`~repro.exceptions.EvaluationError`
-(the general Section 5.1 algorithm is exponential and out of scope for the
-evaluation engine).
+mask over the residual's grouped rows per assignment — one mask in all
+when a single variable is ranged and every comparison bounds it from the
+same side; crossing generic predicates are rejected with an
+:class:`~repro.exceptions.EvaluationError` (the general Section 5.1
+algorithm is exponential and out of scope for the evaluation engine).
 """
 
 from __future__ import annotations
@@ -50,7 +61,8 @@ from repro.engine.domains import augmented_active_domain
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Variable
 from repro.query.cq import ConjunctiveQuery
-from repro.query.predicates import Predicate
+from repro.query.hypergraph import QueryHypergraph
+from repro.query.predicates import InequalityPredicate, Predicate
 from repro.query.residual import ResidualQuery, residual_query
 
 __all__ = [
@@ -190,6 +202,150 @@ def _eliminate_max(
     return value, witness, result
 
 
+#: Bound-ordered keys the first restricted evaluation of a prune takes, and
+#: the factor each later chunk grows by; each chunk is one more
+#: elimination.  Chosen on the cold-paper graph (2-core VM, 15 interleaved
+#: cold profiles), as the time spent pruning the triangle's 2-path and all
+#: of two_triangle's pruned components: 1 doubling 2.8 and 12.8 ms,
+#: 16 ×4 1.9 and 9.2, 32 ×4 1.2 and 10.3, 64 ×4 1.2 and 8.0, 128 ×4 1.5
+#: and 9.9.
+_FIRST_CHUNK = 64
+_CHUNK_GROWTH = 4
+
+
+def _bound_atom(
+    query: ConjunctiveQuery, residual: ResidualQuery, group_vars: tuple[Variable, ...]
+) -> int | None:
+    """The atom whose removal bounds the groups of a prune, or ``None``
+    when the residual takes the full group-by.
+
+    The plan must apply every predicate on any data, so that restricting
+    the groups can move no ``exact`` flag: each predicate that no single
+    atom factor applies is over group variables only (the predicate-blind
+    plan applies it at the final join), or each is an ``x != y`` with an
+    endpoint outside them (the Möbius terms then run without a row cap).
+    The atom ``a`` must leave a connected rest that still holds every
+    internal variable of ``a`` and only some, but not none, of the group
+    variables; among such atoms, the one whose rest keeps the most group
+    variables, then the first.
+    """
+    group_set = set(group_vars)
+    atom_vars = [query.atoms[i].variable_set for i in residual.atom_indices]
+    pending = [
+        p for p in residual.predicates if not any(p.variables <= vs for vs in atom_vars)
+    ]
+    over_groups = all(p.variables <= group_set for p in pending)
+    expanded = all(
+        isinstance(p, InequalityPredicate)
+        and len(p.variables) == 2
+        and not p.variables <= group_set
+        for p in pending
+    )
+    if not (over_groups or expanded):
+        return None
+
+    atoms = sorted(residual.atom_indices)
+    best, best_kept = None, 0
+    for atom in atoms:
+        rest = [i for i in atoms if i != atom]
+        rest_vars = query.variables_of(rest)
+        kept = len(group_set & rest_vars)
+        if (
+            rest
+            and query.atoms[atom].variable_set - group_set <= rest_vars
+            and 0 < kept < len(group_set)
+            and kept > best_kept
+            and len(QueryHypergraph(query, rest).connected_components()) == 1
+        ):
+            best, best_kept = atom, kept
+    return best
+
+
+def _pruned_max(
+    query: ConjunctiveQuery,
+    database: Database,
+    residual: ResidualQuery,
+    group_vars: tuple[Variable, ...],
+    drop: int,
+) -> MultiplicityResult:
+    """``T_E`` of a full residual by bound-and-prune (Fagin, Lotem & Naor,
+    PODS 2001), without building every boundary group.
+
+    Under set semantics a group ``g`` counts at most what the rest — the
+    residual without atom ``drop`` — counts for ``h``, ``g``'s values on
+    the group variables the rest keeps: the rest holds every internal
+    variable, so each assignment counted for ``g`` is one counted for
+    ``h``.  That upper bound ``U(h)`` stays one when its elimination drops
+    predicates.  Keys ``h`` are visited in descending ``U`` (ties in the
+    bound's row order), in chunks of :data:`_FIRST_CHUNK` keys
+    growing by :data:`_CHUNK_GROWTH`; each chunk counts the residual
+    restricted to it, which leaves each surviving group's count unchanged.
+    The best exact count seen stops the visit once no key left can beat
+    it.  The witness is the first group, in chunk order, attaining the
+    maximum.
+    """
+    atoms = sorted(residual.atom_indices)
+    rest = [i for i in atoms if i != drop]
+    rest_vars = query.variables_of(rest)
+    bound = eliminate_group_counts_columnar(
+        query,
+        database,
+        tuple(v for v in group_vars if v in rest_vars),
+        atom_indices=rest,
+        predicates=residual.predicates,
+    )
+    order = np.argsort(-bound.count_array, kind="stable")
+    upper = bound.count_array[order]
+    value, witness, dropped = 0, None, []
+    start, size = 0, _FIRST_CHUNK
+    while start < len(order) and upper[start] > value:
+        chunk = eliminate_group_counts_columnar(
+            query,
+            database,
+            group_vars,
+            atom_indices=atoms,
+            predicates=residual.predicates,
+            restrict=bound.take(order[start : start + size]),
+        )
+        dropped += [p for p in chunk.dropped_predicates if p not in dropped]
+        best, key = _max_group(chunk, len(group_vars), False)
+        if best > value:
+            value, witness = best, key
+        start += size
+        size *= _CHUNK_GROWTH
+    return MultiplicityResult(
+        value=value,
+        witness=witness,
+        boundary=group_vars,
+        strategy="eliminate",
+        exact=not dropped,
+        dropped_predicates=tuple(dropped),
+    )
+
+
+def _ranged_assignments(
+    crossing: Sequence[Predicate], q2_vars: Sequence[Variable], domain: Sequence[int]
+) -> Iterable[tuple]:
+    """The assignments of the ranged ``∂q2`` variables Section 5.2 tries.
+
+    Every one in general.  When a single variable ``z`` is ranged and every
+    crossing comparison admits more rows as ``z`` moves the same way (up
+    for ``x < z``, ``x <= z``, ``z > x``, ``z >= x``; down for the
+    others), the masks of ascending values are nested, so each group's
+    maximum is that of the domain's extreme on that side: one assignment.
+    """
+    if len(q2_vars) == 1:
+        (var,) = q2_vars
+        upward = [
+            (p.right == var) == (p.op in ("<", "<="))
+            for p in crossing
+            if (p.left == var) != (p.right == var)
+        ]
+        if len(upward) == len(crossing) and len(set(upward)) == 1:
+            return [(domain[-1] if upward[0] else domain[0],)]
+    return itertools.product(domain, repeat=len(q2_vars))
+
+
 def _comparison_boundary_value(
     query: ConjunctiveQuery,
     database: Database,
@@ -209,8 +365,9 @@ def _comparison_boundary_value(
     crossing comparison.  For every assignment of the ranged variables the
     crossing comparisons are one boolean mask over the grouped rows, whose
     counts (or distinct outputs) are summed per boundary group, and each
-    group keeps its maximum.  The witness is the first group, in the
-    elimination's group order, that attains the overall maximum.
+    group keeps its maximum; one assignment suffices when a single variable
+    is ranged from one side (:func:`_ranged_assignments`).  The witness is
+    the group of least codes that attains the overall maximum.
 
     When the rows times the number of assignments pass
     :data:`~repro.engine.columnar.BUCKET_ROW_CAP`, the value is the
@@ -271,7 +428,7 @@ def _comparison_boundary_value(
     else:
         columns = {v: grouped.dictionary.decode(grouped.codes[extended.index(v)]) for v in row_vars}
         best = np.zeros(n_groups, dtype=np.int64)
-        for combo in itertools.product(domain_values, repeat=len(q2_vars)):
+        for combo in _ranged_assignments(crossing, q2_vars, domain_values):
             operands = {**columns, **dict(zip(q2_vars, combo))}
             mask = np.ones(rows, dtype=bool)
             for pred in crossing:
@@ -319,8 +476,18 @@ def boundary_group_counts(
 ) -> tuple[MultiplicityResult, EliminationResult | None]:
     """:func:`boundary_multiplicity`, plus the boundary group counts the value
     was read off when it is an exact elimination maximum of a connected
-    full residual (``None`` otherwise) — what a cache needs to catch the
-    value up after a delta (:func:`repro.engine.columnar.refresh_group_counts`)."""
+    full residual that built every group (``None`` otherwise) — what a
+    cache needs to catch the value up after a delta
+    (:func:`repro.engine.columnar.refresh_group_counts`).
+
+    Counts that :func:`~repro.engine.columnar.keeps_counts` would keep
+    always come back.  A connected full residual whose counts would not be
+    kept finds its maximum by bound-and-prune instead, building no counts
+    (:func:`_pruned_max`), when its plan applies every predicate on any
+    data and one of its atoms bounds the rest (:func:`_bound_atom`).  The
+    choice reads only the query and the change logs, never row counts, so
+    value, ``exact`` and dropped predicates are those of the full
+    group-by."""
     residual = residual_query(query, kept_atoms)
     if residual.is_empty:
         return MultiplicityResult(
@@ -334,8 +501,6 @@ def boundary_group_counts(
     # their boundaries are disjoint, so the maximum joint multiplicity is the
     # product of the per-component maxima.  This avoids materialising cross
     # products (e.g. the two opposite edges of the rectangle query).
-    from repro.query.hypergraph import QueryHypergraph
-
     components = QueryHypergraph(query, residual.atom_indices).connected_components()
     if len(components) > 1:
         return combine_component_results(
@@ -368,6 +533,13 @@ def boundary_group_counts(
         return _comparison_boundary_value(
             query, database, residual, group_vars, distinct_on
         ), None
+
+    if distinct_on is None and not columnar.keeps_counts(
+        query, database, sorted(residual.atom_indices)
+    ):
+        drop = _bound_atom(query, residual, group_vars)
+        if drop is not None:
+            return _pruned_max(query, database, residual, group_vars, drop), None
 
     value, witness, eliminated = _eliminate_max(
         query, database, residual, group_vars, distinct_on

@@ -34,10 +34,16 @@ directly on compressed data (Abadi, Madden & Ferreira, SIGMOD 2006):
   never materialised).
 
 Only the final group columns are decoded
-(:attr:`EliminationResult.columns`).  The dictionary codes the values of a
-database's ``int64`` columns in ascending order, so on them group order,
-witnesses and tie-breaks follow value order as long as no delta has
-appended a value.
+(:attr:`EliminationResult.columns`).  Every factor's rows are distinct, so a
+group-by that keeps every variable of its factor returns it unchanged; rows
+therefore come in no promised order, and neither do the groups of a result.
+
+A *restriction* (``restrict=``) counts only the groups whose values on some
+of the group variables are one of a given set of rows: it is joined as a
+count-1 filter factor into the first bucket whose variables cover it, in
+every term of a Möbius expansion too, and it changes no surviving group's
+count.  :mod:`repro.engine.aggregates` uses it to evaluate a residual only
+on the groups that can still hold its maximum.
 
 Inequalities ``x != y`` still pending after the atom factors, with an
 endpoint outside the group variables, are expanded by Möbius inversion over
@@ -167,9 +173,10 @@ class EliminationResult:
 
     The group counts stay columnar: row ``i`` is the group whose value of
     ``group_variables[j]`` is ``columns[j][i]``, with count
-    ``count_array[i]``.  Every group occurs once and every count is
-    positive.  Counts are exact if ``dropped_predicates`` is empty,
-    otherwise upper bounds obtained by ignoring the dropped predicates.
+    ``count_array[i]``.  Every group occurs once, in no promised order, and
+    every count is positive.  Counts are exact if ``dropped_predicates`` is
+    empty, otherwise upper bounds obtained by ignoring the dropped
+    predicates.
 
     Attributes
     ----------
@@ -228,6 +235,14 @@ class EliminationResult:
         """Dense ``int64`` codes of the rows' values on the first ``arity``
         group variables (equal codes ⇔ equal values)."""
         return _renormalize(_pack(self.codes[:arity], len(self.count_array))[0])[0]
+
+    def take(self, selector: np.ndarray) -> "EliminationResult":
+        """The result keeping the groups chosen by an index array or mask."""
+        return dataclasses.replace(
+            self,
+            codes=tuple(codes[selector] for codes in self.codes),
+            count_array=self.count_array[selector],
+        )
 
 
 def order_factors_for_join(factors):
@@ -405,6 +420,12 @@ class ArrayFactor:
     (Python ints).  A factor over zero variables is a scalar: ``columns`` is
     empty and ``counts`` has exactly one entry (or zero entries for the
     empty result).
+
+    Rows are distinct, in no promised order.  Atom factors hold distinct
+    relation rows, and every operation keeps them distinct: two rows of a
+    join differ on the columns of one side or the other, a group-by emits
+    one row per group, and a selection or a merge of equal columns keeps a
+    subset.
     """
 
     variables: tuple[Variable, ...]
@@ -615,9 +636,14 @@ def _group_reduce(
 
 
 def _project_sum(factor: ArrayFactor, keep: Sequence[Variable]) -> ArrayFactor:
-    """Sum out every variable not in ``keep`` (vectorized group-by)."""
+    """Sum out every variable not in ``keep`` (vectorized group-by).
+
+    A factor whose variables ``keep`` all keeps is returned as it is: its
+    rows are distinct, so each is already its own group."""
     keep_set = set(keep)
     keep_vars = tuple(v for v in factor.variables if v in keep_set)
+    if len(keep_vars) == len(factor.variables):
+        return factor
     if not len(factor):
         return ArrayFactor(keep_vars, tuple(factor.column(v) for v in keep_vars), factor.counts)
     if not keep_vars:
@@ -952,6 +978,7 @@ def _eliminate(
     pending: list[Predicate],
     dictionary: ValueDictionary,
     row_cap: int | None,
+    restriction: ArrayFactor | None = None,
 ) -> tuple[ArrayFactor, list[Predicate], list[Variable]]:
     """Sum ``internal`` out of ``factors``; ``(final factor, dropped, order)``.
 
@@ -960,6 +987,10 @@ def _eliminate(
     every factor sharing a variable with a pending predicate on ``v``, and a
     join above the cap raises :class:`_RowCapExceeded`.  Without one it is
     the predicate-blind plan, which drops what it cannot apply.
+
+    A ``restriction`` (a count-1 factor over group variables) does not
+    change the order: it joins the first bucket whose variables cover it,
+    or else the final join.
     """
     edges = [set(f.variables) for f in factors]
     if row_cap is not None:
@@ -976,10 +1007,17 @@ def _eliminate(
         if not bucket:
             continue
         others = [f for f in factors if not linked.intersection(f.variables)]
+        if restriction is not None and set(restriction.variables) <= {
+            v for factor in bucket for v in factor.variables
+        }:
+            bucket.append(restriction)
+            restriction = None
         keep = [v for factor in bucket for v in factor.variables if v != var]
         summed, pending = _join_and_aggregate(bucket, keep, pending, dictionary, row_cap)
         factors = others + [summed]
 
+    if restriction is not None:
+        factors = factors + [restriction]
     final, pending = _join_and_aggregate(
         factors, list(group_vars), pending, dictionary, row_cap
     )
@@ -1076,10 +1114,11 @@ def _signed_sum(
 
     The first term is the all-singletons one (``c = 1``): every other
     term's groups are among its groups, so each of them is located there by
-    one ``searchsorted`` and added with ``np.add.at``; groups whose sum is 0
-    are dropped.  The keys are packed in the first term's variable order,
-    in which its group-by already sorted them, so the stable sort that
-    orders them is a linear pass.  The sums stay exact: when
+    one ``searchsorted`` into the sorted keys of the first term and added
+    with ``np.add.at``; groups whose sum is 0 are dropped.  Those keys are
+    packed in the first term's variable order, the order its last group-by
+    usually left them in, and a stable sort orders such a run in about one
+    pass; nothing relies on it.  The sums stay exact: when
     ``Σ |c| · max count`` could pass ``int64`` they are carried as Python
     ints.
     """
@@ -1114,13 +1153,15 @@ def _expand_disequalities(
     group_vars: tuple[Variable, ...],
     pending: list[Predicate],
     dictionary: ValueDictionary,
+    restriction: ArrayFactor | None = None,
 ) -> tuple[ArrayFactor, list[Predicate], list[Variable]] | None:
     """Count by Möbius inversion over the pending ``x != y`` predicates with
     a non-group endpoint (see :mod:`repro.engine.mobius`).
 
     Every term ``q/π`` is counted by plain elimination, or by the
     predicate-aware plan when predicates that are not expanded stay
-    pending.  Returns ``(final factor, [], order of the all-singletons
+    pending, each under the ``restriction`` with its merged columns
+    agreeing.  Returns ``(final factor, [], order of the all-singletons
     term)``, or ``None`` when there is nothing to expand or a term's plan
     would pass :data:`BUCKET_ROW_CAP` — a signed sum of upper bounds bounds
     nothing, so the caller then runs the unexpanded plans.
@@ -1150,7 +1191,10 @@ def _expand_disequalities(
             head = next((g for g in group_vars if g in members), members[0])
             rep.update((v, head) for v in members)
         quotient = _quotient_factors(factors, rep, kept, dictionary)
-        if quotient is None:
+        term_restriction = None if restriction is None else _merge_columns(restriction, rep)
+        if quotient is None or (
+            term_restriction is not restriction and not len(term_restriction)
+        ):
             continue
         term_factors, term_pending = quotient
         term_groups = tuple(dict.fromkeys(rep.get(g, g) for g in group_vars))
@@ -1165,6 +1209,7 @@ def _expand_disequalities(
                 term_pending,
                 dictionary,
                 BUCKET_ROW_CAP if term_pending else None,
+                term_restriction,
             )
         except _RowCapExceeded:
             return None
@@ -1188,6 +1233,7 @@ def eliminate_group_counts_columnar(
     atom_indices: Sequence[int] | None = None,
     predicates: Sequence[Predicate] | None = None,
     delta: tuple[int, Sequence[tuple]] | None = None,
+    restrict: EliminationResult | None = None,
 ) -> EliminationResult:
     """Group-by counts of a (residual) CQ via vectorized bucket elimination.
 
@@ -1217,6 +1263,11 @@ def eliminate_group_counts_columnar(
         of its relation) instead of the relation, and every atom sharing a
         variable with it is first cut to the rows that can join them — the
         delta query of :func:`refresh_group_counts`.
+    restrict:
+        Count only the groups whose values on ``restrict.group_variables``
+        (group variables of this call) are one of ``restrict``'s rows; its
+        counts are ignored.  The elimination then runs in ``restrict``'s
+        dictionary, so its codes always meet codes of their own space.
 
     Returns
     -------
@@ -1237,6 +1288,15 @@ def eliminate_group_counts_columnar(
             f"group variables {sorted(v.name for v in unknown)} do not occur in the "
             "selected atoms"
         )
+    restriction = None
+    if restrict is not None:
+        if not set(restrict.group_variables) <= set(group_vars):
+            raise EvaluationError("a restriction must be over group variables")
+        restriction = ArrayFactor(
+            restrict.group_variables,
+            restrict.codes,
+            np.ones(len(restrict.count_array), dtype=np.int64),
+        )
 
     pending = [
         p
@@ -1247,7 +1307,7 @@ def eliminate_group_counts_columnar(
     # One dictionary for the whole elimination: a concurrent
     # ``release_caches`` may replace the database's, and codes of two
     # dictionaries must never meet in one join.
-    dictionary = database.dictionary
+    dictionary = database.dictionary if restrict is None else restrict.dictionary
     factors: list[ArrayFactor] = []
     read: set[tuple[str, int]] = set()
     for idx in indices:
@@ -1273,16 +1333,19 @@ def eliminate_group_counts_columnar(
     internal = [v for v in covered_vars if v not in group_vars]
     plan = None
     if pending:
-        plan = _expand_disequalities(factors, internal, group_vars, pending, dictionary)
+        plan = _expand_disequalities(
+            factors, internal, group_vars, pending, dictionary, restriction
+        )
     if plan is None and pending:
         try:
             plan = _eliminate(
-                factors, internal, group_vars, pending, dictionary, BUCKET_ROW_CAP
+                factors, internal, group_vars, pending, dictionary, BUCKET_ROW_CAP,
+                restriction,
             )
         except _RowCapExceeded:
             pass  # the predicate-blind plan below drops what it cannot apply
     final, pending, order = plan or _eliminate(
-        factors, internal, group_vars, pending, dictionary, None
+        factors, internal, group_vars, pending, dictionary, None, restriction
     )
 
     # Key columns in the requested group-variable order (the final factor's
@@ -1367,11 +1430,11 @@ def fold_group_counts(
 
     The codes of every part are packed into one key space and summed with
     the engine's one-sort group-by (:func:`_group_reduce`), so the groups
-    come out in ascending key order, as from an elimination; groups whose
-    sum is 0 are dropped.  The sort is stable: once folded, ``base`` is in
-    key order and the few delta rows follow it, which a merge sort orders
-    in about one pass.  Sums that could pass ``int64`` are carried as
-    Python ints.
+    come out in ascending key order; groups whose sum is 0 are dropped.
+    The sort is stable, so once folded, ``base`` is in key order and the
+    few delta rows after it are ordered in about one pass; a ``base`` fresh
+    from an elimination arrives in no promised order and takes a full
+    sort.  Sums that could pass ``int64`` are carried as Python ints.
     """
     parts = [(1, base), *deltas]
     length = sum(len(part.count_array) for _, part in parts)
