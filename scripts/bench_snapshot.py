@@ -102,23 +102,23 @@ def snapshot_service() -> dict:
 
 def snapshot_profile() -> dict:
     """Shared-lattice profiler vs the per-subset baseline (4-star query),
-    and the two-triangle profile's latency."""
+    the two-triangle profile's latency and the path-5 true count's."""
     import bench_profile as bp
     from repro.graphs.generators import collaboration_graph
     from repro.graphs.loader import database_from_networkx
     from repro.graphs.patterns import k_star_query, two_triangle_query
     from repro.sensitivity.residual import ResidualSensitivity
 
-    graph_db = database_from_networkx(
-        collaboration_graph(
-            bp.NUM_NODES, bp.AVERAGE_DEGREE, seed=derive_seed("profile.graph")
-        )
+    graph = collaboration_graph(
+        bp.NUM_NODES, bp.AVERAGE_DEGREE, seed=derive_seed("profile.graph")
     )
+    graph_db = database_from_networkx(graph)
     engine = ResidualSensitivity(k_star_query(4), beta=0.1)
     _, shared, baseline_time, shared_time = bp._compare(engine, graph_db)
     stats = shared.stats
     engine = ResidualSensitivity(two_triangle_query(), beta=0.1)
     two_triangle_time = bp._compare(engine, graph_db)[3]
+    path5_time = bp._path5_true_count_seconds(graph, graph_db)
 
     return {
         "workload": {
@@ -136,6 +136,7 @@ def snapshot_profile() -> dict:
             "factorization_hits": stats.factorization_hits,
             "factorization_misses": stats.factorization_misses,
             "two_triangle_shared_seconds": round(two_triangle_time, 6),
+            "path5_true_count_seconds": round(path5_time, 6),
         },
     }
 

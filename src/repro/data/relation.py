@@ -405,8 +405,13 @@ class Relation:
         :func:`repro.engine.columnar.relation_is_symmetric` computes and
         records it; a mutation advances the epoch, which retires the record.
         """
+        return self.symmetry_at(self._version)
+
+    def symmetry_at(self, epoch: int) -> bool | None:
+        """The swap-closure flag recorded for the rows of ``epoch`` (``None``
+        when none is)."""
         recorded = self._symmetry
-        if recorded is None or recorded[0] != self._version:
+        if recorded is None or recorded[0] != epoch:
             return None
         return recorded[1]
 

@@ -49,9 +49,17 @@ Inequalities ``x != y`` still pending after the atom factors, with an
 endpoint outside the group variables, are expanded by Möbius inversion over
 set partitions (:mod:`repro.engine.mobius`): the count is a signed sum of
 counts of quotient queries, each with the inequalities dropped and a block
-of variables merged into one, and each counted by plain elimination.  The
-leaf pairs of a k-star and the non-adjacent pairs of a path are exact this
-way at the cost of a few predicate-free eliminations.
+of variables merged into one.  When every pending predicate is expanded and
+no delta is counted, each isomorphism class of quotients is counted once,
+under its summed coefficient and with duplicate atoms collapsed
+(:func:`repro.engine.mobius.quotient_classes`); a binary atom's two
+arguments count as interchangeable when the rows it read are closed under
+swapping them, a flag recorded on the relation per epoch.  An elimination
+with no predicate pending sums out next the variable whose bucket joins the
+fewest variables, then the fewest rows (:func:`_smallest_bucket`).  The leaf
+pairs of a k-star and the non-adjacent pairs of a path are exact this way at
+the cost of a few predicate-free eliminations, one per class: 3 for the
+3-star, 8 for the path of four edges.
 
 Every other predicate is part of the plan, in the spirit of FAQ with
 additive inequalities (Abo Khamis et al., PODS 2019): it is applied on the
@@ -92,6 +100,7 @@ import contextlib
 import contextvars
 import dataclasses
 import functools
+import math
 import threading
 import weakref
 from collections import Counter
@@ -103,6 +112,7 @@ import numpy as np
 from repro.data.database import Database, ValueDictionary
 from repro.data.relation import Relation, value_column
 from repro.engine import mobius
+from repro.engine.canonical import _predicate_key, _term_key
 from repro.exceptions import EvaluationError
 from repro.query.atoms import Constant, Variable
 from repro.query.cq import ConjunctiveQuery
@@ -273,10 +283,14 @@ def greedy_elimination_order(
     factor_variable_sets: Sequence[set[Variable]],
     internal_variables: Sequence[Variable],
 ) -> list[Variable]:
-    """A min-width-style greedy elimination order over ``internal_variables``.
+    """A min-width-style greedy elimination order over ``internal_variables``,
+    fixed before any join.
 
     Repeatedly picks the variable whose bucket join touches the fewest
     variables (ties broken by variable name, so the order is deterministic).
+    It plans every elimination that starts with a predicate pending; one
+    with none picks each variable from the live factors instead, by their
+    row counts too (:func:`_smallest_bucket`).
     """
     order: list[Variable] = []
     remaining = set(internal_variables)
@@ -385,18 +399,17 @@ def _relation_codes(
     return snapshot
 
 
-def relation_is_symmetric(relation: Relation, dictionary: ValueDictionary) -> bool:
-    """Whether the binary ``relation`` holds ``(b, a)`` for every row ``(a, b)``.
+def _swap_closed(relation: Relation, epoch: int, coded: tuple[np.ndarray, ...]) -> bool:
+    """Whether the binary ``relation``'s rows at ``epoch``, coded as
+    ``coded``, hold ``(b, a)`` for every row ``(a, b)``.
 
-    The sorted packed code keys of both column orders are compared, and the
-    flag is recorded on the relation for its epoch (:attr:`Relation.symmetry`).
-    Every call reads the codes through the counted lookup, recorded or not,
-    so a relation coded here counts its one miss and every profile counts
-    the same lookups.
+    The flag recorded for that epoch (:meth:`Relation.symmetry_at`) is
+    used when there is one; otherwise the sorted packed code keys of both
+    column orders are compared and the flag is recorded.
     """
-    epoch, (first, second) = _relation_codes(relation, dictionary)
-    flag = relation.symmetry
+    flag = relation.symmetry_at(epoch)
     if flag is None:
+        first, second = coded
         # Codes are dense, so the squared radix stays far inside int64.
         radix = np.int64(max(_radix(first), _radix(second)))
         flag = bool(
@@ -404,6 +417,18 @@ def relation_is_symmetric(relation: Relation, dictionary: ValueDictionary) -> bo
         )
         relation.record_symmetry(epoch, flag)
     return flag
+
+
+def relation_is_symmetric(relation: Relation, dictionary: ValueDictionary) -> bool:
+    """Whether the binary ``relation`` holds ``(b, a)`` for every row ``(a, b)``
+    (:func:`_swap_closed`, on the rows of its current coded snapshot).
+
+    Every call reads the codes through the counted lookup, recorded or not,
+    so a relation coded here counts its one miss and every profile counts
+    the same lookups.
+    """
+    epoch, coded = _relation_codes(relation, dictionary)
+    return _swap_closed(relation, epoch, coded)
 
 
 # --------------------------------------------------------------------- #
@@ -971,6 +996,18 @@ def _join_and_aggregate(
     return _project_sum(current, keep), pending
 
 
+def _smallest_bucket(factors: Sequence[ArrayFactor], candidates: Sequence[Variable]) -> Variable:
+    """The candidate whose bucket joins the fewest variables, then the
+    fewest rows (the product of its factors' row counts), then by name."""
+
+    def rank(var: Variable) -> tuple[int, int, str]:
+        bucket = [f for f in factors if var in f.variables]
+        width = len({v for f in bucket for v in f.variables})
+        return width, math.prod(len(f) for f in bucket), str(var.name)
+
+    return min(candidates, key=rank)
+
+
 def _eliminate(
     factors: list[ArrayFactor],
     internal: Sequence[Variable],
@@ -986,18 +1023,32 @@ def _eliminate(
     are hyperedges of the elimination order, the bucket of ``v`` also takes
     every factor sharing a variable with a pending predicate on ``v``, and a
     join above the cap raises :class:`_RowCapExceeded`.  Without one it is
-    the predicate-blind plan, which drops what it cannot apply.
+    the predicate-blind plan, which drops what it cannot apply.  Either
+    follows :func:`greedy_elimination_order` while a predicate is pending
+    at the start; with none pending (and so no cap), each step sums out the
+    variable of :func:`_smallest_bucket` over the live factors, which
+    reorders no predicate and so moves no count.
 
     A ``restriction`` (a count-1 factor over group variables) does not
     change the order: it joins the first bucket whose variables cover it,
     or else the final join.
     """
-    edges = [set(f.variables) for f in factors]
-    if row_cap is not None:
-        edges += [set(p.variables) for p in pending]
-    order = greedy_elimination_order(edges, internal)
+    planned = None
+    if pending or row_cap is not None:
+        edges = [set(f.variables) for f in factors]
+        if row_cap is not None:
+            edges += [set(p.variables) for p in pending]
+        planned = greedy_elimination_order(edges, internal)
 
-    for var in order:
+    order: list[Variable] = []
+    remaining = list(internal)
+    while remaining:
+        if planned is None:
+            var = _smallest_bucket(factors, remaining)
+        else:
+            var = planned[len(order)]
+        remaining.remove(var)
+        order.append(var)
         linked = {var}
         if row_cap is not None:
             for pred in pending:
@@ -1147,24 +1198,75 @@ def _signed_sum(
     )
 
 
+def _atom_types(
+    atoms: Sequence,
+    applied: Sequence[Sequence[Predicate]],
+    reads: Sequence[tuple[Relation, int, tuple[np.ndarray, ...]]],
+) -> list[tuple[int, bool]]:
+    """``(type, symmetric)`` of each atom factor, for
+    :func:`repro.engine.mobius.quotient_classes`.
+
+    An atom's type is its relation and the epoch it read, its term pattern
+    (constants and repeated variables) and the predicates ``applied`` to its
+    factor, so atoms of one type have equal factors up to their variables'
+    names; types are numbered in order of first appearance.  An atom is
+    symmetric when it is binary over two distinct variables, everything
+    applied to it is ``!=`` between them, and the rows it read are closed
+    under swapping its columns (:func:`_swap_closed`, only asked then).
+    """
+    numbers: dict[tuple, int] = {}
+    types = []
+    for atom, predicates, (relation, epoch, coded) in zip(atoms, applied, reads):
+        names = {v: f"v{i}" for i, v in enumerate(atom.variables)}
+        key = (
+            atom.relation,
+            epoch,
+            tuple(_term_key(t, names) for t in atom.terms),
+            tuple(sorted(_predicate_key(p, names) or f"#{id(p)}" for p in predicates)),
+        )
+        symmetric = (
+            len(atom.terms) == len(names) == 2
+            and all(_separates(p) for p in predicates)
+            and _swap_closed(relation, epoch, coded)
+        )
+        types.append((numbers.setdefault(key, len(numbers)), symmetric))
+    return types
+
+
+def _separates(pred: Predicate) -> bool:
+    """Whether ``pred`` is ``x != y`` between two variables."""
+    return isinstance(pred, InequalityPredicate) and len(pred.variables) == 2
+
+
 def _expand_disequalities(
     factors: list[ArrayFactor],
     internal: Sequence[Variable],
     group_vars: tuple[Variable, ...],
     pending: list[Predicate],
     dictionary: ValueDictionary,
-    restriction: ArrayFactor | None = None,
+    restriction: ArrayFactor | None,
+    applied: Sequence[Sequence[Predicate]],
+    atom_types: Callable[[], list[tuple[int, bool]]] | None,
 ) -> tuple[ArrayFactor, list[Predicate], list[Variable]] | None:
     """Count by Möbius inversion over the pending ``x != y`` predicates with
     a non-group endpoint (see :mod:`repro.engine.mobius`).
 
-    Every term ``q/π`` is counted by plain elimination, or by the
-    predicate-aware plan when predicates that are not expanded stay
-    pending, each under the ``restriction`` with its merged columns
-    agreeing.  Returns ``(final factor, [], order of the all-singletons
-    term)``, or ``None`` when there is nothing to expand or a term's plan
-    would pass :data:`BUCKET_ROW_CAP` — a signed sum of upper bounds bounds
-    nothing, so the caller then runs the unexpanded plans.
+    ``applied`` lists the predicates each factor applied itself: a
+    partition merging the two sides of such an ``x != y`` counts nothing
+    and is skipped.  When every pending predicate is expanded and
+    ``atom_types`` gives the factors' types (:func:`_atom_types`; ``None``
+    for a delta query, whose factors are cut to the delta), one quotient
+    per isomorphism class is counted, under the class's summed
+    coefficient, keeping the first of each set of duplicate atoms
+    (:func:`repro.engine.mobius.quotient_classes`): such terms run with no
+    row cap, so no flag can move.  Otherwise every partition is a term of
+    its own, counted by the predicate-aware plan while predicates that are
+    not expanded stay pending.  Each term runs under the ``restriction``
+    with its merged columns agreeing.  Returns ``(final factor, [], order
+    of the all-singletons term)``, or ``None`` when there is nothing to
+    expand or a term's plan would pass :data:`BUCKET_ROW_CAP` — a signed
+    sum of upper bounds bounds nothing, so the caller then runs the
+    unexpanded plans.
     """
     group_set = set(group_vars)
     expanded = [
@@ -1179,18 +1281,41 @@ def _expand_disequalities(
     kept = [p for p in pending if p not in expanded]
     touched = set().union(*(p.variables for p in expanded))
     vertices = list(dict.fromkeys(v for f in factors for v in f.variables if v in touched))
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = tuple(sorted({tuple(sorted(index[v] for v in p.variables)) for p in expanded}))
+    # Vertices are numbered first, then every other variable.
+    number = {v: i for i, v in enumerate(vertices)}
+    for factor in factors:
+        for var in factor.variables:
+            number.setdefault(var, len(number))
+
+    def pair(pred: Predicate) -> tuple[int, int]:
+        return tuple(sorted(number[v] for v in pred.variables))
+
+    edges = tuple(sorted({pair(p) for p in expanded}))
+    separated = tuple(
+        sorted({pair(p) for ps in applied for p in ps if _separates(p) and p.variables <= touched})
+    )
+    groups = tuple(number[g] for g in group_vars)
+    if kept or atom_types is None:
+        every = tuple(range(len(factors)))
+        plan = [
+            (blocks, coefficient, every)
+            for blocks, coefficient in mobius.separated_partitions(
+                len(vertices), edges, separated
+            )
+        ]
+    else:
+        atoms = tuple(
+            (kind, symmetric, tuple(number[v] for v in factor.variables))
+            for (kind, symmetric), factor in zip(atom_types(), factors)
+        )
+        plan = mobius.quotient_classes(len(vertices), edges, separated, atoms, groups)
 
     terms = []
     order: list[Variable] = []
-    for blocks, coefficient in mobius.signed_partitions(len(vertices), edges):
-        rep: dict[Variable, Variable] = {}
-        for block in blocks:
-            members = [v for i, v in enumerate(vertices) if block >> i & 1]
-            head = next((g for g in group_vars if g in members), members[0])
-            rep.update((v, head) for v in members)
-        quotient = _quotient_factors(factors, rep, kept, dictionary)
+    for blocks, coefficient, atoms_kept in plan:
+        heads = mobius.block_heads(len(vertices), blocks, groups)
+        rep = {v: vertices[h] for v, h in zip(vertices, heads)}
+        quotient = _quotient_factors([factors[i] for i in atoms_kept], rep, kept, dictionary)
         term_restriction = None if restriction is None else _merge_columns(restriction, rep)
         if quotient is None or (
             term_restriction is not restriction and not len(term_restriction)
@@ -1310,6 +1435,7 @@ def eliminate_group_counts_columnar(
     dictionary = database.dictionary if restrict is None else restrict.dictionary
     factors: list[ArrayFactor] = []
     read: set[tuple[str, int]] = set()
+    reads = []  # (relation, epoch, codes) per atom read from its relation
     for idx in indices:
         atom = query.atoms[idx]
         if delta is not None and idx == delta[0]:
@@ -1323,18 +1449,24 @@ def eliminate_group_counts_columnar(
             relation = database.relation(atom.relation)
             epoch, coded = _relation_codes(relation, dictionary)
             read.add((atom.relation, epoch))
+            reads.append((relation, epoch, coded))
             length = len(coded[0]) if coded else len(relation)
         factors.append(_atom_factor(atom, coded, length, dictionary))
     if delta is not None:
         factors = _cut_to(factors, indices.index(delta[0]))
+    applied = []  # the predicates each atom factor applied itself
     for position, factor in enumerate(factors):
+        before = pending
         factors[position], pending = _apply_ready_predicates(factor, pending, dictionary)
+        applied.append([p for p in before if p not in pending])
 
     internal = [v for v in covered_vars if v not in group_vars]
     plan = None
     if pending:
+        atoms = [query.atoms[idx] for idx in indices]
         plan = _expand_disequalities(
-            factors, internal, group_vars, pending, dictionary, restriction
+            factors, internal, group_vars, pending, dictionary, restriction, applied,
+            None if delta is not None else functools.partial(_atom_types, atoms, applied, reads),
         )
     if plan is None and pending:
         try:

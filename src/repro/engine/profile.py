@@ -24,11 +24,13 @@ isolation — the reference path of
 every subset is decomposed once, each *structurally distinct* component is
 evaluated exactly once, and per-subset results are assembled from the
 memoized component results.  Isomorphism is detected through a canonical
-labelling (:func:`_canonical_labelling`): the least key over the leaves of
-an individualisation-refinement search, capped at :data:`MAX_LABELLINGS`
-leaves.  The symmetry flag of each binary relation the query reads is
-computed once per profile from its coded columns and recorded on the
-relation for its epoch
+labelling (:func:`repro.engine.canonical.canonical_labelling`, which the
+Möbius expansion shares): the least key over the leaves of an
+individualisation-refinement search, capped at :data:`MAX_LABELLINGS`
+leaves, memoised on the component's integer description, so a process
+labels each component shape once.  The symmetry flag of each binary
+relation the query reads is computed once per profile from its coded
+columns and recorded on the relation for its epoch
 (:func:`repro.engine.columnar.relation_is_symmetric`), so a delta that
 breaks the symmetry re-plans the next profile.  Components are evaluated
 one after another on the calling thread; concurrency comes only from
@@ -77,7 +79,12 @@ from repro.engine.aggregates import (
     combine_component_results,
     multiplicity_from_counts,
 )
-from repro.engine.canonical import _term_key
+from repro.engine.canonical import (
+    MAX_LABELLINGS,
+    OPERATORS,
+    _term_key,
+    canonical_labelling,
+)
 from repro.engine.columnar import (
     EliminationResult,
     factorization_counter_scope,
@@ -160,16 +167,6 @@ class LatticeProfile:
 # --------------------------------------------------------------------- #
 # Component canonicalization
 # --------------------------------------------------------------------- #
-#: The most candidate labellings :func:`_canonical_labelling` tries for one
-#: component.  A component with more (ties that one refinement round cannot
-#: split and that no exchange of two variables resolves) gets no signature
-#: and is shared only by identical atom set.
-MAX_LABELLINGS = 64
-
-#: Comparison operators as integers (``>`` and ``>=`` are turned around).
-_OPERATORS = {"!=": 0, "<": 1, "<=": 2}
-
-
 @dataclass(frozen=True)
 class _ComponentInfo:
     """Structural description of one connected component of the lattice."""
@@ -181,10 +178,6 @@ class _ComponentInfo:
     by_name: Mapping[int, Variable]
     signature: tuple | None
     pred_keys: tuple[tuple, ...]
-
-
-class _OverCap(Exception):
-    """The labelling search passed :data:`MAX_LABELLINGS` leaves."""
 
 
 class _QueryCodes:
@@ -231,7 +224,7 @@ class _QueryCodes:
             for atom in query.atoms
         ]
         self.predicates = {
-            key: (_OPERATORS[op], self._code(left), self._code(right))
+            key: (OPERATORS[op], self._code(left), self._code(right))
             for key, (op, left, right) in oriented.items()
         }
 
@@ -245,142 +238,41 @@ class _QueryCodes:
         return self._constants[_term_key(term, {})]
 
 
-def _canonical_labelling(
+def _component_labelling(
     codes: _QueryCodes, atoms: tuple[int, ...], residual: ResidualQuery
 ) -> tuple[tuple, dict[Variable, int], tuple[tuple, ...]] | None:
     """The component's canonical key, the variable names giving it, and its
     predicates' keys under those names (``None`` over :data:`MAX_LABELLINGS`).
 
-    A labelling names the variables with distinct integers; the key under
-    it is the sorted atom keys (a symmetric relation's two terms sorted),
-    the boundary names, the output names and the sorted predicate keys, and
-    the canonical key is the least key over the candidate labellings.  The
-    candidates are the leaves of an individualisation-refinement search:
-    the variables are coloured by boundary and output membership, the
-    colours are refined once by atom and predicate incidences (a symmetric
-    relation's two positions count as one), and each remaining tie is
-    broken every possible way in turn, the leaf's colours being its names.
-    A way is skipped when exchanging its variable with the tie's first one
-    maps the component onto itself, since its leaves repeat the first one's
-    keys (checked only where it saves more than one leaf).  Every step
-    reads colours, never variable names, so isomorphic components try the
-    same set of keys and get the same least one, and equal keys make the
-    two name maps an isomorphism.
+    The component goes to :func:`~repro.engine.canonical.canonical_labelling`
+    as integers: its variables numbered in order of first appearance, a
+    binary atom marked symmetric when its relation is, and each variable
+    coloured by its boundary and output membership.
     """
     local: dict[int, int] = {}  # query variable number -> component variable
-    specs = []  # (relation, symmetric, terms); a term is a variable or a constant (< 0)
+    specs = []
     for idx in atoms:
         relation, name, terms = codes.atoms[idx]
         terms = tuple(local.setdefault(t, len(local)) if t >= 0 else t for t in terms)
         specs.append((relation, len(terms) == 2 and codes.is_symmetric(name), terms))
-    preds = [
+    preds = tuple(
         (op, local.get(left, left), local.get(right, right))
         for op, left, right in (codes.predicates[id(p)] for p in residual.predicates)
-    ]
-    n = len(local)
-    colour = [0] * n
-    boundary = [local[codes.index[v]] for v in residual.boundary_relational]
-    for i in boundary:
-        colour[i] = 1
-    outputs = []
+    )
+    colours = [0] * len(local)
+    for v in residual.boundary_relational:
+        colours[local[codes.index[v]]] = 1
     if not codes.query.is_full:
-        outputs = [local[codes.index[v]] for v in residual.output_variables]
-        for i in outputs:
-            colour[i] += 2
-
-    # Refine once: each colour is split by the sorted incidences of its
-    # variables (an atom's relation, the position in it unless symmetric,
-    # and the colours there; a predicate's operator, side and other colour).
-    seen: list[list[tuple]] = [[] for _ in range(n)]
-    for relation, symmetric, terms in specs:
-        coded = tuple(colour[t] if t >= 0 else t for t in terms)
-        if symmetric:
-            entry = (relation, -1, tuple(sorted(coded)))
-            for t in terms:
-                if t >= 0:
-                    seen[t].append(entry)
-        else:
-            for position, t in enumerate(terms):
-                if t >= 0:
-                    seen[t].append((relation, position, coded))
-    for op, left, right in preds:
-        left_colour = colour[left] if left >= 0 else left
-        right_colour = colour[right] if right >= 0 else right
-        if left >= 0:
-            seen[left].append((-1 - op, 0, (right_colour,)))
-        if right >= 0:
-            seen[right].append((-1 - op, 0 if op == 0 else 1, (left_colour,)))
-    keys = [(colour[i], *sorted(seen[i])) for i in range(n)]
-    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
-    colour = [rank[key] for key in keys]
-
-    def described(names, atom_specs, pred_specs) -> tuple[list, list]:
-        """Atom and predicate keys with variable ``i`` named ``names[i]``."""
-        atom_keys = []
-        for relation, symmetric, terms in atom_specs:
-            named = [names[t] if t >= 0 else t for t in terms]
-            if symmetric:
-                named.sort()
-            atom_keys.append((relation, *named))
-        pred_keys = []
-        for op, left, right in pred_specs:
-            left = names[left] if left >= 0 else left
-            right = names[right] if right >= 0 else right
-            if op == 0 and right < left:
-                left, right = right, left
-            pred_keys.append((op, left, right))
-        return atom_keys, pred_keys
-
-    def swap_is_automorphism(u: int, v: int) -> bool:
-        """Whether exchanging variables ``u`` and ``v`` maps the atoms and
-        predicates onto themselves."""
-        atom_specs = [spec for spec in specs if u in spec[2] or v in spec[2]]
-        pred_specs = [spec for spec in preds if u in spec[1:] or v in spec[1:]]
-        names = list(range(n))
-        before = described(names, atom_specs, pred_specs)
-        names[u], names[v] = v, u
-        after = described(names, atom_specs, pred_specs)
-        return all(sorted(a) == sorted(b) for a, b in zip(before, after))
-
-    best = None  # (key, names, predicate keys) of the least leaf so far
-    leaves = 0
-
-    def search(colour: list[int]) -> None:
-        nonlocal best, leaves
-        ordered = sorted(colour)
-        target = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
-        if target is None:
-            leaves += 1
-            if leaves > MAX_LABELLINGS:
-                raise _OverCap
-            atom_keys, pred_keys = described(colour, specs, preds)
-            key = (
-                tuple(sorted(atom_keys)),
-                tuple(sorted(colour[i] for i in boundary)),
-                tuple(sorted(colour[i] for i in outputs)),
-                tuple(sorted(pred_keys)),
-            )
-            if best is None or key < best[0]:
-                best = (key, colour, pred_keys)
-            return
-        cell = [i for i in range(n) if colour[i] == target]
-        # Exchanging two variables of one cell, when that maps the component
-        # onto itself, maps the first one's subtree onto the other's: the
-        # same keys, so the other is skipped — unless each subtree is a
-        # single leaf, which costs no more than the check.
-        prune = len(set(colour)) < n - 1
-        for chosen in cell:
-            if prune and chosen != cell[0] and swap_is_automorphism(cell[0], chosen):
-                continue
-            search([2 * c + (c == target and i != chosen) for i, c in enumerate(colour)])
-
-    try:
-        search(colour)
-    except _OverCap:
+        for v in residual.output_variables:
+            colours[local[codes.index[v]]] += 2
+    # The cap is this module's name, read at call time, so lowering it here
+    # lowers it for the profile alone.
+    labelling = canonical_labelling(tuple(specs), preds, tuple(colours), MAX_LABELLINGS)
+    if labelling is None:
         return None
-    key, names, pred_keys = best
+    key, names, pred_keys = labelling
     variables = codes.variables
-    return key, {variables[code]: names[i] for code, i in local.items()}, tuple(pred_keys)
+    return key, {variables[code]: names[i] for code, i in local.items()}, pred_keys
 
 
 def _component_info(
@@ -395,7 +287,7 @@ def _component_info(
     if all(p.is_inequality for p in residual.dropped_predicates) and all(
         id(p) in codes.predicates for p in residual.predicates
     ):
-        labelling = _canonical_labelling(codes, atoms, residual)
+        labelling = _component_labelling(codes, atoms, residual)
     # Section 5.2 domain ranging (the value depends on predicates linking to
     # the outside), generic predicates (not structurally comparable) and
     # components over the labelling cap are shared only by identical atom set.
