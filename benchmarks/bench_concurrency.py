@@ -21,7 +21,10 @@ serving cluster:
   1-worker and a 4-worker server with the same client load and reports
   the ratio; on a ≥4-core machine the 4-worker cluster must clear the
   2.5× acceptance bar (on fewer cores the ratio is informational — the
-  workers just time-slice one CPU).
+  workers just time-slice one CPU).  Those requests are warm; with
+  ``cache_missing=True`` :func:`measure_cluster_throughput` sends every
+  request a query no worker has seen, so the engine does the work
+  (``scripts/bench_snapshot.py --area concurrency`` records both).
 
 Run::
 
@@ -32,6 +35,7 @@ Run::
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -144,12 +148,20 @@ def measure_cluster_throughput(
     *,
     clients: int = 4,
     requests: int = 60,
+    cache_missing: bool = False,
 ) -> float:
     """Aggregate req/s of ``clients`` threads against a live ``workers``-process
-    server (sessionless warm counts — pure serving-path throughput).
+    server (sessionless counts).
+
+    By default every request repeats one query, so once the caches are warm
+    the serving path (HTTP, charge, journal, noise) does all the work.  With
+    ``cache_missing`` every request anchors the 2-path at a constant no
+    request used before, so each one misses every cache and plans, profiles
+    and counts afresh: the engine does the work.
 
     Also used by ``scripts/bench_snapshot.py`` for the committed trajectory.
     """
+    anchors = itertools.count()
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -179,10 +191,11 @@ def measure_cluster_throughput(
             raise RuntimeError("server never reported its address")
 
         def post_count():
+            query = f"Edge({next(anchors)}, y), Edge(y, z)" if cache_missing else "Edge(x, y)"
             request = urllib.request.Request(
                 f"{url}/count",
                 data=json.dumps(
-                    {"database": "g", "query": "Edge(x, y)", "epsilon": 0.25}
+                    {"database": "g", "query": query, "epsilon": 0.25}
                 ).encode("utf-8"),
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -190,9 +203,10 @@ def measure_cluster_throughput(
             with urllib.request.urlopen(request, timeout=60) as response:
                 json.loads(response.read())
 
-        # Warm every worker's plan/sensitivity caches before the clock runs
-        # (the kernel round-robins connections, so a few extra requests per
-        # worker reach them all with overwhelming probability).
+        # Warm every worker before the clock runs — its plan/sensitivity
+        # caches, or with ``cache_missing`` its first-use costs (the kernel
+        # round-robins connections, so a few extra requests per worker reach
+        # them all with overwhelming probability).
         for _ in range(4 * workers):
             post_count()
 

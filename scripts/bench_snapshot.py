@@ -142,7 +142,8 @@ def snapshot_profile() -> dict:
 
 
 def snapshot_concurrency() -> dict:
-    """Charge pipeline under load: journal overhead + prefork HTTP scaling."""
+    """Charge pipeline under load: journal overhead + prefork HTTP scaling,
+    on warm requests and on requests that miss every cache."""
     import bench_concurrency as bc
     from repro.graphs.generators import collaboration_graph
     from repro.graphs.loader import database_from_networkx
@@ -171,6 +172,12 @@ def snapshot_concurrency() -> dict:
         quad = bc.measure_cluster_throughput(
             4, str(Path(tmp) / "st4"), str(edge_file)
         )
+        cold_single = bc.measure_cluster_throughput(
+            1, str(Path(tmp) / "cold1"), str(edge_file), cache_missing=True
+        )
+        cold_pair = bc.measure_cluster_throughput(
+            2, str(Path(tmp) / "cold2"), str(edge_file), cache_missing=True
+        )
     return {
         "workload": {
             "query": bc.PATH2,
@@ -179,6 +186,8 @@ def snapshot_concurrency() -> dict:
             "journaled_releases": 2 * bc.THREADS * bc.ROUNDS,
             "http_clients": 4,
             "http_requests_per_client": 60,
+            "http_query": "Edge(x, y)",
+            "http_cache_missing_query": "Edge(n, y), Edge(y, z), a fresh constant n per request",
         },
         "results": {
             "in_memory_seconds": round(in_memory, 6),
@@ -187,6 +196,9 @@ def snapshot_concurrency() -> dict:
             "http_rps_1_worker": round(single, 1),
             "http_rps_4_workers": round(quad, 1),
             "cluster_scaling_x": round(quad / single, 2),
+            "http_cache_missing_rps_1_worker": round(cold_single, 1),
+            "http_cache_missing_rps_2_workers": round(cold_pair, 1),
+            "cache_missing_scaling_x": round(cold_pair / cold_single, 2),
         },
     }
 

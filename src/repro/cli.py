@@ -574,6 +574,8 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.service.api import serve
     from repro.service.cluster import CapacityBoard
 
+    if args.workers < 1:
+        raise ReproError(f"--workers must be at least 1, got {args.workers}")
     if args.workers > 1:
         return _run_serve_cluster(args)
 

@@ -273,9 +273,11 @@ class Database:
     def dictionary(self) -> ValueDictionary:
         """The instance's value dictionary, built on first use.
 
-        It is seeded from every relation's columnar snapshot, so building
-        it costs the first elimination, not registration.  Relations code
-        their columns against it lazily (:meth:`Relation.coded_columns`).
+        It is seeded from every relation's value columns
+        (:meth:`Relation.to_columns`, built for the purpose and not kept),
+        so building it costs the first elimination, not registration.
+        Relations code their rows against it lazily
+        (:meth:`Relation.coded_columns`).
         """
         dictionary = self._dictionary
         if dictionary is None:
@@ -290,8 +292,8 @@ class Database:
         return dictionary
 
     def release_caches(self) -> None:
-        """Drop the dictionary and every relation's derived caches (indexes,
-        columnar snapshots, coded columns).
+        """Drop the dictionary and every relation's coded columns and
+        symmetry flag.
 
         Called by the serving-layer registry when this instance's
         registration is replaced or removed, so snapshots tied to a stale

@@ -72,25 +72,26 @@ def random_database(
         Seed or numpy Generator.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    database = Database(schema)
+    relations: dict[str, dict[tuple, None]] = {}
     for relation_schema in schema:
         target = sizes.get(relation_schema.name, 0)
         if target < 0:
             raise DatasetError(f"negative size for relation {relation_schema.name!r}")
-        relation = database.relation(relation_schema.name)
+        # Distinct rows in draw order.
+        rows = relations[relation_schema.name] = {}
         attempts = 0
-        while len(relation) < target and attempts < 20:
-            missing = target - len(relation)
+        while len(rows) < target and attempts < 20:
+            missing = target - len(rows)
             columns: list[np.ndarray] = [
                 skewed_values(missing, domain_size, rng, skew=skew)
                 for _ in range(relation_schema.arity)
             ]
             for row in zip(*columns):
-                relation.add(tuple(int(v) for v in row))
-                if len(relation) >= target:
+                rows[tuple(int(v) for v in row)] = None
+                if len(rows) >= target:
                     break
             attempts += 1
-    return database
+    return Database(schema, relations)
 
 
 def two_table_schema(private: Sequence[str] = ("R", "S")) -> DatabaseSchema:

@@ -72,13 +72,11 @@ def generate_tpch(
     if orders_per_customer < 0 or lineitems_per_order < 0:
         raise DatasetError("per-entity rates must be non-negative")
     rng = np.random.default_rng(seed)
-    database = Database(tpch_schema(private))
-
-    customers = database.relation("Customer")
+    customers = []
     for custkey in range(num_customers):
         nation = int(rng.integers(0, num_nations))
         segment = f"SEG{int(rng.integers(0, 5))}"
-        customers.add((custkey, nation, segment))
+        customers.append((custkey, nation, segment))
 
     # Skewed foreign keys: rank-based Zipf weights over customers / orders.
     def _skewed_keys(count: int, universe: int) -> np.ndarray:
@@ -87,25 +85,27 @@ def generate_tpch(
         return rng.choice(universe, size=count, p=weights / weights.sum())
 
     num_orders = max(1, int(round(num_customers * orders_per_customer)))
-    orders = database.relation("Orders")
     order_custkeys = _skewed_keys(num_orders, num_customers)
+    orders = []
     for orderkey in range(num_orders):
         priority = int(rng.integers(1, 6))
-        orders.add((orderkey, int(order_custkeys[orderkey]), priority))
+        orders.append((orderkey, int(order_custkeys[orderkey]), priority))
 
     num_lineitems = max(1, int(round(num_orders * lineitems_per_order)))
-    lineitems = database.relation("Lineitem")
     lineitem_orderkeys = _skewed_keys(num_lineitems, num_orders)
-    added = 0
+    # Distinct line items in draw order.
+    lineitems: dict[tuple, None] = {}
     attempt = 0
-    while added < num_lineitems and attempt < num_lineitems * 5:
-        orderkey = int(lineitem_orderkeys[added % num_lineitems])
+    while len(lineitems) < num_lineitems and attempt < num_lineitems * 5:
+        orderkey = int(lineitem_orderkeys[len(lineitems) % num_lineitems])
         partkey = int(rng.integers(0, num_parts))
         quantity = int(rng.integers(1, max_quantity + 1))
-        if lineitems.add((orderkey, partkey, quantity)):
-            added += 1
+        lineitems.setdefault((orderkey, partkey, quantity))
         attempt += 1
-    return database
+    return Database(
+        tpch_schema(private),
+        {"Customer": customers, "Orders": orders, "Lineitem": lineitems},
+    )
 
 
 def customer_order_lineitem_query() -> ConjunctiveQuery:

@@ -10,12 +10,13 @@ The matcher handles the three wrinkles of our atom syntax:
 * **constants** in atom positions (the tuple value must equal the constant),
 * **repeated variables** within an atom (the tuple must agree on those
   positions), and
-* **partially bound variables** (lookups go through the relation's hash
-  index on the bound positions).
+* **partially bound variables** (lookups go through a hash index on the
+  bound positions, which the matcher builds on first use and keeps).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Iterator, Mapping
 
 from repro.data.relation import Relation
@@ -42,6 +43,8 @@ class AtomMatcher:
             if isinstance(term, Variable):
                 self._var_positions.setdefault(term, ())
                 self._var_positions[term] = self._var_positions[term] + (i,)
+        # Hash indexes on position tuples, built on first use.
+        self._indexes: dict[tuple[int, ...], dict[tuple, list[tuple]]] = {}
 
     @property
     def atom(self) -> Atom:
@@ -58,17 +61,6 @@ class AtomMatcher:
         """The distinct variables of the atom."""
         return tuple(self._var_positions)
 
-    def estimated_extensions(self, bound: Mapping[Variable, object]) -> int:
-        """A cheap upper bound on the number of matches given bindings ``bound``.
-
-        Used by the join planner to order atoms; exactness is not required.
-        """
-        bound_positions = self._bound_positions(bound)
-        if not bound_positions:
-            return len(self._relation)
-        positions = tuple(p for p, _ in bound_positions)
-        return self._relation.max_frequency(positions)
-
     def _bound_positions(
         self, bound: Mapping[Variable, object]
     ) -> list[tuple[int, object]]:
@@ -80,6 +72,15 @@ class AtomMatcher:
                 for pos in positions:
                     pinned.append((pos, value))
         return pinned
+
+    def _index_on(self, positions: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+        """The relation's rows by their values at ``positions``."""
+        index = self._indexes.get(positions)
+        if index is None:
+            index = self._indexes[positions] = defaultdict(list)
+            for row in self._relation:
+                index[tuple(row[p] for p in positions)].append(row)
+        return index
 
     def matches(self, bound: Mapping[Variable, object]) -> Iterator[dict[Variable, object]]:
         """Yield the new-variable bindings of every tuple compatible with ``bound``.
@@ -102,7 +103,7 @@ class AtomMatcher:
             if not consistent:
                 return
             key = tuple(values_by_pos[p] for p in positions)
-            candidates = self._relation.index_on(positions).get(key, ())
+            candidates = self._index_on(positions).get(key, ())
         else:
             candidates = self._relation
 

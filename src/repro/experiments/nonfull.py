@@ -59,18 +59,12 @@ def theorem_6_4_instances(n: int, r: int) -> tuple[Database, Database]:
     if r <= 0 or n <= 0 or n % r != 0:
         raise ExperimentError(f"need r > 0 and r dividing n, got n={n}, r={r}")
     schema = nonfull_schema()
-    instance = Database(schema)
-    for x1 in range(n // r):
-        for x2 in range(1, r + 1):
-            instance.relation("R1").add((x1, x2))
-    for x2 in range(1, r + 1):
-        instance.relation("R2").add((x2,))
-
-    other = Database(schema)
-    for x1 in range(n):
-        other.relation("R1").add((x1, 0))
-    for x2 in range(1, r + 1):
-        other.relation("R2").add((x2,))
+    public = [(x2,) for x2 in range(1, r + 1)]
+    instance = Database(
+        schema,
+        {"R1": [(x1, x2) for x1 in range(n // r) for x2 in range(1, r + 1)], "R2": public},
+    )
+    other = Database(schema, {"R1": [(x1, 0) for x1 in range(n)], "R2": public})
     return instance, other
 
 
@@ -113,13 +107,13 @@ def projection_gain_instance(num_entities: int, groups: int, fanout: int) -> Dat
     """
     if num_entities <= 0 or groups <= 0 or fanout <= 0:
         raise ExperimentError("num_entities, groups and fanout must be positive")
-    database = Database(projection_gain_schema())
-    for entity in range(num_entities):
-        database.relation("R1").add((entity, entity % groups))
-    for group in range(groups):
-        for partner in range(fanout):
-            database.relation("R2").add((group, partner))
-    return database
+    return Database(
+        projection_gain_schema(),
+        {
+            "R1": [(entity, entity % groups) for entity in range(num_entities)],
+            "R2": [(group, partner) for group in range(groups) for partner in range(fanout)],
+        },
+    )
 
 
 def run_nonfull_study(

@@ -56,14 +56,12 @@ def database_from_edges(
     private:
         Whether the edge relation is private (edge-DP).
     """
-    schema = edge_schema(relation, private=private)
-    database = Database(schema)
-    rel = database.relation(relation)
+    rows = []
     for src, dst in edges:
-        rel.add((src, dst))
+        rows.append((src, dst))
         if symmetric:
-            rel.add((dst, src))
-    return database
+            rows.append((dst, src))
+    return Database(edge_schema(relation, private=private), {relation: rows})
 
 
 def database_from_networkx(

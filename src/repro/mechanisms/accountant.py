@@ -47,7 +47,8 @@ def fold_epsilons(epsilons: Iterable[float], start: float = 0.0) -> float:
 
 
 def _validate(epsilon: float) -> None:
-    if not math.isfinite(epsilon) or epsilon <= 0:
+    # ``True`` would count as 1.
+    if isinstance(epsilon, bool) or not math.isfinite(epsilon) or epsilon <= 0:
         raise PrivacyError(f"epsilon must be positive and finite, got {epsilon}")
 
 
@@ -77,8 +78,13 @@ class PrivacyAccountant:
 
     def __post_init__(self) -> None:
         # NaN slips through a bare "<= 0" comparison and would silently deny
-        # every later charge; reject non-finite budgets at construction.
-        if not math.isfinite(self.total_budget) or self.total_budget <= 0:
+        # every later charge; reject non-finite budgets at construction, and
+        # ``True``, which would count as 1.
+        if (
+            isinstance(self.total_budget, bool)
+            or not math.isfinite(self.total_budget)
+            or self.total_budget <= 0
+        ):
             raise PrivacyError(
                 f"the total budget must be positive and finite, got {self.total_budget}"
             )

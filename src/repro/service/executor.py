@@ -31,6 +31,7 @@ from repro.exceptions import ServiceError
 from repro.obs.tracing import span as obs_span
 from repro.query.cq import ConjunctiveQuery
 from repro.service.service import CountResponse, PrivateQueryService
+from repro.service.sessions import finite_number
 
 __all__ = ["BatchExecutor", "BatchRequest", "BatchItemResult", "BatchResult"]
 
@@ -153,12 +154,10 @@ class BatchExecutor:
             for req in requests
         ]
 
-        # Canonicalize every request up front so duplicates can be grouped.
-        plans: list[tuple[ConjunctiveQuery, str | None]] = []
+        # Canonicalize every request up front so duplicates can be grouped;
+        # the plan cache then serves each group's count its plan.
         with obs_span("plan", requests=len(normalized)):
-            for req in normalized:
-                parsed, key, _ = self._service.plan(req.query)
-                plans.append((parsed, key))
+            keys = [self._service.plan(req.query)[1] for req in normalized]
 
         if epsilon_total is not None:
             if any(req.epsilon is not None for req in normalized):
@@ -167,7 +166,7 @@ class BatchExecutor:
                 )
             # NaN sails through a bare "<= 0" comparison and would poison
             # epsilon_per_group for every group; reject non-finite totals.
-            if not math.isfinite(epsilon_total) or epsilon_total <= 0:
+            if not finite_number(epsilon_total) or epsilon_total <= 0:
                 raise ServiceError(
                     f"epsilon_total must be positive and finite, got {epsilon_total}"
                 )
@@ -180,7 +179,7 @@ class BatchExecutor:
         # predicates) get a per-index group of their own.
         group_of: dict[tuple, int] = {}
         members: list[list[int]] = []
-        for idx, (req, (_, key)) in enumerate(zip(normalized, plans)):
+        for idx, (req, key) in enumerate(zip(normalized, keys)):
             shape = key if key is not None else ("#", idx)
             group_key = (shape, req.epsilon)
             if group_key not in group_of:
@@ -202,7 +201,7 @@ class BatchExecutor:
             try:
                 with obs_span("group", members=len(group_members)):
                     response = self._service.count(
-                        database, plans[leader][0], epsilon, session=session
+                        database, req.query, epsilon, session=session
                     )
             except Exception as exc:
                 # The per-item failure contract covers *any* exception — a

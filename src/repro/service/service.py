@@ -53,7 +53,6 @@ the release fails, a ``deny`` that charges nothing.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -77,7 +76,7 @@ from repro.sensitivity.residual import ResidualSensitivity
 from repro.service.cache import LRUCache
 from repro.service.persistence import StateStore
 from repro.service.registry import DatabaseRegistry, RegisteredDatabase
-from repro.service.sessions import SessionManager
+from repro.service.sessions import SessionManager, finite_number
 
 __all__ = ["PrivateQueryService", "CountResponse"]
 
@@ -739,7 +738,7 @@ class PrivateQueryService:
         active trace that is one ``ContextVar`` read returning
         :data:`~repro.obs.tracing.NULL_SPAN`.
         """
-        if not isinstance(epsilon, (int, float)) or not math.isfinite(epsilon) or epsilon <= 0:
+        if not finite_number(epsilon) or epsilon <= 0:
             raise ServiceError(f"epsilon must be positive and finite, got {epsilon}")
         reg = self._registry.get(database)
         # Advisory early rejection: don't pay for sensitivity computation on

@@ -61,9 +61,19 @@ __all__ = [
 ]
 
 
+def finite_number(value: object) -> bool:
+    """Whether ``value`` is a finite ``int`` or ``float`` (the types the
+    journal can write).
+
+    A ``bool`` is not one, although Python counts ``True`` as 1: an ε or a
+    budget of ``True`` is a mistyped request, not a charge of 1.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _validate_epsilon(epsilon: object) -> None:
     """Reject a non-numeric/non-finite/non-positive charge ε."""
-    if not isinstance(epsilon, (int, float)) or not math.isfinite(epsilon) or epsilon <= 0:
+    if not finite_number(epsilon) or epsilon <= 0:
         raise PrivacyError(f"epsilon must be positive and finite, got {epsilon!r}")
 
 
@@ -76,9 +86,7 @@ def _journal_safe(epsilon: object) -> float:
     offending value.  Granted charges never pass through here — their ε is
     validated finite before any ledger is touched.
     """
-    if isinstance(epsilon, (int, float)) and math.isfinite(epsilon):
-        return float(epsilon)
-    return 0.0
+    return float(epsilon) if finite_number(epsilon) else 0.0
 
 
 @dataclass(frozen=True)
@@ -315,7 +323,7 @@ class SessionManager:
         audit: AuditLog | None = None,
         journal: "StateStore | None" = None,
     ):
-        if not math.isfinite(default_budget) or default_budget <= 0:
+        if not finite_number(default_budget) or default_budget <= 0:
             raise ServiceError(
                 f"default_budget must be positive and finite, got {default_budget}"
             )
@@ -355,7 +363,7 @@ class SessionManager:
     def create(self, *, budget: float | None = None, session_id: str | None = None) -> Session:
         """A new session (fresh ledger); raises if the id is already live."""
         budget = self.default_budget if budget is None else budget
-        if not isinstance(budget, (int, float)) or not math.isfinite(budget) or budget <= 0:
+        if not finite_number(budget) or budget <= 0:
             raise ServiceError(f"session budget must be positive and finite, got {budget}")
         session_id = session_id or uuid.uuid4().hex[:16]
         with self._exclusive():

@@ -421,6 +421,22 @@ class TestServeLifecycle:
         assert signal.getsignal(signal.SIGTERM) is handler
         assert "metrics on http://" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exit_before_binding(
+        self, edge_file, monkeypatch, capsys, workers
+    ):
+        import socketserver
+
+        def bind(self):
+            raise AssertionError("bound a socket")
+
+        monkeypatch.setattr(socketserver.TCPServer, "server_bind", bind)
+        argv = ["serve", "--edge-file", str(edge_file), "--port", "0", "--workers", workers]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"--workers must be at least 1, got {workers}" in captured.err
+        assert "serving" not in captured.out
+
 
 class TestStateCommand:
     @pytest.fixture

@@ -3,8 +3,8 @@
 Covers, on ``int64`` and on ``object`` value columns:
 
 * each relation's change log (:meth:`Relation.changes_since`) — net rows,
-  cancellation, the size limit, the reset by single-tuple mutations, and
-  that constructor rows are not logged;
+  cancellation, the size limit, single-tuple mutations logged like bulk
+  ones, and that constructor rows are not logged;
 * component-cache entries caught up by the delta query
   (:func:`repro.engine.columnar.refresh_group_counts`) — equal to a
   recompute in value, exactness and count after inserts, deletes and
@@ -154,20 +154,23 @@ class TestChangeLog:
         assert relation.changes_since(start + 1, start) is None
 
     def test_single_tuple_mutations_reset_the_log(self, columns):
-        db = _database(columns)
-        for mutate in (
-            lambda rel: rel.add(_row((8, 8), columns)),
-            lambda rel: rel.remove(_row((2, 3), columns)),
-            lambda rel: rel.clear(),
-        ):
-            relation = db.relation("S")
-            start = relation.epoch
-            relation.add_rows([_row((9, 9), columns)])
-            assert relation.changes_since(start) is not None
-            mutate(relation)
-            assert relation.change_log_rows == 0
-            assert relation.changes_since(start) is None
-            assert relation.changes_since(relation.epoch) == ([], [])
+        """Single-tuple edits are logged like bulk ones."""
+        relation = _database(columns).relation("S")  # 5 rows
+        start = relation.epoch
+        bulk, added, removed = (_row(row, columns) for row in ((9, 9), (8, 8), (2, 3)))
+        relation.add_rows([bulk])
+        assert relation.add(added)
+        assert relation.remove(removed)
+        assert relation.epoch == start + 3
+        assert relation.change_log_rows == 3
+        assert relation.changes_since(start) == ([bulk, added], [removed])
+        assert relation.changes_since(start + 1) == ([added], [removed])
+        # Clearing deletes every row in one call, more than the log may hold.
+        relation.clear()
+        assert relation.epoch == start + 4
+        assert relation.change_log_rows == 0
+        assert relation.changes_since(start) is None
+        assert relation.changes_since(relation.epoch) == ([], [])
 
     def test_log_holds_at_most_as_many_rows_as_the_relation(self, columns):
         relation = _database(columns).relation("T")  # 4 rows
@@ -321,8 +324,12 @@ class TestRecomputes:
         db = _database(columns)
         query = _query(QUERY, columns)
         cache = LRUCache(256)
-        _warm(query, db, cache, columns, "T")
-        db.relation("T").add(_row((3, 1), columns))  # single-tuple: resets the log
+        _warm(query, db, cache, columns, "T")  # 5 rows, 1 logged
+        t = db.relation("T")
+        t.add_rows([_row((20 + i, 9), columns) for i in range(3)])  # 8 rows, 4 logged
+        t.remove_rows([_row((z, 9), columns) for z in (3, 4, 6)])  # 5: only this call fits
+        assert t.change_log_rows == 3
+        assert t.changes_since(t.epoch - 2) is None
         refreshes.clear()
         profile = _profile(query, db, cache)
         count = count_query(query, db, component_cache=cache)
@@ -416,23 +423,30 @@ def test_mutation_during_evaluation_leaves_no_entry(columns, monkeypatch):
     assert not [key for key in cache.keys() if key[0] == "count"]
 
 
-class _PublishedRowsHook(dict):
-    """A relation's index table whose ``clear`` runs ``hook`` once.
+class _PublishedRowsHook(set):
+    """A relation's row set whose next update runs ``hook`` once.
 
-    The delta mutators clear the indexes after they have published the new
-    rows and coded columns and before they advance the epoch, so the hook
-    runs exactly where a concurrent reader sees new rows at the old epoch.
+    The mutators update the row set after they have published the new coded
+    columns and before they advance the epoch, so the hook runs exactly
+    where a concurrent reader sees new rows at the old epoch.
     """
 
-    def __init__(self, hook):
-        super().__init__()
+    def __init__(self, rows, hook):
+        super().__init__(rows)
         self.hook = hook
 
-    def clear(self):
-        super().clear()
+    def _run(self):
         hook, self.hook = self.hook, None
         if hook is not None:
             hook()
+
+    def update(self, *others):
+        super().update(*others)
+        self._run()
+
+    def difference_update(self, *others):
+        super().difference_update(*others)
+        self._run()
 
 
 @pytest.mark.parametrize("columns", COLUMNS)
@@ -459,7 +473,7 @@ def test_query_inside_a_mutation_stores_no_mislabelled_entry(columns, edit):
         profile = _profile(query, db, cache)
         inside.append((epoch, profile, count_query(query, db, component_cache=cache)))
 
-    s._indexes = _PublishedRowsHook(query_inside)
+    s._rows = _PublishedRowsHook(s._rows, query_inside)
     rows = [_row((2, 9), columns), _row((4, 6), columns), _row((2, 3), columns)]
     if edit == "insert":
         s.add_rows(rows[:2])
@@ -499,7 +513,7 @@ def test_codes_built_during_a_mutation_wait_for_it(columns):
         reader.join(timeout=0.2)
         assert reader.is_alive()  # waiting for the mutation to finish
 
-    s._indexes = _PublishedRowsHook(start_reader)
+    s._rows = _PublishedRowsHook(s._rows, start_reader)
     s.add_rows([_row((7, 7), columns)])
     reader.join(timeout=30)
     assert not reader.is_alive()

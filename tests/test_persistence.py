@@ -414,6 +414,30 @@ class TestTransactionalCharge:
         assert all(r["epsilon"] == 0.0 for r in events if r["event"] == "deny")
         assert manager.audit.total_recorded == 3
 
+    def test_boolean_epsilon_denied_and_journaled_as_zero(self, tmp_path):
+        """``True`` counts as 1 in Python; as an ε it denies, and the deny
+        record carries 0.0, not ``true``."""
+        store = StateStore(str(tmp_path))
+        manager = SessionManager(default_budget=2.0, journal=store)
+        sid = manager.create().session_id
+        with pytest.raises(PrivacyError, match="True"):
+            manager.charge(sid, True)
+        events, _ = LedgerJournal.read_records(store.journal_path)
+        assert [r["event"] for r in events] == ["session_create", "deny"]
+        assert type(events[1]["epsilon"]) is float and events[1]["epsilon"] == 0.0
+        assert manager.describe(sid)["spent"] == 0.0
+
+    def test_boolean_budget_refused_before_the_journal(self, tmp_path):
+        store = StateStore(str(tmp_path))
+        manager = SessionManager(default_budget=2.0, journal=store)
+        with pytest.raises(ServiceError, match="budget"):
+            manager.create(budget=True)
+        with pytest.raises(ServiceError, match="default_budget"):
+            SessionManager(default_budget=True)
+        events, _ = LedgerJournal.read_records(store.journal_path)
+        assert events == []
+        assert manager.active_ids() == []
+
     def test_non_finite_epsilon_denied_even_without_any_ledger(self):
         """With neither a session nor a shared accountant no can_afford()
         runs — the validation must still deny instead of silently granting."""
@@ -523,6 +547,15 @@ class TestAccountantRefund:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(PrivacyError):
                 accountant.charge(bad)
+
+
+    def test_boolean_budget_and_epsilon_rejected(self):
+        with pytest.raises(PrivacyError):
+            PrivacyAccountant(total_budget=True)
+        accountant = PrivacyAccountant(total_budget=2.0)
+        with pytest.raises(PrivacyError):
+            accountant.charge(True)
+        assert accountant.snapshot() == (0.0, 0)
 
 
 class TestAuditRestore:

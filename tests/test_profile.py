@@ -495,11 +495,19 @@ class TestFactorizationCache:
         assert edge.symmetry is None
 
     def test_invalidated_on_mutation(self, graph_db):
+        """A single-tuple edit extends the codes in place; they stay warm."""
         relation = graph_db.relation("Edge")
+        dictionary = graph_db.dictionary
         ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)
-        assert relation.coded_by is graph_db.dictionary
+        assert relation.coded_by is dictionary
+        epoch = relation.epoch
         relation.add((100, 101))
-        assert relation.coded_by is None
+        assert relation.coded_by is dictionary
+        assert relation.coded_snapshot(dictionary)[0] == epoch + 1
+        coded = relation.coded_columns(dictionary)
+        assert len(coded[0]) == len(relation)
+        for column, codes in zip(relation.to_columns(), coded):
+            assert (dictionary.decode(codes) == column).all()
 
     def test_codes_reconstruct_the_column(self, graph_db):
         ResidualSensitivity(triangle_query(), beta=0.1).profile(graph_db)

@@ -1,4 +1,4 @@
-"""Tests for relation instances (set semantics, indexes, statistics)."""
+"""Tests for relation instances (set semantics, distance, statistics)."""
 
 from __future__ import annotations
 
@@ -84,20 +84,6 @@ class TestDistance:
 
 
 class TestIndexesAndStatistics:
-    def test_index_on(self, edge_relation: Relation):
-        index = edge_relation.index_on([0])
-        assert sorted(index[(1,)]) == [(1, 2), (1, 3)]
-        assert index[(2,)] == [(2, 3)]
-
-    def test_index_invalidated_on_mutation(self, edge_relation: Relation):
-        edge_relation.index_on([0])
-        edge_relation.add((1, 9))
-        assert len(edge_relation.index_on([0])[(1,)]) == 3
-
-    def test_index_position_validation(self, edge_relation: Relation):
-        with pytest.raises(SchemaError):
-            edge_relation.index_on([5])
-
     def test_max_frequency(self, edge_relation: Relation):
         assert edge_relation.max_frequency([0]) == 2  # src = 1 appears twice
         assert edge_relation.max_frequency([1]) == 2  # dst = 3 appears twice
@@ -108,16 +94,3 @@ class TestIndexesAndStatistics:
         relation = Relation(RelationSchema("R", ["a"]))
         assert relation.max_frequency([0]) == 0
         assert relation.max_frequency([]) == 0
-
-    def test_frequency_histogram(self, edge_relation: Relation):
-        histogram = edge_relation.frequency_histogram([0])
-        assert histogram == {(1,): 2, (2,): 1}
-
-    def test_active_domain(self, edge_relation: Relation):
-        assert edge_relation.active_domain(0) == {1, 2}
-        assert edge_relation.active_domain() == {1, 2, 3}
-
-    def test_project_and_select_and_matching(self, edge_relation: Relation):
-        assert edge_relation.project([0]) == {(1,), (2,)}
-        assert set(edge_relation.select(lambda row: row[1] == 3)) == {(1, 3), (2, 3)}
-        assert set(edge_relation.matching([1], (3,))) == {(1, 3), (2, 3)}

@@ -398,6 +398,34 @@ class TestServiceCounting:
         with pytest.raises(ServiceError):
             service.count("toy", "R(x, y)", epsilon=-1.0)
 
+    def test_boolean_epsilon_refused_before_the_charge(self, service_factory, tmp_path):
+        from repro.service.persistence import LedgerJournal
+
+        service = service_factory(state_dir=str(tmp_path))
+        session = service.create_session().session_id
+        with pytest.raises(ServiceError, match="epsilon"):
+            service.count("toy", "R(x, y)", True, session=session)
+        view = service.budget(session)
+        assert (view["spent"], view["charges"]) == (0.0, 0)
+        assert service.stats()["requests_served"] == 0
+        events, _ = LedgerJournal.read_records(tmp_path / "journal.jsonl")
+        assert [r["event"] for r in events] == ["register", "session_create"]
+
+    def test_boolean_budgets_refused(self, service, service_factory):
+        with pytest.raises(ServiceError, match="budget"):
+            service.create_session(budget=True)
+        assert service.sessions.active_ids() == []
+        with pytest.raises(ServiceError, match="budget"):
+            service_factory(session_budget=True)
+        with pytest.raises(PrivacyError, match="budget"):
+            service_factory(total_budget=True)
+
+    def test_boolean_batch_epsilon_total_refused(self, service):
+        session = service.create_session().session_id
+        with pytest.raises(ServiceError, match="epsilon_total"):
+            service.batch("toy", [{"query": "R(x, y)"}], session=session, epsilon_total=True)
+        assert service.budget(session)["spent"] == 0.0
+
     def test_stats_shape(self, service):
         service.count("toy", "R(x, y)", epsilon=0.5)
         stats = service.stats()

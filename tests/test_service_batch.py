@@ -213,3 +213,30 @@ class TestRequestOrder:
             for req in requests
         ]
         assert [item.response.noisy_count for item in batched.items] == expected
+
+
+class TestPlanCache:
+    def test_repeated_batch_items_hit_the_plan_cache(self, service, monkeypatch):
+        """Each group's count reads the plan its request text was cached
+        under, so every item of a repeated batch reports a plan-cache hit and
+        each distinct text is canonicalised once."""
+        import repro.service.service as service_module
+
+        canonicalised = []
+        real = service_module.canonical_query_key
+
+        def spy(query):
+            canonicalised.append(query)
+            return real(query)
+
+        monkeypatch.setattr(service_module, "canonical_query_key", spy)
+        requests = [
+            {"query": "R(x, y), S(y, z)", "epsilon": 0.1},
+            {"query": "R(a, b), S(b, c)", "epsilon": 0.1},
+            {"query": "R(x, y)", "epsilon": 0.1},
+        ]
+        service.batch("toy", requests)
+        again = service.batch("toy", requests)
+        assert again.ok
+        assert [item.response.plan_cache_hit for item in again.items] == [True] * 3
+        assert len(canonicalised) == 3
